@@ -447,6 +447,8 @@ def cmd_predict(config: PipelineConfig, force: bool) -> int:
         return 0
     model = load_model(inputs["model.bin"])
     test_matrix = load_feature_matrix(inputs["features_test.bin"])
+    if model.layout is not None and model.layout != test_matrix.layout:
+        raise ValidationError("model and test matrix feature layouts differ")
     g = load_graph(inputs["graph.csv"])
     labels, confidences = predict_batch(model, test_matrix.x)
     by_date: dict[Date, list[int]] = {}

@@ -1,9 +1,10 @@
 """Skip-gram word embeddings with negative sampling, plus similarity queries.
 
 Training is single-threaded and deterministic: a fixed seed drives
-initialization and negative sampling, and updates are applied pair by
-pair in corpus order, so the same corpus, config, and seed always yield
-bit-identical vectors.
+initialization and negative sampling, and updates are applied in
+fixed-order mini-batches of (center, context) pairs taken in corpus
+order, so the same corpus, config, and seed always yield bit-identical
+vectors.
 """
 
 from __future__ import annotations
@@ -74,6 +75,40 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -35.0, 35.0)))
 
 
+def _pair_arrays(
+    sentences: Sequence[Sequence[str]], index: dict[str, int], window: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """All in-window (center, context) id pairs of the filtered corpus.
+
+    Pairs come in sentence order, then center position, then context
+    position. Out-of-vocabulary tokens are dropped before windowing, and a
+    window never crosses a sentence boundary.
+    """
+    ids: list[int] = []
+    sentence_ids: list[int] = []
+    for s, sentence in enumerate(sentences):
+        kept = [index[t] for t in sentence if t in index]
+        ids.extend(kept)
+        sentence_ids.extend([s] * len(kept))
+    flat = np.asarray(ids, dtype=np.int64)
+    sid = np.asarray(sentence_ids, dtype=np.int64)
+    offsets = np.r_[np.arange(-window, 0), np.arange(1, window + 1)]
+    ctx_pos = np.arange(len(flat))[:, None] + offsets
+    clipped = np.clip(ctx_pos, 0, max(len(flat) - 1, 0))
+    valid = (clipped == ctx_pos) & (sid[clipped] == sid[:, None])
+    centers = np.broadcast_to(flat[:, None], valid.shape)[valid]
+    return centers, flat[clipped[valid]]
+
+
+def _scatter_add(table: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:
+    """table[rows] += updates, accumulating repeated rows (sort + reduceat)."""
+    order = np.argsort(rows, kind="stable")
+    sorted_rows = rows[order]
+    starts = np.flatnonzero(sorted_rows[1:] != sorted_rows[:-1]) + 1
+    starts = np.concatenate(([0], starts))
+    table[sorted_rows[starts]] += np.add.reduceat(updates[order], starts, axis=0)
+
+
 def train_skipgram(
     sentences: Sequence[Sequence[str]], config: SkipGramConfig
 ) -> EmbeddingTable:
@@ -81,8 +116,12 @@ def train_skipgram(
 
     For each (center, context) pair inside the window the objective is
     log sigmoid(u.v) plus ``negatives`` terms log sigmoid(-u.v') with
-    negatives drawn from the unigram^(3/4) distribution. The mean loss of
-    each epoch is recorded on the returned table.
+    negatives drawn from the unigram^(3/4) distribution. Pairs are taken
+    in fixed-order mini-batches of ``max(1, min(1024, V // 4))`` for a
+    vocabulary of V words: every pair of a batch is scored against the
+    vectors as they stood at the batch start, so repeated rows pile their
+    updates into one step, and a batch that is large against V diverges.
+    The mean loss of each epoch is recorded on the returned table.
     """
     counts: dict[str, int] = {}
     for sentence in sentences:
@@ -99,33 +138,20 @@ def train_skipgram(
     index = {w: i for i, w in enumerate(vocab)}
     freqs = np.asarray([counts[w] for w in vocab], dtype=np.int64)
 
-    # Pair lists are identical every epoch (fixed window); build them once.
-    pair_centers: list[np.ndarray] = []
-    pair_contexts: list[np.ndarray] = []
-    total_pairs = 0
-    for sentence in sentences:
-        ids = [index[t] for t in sentence if t in index]
-        if len(ids) < 2:
-            continue
-        centers, contexts = [], []
-        for pos, center in enumerate(ids):
-            lo = max(0, pos - config.window)
-            hi = min(len(ids), pos + config.window + 1)
-            for ctx_pos in range(lo, hi):
-                if ctx_pos != pos:
-                    centers.append(center)
-                    contexts.append(ids[ctx_pos])
-        if centers:
-            pair_centers.append(np.asarray(centers, dtype=np.int64))
-            pair_contexts.append(np.asarray(contexts, dtype=np.int64))
-            total_pairs += len(centers)
+    # Pair arrays are identical every epoch (fixed window); build them once.
+    centers, contexts = _pair_arrays(sentences, index, config.window)
+    total_pairs = len(centers)
     if total_pairs == 0:
         raise ValidationError("corpus yields no training pairs after filtering")
 
     rng = np.random.default_rng(config.seed)
+    n_words = len(vocab)
     dim = config.dimension
-    vecs = (rng.random((len(vocab), dim)) - 0.5) / dim
-    ctx_vecs = np.zeros((len(vocab), dim))
+    # Word vectors fill rows [0, V) and context vectors rows [V, 2V), so one
+    # scatter-add applies a batch's center and context updates together.
+    params = np.zeros((2 * n_words, dim))
+    params[:n_words] = (rng.random((n_words, dim)) - 0.5) / dim
+    context_rows = contexts + n_words
 
     noise = freqs.astype(np.float64) ** 0.75
     noise_cdf = np.cumsum(noise)
@@ -135,54 +161,47 @@ def train_skipgram(
     lr0 = config.learning_rate
     lr_floor = lr0 * 1e-4
     schedule_len = total_pairs * config.epochs
+    batch = max(1, min(1024, n_words // 4))
     target = np.zeros(k + 1)
     target[0] = 1.0
     loss_sign = np.full(k + 1, 1.0)
     loss_sign[0] = -1.0
-    rows = np.empty(k + 1, dtype=np.int64)
 
     epoch_losses = []
-    done = 0
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         loss_sum = 0.0
-        for centers, contexts in zip(pair_centers, pair_contexts):
-            negatives = np.searchsorted(
-                noise_cdf, rng.random((len(centers), k)), side="right"
+        for start in range(0, total_pairs, batch):
+            stop = min(start + batch, total_pairs)
+            done = epoch * total_pairs + start
+            lr = np.maximum(
+                lr0 * (1.0 - np.arange(done, done + stop - start) / schedule_len),
+                lr_floor,
             )
-            for t in range(len(centers)):
-                lr = max(lr0 * (1.0 - done / schedule_len), lr_floor)
-                rows[0] = contexts[t]
-                rows[1:] = negatives[t]
-                u = vecs[centers[t]]
-                v = ctx_vecs[rows]
-                scores = v @ u
-                loss_sum += np.logaddexp(0.0, loss_sign * scores).sum()
-                g = lr * (target - _sigmoid(scores))
-                # np.add.at accumulates duplicate rows exactly
-                np.add.at(ctx_vecs, rows, g[:, None] * u)
-                u += g @ v
-                done += 1
+            # Per pair: center row, context row, then the negatives' rows.
+            rows = np.empty((stop - start, k + 2), dtype=np.int64)
+            rows[:, 0] = centers[start:stop]
+            rows[:, 1] = context_rows[start:stop]
+            negatives = np.searchsorted(
+                noise_cdf, rng.random((stop - start, k)), side="right"
+            )
+            np.add(negatives, n_words, out=rows[:, 2:])
+            u = params[rows[:, 0]]
+            v = params[rows[:, 1:]]
+            scores = np.einsum("bd,bkd->bk", u, v)
+            loss_sum += np.logaddexp(0.0, loss_sign * scores).sum()
+            g = lr[:, None] * (target - _sigmoid(scores))
+            updates = np.empty((stop - start, k + 2, dim))
+            np.einsum("bk,bkd->bd", g, v, out=updates[:, 0])
+            np.multiply(g[:, :, None], u[:, None, :], out=updates[:, 1:])
+            _scatter_add(params, rows.ravel(), updates.reshape(-1, dim))
         epoch_losses.append(loss_sum / total_pairs)
 
     return EmbeddingTable(
         words=list(vocab),
-        vectors=vecs,
+        vectors=params[:n_words].copy(),
         frequencies=freqs,
         epoch_losses=epoch_losses,
     )
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity of two equal-dimension non-zero vectors."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValidationError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ValidationError("cosine undefined for zero vector")
-    return float(np.dot(u, v) / (nu * nv))
 
 
 def rank_by_seed_similarity(

@@ -113,19 +113,52 @@ def up_to_date(
     return True
 
 
+def _lock_holder_gone(lock: Path) -> bool:
+    """Whether the PID recorded in the lock file names no running process.
+
+    An unreadable or malformed lock file counts as held: its writer may be
+    between creating the file and writing its PID.
+    """
+    try:
+        pid = int(lock.read_text(encoding="utf-8").strip())
+    except (OSError, ValueError):
+        return False
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:  # alive, owned by another user
+        return False
+    return False
+
+
 @contextlib.contextmanager
 def work_dir_lock(work_dir: str | Path) -> Iterator[None]:
-    """Exclusive lock on the work dir; concurrent runs against it refuse to start."""
+    """Exclusive lock on the work dir; concurrent runs against it refuse to start.
+
+    A lock left behind by a process that no longer exists (a killed run)
+    is reclaimed.
+    """
     work_dir = Path(work_dir)
     work_dir.mkdir(parents=True, exist_ok=True)
     lock = work_dir / ".lock"
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise PipelineError(
-            f"work dir {work_dir} is locked by another run; "
-            f"remove {lock} if that run is gone"
-        ) from None
+        fd = None
+        if _lock_holder_gone(lock):
+            logger.warning("reclaiming %s: the run that held it is gone", lock)
+            with contextlib.suppress(FileNotFoundError):
+                lock.unlink()
+            with contextlib.suppress(FileExistsError):
+                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        if fd is None:
+            raise PipelineError(
+                f"work dir {work_dir} is locked by another run; "
+                f"remove {lock} if that run is gone"
+            ) from None
     try:
         os.write(fd, f"{os.getpid()}\n".encode())
         os.close(fd)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from newsmotion import cli
+from newsmotion.embedding import _pair_arrays, load_embeddings
 from newsmotion.features import (
     FeatureLayout,
     featurize_samples,
@@ -31,10 +32,12 @@ from newsmotion.graph import (
 )
 from newsmotion.ingest import DateRange, PriceSeries, PriceTable
 from newsmotion.lexicon import (
+    SEED_WORDS,
     CategoryEntry,
     CategoryLexicon,
     KeywordEntry,
     KeywordLexicon,
+    load_keyword_lexicon,
     polarity_score_of,
 )
 from newsmotion.mlp import (
@@ -47,6 +50,7 @@ from newsmotion.mlp import (
     softmax,
 )
 from newsmotion.sampling import NEGATIVE, POSITIVE, Sample, Sentence
+from newsmotion.tokens import tokenize
 
 GRADIENT_TOLERANCE = 1e-4
 GRADIENT_TIME_LIMIT = 10.0
@@ -59,6 +63,9 @@ MIN_PRICE_ONLY_GAP = 0.10
 MIN_PROPAGATED_ACCURACY = 0.6
 PIPELINE_TIME_LIMIT = 300.0
 FULL_DIMENSION = 2022
+PLANTED_VERBS = ("climb", "slide", "advance", "rally", "retreat")
+MIN_PLANTED_SIMILARITY = 0.98
+MAX_NEXT_SIMILARITY = 0.8
 
 PIPELINE_CONFIG = """\
 [embedding]
@@ -481,4 +488,48 @@ class TestAcceptance:
             and len(labels) == 2,
             f"k=1000, 10 categories, all blocks: {matrix.x.shape[1]} dims, "
             "model layout round-trips",
+        )
+
+
+class TestEmbeddingOnFixture:
+    """Skip-gram checks on the artifacts of the shared fixture run."""
+
+    def test_pair_arrays_keep_nested_loop_order(self, pipeline):
+        work = pipeline["work_dirs"][0]
+        with (work / "corpus.txt").open(encoding="utf-8") as fh:
+            sentences = [tokens for tokens in map(tokenize, fh) if tokens]
+        words = load_embeddings(work / "embeddings.txt").words
+        index = {w: i for i, w in enumerate(words)}
+        window = 3
+        expected_centers, expected_contexts = [], []
+        for sentence in sentences:
+            ids = [index[t] for t in sentence if t in index]
+            for pos, center in enumerate(ids):
+                lo, hi = max(0, pos - window), min(len(ids), pos + window + 1)
+                for ctx_pos in range(lo, hi):
+                    if ctx_pos != pos:
+                        expected_centers.append(center)
+                        expected_contexts.append(ids[ctx_pos])
+        centers, contexts = _pair_arrays(sentences, index, window)
+        assert centers.tolist() == expected_centers
+        assert contexts.tolist() == expected_contexts
+
+    def test_planted_verbs_rank_right_after_the_seeds(self, pipeline):
+        entries = load_keyword_lexicon(pipeline["work_dirs"][0] / "keywords.csv").entries
+        head = [e.word for e in entries[:9]]
+        planted = entries[9:14]
+        next_score = entries[14].similarity
+        ok = (
+            set(head) == set(SEED_WORDS)
+            and all(e.seed for e in entries[:9])
+            and {e.word for e in planted} == set(PLANTED_VERBS)
+            and all(e.similarity >= MIN_PLANTED_SIMILARITY for e in planted)
+            and next_score < MAX_NEXT_SIMILARITY
+        )
+        _report(
+            "lexicon ranking",
+            ok,
+            f"seeds {head}, ranks 10-14 "
+            f"{[(e.word, round(e.similarity, 4)) for e in planted]}, "
+            f"rank 15 {entries[14].word} at {next_score:.4f}",
         )

@@ -3,13 +3,22 @@
 from __future__ import annotations
 
 import logging
+import os
+import shutil
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from newsmotion import cli
+from newsmotion.errors import PipelineError
+from newsmotion.features import load_feature_matrix
 from newsmotion.graph import load_graph, load_predictions
 from newsmotion.lexicon import load_keyword_lexicon
+from newsmotion.manifest import work_dir_lock
+from newsmotion.mlp import init, save_model
 
 SMOKE_CONFIG = """\
 [synth]
@@ -169,10 +178,33 @@ class TestFailureModes:
         config = _write_config(tmp_path, "")
         work = tmp_path / "work"
         work.mkdir()
-        (work / ".lock").write_text("12345\n")
+        (work / ".lock").write_text(f"{os.getpid()}\n")
         with caplog.at_level(logging.ERROR):
             assert cli.main(["synth", "--config", str(config)]) == 2
         assert "locked by another run" in caplog.text
+
+    def test_predict_rejects_a_model_with_another_layout(
+        self, pipeline, tmp_path, caplog
+    ):
+        config = _write_config(tmp_path)
+        work = tmp_path / "work"
+        work.mkdir()
+        for name in ("features_test.bin", "graph.csv"):
+            shutil.copy(pipeline / "work" / name, work / name)
+        layout = load_feature_matrix(work / "features_test.bin").layout
+        # Same input width, different blocks: the width check alone passes.
+        other = replace(
+            layout,
+            blocks=("price", "bok", "ps"),
+            k=layout.k + layout.n_categories // 2,
+            n_categories=0,
+        )
+        assert other.dimension == layout.dimension and other != layout
+        save_model(init((other.dimension, 4, 2), seed=1, layout=other), work / "model.bin")
+        with caplog.at_level(logging.ERROR):
+            assert cli.main(["predict", "--config", str(config)]) == 1
+        assert "layouts differ" in caplog.text
+        assert not (work / "predictions.csv").exists()
 
     def test_unusable_work_dir_exits_two(self, tmp_path):
         config = _write_config(tmp_path, "")
@@ -207,3 +239,29 @@ class TestOverrides:
         ]
         symbols = {line.split(",")[1] for line in rows}
         assert len(symbols) == 6
+
+
+class TestWorkDirLock:
+    def test_lock_of_a_finished_process_is_reclaimed(self, tmp_path, caplog):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped, so its PID names no process
+        (tmp_path / ".lock").write_text(f"{child.pid}\n")
+        with caplog.at_level(logging.WARNING):
+            with work_dir_lock(tmp_path):
+                assert (tmp_path / ".lock").read_text() == f"{os.getpid()}\n"
+        assert "reclaiming" in caplog.text
+        assert not (tmp_path / ".lock").exists()
+
+    def test_lock_of_a_live_process_is_kept(self, tmp_path):
+        (tmp_path / ".lock").write_text(f"{os.getppid()}\n")
+        with pytest.raises(PipelineError, match="locked by another run"):
+            with work_dir_lock(tmp_path):
+                pass
+        assert (tmp_path / ".lock").read_text() == f"{os.getppid()}\n"
+
+    @pytest.mark.parametrize("content", ["", "not a pid\n", "0\n", "-1\n"])
+    def test_unreadable_lock_is_kept(self, tmp_path, content):
+        (tmp_path / ".lock").write_text(content)
+        with pytest.raises(PipelineError):
+            with work_dir_lock(tmp_path):
+                pass

@@ -8,7 +8,8 @@ import pytest
 from newsmotion.embedding import (
     EmbeddingTable,
     SkipGramConfig,
-    cosine,
+    _scatter_add,
+    _sigmoid,
     load_embeddings,
     rank_by_seed_similarity,
     save_embeddings,
@@ -19,6 +20,90 @@ from newsmotion.errors import ParseError, ValidationError
 _SMALL = SkipGramConfig(
     dimension=12, window=2, negatives=4, epochs=3, min_count=1, seed=3
 )
+
+
+def cosine(u: np.ndarray, v: np.ndarray) -> float:
+    """Cosine similarity of two equal-dimension non-zero vectors."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:
+        raise ValidationError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        raise ValidationError("cosine undefined for zero vector")
+    return float(np.dot(u, v) / (nu * nv))
+
+
+def sequential_skipgram(sentences, config):
+    """Pair-by-pair SGNS oracle: one update per (center, context) pair.
+
+    Same vocabulary, initialization, negative-sampling stream and
+    learning-rate schedule as ``train_skipgram``; returns (vectors, losses).
+    """
+    counts = {}
+    for sentence in sentences:
+        for token in sentence:
+            counts[token] = counts.get(token, 0) + 1
+    vocab = sorted(
+        (w for w, c in counts.items() if c >= config.min_count),
+        key=lambda w: (-counts[w], w),
+    )
+    index = {w: i for i, w in enumerate(vocab)}
+    freqs = np.asarray([counts[w] for w in vocab], dtype=np.int64)
+    pair_centers, pair_contexts = [], []
+    total_pairs = 0
+    for sentence in sentences:
+        ids = [index[t] for t in sentence if t in index]
+        centers, contexts = [], []
+        for pos, center in enumerate(ids):
+            lo = max(0, pos - config.window)
+            hi = min(len(ids), pos + config.window + 1)
+            for ctx_pos in range(lo, hi):
+                if ctx_pos != pos:
+                    centers.append(center)
+                    contexts.append(ids[ctx_pos])
+        if centers:
+            pair_centers.append(np.asarray(centers, dtype=np.int64))
+            pair_contexts.append(np.asarray(contexts, dtype=np.int64))
+            total_pairs += len(centers)
+
+    rng = np.random.default_rng(config.seed)
+    dim = config.dimension
+    vecs = (rng.random((len(vocab), dim)) - 0.5) / dim
+    ctx_vecs = np.zeros((len(vocab), dim))
+    noise_cdf = np.cumsum(freqs.astype(np.float64) ** 0.75)
+    noise_cdf /= noise_cdf[-1]
+    k = config.negatives
+    lr0 = config.learning_rate
+    schedule_len = total_pairs * config.epochs
+    target = np.zeros(k + 1)
+    target[0] = 1.0
+    loss_sign = np.full(k + 1, 1.0)
+    loss_sign[0] = -1.0
+    rows = np.empty(k + 1, dtype=np.int64)
+    losses = []
+    done = 0
+    for _ in range(config.epochs):
+        loss_sum = 0.0
+        for centers, contexts in zip(pair_centers, pair_contexts):
+            negatives = np.searchsorted(
+                noise_cdf, rng.random((len(centers), k)), side="right"
+            )
+            for t in range(len(centers)):
+                lr = max(lr0 * (1.0 - done / schedule_len), lr0 * 1e-4)
+                rows[0] = contexts[t]
+                rows[1:] = negatives[t]
+                u = vecs[centers[t]]
+                v = ctx_vecs[rows]
+                scores = v @ u
+                loss_sum += np.logaddexp(0.0, loss_sign * scores).sum()
+                g = lr * (target - _sigmoid(scores))
+                np.add.at(ctx_vecs, rows, g[:, None] * u)
+                u += g @ v
+                done += 1
+        losses.append(loss_sum / total_pairs)
+    return vecs, losses
 
 
 def _mini_corpus():
@@ -145,6 +230,45 @@ class TestTrainSkipgram:
 
     def test_substituted_words_converge(self, subst_table):
         assert cosine(subst_table.vector("rise"), subst_table.vector("rebound")) > 0.9
+
+    @pytest.mark.parametrize("n_words", [4, 5, 6])
+    def test_tiny_vocabulary_does_not_diverge(self, n_words):
+        rng = np.random.default_rng(n_words)
+        words = ["up", "down", "flat", "open", "close", "halt"][:n_words]
+        corpus = [
+            list(rng.choice(words, size=int(rng.integers(2, 7)))) for _ in range(300)
+        ]
+        table = train_skipgram(
+            corpus,
+            SkipGramConfig(dimension=8, window=3, epochs=5, min_count=1, seed=5),
+        )
+        losses = table.epoch_losses
+        assert len(table) == n_words
+        assert np.all(np.isfinite(losses))
+        assert all(later < losses[0] for later in losses[1:])
+        assert np.all(np.isfinite(table.vectors))
+
+    def test_batch_of_one_matches_pair_by_pair_oracle(self):
+        # Six words give a batch size of max(1, 6 // 4) = 1.
+        corpus = _mini_corpus()
+        table = train_skipgram(corpus, _SMALL)
+        vectors, losses = sequential_skipgram(corpus, _SMALL)
+        assert len(table) == 6
+        np.testing.assert_allclose(table.vectors, vectors, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(table.epoch_losses, losses, rtol=0.0, atol=1e-10)
+
+
+class TestScatterAdd:
+    def test_matches_add_at_on_repeated_rows(self):
+        rng = np.random.default_rng(11)
+        rows = rng.integers(0, 7, size=60)
+        rows[:5] = 3  # a run of one row, besides the scattered repeats
+        updates = rng.normal(size=(60, 4))
+        got = rng.normal(size=(9, 4))  # rows 7 and 8 are never touched
+        expected = got.copy()
+        _scatter_add(got, rows, updates)
+        np.add.at(expected, rows, updates)
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
 
 class TestRankBySeedSimilarity:
