@@ -46,7 +46,6 @@ from .graph import (
     PROPAGATED,
     Prediction,
     build_graph,
-    initial_vector,
     load_graph,
     propagate,
     threshold_predictions,
@@ -64,7 +63,7 @@ from .lexicon import (
     write_keyword_lexicon,
 )
 from .manifest import text_sha256, up_to_date, work_dir_lock, write_manifest
-from .mlp import TrainConfig, load_model, predict_batch, save_model, train
+from .mlp import DOWN, UP, TrainConfig, load_model, predict_batch, save_model, train
 from .sampling import (
     AliasMatcher,
     build_samples,
@@ -432,7 +431,7 @@ def cmd_graph(config: PipelineConfig, force: bool) -> int:
         min_overlap=config.graph_min_overlap,
     )
     write_graph(g, outputs["graph.csv"])
-    logger.info("graph: %d nodes, %d edges", len(g), sum(1 for _ in g.edges()))
+    logger.info("graph: %d nodes, %d edges", len(g), g.edge_count())
     return _finish(config, "graph", inputs, outputs)
 
 
@@ -451,47 +450,38 @@ def cmd_predict(config: PipelineConfig, force: bool) -> int:
         raise ValidationError("model and test matrix feature layouts differ")
     g = load_graph(inputs["graph.csv"])
     labels, confidences = predict_batch(model, test_matrix.x)
-    by_date: dict[Date, list[int]] = {}
-    for i, d in enumerate(test_matrix.dates):
-        by_date.setdefault(d, []).append(i)
-    predictions = []
-    for d in sorted(by_date):
-        day_conf: dict[str, float] = {}
-        for i in by_date[d]:
-            ticker = test_matrix.tickers[i]
-            predictions.append(
-                Prediction(
-                    date=d,
-                    ticker=ticker,
-                    source=DNN,
-                    label=labels[i],
-                    confidence=float(confidences[i]),
-                )
+    predictions = [
+        Prediction(date=d, ticker=t, source=DNN, label=label, confidence=float(c))
+        for d, t, label, c in zip(
+            test_matrix.dates, test_matrix.tickers, labels, confidences
+        )
+    ]
+    p = propagate(
+        g,
+        test_matrix.dates,
+        test_matrix.tickers,
+        confidences,
+        config.iterations,
+        config.clamp_observed,
+    )
+    emitted = threshold_predictions(g, p.values, p.observed, config.predict_tau)
+    for r, c in zip(*emitted.nonzero()):
+        value = float(p.values[r, c])
+        predictions.append(
+            Prediction(
+                date=p.dates[r],
+                ticker=g.nodes[c],
+                source=PROPAGATED,
+                label=UP if value > 0 else DOWN,
+                confidence=value,
             )
-            if ticker in g.index:
-                day_conf[ticker] = float(confidences[i])
-        if not day_conf:
-            continue
-        x = initial_vector(g, day_conf)
-        x_prime = propagate(g, x, config.iterations, config.clamp_observed)
-        for ticker, (label, value) in threshold_predictions(
-            g, x_prime, config.predict_tau
-        ).items():
-            predictions.append(
-                Prediction(
-                    date=d,
-                    ticker=ticker,
-                    source=PROPAGATED,
-                    label=label,
-                    confidence=float(value),
-                )
-            )
+        )
     write_predictions(predictions, outputs["predictions.csv"])
     logger.info(
         "predict: %d dnn and %d propagated predictions over %d dates",
-        sum(1 for p in predictions if p.source == DNN),
-        sum(1 for p in predictions if p.source == PROPAGATED),
-        len(by_date),
+        len(test_matrix),
+        int(emitted.sum()),
+        len(set(test_matrix.dates)),
     )
     return _finish(config, "predict", inputs, outputs)
 

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from datetime import date as Date
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .errors import PipelineError, ValidationError
 from .features import BLOCK_ORDER, FeatureMatrix, slice_blocks
-from .graph import CorrelationGraph, initial_vector, propagate, threshold_predictions
+from .graph import CorrelationGraph, propagate, threshold_predictions
 from .ingest import PriceTable
-from .mlp import MlpModel, TrainConfig, direction_of, predict_batch, train
+from .mlp import UP, MlpModel, TrainConfig, direction_of, predict_batch, train
 from .sampling import movement_label
 
 logger = logging.getLogger(__name__)
@@ -176,13 +177,14 @@ def run_propagation_sweep(
 ) -> SweepReport:
     """Propagate per-date classifier confidences and sweep the emission threshold.
 
-    For each test date, the observed stocks' signed confidences seed the
-    graph vector with zeros elsewhere; after propagation, each tau emits
-    the unseen stocks whose confidence clears it. Accuracy compares the
-    emitted labels against the next-day price movement where the price
-    table defines one; emissions without a defined movement count toward
-    coverage but not accuracy. Dates whose observed stocks all fall
-    outside the graph are skipped and counted in the report metadata.
+    Each test date's observed stocks seed one row of a dates x N matrix
+    with their signed confidences, zeros elsewhere; after propagation,
+    each tau emits the unseen stocks whose confidence clears it, exactly
+    as `predict` does at its tau. Accuracy compares the emitted labels
+    against the next-day price movement where the price table defines
+    one; emissions without a defined movement count toward coverage but
+    not accuracy. Dates whose observed stocks all fall outside the graph
+    are skipped and counted in the report metadata.
     """
     if model.layout is not None and model.layout != test_matrix.layout:
         raise ValidationError("model and test matrix feature layouts differ")
@@ -191,70 +193,47 @@ def run_propagation_sweep(
     taus = [float(t) for t in taus]
     if not taus:
         raise ValidationError("at least one tau is required")
-    for tau in taus:
-        if tau < 0:
-            raise ValidationError(f"tau must be non-negative, got {tau}")
 
-    by_date: dict[Date, list[int]] = {}
-    for i, d in enumerate(test_matrix.dates):
-        by_date.setdefault(d, []).append(i)
     _, confidences = predict_batch(model, test_matrix.x)
-
-    days_used = 0
-    days_skipped = 0
-    out_of_graph = 0
-    observed_total = 0
-    emitted = dict.fromkeys(taus, 0)
-    scored = dict.fromkeys(taus, 0)
-    correct = dict.fromkeys(taus, 0)
-    for d in sorted(by_date):
-        day_conf: dict[str, float] = {}
-        for i in by_date[d]:
-            ticker = test_matrix.tickers[i]
-            if ticker in graph.index:
-                day_conf[ticker] = float(confidences[i])
-            else:
-                out_of_graph += 1
-        if not day_conf:
-            days_skipped += 1
-            continue
-        days_used += 1
-        observed_total += len(day_conf)
-        x = initial_vector(graph, day_conf)
-        x_prime = propagate(graph, x, iterations=iterations, clamp_observed=clamp_observed)
-        movements: dict[str, str | None] = {}
-        for tau in taus:
-            for ticker, (label, _) in threshold_predictions(graph, x_prime, tau).items():
-                emitted[tau] += 1
-                if ticker not in movements:
-                    series = prices.get(ticker)
-                    movements[ticker] = (
-                        movement_label(series, d) if series is not None else None
-                    )
-                movement = movements[ticker]
-                if movement is None:
-                    continue
-                scored[tau] += 1
-                if direction_of(movement) == label:
-                    correct[tau] += 1
+    p = propagate(
+        graph,
+        test_matrix.dates,
+        test_matrix.tickers,
+        confidences,
+        iterations=iterations,
+        clamp_observed=clamp_observed,
+    )
+    days_used = len(p.dates)
     if days_used == 0:
         raise ValidationError("no test date had an observed stock in the graph")
-
-    rows = tuple(
-        SweepRow(
-            tau=tau,
-            accuracy=(correct[tau] / scored[tau]) if scored[tau] else None,
-            predicted_per_day=emitted[tau] / days_used,
-            observed_per_day=observed_total / days_used,
+    emitted = [threshold_predictions(graph, p.values, p.observed, tau) for tau in taus]
+    # +1 / -1 where the next-day close moved up / down, 0 where undefined
+    moved = np.zeros(p.values.shape, dtype=np.int8)
+    for r, c in zip(*np.nonzero(np.logical_or.reduce(emitted))):
+        series = prices.get(graph.nodes[c])
+        movement = movement_label(series, p.dates[r]) if series is not None else None
+        if movement is not None:
+            moved[r, c] = 1 if direction_of(movement) == UP else -1
+    observed_per_day = int(p.observed.sum()) / days_used
+    rows = []
+    for tau, mask in zip(taus, emitted):
+        scored = mask & (moved != 0)
+        n_scored = int(scored.sum())
+        correct = int((scored & (moved == np.sign(p.values))).sum())
+        rows.append(
+            SweepRow(
+                tau=tau,
+                accuracy=(correct / n_scored) if n_scored else None,
+                predicted_per_day=int(mask.sum()) / days_used,
+                observed_per_day=observed_per_day,
+            )
         )
-        for tau in taus
-    )
     return SweepReport(
-        rows=rows,
+        rows=tuple(rows),
         metadata={
             "days_used": days_used,
-            "days_skipped": days_skipped,
-            "out_of_graph_samples": out_of_graph,
+            "days_skipped": p.days_skipped,
+            "out_of_graph_samples": p.out_of_graph,
             "iterations": iterations,
             "clamp_observed": clamp_observed,
         },

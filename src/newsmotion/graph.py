@@ -1,9 +1,16 @@
 """Stock correlation graph: build from price histories, propagate predictions.
 
-Edges carry Pearson coefficients of aligned daily closes and survive
-only when |rho| strictly exceeds the prune threshold and the two series
-share enough trading dates. Propagation multiplies the signed-confidence
-vector by the adjacency matrix to reach stocks absent from the news.
+The graph is one symmetric N x N float64 weight matrix over the sorted
+ticker universe, zero on the diagonal and wherever two stocks share no
+edge. An edge carries the Pearson coefficient of the two daily-close
+series over their common trading dates inside the graph window, and
+survives only when |rho| strictly exceeds the prune threshold and the
+series share at least min_overlap dates.
+
+Propagation seeds a dates x N matrix with each date's signed classifier
+confidences, exactly 0 for stocks without news that day, and multiplies
+it by the weight matrix once per iteration to reach stocks absent from
+the news.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .ingest import DateRange, PriceTable, align_series, parse_date
+from .ingest import DateRange, PriceTable, parse_date
 from .mlp import DOWN, UP
 
 DEFAULT_THRESHOLD = 0.8
@@ -26,73 +33,48 @@ DNN = "dnn"
 PROPAGATED = "propagated"
 
 
-def pearson(u: np.ndarray, v: np.ndarray) -> float:
-    """Pearson product-moment correlation of two equal-length series."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValidationError(f"need equal-length vectors, got {u.shape} and {v.shape}")
-    if len(u) < 2:
-        raise ValidationError("correlation needs at least 2 points")
-    du = u - u.mean()
-    dv = v - v.mean()
-    su = float(np.sum(du * du))
-    sv = float(np.sum(dv * dv))
-    if su == 0.0 or sv == 0.0:
-        raise ValidationError("correlation undefined for a constant series")
-    return float(np.sum(du * dv) / np.sqrt(su * sv))
-
-
-@dataclass
+@dataclass(eq=False)
 class CorrelationGraph:
     """Symmetric pruned correlation graph over an ordered ticker universe."""
 
     nodes: list[str]
-    neighbors: list[list[tuple[int, float]]]  # per node, sorted by neighbor index
+    weights: np.ndarray  # (N, N) float64; symmetric, zero diagonal, 0 = no edge
     threshold: float
     min_overlap: int
     window: DateRange | None = None
 
     def __post_init__(self):
-        if len(self.neighbors) != len(self.nodes):
-            raise ValidationError("one neighbor list per node required")
         if len(set(self.nodes)) != len(self.nodes):
             raise ValidationError("duplicate tickers in node list")
+        w = np.asarray(self.weights, dtype=np.float64)
+        if w.shape != (len(self.nodes), len(self.nodes)):
+            raise ValidationError(
+                f"weight matrix of shape {w.shape} for {len(self.nodes)} nodes"
+            )
+        bad = ~(np.abs(w) <= 1.0)  # also catches NaN
+        if bad.any():
+            raise ValidationError(f"edge weight {w[bad][0]!r} outside [-1, 1]")
+        if np.any(np.diagonal(w) != 0.0):
+            raise ValidationError("self-edge on the weight matrix diagonal")
+        if not np.array_equal(w, w.T):
+            i, j = np.argwhere(w != w.T)[0]
+            raise ValidationError(f"asymmetric edge between {i} and {j}")
+        self.weights = w
         self.index = {t: i for i, t in enumerate(self.nodes)}
-        for i, nbrs in enumerate(self.neighbors):
-            for j, w in nbrs:
-                if not 0 <= j < len(self.nodes) or j == i:
-                    raise ValidationError(f"bad neighbor index {j} for node {i}")
-                if not abs(w) <= 1.0:
-                    raise ValidationError(f"edge weight {w} outside [-1, 1]")
-        # weight lookups for the symmetry check
-        weights = {(i, j): w for i, nbrs in enumerate(self.neighbors) for j, w in nbrs}
-        for (i, j), w in weights.items():
-            if weights.get((j, i)) != w:
-                raise ValidationError(f"asymmetric edge between {i} and {j}")
-        self._idx_arrays = [
-            np.asarray([j for j, _ in nbrs], dtype=np.int64) for nbrs in self.neighbors
-        ]
-        self._wgt_arrays = [
-            np.asarray([w for _, w in nbrs], dtype=np.float64)
-            for nbrs in self.neighbors
-        ]
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.neighbors) // 2
+        return int(np.count_nonzero(self.weights)) // 2
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
-        """Each undirected edge once, as (i, j, weight) with i < j."""
-        for i, nbrs in enumerate(self.neighbors):
-            for j, w in nbrs:
-                if i < j:
-                    yield i, j, w
+        """Each undirected edge once, as (i, j, weight) with i < j, row by row."""
+        for i, j in zip(*np.nonzero(np.triu(self.weights, 1))):
+            yield int(i), int(j), float(self.weights[i, j])
 
     def degree(self, ticker: str) -> int:
-        return len(self.neighbors[self.index[ticker]])
+        return int(np.count_nonzero(self.weights[self.index[ticker]]))
 
 
 def build_graph(
@@ -104,8 +86,12 @@ def build_graph(
 ) -> CorrelationGraph:
     """Correlate every ticker pair over the window and keep |rho| > threshold.
 
-    Pairs with fewer than min_overlap common trading dates, or a constant
-    aligned series, simply get no edge.
+    Tickers that trade on the same dates form a group. For each pair of
+    groups, each ticker's closes on the common dates are centred
+    (two-pass: minus their mean) and every pair's cross sums are taken
+    one row at a time, so each rho is the same two-pass Pearson a single
+    pair would get. Pairs with fewer than min_overlap common dates, or a
+    constant series over them, get no edge; rho is clipped into [-1, 1].
     """
     if threshold < 0:
         raise ValidationError("threshold must be non-negative")
@@ -115,121 +101,127 @@ def build_graph(
     if missing:
         raise ValidationError(f"universe tickers without price series: {missing}")
     nodes = sorted(set(universe))
-    neighbors: list[list[tuple[int, float]]] = [[] for _ in nodes]
-    for i in range(len(nodes)):
-        si = prices.get(nodes[i])
-        for j in range(i + 1, len(nodes)):
-            u, v = align_series(si, prices.get(nodes[j]), window)
-            if len(u) < min_overlap:
+    closes: list[np.ndarray] = []
+    groups: dict[tuple[int, ...], list[int]] = {}  # trading days -> node indices
+    for i, ticker in enumerate(nodes):
+        series = prices.get(ticker)
+        keep = [k for k, d in enumerate(series.dates) if window is None or d in window]
+        closes.append(series.closes[keep])
+        groups.setdefault(tuple(series.dates[k].toordinal() for k in keep), []).append(i)
+    days = [np.asarray(key, dtype=np.int64) for key in groups]
+    members = [np.asarray(m, dtype=np.int64) for m in groups.values()]
+    weights = np.zeros((len(nodes), len(nodes)))
+    for a in range(len(days)):
+        for b in range(a, len(days)):
+            common, pos_a, pos_b = np.intersect1d(
+                days[a], days[b], assume_unique=True, return_indices=True
+            )
+            if len(common) < min_overlap:
                 continue
-            du = u - u.mean()
-            dv = v - v.mean()
-            su = float(np.sum(du * du))
-            sv = float(np.sum(dv * dv))
-            if su == 0.0 or sv == 0.0:
-                continue
-            rho = float(np.sum(du * dv) / np.sqrt(su * sv))
-            if abs(rho) > threshold:
-                neighbors[i].append((j, rho))
-                neighbors[j].append((i, rho))
-    for nbrs in neighbors:
-        nbrs.sort()
+            ca, ss_a = _centred([closes[i][pos_a] for i in members[a]])
+            cb, ss_b = (ca, ss_a) if a == b else _centred(
+                [closes[j][pos_b] for j in members[b]]
+            )
+            for r, i in enumerate(members[a]):
+                if ss_a[r] == 0.0:
+                    continue
+                rest = slice(r + 1, None) if a == b else slice(None)
+                cross = (ca[r] * cb[rest]).sum(axis=1)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    rho = np.clip(cross / np.sqrt(ss_a[r] * ss_b[rest]), -1.0, 1.0)
+                hit = (ss_b[rest] != 0.0) & (np.abs(rho) > threshold)
+                cols = members[b][rest][hit]
+                weights[i, cols] = weights[cols, i] = rho[hit]
     return CorrelationGraph(
         nodes=nodes,
-        neighbors=neighbors,
+        weights=weights,
         threshold=threshold,
         min_overlap=min_overlap,
         window=window,
     )
 
 
-@dataclass
-class PredictionVector:
-    """Signed confidences over graph nodes with an observed-entry mask."""
-
-    values: np.ndarray
-    observed: np.ndarray  # bool mask of entries set from classifier output
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.observed = np.asarray(self.observed, dtype=bool)
-        if self.values.shape != self.observed.shape or self.values.ndim != 1:
-            raise ValidationError("values and observed mask must be equal 1-D shapes")
-        if not np.all(np.isfinite(self.values)):
-            raise ValidationError("confidences must be finite")
-        if np.any(np.abs(self.values) > 1.0):
-            raise ValidationError("confidences must lie in [-1, 1]")
+def _centred(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows minus their means, and each centred row's sum of squares."""
+    x = np.stack(rows)
+    c = x - x.mean(axis=1, keepdims=True)
+    return c, (c * c).sum(axis=1)
 
 
-def initial_vector(
-    graph: CorrelationGraph, confidences: dict[str, float]
-) -> PredictionVector:
-    """Vector seeded with classifier confidences; unseen stocks are exactly 0."""
-    values = np.zeros(len(graph))
-    observed = np.zeros(len(graph), dtype=bool)
-    for ticker, confidence in confidences.items():
-        i = graph.index.get(ticker)
-        if i is None:
-            raise ValidationError(f"ticker {ticker!r} not in graph")
-        values[i] = confidence
-        observed[i] = True
-    return PredictionVector(values=values, observed=observed)
+@dataclass(frozen=True)
+class Propagation:
+    """Propagated confidences for each date with an observed stock in the graph."""
+
+    dates: list[Date]  # ascending; row r of values and observed
+    values: np.ndarray  # (dates, N), clipped to [-1, 1]
+    observed: np.ndarray  # (dates, N) bool, entries seeded from the classifier
+    days_skipped: int  # dates whose observed stocks all fall outside the graph
+    out_of_graph: int  # samples whose ticker is not a graph node
 
 
 def propagate(
     graph: CorrelationGraph,
-    x: PredictionVector,
+    dates: Sequence[Date],
+    tickers: Sequence[str],
+    confidences: Sequence[float],
     iterations: int = 1,
     clamp_observed: bool = False,
-) -> PredictionVector:
-    """Repeated x' = Ax over the pruned weights.
+) -> Propagation:
+    """Seed one row per date with its samples' confidences and apply X' = XA.
 
-    With clamp_observed, observed entries are reset to their input values
-    after each multiplication. Entries are clipped to [-1, 1] only after
-    the final iteration; zero iterations returns x unchanged.
+    Sample k puts confidences[k] at (dates[k], tickers[k]); every other
+    entry of the seed is exactly 0. Samples of tickers outside the graph
+    are counted and left out. With clamp_observed, observed entries are
+    reset to their seeds after each multiplication. Entries are clipped
+    to [-1, 1] only after the final iteration; zero iterations return
+    the seeds.
     """
     if iterations < 0:
         raise ValidationError("iterations must be non-negative")
-    if len(x.values) != len(graph):
+    conf = np.asarray(confidences, dtype=np.float64)
+    if not len(dates) == len(tickers) == len(conf):
         raise ValidationError(
-            f"vector length {len(x.values)} != graph size {len(graph)}"
+            f"{len(dates)} dates, {len(tickers)} tickers and {len(conf)} confidences"
         )
-    if iterations == 0:
-        return PredictionVector(values=x.values.copy(), observed=x.observed.copy())
-    values = x.values
+    if not np.all(np.abs(conf) <= 1.0):
+        raise ValidationError("confidences must be finite and lie in [-1, 1]")
+    col = np.asarray([graph.index.get(t, -1) for t in tickers], dtype=np.int64)
+    inside = col >= 0
+    used = sorted({d for d, ok in zip(dates, inside) if ok})
+    row_of = {d: r for r, d in enumerate(used)}
+    row = np.asarray([row_of[d] for d, ok in zip(dates, inside) if ok], dtype=np.int64)
+    seeds = np.zeros((len(used), len(graph)))
+    seeds[row, col[inside]] = conf[inside]
+    observed = np.zeros(seeds.shape, dtype=bool)
+    observed[row, col[inside]] = True
+    values = seeds
     for _ in range(iterations):
-        new = np.zeros(len(graph))
-        for i in range(len(graph)):
-            idx = graph._idx_arrays[i]
-            if len(idx):
-                new[i] = graph._wgt_arrays[i] @ values[idx]
+        values = values @ graph.weights
         if clamp_observed:
-            new[x.observed] = x.values[x.observed]
-        values = new
-    return PredictionVector(values=np.clip(values, -1.0, 1.0), observed=x.observed.copy())
+            values[observed] = seeds[observed]
+    return Propagation(
+        dates=used,
+        values=np.clip(values, -1.0, 1.0),
+        observed=observed,
+        days_skipped=len(set(dates)) - len(used),
+        out_of_graph=int(np.count_nonzero(~inside)),
+    )
 
 
 def threshold_predictions(
-    graph: CorrelationGraph, x_prime: PredictionVector, tau: float
-) -> dict[str, tuple[str, float]]:
-    """Unseen stocks whose propagated confidence clears tau, with labels.
+    graph: CorrelationGraph, values: np.ndarray, observed: np.ndarray, tau: float
+) -> np.ndarray:
+    """Mask of the unseen stocks whose propagated confidence clears tau.
 
     Zero entries never qualify (no signal reached them), so tau = 0 emits
-    exactly the unseen stocks touched by propagation.
+    exactly the unseen stocks touched by propagation. An emitted entry
+    predicts up when positive and down when negative.
     """
     if tau < 0:
         raise ValidationError("tau must be non-negative")
-    if len(x_prime.values) != len(graph):
-        raise ValidationError("vector does not match graph")
-    out: dict[str, tuple[str, float]] = {}
-    for i, ticker in enumerate(graph.nodes):
-        if x_prime.observed[i]:
-            continue
-        v = float(x_prime.values[i])
-        if v == 0.0 or abs(v) < tau:
-            continue
-        out[ticker] = (UP if v > 0 else DOWN, v)
-    return out
+    if values.shape != observed.shape or values.shape[-1:] != (len(graph),):
+        raise ValidationError("values and observed mask do not match the graph")
+    return ~observed & (values != 0.0) & (np.abs(values) >= tau)
 
 
 def write_graph(graph: CorrelationGraph, path: str | Path) -> None:
@@ -276,18 +268,22 @@ def load_graph(path: str | Path) -> CorrelationGraph:
             raise ParseError(f"{path}: missing '# {key}=' header")
     nodes = meta["nodes"].split(",") if meta["nodes"] else []
     index = {t: i for i, t in enumerate(nodes)}
-    neighbors: list[list[tuple[int, float]]] = [[] for _ in nodes]
+    weights = np.zeros((len(nodes), len(nodes)))
+    seen: set[frozenset[int]] = set()
     for a, b, w in edges:
         if a not in index or b not in index:
             raise ParseError(f"{path}: edge {a},{b} references unknown node")
-        neighbors[index[a]].append((index[b], w))
-        neighbors[index[b]].append((index[a], w))
-    for nbrs in neighbors:
-        nbrs.sort()
+        pair = frozenset((index[a], index[b]))
+        if len(pair) == 1:
+            raise ParseError(f"{path}: self-edge on {a}")
+        if pair in seen:
+            raise ParseError(f"{path}: edge {a},{b} repeated")
+        seen.add(pair)
+        weights[index[a], index[b]] = weights[index[b], index[a]] = w
     window = None if meta.get("window", "none") == "none" else DateRange.parse(meta["window"])
     return CorrelationGraph(
         nodes=nodes,
-        neighbors=neighbors,
+        weights=weights,
         threshold=float(meta["threshold"]),
         min_overlap=int(meta["min_overlap"]),
         window=window,

@@ -272,20 +272,3 @@ def write_prices(table: PriceTable, path: str | Path) -> None:
         fh.write("date,ticker,close\n")
         for d, ticker, c in rows:
             fh.write(f"{d.isoformat()},{ticker},{c!r}\n")
-
-
-def align_series(
-    a: PriceSeries, b: PriceSeries, window: DateRange | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closes of both series restricted to shared dates (inside window), date order."""
-    b_by_date = dict(zip(b.dates, b.closes.tolist()))
-    xs: list[float] = []
-    ys: list[float] = []
-    for d, c in zip(a.dates, a.closes.tolist()):
-        if window is not None and d not in window:
-            continue
-        other = b_by_date.get(d)
-        if other is not None:
-            xs.append(c)
-            ys.append(other)
-    return np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)

@@ -161,12 +161,6 @@ def logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def forward(model: MlpModel, x: np.ndarray) -> tuple[float, float]:
-    """Probabilities (p_up, p_down) for one feature vector."""
-    p = softmax(logits(model, x))
-    return float(p[0]), float(p[1])
-
-
 def loss_and_gradients(
     model: MlpModel, x: np.ndarray, y: np.ndarray, l2: float = 0.0
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
@@ -226,7 +220,7 @@ def _encode_labels(labels: Sequence[str]) -> np.ndarray:
 
 def _error_against(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
     p = softmax(logits(model, x))
-    # tie at exactly 0.5 predicts down, matching predict()
+    # tie at exactly 0.5 predicts down, matching predict_batch()
     predicted = np.where(p[:, 0] > p[:, 1], 0, 1)
     return float(np.mean(predicted != y))
 
@@ -301,15 +295,8 @@ def train(
     return model
 
 
-def predict(model: MlpModel, x: np.ndarray) -> tuple[str, float]:
-    """Predicted direction and confidence p_up - p_down; ties predict down."""
-    p_up, p_down = forward(model, x)
-    label = UP if p_up > p_down else DOWN
-    return label, p_up - p_down
-
-
 def predict_batch(model: MlpModel, x: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """Vectorized predict over matrix rows."""
+    """Direction and confidence p_up - p_down per matrix row; ties predict down."""
     p = softmax(logits(model, x))
     labels = [UP if row[0] > row[1] else DOWN for row in p]
     return labels, p[:, 0] - p[:, 1]

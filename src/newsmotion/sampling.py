@@ -31,10 +31,6 @@ def default_abbreviations() -> frozenset[str]:
     return _parse_abbreviations(text)
 
 
-def load_abbreviations(path: str | Path) -> frozenset[str]:
-    return _parse_abbreviations(Path(path).read_text(encoding="utf-8"))
-
-
 def _parse_abbreviations(text: str) -> frozenset[str]:
     out = set()
     for line in text.splitlines():

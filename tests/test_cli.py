@@ -13,12 +13,15 @@ from pathlib import Path
 import pytest
 
 from newsmotion import cli
+from newsmotion.config import load_config
 from newsmotion.errors import PipelineError
+from newsmotion.evaluation import run_propagation_sweep
 from newsmotion.features import load_feature_matrix
-from newsmotion.graph import load_graph, load_predictions
+from newsmotion.graph import PROPAGATED, load_graph, load_predictions
 from newsmotion.lexicon import load_keyword_lexicon
 from newsmotion.manifest import work_dir_lock
-from newsmotion.mlp import init, save_model
+from newsmotion.mlp import direction_of, init, load_model, save_model
+from newsmotion.sampling import movement_label
 
 SMOKE_CONFIG = """\
 [synth]
@@ -127,6 +130,39 @@ class TestFullPipeline:
         assert predictions
         lexicon = load_keyword_lexicon(pipeline / "work" / "keywords.csv")
         assert len(lexicon.entries) == 120
+
+    def test_predict_emits_what_the_sweep_counts(self, pipeline, tmp_path):
+        root = tmp_path / "copy"
+        shutil.copytree(pipeline, root)
+        config_path = root / "pipeline.ini"
+        config = load_config(config_path)
+        work = root / "work"
+        prices = cli._price_table(config)
+        taus = (0.0, 0.4, 0.8)
+        sweep = run_propagation_sweep(
+            load_feature_matrix(work / "features_test.bin"),
+            load_model(work / "model.bin"),
+            load_graph(work / "graph.csv"),
+            prices,
+            taus,
+            config.iterations,
+            config.clamp_observed,
+        )
+        days_used = sweep.metadata["days_used"]
+        for tau, row in zip(taus, sweep.rows):
+            argv = ["predict", "--config", str(config_path), "--force"]
+            assert cli.main([*argv, "--set", f"sweep.predict_tau={tau}"]) == 0
+            propagated = [
+                p
+                for p in load_predictions(work / "predictions.csv")
+                if p.source == PROPAGATED
+            ]
+            assert propagated or tau > 0.0
+            assert row.predicted_per_day == len(propagated) / days_used
+            moves = [movement_label(prices.get(p.ticker), p.date) for p in propagated]
+            scored = [(p, m) for p, m in zip(propagated, moves) if m is not None]
+            correct = sum(1 for p, m in scored if direction_of(m) == p.label)
+            assert row.accuracy == (correct / len(scored) if scored else None)
 
     def test_second_run_skips_an_up_to_date_stage(self, pipeline, caplog):
         config = pipeline / "pipeline.ini"

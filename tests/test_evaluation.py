@@ -189,12 +189,14 @@ class TestRunPropagationSweep:
         # A seeds its neighbors; D stays untouched by propagation
         return CorrelationGraph(
             nodes=["A", "B", "C", "D"],
-            neighbors=[
-                [(1, 0.9), (2, -0.85)],
-                [(0, 0.9)],
-                [(0, -0.85)],
-                [],
-            ],
+            weights=np.array(
+                [
+                    [0.0, 0.9, -0.85, 0.0],
+                    [0.9, 0.0, 0.0, 0.0],
+                    [-0.85, 0.0, 0.0, 0.0],
+                    [0.0, 0.0, 0.0, 0.0],
+                ]
+            ),
             threshold=0.8,
             min_overlap=2,
         )

@@ -13,18 +13,18 @@ from newsmotion.graph import (
     PROPAGATED,
     CorrelationGraph,
     Prediction,
-    PredictionVector,
+    Propagation,
     build_graph,
-    initial_vector,
     load_graph,
     load_predictions,
-    pearson,
     propagate,
     threshold_predictions,
     write_graph,
     write_predictions,
 )
 from newsmotion.ingest import DateRange, PriceSeries, PriceTable
+
+from graph_oracle import build_graph_pairwise, dense_weights, pearson
 
 DAY = date(2012, 3, 5)
 
@@ -45,27 +45,23 @@ def _ptable(*series_list: PriceSeries) -> PriceTable:
 
 
 def _graph(nodes, edges, threshold=0.8, min_overlap=2) -> CorrelationGraph:
-    index = {t: i for i, t in enumerate(nodes)}
-    neighbors: list[list[tuple[int, float]]] = [[] for _ in nodes]
-    for a, b, w in edges:
-        neighbors[index[a]].append((index[b], w))
-        neighbors[index[b]].append((index[a], w))
-    for nbrs in neighbors:
-        nbrs.sort()
     return CorrelationGraph(
         nodes=list(nodes),
-        neighbors=neighbors,
+        weights=dense_weights(nodes, edges),
         threshold=threshold,
         min_overlap=min_overlap,
     )
 
 
-def _dense(graph: CorrelationGraph) -> np.ndarray:
-    a = np.zeros((len(graph), len(graph)))
-    for i, j, w in graph.edges():
-        a[i, j] = w
-        a[j, i] = w
-    return a
+def _one_day(graph: CorrelationGraph, confidences: dict, **kwargs) -> Propagation:
+    """Propagate the confidences of a single date."""
+    return propagate(
+        graph,
+        [DAY] * len(confidences),
+        list(confidences),
+        list(confidences.values()),
+        **kwargs,
+    )
 
 
 class TestPearson:
@@ -126,7 +122,7 @@ class TestBuildGraph:
         assert [(graph.nodes[i], graph.nodes[j]) for i, j, _ in graph.edges()] == [
             ("AAA", "BBB")
         ]
-        weight = graph.neighbors[0][0][1]
+        weight = graph.weights[0, 1]
         assert weight == pytest.approx(1.0, abs=1e-12)
 
     def test_threshold_is_strict(self):
@@ -169,6 +165,64 @@ class TestBuildGraph:
         graph = build_graph(table, ["AAA", "BBB"], threshold=0.1, min_overlap=2)
         assert graph.edge_count() == 0
 
+    @pytest.mark.parametrize(
+        "closes, other",
+        [
+            (
+                [51.39, 20.0, 28.9, 19.62, 27.75, 56.53, 36.09, 97.55, 25.76, 60.74]
+                + [93.77, 69.9],
+                # three times the first series, to the cent
+                [154.17, 60.0, 86.7, 58.86, 83.25, 169.59, 108.27, 292.65, 77.28]
+                + [182.22, 281.31, 209.7],
+            ),
+            ([59.46, 12.48], [77.82, 58.43]),
+        ],
+    )
+    def test_collinear_pair_gets_a_unit_edge(self, closes, other):
+        # unclipped, these pairs compute |rho| = 1.0000000000000002
+        table = _ptable(_series("AAA", closes), _series("BBB", other))
+        graph = build_graph(table, ["AAA", "BBB"], threshold=0.8, min_overlap=2)
+        assert abs(graph.weights[0, 1]) == 1.0
+        assert graph.edge_count() == 1
+
+    def test_matches_the_pairwise_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(74)
+        start = date(2012, 1, 2)
+        for trial in range(40):
+            series = []
+            for k in range(int(rng.integers(2, 9))):
+                offset = int(rng.integers(0, 6))
+                days = [d for d in range(offset, offset + 40) if rng.random() < 0.85]
+                if trial % 4 == 1 or (trial % 2 and k % 3):
+                    days = list(range(40))  # one date list for all or most tickers
+                closes = 50.0 + np.cumsum(rng.normal(size=len(days)))
+                if rng.random() < 0.15:
+                    closes = np.full(len(days), 42.0)  # constant series
+                elif rng.random() < 0.1:
+                    closes = closes * 1e-170  # squared deviations underflow to 0
+                elif rng.random() < 0.3 and series:
+                    # a near-copy of an earlier ticker, to clear the threshold
+                    base = series[int(rng.integers(0, len(series)))]
+                    days = [(d - start).days for d in base.dates]
+                    closes = base.closes * rng.uniform(1.99, 2.01, size=len(days))
+                series.append(
+                    PriceSeries(
+                        ticker=f"T{k}",
+                        dates=tuple(start + timedelta(days=d) for d in days),
+                        closes=np.asarray(closes, dtype=np.float64),
+                    )
+                )
+            table = _ptable(*series)
+            universe = [s.ticker for s in series]
+            window = None
+            if trial % 4 == 3:
+                window = DateRange(start + timedelta(days=5), start + timedelta(days=30))
+            threshold = float(rng.choice([0.0, 0.5, 0.8]))
+            min_overlap = int(rng.choice([2, 20, 35]))
+            args = (table, universe, window, threshold, min_overlap)
+            got = build_graph(*args).weights
+            assert np.array_equal(got, build_graph_pairwise(*args)), trial
+
     def test_universe_without_prices_rejected(self):
         table = _ptable(_series("AAA", [1.0, 2.0]))
         with pytest.raises(ValidationError, match="ZZZ"):
@@ -187,7 +241,7 @@ class TestCorrelationGraph:
         with pytest.raises(ValidationError, match="asymmetric"):
             CorrelationGraph(
                 nodes=["A", "B"],
-                neighbors=[[(1, 0.9)], []],
+                weights=np.array([[0.0, 0.9], [0.0, 0.0]]),
                 threshold=0.8,
                 min_overlap=2,
             )
@@ -197,10 +251,26 @@ class TestCorrelationGraph:
         assert graph.edge_count() == 2
         assert graph.degree("B") == 2
         assert graph.degree("C") == 1
+        assert list(graph.edges()) == [(0, 1, 0.9), (1, 2, -0.85)]
 
     def test_out_of_range_weight_rejected(self):
         with pytest.raises(ValidationError, match="weight"):
             _graph(["A", "B"], [("A", "B", 1.2)])
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([[0.0, 0.9]], "shape"),
+            ([[0.5, 0.0], [0.0, 0.0]], "self-edge"),
+            ([[0.0, np.nan], [np.nan, 0.0]], "weight"),
+            ([[0.0, np.inf], [np.inf, 0.0]], "weight"),
+        ],
+    )
+    def test_malformed_matrix_rejected(self, weights, message):
+        with pytest.raises(ValidationError, match=message):
+            CorrelationGraph(
+                nodes=["A", "B"], weights=np.array(weights), threshold=0.8, min_overlap=2
+            )
 
 
 class TestPropagate:
@@ -208,48 +278,40 @@ class TestPropagate:
         return _graph(["A", "B", "C"], [("A", "B", 0.9), ("B", "C", -0.85)])
 
     def test_single_step_hand_example(self):
-        graph = self._chain()
-        x = initial_vector(graph, {"A": 0.5})
-        out = propagate(graph, x)
-        assert np.allclose(out.values, [0.0, 0.45, 0.0], atol=1e-12)
-        assert out.observed.tolist() == [True, False, False]
+        out = _one_day(self._chain(), {"A": 0.5})
+        assert np.allclose(out.values, [[0.0, 0.45, 0.0]], atol=1e-12)
+        assert out.observed.tolist() == [[True, False, False]]
+        assert out.dates == [DAY]
 
     def test_single_step_with_clamp_keeps_observed_entries(self):
-        graph = self._chain()
-        x = initial_vector(graph, {"A": 0.5})
-        out = propagate(graph, x, clamp_observed=True)
-        assert np.allclose(out.values, [0.5, 0.45, 0.0], atol=1e-12)
+        out = _one_day(self._chain(), {"A": 0.5}, clamp_observed=True)
+        assert np.allclose(out.values, [[0.5, 0.45, 0.0]], atol=1e-12)
 
     def test_two_steps_hand_example(self):
-        graph = self._chain()
-        x = initial_vector(graph, {"A": 0.5})
-        out = propagate(graph, x, iterations=2)
-        assert np.allclose(out.values, [0.405, 0.0, -0.3825], atol=1e-12)
+        out = _one_day(self._chain(), {"A": 0.5}, iterations=2)
+        assert np.allclose(out.values, [[0.405, 0.0, -0.3825]], atol=1e-12)
 
     def test_two_steps_with_clamp_hand_example(self):
-        graph = self._chain()
-        x = initial_vector(graph, {"A": 0.5})
-        out = propagate(graph, x, iterations=2, clamp_observed=True)
-        assert np.allclose(out.values, [0.5, 0.45, -0.3825], atol=1e-12)
+        out = _one_day(self._chain(), {"A": 0.5}, iterations=2, clamp_observed=True)
+        assert np.allclose(out.values, [[0.5, 0.45, -0.3825]], atol=1e-12)
 
     def test_zero_iterations_copies_the_input(self):
-        graph = self._chain()
-        x = initial_vector(graph, {"B": -0.25})
-        out = propagate(graph, x, iterations=0)
-        assert np.array_equal(out.values, x.values)
-        assert out.values is not x.values
+        confidences = np.array([-0.25])
+        out = propagate(self._chain(), [DAY], ["B"], confidences, iterations=0)
+        assert np.array_equal(out.values, [[0.0, -0.25, 0.0]])
+        assert not np.shares_memory(out.values, confidences)
 
     def test_clipping_happens_only_after_the_final_iteration(self):
         graph = _graph(
             ["C", "N1", "N2", "N3"],
             [("C", "N1", 0.9), ("C", "N2", 0.9), ("C", "N3", 0.9)],
         )
-        x = initial_vector(graph, {"N1": 1.0, "N2": 1.0, "N3": 1.0})
-        one = propagate(graph, x, iterations=1)
-        assert one.values[0] == 1.0  # 2.7 before the final clip
-        two = propagate(graph, x, iterations=2)
+        seeds = {"N1": 1.0, "N2": 1.0, "N3": 1.0}
+        one = _one_day(graph, seeds, iterations=1)
+        assert one.values[0, 0] == 1.0  # 2.7 before the final clip
+        two = _one_day(graph, seeds, iterations=2)
         # leaves see 0.9 * 2.7 = 2.43, clipped to 1; early clipping would give 0.9
-        assert np.allclose(two.values, [0.0, 1.0, 1.0, 1.0], atol=1e-12)
+        assert np.allclose(two.values, [[0.0, 1.0, 1.0, 1.0]], atol=1e-12)
 
     def test_matches_dense_matrix_oracle(self):
         rng = np.random.default_rng(73)
@@ -262,82 +324,117 @@ class TestPropagate:
                     if rng.random() < 0.3:
                         edges.append((nodes[i], nodes[j], float(rng.uniform(-1, 1))))
             graph = _graph(nodes, edges)
-            values = rng.uniform(-1.0, 1.0, size=n)
-            observed = rng.random(n) < 0.4
-            values[~observed] = 0.0
-            x = PredictionVector(values=values, observed=observed)
+            days = [DAY + timedelta(days=d) for d in range(4)]
+            dates, tickers, confidences = [], [], []
+            for d in rng.permutation(len(days)):
+                for i in np.flatnonzero(rng.random(n) < 0.4):
+                    dates.append(days[d])
+                    tickers.append(nodes[i])
+                    confidences.append(float(rng.uniform(-1.0, 1.0)))
             iterations = int(rng.integers(1, 4))
             clamp = bool(rng.random() < 0.5)
-            a = _dense(graph)
-            expected = values.copy()
-            for _ in range(iterations):
-                expected = a @ expected
-                if clamp:
-                    expected[observed] = values[observed]
-            expected = np.clip(expected, -1.0, 1.0)
-            out = propagate(graph, x, iterations=iterations, clamp_observed=clamp)
-            assert np.max(np.abs(out.values - expected)) < 1e-12
+            out = propagate(graph, dates, tickers, confidences, iterations, clamp)
+            assert out.dates == sorted(set(dates))
+            a = dense_weights(nodes, edges)
+            for r, day in enumerate(out.dates):
+                values = np.zeros(n)
+                observed = np.zeros(n, dtype=bool)
+                for d, t, c in zip(dates, tickers, confidences):
+                    if d == day:
+                        values[nodes.index(t)] = c
+                        observed[nodes.index(t)] = True
+                expected = values.copy()
+                for _ in range(iterations):
+                    expected = a @ expected
+                    if clamp:
+                        expected[observed] = values[observed]
+                expected = np.clip(expected, -1.0, 1.0)
+                assert np.max(np.abs(out.values[r] - expected)) < 1e-12
+                assert np.array_equal(out.observed[r], observed)
 
     def test_mismatched_vector_rejected(self):
-        graph = self._chain()
-        x = PredictionVector(values=np.zeros(2), observed=np.zeros(2, dtype=bool))
         with pytest.raises(ValidationError):
-            propagate(graph, x)
+            propagate(self._chain(), [DAY, DAY], ["A", "B"], [0.5])
 
     def test_negative_iterations_rejected(self):
-        graph = self._chain()
         with pytest.raises(ValidationError):
-            propagate(graph, initial_vector(graph, {}), iterations=-1)
+            propagate(self._chain(), [], [], [], iterations=-1)
 
 
 class TestInitialVector:
+    """The seed matrix propagate builds: one row per date, one column per node."""
+
     def test_seeds_and_mask(self):
         graph = _graph(["A", "B", "C"], [("A", "B", 0.9)])
-        x = initial_vector(graph, {"B": -0.3, "C": 0.7})
-        assert x.values.tolist() == [0.0, -0.3, 0.7]
-        assert x.observed.tolist() == [False, True, True]
+        x = _one_day(graph, {"B": -0.3, "C": 0.7}, iterations=0)
+        assert x.values.tolist() == [[0.0, -0.3, 0.7]]
+        assert x.observed.tolist() == [[False, True, True]]
 
     def test_unknown_ticker_rejected(self):
+        # an unknown ticker is left out of the seed and counted; a date
+        # whose observed tickers are all unknown is skipped
         graph = _graph(["A", "B"], [("A", "B", 0.9)])
-        with pytest.raises(ValidationError, match="ZZZ"):
-            initial_vector(graph, {"ZZZ": 0.5})
+        later = DAY + timedelta(days=1)
+        x = propagate(
+            graph, [DAY, DAY, later], ["ZZZ", "A", "ZZZ"], [0.5, 0.25, 0.5], iterations=0
+        )
+        assert x.dates == [DAY]
+        assert x.values.tolist() == [[0.25, 0.0]]
+        assert x.out_of_graph == 2
+        assert x.days_skipped == 1
 
     def test_out_of_range_confidence_rejected(self):
         graph = _graph(["A", "B"], [("A", "B", 0.9)])
         with pytest.raises(ValidationError):
-            initial_vector(graph, {"A": 1.5})
+            _one_day(graph, {"A": 1.5})
+        with pytest.raises(ValidationError):
+            _one_day(graph, {"A": float("nan")})
+
+    def test_rows_follow_date_order(self):
+        graph = _graph(["A", "B"], [("A", "B", 0.9)])
+        later = DAY + timedelta(days=1)
+        x = propagate(graph, [later, DAY], ["B", "A"], [0.5, -0.5], iterations=0)
+        assert x.dates == [DAY, later]
+        assert x.values.tolist() == [[-0.5, 0.0], [0.0, 0.5]]
+        assert x.days_skipped == 0 and x.out_of_graph == 0
 
 
 class TestThresholdPredictions:
-    def _vector(self, graph: CorrelationGraph) -> PredictionVector:
-        x = initial_vector(graph, {"A": 0.5})
-        return propagate(graph, x)
+    def _propagated(self, graph: CorrelationGraph) -> Propagation:
+        return _one_day(graph, {"A": 0.5})
+
+    def _emit(self, graph: CorrelationGraph, tau: float) -> np.ndarray:
+        x = self._propagated(graph)
+        return threshold_predictions(graph, x.values, x.observed, tau)
 
     def test_observed_nodes_never_emitted(self):
         graph = _graph(["A", "B", "C"], [("A", "B", 0.9), ("B", "C", -0.85)])
-        out = threshold_predictions(graph, self._vector(graph), tau=0.0)
-        assert "A" not in out
+        assert not self._emit(graph, tau=0.0)[0, 0]
 
     def test_zero_entries_never_emitted(self):
         graph = _graph(["A", "B", "C"], [("A", "B", 0.9), ("B", "C", -0.85)])
-        out = threshold_predictions(graph, self._vector(graph), tau=0.0)
-        assert out == {"B": ("up", 0.45)}
+        assert self._emit(graph, tau=0.0).tolist() == [[False, True, False]]
+        assert self._propagated(graph).values[0, 1] == 0.45  # emitted up
 
     def test_threshold_is_inclusive(self):
         graph = _graph(["A", "B", "C"], [("A", "B", 0.9), ("B", "C", -0.85)])
-        vec = self._vector(graph)
-        assert "B" in threshold_predictions(graph, vec, tau=0.45)
-        assert "B" not in threshold_predictions(graph, vec, tau=0.450001)
+        assert self._emit(graph, tau=0.45)[0, 1]
+        assert not self._emit(graph, tau=0.450001)[0, 1]
 
     def test_negative_values_emit_down(self):
         graph = _graph(["A", "B"], [("A", "B", -0.9)])
-        out = threshold_predictions(graph, self._vector(graph), tau=0.1)
-        assert out == {"B": ("down", -0.45)}
+        assert self._emit(graph, tau=0.1).tolist() == [[False, True]]
+        assert self._propagated(graph).values[0, 1] == -0.45  # emitted down
 
     def test_negative_tau_rejected(self):
         graph = _graph(["A", "B"], [("A", "B", 0.9)])
         with pytest.raises(ValidationError):
-            threshold_predictions(graph, self._vector(graph), tau=-0.1)
+            self._emit(graph, tau=-0.1)
+
+    def test_mismatched_values_rejected(self):
+        graph = _graph(["A", "B"], [("A", "B", 0.9)])
+        with pytest.raises(ValidationError):
+            threshold_predictions(graph, np.zeros((1, 3)), np.zeros((1, 3), bool), 0.5)
 
 
 class TestGraphFile:
@@ -357,7 +454,7 @@ class TestGraphFile:
         write_graph(graph, path)
         loaded = load_graph(path)
         assert loaded.nodes == graph.nodes
-        assert loaded.neighbors == graph.neighbors
+        assert np.array_equal(loaded.weights, graph.weights)
         assert loaded.threshold == graph.threshold
         assert loaded.min_overlap == graph.min_overlap
         assert loaded.window == graph.window
@@ -387,6 +484,23 @@ class TestGraphFile:
             "ticker_i,ticker_j,weight\nAAA,ZZZ,0.9\n"
         )
         with pytest.raises(ParseError, match="unknown node"):
+            load_graph(path)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("AAA,BBB,0.9\nAAA,BBB,0.95\n", "repeated"),
+            ("AAA,BBB,0.9\nBBB,AAA,0.9\n", "repeated"),
+            ("AAA,AAA,0.9\n", "self-edge"),
+        ],
+    )
+    def test_repeated_pair_or_self_edge_rejected(self, tmp_path, rows, message):
+        path = tmp_path / "graph.csv"
+        path.write_text(
+            "# threshold=0.8\n# min_overlap=2\n# nodes=AAA,BBB\n"
+            "ticker_i,ticker_j,weight\n" + rows
+        )
+        with pytest.raises(ParseError, match=message):
             load_graph(path)
 
     def test_bad_weight_rejected(self, tmp_path):

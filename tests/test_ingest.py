@@ -12,13 +12,14 @@ from newsmotion.ingest import (
     Article,
     DateRange,
     PriceSeries,
-    align_series,
     load_articles,
     load_prices,
     parse_date,
     write_articles,
     write_prices,
 )
+
+from graph_oracle import align_series
 
 
 def _write(tmp_path, name, text):
@@ -177,6 +178,8 @@ class TestLoadPrices:
 
 
 class TestAlignSeries:
+    """The per-pair date alignment behind the graph build's test oracle."""
+
     def test_common_dates_in_order(self):
         a = PriceSeries(
             "AAA",

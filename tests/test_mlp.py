@@ -16,12 +16,10 @@ from newsmotion.mlp import (
     MlpModel,
     TrainConfig,
     direction_of,
-    forward,
     init,
     loss_and_gradients,
     logits,
     load_model,
-    predict,
     predict_batch,
     save_model,
     softmax,
@@ -30,6 +28,19 @@ from newsmotion.mlp import (
 from newsmotion.sampling import NEGATIVE, POSITIVE
 
 DAY = date(2012, 3, 5)
+
+
+def forward(model: MlpModel, x: np.ndarray) -> tuple[float, float]:
+    """Probabilities (p_up, p_down) for one feature vector."""
+    p = softmax(logits(model, x))
+    return float(p[0]), float(p[1])
+
+
+def predict(model: MlpModel, x: np.ndarray) -> tuple[str, float]:
+    """Predicted direction and confidence p_up - p_down; ties predict down."""
+    p_up, p_down = forward(model, x)
+    label = UP if p_up > p_down else DOWN
+    return label, p_up - p_down
 
 
 def _layout(dim: int) -> FeatureLayout:
