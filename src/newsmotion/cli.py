@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .config import DEFAULTS, PipelineConfig, load_config
-from .embedding import SkipGramConfig, load_embeddings, save_embeddings, train_skipgram
+from .config import PipelineConfig, load_config
+from .embedding import load_embeddings, save_embeddings, train_skipgram
 from .errors import (
     ConfigError,
     MissingArtifactError,
@@ -52,7 +52,7 @@ from .graph import (
     write_graph,
     write_predictions,
 )
-from .ingest import DateRange, load_articles, load_prices, parse_date
+from .ingest import DateRange, load_articles, load_prices
 from .lexicon import (
     build_category_lexicon,
     build_keyword_lexicon,
@@ -63,7 +63,7 @@ from .lexicon import (
     write_keyword_lexicon,
 )
 from .manifest import text_sha256, up_to_date, work_dir_lock, write_manifest
-from .mlp import DOWN, UP, TrainConfig, load_model, predict_batch, save_model, train
+from .mlp import DOWN, UP, load_model, predict_batch, save_model, train
 from .sampling import (
     AliasMatcher,
     build_samples,
@@ -73,7 +73,7 @@ from .sampling import (
     split_by_date,
     write_samples,
 )
-from .synth import SynthConfig, generate_synthetic_fixture
+from .synth import generate_synthetic_fixture
 from .tokens import tokenize
 
 logger = logging.getLogger(__name__)
@@ -96,40 +96,8 @@ _PRODUCERS = {
     "predictions.csv": "predict",
 }
 
-# Config keys each stage's manifest hash covers; edits to other keys do
-# not invalidate the stage's cached artifacts.
-_STAGE_KEYS: dict[str, tuple[tuple[str, str], ...]] = {
-    "synth": tuple(("synth", key) for key in DEFAULTS["synth"]),
-    "ingest": (("dates", "train_end"), ("dates", "valid_end")),
-    "embed": tuple(("embedding", key) for key in DEFAULTS["embedding"])
-    + (("pipeline", "seed"),),
-    "lexicon": (("lexicon", "keywords"), ("lexicon", "category_words")),
-    "featurize": (("dates", "train_start"), ("dates", "train_end")),
-    "train": tuple(("training", key) for key in DEFAULTS["training"])
-    + (("pipeline", "seed"),),
-    "graph": (
-        ("graph", "threshold"),
-        ("graph", "min_overlap"),
-        ("graph", "window_start"),
-        ("graph", "window_end"),
-    ),
-    "predict": (
-        ("graph", "iterations"),
-        ("graph", "clamp_observed"),
-        ("sweep", "predict_tau"),
-    ),
-    "evaluate": tuple(("training", key) for key in DEFAULTS["training"])
-    + (
-        ("pipeline", "seed"),
-        ("sweep", "taus"),
-        ("graph", "iterations"),
-        ("graph", "clamp_observed"),
-    ),
-}
-
-
 def _artifact(config: PipelineConfig, name: str) -> Path:
-    return config.work_dir / name
+    return config.paths.work_dir / name
 
 
 def _require_artifact(config: PipelineConfig, name: str) -> Path:
@@ -145,15 +113,17 @@ def _require_input(path: Path, key: str) -> Path:
     return path
 
 
-def _stage_hash(config: PipelineConfig, stage: str) -> str:
-    return text_sha256(config.config_text(_STAGE_KEYS[stage]))
+def _stage_key(config: PipelineConfig, stage: str) -> str:
+    """Hash of the config sections the stage declares in ``_COMMANDS``."""
+    (sections,) = (s for name, _, s, _ in _COMMANDS if name == stage)
+    return text_sha256("\n".join(repr(getattr(config, s)) for s in sections))
 
 
 def _skip(config, stage, inputs, outputs, force: bool) -> bool:
     if force:
         return False
     if up_to_date(
-        config.work_dir, stage, inputs, outputs, _stage_hash(config, stage), config.seed
+        config.paths.work_dir, stage, inputs, outputs, _stage_key(config, stage)
     ):
         logger.info("%s: artifacts up to date, skipping", stage)
         return True
@@ -162,82 +132,31 @@ def _skip(config, stage, inputs, outputs, force: bool) -> bool:
 
 def _finish(config, stage, inputs, outputs) -> int:
     write_manifest(
-        config.work_dir, stage, inputs, outputs, _stage_hash(config, stage), config.seed
+        config.paths.work_dir, stage, inputs, outputs, _stage_key(config, stage)
     )
     return 0
 
 
 def _matcher(config: PipelineConfig) -> AliasMatcher:
-    return AliasMatcher(load_aliases(config.aliases))
+    return AliasMatcher(load_aliases(config.paths.aliases))
 
 
 def _price_table(config: PipelineConfig):
-    return load_prices(config.prices, DateRange(config.train_start, config.train_end))
-
-
-def _skipgram_config(config: PipelineConfig) -> SkipGramConfig:
-    return SkipGramConfig(
-        dimension=config.embedding_dimension,
-        window=config.embedding_window,
-        negatives=config.embedding_negatives,
-        epochs=config.embedding_epochs,
-        learning_rate=config.embedding_learning_rate,
-        min_count=config.embedding_min_count,
-        seed=config.seed,
-    )
-
-
-def _train_config(config: PipelineConfig) -> TrainConfig:
-    return TrainConfig(
-        hidden=config.hidden,
-        learning_rate=config.learning_rate,
-        decay=config.decay,
-        decay_every=config.decay_every,
-        batch_size=config.batch_size,
-        epochs=config.epochs,
-        l2=config.l2,
-        seed=config.seed,
-        patience=config.patience,
-    )
-
-
-def _synth_config(config: PipelineConfig) -> SynthConfig:
-    values = {key: value for section, key, value in config.raw if section == "synth"}
-    try:
-        return SynthConfig(
-            tickers=int(values["tickers"]),
-            group_count=int(values["group_count"]),
-            group_size=int(values["group_size"]),
-            actives_per_group=int(values["actives_per_group"]),
-            start=parse_date(values["start"]),
-            end=parse_date(values["end"]),
-            news_start=parse_date(values["news_start"]),
-            samples_per_day=float(values["samples_per_day"]),
-            noise=float(values["noise"]),
-            driver_weight=float(values["driver_weight"]),
-            mean_reversion=float(values["mean_reversion"]),
-            volatility=float(values["volatility"]),
-            seed=int(values["seed"]),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"synth section: {exc}") from exc
+    window = DateRange(config.dates.train_start, config.dates.train_end)
+    return load_prices(config.paths.prices, window)
 
 
 def cmd_synth(config: PipelineConfig, force: bool) -> int:
-    synth_config = _synth_config(config)
+    paths = config.paths
     inputs: dict[str, Path] = {}
-    outputs = {
-        "articles": config.articles,
-        "prices": config.prices,
-        "aliases": config.aliases,
-    }
+    outputs = {key: getattr(paths, key) for key in ("articles", "prices", "aliases")}
     if _skip(config, "synth", inputs, outputs, force):
         return 0
-    summary = generate_synthetic_fixture(synth_config, config.articles.parent)
+    summary = generate_synthetic_fixture(config.synth, paths.articles.parent)
     for src, dst in (
-        (summary.articles_path, config.articles),
-        (summary.prices_path, config.prices),
-        (summary.aliases_path, config.aliases),
+        (summary.articles_path, paths.articles),
+        (summary.prices_path, paths.prices),
+        (summary.aliases_path, paths.aliases),
     ):
         if src != dst:
             dst.parent.mkdir(parents=True, exist_ok=True)
@@ -254,9 +173,8 @@ def cmd_synth(config: PipelineConfig, force: bool) -> int:
 
 def cmd_ingest(config: PipelineConfig, force: bool) -> int:
     inputs = {
-        "articles": _require_input(config.articles, "articles"),
-        "prices": _require_input(config.prices, "prices"),
-        "aliases": _require_input(config.aliases, "aliases"),
+        key: _require_input(getattr(config.paths, key), key)
+        for key in ("articles", "prices", "aliases")
     }
     outputs = {
         name: _artifact(config, name)
@@ -271,15 +189,15 @@ def cmd_ingest(config: PipelineConfig, force: bool) -> int:
         return 0
     matcher = _matcher(config)
     prices = _price_table(config)
-    sentences = extract_sentences(load_articles(config.articles), matcher)
+    sentences = extract_sentences(load_articles(config.paths.articles), matcher)
     samples = build_samples(sentences, prices)
-    split = split_by_date(samples, config.train_end, config.valid_end)
+    split = split_by_date(samples, config.dates.train_end, config.dates.valid_end)
     write_samples(split.train, outputs["samples_train.jsonl"])
     write_samples(split.validation, outputs["samples_valid.jsonl"])
     write_samples(split.test, outputs["samples_test.jsonl"])
     with outputs["corpus.txt"].open("w", encoding="utf-8", newline="\n") as fh:
         for sentence in sentences:
-            if sentence.article_date <= config.train_end:
+            if sentence.article_date <= config.dates.train_end:
                 fh.write(sentence.text.replace("\n", " ") + "\n")
     logger.info(
         "ingest: %d mention sentences; %d/%d/%d train/valid/test samples",
@@ -299,7 +217,7 @@ def cmd_embed(config: PipelineConfig, force: bool) -> int:
         return 0
     with corpus_path.open("r", encoding="utf-8") as fh:
         sentences = [tokens for tokens in (tokenize(line) for line in fh) if tokens]
-    table = train_skipgram(sentences, _skipgram_config(config))
+    table = train_skipgram(sentences, config.embedding)
     save_embeddings(table, outputs["embeddings.txt"])
     logger.info(
         "embed: %d sentences -> %d words x %d dims",
@@ -316,10 +234,11 @@ def cmd_lexicon(config: PipelineConfig, force: bool) -> int:
     inputs = {
         "samples_train.jsonl": samples_path,
         "embeddings.txt": embeddings_path,
-        "aliases": _require_input(config.aliases, "aliases"),
+        "aliases": _require_input(config.paths.aliases, "aliases"),
     }
-    if config.category_seeds is not None:
-        inputs["category_seeds"] = _require_input(config.category_seeds, "category_seeds")
+    category_seeds_path = config.paths.category_seeds
+    if category_seeds_path is not None:
+        inputs["category_seeds"] = _require_input(category_seeds_path, "category_seeds")
     outputs = {
         "keywords.csv": _artifact(config, "keywords.csv"),
         "categories.csv": _artifact(config, "categories.csv"),
@@ -328,16 +247,18 @@ def cmd_lexicon(config: PipelineConfig, force: bool) -> int:
         return 0
     table = load_embeddings(embeddings_path)
     train_samples = load_samples(samples_path, _matcher(config))
-    keywords = build_keyword_lexicon(table, train_samples, k=config.keywords)
-    category_seeds = load_category_seeds(config.category_seeds)
-    categories = build_category_lexicon(table, category_seeds, m=config.category_words)
+    keywords = build_keyword_lexicon(table, train_samples, k=config.lexicon.keywords)
+    category_seeds = load_category_seeds(category_seeds_path)
+    categories = build_category_lexicon(
+        table, category_seeds, m=config.lexicon.category_words
+    )
     write_keyword_lexicon(keywords, outputs["keywords.csv"])
     write_category_lexicon(categories, outputs["categories.csv"])
     logger.info(
         "lexicon: %d keywords, %d categories x up to %d words",
         len(keywords),
         len(categories.categories),
-        config.category_words,
+        config.lexicon.category_words,
     )
     return _finish(config, "lexicon", inputs, outputs)
 
@@ -353,8 +274,8 @@ def cmd_featurize(config: PipelineConfig, force: bool) -> int:
             "categories.csv",
         )
     }
-    inputs["prices"] = _require_input(config.prices, "prices")
-    inputs["aliases"] = _require_input(config.aliases, "aliases")
+    inputs["prices"] = _require_input(config.paths.prices, "prices")
+    inputs["aliases"] = _require_input(config.paths.aliases, "aliases")
     outputs = {
         name: _artifact(config, name)
         for name in (
@@ -403,7 +324,7 @@ def cmd_train(config: PipelineConfig, force: bool) -> int:
         return 0
     train_matrix = load_feature_matrix(inputs["features_train.bin"])
     valid_matrix = load_feature_matrix(inputs["features_valid.bin"])
-    model = train(train_matrix, valid_matrix, _train_config(config))
+    model = train(train_matrix, valid_matrix, config.training)
     save_model(model, outputs["model.bin"])
     meta = model.metadata
     errors = meta.get("validation_errors", [])
@@ -418,7 +339,7 @@ def cmd_train(config: PipelineConfig, force: bool) -> int:
 
 
 def cmd_graph(config: PipelineConfig, force: bool) -> int:
-    inputs = {"prices": _require_input(config.prices, "prices")}
+    inputs = {"prices": _require_input(config.paths.prices, "prices")}
     outputs = {"graph.csv": _artifact(config, "graph.csv")}
     if _skip(config, "graph", inputs, outputs, force):
         return 0
@@ -426,9 +347,9 @@ def cmd_graph(config: PipelineConfig, force: bool) -> int:
     g = build_graph(
         prices,
         prices.tickers(),
-        window=config.graph_window,
-        threshold=config.graph_threshold,
-        min_overlap=config.graph_min_overlap,
+        window=config.graph.window,
+        threshold=config.graph.threshold,
+        min_overlap=config.graph.min_overlap,
     )
     write_graph(g, outputs["graph.csv"])
     logger.info("graph: %d nodes, %d edges", len(g), g.edge_count())
@@ -461,10 +382,10 @@ def cmd_predict(config: PipelineConfig, force: bool) -> int:
         test_matrix.dates,
         test_matrix.tickers,
         confidences,
-        config.iterations,
-        config.clamp_observed,
+        config.graph.iterations,
+        config.graph.clamp_observed,
     )
-    emitted = threshold_predictions(g, p.values, p.observed, config.predict_tau)
+    emitted = threshold_predictions(g, p.values, p.observed, config.sweep.predict_tau)
     for r, c in zip(*emitted.nonzero()):
         value = float(p.values[r, c])
         predictions.append(
@@ -497,7 +418,7 @@ def cmd_evaluate(config: PipelineConfig, force: bool) -> int:
             "graph.csv",
         )
     }
-    inputs["prices"] = _require_input(config.prices, "prices")
+    inputs["prices"] = _require_input(config.paths.prices, "prices")
     outputs = {
         name: _artifact(config, name)
         for name in ("ablation.csv", "ablation.txt", "sweep.csv", "sweep.txt")
@@ -512,7 +433,7 @@ def cmd_evaluate(config: PipelineConfig, force: bool) -> int:
         valid_matrix,
         test_matrix,
         DEFAULT_COMBINATIONS,
-        _train_config(config),
+        config.training,
     )
     write_ablation_report(ablation, outputs["ablation.csv"])
     ablation_text = render_ablation(ablation)
@@ -527,9 +448,9 @@ def cmd_evaluate(config: PipelineConfig, force: bool) -> int:
         model,
         g,
         prices,
-        config.taus,
-        iterations=config.iterations,
-        clamp_observed=config.clamp_observed,
+        config.sweep.taus,
+        iterations=config.graph.iterations,
+        clamp_observed=config.graph.clamp_observed,
     )
     write_sweep_report(sweep, outputs["sweep.csv"])
     sweep_text = render_sweep(sweep)
@@ -538,16 +459,43 @@ def cmd_evaluate(config: PipelineConfig, force: bool) -> int:
     return _finish(config, "evaluate", inputs, outputs)
 
 
+# (stage, command, config sections it reads, help). The sections make up
+# the stage's cache key; [paths] never does, as the files are content-hashed.
 _COMMANDS = (
-    ("synth", cmd_synth, "generate a synthetic articles/prices/aliases fixture"),
-    ("ingest", cmd_ingest, "split articles into labeled samples and the embedding corpus"),
-    ("embed", cmd_embed, "train word embeddings on the training corpus"),
-    ("lexicon", cmd_lexicon, "build the keyword and category lexicons"),
-    ("featurize", cmd_featurize, "build feature matrices for all splits"),
-    ("train", cmd_train, "train the movement classifier"),
-    ("graph", cmd_graph, "build the price correlation graph"),
-    ("predict", cmd_predict, "emit test-set predictions, direct and propagated"),
-    ("evaluate", cmd_evaluate, "run the feature ablation and the propagation sweep"),
+    (
+        "synth",
+        cmd_synth,
+        ("synth",),
+        "generate a synthetic articles/prices/aliases fixture",
+    ),
+    (
+        "ingest",
+        cmd_ingest,
+        ("dates",),
+        "split articles into labeled samples and the embedding corpus",
+    ),
+    (
+        "embed",
+        cmd_embed,
+        ("embedding",),
+        "train word embeddings on the training corpus",
+    ),
+    ("lexicon", cmd_lexicon, ("lexicon",), "build the keyword and category lexicons"),
+    ("featurize", cmd_featurize, ("dates",), "build feature matrices for all splits"),
+    ("train", cmd_train, ("training",), "train the movement classifier"),
+    ("graph", cmd_graph, ("dates", "graph"), "build the price correlation graph"),
+    (
+        "predict",
+        cmd_predict,
+        ("graph", "sweep"),
+        "emit test-set predictions, direct and propagated",
+    ),
+    (
+        "evaluate",
+        cmd_evaluate,
+        ("dates", "training", "graph", "sweep"),
+        "run the feature ablation and the propagation sweep",
+    ),
 )
 
 
@@ -560,7 +508,7 @@ def _parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="<stage>")
-    for name, func, help_text in _COMMANDS:
+    for name, func, _, help_text in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.add_argument(
             "--config", required=True, metavar="PATH", help="pipeline config file"
@@ -590,7 +538,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         config = load_config(args.config, args.overrides or ())
-        with work_dir_lock(config.work_dir):
+        with work_dir_lock(config.paths.work_dir):
             return args.func(config, args.force)
     except (ConfigError, ValidationError, ParseError, MissingArtifactError) as exc:
         logger.error("%s", exc)

@@ -1,142 +1,216 @@
 """Pipeline configuration: one INI file, full defaults, flag overrides win.
 
+The schema is one frozen dataclass per INI section: ``[embedding]`` is
+:class:`~newsmotion.embedding.SkipGramConfig`, ``[training]`` is
+:class:`~newsmotion.mlp.TrainConfig`, ``[synth]`` is
+:class:`~newsmotion.synth.SynthConfig`, and the small classes below cover
+``[paths]``, ``[dates]``, ``[lexicon]``, ``[graph]``, ``[sweep]`` and
+``[pipeline]``. A section's keys, defaults and types are its dataclass
+fields, and its ``__post_init__`` is the only range check for it; only
+the ordering of the ``[dates]`` boundaries is checked here. The one
+``pipeline.seed`` key fills the ``seed`` field of the embedding and
+training sections, which have no ``seed`` key of their own.
+
 Every key has a default, so an empty config file runs the whole pipeline
 on files named ``articles.jsonl``, ``prices.csv``, and ``aliases.csv``
 next to the config. Relative paths resolve against the config file's
-directory. Overrides use dotted ``section.key=value`` form.
+directory. Overrides use dotted ``section.key=value`` form. An empty
+value of an optional key means None. A ``;`` after whitespace starts a
+comment, so the README's annotated block loads as written.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, fields
 from datetime import date as Date
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Sequence, get_args, get_type_hints
 
-from .errors import ConfigError
-from .ingest import DateRange, parse_date
+from .embedding import SkipGramConfig
+from .errors import ConfigError, ValidationError
+from .ingest import DateRange
+from .mlp import TrainConfig
+from .synth import SynthConfig
 
-# The full schema: section -> key -> default (as written in a config file).
-DEFAULTS: dict[str, dict[str, str]] = {
-    "paths": {
-        "articles": "articles.jsonl",
-        "prices": "prices.csv",
-        "aliases": "aliases.csv",
-        "category_seeds": "",  # empty means the packaged seed list
-        "work_dir": "work",
-    },
-    "dates": {
-        "train_start": "1900-01-01",
-        "train_end": "2012-12-31",
-        "valid_end": "2013-06-15",
-    },
-    "lexicon": {
-        "keywords": "1000",
-        "category_words": "100",
-    },
-    "embedding": {
-        "dimension": "100",
-        "window": "5",
-        "negatives": "5",
-        "epochs": "5",
-        "learning_rate": "0.025",
-        "min_count": "5",
-    },
-    "training": {
-        "hidden": "1024,1024,1024,1024",
-        "learning_rate": "0.05",
-        "decay": "0.5",
-        "decay_every": "10",
-        "batch_size": "64",
-        "epochs": "30",
-        "l2": "0.0",
-        "patience": "0",
-    },
-    "graph": {
-        "threshold": "0.8",
-        "min_overlap": "252",
-        "window_start": "",  # empty start and end mean all common dates
-        "window_end": "",
-        "iterations": "1",
-        "clamp_observed": "false",
-    },
-    "sweep": {
-        "taus": "0.0,0.2,0.4,0.6,0.8,1.0",
-        "predict_tau": "0.8",
-    },
-    "synth": {
-        "tickers": "50",
-        "group_count": "12",
-        "group_size": "3",
-        "actives_per_group": "2",
-        "start": "2011-01-03",
-        "end": "2013-12-31",
-        "news_start": "2011-02-01",
-        "samples_per_day": "7.0",
-        "noise": "0.1",
-        "driver_weight": "0.97",
-        "mean_reversion": "0.9",
-        "volatility": "0.08",
-        "seed": "7",
-    },
-    "pipeline": {
-        "seed": "1",
-    },
+
+@dataclass(frozen=True)
+class PathsConfig:
+    articles: Path = Path("articles.jsonl")
+    prices: Path = Path("prices.csv")
+    aliases: Path = Path("aliases.csv")
+    category_seeds: Path | None = None  # None means the packaged seed list
+    work_dir: Path = Path("work")
+
+
+@dataclass(frozen=True)
+class DatesConfig:
+    train_start: Date = Date(1900, 1, 1)
+    train_end: Date = Date(2012, 12, 31)
+    valid_end: Date = Date(2013, 6, 15)
+
+
+@dataclass(frozen=True)
+class LexiconConfig:
+    keywords: int = 1000
+    category_words: int = 100
+
+    def __post_init__(self):
+        for name in ("keywords", "category_words"):
+            if getattr(self, name) <= 0:
+                raise ValidationError(f"{name} must be positive")
+
+
+@dataclass(frozen=True)
+class GraphConfig:
+    threshold: float = 0.8
+    min_overlap: int = 252
+    window_start: Date | None = None  # no start and end mean all common dates
+    window_end: Date | None = None
+    iterations: int = 1
+    clamp_observed: bool = False
+
+    def __post_init__(self):
+        if not 0 <= self.threshold <= 1:
+            raise ValidationError("threshold must be in [0, 1]")
+        if self.min_overlap < 2:
+            raise ValidationError("min_overlap must be at least 2")
+        if self.iterations < 0:
+            raise ValidationError("iterations must be non-negative")
+        if (self.window_start is None) != (self.window_end is None):
+            raise ValidationError("window_start and window_end must be set together")
+        if self.window_start is not None and self.window_start > self.window_end:
+            raise ValidationError(
+                f"graph window {self.window_start}..{self.window_end} is empty"
+            )
+
+    @property
+    def window(self) -> DateRange | None:
+        if self.window_start is None:
+            return None
+        return DateRange(self.window_start, self.window_end)
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    taus: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+    predict_tau: float = 0.8
+
+    def __post_init__(self):
+        if not self.taus:
+            raise ValidationError("taus needs at least one value")
+        if any(t < 0 for t in self.taus):
+            raise ValidationError("taus must be non-negative")
+        if self.predict_tau < 0:
+            raise ValidationError("predict_tau must be non-negative")
+
+
+@dataclass(frozen=True)
+class SeedConfig:
+    seed: int = 1  # master seed for embeddings and training
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """Typed view of the merged defaults, config file, and overrides.
+
+    One field per INI section, named after it.
+    """
+
+    paths: PathsConfig
+    dates: DatesConfig
+    lexicon: LexiconConfig
+    embedding: SkipGramConfig
+    training: TrainConfig
+    graph: GraphConfig
+    sweep: SweepConfig
+    synth: SynthConfig
+    pipeline: SeedConfig
+
+
+# Sections whose ``seed`` field is pipeline.seed rather than a key of their own.
+_SEEDED = ("embedding", "training")
+
+SECTIONS: dict[str, type] = get_type_hints(PipelineConfig)
+
+# The full schema: section -> the dataclass fields that are its keys.
+SCHEMA: dict[str, tuple[Field, ...]] = {
+    name: tuple(
+        f for f in fields(cls) if not (name in _SEEDED and f.name == "seed")
+    )
+    for name, cls in SECTIONS.items()
 }
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Typed view of the merged defaults, config file, and overrides."""
+def _bool(text: str) -> bool:
+    value = text.lower()
+    if value in _TRUE:
+        return True
+    if value in _FALSE:
+        return False
+    raise ValueError(text)
 
-    articles: Path
-    prices: Path
-    aliases: Path
-    category_seeds: Path | None
-    work_dir: Path
-    train_start: Date
-    train_end: Date
-    valid_end: Date
-    keywords: int
-    category_words: int
-    embedding_dimension: int
-    embedding_window: int
-    embedding_negatives: int
-    embedding_epochs: int
-    embedding_learning_rate: float
-    embedding_min_count: int
-    hidden: tuple[int, ...]
-    learning_rate: float
-    decay: float
-    decay_every: int
-    batch_size: int
-    epochs: int
-    l2: float
-    patience: int
-    graph_threshold: float
-    graph_min_overlap: int
-    graph_window: DateRange | None
-    iterations: int
-    clamp_observed: bool
-    taus: tuple[float, ...]
-    predict_tau: float
-    seed: int
-    raw: tuple[tuple[str, str, str], ...]  # merged (section, key, value), sorted
 
-    def config_text(self, keys: Sequence[tuple[str, str]]) -> str:
-        """Canonical text of the named keys, for per-stage config hashing."""
-        wanted = set(keys)
-        lines = [f"{s}.{k}={v}" for s, k, v in self.raw if (s, k) in wanted]
-        return "\n".join(lines) + "\n"
+def _items(kind: Callable[[str], Any]) -> Callable[[str], tuple]:
+    return lambda text: tuple(kind(part) for part in text.split(",") if part.strip())
+
+
+def _path(text: str) -> Path:
+    if not text:
+        raise ValueError("empty path")
+    return Path(text)
+
+
+# Field type -> (what a value must look like, parser of its config text).
+_PARSERS: dict[Any, tuple[str, Callable[[str], Any]]] = {
+    int: ("an integer", int),
+    float: ("a number", float),
+    bool: ("a boolean", _bool),
+    Date: ("a YYYY-MM-DD date", Date.fromisoformat),
+    tuple[int, ...]: ("comma-separated integers", _items(int)),
+    tuple[float, ...]: ("comma-separated numbers", _items(float)),
+    Path: ("a non-empty path", _path),
+}
+
+
+def _parse(kind: Any, text: str, key: str) -> Any:
+    args = get_args(kind)
+    if type(None) in args:  # optional: empty means None
+        if not text:
+            return None
+        (kind,) = (a for a in args if a is not type(None))
+    what, parse = _PARSERS[kind]
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: expected {what}, got {text!r}") from exc
+
+
+def _section(name: str, given: dict[str, str], base: Path, **extra: Any) -> Any:
+    """Build one section from its given values, defaults filling the rest."""
+    cls = SECTIONS[name]
+    hints = get_type_hints(cls)
+    values = dict(extra)
+    for f in SCHEMA[name]:
+        if f.name in given:
+            value = _parse(hints[f.name], given[f.name], f"{name}.{f.name}")
+        else:
+            value = f.default
+        values[f.name] = base / value if isinstance(value, Path) else value
+    try:
+        return cls(**values)
+    except ValidationError as exc:
+        raise ConfigError(f"[{name}] {exc}") from exc
 
 
 def _merge(path: Path, overrides: Sequence[str]) -> dict[str, dict[str, str]]:
-    merged = {section: dict(keys) for section, keys in DEFAULTS.items()}
-    parser = configparser.RawConfigParser()
+    """The values the file and the overrides give, per section."""
+    merged: dict[str, dict[str, str]] = {section: {} for section in SCHEMA}
+    known = {section: {f.name for f in keys} for section, keys in SCHEMA.items()}
+    parser = configparser.RawConfigParser(inline_comment_prefixes=(";",))
     parser.optionxform = str  # keep keys case-sensitive
     try:
         with path.open("r", encoding="utf-8") as fh:
@@ -149,7 +223,7 @@ def _merge(path: Path, overrides: Sequence[str]) -> dict[str, dict[str, str]]:
         if section not in merged:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key, value in parser.items(section):
-            if key not in merged[section]:
+            if key not in known[section]:
                 raise ConfigError(f"{path}: unknown key {section}.{key}")
             merged[section][key] = value.strip()
     for item in overrides:
@@ -157,70 +231,10 @@ def _merge(path: Path, overrides: Sequence[str]) -> dict[str, dict[str, str]]:
         section, dot, key = dotted.partition(".")
         if not sep or not dot or not section or not key:
             raise ConfigError(f"override {item!r} is not of the form section.key=value")
-        if section not in merged or key not in merged[section]:
+        if key not in known.get(section, ()):
             raise ConfigError(f"override names unknown key {section}.{key}")
         merged[section][key] = value.strip()
     return merged
-
-
-def _int(merged: dict, section: str, key: str) -> int:
-    value = merged[section][key]
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: expected an integer, got {value!r}") from exc
-
-
-def _float(merged: dict, section: str, key: str) -> float:
-    value = merged[section][key]
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: expected a number, got {value!r}") from exc
-
-
-def _bool(merged: dict, section: str, key: str) -> bool:
-    value = merged[section][key].lower()
-    if value in _TRUE:
-        return True
-    if value in _FALSE:
-        return False
-    raise ConfigError(f"{section}.{key}: expected a boolean, got {value!r}")
-
-
-def _date(merged: dict, section: str, key: str) -> Date:
-    try:
-        return parse_date(merged[section][key])
-    except Exception as exc:
-        raise ConfigError(f"{section}.{key}: {exc}") from exc
-
-
-def _int_list(merged: dict, section: str, key: str) -> tuple[int, ...]:
-    value = merged[section][key]
-    try:
-        return tuple(int(part) for part in value.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(
-            f"{section}.{key}: expected comma-separated integers, got {value!r}"
-        ) from exc
-
-
-def _float_list(merged: dict, section: str, key: str) -> tuple[float, ...]:
-    value = merged[section][key]
-    try:
-        return tuple(float(part) for part in value.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(
-            f"{section}.{key}: expected comma-separated numbers, got {value!r}"
-        ) from exc
-
-
-def _path(merged: dict, section: str, key: str, base: Path) -> Path:
-    value = merged[section][key]
-    if not value:
-        raise ConfigError(f"{section}.{key}: path must be non-empty")
-    p = Path(value)
-    return p if p.is_absolute() else (base / p)
 
 
 def load_config(path: str | Path, overrides: Sequence[str] = ()) -> PipelineConfig:
@@ -229,102 +243,16 @@ def load_config(path: str | Path, overrides: Sequence[str] = ()) -> PipelineConf
     if not path.is_file():
         raise ConfigError(f"config file {path} not found")
     base = path.resolve().parent
-    merged = _merge(path, overrides)
-
-    window_start = merged["graph"]["window_start"]
-    window_end = merged["graph"]["window_end"]
-    if bool(window_start) != bool(window_end):
-        raise ConfigError("graph.window_start and graph.window_end must be set together")
-    graph_window = None
-    if window_start:
-        try:
-            graph_window = DateRange(parse_date(window_start), parse_date(window_end))
-        except Exception as exc:
-            raise ConfigError(f"graph window: {exc}") from exc
-
-    seeds_value = merged["paths"]["category_seeds"]
-    category_seeds = (
-        _path(merged, "paths", "category_seeds", base) if seeds_value else None
-    )
-
-    config = PipelineConfig(
-        articles=_path(merged, "paths", "articles", base),
-        prices=_path(merged, "paths", "prices", base),
-        aliases=_path(merged, "paths", "aliases", base),
-        category_seeds=category_seeds,
-        work_dir=_path(merged, "paths", "work_dir", base),
-        train_start=_date(merged, "dates", "train_start"),
-        train_end=_date(merged, "dates", "train_end"),
-        valid_end=_date(merged, "dates", "valid_end"),
-        keywords=_int(merged, "lexicon", "keywords"),
-        category_words=_int(merged, "lexicon", "category_words"),
-        embedding_dimension=_int(merged, "embedding", "dimension"),
-        embedding_window=_int(merged, "embedding", "window"),
-        embedding_negatives=_int(merged, "embedding", "negatives"),
-        embedding_epochs=_int(merged, "embedding", "epochs"),
-        embedding_learning_rate=_float(merged, "embedding", "learning_rate"),
-        embedding_min_count=_int(merged, "embedding", "min_count"),
-        hidden=_int_list(merged, "training", "hidden"),
-        learning_rate=_float(merged, "training", "learning_rate"),
-        decay=_float(merged, "training", "decay"),
-        decay_every=_int(merged, "training", "decay_every"),
-        batch_size=_int(merged, "training", "batch_size"),
-        epochs=_int(merged, "training", "epochs"),
-        l2=_float(merged, "training", "l2"),
-        patience=_int(merged, "training", "patience"),
-        graph_threshold=_float(merged, "graph", "threshold"),
-        graph_min_overlap=_int(merged, "graph", "min_overlap"),
-        graph_window=graph_window,
-        iterations=_int(merged, "graph", "iterations"),
-        clamp_observed=_bool(merged, "graph", "clamp_observed"),
-        taus=_float_list(merged, "sweep", "taus"),
-        predict_tau=_float(merged, "sweep", "predict_tau"),
-        seed=_int(merged, "pipeline", "seed"),
-        raw=tuple(
-            sorted(
-                (section, key, value)
-                for section, keys in merged.items()
-                for key, value in keys.items()
-            )
-        ),
-    )
-    _validate(config)
+    given = _merge(path, overrides)
+    seed = _section("pipeline", given["pipeline"], base).seed
+    sections = {}
+    for name in SECTIONS:
+        extra = {"seed": seed} if name in _SEEDED else {}
+        sections[name] = _section(name, given[name], base, **extra)
+    config = PipelineConfig(**sections)
+    dates = config.dates
+    if dates.train_start > dates.train_end:
+        raise ConfigError("dates.train_start must not be after dates.train_end")
+    if dates.train_end >= dates.valid_end:
+        raise ConfigError("dates.train_end must precede dates.valid_end")
     return config
-
-
-def _validate(config: PipelineConfig) -> None:
-    def require(condition: bool, message: str) -> None:
-        if not condition:
-            raise ConfigError(message)
-
-    require(config.keywords > 0, "lexicon.keywords must be positive")
-    require(config.category_words > 0, "lexicon.category_words must be positive")
-    require(
-        config.train_start <= config.train_end,
-        "dates.train_start must not be after dates.train_end",
-    )
-    require(
-        config.train_end < config.valid_end,
-        "dates.train_end must precede dates.valid_end",
-    )
-    for name in ("dimension", "window", "negatives", "epochs", "min_count"):
-        require(
-            getattr(config, f"embedding_{name}") > 0,
-            f"embedding.{name} must be positive",
-        )
-    require(config.embedding_learning_rate > 0, "embedding.learning_rate must be positive")
-    require(bool(config.hidden), "training.hidden needs at least one layer size")
-    require(all(h > 0 for h in config.hidden), "training.hidden sizes must be positive")
-    require(config.learning_rate > 0, "training.learning_rate must be positive")
-    require(0 < config.decay <= 1, "training.decay must be in (0, 1]")
-    require(config.decay_every >= 1, "training.decay_every must be at least 1")
-    require(config.batch_size >= 1, "training.batch_size must be at least 1")
-    require(config.epochs >= 0, "training.epochs must be non-negative")
-    require(config.l2 >= 0, "training.l2 must be non-negative")
-    require(config.patience >= 0, "training.patience must be non-negative")
-    require(0 <= config.graph_threshold <= 1, "graph.threshold must be in [0, 1]")
-    require(config.graph_min_overlap >= 2, "graph.min_overlap must be at least 2")
-    require(config.iterations >= 0, "graph.iterations must be non-negative")
-    require(bool(config.taus), "sweep.taus needs at least one value")
-    require(all(t >= 0 for t in config.taus), "sweep.taus must be non-negative")
-    require(config.predict_tau >= 0, "sweep.predict_tau must be non-negative")

@@ -1,9 +1,9 @@
 """Stage manifests for artifact caching, plus the work-dir lock.
 
 Each pipeline stage records the content hashes of its inputs and outputs,
-the hash of the config keys it depends on, the seed, and tool versions.
-A stage is skippable when its manifest still matches all of those, which
-lets expensive stages cache their artifacts across reruns.
+the hash of the config sections it reads (the seed among them), and tool
+versions. A stage is skippable when its manifest still matches all of
+those, which lets expensive stages cache their artifacts across reruns.
 """
 
 from __future__ import annotations
@@ -60,13 +60,11 @@ def write_manifest(
     inputs: Mapping[str, Path],
     outputs: Mapping[str, Path],
     config_hash: str,
-    seed: int,
 ) -> None:
     """Record the stage's input and output hashes after a successful run."""
     record = {
         "stage": stage,
         "config": config_hash,
-        "seed": seed,
         "inputs": {name: file_sha256(path) for name, path in sorted(inputs.items())},
         "outputs": {name: file_sha256(path) for name, path in sorted(outputs.items())},
         "versions": _versions(),
@@ -83,7 +81,6 @@ def up_to_date(
     inputs: Mapping[str, Path],
     outputs: Mapping[str, Path],
     config_hash: str,
-    seed: int,
 ) -> bool:
     """Whether the stage's manifest still matches its inputs and outputs."""
     path = manifest_path(work_dir, stage)
@@ -93,23 +90,19 @@ def up_to_date(
         record = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError):
         return False
-    if record.get("config") != config_hash or record.get("seed") != seed:
+    if record.get("config") != config_hash:
         return False
     if record.get("versions") != _versions():
         return False
-    for name, file in sorted(inputs.items()):
-        if not Path(file).is_file():
+    # The recorded names must match too: an input or output the stage
+    # no longer passes (say, a config path now left blank) makes it stale.
+    for kind, files in (("inputs", inputs), ("outputs", outputs)):
+        recorded = record.get(kind, {})
+        if set(recorded) != set(files):
             return False
-        if record.get("inputs", {}).get(name) != file_sha256(file):
-            return False
-    recorded_outputs = record.get("outputs", {})
-    if set(recorded_outputs) != set(outputs):
-        return False
-    for name, file in sorted(outputs.items()):
-        if not Path(file).is_file():
-            return False
-        if recorded_outputs[name] != file_sha256(file):
-            return False
+        for name, file in sorted(files.items()):
+            if not Path(file).is_file() or recorded[name] != file_sha256(file):
+                return False
     return True
 
 

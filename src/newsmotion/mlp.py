@@ -86,6 +86,8 @@ class TrainConfig:
     patience: int = 0  # epochs without validation improvement; 0 disables
 
     def __post_init__(self):
+        if not self.hidden:
+            raise ValidationError("hidden needs at least one layer size")
         if any(h <= 0 for h in self.hidden):
             raise ValidationError(f"hidden sizes must be positive, got {self.hidden}")
         if self.learning_rate <= 0:

@@ -98,6 +98,25 @@ def _write_config(root: Path, text: str = SMOKE_CONFIG) -> Path:
     return path
 
 
+def _copy(pipeline: Path, tmp_path: Path) -> Path:
+    """A private copy of the finished pipeline run; returns its config."""
+    root = tmp_path / "copy"
+    shutil.copytree(pipeline, root)
+    return root / "pipeline.ini"
+
+
+class _Recorder:
+    """Stands in for a PipelineConfig and notes which sections are read."""
+
+    def __init__(self, config, read: set[str]):
+        self._config = config
+        self._read = read
+
+    def __getattr__(self, name):
+        self._read.add(name)
+        return getattr(self._config, name)
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """Run every stage once on a small synthetic dataset."""
@@ -145,8 +164,8 @@ class TestFullPipeline:
             load_graph(work / "graph.csv"),
             prices,
             taus,
-            config.iterations,
-            config.clamp_observed,
+            config.graph.iterations,
+            config.graph.clamp_observed,
         )
         days_used = sweep.metadata["days_used"]
         for tau, row in zip(taus, sweep.rows):
@@ -177,6 +196,62 @@ class TestFullPipeline:
         assert "up to date, skipping" not in caplog.text
 
 
+class TestStageKeys:
+    def test_stages_read_only_their_declared_sections(
+        self, pipeline, tmp_path, monkeypatch
+    ):
+        config = str(_copy(pipeline, tmp_path))
+        for stage, _, declared, _ in cli._COMMANDS:
+            read: set[str] = set()
+
+            def recording(*args, read=read):
+                return _Recorder(load_config(*args), read)
+
+            monkeypatch.setattr(cli, "load_config", recording)
+            assert cli.main([stage, "--config", config, "--force"]) == 0, stage
+            assert read - {"paths"} <= set(declared), stage
+
+    def _run(self, config, stages, override, caplog):
+        caplog.clear()
+        with caplog.at_level(logging.INFO):
+            for stage in stages:
+                argv = [stage, "--config", str(config), "--set", override]
+                assert cli.main(argv) == 0, stage
+        skipping = "{}: artifacts up to date, skipping"
+        return {s for s in stages if skipping.format(s) in caplog.text}
+
+    def test_seed_change_skips_the_stages_without_a_seed(
+        self, pipeline, tmp_path, caplog
+    ):
+        config = _copy(pipeline, tmp_path)
+        stages = ("synth", "ingest", "graph", "embed")
+        skipped = self._run(config, stages, "pipeline.seed=2", caplog)
+        assert skipped == {"synth", "ingest", "graph"}
+
+    def test_iterations_change_reruns_predict_not_train(
+        self, pipeline, tmp_path, caplog
+    ):
+        config = _copy(pipeline, tmp_path)
+        skipped = self._run(config, ("train", "predict"), "graph.iterations=2", caplog)
+        assert skipped == {"train"}
+
+    def test_dropped_category_seeds_rerun_the_lexicon(
+        self, pipeline, tmp_path, caplog
+    ):
+        config = _copy(pipeline, tmp_path)
+        categories = config.parent / "work" / "categories.csv"
+        packaged = categories.read_bytes()
+        (config.parent / "seeds.txt").write_text("[movers]\nrise\nfall\n")
+        custom = self._run(
+            config, ("lexicon",), "paths.category_seeds=seeds.txt", caplog
+        )
+        assert not custom
+        assert categories.read_bytes() != packaged
+        dropped = self._run(config, ("lexicon",), "paths.category_seeds=", caplog)
+        assert not dropped
+        assert categories.read_bytes() == packaged
+
+
 class TestFailureModes:
     def test_missing_config_exits_one(self, tmp_path, caplog):
         with caplog.at_level(logging.ERROR):
@@ -197,6 +272,14 @@ class TestFailureModes:
             ["lexicon", "--config", str(config), "--set", "lexicon.keywords=0"]
         )
         assert code == 1
+
+    def test_bad_synth_value_exits_one_at_load(self, tmp_path, caplog):
+        config = _write_config(tmp_path, "")
+        argv = ["ingest", "--config", str(config), "--set", "synth.tickers=0"]
+        with caplog.at_level(logging.ERROR):
+            assert cli.main(argv) == 1
+        assert "[synth] tickers must be in" in caplog.text
+        assert not (tmp_path / "work").exists()
 
     def test_missing_input_file_exits_one(self, tmp_path, caplog):
         config = _write_config(tmp_path, "")

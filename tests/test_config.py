@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import configparser
 import json
 from datetime import date
 from pathlib import Path
 
 import pytest
 
-from newsmotion.config import DEFAULTS, load_config
+from newsmotion import cli
+from newsmotion.config import SCHEMA, SECTIONS, load_config
 from newsmotion.errors import ConfigError, PipelineError
 from newsmotion.ingest import DateRange
 from newsmotion.manifest import (
@@ -20,6 +22,7 @@ from newsmotion.manifest import (
     write_manifest,
 )
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 SHA_ABC = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 
 
@@ -32,25 +35,30 @@ def _write_config(tmp_path: Path, text: str = "") -> Path:
 class TestLoadConfig:
     def test_empty_file_runs_on_defaults(self, tmp_path):
         config = load_config(_write_config(tmp_path))
-        assert config.keywords == 1000
-        assert config.category_words == 100
-        assert config.hidden == (1024, 1024, 1024, 1024)
-        assert config.taus == (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-        assert config.articles == tmp_path / "articles.jsonl"
-        assert config.work_dir == tmp_path / "work"
-        assert config.category_seeds is None
-        assert config.graph_window is None
-        assert config.clamp_observed is False
-        assert config.seed == 1
+        assert config.lexicon.keywords == 1000
+        assert config.lexicon.category_words == 100
+        assert config.training.hidden == (1024, 1024, 1024, 1024)
+        assert config.sweep.taus == (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+        assert config.paths.articles == tmp_path / "articles.jsonl"
+        assert config.paths.work_dir == tmp_path / "work"
+        assert config.paths.category_seeds is None
+        assert config.graph.window is None
+        assert config.graph.clamp_observed is False
+        assert config.pipeline.seed == 1
+        assert config.embedding.seed == config.training.seed == 1
 
     def test_every_default_parses(self, tmp_path):
-        # the schema itself must satisfy its own validation
+        # the schema itself must satisfy its own validation; every key of
+        # every section comes out at its dataclass default
         config = load_config(_write_config(tmp_path))
-        for section, keys in DEFAULTS.items():
+        for section, keys in SCHEMA.items():
+            assert isinstance(getattr(config, section), SECTIONS[section])
             for key in keys:
-                assert (section, key, DEFAULTS[section][key]) in [
-                    (s, k, v) for s, k, v in config.raw if (s, k) == (section, key)
-                ]
+                value = getattr(getattr(config, section), key.name)
+                if isinstance(value, Path):
+                    assert value == tmp_path / key.default
+                else:
+                    assert value == key.default, f"{section}.{key.name}"
 
     def test_file_values_override_defaults(self, tmp_path):
         config = load_config(
@@ -60,14 +68,14 @@ class TestLoadConfig:
                 "[graph]\nclamp_observed = yes\n",
             )
         )
-        assert config.keywords == 50
-        assert config.hidden == (32, 16)
-        assert config.clamp_observed is True
+        assert config.lexicon.keywords == 50
+        assert config.training.hidden == (32, 16)
+        assert config.graph.clamp_observed is True
 
     def test_flag_overrides_beat_the_file(self, tmp_path):
         path = _write_config(tmp_path, "[lexicon]\nkeywords = 50\n")
         config = load_config(path, overrides=["lexicon.keywords=75"])
-        assert config.keywords == 75
+        assert config.lexicon.keywords == 75
 
     def test_unknown_section_rejected(self, tmp_path):
         path = _write_config(tmp_path, "[mystery]\nkeywords = 50\n")
@@ -90,6 +98,10 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.ini")
 
+    def test_inline_comments_are_stripped(self, tmp_path):
+        path = _write_config(tmp_path, "[lexicon]\nkeywords = 50   ; size K\n")
+        assert load_config(path).lexicon.keywords == 50
+
     def test_ini_syntax_error_rejected(self, tmp_path):
         path = _write_config(tmp_path, "keywords = 50\n")
         with pytest.raises(ConfigError):
@@ -101,11 +113,11 @@ class TestLoadConfig:
         path = nested / "pipeline.ini"
         path.write_text("[paths]\narticles = ../data/articles.jsonl\n")
         config = load_config(path)
-        assert config.articles == nested / "../data/articles.jsonl"
+        assert config.paths.articles == nested / "../data/articles.jsonl"
 
     def test_absolute_paths_kept(self, tmp_path):
         path = _write_config(tmp_path, f"[paths]\nprices = {tmp_path}/p.csv\n")
-        assert load_config(path).prices == tmp_path / "p.csv"
+        assert load_config(path).paths.prices == tmp_path / "p.csv"
 
     def test_graph_window_needs_both_ends(self, tmp_path):
         path = _write_config(tmp_path, "[graph]\nwindow_start = 2012-01-02\n")
@@ -117,7 +129,7 @@ class TestLoadConfig:
             tmp_path,
             "[graph]\nwindow_start = 2012-01-02\nwindow_end = 2012-06-29\n",
         )
-        assert load_config(path).graph_window == DateRange(
+        assert load_config(path).graph.window == DateRange(
             date(2012, 1, 2), date(2012, 6, 29)
         )
 
@@ -145,9 +157,20 @@ class TestLoadConfig:
             ("[graph]\nmin_overlap = 1\n", "min_overlap"),
             ("[sweep]\ntaus = ,\n", "taus"),
             ("[sweep]\ntaus = -0.5\n", "taus"),
+            ("[embedding]\nwindow = 0\n", "window"),
+            ("[synth]\ntickers = 0\n", "tickers"),
         ]
         for text, needle in cases:
             with pytest.raises(ConfigError, match=needle):
+                load_config(_write_config(tmp_path, text))
+
+    def test_range_errors_name_the_section(self, tmp_path):
+        for text, section in [
+            ("[lexicon]\nkeywords = 0\n", "lexicon"),
+            ("[training]\nhidden = ,\n", "training"),
+            ("[synth]\ntickers = 0\n", "synth"),
+        ]:
+            with pytest.raises(ConfigError, match=rf"^\[{section}\] "):
                 load_config(_write_config(tmp_path, text))
 
     def test_type_errors_name_the_key(self, tmp_path):
@@ -155,23 +178,54 @@ class TestLoadConfig:
             load_config(_write_config(tmp_path, "[lexicon]\nkeywords = many\n"))
         with pytest.raises(ConfigError, match="clamp_observed"):
             load_config(_write_config(tmp_path, "[graph]\nclamp_observed = maybe\n"))
+        with pytest.raises(ConfigError, match="synth.start"):
+            load_config(_write_config(tmp_path, "[synth]\nstart = someday\n"))
+        with pytest.raises(ConfigError, match="paths.prices"):
+            load_config(_write_config(tmp_path, "[paths]\nprices =\n"))
 
-    def test_config_text_covers_only_the_named_keys(self, tmp_path):
+    def test_pipeline_seed_is_the_only_seed_key_of_its_sections(self, tmp_path):
+        path = _write_config(tmp_path, "[pipeline]\nseed = 9\n")
+        config = load_config(path)
+        assert config.embedding.seed == config.training.seed == 9
+        assert config.synth.seed == 7
+        for key in ("embedding.seed=3", "training.seed=3"):
+            with pytest.raises(ConfigError, match="unknown key"):
+                load_config(path, overrides=[key])
+
+    def test_stage_key_covers_only_the_declared_sections(self, tmp_path):
         config = load_config(_write_config(tmp_path))
-        text = config.config_text([("lexicon", "keywords"), ("pipeline", "seed")])
-        assert text == "lexicon.keywords=1000\npipeline.seed=1\n"
+        assert cli._stage_key(config, "lexicon") == text_sha256(repr(config.lexicon))
+        assert cli._stage_key(config, "graph") == text_sha256(
+            repr(config.dates) + "\n" + repr(config.graph)
+        )
 
-    def test_config_text_ignores_unrelated_changes(self, tmp_path):
-        keys = [("lexicon", "keywords"), ("lexicon", "category_words")]
-        base = load_config(_write_config(tmp_path))
-        tweaked = load_config(
-            _write_config(tmp_path), overrides=["training.epochs=5"]
-        )
-        assert base.config_text(keys) == tweaked.config_text(keys)
-        changed = load_config(
-            _write_config(tmp_path), overrides=["lexicon.keywords=7"]
-        )
-        assert base.config_text(keys) != changed.config_text(keys)
+    def test_stage_key_ignores_unrelated_changes(self, tmp_path):
+        path = _write_config(tmp_path)
+        stages = [name for name, *_ in cli._COMMANDS]
+
+        def changed(override):
+            base, tweaked = load_config(path), load_config(path, [override])
+            key = cli._stage_key
+            return {s for s in stages if key(base, s) != key(tweaked, s)}
+
+        assert changed("training.epochs=5") == {"train", "evaluate"}
+        assert changed("lexicon.keywords=7") == {"lexicon"}
+        assert changed("pipeline.seed=2") == {"embed", "train", "evaluate"}
+        assert changed("paths.work_dir=elsewhere") == set()
+
+
+class TestReadme:
+    def test_configuration_block_matches_the_schema(self, tmp_path):
+        text = README.read_text(encoding="utf-8").split("\n## Configuration\n", 1)[1]
+        block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+        parser = configparser.RawConfigParser(inline_comment_prefixes=(";",))
+        parser.optionxform = str
+        parser.read_string(block)
+        listed = {section: set(parser[section]) for section in parser.sections()}
+        assert listed == {s: {key.name for key in keys} for s, keys in SCHEMA.items()}
+        # as written, comments and all, the block loads to exactly the defaults
+        defaults = load_config(_write_config(tmp_path))
+        assert load_config(_write_config(tmp_path, block)) == defaults
 
 
 class TestHashes:
@@ -198,56 +252,66 @@ class TestManifest:
     def test_fresh_manifest_is_up_to_date(self, tmp_path):
         inputs, outputs = self._stage_files(tmp_path)
         work = tmp_path / "work"
-        write_manifest(work, "stage", inputs, outputs, "cfg", seed=1)
+        write_manifest(work, "stage", inputs, outputs, "cfg")
         assert manifest_path(work, "stage").is_file()
-        assert up_to_date(work, "stage", inputs, outputs, "cfg", seed=1)
+        assert up_to_date(work, "stage", inputs, outputs, "cfg")
 
     def test_changed_input_invalidates(self, tmp_path):
         inputs, outputs = self._stage_files(tmp_path)
         work = tmp_path / "work"
-        write_manifest(work, "stage", inputs, outputs, "cfg", seed=1)
+        write_manifest(work, "stage", inputs, outputs, "cfg")
         inputs["source"].write_text("different data\n")
-        assert not up_to_date(work, "stage", inputs, outputs, "cfg", seed=1)
+        assert not up_to_date(work, "stage", inputs, outputs, "cfg")
 
-    def test_changed_config_or_seed_invalidates(self, tmp_path):
+    def test_changed_config_invalidates(self, tmp_path):
         inputs, outputs = self._stage_files(tmp_path)
         work = tmp_path / "work"
-        write_manifest(work, "stage", inputs, outputs, "cfg", seed=1)
-        assert not up_to_date(work, "stage", inputs, outputs, "other", seed=1)
-        assert not up_to_date(work, "stage", inputs, outputs, "cfg", seed=2)
+        write_manifest(work, "stage", inputs, outputs, "cfg")
+        assert not up_to_date(work, "stage", inputs, outputs, "other")
+
+    def test_dropped_or_added_input_invalidates(self, tmp_path):
+        inputs, outputs = self._stage_files(tmp_path)
+        work = tmp_path / "work"
+        extra = tmp_path / "extra.txt"
+        extra.write_text("optional input\n")
+        write_manifest(work, "stage", {**inputs, "extra": extra}, outputs, "cfg")
+        assert up_to_date(work, "stage", {**inputs, "extra": extra}, outputs, "cfg")
+        assert not up_to_date(work, "stage", inputs, outputs, "cfg")
+        write_manifest(work, "stage", inputs, outputs, "cfg")
+        assert not up_to_date(work, "stage", {**inputs, "extra": extra}, outputs, "cfg")
 
     def test_missing_or_modified_output_invalidates(self, tmp_path):
         inputs, outputs = self._stage_files(tmp_path)
         work = tmp_path / "work"
-        write_manifest(work, "stage", inputs, outputs, "cfg", seed=1)
+        write_manifest(work, "stage", inputs, outputs, "cfg")
         outputs["artifact"].write_text("tampered\n")
-        assert not up_to_date(work, "stage", inputs, outputs, "cfg", seed=1)
+        assert not up_to_date(work, "stage", inputs, outputs, "cfg")
         outputs["artifact"].unlink()
-        assert not up_to_date(work, "stage", inputs, outputs, "cfg", seed=1)
+        assert not up_to_date(work, "stage", inputs, outputs, "cfg")
 
     def test_renamed_output_set_invalidates(self, tmp_path):
         inputs, outputs = self._stage_files(tmp_path)
         work = tmp_path / "work"
-        write_manifest(work, "stage", inputs, outputs, "cfg", seed=1)
+        write_manifest(work, "stage", inputs, outputs, "cfg")
         renamed = {"other_name": outputs["artifact"]}
-        assert not up_to_date(work, "stage", inputs, renamed, "cfg", seed=1)
+        assert not up_to_date(work, "stage", inputs, renamed, "cfg")
 
     def test_absent_or_corrupt_manifest_is_stale(self, tmp_path):
         inputs, outputs = self._stage_files(tmp_path)
         work = tmp_path / "work"
-        assert not up_to_date(work, "stage", inputs, outputs, "cfg", seed=1)
+        assert not up_to_date(work, "stage", inputs, outputs, "cfg")
         manifest_path(work, "stage").write_text("{broken")
-        assert not up_to_date(work, "stage", inputs, outputs, "cfg", seed=1)
+        assert not up_to_date(work, "stage", inputs, outputs, "cfg")
 
     def test_version_change_invalidates(self, tmp_path):
         inputs, outputs = self._stage_files(tmp_path)
         work = tmp_path / "work"
-        write_manifest(work, "stage", inputs, outputs, "cfg", seed=1)
+        write_manifest(work, "stage", inputs, outputs, "cfg")
         path = manifest_path(work, "stage")
         record = json.loads(path.read_text())
         record["versions"]["package"] = "0.0.0-other"
         path.write_text(json.dumps(record))
-        assert not up_to_date(work, "stage", inputs, outputs, "cfg", seed=1)
+        assert not up_to_date(work, "stage", inputs, outputs, "cfg")
 
 
 class TestWorkDirLock:
