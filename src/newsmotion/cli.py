@@ -2,8 +2,9 @@
 
 Each stage reads its declared inputs, writes its artifacts into the work
 dir, and records a manifest of content hashes so an unchanged stage is
-skipped on rerun. Exit codes: 0 success, 1 validation error, 2 runtime
-failure.
+skipped on rerun; ``evaluate`` keeps one manifest for each of its two
+halves, the ablation and the sweep. Exit codes: 0 success, 1 validation
+error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -113,26 +114,28 @@ def _require_input(path: Path, key: str) -> Path:
     return path
 
 
-def _stage_key(config: PipelineConfig, stage: str) -> str:
-    """Hash of the config sections the stage declares in ``_COMMANDS``."""
-    (sections,) = (s for name, _, s, _ in _COMMANDS if name == stage)
+def _stage_key(config: PipelineConfig, unit: str) -> str:
+    """Hash of the config sections the cache unit declares in ``_COMMANDS``."""
+    (sections,) = (
+        s for _, _, units, _ in _COMMANDS for name, s in units.items() if name == unit
+    )
     return text_sha256("\n".join(repr(getattr(config, s)) for s in sections))
 
 
-def _skip(config, stage, inputs, outputs, force: bool) -> bool:
+def _skip(config, unit, inputs, outputs, force: bool) -> bool:
     if force:
         return False
     if up_to_date(
-        config.paths.work_dir, stage, inputs, outputs, _stage_key(config, stage)
+        config.paths.work_dir, unit, inputs, outputs, _stage_key(config, unit)
     ):
-        logger.info("%s: artifacts up to date, skipping", stage)
+        logger.info("%s: artifacts up to date, skipping", unit)
         return True
     return False
 
 
-def _finish(config, stage, inputs, outputs) -> int:
+def _finish(config, unit, inputs, outputs) -> int:
     write_manifest(
-        config.paths.work_dir, stage, inputs, outputs, _stage_key(config, stage)
+        config.paths.work_dir, unit, inputs, outputs, _stage_key(config, unit)
     )
     return 0
 
@@ -314,12 +317,17 @@ def cmd_featurize(config: PipelineConfig, force: bool) -> int:
     return _finish(config, "featurize", inputs, outputs)
 
 
-def cmd_train(config: PipelineConfig, force: bool) -> int:
+def _train_files(config: PipelineConfig) -> tuple[dict, dict]:
+    """Inputs and outputs of the ``train`` stage."""
     inputs = {
-        "features_train.bin": _require_artifact(config, "features_train.bin"),
-        "features_valid.bin": _require_artifact(config, "features_valid.bin"),
+        name: _require_artifact(config, name)
+        for name in ("features_train.bin", "features_valid.bin")
     }
-    outputs = {"model.bin": _artifact(config, "model.bin")}
+    return inputs, {"model.bin": _artifact(config, "model.bin")}
+
+
+def cmd_train(config: PipelineConfig, force: bool) -> int:
+    inputs, outputs = _train_files(config)
     if _skip(config, "train", inputs, outputs, force):
         return 0
     train_matrix = load_feature_matrix(inputs["features_train.bin"])
@@ -407,93 +415,121 @@ def cmd_predict(config: PipelineConfig, force: bool) -> int:
     return _finish(config, "predict", inputs, outputs)
 
 
+def _vouched_model(config: PipelineConfig) -> Path | None:
+    """model.bin, if the train manifest vouches for it under the current config."""
+    inputs, outputs = _train_files(config)
+    if up_to_date(
+        config.paths.work_dir, "train", inputs, outputs, _stage_key(config, "train")
+    ):
+        logger.info("ablation: the full row scores model.bin")
+        return outputs["model.bin"]
+    logger.info("ablation: model.bin is stale, training the full row as well")
+    return None
+
+
 def cmd_evaluate(config: PipelineConfig, force: bool) -> int:
-    inputs = {
+    features = {
         name: _require_artifact(config, name)
-        for name in (
-            "features_train.bin",
-            "features_valid.bin",
-            "features_test.bin",
-            "model.bin",
-            "graph.csv",
-        )
+        for name in ("features_train.bin", "features_valid.bin", "features_test.bin")
     }
-    inputs["prices"] = _require_input(config.paths.prices, "prices")
+    model_path = _require_artifact(config, "model.bin")
+    graph_path = _require_artifact(config, "graph.csv")
+    prices_path = _require_input(config.paths.prices, "prices")
+
+    inputs = {**features, "model.bin": model_path}
     outputs = {
-        name: _artifact(config, name)
-        for name in ("ablation.csv", "ablation.txt", "sweep.csv", "sweep.txt")
+        name: _artifact(config, name) for name in ("ablation.csv", "ablation.txt")
     }
-    if _skip(config, "evaluate", inputs, outputs, force):
-        return 0
-    train_matrix = load_feature_matrix(inputs["features_train.bin"])
-    valid_matrix = load_feature_matrix(inputs["features_valid.bin"])
-    test_matrix = load_feature_matrix(inputs["features_test.bin"])
-    ablation = run_ablation(
-        train_matrix,
-        valid_matrix,
-        test_matrix,
-        DEFAULT_COMBINATIONS,
-        config.training,
-    )
-    write_ablation_report(ablation, outputs["ablation.csv"])
-    ablation_text = render_ablation(ablation)
-    outputs["ablation.txt"].write_text(ablation_text, encoding="utf-8")
-    print(ablation_text, end="")
+    if not _skip(config, "ablation", inputs, outputs, force):
+        ablation = run_ablation(
+            load_feature_matrix(features["features_train.bin"]),
+            load_feature_matrix(features["features_valid.bin"]),
+            load_feature_matrix(features["features_test.bin"]),
+            DEFAULT_COMBINATIONS,
+            config.training,
+            full_model=_vouched_model(config),
+        )
+        write_ablation_report(ablation, outputs["ablation.csv"])
+        outputs["ablation.txt"].write_text(render_ablation(ablation), encoding="utf-8")
+        _finish(config, "ablation", inputs, outputs)
+    print(outputs["ablation.txt"].read_text(encoding="utf-8"), end="")
 
-    model = load_model(inputs["model.bin"])
-    g = load_graph(inputs["graph.csv"])
-    prices = _price_table(config)
-    sweep = run_propagation_sweep(
-        test_matrix,
-        model,
-        g,
-        prices,
-        config.sweep.taus,
-        iterations=config.graph.iterations,
-        clamp_observed=config.graph.clamp_observed,
-    )
-    write_sweep_report(sweep, outputs["sweep.csv"])
-    sweep_text = render_sweep(sweep)
-    outputs["sweep.txt"].write_text(sweep_text, encoding="utf-8")
-    print(sweep_text, end="")
-    return _finish(config, "evaluate", inputs, outputs)
+    inputs = {
+        "features_test.bin": features["features_test.bin"],
+        "model.bin": model_path,
+        "graph.csv": graph_path,
+        "prices": prices_path,
+    }
+    outputs = {name: _artifact(config, name) for name in ("sweep.csv", "sweep.txt")}
+    if not _skip(config, "sweep", inputs, outputs, force):
+        sweep = run_propagation_sweep(
+            load_feature_matrix(features["features_test.bin"]),
+            load_model(model_path),
+            load_graph(graph_path),
+            _price_table(config),
+            config.sweep.taus,
+            iterations=config.graph.iterations,
+            clamp_observed=config.graph.clamp_observed,
+        )
+        write_sweep_report(sweep, outputs["sweep.csv"])
+        outputs["sweep.txt"].write_text(render_sweep(sweep), encoding="utf-8")
+        _finish(config, "sweep", inputs, outputs)
+    print(outputs["sweep.txt"].read_text(encoding="utf-8"), end="")
+    return 0
 
 
-# (stage, command, config sections it reads, help). The sections make up
-# the stage's cache key; [paths] never does, as the files are content-hashed.
+# (stage, command, {cache unit: config sections it reads}, help). Each
+# unit keeps its own manifest, and its sections make up its cache key;
+# [paths] never does, as the files are content-hashed. evaluate has two
+# units, so a sweep or graph change does not retrain the ablation.
 _COMMANDS = (
     (
         "synth",
         cmd_synth,
-        ("synth",),
+        {"synth": ("synth",)},
         "generate a synthetic articles/prices/aliases fixture",
     ),
     (
         "ingest",
         cmd_ingest,
-        ("dates",),
+        {"ingest": ("dates",)},
         "split articles into labeled samples and the embedding corpus",
     ),
     (
         "embed",
         cmd_embed,
-        ("embedding",),
+        {"embed": ("embedding",)},
         "train word embeddings on the training corpus",
     ),
-    ("lexicon", cmd_lexicon, ("lexicon",), "build the keyword and category lexicons"),
-    ("featurize", cmd_featurize, ("dates",), "build feature matrices for all splits"),
-    ("train", cmd_train, ("training",), "train the movement classifier"),
-    ("graph", cmd_graph, ("dates", "graph"), "build the price correlation graph"),
+    (
+        "lexicon",
+        cmd_lexicon,
+        {"lexicon": ("lexicon",)},
+        "build the keyword and category lexicons",
+    ),
+    (
+        "featurize",
+        cmd_featurize,
+        {"featurize": ("dates",)},
+        "build feature matrices for all splits",
+    ),
+    ("train", cmd_train, {"train": ("training",)}, "train the movement classifier"),
+    (
+        "graph",
+        cmd_graph,
+        {"graph": ("dates", "graph")},
+        "build the price correlation graph",
+    ),
     (
         "predict",
         cmd_predict,
-        ("graph", "sweep"),
+        {"predict": ("graph", "sweep")},
         "emit test-set predictions, direct and propagated",
     ),
     (
         "evaluate",
         cmd_evaluate,
-        ("dates", "training", "graph", "sweep"),
+        {"ablation": ("training",), "sweep": ("dates", "graph", "sweep")},
         "run the feature ablation and the propagation sweep",
     ),
 )

@@ -1,10 +1,11 @@
 """Test-set evaluation: feature-ablation error rates and the propagation sweep.
 
 The ablation trains one classifier per feature-block combination (shared
-seed and hyperparameters) and scores each on the same test rows. The
-sweep seeds the correlation graph with per-date classifier confidences,
-propagates, and measures accuracy and coverage of the emitted unseen-stock
-predictions as the confidence threshold rises.
+seed and hyperparameters) and scores each on the same test rows; the
+combination of every block can score a model file already trained on the
+full matrices instead. The sweep seeds the correlation graph with per-date
+classifier confidences, propagates, and measures accuracy and coverage of
+the emitted unseen-stock predictions as the confidence threshold rises.
 """
 
 from __future__ import annotations
@@ -20,7 +21,15 @@ from .errors import PipelineError, ValidationError
 from .features import BLOCK_ORDER, FeatureMatrix, slice_blocks
 from .graph import CorrelationGraph, propagate, threshold_predictions
 from .ingest import PriceTable
-from .mlp import UP, MlpModel, TrainConfig, direction_of, predict_batch, train
+from .mlp import (
+    UP,
+    MlpModel,
+    TrainConfig,
+    direction_of,
+    load_model,
+    predict_batch,
+    train,
+)
 from .sampling import movement_label
 
 logger = logging.getLogger(__name__)
@@ -52,11 +61,6 @@ def error_rate(predictions: Sequence[str], truths: Sequence[str]) -> float:
         raise ValidationError("error rate over an empty prediction list is undefined")
     wrong = sum(1 for p, t in zip(predictions, truths) if p != t)
     return wrong / len(predictions)
-
-
-def accuracy(predictions: Sequence[str], truths: Sequence[str]) -> float:
-    """Complement of error_rate; the two sum to exactly 1.0."""
-    return 1.0 - error_rate(predictions, truths)
 
 
 @dataclass(frozen=True)
@@ -115,22 +119,24 @@ def _normalize_combination(blocks: Sequence[str]) -> tuple[str, ...]:
     return tuple(b for b in BLOCK_ORDER if b in wanted)
 
 
-def combination_name(blocks: Sequence[str]) -> str:
-    return "+".join(_normalize_combination(blocks))
-
-
 def run_ablation(
     train_matrix: FeatureMatrix,
     valid_matrix: FeatureMatrix,
     test_matrix: FeatureMatrix,
     combinations: Sequence[Sequence[str]] = DEFAULT_COMBINATIONS,
     config: TrainConfig | None = None,
+    full_model: str | Path | None = None,
 ) -> AblationReport:
     """Train one model per block combination and score each on the test rows.
 
     Every model shares the same seed and hyperparameters, so rows differ
     only in their feature columns. A combination that fails to train is
-    marked failed and the remaining combinations still run.
+    marked failed and the remaining combinations still run. ``full_model``,
+    when given, is a model file holding what ``train`` returns for the
+    full train and validation matrices under ``config``: the combination
+    of every block loads and scores it instead of training the same model
+    again. It is loaded only when that row comes up, so it is not held in
+    memory while the other rows train.
     """
     config = config or TrainConfig()
     if not (train_matrix.layout == valid_matrix.layout == test_matrix.layout):
@@ -145,11 +151,18 @@ def run_ablation(
         blocks = _normalize_combination(requested)
         name = "+".join(blocks)
         try:
-            model = train(
-                slice_blocks(train_matrix, blocks),
-                slice_blocks(valid_matrix, blocks),
-                config,
-            )
+            if full_model is not None and blocks == train_matrix.layout.blocks:
+                model = load_model(full_model)
+                if model.layout != train_matrix.layout:
+                    raise ValidationError(
+                        f"{full_model}: model and matrix feature layouts differ"
+                    )
+            else:
+                model = train(
+                    slice_blocks(train_matrix, blocks),
+                    slice_blocks(valid_matrix, blocks),
+                    config,
+                )
             predicted, _ = predict_batch(model, slice_blocks(test_matrix, blocks).x)
             err = error_rate(predicted, truths)
         except PipelineError as exc:

@@ -70,10 +70,6 @@ class Article:
     body: str
     source: str
 
-    def __post_init__(self):
-        if not self.title:
-            raise ValidationError(f"article {self.id!r}: title must be non-empty")
-
 
 def load_articles(path: str | Path) -> Iterator[Article]:
     """Stream articles from a line-delimited JSON file, in file order.

@@ -198,20 +198,32 @@ class TestLoadConfig:
         assert cli._stage_key(config, "graph") == text_sha256(
             repr(config.dates) + "\n" + repr(config.graph)
         )
+        assert cli._stage_key(config, "ablation") == text_sha256(repr(config.training))
+        assert cli._stage_key(config, "sweep") == text_sha256(
+            "\n".join(repr(s) for s in (config.dates, config.graph, config.sweep))
+        )
 
     def test_stage_key_ignores_unrelated_changes(self, tmp_path):
         path = _write_config(tmp_path)
-        stages = [name for name, *_ in cli._COMMANDS]
+        units = [unit for _, _, stage_units, _ in cli._COMMANDS for unit in stage_units]
 
         def changed(override):
             base, tweaked = load_config(path), load_config(path, [override])
             key = cli._stage_key
-            return {s for s in stages if key(base, s) != key(tweaked, s)}
+            return {u for u in units if key(base, u) != key(tweaked, u)}
 
-        assert changed("training.epochs=5") == {"train", "evaluate"}
+        assert changed("training.epochs=5") == {"train", "ablation"}
         assert changed("lexicon.keywords=7") == {"lexicon"}
-        assert changed("pipeline.seed=2") == {"embed", "train", "evaluate"}
+        assert changed("pipeline.seed=2") == {"embed", "train", "ablation"}
         assert changed("paths.work_dir=elsewhere") == set()
+        assert changed("sweep.taus=0.5") == {"predict", "sweep"}
+        assert changed("graph.threshold=0.7") == {"graph", "predict", "sweep"}
+        assert changed("dates.valid_end=2013-07-01") == {
+            "ingest",
+            "featurize",
+            "graph",
+            "sweep",
+        }
 
 
 class TestReadme:

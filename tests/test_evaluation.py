@@ -16,8 +16,7 @@ from newsmotion.evaluation import (
     AblationRow,
     SweepReport,
     SweepRow,
-    accuracy,
-    combination_name,
+    _normalize_combination,
     error_rate,
     render_ablation,
     render_sweep,
@@ -26,13 +25,22 @@ from newsmotion.evaluation import (
     write_ablation_report,
     write_sweep_report,
 )
-from newsmotion.features import FeatureLayout, FeatureMatrix
+from newsmotion.features import FeatureLayout, FeatureMatrix, slice_blocks
 from newsmotion.graph import CorrelationGraph
 from newsmotion.ingest import DateRange, PriceSeries, PriceTable
-from newsmotion.mlp import MlpModel, TrainConfig
+from newsmotion.mlp import MlpModel, TrainConfig, save_model, train
 from newsmotion.sampling import NEGATIVE, POSITIVE
 
 DAY = date(2013, 7, 1)
+
+
+def accuracy(predictions, truths) -> float:
+    """Complement of error_rate; the two sum to exactly 1.0."""
+    return 1.0 - error_rate(predictions, truths)
+
+
+def combination_name(blocks) -> str:
+    return "+".join(_normalize_combination(blocks))
 
 
 def _signal_matrix(n: int, seed: int, ps_scale: float = 1.0) -> FeatureMatrix:
@@ -125,6 +133,62 @@ class TestRunAblation:
         assert by_name["bok"].error <= 0.1
         assert by_name["ps"].error >= 0.3
         assert report.metadata == {"seed": 2, "test_samples": 100}
+
+    def test_full_row_scored_from_a_given_model_equals_the_trained_row(
+        self, tmp_path
+    ):
+        train_m, valid_m, test_m = (
+            _signal_matrix(n, seed=s) for n, s in ((120, 92), (40, 93), (60, 94))
+        )
+        combos = [("bok",), ("bok", "ps")]
+        trained = run_ablation(train_m, valid_m, test_m, combos, _small_config())
+        save_model(train(train_m, valid_m, _small_config()), tmp_path / "model.bin")
+        scored = run_ablation(
+            train_m,
+            valid_m,
+            test_m,
+            combos,
+            _small_config(),
+            full_model=tmp_path / "model.bin",
+        )
+        assert scored == trained
+        assert scored.rows[1].status == OK
+
+    def test_full_model_is_what_the_full_row_scores(self, tmp_path):
+        train_m, valid_m, test_m = (
+            _signal_matrix(n, seed=s) for n, s in ((120, 95), (40, 96), (60, 97))
+        )
+        noise = TrainConfig(hidden=(8,), epochs=1, seed=5, learning_rate=1e-9)
+        save_model(train(train_m, valid_m, noise), tmp_path / "model.bin")
+        report = run_ablation(
+            train_m,
+            valid_m,
+            test_m,
+            [("bok", "ps")],
+            _small_config(),
+            full_model=tmp_path / "model.bin",
+        )
+        baseline = run_ablation(train_m, valid_m, test_m, [("bok", "ps")], noise)
+        assert report.rows[0].error == baseline.rows[0].error
+        retrained = run_ablation(
+            train_m, valid_m, test_m, [("bok", "ps")], _small_config()
+        )
+        assert report.rows[0].error != retrained.rows[0].error
+
+    def test_full_model_with_another_layout_fails_its_row(self, tmp_path):
+        train_m = _signal_matrix(60, seed=98)
+        bok = slice_blocks(train_m, ("bok",))
+        save_model(train(bok, bok, _small_config()), tmp_path / "model.bin")
+        report = run_ablation(
+            train_m,
+            train_m,
+            train_m,
+            [("bok",), ("bok", "ps")],
+            _small_config(),
+            full_model=tmp_path / "model.bin",
+        )
+        assert [row.status for row in report.rows] == [OK, FAILED]
+        assert "layouts differ" in report.rows[1].note
 
     def test_failed_combination_still_reports_the_rest(self):
         train_m = _signal_matrix(120, seed=88, ps_scale=1e150)

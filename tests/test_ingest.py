@@ -76,6 +76,16 @@ class TestArticles:
         with pytest.raises(ParseError, match="source"):
             list(load_articles(path))
 
+    def test_empty_title_is_accepted(self, tmp_path):
+        record = (
+            '{"id": "x", "date": "2012-01-02", "title": "", '
+            '"body": "b", "source": "s"}\n'
+        )
+        path = _write(tmp_path, "a.jsonl", record)
+        (article,) = load_articles(path)
+        assert article.title == ""
+        assert article.body == "b"
+
     def test_blank_lines_are_skipped(self, tmp_path):
         record = (
             '\n{"id": "x", "date": "2012-01-02", "title": "t", '
