@@ -1,10 +1,14 @@
 """Command-line pipeline driver: one subcommand per stage.
 
-Each stage reads its declared inputs, writes its artifacts into the work
-dir, and records a manifest of content hashes so an unchanged stage is
-skipped on rerun; ``evaluate`` keeps one manifest for each of its two
-halves, the ablation and the sweep. Exit codes: 0 success, 1 validation
-error, 2 runtime failure.
+``UNITS`` lists each cache unit once: the stage it belongs to, the config
+sections its cache key hashes, its inputs and outputs, and the body that
+does its work. One runner does the rest for every unit. It requires the
+inputs and checks each work-dir input against the manifest of the unit
+that made it. It skips the unit when its own manifest is still up to
+date. Otherwise it runs the body against temporary outputs, moves them
+into place and writes the manifest. ``evaluate`` has two units, the
+ablation and the sweep. Exit codes: 0 success, 1 validation error, 2
+runtime failure.
 """
 
 from __future__ import annotations
@@ -12,9 +16,11 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+import tempfile
+from dataclasses import dataclass
 from datetime import date as Date
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .config import PipelineConfig, load_config
@@ -63,7 +69,15 @@ from .lexicon import (
     write_category_lexicon,
     write_keyword_lexicon,
 )
-from .manifest import text_sha256, up_to_date, work_dir_lock, write_manifest
+from .manifest import (
+    Digests,
+    replacing,
+    text_sha256,
+    up_to_date,
+    vouch,
+    work_dir_lock,
+    write_manifest,
+)
 from .mlp import DOWN, UP, load_model, predict_batch, save_model, train
 from .sampling import (
     AliasMatcher,
@@ -79,65 +93,7 @@ from .tokens import tokenize
 
 logger = logging.getLogger(__name__)
 
-# Which stage produces each work-dir artifact, for dependency errors.
-_PRODUCERS = {
-    "samples_train.jsonl": "ingest",
-    "samples_valid.jsonl": "ingest",
-    "samples_test.jsonl": "ingest",
-    "corpus.txt": "ingest",
-    "embeddings.txt": "embed",
-    "keywords.csv": "lexicon",
-    "categories.csv": "lexicon",
-    "features_train.bin": "featurize",
-    "features_valid.bin": "featurize",
-    "features_test.bin": "featurize",
-    "skipped.csv": "featurize",
-    "model.bin": "train",
-    "graph.csv": "graph",
-    "predictions.csv": "predict",
-}
-
-def _artifact(config: PipelineConfig, name: str) -> Path:
-    return config.paths.work_dir / name
-
-
-def _require_artifact(config: PipelineConfig, name: str) -> Path:
-    path = _artifact(config, name)
-    if not path.is_file():
-        raise MissingArtifactError(path, _PRODUCERS[name])
-    return path
-
-
-def _require_input(path: Path, key: str) -> Path:
-    if not path.is_file():
-        raise ValidationError(f"input file {path} not found (paths.{key})")
-    return path
-
-
-def _stage_key(config: PipelineConfig, unit: str) -> str:
-    """Hash of the config sections the cache unit declares in ``_COMMANDS``."""
-    (sections,) = (
-        s for _, _, units, _ in _COMMANDS for name, s in units.items() if name == unit
-    )
-    return text_sha256("\n".join(repr(getattr(config, s)) for s in sections))
-
-
-def _skip(config, unit, inputs, outputs, force: bool) -> bool:
-    if force:
-        return False
-    if up_to_date(
-        config.paths.work_dir, unit, inputs, outputs, _stage_key(config, unit)
-    ):
-        logger.info("%s: artifacts up to date, skipping", unit)
-        return True
-    return False
-
-
-def _finish(config, unit, inputs, outputs) -> int:
-    write_manifest(
-        config.paths.work_dir, unit, inputs, outputs, _stage_key(config, unit)
-    )
-    return 0
+_SPLITS = ("train", "valid", "test")
 
 
 def _matcher(config: PipelineConfig) -> AliasMatcher:
@@ -149,21 +105,12 @@ def _price_table(config: PipelineConfig):
     return load_prices(config.paths.prices, window)
 
 
-def cmd_synth(config: PipelineConfig, force: bool) -> int:
-    paths = config.paths
-    inputs: dict[str, Path] = {}
-    outputs = {key: getattr(paths, key) for key in ("articles", "prices", "aliases")}
-    if _skip(config, "synth", inputs, outputs, force):
-        return 0
-    summary = generate_synthetic_fixture(config.synth, paths.articles.parent)
-    for src, dst in (
-        (summary.articles_path, paths.articles),
-        (summary.prices_path, paths.prices),
-        (summary.aliases_path, paths.aliases),
-    ):
-        if src != dst:
-            dst.parent.mkdir(parents=True, exist_ok=True)
-            src.replace(dst)
+def _synth(config, inputs, outputs, digests) -> None:
+    with tempfile.TemporaryDirectory(dir=outputs["articles"].parent) as scratch:
+        summary = generate_synthetic_fixture(config.synth, scratch)
+        summary.articles_path.replace(outputs["articles"])
+        summary.prices_path.replace(outputs["prices"])
+        summary.aliases_path.replace(outputs["aliases"])
     logger.info(
         "synth: %d tickers over %d trading days, %d articles, about %d samples",
         summary.tickers,
@@ -171,33 +118,16 @@ def cmd_synth(config: PipelineConfig, force: bool) -> int:
         summary.articles,
         summary.expected_samples,
     )
-    return _finish(config, "synth", inputs, outputs)
 
 
-def cmd_ingest(config: PipelineConfig, force: bool) -> int:
-    inputs = {
-        key: _require_input(getattr(config.paths, key), key)
-        for key in ("articles", "prices", "aliases")
-    }
-    outputs = {
-        name: _artifact(config, name)
-        for name in (
-            "samples_train.jsonl",
-            "samples_valid.jsonl",
-            "samples_test.jsonl",
-            "corpus.txt",
-        )
-    }
-    if _skip(config, "ingest", inputs, outputs, force):
-        return 0
+def _ingest(config, inputs, outputs, digests) -> None:
     matcher = _matcher(config)
     prices = _price_table(config)
-    sentences = extract_sentences(load_articles(config.paths.articles), matcher)
+    sentences = extract_sentences(load_articles(inputs["articles"]), matcher)
     samples = build_samples(sentences, prices)
     split = split_by_date(samples, config.dates.train_end, config.dates.valid_end)
-    write_samples(split.train, outputs["samples_train.jsonl"])
-    write_samples(split.validation, outputs["samples_valid.jsonl"])
-    write_samples(split.test, outputs["samples_test.jsonl"])
+    for name, rows in zip(_SPLITS, (split.train, split.validation, split.test)):
+        write_samples(rows, outputs[f"samples_{name}.jsonl"])
     with outputs["corpus.txt"].open("w", encoding="utf-8", newline="\n") as fh:
         for sentence in sentences:
             if sentence.article_date <= config.dates.train_end:
@@ -209,16 +139,10 @@ def cmd_ingest(config: PipelineConfig, force: bool) -> int:
         len(split.validation),
         len(split.test),
     )
-    return _finish(config, "ingest", inputs, outputs)
 
 
-def cmd_embed(config: PipelineConfig, force: bool) -> int:
-    corpus_path = _require_artifact(config, "corpus.txt")
-    inputs = {"corpus.txt": corpus_path}
-    outputs = {"embeddings.txt": _artifact(config, "embeddings.txt")}
-    if _skip(config, "embed", inputs, outputs, force):
-        return 0
-    with corpus_path.open("r", encoding="utf-8") as fh:
+def _embed(config, inputs, outputs, digests) -> None:
+    with inputs["corpus.txt"].open("r", encoding="utf-8") as fh:
         sentences = [tokens for tokens in (tokenize(line) for line in fh) if tokens]
     table = train_skipgram(sentences, config.embedding)
     save_embeddings(table, outputs["embeddings.txt"])
@@ -228,30 +152,13 @@ def cmd_embed(config: PipelineConfig, force: bool) -> int:
         len(table),
         table.dimension,
     )
-    return _finish(config, "embed", inputs, outputs)
 
 
-def cmd_lexicon(config: PipelineConfig, force: bool) -> int:
-    samples_path = _require_artifact(config, "samples_train.jsonl")
-    embeddings_path = _require_artifact(config, "embeddings.txt")
-    inputs = {
-        "samples_train.jsonl": samples_path,
-        "embeddings.txt": embeddings_path,
-        "aliases": _require_input(config.paths.aliases, "aliases"),
-    }
-    category_seeds_path = config.paths.category_seeds
-    if category_seeds_path is not None:
-        inputs["category_seeds"] = _require_input(category_seeds_path, "category_seeds")
-    outputs = {
-        "keywords.csv": _artifact(config, "keywords.csv"),
-        "categories.csv": _artifact(config, "categories.csv"),
-    }
-    if _skip(config, "lexicon", inputs, outputs, force):
-        return 0
-    table = load_embeddings(embeddings_path)
-    train_samples = load_samples(samples_path, _matcher(config))
+def _lexicon(config, inputs, outputs, digests) -> None:
+    table = load_embeddings(inputs["embeddings.txt"])
+    train_samples = load_samples(inputs["samples_train.jsonl"], _matcher(config))
     keywords = build_keyword_lexicon(table, train_samples, k=config.lexicon.keywords)
-    category_seeds = load_category_seeds(category_seeds_path)
+    category_seeds = load_category_seeds(inputs.get("category_seeds"))
     categories = build_category_lexicon(
         table, category_seeds, m=config.lexicon.category_words
     )
@@ -263,33 +170,9 @@ def cmd_lexicon(config: PipelineConfig, force: bool) -> int:
         len(categories.categories),
         config.lexicon.category_words,
     )
-    return _finish(config, "lexicon", inputs, outputs)
 
 
-def cmd_featurize(config: PipelineConfig, force: bool) -> int:
-    inputs = {
-        name: _require_artifact(config, name)
-        for name in (
-            "samples_train.jsonl",
-            "samples_valid.jsonl",
-            "samples_test.jsonl",
-            "keywords.csv",
-            "categories.csv",
-        )
-    }
-    inputs["prices"] = _require_input(config.paths.prices, "prices")
-    inputs["aliases"] = _require_input(config.paths.aliases, "aliases")
-    outputs = {
-        name: _artifact(config, name)
-        for name in (
-            "features_train.bin",
-            "features_valid.bin",
-            "features_test.bin",
-            "skipped.csv",
-        )
-    }
-    if _skip(config, "featurize", inputs, outputs, force):
-        return 0
+def _featurize(config, inputs, outputs, digests) -> None:
     keywords = load_keyword_lexicon(inputs["keywords.csv"])
     categories = load_category_lexicon(inputs["categories.csv"])
     layout = FeatureLayout(
@@ -298,7 +181,7 @@ def cmd_featurize(config: PipelineConfig, force: bool) -> int:
     prices = _price_table(config)
     matcher = _matcher(config)
     all_skipped: list[tuple[str, str, Date, str]] = []
-    for split_name in ("train", "valid", "test"):
+    for split_name in _SPLITS:
         samples = load_samples(inputs[f"samples_{split_name}.jsonl"], matcher)
         matrix, skipped = featurize_samples(samples, prices, keywords, categories, layout)
         write_feature_matrix(matrix, outputs[f"features_{split_name}.bin"])
@@ -314,22 +197,9 @@ def cmd_featurize(config: PipelineConfig, force: bool) -> int:
         fh.write("split,ticker,date,reason\n")
         for split_name, ticker, d, reason in all_skipped:
             fh.write(f"{split_name},{ticker},{d.isoformat()},{reason}\n")
-    return _finish(config, "featurize", inputs, outputs)
 
 
-def _train_files(config: PipelineConfig) -> tuple[dict, dict]:
-    """Inputs and outputs of the ``train`` stage."""
-    inputs = {
-        name: _require_artifact(config, name)
-        for name in ("features_train.bin", "features_valid.bin")
-    }
-    return inputs, {"model.bin": _artifact(config, "model.bin")}
-
-
-def cmd_train(config: PipelineConfig, force: bool) -> int:
-    inputs, outputs = _train_files(config)
-    if _skip(config, "train", inputs, outputs, force):
-        return 0
+def _train(config, inputs, outputs, digests) -> None:
     train_matrix = load_feature_matrix(inputs["features_train.bin"])
     valid_matrix = load_feature_matrix(inputs["features_valid.bin"])
     model = train(train_matrix, valid_matrix, config.training)
@@ -343,14 +213,9 @@ def cmd_train(config: PipelineConfig, force: bool) -> int:
         best,
         errors[best] if 0 <= best < len(errors) else float("nan"),
     )
-    return _finish(config, "train", inputs, outputs)
 
 
-def cmd_graph(config: PipelineConfig, force: bool) -> int:
-    inputs = {"prices": _require_input(config.paths.prices, "prices")}
-    outputs = {"graph.csv": _artifact(config, "graph.csv")}
-    if _skip(config, "graph", inputs, outputs, force):
-        return 0
+def _graph(config, inputs, outputs, digests) -> None:
     prices = _price_table(config)
     g = build_graph(
         prices,
@@ -361,18 +226,9 @@ def cmd_graph(config: PipelineConfig, force: bool) -> int:
     )
     write_graph(g, outputs["graph.csv"])
     logger.info("graph: %d nodes, %d edges", len(g), g.edge_count())
-    return _finish(config, "graph", inputs, outputs)
 
 
-def cmd_predict(config: PipelineConfig, force: bool) -> int:
-    inputs = {
-        "model.bin": _require_artifact(config, "model.bin"),
-        "features_test.bin": _require_artifact(config, "features_test.bin"),
-        "graph.csv": _require_artifact(config, "graph.csv"),
-    }
-    outputs = {"predictions.csv": _artifact(config, "predictions.csv")}
-    if _skip(config, "predict", inputs, outputs, force):
-        return 0
+def _predict(config, inputs, outputs, digests) -> None:
     model = load_model(inputs["model.bin"])
     test_matrix = load_feature_matrix(inputs["features_test.bin"])
     if model.layout is not None and model.layout != test_matrix.layout:
@@ -412,127 +268,210 @@ def cmd_predict(config: PipelineConfig, force: bool) -> int:
         int(emitted.sum()),
         len(set(test_matrix.dates)),
     )
-    return _finish(config, "predict", inputs, outputs)
 
 
-def _vouched_model(config: PipelineConfig) -> Path | None:
-    """model.bin, if the train manifest vouches for it under the current config."""
-    inputs, outputs = _train_files(config)
+def _ablation(config, inputs, outputs, digests) -> None:
+    # The full row scores model.bin only while train's manifest vouches
+    # for it under the current [training] section and feature files.
+    full_model = None
+    train_unit = UNITS["train"]
     if up_to_date(
-        config.paths.work_dir, "train", inputs, outputs, _stage_key(config, "train")
+        config.paths.work_dir,
+        "train",
+        _files(config, train_unit.inputs),
+        _files(config, train_unit.outputs),
+        _stage_key(config, "train"),
+        digests,
     ):
         logger.info("ablation: the full row scores model.bin")
-        return outputs["model.bin"]
-    logger.info("ablation: model.bin is stale, training the full row as well")
-    return None
+        full_model = inputs["model.bin"]
+    else:
+        logger.info("ablation: model.bin is stale, training the full row as well")
+    ablation = run_ablation(
+        *(load_feature_matrix(inputs[f"features_{name}.bin"]) for name in _SPLITS),
+        DEFAULT_COMBINATIONS,
+        config.training,
+        full_model=full_model,
+    )
+    write_ablation_report(ablation, outputs["ablation.csv"])
+    outputs["ablation.txt"].write_text(render_ablation(ablation), encoding="utf-8")
 
 
-def cmd_evaluate(config: PipelineConfig, force: bool) -> int:
-    features = {
-        name: _require_artifact(config, name)
-        for name in ("features_train.bin", "features_valid.bin", "features_test.bin")
-    }
-    model_path = _require_artifact(config, "model.bin")
-    graph_path = _require_artifact(config, "graph.csv")
-    prices_path = _require_input(config.paths.prices, "prices")
-
-    inputs = {**features, "model.bin": model_path}
-    outputs = {
-        name: _artifact(config, name) for name in ("ablation.csv", "ablation.txt")
-    }
-    if not _skip(config, "ablation", inputs, outputs, force):
-        ablation = run_ablation(
-            load_feature_matrix(features["features_train.bin"]),
-            load_feature_matrix(features["features_valid.bin"]),
-            load_feature_matrix(features["features_test.bin"]),
-            DEFAULT_COMBINATIONS,
-            config.training,
-            full_model=_vouched_model(config),
-        )
-        write_ablation_report(ablation, outputs["ablation.csv"])
-        outputs["ablation.txt"].write_text(render_ablation(ablation), encoding="utf-8")
-        _finish(config, "ablation", inputs, outputs)
-    print(outputs["ablation.txt"].read_text(encoding="utf-8"), end="")
-
-    inputs = {
-        "features_test.bin": features["features_test.bin"],
-        "model.bin": model_path,
-        "graph.csv": graph_path,
-        "prices": prices_path,
-    }
-    outputs = {name: _artifact(config, name) for name in ("sweep.csv", "sweep.txt")}
-    if not _skip(config, "sweep", inputs, outputs, force):
-        sweep = run_propagation_sweep(
-            load_feature_matrix(features["features_test.bin"]),
-            load_model(model_path),
-            load_graph(graph_path),
-            _price_table(config),
-            config.sweep.taus,
-            iterations=config.graph.iterations,
-            clamp_observed=config.graph.clamp_observed,
-        )
-        write_sweep_report(sweep, outputs["sweep.csv"])
-        outputs["sweep.txt"].write_text(render_sweep(sweep), encoding="utf-8")
-        _finish(config, "sweep", inputs, outputs)
-    print(outputs["sweep.txt"].read_text(encoding="utf-8"), end="")
-    return 0
+def _sweep(config, inputs, outputs, digests) -> None:
+    sweep = run_propagation_sweep(
+        load_feature_matrix(inputs["features_test.bin"]),
+        load_model(inputs["model.bin"]),
+        load_graph(inputs["graph.csv"]),
+        _price_table(config),
+        config.sweep.taus,
+        iterations=config.graph.iterations,
+        clamp_observed=config.graph.clamp_observed,
+    )
+    write_sweep_report(sweep, outputs["sweep.csv"])
+    outputs["sweep.txt"].write_text(render_sweep(sweep), encoding="utf-8")
 
 
-# (stage, command, {cache unit: config sections it reads}, help). Each
-# unit keeps its own manifest, and its sections make up its cache key;
-# [paths] never does, as the files are content-hashed. evaluate has two
-# units, so a sweep or graph change does not retrain the ablation.
-_COMMANDS = (
-    (
-        "synth",
-        cmd_synth,
-        {"synth": ("synth",)},
-        "generate a synthetic articles/prices/aliases fixture",
+@dataclass(frozen=True)
+class Unit:
+    """One cache unit of a stage, with its own manifest.
+
+    ``sections`` make up its cache key; [paths] never does, as the files
+    are content-hashed. ``inputs`` and ``outputs`` name work-dir artifacts,
+    or config paths as ``paths.<key>``. ``body(config, inputs, outputs,
+    digests)`` gets them keyed as in the manifest and writes every output
+    it is given; the runner owns skipping, renaming and the manifest.
+    ``report`` is an output that the stage prints whether the unit ran or
+    skipped.
+    """
+
+    stage: str
+    sections: tuple[str, ...]
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+    body: Callable[..., None]
+    report: str | None = None
+
+
+_SAMPLES = ("samples_train.jsonl", "samples_valid.jsonl", "samples_test.jsonl")
+_FEATURES = ("features_train.bin", "features_valid.bin", "features_test.bin")
+_FIXTURE = ("paths.articles", "paths.prices", "paths.aliases")
+
+# evaluate has two units, so a sweep or graph change does not retrain the
+# ablation.
+UNITS = {
+    "synth": Unit("synth", ("synth",), (), _FIXTURE, _synth),
+    "ingest": Unit(
+        "ingest", ("dates",), _FIXTURE, (*_SAMPLES, "corpus.txt"), _ingest
     ),
-    (
-        "ingest",
-        cmd_ingest,
-        {"ingest": ("dates",)},
-        "split articles into labeled samples and the embedding corpus",
+    "embed": Unit(
+        "embed", ("embedding",), ("corpus.txt",), ("embeddings.txt",), _embed
     ),
-    (
-        "embed",
-        cmd_embed,
-        {"embed": ("embedding",)},
-        "train word embeddings on the training corpus",
-    ),
-    (
+    "lexicon": Unit(
         "lexicon",
-        cmd_lexicon,
-        {"lexicon": ("lexicon",)},
-        "build the keyword and category lexicons",
+        ("lexicon",),
+        (
+            "samples_train.jsonl",
+            "embeddings.txt",
+            "paths.aliases",
+            "paths.category_seeds",
+        ),
+        ("keywords.csv", "categories.csv"),
+        _lexicon,
     ),
-    (
+    "featurize": Unit(
         "featurize",
-        cmd_featurize,
-        {"featurize": ("dates",)},
-        "build feature matrices for all splits",
+        ("dates",),
+        (*_SAMPLES, "keywords.csv", "categories.csv", "paths.prices", "paths.aliases"),
+        (*_FEATURES, "skipped.csv"),
+        _featurize,
     ),
-    ("train", cmd_train, {"train": ("training",)}, "train the movement classifier"),
-    (
-        "graph",
-        cmd_graph,
-        {"graph": ("dates", "graph")},
-        "build the price correlation graph",
+    "train": Unit(
+        "train",
+        ("training",),
+        ("features_train.bin", "features_valid.bin"),
+        ("model.bin",),
+        _train,
     ),
-    (
+    "graph": Unit(
+        "graph", ("dates", "graph"), ("paths.prices",), ("graph.csv",), _graph
+    ),
+    "predict": Unit(
         "predict",
-        cmd_predict,
-        {"predict": ("graph", "sweep")},
-        "emit test-set predictions, direct and propagated",
+        ("graph", "sweep"),
+        ("model.bin", "features_test.bin", "graph.csv"),
+        ("predictions.csv",),
+        _predict,
     ),
-    (
+    "ablation": Unit(
         "evaluate",
-        cmd_evaluate,
-        {"ablation": ("training",), "sweep": ("dates", "graph", "sweep")},
-        "run the feature ablation and the propagation sweep",
+        ("training",),
+        (*_FEATURES, "model.bin"),
+        ("ablation.csv", "ablation.txt"),
+        _ablation,
+        report="ablation.txt",
     ),
-)
+    "sweep": Unit(
+        "evaluate",
+        ("dates", "graph", "sweep"),
+        ("features_test.bin", "model.bin", "graph.csv", "paths.prices"),
+        ("sweep.csv", "sweep.txt"),
+        _sweep,
+        report="sweep.txt",
+    ),
+}
+
+# The unit that makes each work-dir artifact; paths.* files are user data.
+_PRODUCER = {
+    name: unit
+    for unit, spec in UNITS.items()
+    for name in spec.outputs
+    if not name.startswith("paths.")
+}
+
+_HELP = {
+    "synth": "generate a synthetic articles/prices/aliases fixture",
+    "ingest": "split articles into labeled samples and the embedding corpus",
+    "embed": "train word embeddings on the training corpus",
+    "lexicon": "build the keyword and category lexicons",
+    "featurize": "build feature matrices for all splits",
+    "train": "train the movement classifier",
+    "graph": "build the price correlation graph",
+    "predict": "emit test-set predictions, direct and propagated",
+    "evaluate": "run the feature ablation and the propagation sweep",
+}
+
+
+def _files(config: PipelineConfig, names: Sequence[str]) -> dict[str, Path]:
+    """Paths of declared files, keyed as in the manifest; blank paths drop out."""
+    files = {}
+    for name in names:
+        if name.startswith("paths."):
+            name = name.removeprefix("paths.")
+            path = getattr(config.paths, name)
+        else:
+            path = config.paths.work_dir / name
+        if path is not None:
+            files[name] = path
+    return files
+
+
+def _stage_key(config: PipelineConfig, unit: str) -> str:
+    """Hash of the config sections the cache unit declares in ``UNITS``."""
+    sections = UNITS[unit].sections
+    return text_sha256("\n".join(repr(getattr(config, s)) for s in sections))
+
+
+def _run_unit(config: PipelineConfig, unit: str, force: bool, digests: Digests):
+    spec = UNITS[unit]
+    work_dir = config.paths.work_dir
+    inputs = _files(config, spec.inputs)
+    for name, path in inputs.items():
+        producer = _PRODUCER.get(name)
+        if not path.is_file():
+            if producer is None:
+                raise ValidationError(f"input file {path} not found (paths.{name})")
+            raise MissingArtifactError(path, UNITS[producer].stage)
+        if producer is not None:
+            vouch(work_dir, producer, name, path, digests)
+    outputs = _files(config, spec.outputs)
+    key = _stage_key(config, unit)
+    if not force and up_to_date(work_dir, unit, inputs, outputs, key, digests):
+        logger.info("%s: artifacts up to date, skipping", unit)
+        return
+    with replacing(outputs) as temporary:
+        spec.body(config, inputs, temporary, digests)
+    write_manifest(work_dir, unit, inputs, outputs, key, digests)
+
+
+def _run_stage(config: PipelineConfig, stage: str, force: bool) -> int:
+    digests = Digests()
+    for unit, spec in UNITS.items():
+        if spec.stage == stage:
+            _run_unit(config, unit, force, digests)
+            if spec.report is not None:
+                report = config.paths.work_dir / spec.report
+                print(report.read_text(encoding="utf-8"), end="")
+    return 0
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -544,8 +483,8 @@ def _parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="<stage>")
-    for name, func, _, help_text in _COMMANDS:
-        p = sub.add_parser(name, help=help_text)
+    for stage in dict.fromkeys(spec.stage for spec in UNITS.values()):
+        p = sub.add_parser(stage, help=_HELP[stage])
         p.add_argument(
             "--config", required=True, metavar="PATH", help="pipeline config file"
         )
@@ -562,7 +501,6 @@ def _parser() -> argparse.ArgumentParser:
             help="rerun even when the stage's artifacts are up to date",
         )
         p.add_argument("--verbose", action="store_true", help="debug logging")
-        p.set_defaults(func=func)
     return parser
 
 
@@ -575,14 +513,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = load_config(args.config, args.overrides or ())
         with work_dir_lock(config.paths.work_dir):
-            return args.func(config, args.force)
+            return _run_stage(config, args.command, args.force)
     except (ConfigError, ValidationError, ParseError, MissingArtifactError) as exc:
         logger.error("%s", exc)
         return 1
-    except PipelineError as exc:
-        logger.error("%s", exc)
-        return 2
-    except OSError as exc:
+    except (PipelineError, OSError) as exc:
         logger.error("%s", exc)
         return 2
 

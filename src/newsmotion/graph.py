@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .ingest import DateRange, PriceTable, parse_date
+from .ingest import DateRange, PriceTable
 from .mlp import DOWN, UP
 
 DEFAULT_THRESHOLD = 0.8
@@ -315,32 +315,3 @@ def write_predictions(predictions: Sequence[Prediction], path: str | Path) -> No
             fh.write(
                 f"{p.date.isoformat()},{p.ticker},{p.source},{p.label},{p.confidence!r}\n"
             )
-
-
-def load_predictions(path: str | Path) -> list[Prediction]:
-    path = Path(path)
-    out = []
-    with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "date,ticker,source,label,confidence":
-            raise ParseError(f"{path}:1: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise ParseError(f"{path}:{lineno}: expected 5 fields")
-            try:
-                out.append(
-                    Prediction(
-                        date=parse_date(parts[0]),
-                        ticker=parts[1],
-                        source=parts[2],
-                        label=parts[3],
-                        confidence=float(parts[4]),
-                    )
-                )
-            except (ValidationError, ValueError) as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    return out

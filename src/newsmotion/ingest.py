@@ -253,18 +253,3 @@ def load_prices(path: str | Path, training_window: DateRange) -> PriceTable:
         training_window=training_window,
         unnormalizable=frozenset(unnormalizable),
     )
-
-
-def write_prices(table: PriceTable, path: str | Path) -> None:
-    """Serialize a price table back to the CSV format load_prices reads."""
-    path = Path(path)
-    rows = []
-    for ticker in table.tickers():
-        s = table.series[ticker]
-        for d, c in zip(s.dates, s.closes.tolist()):
-            rows.append((d, ticker, c))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("date,ticker,close\n")
-        for d, ticker, c in rows:
-            fh.write(f"{d.isoformat()},{ticker},{c!r}\n")

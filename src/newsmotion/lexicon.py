@@ -111,16 +111,6 @@ def polarity_score(pos_df: int, neg_df: int, n_pos: int, n_neg: int) -> float:
     return math.log(num) - math.log(den)
 
 
-def polarity_score_of(word: str, samples: Sequence[Sample]) -> float:
-    """Polarity score of one word over a labeled sample set."""
-    _, pos_df, neg_df, n_pos, n_neg = _document_counts(samples)
-    if n_pos == 0 or n_neg == 0:
-        raise ValidationError(
-            "polarity scores need both positive and negative training samples"
-        )
-    return polarity_score(pos_df.get(word, 0), neg_df.get(word, 0), n_pos, n_neg)
-
-
 def compute_idf(df: int, n_samples: int) -> float:
     """Smoothed inverse document frequency log((N+1)/(df+1))."""
     if df < 0 or n_samples < 0:

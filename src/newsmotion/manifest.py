@@ -4,6 +4,9 @@ Each pipeline stage records the content hashes of its inputs and outputs,
 the hash of the config sections it reads (the seed among them), and tool
 versions. A stage is skippable when its manifest still matches all of
 those, which lets expensive stages cache their artifacts across reruns.
+A manifest also vouches for its outputs: a downstream stage reads only
+files that hash to what their producer recorded. Artifacts and manifests
+are written to a temporary file and renamed into place.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from . import __version__
-from .errors import PipelineError
+from .errors import PipelineError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -54,25 +57,76 @@ def manifest_path(work_dir: str | Path, stage: str) -> Path:
     return Path(work_dir) / f"{stage}.manifest.json"
 
 
+class Digests(dict):
+    """SHA-256 of each file, keyed by path, hashed on its first lookup only.
+
+    One run shares one instance, so a file that is vouched for, checked
+    against the unit's own manifest and then recorded in it is read once.
+    """
+
+    def __missing__(self, path: Path) -> str:
+        digest = self[path] = file_sha256(path)
+        return digest
+
+
+@contextlib.contextmanager
+def replacing(files: Mapping[str, Path]) -> Iterator[dict[str, Path]]:
+    """Temporary paths for ``files``, renamed over them when the block succeeds.
+
+    Each temporary file sits in its destination's own directory, so the
+    rename is atomic. If the block raises, the temporary files are removed
+    and every destination keeps its old bytes.
+    """
+    temporary = {
+        name: path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        for name, path in files.items()
+    }
+    try:
+        for path in files.values():
+            path.parent.mkdir(parents=True, exist_ok=True)
+        yield temporary
+        for name, path in files.items():
+            os.replace(temporary[name], path)
+    finally:
+        for path in temporary.values():
+            with contextlib.suppress(FileNotFoundError):
+                path.unlink()
+
+
+def _read_manifest(work_dir: str | Path, stage: str) -> dict | None:
+    try:
+        record = json.loads(manifest_path(work_dir, stage).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError):
+        return None
+    return record if isinstance(record, dict) else None
+
+
 def write_manifest(
     work_dir: str | Path,
     stage: str,
     inputs: Mapping[str, Path],
     outputs: Mapping[str, Path],
     config_hash: str,
+    digests: Digests | None = None,
 ) -> None:
-    """Record the stage's input and output hashes after a successful run."""
+    """Record the stage's input and output hashes after a successful run.
+
+    The outputs are hashed afresh, as the stage has just rewritten them.
+    """
+    digests = Digests() if digests is None else digests
+    for path in outputs.values():
+        digests.pop(path, None)
     record = {
         "stage": stage,
         "config": config_hash,
-        "inputs": {name: file_sha256(path) for name, path in sorted(inputs.items())},
-        "outputs": {name: file_sha256(path) for name, path in sorted(outputs.items())},
+        "inputs": {name: digests[path] for name, path in sorted(inputs.items())},
+        "outputs": {name: digests[path] for name, path in sorted(outputs.items())},
         "versions": _versions(),
     }
-    path = manifest_path(work_dir, stage)
-    path.write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with replacing({stage: manifest_path(work_dir, stage)}) as temporary:
+        temporary[stage].write_text(
+            json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
 
 
 def up_to_date(
@@ -81,16 +135,12 @@ def up_to_date(
     inputs: Mapping[str, Path],
     outputs: Mapping[str, Path],
     config_hash: str,
+    digests: Digests | None = None,
 ) -> bool:
     """Whether the stage's manifest still matches its inputs and outputs."""
-    path = manifest_path(work_dir, stage)
-    if not path.is_file():
-        return False
-    try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return False
-    if record.get("config") != config_hash:
+    digests = Digests() if digests is None else digests
+    record = _read_manifest(work_dir, stage)
+    if record is None or record.get("config") != config_hash:
         return False
     if record.get("versions") != _versions():
         return False
@@ -101,9 +151,21 @@ def up_to_date(
         if set(recorded) != set(files):
             return False
         for name, file in sorted(files.items()):
-            if not Path(file).is_file() or recorded[name] != file_sha256(file):
+            if not Path(file).is_file() or recorded[name] != digests[file]:
                 return False
     return True
+
+
+def vouch(
+    work_dir: str | Path, producer: str, name: str, path: Path, digests: Digests
+) -> None:
+    """Raise unless ``path`` holds what ``producer``'s manifest recorded as ``name``."""
+    recorded = (_read_manifest(work_dir, producer) or {}).get("outputs", {}).get(name)
+    if recorded is None or recorded != digests[path]:
+        raise ValidationError(
+            f"{name} does not match {manifest_path(work_dir, producer).name}; "
+            f"rerun {producer}"
+        )
 
 
 def _lock_holder_gone(lock: Path) -> bool:

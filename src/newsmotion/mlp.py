@@ -20,8 +20,6 @@ from .sampling import NEGATIVE, POSITIVE
 
 UP = "up"
 DOWN = "down"
-# Output node order: index 0 = up, index 1 = down.
-CLASSES = (UP, DOWN)
 
 
 def direction_of(label: str) -> str:

@@ -32,7 +32,6 @@ from newsmotion.lexicon import (
     KeywordEntry,
     KeywordLexicon,
     load_keyword_lexicon,
-    polarity_score_of,
 )
 from newsmotion.mlp import (
     MlpModel,
@@ -47,6 +46,7 @@ from newsmotion.sampling import NEGATIVE, POSITIVE, Sample, Sentence
 from newsmotion.tokens import tokenize
 
 from graph_oracle import pearson
+from support import polarity_score_of
 
 GRADIENT_TOLERANCE = 1e-4
 GRADIENT_TIME_LIMIT = 10.0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -18,11 +19,13 @@ from newsmotion.config import load_config
 from newsmotion.errors import PipelineError
 from newsmotion.evaluation import run_propagation_sweep
 from newsmotion.features import load_feature_matrix
-from newsmotion.graph import PROPAGATED, load_graph, load_predictions
+from newsmotion.graph import PROPAGATED, load_graph
 from newsmotion.lexicon import load_keyword_lexicon
-from newsmotion.manifest import work_dir_lock
+from newsmotion.manifest import manifest_path, work_dir_lock, write_manifest
 from newsmotion.mlp import direction_of, init, load_model, save_model
 from newsmotion.sampling import movement_label
+
+from support import load_predictions
 
 SMOKE_CONFIG = """\
 [synth]
@@ -104,6 +107,11 @@ def _copy(pipeline: Path, tmp_path: Path) -> Path:
     root = tmp_path / "copy"
     shutil.copytree(pipeline, root)
     return root / "pipeline.ini"
+
+
+def _vouch_for(work: Path, producer: str, name: str) -> None:
+    """A manifest of ``producer`` that records ``name`` as its output."""
+    write_manifest(work, producer, {}, {name: work / name}, "")
 
 
 class _Recorder:
@@ -221,14 +229,19 @@ class TestStageKeys:
         self, pipeline, tmp_path, monkeypatch
     ):
         config = str(_copy(pipeline, tmp_path))
-        skip = cli._skip
+        run_unit = cli._run_unit
 
         def entering(config, unit, *args):
             config.unit = unit
-            return skip(config, unit, *args)
+            return run_unit(config, unit, *args)
 
-        monkeypatch.setattr(cli, "_skip", entering)
-        for stage, _, units, _ in cli._COMMANDS:
+        monkeypatch.setattr(cli, "_run_unit", entering)
+        for stage in STAGES:
+            units = {
+                unit: spec.sections
+                for unit, spec in cli.UNITS.items()
+                if spec.stage == stage
+            }
             recorders = []
 
             def recording(*args):
@@ -348,6 +361,102 @@ class TestEvaluateUnits:
         assert ablation.read_bytes() == before
 
 
+class TestVouchedInputs:
+    """A unit reads a work-dir artifact only while its producer vouches for it."""
+
+    @pytest.mark.parametrize("force", [(), ("--force",)])
+    @pytest.mark.parametrize(
+        "stage, artifact, keep, producer",
+        [
+            ("featurize", "keywords.csv", 31, "lexicon"),
+            ("embed", "corpus.txt", 200, "ingest"),
+        ],
+    )
+    def test_truncated_artifact_names_its_producer(
+        self, pipeline, tmp_path, caplog, stage, artifact, keep, producer, force
+    ):
+        config = _copy(pipeline, tmp_path)
+        work = config.parent / "work"
+        path = work / artifact
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:keep]))
+        manifest = manifest_path(work, stage).read_bytes()
+        with caplog.at_level(logging.ERROR):
+            assert cli.main([stage, "--config", str(config), *force]) == 1
+        message = f"{artifact} does not match {producer}.manifest.json; rerun {producer}"
+        assert message in caplog.text
+        assert manifest_path(work, stage).read_bytes() == manifest
+
+    def test_missing_producer_manifest_vouches_for_nothing(
+        self, pipeline, tmp_path, caplog
+    ):
+        config = _copy(pipeline, tmp_path)
+        manifest_path(config.parent / "work", "train").unlink()
+        with caplog.at_level(logging.ERROR):
+            assert cli.main(["predict", "--config", str(config), "--force"]) == 1
+        assert "model.bin does not match train.manifest.json; rerun train" in caplog.text
+
+    def test_config_paths_are_not_vouched_for(self, pipeline, tmp_path, caplog):
+        config = _copy(pipeline, tmp_path)
+        with (config.parent / "prices.csv").open("a") as fh:
+            fh.write("2012-12-31,ZZZ0,10.0\n")
+        with caplog.at_level(logging.INFO):
+            assert cli.main(["graph", "--config", str(config)]) == 0
+        assert "graph: artifacts up to date" not in caplog.text
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_the_previous_artifacts(
+        self, pipeline, tmp_path, monkeypatch
+    ):
+        config = _copy(pipeline, tmp_path)
+        work = config.parent / "work"
+        kept = {
+            path: path.read_bytes()
+            for path in (work / "predictions.csv", manifest_path(work, "predict"))
+        }
+        listing = sorted(os.listdir(work))
+
+        def failing(predictions, path):
+            Path(path).write_text("date,ticker,source,label,confidence\n2013-")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_predictions", failing)
+        assert cli.main(["predict", "--config", str(config), "--force"]) == 2
+        for path, content in kept.items():
+            assert path.read_bytes() == content, path.name
+        assert sorted(os.listdir(work)) == listing
+
+    def test_failed_synth_leaves_no_scratch_behind(self, tmp_path, monkeypatch):
+        config = _write_config(tmp_path)
+
+        def failing(synth, out_dir):
+            (Path(out_dir) / "articles.jsonl").write_text("{")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "generate_synthetic_fixture", failing)
+        assert cli.main(["synth", "--config", str(config)]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipeline.ini", "work"]
+
+
+class TestReadme:
+    def test_stage_table_matches_the_units(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        text = readme.read_text(encoding="utf-8").split("\n## Pipeline stages\n", 1)[1]
+        table = text.strip().split("\n\n", 1)[0].splitlines()
+        rows = [line.strip("|").split("|") for line in table[2:]]
+        listed = {}
+        for stage, reads, writes in rows:
+            unit = re.search(r"\((\w+)\)", stage) or re.search(r"`(\w+)`", stage)
+            listed[unit.group(1)] = (
+                set(re.findall(r"`([^`]+)`", reads)),
+                set(re.findall(r"`([^`]+)`", writes)),
+            )
+        assert listed == {
+            unit: (set(spec.inputs), set(spec.outputs))
+            for unit, spec in cli.UNITS.items()
+        }
+
+
 class TestTracingPlan:
     def test_traced_names_are_still_module_attributes(self):
         """perfbench/launch.py wraps these by name; a rename would zero its spans."""
@@ -425,6 +534,10 @@ class TestFailureModes:
         work.mkdir()
         for name in ("features_test.bin", "graph.csv"):
             shutil.copy(pipeline / "work" / name, work / name)
+        # Manifests vouch for the hand-built files, so that the layout check,
+        # not the vouching, is what rejects the model.
+        _vouch_for(work, "featurize", "features_test.bin")
+        _vouch_for(work, "graph", "graph.csv")
         layout = load_feature_matrix(work / "features_test.bin").layout
         # Same input width, different blocks: the width check alone passes.
         other = replace(
@@ -435,6 +548,7 @@ class TestFailureModes:
         )
         assert other.dimension == layout.dimension and other != layout
         save_model(init((other.dimension, 4, 2), seed=1, layout=other), work / "model.bin")
+        _vouch_for(work, "train", "model.bin")
         with caplog.at_level(logging.ERROR):
             assert cli.main(["predict", "--config", str(config)]) == 1
         assert "layouts differ" in caplog.text

@@ -205,7 +205,7 @@ class TestLoadConfig:
 
     def test_stage_key_ignores_unrelated_changes(self, tmp_path):
         path = _write_config(tmp_path)
-        units = [unit for _, _, stage_units, _ in cli._COMMANDS for unit in stage_units]
+        units = list(cli.UNITS)
 
         def changed(override):
             base, tweaked = load_config(path), load_config(path, [override])
@@ -312,8 +312,9 @@ class TestManifest:
         inputs, outputs = self._stage_files(tmp_path)
         work = tmp_path / "work"
         assert not up_to_date(work, "stage", inputs, outputs, "cfg")
-        manifest_path(work, "stage").write_text("{broken")
-        assert not up_to_date(work, "stage", inputs, outputs, "cfg")
+        for text in ("{broken", "[]"):
+            manifest_path(work, "stage").write_text(text)
+            assert not up_to_date(work, "stage", inputs, outputs, "cfg")
 
     def test_version_change_invalidates(self, tmp_path):
         inputs, outputs = self._stage_files(tmp_path)

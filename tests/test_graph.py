@@ -16,7 +16,6 @@ from newsmotion.graph import (
     Propagation,
     build_graph,
     load_graph,
-    load_predictions,
     propagate,
     threshold_predictions,
     write_graph,
@@ -25,6 +24,7 @@ from newsmotion.graph import (
 from newsmotion.ingest import DateRange, PriceSeries, PriceTable
 
 from graph_oracle import build_graph_pairwise, dense_weights, pearson
+from support import load_predictions
 
 DAY = date(2012, 3, 5)
 

@@ -16,10 +16,10 @@ from newsmotion.ingest import (
     load_prices,
     parse_date,
     write_articles,
-    write_prices,
 )
 
 from graph_oracle import align_series
+from support import write_prices
 
 
 def _write(tmp_path, name, text):

@@ -23,12 +23,13 @@ from newsmotion.lexicon import (
     load_category_seeds,
     load_keyword_lexicon,
     polarity_score,
-    polarity_score_of,
     write_category_lexicon,
     write_keyword_lexicon,
 )
 from newsmotion.sampling import NEGATIVE, POSITIVE, Sample, Sentence
 from newsmotion.tokens import tokenize
+
+from support import polarity_score_of
 
 DAY = date(2012, 3, 5)
 
