@@ -46,6 +46,7 @@ from .features import (
     FeatureLayout,
     featurize_samples,
     load_feature_matrix,
+    training_stats,
     write_feature_matrix,
 )
 from .graph import (
@@ -96,15 +97,6 @@ logger = logging.getLogger(__name__)
 _SPLITS = ("train", "valid", "test")
 
 
-def _matcher(config: PipelineConfig) -> AliasMatcher:
-    return AliasMatcher(load_aliases(config.paths.aliases))
-
-
-def _price_table(config: PipelineConfig):
-    window = DateRange(config.dates.train_start, config.dates.train_end)
-    return load_prices(config.paths.prices, window)
-
-
 def _synth(config, inputs, outputs, digests) -> None:
     with tempfile.TemporaryDirectory(dir=outputs["articles"].parent) as scratch:
         summary = generate_synthetic_fixture(config.synth, scratch)
@@ -121,8 +113,8 @@ def _synth(config, inputs, outputs, digests) -> None:
 
 
 def _ingest(config, inputs, outputs, digests) -> None:
-    matcher = _matcher(config)
-    prices = _price_table(config)
+    matcher = AliasMatcher(load_aliases(inputs["aliases"]))
+    prices = load_prices(inputs["prices"])
     sentences = extract_sentences(load_articles(inputs["articles"]), matcher)
     samples = build_samples(sentences, prices)
     split = split_by_date(samples, config.dates.train_end, config.dates.valid_end)
@@ -156,7 +148,7 @@ def _embed(config, inputs, outputs, digests) -> None:
 
 def _lexicon(config, inputs, outputs, digests) -> None:
     table = load_embeddings(inputs["embeddings.txt"])
-    train_samples = load_samples(inputs["samples_train.jsonl"], _matcher(config))
+    train_samples = load_samples(inputs["samples_train.jsonl"])
     keywords = build_keyword_lexicon(table, train_samples, k=config.lexicon.keywords)
     category_seeds = load_category_seeds(inputs.get("category_seeds"))
     categories = build_category_lexicon(
@@ -178,12 +170,16 @@ def _featurize(config, inputs, outputs, digests) -> None:
     layout = FeatureLayout(
         blocks=BLOCK_ORDER, k=len(keywords), n_categories=len(categories.categories)
     )
-    prices = _price_table(config)
-    matcher = _matcher(config)
+    prices = load_prices(inputs["prices"])
+    stats = training_stats(
+        prices, DateRange(config.dates.train_start, config.dates.train_end)
+    )
     all_skipped: list[tuple[str, str, Date, str]] = []
     for split_name in _SPLITS:
-        samples = load_samples(inputs[f"samples_{split_name}.jsonl"], matcher)
-        matrix, skipped = featurize_samples(samples, prices, keywords, categories, layout)
+        samples = load_samples(inputs[f"samples_{split_name}.jsonl"])
+        matrix, skipped = featurize_samples(
+            samples, prices, stats, keywords, categories, layout
+        )
         write_feature_matrix(matrix, outputs[f"features_{split_name}.bin"])
         all_skipped.extend((split_name, t, d, reason) for t, d, reason in skipped)
         logger.info(
@@ -216,10 +212,10 @@ def _train(config, inputs, outputs, digests) -> None:
 
 
 def _graph(config, inputs, outputs, digests) -> None:
-    prices = _price_table(config)
+    prices = load_prices(inputs["prices"])
     g = build_graph(
         prices,
-        prices.tickers(),
+        list(prices),
         window=config.graph.window,
         threshold=config.graph.threshold,
         min_overlap=config.graph.min_overlap,
@@ -302,7 +298,7 @@ def _sweep(config, inputs, outputs, digests) -> None:
         load_feature_matrix(inputs["features_test.bin"]),
         load_model(inputs["model.bin"]),
         load_graph(inputs["graph.csv"]),
-        _price_table(config),
+        load_prices(inputs["prices"]),
         config.sweep.taus,
         iterations=config.graph.iterations,
         clamp_observed=config.graph.clamp_observed,
@@ -321,7 +317,9 @@ class Unit:
     digests)`` gets them keyed as in the manifest and writes every output
     it is given; the runner owns skipping, renaming and the manifest.
     ``report`` is an output that the stage prints whether the unit ran or
-    skipped.
+    skipped. ``revision`` counts the changes to what the body writes from
+    unchanged inputs and sections; a non-zero one joins the cache key, so
+    outputs of an older revision are remade once.
     """
 
     stage: str
@@ -330,6 +328,7 @@ class Unit:
     outputs: tuple[str, ...]
     body: Callable[..., None]
     report: str | None = None
+    revision: int = 0
 
 
 _SAMPLES = ("samples_train.jsonl", "samples_valid.jsonl", "samples_test.jsonl")
@@ -340,8 +339,9 @@ _FIXTURE = ("paths.articles", "paths.prices", "paths.aliases")
 # ablation.
 UNITS = {
     "synth": Unit("synth", ("synth",), (), _FIXTURE, _synth),
+    # revision 1: each sample sentence keeps its mentions
     "ingest": Unit(
-        "ingest", ("dates",), _FIXTURE, (*_SAMPLES, "corpus.txt"), _ingest
+        "ingest", ("dates",), _FIXTURE, (*_SAMPLES, "corpus.txt"), _ingest, revision=1
     ),
     "embed": Unit(
         "embed", ("embedding",), ("corpus.txt",), ("embeddings.txt",), _embed
@@ -349,19 +349,14 @@ UNITS = {
     "lexicon": Unit(
         "lexicon",
         ("lexicon",),
-        (
-            "samples_train.jsonl",
-            "embeddings.txt",
-            "paths.aliases",
-            "paths.category_seeds",
-        ),
+        ("samples_train.jsonl", "embeddings.txt", "paths.category_seeds"),
         ("keywords.csv", "categories.csv"),
         _lexicon,
     ),
     "featurize": Unit(
         "featurize",
         ("dates",),
-        (*_SAMPLES, "keywords.csv", "categories.csv", "paths.prices", "paths.aliases"),
+        (*_SAMPLES, "keywords.csv", "categories.csv", "paths.prices"),
         (*_FEATURES, "skipped.csv"),
         _featurize,
     ),
@@ -373,7 +368,7 @@ UNITS = {
         _train,
     ),
     "graph": Unit(
-        "graph", ("dates", "graph"), ("paths.prices",), ("graph.csv",), _graph
+        "graph", ("graph",), ("paths.prices",), ("graph.csv",), _graph
     ),
     "predict": Unit(
         "predict",
@@ -392,7 +387,7 @@ UNITS = {
     ),
     "sweep": Unit(
         "evaluate",
-        ("dates", "graph", "sweep"),
+        ("graph", "sweep"),
         ("features_test.bin", "model.bin", "graph.csv", "paths.prices"),
         ("sweep.csv", "sweep.txt"),
         _sweep,
@@ -437,8 +432,11 @@ def _files(config: PipelineConfig, names: Sequence[str]) -> dict[str, Path]:
 
 def _stage_key(config: PipelineConfig, unit: str) -> str:
     """Hash of the config sections the cache unit declares in ``UNITS``."""
-    sections = UNITS[unit].sections
-    return text_sha256("\n".join(repr(getattr(config, s)) for s in sections))
+    spec = UNITS[unit]
+    parts = [repr(getattr(config, s)) for s in spec.sections]
+    if spec.revision:
+        parts.append(f"revision {spec.revision}")
+    return text_sha256("\n".join(parts))
 
 
 def _run_unit(config: PipelineConfig, unit: str, force: bool, digests: Digests):

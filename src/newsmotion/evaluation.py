@@ -13,14 +13,14 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import PipelineError, ValidationError
 from .features import BLOCK_ORDER, FeatureMatrix, slice_blocks
 from .graph import CorrelationGraph, propagate, threshold_predictions
-from .ingest import PriceTable
+from .ingest import PriceSeries
 from .mlp import (
     UP,
     MlpModel,
@@ -183,7 +183,7 @@ def run_propagation_sweep(
     test_matrix: FeatureMatrix,
     model: MlpModel,
     graph: CorrelationGraph,
-    prices: PriceTable,
+    prices: Mapping[str, PriceSeries],
     taus: Sequence[float],
     iterations: int = 1,
     clamp_observed: bool = False,

@@ -3,8 +3,11 @@
 A feature vector is the fixed-order concatenation of the enabled blocks:
 12 normalized price values, one tf-idf component per lexicon keyword
 (bag-of-keywords), one signed polarity component per keyword, and one
-log-count per event category. The layout descriptor travels with every
-matrix and model file so train and serve can never disagree on shapes.
+log-count per event category. Prices are z-scored with each ticker's
+training-window mean and std, which only this module computes. The
+subject test behind the polarity signs reads the mentions each sentence
+carries from ingest. The layout descriptor travels with every matrix and
+model file so train and serve can never disagree on shapes.
 """
 
 from __future__ import annotations
@@ -14,12 +17,12 @@ import json
 from dataclasses import dataclass
 from datetime import date as Date
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ParseError, PipelineError, ValidationError
-from .ingest import PriceSeries, PriceTable, parse_date
+from .ingest import DateRange, PriceSeries, parse_date
 from .lexicon import CategoryLexicon, KeywordLexicon
 from .sampling import Sample, Sentence
 from .tokens import tokenize, tokenize_with_offsets
@@ -125,6 +128,27 @@ class PriceFeature:
 
     def concat(self) -> np.ndarray:
         return np.concatenate([self.p, self.dp, self.ddp])
+
+
+def training_stats(
+    prices: Mapping[str, PriceSeries], window: DateRange
+) -> dict[str, tuple[float, float]]:
+    """Each ticker's (mean, population std) over its closes inside the window.
+
+    Tickers with fewer than two closes there, or zero spread, get no
+    entry: their price history cannot be normalised.
+    """
+    stats = {}
+    for ticker, series in prices.items():
+        start = bisect.bisect_left(series.dates, window.start)
+        end = bisect.bisect_right(series.dates, window.end)
+        closes = series.closes[start:end]
+        if len(closes) < 2:
+            continue
+        std = float(closes.std())  # population form: ddof=0
+        if std != 0.0:
+            stats[ticker] = (float(closes.mean()), std)
+    return stats
 
 
 def price_features(
@@ -251,13 +275,15 @@ class FeatureMatrix:
 
 def featurize_samples(
     samples: Sequence[Sample],
-    prices: PriceTable,
+    prices: Mapping[str, PriceSeries],
+    stats: Mapping[str, tuple[float, float]],
     keywords: KeywordLexicon | None,
     categories: CategoryLexicon | None,
     layout: FeatureLayout,
 ) -> tuple[FeatureMatrix, list[tuple[str, Date, str]]]:
     """Build the feature matrix for labeled samples.
 
+    ``stats`` holds each ticker's normalisation (see `training_stats`).
     Samples whose price block cannot be built are skipped and returned as
     (ticker, date, reason) records. Keyword and category lexicons are only
     required when the layout enables the corresponding blocks.
@@ -291,10 +317,10 @@ def featurize_samples(
                 series = prices.get(sample.ticker)
                 if series is None:
                     raise FeatureSkip(NO_PRICE_HISTORY)
-                stats = prices.stats.get(sample.ticker)
-                if stats is None:
+                normal = stats.get(sample.ticker)
+                if normal is None:
                     raise FeatureSkip(UNNORMALIZABLE)
-                parts["price"] = price_features(series, stats, sample.date).concat()
+                parts["price"] = price_features(series, normal, sample.date).concat()
             if "bok" in layout.blocks:
                 parts["bok"] = bok_features(sample, keywords)
             if "ps" in layout.blocks:

@@ -18,16 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date as Date
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .ingest import DateRange, PriceTable
+from .ingest import DateRange, PriceSeries
 from .mlp import DOWN, UP
-
-DEFAULT_THRESHOLD = 0.8
-DEFAULT_MIN_OVERLAP = 252  # about one trading year of common dates
 
 DNN = "dnn"
 PROPAGATED = "propagated"
@@ -73,16 +70,14 @@ class CorrelationGraph:
         for i, j in zip(*np.nonzero(np.triu(self.weights, 1))):
             yield int(i), int(j), float(self.weights[i, j])
 
-    def degree(self, ticker: str) -> int:
-        return int(np.count_nonzero(self.weights[self.index[ticker]]))
-
 
 def build_graph(
-    prices: PriceTable,
+    prices: Mapping[str, PriceSeries],
     universe: Sequence[str],
     window: DateRange | None = None,
-    threshold: float = DEFAULT_THRESHOLD,
-    min_overlap: int = DEFAULT_MIN_OVERLAP,
+    *,
+    threshold: float,
+    min_overlap: int,
 ) -> CorrelationGraph:
     """Correlate every ticker pair over the window and keep |rho| > threshold.
 

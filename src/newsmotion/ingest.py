@@ -2,8 +2,8 @@
 
 Articles arrive as line-delimited JSON objects, prices as a CSV of
 (date, ticker, close) rows. Both loaders validate as they go and report
-the offending line number on failure. All returned tables are immutable
-after construction.
+the offending line number on failure. Prices load as one immutable
+series per ticker; normalising them is the featurizer's business.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as Date
 from datetime import timedelta
 from pathlib import Path
@@ -152,50 +152,13 @@ class PriceSeries:
         return i if i < len(self.dates) else None
 
 
-@dataclass(frozen=True)
-class PriceTable:
-    """All price series plus per-ticker training-window normalization stats.
-
-    ``stats`` maps ticker -> (mean, population std) over closes whose date
-    falls inside ``training_window``. Tickers with fewer than two training
-    closes, or zero spread, are listed in ``unnormalizable`` instead and
-    excluded from feature extraction (they stay available for graph
-    building).
-    """
-
-    series: dict[str, PriceSeries]
-    stats: dict[str, tuple[float, float]]
-    training_window: DateRange
-    unnormalizable: frozenset[str] = field(default_factory=frozenset)
-
-    def tickers(self) -> list[str]:
-        return sorted(self.series)
-
-    def get(self, ticker: str) -> PriceSeries | None:
-        return self.series.get(ticker)
-
-
-def _training_stats(
-    series: PriceSeries, window: DateRange
-) -> tuple[float, float] | None:
-    in_window = [
-        c for d, c in zip(series.dates, series.closes.tolist()) if d in window
-    ]
-    if len(in_window) < 2:
-        return None
-    arr = np.asarray(in_window, dtype=np.float64)
-    mean = float(arr.mean())
-    std = float(arr.std())  # population form: ddof=0
-    if std == 0.0:
-        return None
-    return mean, std
-
-
-def load_prices(path: str | Path, training_window: DateRange) -> PriceTable:
+def load_prices(path: str | Path) -> dict[str, PriceSeries]:
     """Load the (date, ticker, close) CSV into per-ticker sorted series.
 
-    Raises ValidationError on non-positive closes or duplicate
-    (date, ticker) rows; ParseError on structural problems.
+    Returns the series keyed by ticker, in ticker order. Raises
+    ValidationError on non-positive closes or duplicate (date, ticker)
+    rows; ParseError on structural problems, including a ticker with a
+    comma, which no comma-separated artifact could hold.
     """
     path = Path(path)
     rows: dict[str, list[tuple[Date, float]]] = {}
@@ -218,6 +181,8 @@ def load_prices(path: str | Path, training_window: DateRange) -> PriceTable:
             ticker = ticker.strip()
             if not ticker:
                 raise ValidationError(f"{path}:{lineno}: empty ticker")
+            if "," in ticker:
+                raise ParseError(f"{path}:{lineno}: comma in ticker {ticker!r}")
             try:
                 close = float(raw_close)
             except ValueError as exc:
@@ -232,24 +197,11 @@ def load_prices(path: str | Path, training_window: DateRange) -> PriceTable:
             rows.setdefault(ticker, []).append((d, close))
 
     series: dict[str, PriceSeries] = {}
-    stats: dict[str, tuple[float, float]] = {}
-    unnormalizable: set[str] = set()
     for ticker in sorted(rows):
         obs = sorted(rows[ticker])
-        s = PriceSeries(
+        series[ticker] = PriceSeries(
             ticker=ticker,
             dates=tuple(d for d, _ in obs),
             closes=np.asarray([c for _, c in obs], dtype=np.float64),
         )
-        series[ticker] = s
-        st = _training_stats(s, training_window)
-        if st is None:
-            unnormalizable.add(ticker)
-        else:
-            stats[ticker] = st
-    return PriceTable(
-        series=series,
-        stats=stats,
-        training_window=training_window,
-        unnormalizable=frozenset(unnormalizable),
-    )
+    return series

@@ -226,7 +226,11 @@ def build_category_lexicon(
 
 
 def load_category_seeds(path: str | Path | None = None) -> dict[str, list[str]]:
-    """Parse the category seed file: '[category]' headers, one seed per line."""
+    """Parse the category seed file: '[category]' headers, one seed per line.
+
+    A category name may not hold a comma, as it becomes a field of
+    categories.csv.
+    """
     if path is None:
         text = (
             resources.files("newsmotion.data")
@@ -248,6 +252,8 @@ def load_category_seeds(path: str | Path | None = None) -> dict[str, list[str]]:
             current = line[1:-1].strip()
             if not current:
                 raise ParseError(f"{name}:{lineno}: empty category name")
+            if "," in current:
+                raise ParseError(f"{name}:{lineno}: comma in category {current!r}")
             if current in categories:
                 raise ParseError(f"{name}:{lineno}: duplicate category {current!r}")
             categories[current] = []

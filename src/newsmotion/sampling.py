@@ -5,7 +5,9 @@ mentions against an alias table, and the surviving sentences are grouped
 into one sample per (publication date, ticker). A sample's label is the
 direction of the ticker's next trading close relative to its most recent
 close on or before the publication date; ties and missing prices leave
-the sample unlabeled.
+the sample unlabeled. The alias scan runs once, at ingest: the sample
+checkpoint keeps each sentence's mentions, and later stages read them
+from there.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from dataclasses import dataclass
 from datetime import date as Date
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError, ValidationError
-from .ingest import Article, PriceSeries, PriceTable, parse_date
+from .ingest import Article, PriceSeries, parse_date
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -88,7 +90,6 @@ class AliasMatcher:
     """
 
     def __init__(self, aliases: dict[str, str]):
-        self.aliases = dict(aliases)
         # first character -> (alias, lowered alias or None, ticker), longest first
         buckets: dict[str, list[tuple[str, str | None, str]]] = {}
         for alias, ticker in aliases.items():
@@ -232,7 +233,9 @@ def movement_label(series: PriceSeries, d: Date) -> str | None:
     return None
 
 
-def build_samples(sentences: Sequence[Sentence], prices: PriceTable) -> list[Sample]:
+def build_samples(
+    sentences: Sequence[Sentence], prices: Mapping[str, PriceSeries]
+) -> list[Sample]:
     """Group sentences into one sample per (date, ticker) and label each.
 
     A sentence mentioning k distinct tickers lands in k samples. Output is
@@ -280,7 +283,11 @@ def split_by_date(
 
 
 def write_samples(samples: Iterable[Sample], path: str | Path) -> None:
-    """Checkpoint samples as line-delimited records of ticker, date, label, sentences."""
+    """Checkpoint samples as one JSON record per line.
+
+    A record holds ticker, date, label and sentences; each sentence is
+    its text with its mentions as [ticker, offset] pairs.
+    """
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         for s in samples:
@@ -288,16 +295,32 @@ def write_samples(samples: Iterable[Sample], path: str | Path) -> None:
                 "ticker": s.ticker,
                 "date": s.date.isoformat(),
                 "label": s.label,
-                "sentences": [sent.text for sent in s.sentences],
+                "sentences": [
+                    {"text": sent.text, "mentions": sent.mentions}
+                    for sent in s.sentences
+                ],
             }
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def load_samples(path: str | Path, matcher: AliasMatcher) -> list[Sample]:
-    """Rehydrate checkpointed samples, re-tagging mentions from the alias table.
+def _sentence(record, ticker: str, d: Date) -> Sentence:
+    """One checkpointed sentence of ticker's sample: text and mention pairs."""
+    if not isinstance(record, dict):
+        raise ValidationError("sentence is not an object with text and mentions")
+    mentions = tuple(tuple(pair) for pair in record["mentions"])
+    for pair in mentions:
+        if len(pair) != 2 or not isinstance(pair[0], str) or type(pair[1]) is not int:
+            raise ValidationError(f"bad mention {list(pair)!r}")
+    if ticker not in (t for t, _ in mentions):
+        raise ValidationError(f"a sentence does not mention {ticker}")
+    return Sentence(text=record["text"], article_date=d, mentions=mentions)
 
-    The checkpoint stores sentence texts only; mentions are a pure function
-    of (text, alias table), so re-scanning reproduces them exactly.
+
+def load_samples(path: str | Path) -> list[Sample]:
+    """Rehydrate checkpointed samples with the mentions ingest found.
+
+    Raises ParseError naming the line on bad JSON, a missing field, or a
+    sentence whose mentions do not include the sample's ticker.
     """
     path = Path(path)
     samples = []
@@ -314,19 +337,11 @@ def load_samples(path: str | Path, matcher: AliasMatcher) -> list[Sample]:
                 label = record["label"]
                 if label is not None and label not in (POSITIVE, NEGATIVE):
                     raise ValidationError(f"bad label {label!r}")
-                sentences = tuple(
-                    Sentence(
-                        text=text,
-                        article_date=d,
-                        mentions=tuple(matcher.find(text)),
-                    )
-                    for text in record["sentences"]
-                )
-                samples.append(
-                    Sample(
-                        ticker=record["ticker"], date=d, sentences=sentences, label=label
-                    )
-                )
+                ticker = record["ticker"]
+                sentences = tuple(_sentence(s, ticker, d) for s in record["sentences"])
             except KeyError as exc:
                 raise ParseError(f"{path}:{lineno}: missing field {exc}") from exc
+            except (TypeError, ValidationError) as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            samples.append(Sample(ticker, d, sentences, label))
     return samples

@@ -9,12 +9,12 @@ edge list into the weight matrix the graph holds.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from newsmotion.errors import ValidationError
-from newsmotion.ingest import DateRange, PriceSeries, PriceTable
+from newsmotion.ingest import DateRange, PriceSeries
 
 
 def pearson(u: np.ndarray, v: np.ndarray) -> float:
@@ -52,7 +52,7 @@ def align_series(
 
 
 def build_graph_pairwise(
-    prices: PriceTable,
+    prices: Mapping[str, PriceSeries],
     universe: Sequence[str],
     window: DateRange | None,
     threshold: float,

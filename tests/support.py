@@ -1,14 +1,16 @@
-"""Helpers only the tests use: a predictions reader, a prices writer, and
-the brute-force polarity oracle."""
+"""Helpers only the tests use: a predictions reader, a prices writer, a
+graph node's degree, and the brute-force polarity oracle."""
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from newsmotion.errors import ParseError, ValidationError
-from newsmotion.graph import Prediction
-from newsmotion.ingest import PriceTable, parse_date
+from newsmotion.graph import CorrelationGraph, Prediction
+from newsmotion.ingest import PriceSeries, parse_date
 from newsmotion.lexicon import _document_counts, polarity_score
 from newsmotion.sampling import Sample
 
@@ -42,12 +44,11 @@ def load_predictions(path: str | Path) -> list[Prediction]:
     return out
 
 
-def write_prices(table: PriceTable, path: str | Path) -> None:
-    """Serialize a price table back to the CSV format load_prices reads."""
+def write_prices(prices: Mapping[str, PriceSeries], path: str | Path) -> None:
+    """Serialize price series back to the CSV format load_prices reads."""
     path = Path(path)
     rows = []
-    for ticker in table.tickers():
-        s = table.series[ticker]
+    for ticker, s in prices.items():
         for d, c in zip(s.dates, s.closes.tolist()):
             rows.append((d, ticker, c))
     rows.sort(key=lambda r: (r[0], r[1]))
@@ -55,6 +56,11 @@ def write_prices(table: PriceTable, path: str | Path) -> None:
         fh.write("date,ticker,close\n")
         for d, ticker, c in rows:
             fh.write(f"{d.isoformat()},{ticker},{c!r}\n")
+
+
+def degree(graph: CorrelationGraph, ticker: str) -> int:
+    """How many edges the ticker's node has."""
+    return int(np.count_nonzero(graph.weights[graph.index[ticker]]))
 
 
 def polarity_score_of(word: str, samples: Sequence[Sample]) -> float:

@@ -22,9 +22,10 @@ from newsmotion.features import (
     featurize_samples,
     ps_features,
     subject_of_keyword,
+    training_stats,
 )
 from newsmotion.graph import CorrelationGraph, build_graph, propagate
-from newsmotion.ingest import DateRange, PriceSeries, PriceTable
+from newsmotion.ingest import DateRange, PriceSeries
 from newsmotion.lexicon import (
     SEED_WORDS,
     CategoryEntry,
@@ -104,18 +105,8 @@ def _sample(ticker: str, text: str, label: str, mentions=()) -> Sample:
     return Sample(ticker=ticker, date=DAY, sentences=(sentence,), label=label)
 
 
-def _price_table(series_list) -> PriceTable:
-    series = {s.ticker: s for s in series_list}
-    stats = {
-        t: (float(s.closes.mean()), float(s.closes.std()))
-        for t, s in series.items()
-    }
-    return PriceTable(
-        series=series,
-        stats=stats,
-        training_window=DateRange(date(2012, 1, 1), date(2012, 12, 31)),
-        unnormalizable=frozenset(),
-    )
+def _price_table(series_list) -> dict[str, PriceSeries]:
+    return {s.ticker: s for s in series_list}
 
 
 def _gradient_gap(dims: tuple[int, ...], seed: int) -> float:
@@ -468,7 +459,10 @@ class TestAcceptance:
             _sample("AAA", f"{words[7]} {words[500]} {words[1003]}", POSITIVE),
             _sample("AAA", f"{words[0]} {words[999]}", NEGATIVE),
         ]
-        matrix, skipped = featurize_samples(samples, table, keywords, categories, layout)
+        stats = training_stats(table, DateRange(date(2012, 1, 1), date(2012, 12, 31)))
+        matrix, skipped = featurize_samples(
+            samples, table, stats, keywords, categories, layout
+        )
         model = init((layout.dimension, 8, 2), seed=1, layout=layout)
         path = tmp_path / "model.bin"
         save_model(model, path)

@@ -20,6 +20,7 @@ from newsmotion.errors import PipelineError
 from newsmotion.evaluation import run_propagation_sweep
 from newsmotion.features import load_feature_matrix
 from newsmotion.graph import PROPAGATED, load_graph
+from newsmotion.ingest import load_prices
 from newsmotion.lexicon import load_keyword_lexicon
 from newsmotion.manifest import manifest_path, work_dir_lock, write_manifest
 from newsmotion.mlp import direction_of, init, load_model, save_model
@@ -117,8 +118,8 @@ def _vouch_for(work: Path, producer: str, name: str) -> None:
 class _Recorder:
     """Stands in for a PipelineConfig and notes which sections each cache unit reads.
 
-    ``unit`` is the cache unit whose ``_skip`` ran last; reads before the
-    first are filed under None.
+    ``unit`` is the cache unit whose body is running (see `_watch_bodies`);
+    reads outside every body are filed under None.
     """
 
     def __init__(self, config):
@@ -129,6 +130,50 @@ class _Recorder:
     def __getattr__(self, name):
         self.read.setdefault(self.unit, set()).add(name)
         return getattr(self._config, name)
+
+
+class _Inputs(dict):
+    """A unit's inputs mapping that notes each name its body reads."""
+
+    def __init__(self, files, read: set[str]):
+        super().__init__(files)
+        self.read = read
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+    def get(self, name, default=None):
+        if name in self:
+            self.read.add(name)
+        return super().get(name, default)
+
+
+def _watch_bodies(monkeypatch) -> dict[str, set[str]]:
+    """Wrap each unit's body; returns the input names each body has read.
+
+    While a body runs, a `_Recorder` config files its reads under the unit.
+    """
+    read: dict[str, set[str]] = {}
+
+    def watching(unit, body):
+        def watched(config, inputs, outputs, digests):
+            read[unit] = set()
+            recording = isinstance(config, _Recorder)
+            if recording:
+                config.unit = unit
+            try:
+                body(config, _Inputs(inputs, read[unit]), outputs, digests)
+            finally:
+                if recording:
+                    config.unit = None
+
+        return watched
+
+    for unit, spec in cli.UNITS.items():
+        watched = replace(spec, body=watching(unit, spec.body))
+        monkeypatch.setitem(cli.UNITS, unit, watched)
+    return read
 
 
 @pytest.fixture
@@ -184,7 +229,7 @@ class TestFullPipeline:
         config_path = root / "pipeline.ini"
         config = load_config(config_path)
         work = root / "work"
-        prices = cli._price_table(config)
+        prices = load_prices(config.paths.prices)
         taus = (0.0, 0.4, 0.8)
         sweep = run_propagation_sweep(
             load_feature_matrix(work / "features_test.bin"),
@@ -229,13 +274,12 @@ class TestStageKeys:
         self, pipeline, tmp_path, monkeypatch
     ):
         config = str(_copy(pipeline, tmp_path))
-        run_unit = cli._run_unit
-
-        def entering(config, unit, *args):
-            config.unit = unit
-            return run_unit(config, unit, *args)
-
-        monkeypatch.setattr(cli, "_run_unit", entering)
+        _watch_bodies(monkeypatch)
+        # The runner hashes every declared section; only the bodies' reads count.
+        stage_key = cli._stage_key
+        monkeypatch.setattr(
+            cli, "_stage_key", lambda config, unit: stage_key(config._config, unit)
+        )
         for stage in STAGES:
             units = {
                 unit: spec.sections
@@ -254,7 +298,20 @@ class TestStageKeys:
             assert set(recorder.read) - {None} == set(units), stage
             assert recorder.read.get(None, set()) <= {"paths"}, stage
             for unit, declared in units.items():
-                assert recorder.read[unit] - {"paths"} <= set(declared), unit
+                assert recorder.read[unit] - {"paths"} == set(declared), unit
+
+    def test_bodies_read_exactly_their_declared_inputs(
+        self, pipeline, tmp_path, monkeypatch
+    ):
+        config = _copy(pipeline, tmp_path)
+        read = _watch_bodies(monkeypatch)
+        for stage in STAGES:
+            assert cli.main([stage, "--config", str(config), "--force"]) == 0, stage
+        loaded = load_config(config)
+        assert read == {
+            unit: set(cli._files(loaded, spec.inputs))
+            for unit, spec in cli.UNITS.items()
+        }
 
     def _run(self, config, stages, override, caplog):
         caplog.clear()
@@ -263,7 +320,11 @@ class TestStageKeys:
                 argv = [stage, "--config", str(config), "--set", override]
                 assert cli.main(argv) == 0, stage
         skipping = "{}: artifacts up to date, skipping"
-        return {s for s in stages if skipping.format(s) in caplog.text}
+        return {
+            unit
+            for unit, spec in cli.UNITS.items()
+            if spec.stage in stages and skipping.format(unit) in caplog.text
+        }
 
     def test_seed_change_skips_the_stages_without_a_seed(
         self, pipeline, tmp_path, caplog
@@ -279,6 +340,22 @@ class TestStageKeys:
         config = _copy(pipeline, tmp_path)
         skipped = self._run(config, ("train", "predict"), "graph.iterations=2", caplog)
         assert skipped == {"train"}
+
+    def test_train_start_change_reruns_none_of_graph_predict_evaluate(
+        self, pipeline, tmp_path, caplog
+    ):
+        config = _copy(pipeline, tmp_path)
+        stages = ("graph", "predict", "evaluate")
+        skipped = self._run(config, stages, "dates.train_start=2012-02-01", caplog)
+        assert skipped == {"graph", "predict", "ablation", "sweep"}
+
+    def test_lexicon_and_featurize_need_no_alias_table(
+        self, pipeline, tmp_path, caplog
+    ):
+        config = _copy(pipeline, tmp_path)
+        stages = ("lexicon", "featurize")
+        skipped = self._run(config, stages, "paths.aliases=absent.csv", caplog)
+        assert skipped == {"lexicon", "featurize"}
 
     def test_dropped_category_seeds_rerun_the_lexicon(
         self, pipeline, tmp_path, caplog
@@ -445,14 +522,15 @@ class TestReadme:
         table = text.strip().split("\n\n", 1)[0].splitlines()
         rows = [line.strip("|").split("|") for line in table[2:]]
         listed = {}
-        for stage, reads, writes in rows:
+        for stage, key, reads, writes in rows:
             unit = re.search(r"\((\w+)\)", stage) or re.search(r"`(\w+)`", stage)
             listed[unit.group(1)] = (
+                re.findall(r"`\[(\w+)\]`", key),
                 set(re.findall(r"`([^`]+)`", reads)),
                 set(re.findall(r"`([^`]+)`", writes)),
             )
         assert listed == {
-            unit: (set(spec.inputs), set(spec.outputs))
+            unit: (list(spec.sections), set(spec.inputs), set(spec.outputs))
             for unit, spec in cli.UNITS.items()
         }
 

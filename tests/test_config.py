@@ -195,12 +195,13 @@ class TestLoadConfig:
     def test_stage_key_covers_only_the_declared_sections(self, tmp_path):
         config = load_config(_write_config(tmp_path))
         assert cli._stage_key(config, "lexicon") == text_sha256(repr(config.lexicon))
-        assert cli._stage_key(config, "graph") == text_sha256(
-            repr(config.dates) + "\n" + repr(config.graph)
+        assert cli._stage_key(config, "ingest") == text_sha256(
+            repr(config.dates) + "\nrevision 1"
         )
+        assert cli._stage_key(config, "graph") == text_sha256(repr(config.graph))
         assert cli._stage_key(config, "ablation") == text_sha256(repr(config.training))
         assert cli._stage_key(config, "sweep") == text_sha256(
-            "\n".join(repr(s) for s in (config.dates, config.graph, config.sweep))
+            repr(config.graph) + "\n" + repr(config.sweep)
         )
 
     def test_stage_key_ignores_unrelated_changes(self, tmp_path):
@@ -218,12 +219,7 @@ class TestLoadConfig:
         assert changed("paths.work_dir=elsewhere") == set()
         assert changed("sweep.taus=0.5") == {"predict", "sweep"}
         assert changed("graph.threshold=0.7") == {"graph", "predict", "sweep"}
-        assert changed("dates.valid_end=2013-07-01") == {
-            "ingest",
-            "featurize",
-            "graph",
-            "sweep",
-        }
+        assert changed("dates.valid_end=2013-07-01") == {"ingest", "featurize"}
 
 
 class TestReadme:

@@ -27,7 +27,7 @@ from newsmotion.evaluation import (
 )
 from newsmotion.features import FeatureLayout, FeatureMatrix, slice_blocks
 from newsmotion.graph import CorrelationGraph
-from newsmotion.ingest import DateRange, PriceSeries, PriceTable
+from newsmotion.ingest import PriceSeries
 from newsmotion.mlp import MlpModel, TrainConfig, save_model, train
 from newsmotion.sampling import NEGATIVE, POSITIVE
 
@@ -265,18 +265,14 @@ class TestRunPropagationSweep:
             min_overlap=2,
         )
 
-    def _prices(self, tickers=("B", "C")) -> PriceTable:
+    def _prices(self, tickers=("B", "C")) -> dict[str, PriceSeries]:
         # closes rise day over day, so every movement is up
         series = {}
         for ticker in tickers:
             dates = tuple(DAY + timedelta(days=i) for i in range(10))
             closes = np.linspace(10.0, 19.0, num=10)
             series[ticker] = PriceSeries(ticker=ticker, dates=dates, closes=closes)
-        return PriceTable(
-            series=series,
-            stats={},
-            training_window=DateRange(date(2013, 1, 1), date(2013, 12, 31)),
-        )
+        return series
 
     def _matrix(self, rows: list[tuple[str, date]]) -> FeatureMatrix:
         x = np.tile(np.array([1.0, 0.0]), (len(rows), 1))

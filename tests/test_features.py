@@ -29,7 +29,7 @@ from newsmotion.features import (
     subject_of_keyword,
     write_feature_matrix,
 )
-from newsmotion.ingest import DateRange, PriceSeries, PriceTable
+from newsmotion.ingest import PriceSeries
 from newsmotion.lexicon import (
     CategoryEntry,
     CategoryLexicon,
@@ -52,15 +52,11 @@ def _stats(series: PriceSeries) -> tuple[float, float]:
     return float(series.closes.mean()), float(series.closes.std())
 
 
-def _ptable(series_list, skip_stats=()) -> PriceTable:
+def _ptable(series_list, skip_stats=()):
+    """Prices and their normalisation stats, for featurize_samples."""
     series = {s.ticker: s for s in series_list}
     stats = {t: _stats(s) for t, s in series.items() if t not in skip_stats}
-    return PriceTable(
-        series=series,
-        stats=stats,
-        training_window=DateRange(date(2012, 1, 1), date(2012, 12, 31)),
-        unnormalizable=frozenset(skip_stats),
-    )
+    return series, stats
 
 
 def _sample(ticker: str, *sentences: Sentence, label: str = POSITIVE) -> Sample:
@@ -301,7 +297,9 @@ class TestFeaturizeSamples:
 
     def test_rows_and_skips(self):
         table, keywords, categories, layout, samples = self._fixture()
-        matrix, skipped = featurize_samples(samples, table, keywords, categories, layout)
+        matrix, skipped = featurize_samples(
+            samples, *table, keywords, categories, layout
+        )
         assert matrix.tickers == ["AAA"]
         assert matrix.x.shape == (1, layout.dimension)
         assert skipped == [
@@ -312,12 +310,12 @@ class TestFeaturizeSamples:
 
     def test_row_content_matches_block_functions(self):
         table, keywords, categories, layout, samples = self._fixture()
-        matrix, _ = featurize_samples(samples, table, keywords, categories, layout)
+        matrix, _ = featurize_samples(samples, *table, keywords, categories, layout)
         sample = samples[0]
-        series = table.get("AAA")
+        prices, stats = table
         expected = np.concatenate(
             [
-                price_features(series, table.stats["AAA"], DAY).concat(),
+                price_features(prices["AAA"], stats["AAA"], DAY).concat(),
                 bok_features(sample, keywords),
                 ps_features(sample, keywords),
                 ct_features(sample, categories),
@@ -329,23 +327,25 @@ class TestFeaturizeSamples:
         table, keywords, categories, layout, _ = self._fixture()
         bad = Sample(ticker="AAA", date=DAY, sentences=(), label=None)
         with pytest.raises(ValidationError, match="unlabeled"):
-            featurize_samples([bad], table, keywords, categories, layout)
+            featurize_samples([bad], *table, keywords, categories, layout)
 
     def test_lexicon_size_mismatch_rejected(self):
         table, keywords, categories, _, samples = self._fixture()
         layout = FeatureLayout(blocks=BLOCK_ORDER, k=5, n_categories=2)
         with pytest.raises(ValidationError, match="k=5"):
-            featurize_samples(samples, table, keywords, categories, layout)
+            featurize_samples(samples, *table, keywords, categories, layout)
 
     def test_missing_lexicon_rejected(self):
         table, _, categories, layout, samples = self._fixture()
         with pytest.raises(ValidationError, match="keyword"):
-            featurize_samples(samples, table, None, categories, layout)
+            featurize_samples(samples, *table, None, categories, layout)
 
     def test_all_skipped_gives_empty_matrix(self):
         table, keywords, categories, layout, _ = self._fixture()
         samples = [_text_sample("CCC", "nothing")]
-        matrix, skipped = featurize_samples(samples, table, keywords, categories, layout)
+        matrix, skipped = featurize_samples(
+            samples, *table, keywords, categories, layout
+        )
         assert len(matrix) == 0
         assert matrix.x.shape == (0, layout.dimension)
         assert len(skipped) == 1
@@ -356,14 +356,16 @@ class TestSliceBlocks:
         table, keywords, categories, layout, samples = (
             TestFeaturizeSamples()._fixture()
         )
-        matrix, _ = featurize_samples(samples, table, keywords, categories, layout)
+        matrix, _ = featurize_samples(samples, *table, keywords, categories, layout)
         return matrix, table, keywords, categories, samples
 
     def test_slice_equals_direct_featurization(self):
         matrix, table, keywords, categories, samples = self._full()
         sliced = slice_blocks(matrix, ["price", "ps"])
         direct_layout = FeatureLayout(blocks=("price", "ps"), k=2, n_categories=2)
-        direct, _ = featurize_samples(samples, table, keywords, categories, direct_layout)
+        direct, _ = featurize_samples(
+            samples, *table, keywords, categories, direct_layout
+        )
         assert sliced.layout == direct.layout
         assert sliced.tickers == direct.tickers
         assert sliced.labels == direct.labels

@@ -21,10 +21,10 @@ from newsmotion.graph import (
     write_graph,
     write_predictions,
 )
-from newsmotion.ingest import DateRange, PriceSeries, PriceTable
+from newsmotion.ingest import DateRange, PriceSeries
 
 from graph_oracle import build_graph_pairwise, dense_weights, pearson
-from support import load_predictions
+from support import degree, load_predictions
 
 DAY = date(2012, 3, 5)
 
@@ -36,12 +36,8 @@ def _series(ticker: str, closes, start: date = date(2012, 1, 2)) -> PriceSeries:
     )
 
 
-def _ptable(*series_list: PriceSeries) -> PriceTable:
-    return PriceTable(
-        series={s.ticker: s for s in series_list},
-        stats={},
-        training_window=DateRange(date(2012, 1, 1), date(2012, 12, 31)),
-    )
+def _ptable(*series_list: PriceSeries) -> dict[str, PriceSeries]:
+    return {s.ticker: s for s in series_list}
 
 
 def _graph(nodes, edges, threshold=0.8, min_overlap=2) -> CorrelationGraph:
@@ -219,21 +215,23 @@ class TestBuildGraph:
                 window = DateRange(start + timedelta(days=5), start + timedelta(days=30))
             threshold = float(rng.choice([0.0, 0.5, 0.8]))
             min_overlap = int(rng.choice([2, 20, 35]))
-            args = (table, universe, window, threshold, min_overlap)
-            got = build_graph(*args).weights
-            assert np.array_equal(got, build_graph_pairwise(*args)), trial
+            got = build_graph(
+                table, universe, window, threshold=threshold, min_overlap=min_overlap
+            ).weights
+            want = build_graph_pairwise(table, universe, window, threshold, min_overlap)
+            assert np.array_equal(got, want), trial
 
     def test_universe_without_prices_rejected(self):
         table = _ptable(_series("AAA", [1.0, 2.0]))
         with pytest.raises(ValidationError, match="ZZZ"):
-            build_graph(table, ["AAA", "ZZZ"])
+            build_graph(table, ["AAA", "ZZZ"], threshold=0.8, min_overlap=2)
 
     def test_bad_parameters_rejected(self):
         table = _ptable(_series("AAA", [1.0, 2.0]))
         with pytest.raises(ValidationError):
-            build_graph(table, ["AAA"], threshold=-0.1)
+            build_graph(table, ["AAA"], threshold=-0.1, min_overlap=2)
         with pytest.raises(ValidationError):
-            build_graph(table, ["AAA"], min_overlap=1)
+            build_graph(table, ["AAA"], threshold=0.8, min_overlap=1)
 
 
 class TestCorrelationGraph:
@@ -249,8 +247,8 @@ class TestCorrelationGraph:
     def test_degree_and_edge_count(self):
         graph = _graph(["A", "B", "C"], [("A", "B", 0.9), ("B", "C", -0.85)])
         assert graph.edge_count() == 2
-        assert graph.degree("B") == 2
-        assert graph.degree("C") == 1
+        assert degree(graph, "B") == 2
+        assert degree(graph, "C") == 1
         assert list(graph.edges()) == [(0, 1, 0.9), (1, 2, -0.85)]
 
     def test_out_of_range_weight_rejected(self):
@@ -463,7 +461,7 @@ class TestGraphFile:
         graph = self._sample_graph()
         path = tmp_path / "graph.csv"
         write_graph(graph, path)
-        assert load_graph(path).degree("DDD") == 0
+        assert degree(load_graph(path), "DDD") == 0
 
     def test_windowless_graph_round_trips(self, tmp_path):
         graph = _graph(["A", "B"], [("A", "B", 0.9)])

@@ -1,4 +1,4 @@
-"""Article files, price tables, and date plumbing."""
+"""Article files, price series, and date plumbing."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from newsmotion.errors import ParseError, ValidationError
+from newsmotion.features import training_stats
 from newsmotion.ingest import (
     Article,
     DateRange,
@@ -118,7 +119,12 @@ class TestPriceSeries:
             PriceSeries("AAA", (date(2012, 1, 2),), np.array([0.0]))
 
 
+YEAR_2012 = DateRange(date(2012, 1, 1), date(2012, 12, 31))
+
+
 class TestLoadPrices:
+    """Loading, and the training-window stats the featurizer takes from it."""
+
     def test_training_stats_use_population_std(self, tmp_path):
         path = _write(
             tmp_path,
@@ -126,8 +132,7 @@ class TestLoadPrices:
             "date,ticker,close\n"
             "2012-01-02,AAA,10\n2012-01-03,AAA,20\n2012-01-04,AAA,30\n",
         )
-        table = load_prices(path, DateRange(date(2012, 1, 1), date(2012, 12, 31)))
-        mean, std = table.stats["AAA"]
+        mean, std = training_stats(load_prices(path), YEAR_2012)["AAA"]
         assert mean == pytest.approx(20.0, abs=1e-12)
         assert std == pytest.approx(np.sqrt(200.0 / 3.0), abs=1e-12)
 
@@ -138,8 +143,7 @@ class TestLoadPrices:
             "date,ticker,close\n"
             "2012-01-02,AAA,10\n2012-01-03,AAA,20\n2013-01-03,AAA,999\n",
         )
-        table = load_prices(path, DateRange(date(2012, 1, 1), date(2012, 12, 31)))
-        mean, _ = table.stats["AAA"]
+        mean, _ = training_stats(load_prices(path), YEAR_2012)["AAA"]
         assert mean == pytest.approx(15.0, abs=1e-12)
 
     def test_constant_closes_are_unnormalizable(self, tmp_path):
@@ -148,10 +152,9 @@ class TestLoadPrices:
             "p.csv",
             "date,ticker,close\n2012-01-02,AAA,10\n2012-01-03,AAA,10\n",
         )
-        table = load_prices(path, DateRange(date(2012, 1, 1), date(2012, 12, 31)))
-        assert "AAA" in table.unnormalizable
-        assert "AAA" not in table.stats
-        assert table.get("AAA") is not None
+        prices = load_prices(path)
+        assert "AAA" in prices
+        assert training_stats(prices, YEAR_2012) == {}
 
     def test_duplicate_row_rejected(self, tmp_path):
         path = _write(
@@ -160,12 +163,21 @@ class TestLoadPrices:
             "date,ticker,close\n2012-01-02,AAA,10\n2012-01-02,AAA,11\n",
         )
         with pytest.raises(ValidationError, match="duplicate"):
-            load_prices(path, DateRange(date(2012, 1, 1), date(2012, 12, 31)))
+            load_prices(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = _write(tmp_path, "p.csv", "day,sym,price\n2012-01-02,AAA,10\n")
         with pytest.raises(ParseError, match="header"):
-            load_prices(path, DateRange(date(2012, 1, 1), date(2012, 12, 31)))
+            load_prices(path)
+
+    def test_comma_in_ticker_rejected(self, tmp_path):
+        path = _write(
+            tmp_path,
+            "p.csv",
+            'date,ticker,close\n2012-01-02,AAA,10\n2012-01-02,"Q,Z",11\n',
+        )
+        with pytest.raises(ParseError, match=r"p\.csv:3: comma in ticker 'Q,Z'"):
+            load_prices(path)
 
     def test_round_trip(self, tmp_path):
         path = _write(
@@ -174,17 +186,14 @@ class TestLoadPrices:
             "date,ticker,close\n"
             "2012-01-02,AAA,10.5\n2012-01-02,BBB,3.25\n2012-01-03,AAA,11.75\n",
         )
-        window = DateRange(date(2012, 1, 1), date(2012, 12, 31))
-        table = load_prices(path, window)
+        prices = load_prices(path)
         out = tmp_path / "copy.csv"
-        write_prices(table, out)
-        again = load_prices(out, window)
-        assert again.tickers() == table.tickers()
-        for ticker in table.tickers():
-            assert again.series[ticker].dates == table.series[ticker].dates
-            np.testing.assert_array_equal(
-                again.series[ticker].closes, table.series[ticker].closes
-            )
+        write_prices(prices, out)
+        again = load_prices(out)
+        assert list(again) == list(prices) == ["AAA", "BBB"]
+        for ticker in prices:
+            assert again[ticker].dates == prices[ticker].dates
+            np.testing.assert_array_equal(again[ticker].closes, prices[ticker].closes)
 
 
 class TestAlignSeries:

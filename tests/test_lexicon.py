@@ -341,6 +341,13 @@ class TestLoadCategorySeeds:
         with pytest.raises(ParseError, match=":2"):
             load_category_seeds(path)
 
+    def test_comma_in_category_name(self, tmp_path):
+        # categories.csv could not hold it: featurize would reject the file
+        path = tmp_path / "seeds.txt"
+        path.write_text("[energy]\noil\n[movers, shakers]\nrise\n")
+        with pytest.raises(ParseError, match=r"seeds\.txt:3: comma in category"):
+            load_category_seeds(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "seeds.txt"
         path.write_text("# nothing here\n")

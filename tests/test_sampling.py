@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import json
 from datetime import date
 
 import numpy as np
 import pytest
 
 from newsmotion.errors import ParseError, ValidationError
-from newsmotion.ingest import Article, DateRange, PriceSeries, PriceTable
+from newsmotion.ingest import Article, PriceSeries
 from newsmotion.sampling import (
     NEGATIVE,
     POSITIVE,
     AliasMatcher,
+    Sample,
     Sentence,
     build_samples,
     default_abbreviations,
@@ -37,12 +39,7 @@ def _series(ticker, observations):
 
 
 def _table(*series_list):
-    series = {s.ticker: s for s in series_list}
-    return PriceTable(
-        series=series,
-        stats={},
-        training_window=DateRange(date(2012, 1, 1), date(2012, 12, 31)),
-    )
+    return {s.ticker: s for s in series_list}
 
 
 class TestSplitSentences:
@@ -238,7 +235,7 @@ class TestSplitByDate:
 
 
 class TestSampleCheckpoint:
-    def test_round_trip_retags_mentions(self, tmp_path):
+    def test_round_trip_of_extracted_samples(self, tmp_path):
         matcher = AliasMatcher({"Apple": "AAPL", "AAPL": "AAPL"})
         articles = [
             Article(
@@ -255,11 +252,50 @@ class TestSampleCheckpoint:
         samples = build_samples(extract_sentences(articles, matcher), prices)
         path = tmp_path / "samples.jsonl"
         write_samples(samples, path)
-        again = load_samples(path, matcher)
+        again = load_samples(path)
         assert again == samples
+
+    def test_round_trip_keeps_mentions(self, tmp_path):
+        # No alias table could tag these: only the checkpoint knows them.
+        text = "Apple and its rival both rose."
+        sentence = Sentence(text, date(2012, 1, 2), (("AAPL", 0), ("MSFT", 14)))
+        samples = [
+            Sample(ticker, date(2012, 1, 2), (sentence,), POSITIVE)
+            for ticker in ("AAPL", "MSFT")
+        ]
+        path = tmp_path / "samples.jsonl"
+        write_samples(samples, path)
+        first = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+        assert first["sentences"] == [
+            {"text": text, "mentions": [["AAPL", 0], ["MSFT", 14]]}
+        ]
+        again = load_samples(path)
+        assert again == samples
+        assert again[1].sentences[0].mentions == (("AAPL", 0), ("MSFT", 14))
 
     def test_bad_record_names_line(self, tmp_path):
         path = tmp_path / "samples.jsonl"
         path.write_text("not json\n", encoding="utf-8")
         with pytest.raises(ParseError, match=":1"):
-            load_samples(path, AliasMatcher({"A": "A"}))
+            load_samples(path)
+
+    @pytest.mark.parametrize(
+        "sentence, message",
+        [
+            ({"text": "A rose."}, "missing field 'mentions'"),
+            ("A rose.", "not an object"),
+            ({"text": "A rose.", "mentions": []}, "does not mention A"),
+            ({"text": "A rose.", "mentions": [["B", 0]]}, "does not mention A"),
+            ({"text": "A rose.", "mentions": [["A", "0"]]}, "bad mention"),
+            ({"text": "A rose.", "mentions": [["A", 9]]}, "outside sentence"),
+        ],
+    )
+    def test_sentence_without_its_mentions_rejected(self, tmp_path, sentence, message):
+        good = {"text": "A fell.", "mentions": [["A", 0]]}
+        path = tmp_path / "samples.jsonl"
+        with path.open("w", encoding="utf-8") as fh:
+            for day, s in (("2012-01-02", good), ("2012-01-03", sentence)):
+                record = {"ticker": "A", "date": day, "label": POSITIVE, "sentences": [s]}
+                fh.write(json.dumps(record) + "\n")
+        with pytest.raises(ParseError, match=f"samples.jsonl:2: .*{message}"):
+            load_samples(path)

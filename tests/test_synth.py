@@ -79,11 +79,10 @@ class TestGeneratedFiles:
         assert fixture.articles == len(list(load_articles(fixture.articles_path)))
 
     def test_all_tickers_priced_on_every_trading_day(self, fixture):
-        window = DateRange(SMALL.start, SMALL.end)
-        table = load_prices(fixture.prices_path, window)
-        assert len(table.tickers()) == 9
-        for ticker in table.tickers():
-            assert len(table.get(ticker).dates) == fixture.trading_days
+        prices = load_prices(fixture.prices_path)
+        assert len(prices) == 9
+        for series in prices.values():
+            assert len(series.dates) == fixture.trading_days
 
     def test_aliases_cover_names_and_symbols(self, fixture):
         aliases = load_aliases(fixture.aliases_path)
@@ -108,11 +107,10 @@ class TestGeneratedFiles:
         assert len(mentioned) == fixture.active_tickers
 
     def test_expected_samples_matches_the_ingest_pipeline(self, fixture):
-        window = DateRange(SMALL.start, SMALL.end)
-        table = load_prices(fixture.prices_path, window)
+        prices = load_prices(fixture.prices_path)
         matcher = AliasMatcher(load_aliases(fixture.aliases_path))
         sentences = extract_sentences(load_articles(fixture.articles_path), matcher)
-        samples = build_samples(sentences, table)
+        samples = build_samples(sentences, prices)
         labeled = [s for s in samples if s.label is not None]
         assert len(labeled) == fixture.expected_samples
 
@@ -130,16 +128,16 @@ class TestGeneratedFiles:
         )
         summary = generate_synthetic_fixture(config, tmp_path)
         window = DateRange(config.start, config.end)
-        table = load_prices(summary.prices_path, window)
+        prices = load_prices(summary.prices_path)
         graph = build_graph(
-            table, table.tickers(), window=window, threshold=0.8, min_overlap=60
+            prices, list(prices), window=window, threshold=0.8, min_overlap=60
         )
         found = {
             tuple(sorted((graph.nodes[i], graph.nodes[j])))
             for i, j, _ in graph.edges()
         }
         expected = set()
-        nodes = table.tickers()
+        nodes = list(prices)
         for a in nodes:
             for b in nodes:
                 ga, gb = _ticker_index(a) // 3, _ticker_index(b) // 3
