@@ -1,10 +1,11 @@
 """Command-line pipeline driver: one subcommand per stage.
 
 ``UNITS`` lists each cache unit once: the stage it belongs to, the config
-sections its cache key hashes, its inputs and outputs, and the body that
-does its work. One runner does the rest for every unit. It requires the
-inputs and checks each work-dir input against the manifest of the unit
-that made it. It skips the unit when its own manifest is still up to
+sections and fields its cache key hashes, its inputs and outputs, and the
+body that does its work. One runner does the rest for every unit. It
+requires the inputs, and it reads a work-dir input only while the unit
+that made it, and every unit above that one, is up to date under the
+current config. It skips the unit when its own manifest is still up to
 date. Otherwise it runs the body against temporary outputs, moves them
 into place and writes the manifest. ``evaluate`` has two units, the
 ablation and the sweep. Exit codes: 0 success, 1 validation error, 2
@@ -19,6 +20,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from datetime import date as Date
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -75,7 +77,6 @@ from .manifest import (
     replacing,
     text_sha256,
     up_to_date,
-    vouch,
     work_dir_lock,
     write_manifest,
 )
@@ -97,7 +98,7 @@ logger = logging.getLogger(__name__)
 _SPLITS = ("train", "valid", "test")
 
 
-def _synth(config, inputs, outputs, digests) -> None:
+def _synth(config, inputs, outputs) -> None:
     with tempfile.TemporaryDirectory(dir=outputs["articles"].parent) as scratch:
         summary = generate_synthetic_fixture(config.synth, scratch)
         summary.articles_path.replace(outputs["articles"])
@@ -112,7 +113,7 @@ def _synth(config, inputs, outputs, digests) -> None:
     )
 
 
-def _ingest(config, inputs, outputs, digests) -> None:
+def _ingest(config, inputs, outputs) -> None:
     matcher = AliasMatcher(load_aliases(inputs["aliases"]))
     prices = load_prices(inputs["prices"])
     sentences = extract_sentences(load_articles(inputs["articles"]), matcher)
@@ -133,7 +134,7 @@ def _ingest(config, inputs, outputs, digests) -> None:
     )
 
 
-def _embed(config, inputs, outputs, digests) -> None:
+def _embed(config, inputs, outputs) -> None:
     with inputs["corpus.txt"].open("r", encoding="utf-8") as fh:
         sentences = [tokens for tokens in (tokenize(line) for line in fh) if tokens]
     table = train_skipgram(sentences, config.embedding)
@@ -146,7 +147,7 @@ def _embed(config, inputs, outputs, digests) -> None:
     )
 
 
-def _lexicon(config, inputs, outputs, digests) -> None:
+def _lexicon(config, inputs, outputs) -> None:
     table = load_embeddings(inputs["embeddings.txt"])
     train_samples = load_samples(inputs["samples_train.jsonl"])
     keywords = build_keyword_lexicon(table, train_samples, k=config.lexicon.keywords)
@@ -164,7 +165,7 @@ def _lexicon(config, inputs, outputs, digests) -> None:
     )
 
 
-def _featurize(config, inputs, outputs, digests) -> None:
+def _featurize(config, inputs, outputs) -> None:
     keywords = load_keyword_lexicon(inputs["keywords.csv"])
     categories = load_category_lexicon(inputs["categories.csv"])
     layout = FeatureLayout(
@@ -195,7 +196,7 @@ def _featurize(config, inputs, outputs, digests) -> None:
             fh.write(f"{split_name},{ticker},{d.isoformat()},{reason}\n")
 
 
-def _train(config, inputs, outputs, digests) -> None:
+def _train(config, inputs, outputs) -> None:
     train_matrix = load_feature_matrix(inputs["features_train.bin"])
     valid_matrix = load_feature_matrix(inputs["features_valid.bin"])
     model = train(train_matrix, valid_matrix, config.training)
@@ -211,7 +212,7 @@ def _train(config, inputs, outputs, digests) -> None:
     )
 
 
-def _graph(config, inputs, outputs, digests) -> None:
+def _graph(config, inputs, outputs) -> None:
     prices = load_prices(inputs["prices"])
     g = build_graph(
         prices,
@@ -224,7 +225,7 @@ def _graph(config, inputs, outputs, digests) -> None:
     logger.info("graph: %d nodes, %d edges", len(g), g.edge_count())
 
 
-def _predict(config, inputs, outputs, digests) -> None:
+def _predict(config, inputs, outputs) -> None:
     model = load_model(inputs["model.bin"])
     test_matrix = load_feature_matrix(inputs["features_test.bin"])
     if model.layout is not None and model.layout != test_matrix.layout:
@@ -266,34 +267,18 @@ def _predict(config, inputs, outputs, digests) -> None:
     )
 
 
-def _ablation(config, inputs, outputs, digests) -> None:
-    # The full row scores model.bin only while train's manifest vouches
-    # for it under the current [training] section and feature files.
-    full_model = None
-    train_unit = UNITS["train"]
-    if up_to_date(
-        config.paths.work_dir,
-        "train",
-        _files(config, train_unit.inputs),
-        _files(config, train_unit.outputs),
-        _stage_key(config, "train"),
-        digests,
-    ):
-        logger.info("ablation: the full row scores model.bin")
-        full_model = inputs["model.bin"]
-    else:
-        logger.info("ablation: model.bin is stale, training the full row as well")
+def _ablation(config, inputs, outputs) -> None:
     ablation = run_ablation(
         *(load_feature_matrix(inputs[f"features_{name}.bin"]) for name in _SPLITS),
         DEFAULT_COMBINATIONS,
         config.training,
-        full_model=full_model,
+        full_model=inputs["model.bin"],
     )
     write_ablation_report(ablation, outputs["ablation.csv"])
     outputs["ablation.txt"].write_text(render_ablation(ablation), encoding="utf-8")
 
 
-def _sweep(config, inputs, outputs, digests) -> None:
+def _sweep(config, inputs, outputs) -> None:
     sweep = run_propagation_sweep(
         load_feature_matrix(inputs["features_test.bin"]),
         load_model(inputs["model.bin"]),
@@ -311,11 +296,12 @@ def _sweep(config, inputs, outputs, digests) -> None:
 class Unit:
     """One cache unit of a stage, with its own manifest.
 
-    ``sections`` make up its cache key; [paths] never does, as the files
-    are content-hashed. ``inputs`` and ``outputs`` name work-dir artifacts,
-    or config paths as ``paths.<key>``. ``body(config, inputs, outputs,
-    digests)`` gets them keyed as in the manifest and writes every output
-    it is given; the runner owns skipping, renaming and the manifest.
+    ``sections`` make up its cache key: each names a whole section, or
+    one field as ``section.field``; [paths] never does, as the files are
+    content-hashed. ``inputs`` and ``outputs`` name work-dir artifacts, or
+    config paths as ``paths.<key>``. ``body(config, inputs, outputs)``
+    gets them keyed as in the manifest and writes every output it is
+    given; the runner owns skipping, renaming and the manifest.
     ``report`` is an output that the stage prints whether the unit ran or
     skipped. ``revision`` counts the changes to what the body writes from
     unchanged inputs and sections; a non-zero one joins the cache key, so
@@ -334,6 +320,7 @@ class Unit:
 _SAMPLES = ("samples_train.jsonl", "samples_valid.jsonl", "samples_test.jsonl")
 _FEATURES = ("features_train.bin", "features_valid.bin", "features_test.bin")
 _FIXTURE = ("paths.articles", "paths.prices", "paths.aliases")
+_PROPAGATION = ("graph.iterations", "graph.clamp_observed")
 
 # evaluate has two units, so a sweep or graph change does not retrain the
 # ablation.
@@ -341,7 +328,12 @@ UNITS = {
     "synth": Unit("synth", ("synth",), (), _FIXTURE, _synth),
     # revision 1: each sample sentence keeps its mentions
     "ingest": Unit(
-        "ingest", ("dates",), _FIXTURE, (*_SAMPLES, "corpus.txt"), _ingest, revision=1
+        "ingest",
+        ("dates.train_end", "dates.valid_end"),
+        _FIXTURE,
+        (*_SAMPLES, "corpus.txt"),
+        _ingest,
+        revision=1,
     ),
     "embed": Unit(
         "embed", ("embedding",), ("corpus.txt",), ("embeddings.txt",), _embed
@@ -355,7 +347,7 @@ UNITS = {
     ),
     "featurize": Unit(
         "featurize",
-        ("dates",),
+        ("dates.train_start", "dates.train_end"),
         (*_SAMPLES, "keywords.csv", "categories.csv", "paths.prices"),
         (*_FEATURES, "skipped.csv"),
         _featurize,
@@ -368,11 +360,15 @@ UNITS = {
         _train,
     ),
     "graph": Unit(
-        "graph", ("graph",), ("paths.prices",), ("graph.csv",), _graph
+        "graph",
+        ("graph.threshold", "graph.min_overlap", "graph.window_start", "graph.window_end"),
+        ("paths.prices",),
+        ("graph.csv",),
+        _graph,
     ),
     "predict": Unit(
         "predict",
-        ("graph", "sweep"),
+        (*_PROPAGATION, "sweep.predict_tau"),
         ("model.bin", "features_test.bin", "graph.csv"),
         ("predictions.csv",),
         _predict,
@@ -387,7 +383,7 @@ UNITS = {
     ),
     "sweep": Unit(
         "evaluate",
-        ("graph", "sweep"),
+        (*_PROPAGATION, "sweep.taus"),
         ("features_test.bin", "model.bin", "graph.csv", "paths.prices"),
         ("sweep.csv", "sweep.txt"),
         _sweep,
@@ -431,17 +427,47 @@ def _files(config: PipelineConfig, names: Sequence[str]) -> dict[str, Path]:
 
 
 def _stage_key(config: PipelineConfig, unit: str) -> str:
-    """Hash of the config sections the cache unit declares in ``UNITS``."""
+    """Hash of the config sections and fields the unit declares in ``UNITS``."""
     spec = UNITS[unit]
-    parts = [repr(getattr(config, s)) for s in spec.sections]
+    parts = []
+    for entry in spec.sections:
+        value = attrgetter(entry)(config)
+        parts.append(f"{entry}={value!r}" if "." in entry else repr(value))
     if spec.revision:
         parts.append(f"revision {spec.revision}")
     return text_sha256("\n".join(parts))
 
 
-def _run_unit(config: PipelineConfig, unit: str, force: bool, digests: Digests):
+def _stale(
+    config: PipelineConfig, unit: str, digests: Digests, answers: dict[str, str | None]
+) -> str | None:
+    """The most upstream unit, from ``unit`` up, that is not up to date, or None.
+
+    A manifest vouches for its outputs only while every unit above it is
+    up to date too; ``paths.*`` files end the walk. ``answers`` keeps each
+    unit's result for the run.
+    """
+    if unit not in answers:
+        spec = UNITS[unit]
+        producers = [_PRODUCER[name] for name in spec.inputs if name in _PRODUCER]
+        above = (_stale(config, p, digests, answers) for p in producers)
+        answers[unit] = next(filter(None, above), None)
+        if answers[unit] is None and not up_to_date(
+            config.paths.work_dir,
+            unit,
+            _files(config, spec.inputs),
+            _files(config, spec.outputs),
+            _stage_key(config, unit),
+            digests,
+        ):
+            answers[unit] = unit
+    return answers[unit]
+
+
+def _run_unit(
+    config: PipelineConfig, unit: str, force: bool, digests: Digests, answers: dict
+):
     spec = UNITS[unit]
-    work_dir = config.paths.work_dir
     inputs = _files(config, spec.inputs)
     for name, path in inputs.items():
         producer = _PRODUCER.get(name)
@@ -449,23 +475,27 @@ def _run_unit(config: PipelineConfig, unit: str, force: bool, digests: Digests):
             if producer is None:
                 raise ValidationError(f"input file {path} not found (paths.{name})")
             raise MissingArtifactError(path, UNITS[producer].stage)
-        if producer is not None:
-            vouch(work_dir, producer, name, path, digests)
-    outputs = _files(config, spec.outputs)
-    key = _stage_key(config, unit)
-    if not force and up_to_date(work_dir, unit, inputs, outputs, key, digests):
+        stale = producer and _stale(config, producer, digests, answers)
+        if stale:
+            raise ValidationError(
+                f"{name}: {stale} is not up to date; rerun {UNITS[stale].stage}"
+            )
+    if not force and _stale(config, unit, digests, answers) is None:
         logger.info("%s: artifacts up to date, skipping", unit)
         return
+    outputs = _files(config, spec.outputs)
     with replacing(outputs) as temporary:
-        spec.body(config, inputs, temporary, digests)
-    write_manifest(work_dir, unit, inputs, outputs, key, digests)
+        spec.body(config, inputs, temporary)
+    key = _stage_key(config, unit)
+    write_manifest(config.paths.work_dir, unit, inputs, outputs, key, digests)
 
 
 def _run_stage(config: PipelineConfig, stage: str, force: bool) -> int:
-    digests = Digests()
+    # One run hashes each file once and checks each upstream unit once.
+    digests, answers = Digests(), {}
     for unit, spec in UNITS.items():
         if spec.stage == stage:
-            _run_unit(config, unit, force, digests)
+            _run_unit(config, unit, force, digests, answers)
             if spec.report is not None:
                 report = config.paths.work_dir / spec.report
                 print(report.read_text(encoding="utf-8"), end="")

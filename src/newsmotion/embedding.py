@@ -67,9 +67,6 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.words)
 
-    def vector(self, word: str) -> np.ndarray:
-        return self.vectors[self.index[word]]
-
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -35.0, 35.0)))

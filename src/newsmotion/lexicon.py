@@ -66,12 +66,6 @@ class KeywordLexicon:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.index
-
-    def get(self, word: str) -> KeywordEntry:
-        return self.entries[self.index[word]]
-
 
 class CategoryLexicon:
     """Per-category keyword sets in a fixed category order."""

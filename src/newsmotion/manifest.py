@@ -1,12 +1,12 @@
 """Stage manifests for artifact caching, plus the work-dir lock.
 
 Each pipeline stage records the content hashes of its inputs and outputs,
-the hash of the config sections it reads (the seed among them), and tool
-versions. A stage is skippable when its manifest still matches all of
-those, which lets expensive stages cache their artifacts across reruns.
-A manifest also vouches for its outputs: a downstream stage reads only
-files that hash to what their producer recorded. Artifacts and manifests
-are written to a temporary file and renamed into place.
+the hash of the config sections and fields it reads (the seed among
+them), and tool versions. A stage is skippable when its manifest still
+matches all of those, which lets expensive stages cache their artifacts
+across reruns. The CLI reads an artifact only while its producer, and
+every stage above that one, is up to date in this sense. Artifacts and
+manifests are written to a temporary file and renamed into place.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from . import __version__
-from .errors import PipelineError, ValidationError
+from .errors import PipelineError
 
 logger = logging.getLogger(__name__)
 
@@ -60,8 +60,8 @@ def manifest_path(work_dir: str | Path, stage: str) -> Path:
 class Digests(dict):
     """SHA-256 of each file, keyed by path, hashed on its first lookup only.
 
-    One run shares one instance, so a file that is vouched for, checked
-    against the unit's own manifest and then recorded in it is read once.
+    One run shares one instance, so a file that several manifest checks
+    compare, and that the unit's new manifest then records, is read once.
     """
 
     def __missing__(self, path: Path) -> str:
@@ -91,14 +91,6 @@ def replacing(files: Mapping[str, Path]) -> Iterator[dict[str, Path]]:
         for path in temporary.values():
             with contextlib.suppress(FileNotFoundError):
                 path.unlink()
-
-
-def _read_manifest(work_dir: str | Path, stage: str) -> dict | None:
-    try:
-        record = json.loads(manifest_path(work_dir, stage).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return None
-    return record if isinstance(record, dict) else None
 
 
 def write_manifest(
@@ -139,8 +131,11 @@ def up_to_date(
 ) -> bool:
     """Whether the stage's manifest still matches its inputs and outputs."""
     digests = Digests() if digests is None else digests
-    record = _read_manifest(work_dir, stage)
-    if record is None or record.get("config") != config_hash:
+    try:
+        record = json.loads(manifest_path(work_dir, stage).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError):
+        return False
+    if not isinstance(record, dict) or record.get("config") != config_hash:
         return False
     if record.get("versions") != _versions():
         return False
@@ -154,18 +149,6 @@ def up_to_date(
             if not Path(file).is_file() or recorded[name] != digests[file]:
                 return False
     return True
-
-
-def vouch(
-    work_dir: str | Path, producer: str, name: str, path: Path, digests: Digests
-) -> None:
-    """Raise unless ``path`` holds what ``producer``'s manifest recorded as ``name``."""
-    recorded = (_read_manifest(work_dir, producer) or {}).get("outputs", {}).get(name)
-    if recorded is None or recorded != digests[path]:
-        raise ValidationError(
-            f"{name} does not match {manifest_path(work_dir, producer).name}; "
-            f"rerun {producer}"
-        )
 
 
 def _lock_holder_gone(lock: Path) -> bool:

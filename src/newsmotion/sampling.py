@@ -186,8 +186,6 @@ class DatasetSplit:
     train: tuple[Sample, ...]
     validation: tuple[Sample, ...]
     test: tuple[Sample, ...]
-    train_end: Date
-    valid_end: Date
 
 
 def extract_sentences(
@@ -273,13 +271,7 @@ def split_by_date(
             validation.append(sample)
         else:
             test.append(sample)
-    return DatasetSplit(
-        train=tuple(train),
-        validation=tuple(validation),
-        test=tuple(test),
-        train_end=train_end,
-        valid_end=valid_end,
-    )
+    return DatasetSplit(tuple(train), tuple(validation), tuple(test))
 
 
 def write_samples(samples: Iterable[Sample], path: str | Path) -> None:

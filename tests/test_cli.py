@@ -110,13 +110,47 @@ def _copy(pipeline: Path, tmp_path: Path) -> Path:
     return root / "pipeline.ini"
 
 
-def _vouch_for(work: Path, producer: str, name: str) -> None:
-    """A manifest of ``producer`` that records ``name`` as its output."""
-    write_manifest(work, producer, {}, {name: work / name}, "")
+def _record(config_path: Path, unit: str) -> None:
+    """Write ``unit``'s manifest for the files now in place, under its current key."""
+    config = load_config(config_path)
+    spec = cli.UNITS[unit]
+    write_manifest(
+        config.paths.work_dir,
+        unit,
+        cli._files(config, spec.inputs),
+        cli._files(config, spec.outputs),
+        cli._stage_key(config, unit),
+    )
+
+
+def _refused(config: Path, stage: str, caplog, *args: str) -> str:
+    """Run ``stage``, which must exit 1; returns the errors it logged."""
+    caplog.clear()
+    with caplog.at_level(logging.ERROR):
+        assert cli.main([stage, "--config", str(config), *args]) == 1, stage
+    return caplog.text
+
+
+# Config properties, by the fields they are computed from.
+_PROPERTIES = {"graph.window": {"graph.window_start", "graph.window_end"}}
+
+
+class _Section:
+    """Stands in for one config section and notes each read as ``section.field``."""
+
+    def __init__(self, name, section, read: set[str]):
+        self._name = name
+        self._section = section
+        self._read = read
+
+    def __getattr__(self, field):
+        name = f"{self._name}.{field}"
+        self._read.update(_PROPERTIES.get(name, {name}))
+        return getattr(self._section, field)
 
 
 class _Recorder:
-    """Stands in for a PipelineConfig and notes which sections each cache unit reads.
+    """Stands in for a PipelineConfig and notes the fields each cache unit reads.
 
     ``unit`` is the cache unit whose body is running (see `_watch_bodies`);
     reads outside every body are filed under None.
@@ -128,8 +162,8 @@ class _Recorder:
         self.read: dict[str | None, set[str]] = {}
 
     def __getattr__(self, name):
-        self.read.setdefault(self.unit, set()).add(name)
-        return getattr(self._config, name)
+        read = self.read.setdefault(self.unit, set())
+        return _Section(name, getattr(self._config, name), read)
 
 
 class _Inputs(dict):
@@ -157,13 +191,13 @@ def _watch_bodies(monkeypatch) -> dict[str, set[str]]:
     read: dict[str, set[str]] = {}
 
     def watching(unit, body):
-        def watched(config, inputs, outputs, digests):
+        def watched(config, inputs, outputs):
             read[unit] = set()
             recording = isinstance(config, _Recorder)
             if recording:
                 config.unit = unit
             try:
-                body(config, _Inputs(inputs, read[unit]), outputs, digests)
+                body(config, _Inputs(inputs, read[unit]), outputs)
             finally:
                 if recording:
                     config.unit = None
@@ -296,9 +330,14 @@ class TestStageKeys:
             assert cli.main([stage, "--config", config, "--force"]) == 0, stage
             (recorder,) = recorders
             assert set(recorder.read) - {None} == set(units), stage
-            assert recorder.read.get(None, set()) <= {"paths"}, stage
+            outside = recorder.read.get(None, set())
+            assert all(field.startswith("paths.") for field in outside), stage
             for unit, declared in units.items():
-                assert recorder.read[unit] - {"paths"} == set(declared), unit
+                fields = {f for f in recorder.read[unit] if not f.startswith("paths.")}
+                # A field of a section declared whole counts as that section.
+                whole = {f.partition(".")[0] for f in fields} & set(declared)
+                read = {f for f in fields if f.partition(".")[0] not in whole} | whole
+                assert read == set(declared), unit
 
     def test_bodies_read_exactly_their_declared_inputs(
         self, pipeline, tmp_path, monkeypatch
@@ -345,17 +384,35 @@ class TestStageKeys:
         self, pipeline, tmp_path, caplog
     ):
         config = _copy(pipeline, tmp_path)
-        stages = ("graph", "predict", "evaluate")
-        skipped = self._run(config, stages, "dates.train_start=2012-02-01", caplog)
-        assert skipped == {"graph", "predict", "ablation", "sweep"}
+        override = "dates.train_start=2012-02-01"
+        assert self._run(config, ("graph",), override, caplog) == {"graph"}
+        # featurize reads train_start, so what it wrote is stale
+        for stage in ("predict", "evaluate"):
+            error = _refused(config, stage, caplog, "--set", override)
+            assert "featurize is not up to date; rerun featurize" in error
 
-    def test_lexicon_and_featurize_need_no_alias_table(
+    def test_missing_alias_table_stops_lexicon_and_featurize_at_ingest(
         self, pipeline, tmp_path, caplog
     ):
         config = _copy(pipeline, tmp_path)
-        stages = ("lexicon", "featurize")
-        skipped = self._run(config, stages, "paths.aliases=absent.csv", caplog)
-        assert skipped == {"lexicon", "featurize"}
+        for stage in ("lexicon", "featurize"):
+            error = _refused(config, stage, caplog, "--set", "paths.aliases=absent.csv")
+            assert "samples_train.jsonl: ingest is not up to date; rerun ingest" in error
+
+    @pytest.mark.parametrize(
+        "stages, override, skipped",
+        [
+            (("ingest",), "dates.train_start=2012-02-01", {"ingest"}),
+            (("predict",), "sweep.taus=0.1,0.9", {"predict"}),
+            (("evaluate",), "sweep.predict_tau=0.5", {"ablation", "sweep"}),
+        ],
+        ids=["ingest", "predict", "evaluate"],
+    )
+    def test_a_field_a_unit_does_not_read_leaves_it_skipped(
+        self, pipeline, tmp_path, caplog, stages, override, skipped
+    ):
+        config = _copy(pipeline, tmp_path)
+        assert self._run(config, stages, override, caplog) == skipped
 
     def test_dropped_category_seeds_rerun_the_lexicon(
         self, pipeline, tmp_path, caplog
@@ -409,11 +466,17 @@ class TestEvaluateUnits:
         self, pipeline, tmp_path, trainings, caplog
     ):
         config = _copy(pipeline, tmp_path)
+        override = ("--set", "training.epochs=3")
+        # model.bin was trained under epochs=8: evaluate waits for train
+        error = _refused(config, "evaluate", caplog, *override)
+        assert "model.bin: train is not up to date; rerun train" in error
+        assert trainings == []
+        assert cli.main(["train", "--config", str(config), *override]) == 0
+        caplog.clear()
         with caplog.at_level(logging.INFO):
-            self._evaluate(config, "--set", "training.epochs=3")
-        assert "ablation: artifacts up to date" not in caplog.text
-        assert "sweep: artifacts up to date, skipping" in caplog.text
-        # model.bin was trained under epochs=8, so the full row trains too
+            self._evaluate(config, *override)
+        assert "artifacts up to date" not in caplog.text
+        # the train stage's one training, then every row but the full one
         assert len(trainings) == len(evaluation.DEFAULT_COMBINATIONS)
 
     def test_full_row_scores_the_vouched_model(self, pipeline, tmp_path, trainings):
@@ -425,7 +488,7 @@ class TestEvaluateUnits:
         assert ablation.read_bytes() == before
 
     def test_model_of_another_training_key_is_not_reused(
-        self, pipeline, tmp_path, trainings
+        self, pipeline, tmp_path, trainings, caplog
     ):
         config = _copy(pipeline, tmp_path)
         ablation = config.parent / "work" / "ablation.csv"
@@ -433,13 +496,14 @@ class TestEvaluateUnits:
         argv = ["train", "--config", str(config), "--set", "training.epochs=1"]
         assert cli.main(argv) == 0
         del trainings[:]
-        self._evaluate(config, "--force")
-        assert len(trainings) == len(evaluation.DEFAULT_COMBINATIONS)
+        error = _refused(config, "evaluate", caplog, "--force")
+        assert "model.bin: train is not up to date; rerun train" in error
+        assert trainings == []
         assert ablation.read_bytes() == before
 
 
 class TestVouchedInputs:
-    """A unit reads a work-dir artifact only while its producer vouches for it."""
+    """A unit reads a work-dir artifact only while every unit above it is up to date."""
 
     @pytest.mark.parametrize("force", [(), ("--force",)])
     @pytest.mark.parametrize(
@@ -459,7 +523,7 @@ class TestVouchedInputs:
         manifest = manifest_path(work, stage).read_bytes()
         with caplog.at_level(logging.ERROR):
             assert cli.main([stage, "--config", str(config), *force]) == 1
-        message = f"{artifact} does not match {producer}.manifest.json; rerun {producer}"
+        message = f"{artifact}: {producer} is not up to date; rerun {producer}"
         assert message in caplog.text
         assert manifest_path(work, stage).read_bytes() == manifest
 
@@ -470,7 +534,7 @@ class TestVouchedInputs:
         manifest_path(config.parent / "work", "train").unlink()
         with caplog.at_level(logging.ERROR):
             assert cli.main(["predict", "--config", str(config), "--force"]) == 1
-        assert "model.bin does not match train.manifest.json; rerun train" in caplog.text
+        assert "model.bin: train is not up to date; rerun train" in caplog.text
 
     def test_config_paths_are_not_vouched_for(self, pipeline, tmp_path, caplog):
         config = _copy(pipeline, tmp_path)
@@ -479,6 +543,35 @@ class TestVouchedInputs:
         with caplog.at_level(logging.INFO):
             assert cli.main(["graph", "--config", str(config)]) == 0
         assert "graph: artifacts up to date" not in caplog.text
+
+    @pytest.mark.parametrize("force", [(), ("--force",)])
+    @pytest.mark.parametrize(
+        "override, stage, artifact, unit",
+        [
+            ("training.epochs=3", "predict", "model.bin", "train"),
+            ("training.epochs=3", "evaluate", "model.bin", "train"),
+            ("embedding.dimension=16", "lexicon", "embeddings.txt", "embed"),
+            ("embedding.dimension=16", "predict", "model.bin", "embed"),
+        ],
+    )
+    def test_a_stale_unit_upstream_stops_the_stage(
+        self, pipeline, tmp_path, caplog, override, stage, artifact, unit, force
+    ):
+        config = _copy(pipeline, tmp_path)
+        work = config.parent / "work"
+        before = {path: path.read_bytes() for path in work.iterdir()}
+        error = _refused(config, stage, caplog, "--set", override, *force)
+        assert f"{artifact}: {unit} is not up to date; rerun {unit}" in error
+        assert {path: path.read_bytes() for path in work.iterdir()} == before
+
+    @pytest.mark.parametrize("override", ["training.epochs=3", "embedding.dimension=16"])
+    def test_the_override_passed_to_every_stage_runs_them_all(
+        self, pipeline, tmp_path, override
+    ):
+        config = _copy(pipeline, tmp_path)
+        for stage in STAGES:
+            argv = [stage, "--config", str(config), "--set", override]
+            assert cli.main(argv) == 0, stage
 
 
 class TestAtomicWrites:
@@ -525,7 +618,7 @@ class TestReadme:
         for stage, key, reads, writes in rows:
             unit = re.search(r"\((\w+)\)", stage) or re.search(r"`(\w+)`", stage)
             listed[unit.group(1)] = (
-                re.findall(r"`\[(\w+)\]`", key),
+                re.findall(r"`\[?([\w.]+)\]?`", key),
                 set(re.findall(r"`([^`]+)`", reads)),
                 set(re.findall(r"`([^`]+)`", writes)),
             )
@@ -607,15 +700,9 @@ class TestFailureModes:
     def test_predict_rejects_a_model_with_another_layout(
         self, pipeline, tmp_path, caplog
     ):
-        config = _write_config(tmp_path)
-        work = tmp_path / "work"
-        work.mkdir()
-        for name in ("features_test.bin", "graph.csv"):
-            shutil.copy(pipeline / "work" / name, work / name)
-        # Manifests vouch for the hand-built files, so that the layout check,
-        # not the vouching, is what rejects the model.
-        _vouch_for(work, "featurize", "features_test.bin")
-        _vouch_for(work, "graph", "graph.csv")
+        config = _copy(pipeline, tmp_path)
+        work = config.parent / "work"
+        predictions = (work / "predictions.csv").read_bytes()
         layout = load_feature_matrix(work / "features_test.bin").layout
         # Same input width, different blocks: the width check alone passes.
         other = replace(
@@ -626,11 +713,13 @@ class TestFailureModes:
         )
         assert other.dimension == layout.dimension and other != layout
         save_model(init((other.dimension, 4, 2), seed=1, layout=other), work / "model.bin")
-        _vouch_for(work, "train", "model.bin")
+        # train's manifest records the hand-built model, so that the layout
+        # check, not staleness, is what rejects it.
+        _record(config, "train")
         with caplog.at_level(logging.ERROR):
             assert cli.main(["predict", "--config", str(config)]) == 1
         assert "layouts differ" in caplog.text
-        assert not (work / "predictions.csv").exists()
+        assert (work / "predictions.csv").read_bytes() == predictions
 
     def test_unusable_work_dir_exits_two(self, tmp_path):
         config = _write_config(tmp_path, "")

@@ -195,13 +195,21 @@ class TestLoadConfig:
     def test_stage_key_covers_only_the_declared_sections(self, tmp_path):
         config = load_config(_write_config(tmp_path))
         assert cli._stage_key(config, "lexicon") == text_sha256(repr(config.lexicon))
-        assert cli._stage_key(config, "ingest") == text_sha256(
-            repr(config.dates) + "\nrevision 1"
-        )
-        assert cli._stage_key(config, "graph") == text_sha256(repr(config.graph))
         assert cli._stage_key(config, "ablation") == text_sha256(repr(config.training))
+        dates, graph, sweep = config.dates, config.graph, config.sweep
+        assert cli._stage_key(config, "ingest") == text_sha256(
+            f"dates.train_end={dates.train_end!r}\n"
+            f"dates.valid_end={dates.valid_end!r}\nrevision 1"
+        )
+        assert cli._stage_key(config, "graph") == text_sha256(
+            f"graph.threshold={graph.threshold!r}\n"
+            f"graph.min_overlap={graph.min_overlap!r}\n"
+            "graph.window_start=None\ngraph.window_end=None"
+        )
         assert cli._stage_key(config, "sweep") == text_sha256(
-            repr(config.graph) + "\n" + repr(config.sweep)
+            f"graph.iterations={graph.iterations!r}\n"
+            f"graph.clamp_observed={graph.clamp_observed!r}\n"
+            f"sweep.taus={sweep.taus!r}"
         )
 
     def test_stage_key_ignores_unrelated_changes(self, tmp_path):
@@ -217,9 +225,13 @@ class TestLoadConfig:
         assert changed("lexicon.keywords=7") == {"lexicon"}
         assert changed("pipeline.seed=2") == {"embed", "train", "ablation"}
         assert changed("paths.work_dir=elsewhere") == set()
-        assert changed("sweep.taus=0.5") == {"predict", "sweep"}
-        assert changed("graph.threshold=0.7") == {"graph", "predict", "sweep"}
-        assert changed("dates.valid_end=2013-07-01") == {"ingest", "featurize"}
+        assert changed("sweep.taus=0.5") == {"sweep"}
+        assert changed("sweep.predict_tau=0.5") == {"predict"}
+        assert changed("graph.threshold=0.7") == {"graph"}
+        assert changed("graph.iterations=2") == {"predict", "sweep"}
+        assert changed("dates.valid_end=2013-07-01") == {"ingest"}
+        assert changed("dates.train_start=2000-01-01") == {"featurize"}
+        assert changed("dates.train_end=2012-12-30") == {"ingest", "featurize"}
 
 
 class TestReadme:

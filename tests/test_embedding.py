@@ -229,7 +229,8 @@ class TestTrainSkipgram:
             assert later <= earlier + 1e-6
 
     def test_substituted_words_converge(self, subst_table):
-        assert cosine(subst_table.vector("rise"), subst_table.vector("rebound")) > 0.9
+        rise, rebound = (subst_table.index[w] for w in ("rise", "rebound"))
+        assert cosine(subst_table.vectors[rise], subst_table.vectors[rebound]) > 0.9
 
     @pytest.mark.parametrize("n_words", [4, 5, 6])
     def test_tiny_vocabulary_does_not_diverge(self, n_words):

@@ -226,7 +226,7 @@ class TestBuildKeywordLexicon:
             np.vstack([table.vectors, [1.0, 0.0]]),
         )
         lexicon = build_keyword_lexicon(boosted, samples, k=20)
-        assert "soar" not in lexicon
+        assert "soar" not in lexicon.index
 
     def test_shortfall_keeps_all_candidates_and_warns(self, caplog):
         table, samples = self._planted()
@@ -365,7 +365,7 @@ class TestLexiconCollections:
     def test_keyword_lookup(self):
         entry = KeywordEntry("surge", True, 1.0, 3, 0.1, 0.5)
         lexicon = KeywordLexicon([entry])
-        assert "surge" in lexicon and lexicon.get("surge") == entry
+        assert lexicon.index == {"surge": 0} and lexicon.entries == [entry]
 
     def test_duplicate_keywords_rejected(self):
         entry = KeywordEntry("surge", True, 1.0, 3, 0.1, 0.5)
