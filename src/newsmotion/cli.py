@@ -53,7 +53,9 @@ from .features import (
 )
 from .graph import (
     DNN,
+    DOWN,
     PROPAGATED,
+    UP,
     Prediction,
     build_graph,
     load_graph,
@@ -80,7 +82,7 @@ from .manifest import (
     work_dir_lock,
     write_manifest,
 )
-from .mlp import DOWN, UP, load_model, predict_batch, save_model, train
+from .mlp import load_model, predict_batch, save_model, train
 from .sampling import (
     AliasMatcher,
     build_samples,
@@ -228,15 +230,11 @@ def _graph(config, inputs, outputs) -> None:
 def _predict(config, inputs, outputs) -> None:
     model = load_model(inputs["model.bin"])
     test_matrix = load_feature_matrix(inputs["features_test.bin"])
-    if model.layout is not None and model.layout != test_matrix.layout:
-        raise ValidationError("model and test matrix feature layouts differ")
     g = load_graph(inputs["graph.csv"])
-    labels, confidences = predict_batch(model, test_matrix.x)
+    confidences = predict_batch(model, test_matrix)
     predictions = [
-        Prediction(date=d, ticker=t, source=DNN, label=label, confidence=float(c))
-        for d, t, label, c in zip(
-            test_matrix.dates, test_matrix.tickers, labels, confidences
-        )
+        Prediction(d, t, DNN, UP if c > 0 else DOWN, float(c))
+        for d, t, c in zip(test_matrix.dates, test_matrix.tickers, confidences)
     ]
     p = propagate(
         g,

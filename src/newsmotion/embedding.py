@@ -45,7 +45,6 @@ class EmbeddingTable:
 
     words: list[str]
     vectors: np.ndarray  # (V, d) float64
-    frequencies: np.ndarray  # (V,) int64 training-corpus counts (1 when unknown)
     epoch_losses: list[float] = field(default_factory=list)
 
     def __post_init__(self):
@@ -196,7 +195,6 @@ def train_skipgram(
     return EmbeddingTable(
         words=list(vocab),
         vectors=params[:n_words].copy(),
-        frequencies=freqs,
         epoch_losses=epoch_losses,
     )
 
@@ -246,7 +244,7 @@ def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
-    """Read the text vector format; frequencies are unknown and set to 1."""
+    """Read the text vector format written by `save_embeddings`."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -273,6 +271,4 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             vectors[i] = [float(c) for c in comps]
     if len(words) != vocab_size:
         raise ParseError(f"{path}: {len(words)} rows, header declared {vocab_size}")
-    return EmbeddingTable(
-        words=words, vectors=vectors, frequencies=np.ones(vocab_size, dtype=np.int64)
-    )
+    return EmbeddingTable(words=words, vectors=vectors)

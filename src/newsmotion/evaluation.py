@@ -6,6 +6,8 @@ combination of every block can score a model file already trained on the
 full matrices instead. The sweep seeds the correlation graph with per-date
 classifier confidences, propagates, and measures accuracy and coverage of
 the emitted unseen-stock predictions as the confidence threshold rises.
+Both score through `mlp.predict_batch`, which rejects a model of another
+feature layout, and count a confidence above 0 as an up prediction.
 """
 
 from __future__ import annotations
@@ -21,16 +23,8 @@ from .errors import PipelineError, ValidationError
 from .features import BLOCK_ORDER, FeatureMatrix, slice_blocks
 from .graph import CorrelationGraph, propagate, threshold_predictions
 from .ingest import PriceSeries
-from .mlp import (
-    UP,
-    MlpModel,
-    TrainConfig,
-    direction_of,
-    load_model,
-    predict_batch,
-    train,
-)
-from .sampling import movement_label
+from .mlp import MlpModel, TrainConfig, error_rate, load_model, predict_batch, train
+from .sampling import POSITIVE, movement_label
 
 logger = logging.getLogger(__name__)
 
@@ -49,18 +43,6 @@ DEFAULT_COMBINATIONS: tuple[tuple[str, ...], ...] = (
 OK = "ok"
 FAILED = "failed"
 NOT_AVAILABLE = "n/a"
-
-
-def error_rate(predictions: Sequence[str], truths: Sequence[str]) -> float:
-    """Fraction of predictions that disagree with the truths."""
-    if len(predictions) != len(truths):
-        raise ValidationError(
-            f"{len(predictions)} predictions against {len(truths)} truths"
-        )
-    if not predictions:
-        raise ValidationError("error rate over an empty prediction list is undefined")
-    wrong = sum(1 for p, t in zip(predictions, truths) if p != t)
-    return wrong / len(predictions)
 
 
 @dataclass(frozen=True)
@@ -145,7 +127,6 @@ def run_ablation(
         raise ValidationError("test split is empty")
     if not combinations:
         raise ValidationError("at least one combination is required")
-    truths = [direction_of(label) for label in test_matrix.labels]
     rows: list[AblationRow] = []
     for requested in combinations:
         blocks = _normalize_combination(requested)
@@ -153,18 +134,14 @@ def run_ablation(
         try:
             if full_model is not None and blocks == train_matrix.layout.blocks:
                 model = load_model(full_model)
-                if model.layout != train_matrix.layout:
-                    raise ValidationError(
-                        f"{full_model}: model and matrix feature layouts differ"
-                    )
             else:
                 model = train(
                     slice_blocks(train_matrix, blocks),
                     slice_blocks(valid_matrix, blocks),
                     config,
                 )
-            predicted, _ = predict_batch(model, slice_blocks(test_matrix, blocks).x)
-            err = error_rate(predicted, truths)
+            confidences = predict_batch(model, slice_blocks(test_matrix, blocks))
+            err = error_rate(confidences, test_matrix.labels)
         except PipelineError as exc:
             logger.warning("combination %s failed: %s", name, exc)
             rows.append(
@@ -199,15 +176,13 @@ def run_propagation_sweep(
     not accuracy. Dates whose observed stocks all fall outside the graph
     are skipped and counted in the report metadata.
     """
-    if model.layout is not None and model.layout != test_matrix.layout:
-        raise ValidationError("model and test matrix feature layouts differ")
     if len(test_matrix) == 0:
         raise ValidationError("test split is empty")
     taus = [float(t) for t in taus]
     if not taus:
         raise ValidationError("at least one tau is required")
 
-    _, confidences = predict_batch(model, test_matrix.x)
+    confidences = predict_batch(model, test_matrix)
     p = propagate(
         graph,
         test_matrix.dates,
@@ -226,7 +201,7 @@ def run_propagation_sweep(
         series = prices.get(graph.nodes[c])
         movement = movement_label(series, p.dates[r]) if series is not None else None
         if movement is not None:
-            moved[r, c] = 1 if direction_of(movement) == UP else -1
+            moved[r, c] = 1 if movement == POSITIVE else -1
     observed_per_day = int(p.observed.sum()) / days_used
     rows = []
     for tau, mask in zip(taus, emitted):

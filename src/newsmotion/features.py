@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ParseError, PipelineError, ValidationError
 from .ingest import DateRange, PriceSeries, parse_date
 from .lexicon import CategoryLexicon, KeywordLexicon
-from .sampling import Sample, Sentence
+from .sampling import NEGATIVE, POSITIVE, Sample, Sentence
 from .tokens import tokenize, tokenize_with_offsets
 
 PRICE_DIM = 12
@@ -256,13 +256,16 @@ class FeatureMatrix:
     layout: FeatureLayout
     tickers: list[str]
     dates: list[Date]
-    labels: list[str]
+    labels: list[str]  # POSITIVE or NEGATIVE
     x: np.ndarray  # (n, layout.dimension) float64
 
     def __post_init__(self):
         n = len(self.tickers)
         if not (len(self.dates) == len(self.labels) == n):
             raise ValidationError("metadata columns have mismatched lengths")
+        unknown = set(self.labels) - {POSITIVE, NEGATIVE}
+        if unknown:
+            raise ValidationError(f"unknown movement labels {sorted(unknown)}")
         if self.x.shape != (n, self.layout.dimension):
             raise ValidationError(
                 f"matrix shape {self.x.shape} does not match "
@@ -403,10 +406,13 @@ def load_feature_matrix(path: str | Path) -> FeatureMatrix:
             f"{rows}x{layout.dimension}, found {len(body)}"
         )
     x = np.frombuffer(body, dtype="<f8").reshape(rows, layout.dimension).copy()
-    return FeatureMatrix(
-        layout=layout,
-        tickers=list(header["tickers"]),
-        dates=[parse_date(d) for d in header["dates"]],
-        labels=list(header["labels"]),
-        x=x,
-    )
+    try:
+        return FeatureMatrix(
+            layout=layout,
+            tickers=list(header["tickers"]),
+            dates=[parse_date(d) for d in header["dates"]],
+            labels=list(header["labels"]),
+            x=x,
+        )
+    except ValidationError as exc:
+        raise ParseError(f"{path}: {exc}") from exc

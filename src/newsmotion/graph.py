@@ -11,6 +11,10 @@ Propagation seeds a dates x N matrix with each date's signed classifier
 confidences, exactly 0 for stocks without news that day, and multiplies
 it by the weight matrix once per iteration to reach stocks absent from
 the news.
+
+A prediction row, direct or propagated, says UP where its confidence is
+positive and DOWN otherwise; the classifier module applies the same rule
+to its own confidences.
 """
 
 from __future__ import annotations
@@ -24,10 +28,11 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .ingest import DateRange, PriceSeries
-from .mlp import DOWN, UP
 
 DNN = "dnn"
 PROPAGATED = "propagated"
+UP = "up"
+DOWN = "down"
 
 
 @dataclass(eq=False)

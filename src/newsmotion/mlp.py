@@ -3,6 +3,12 @@
 Training is plain mini-batch gradient descent on cross-entropy with
 optional L2, a step-decayed learning rate, and model selection by best
 validation error. Everything is deterministic in the config seed.
+
+Every model carries the feature layout it was trained on, and
+`predict_batch` is the only way a model scores rows: it rejects a matrix
+of another layout and returns the confidence p_up - p_down per row. A
+row predicts up if and only if its confidence is positive, so ties
+predict down; `error_rate` applies that rule to the matrix labels.
 """
 
 from __future__ import annotations
@@ -16,19 +22,7 @@ import numpy as np
 
 from .errors import ParseError, TrainingDiverged, ValidationError
 from .features import FeatureLayout, FeatureMatrix
-from .sampling import NEGATIVE, POSITIVE
-
-UP = "up"
-DOWN = "down"
-
-
-def direction_of(label: str) -> str:
-    """Map a movement label (positive/negative) to a predicted direction."""
-    if label == POSITIVE:
-        return UP
-    if label == NEGATIVE:
-        return DOWN
-    raise ValidationError(f"cannot map label {label!r} to a direction")
+from .sampling import POSITIVE
 
 
 @dataclass
@@ -36,7 +30,7 @@ class MlpModel:
     layer_dims: tuple[int, ...]
     weights: list[np.ndarray]  # per layer, shape (fan_out, fan_in)
     biases: list[np.ndarray]
-    layout: FeatureLayout | None = None
+    layout: FeatureLayout
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -58,7 +52,7 @@ class MlpModel:
                 raise ValidationError(
                     f"layer {i}: bias shape {b.shape} != ({dims[i + 1]},)"
                 )
-        if self.layout is not None and self.layout.dimension != dims[0]:
+        if self.layout.dimension != dims[0]:
             raise ValidationError(
                 f"layout dimension {self.layout.dimension} != input dim {dims[0]}"
             )
@@ -98,9 +92,7 @@ class TrainConfig:
             raise ValidationError("epochs, l2, and patience must be non-negative")
 
 
-def init(
-    layer_dims: Sequence[int], seed: int, layout: FeatureLayout | None = None
-) -> MlpModel:
+def init(layer_dims: Sequence[int], seed: int, layout: FeatureLayout) -> MlpModel:
     """Glorot-uniform weights, zero biases, deterministic in seed."""
     dims = tuple(int(d) for d in layer_dims)
     rng = np.random.default_rng(seed)
@@ -145,20 +137,6 @@ def _forward_pass(
         a = z if i == last else np.maximum(z, 0.0)
         activations.append(a)
     return pre, activations
-
-
-def logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-    if x.shape[1] != model.input_dim:
-        raise ValidationError(
-            f"input dimension {x.shape[1]} != model input {model.input_dim}"
-        )
-    _, activations = _forward_pass(model, x)
-    out = activations[-1]
-    return out[0] if squeeze else out
 
 
 def loss_and_gradients(
@@ -206,23 +184,19 @@ def loss_and_gradients(
     return loss, grad_w, grad_b
 
 
-def _encode_labels(labels: Sequence[str]) -> np.ndarray:
-    y = np.empty(len(labels), dtype=np.int64)
-    for i, label in enumerate(labels):
-        if label == POSITIVE:
-            y[i] = 0
-        elif label == NEGATIVE:
-            y[i] = 1
-        else:
-            raise ValidationError(f"unlabeled or unknown label {label!r}")
-    return y
+def predict_batch(model: MlpModel, matrix: FeatureMatrix) -> np.ndarray:
+    """Confidence p_up - p_down per matrix row; a row predicts up iff it is > 0."""
+    if model.layout != matrix.layout:
+        raise ValidationError("model and matrix feature layouts differ")
+    _, activations = _forward_pass(model, matrix.x)
+    p = softmax(activations[-1])
+    return p[:, 0] - p[:, 1]
 
 
-def _error_against(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
-    p = softmax(logits(model, x))
-    # tie at exactly 0.5 predicts down, matching predict_batch()
-    predicted = np.where(p[:, 0] > p[:, 1], 0, 1)
-    return float(np.mean(predicted != y))
+def error_rate(confidences: np.ndarray, labels: Sequence[str]) -> float:
+    """Share of rows whose predicted direction disagrees with the label."""
+    truths = np.asarray(labels) == POSITIVE
+    return float(np.mean((confidences > 0) != truths))
 
 
 def train(
@@ -238,9 +212,8 @@ def train(
     if train_matrix.layout != valid_matrix.layout:
         raise ValidationError("train and validation feature layouts differ")
     x_train = train_matrix.x
-    y_train = _encode_labels(train_matrix.labels)
-    x_valid = valid_matrix.x
-    y_valid = _encode_labels(valid_matrix.labels)
+    # class 0 is up, class 1 is down
+    y_train = (np.asarray(train_matrix.labels) != POSITIVE).astype(np.int64)
 
     dims = (train_matrix.layout.dimension, *config.hidden, 2)
     model = init(dims, config.seed, layout=train_matrix.layout)
@@ -272,7 +245,7 @@ def train(
                 model.biases[i] -= lr * grad_b[i]
             epoch_loss += loss * len(batch)
         train_losses.append(epoch_loss / n)
-        error = _error_against(model, x_valid, y_valid)
+        error = error_rate(predict_batch(model, valid_matrix), valid_matrix.labels)
         valid_errors.append(error)
         if error < best_error:
             best_error = error
@@ -295,18 +268,11 @@ def train(
     return model
 
 
-def predict_batch(model: MlpModel, x: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """Direction and confidence p_up - p_down per matrix row; ties predict down."""
-    p = softmax(logits(model, x))
-    labels = [UP if row[0] > row[1] else DOWN for row in p]
-    return labels, p[:, 0] - p[:, 1]
-
-
 def save_model(model: MlpModel, path: str | Path) -> None:
     """Binary format: JSON header line, then per-layer weight and bias float64 blocks."""
     header = {
         "layer_dims": list(model.layer_dims),
-        "layout": None if model.layout is None else model.layout.to_dict(),
+        "layout": model.layout.to_dict(),
         "metadata": model.metadata,
     }
     with Path(path).open("wb") as fh:
@@ -325,11 +291,9 @@ def load_model(path: str | Path) -> MlpModel:
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: bad header: {exc}") from exc
         dims = tuple(int(d) for d in header["layer_dims"])
-        layout = (
-            None
-            if header.get("layout") is None
-            else FeatureLayout.from_dict(header["layout"])
-        )
+        if header.get("layout") is None:
+            raise ParseError(f"{path}: header has no feature layout")
+        layout = FeatureLayout.from_dict(header["layout"])
         body = fh.read()
     expected = 8 * sum(
         dims[i + 1] * dims[i] + dims[i + 1] for i in range(len(dims) - 1)

@@ -112,7 +112,7 @@ def _price_table(series_list) -> dict[str, PriceSeries]:
 def _gradient_gap(dims: tuple[int, ...], seed: int) -> float:
     """Worst relative error between analytic and central-difference gradients."""
     rng = np.random.default_rng(seed)
-    model = init(dims, seed=seed)
+    model = init(dims, seed=seed, layout=FeatureLayout(("ct",), 0, dims[0]))
     for b in model.biases:
         b += rng.normal(scale=0.1, size=b.shape)
     x = rng.normal(size=(6, dims[0]))
@@ -196,7 +196,10 @@ class TestAcceptance:
         gap = float(np.abs(softmax(logits).sum(axis=1) - 1.0).max())
 
         zero = MlpModel(
-            layer_dims=(3, 2), weights=[np.zeros((2, 3))], biases=[np.zeros(2)]
+            layer_dims=(3, 2),
+            weights=[np.zeros((2, 3))],
+            biases=[np.zeros(2)],
+            layout=FeatureLayout(("ct",), 0, 3),
         )
         x = np.array([[0.5, -1.0, 2.0]])
         losses = [loss_and_gradients(zero, x, np.array([y]))[0] for y in (0, 1)]
@@ -467,7 +470,7 @@ class TestAcceptance:
         path = tmp_path / "model.bin"
         save_model(model, path)
         loaded = load_model(path)
-        labels, _ = predict_batch(loaded, matrix.x)
+        confidences = predict_batch(loaded, matrix)
         _report(
             "criterion 10, feature dimension contract",
             layout.dimension == FULL_DIMENSION
@@ -475,7 +478,7 @@ class TestAcceptance:
             and not skipped
             and loaded.layout == layout
             and loaded.layout.dimension == matrix.x.shape[1]
-            and len(labels) == 2,
+            and len(confidences) == 2,
             f"k=1000, 10 categories, all blocks: {matrix.x.shape[1]} dims, "
             "model layout round-trips",
         )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import json
 import logging
 import os
 import re
@@ -19,12 +20,12 @@ from newsmotion.config import load_config
 from newsmotion.errors import PipelineError
 from newsmotion.evaluation import run_propagation_sweep
 from newsmotion.features import load_feature_matrix
-from newsmotion.graph import PROPAGATED, load_graph
+from newsmotion.graph import DNN, DOWN, PROPAGATED, UP, load_graph
 from newsmotion.ingest import load_prices
 from newsmotion.lexicon import load_keyword_lexicon
 from newsmotion.manifest import manifest_path, work_dir_lock, write_manifest
-from newsmotion.mlp import direction_of, init, load_model, save_model
-from newsmotion.sampling import movement_label
+from newsmotion.mlp import init, load_model, save_model
+from newsmotion.sampling import POSITIVE, movement_label
 
 from support import load_predictions
 
@@ -287,8 +288,27 @@ class TestFullPipeline:
             assert row.predicted_per_day == len(propagated) / days_used
             moves = [movement_label(prices.get(p.ticker), p.date) for p in propagated]
             scored = [(p, m) for p, m in zip(propagated, moves) if m is not None]
-            correct = sum(1 for p, m in scored if direction_of(m) == p.label)
+            correct = sum(
+                1 for p, m in scored if (UP if m == POSITIVE else DOWN) == p.label
+            )
             assert row.accuracy == (correct / len(scored) if scored else None)
+
+    def test_ablation_scores_the_way_predict_labels(self, pipeline):
+        work = pipeline / "work"
+        matrix = load_feature_matrix(work / "features_test.bin")
+        truth = {
+            (d, t): UP if label == POSITIVE else DOWN
+            for d, t, label in zip(matrix.dates, matrix.tickers, matrix.labels)
+        }
+        assert len(truth) == len(matrix)
+        dnn = [
+            p for p in load_predictions(work / "predictions.csv") if p.source == DNN
+        ]
+        assert len(dnn) == len(matrix)
+        wrong = sum(1 for p in dnn if p.label != truth[p.date, p.ticker])
+        rows = (work / "ablation.csv").read_text().splitlines()[1:]
+        errors = {row.split(",")[0]: row.split(",")[1] for row in rows}
+        assert float(errors["price+bok+ps+ct"]) == wrong / len(dnn)
 
     def test_second_run_skips_an_up_to_date_stage(self, pipeline, caplog):
         config = pipeline / "pipeline.ini"
@@ -645,6 +665,42 @@ class TestTracingPlan:
             n for n in names if not hasattr(cli, n) and not hasattr(evaluation, n)
         ]
         assert missing == []
+
+    def test_traced_stages_record_their_spans(self, pipeline, tmp_path):
+        """The tracer's spans and FLOP counter still fire after signature changes."""
+        repo = Path(__file__).resolve().parent.parent
+        config = _copy(pipeline, tmp_path)
+        path = os.environ.get("PYTHONPATH")
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(repo / "src"), path])),
+            "OPENBLAS_NUM_THREADS": "1",
+        }
+        spans, flop = set(), 0.0
+        for stage in ("train", "predict", "evaluate"):
+            trace = tmp_path / f"{stage}.trace.json"
+            argv = [str(repo / "perfbench" / "launch.py"), str(trace), stage]
+            done = subprocess.run(
+                [sys.executable, *argv, "--config", str(config), "--force"],
+                cwd=tmp_path,
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert done.returncode == 0, (stage, done.stderr)
+            recorded = json.loads(trace.read_text())
+            assert recorded["exit_code"] == 0, stage
+            spans.update(span[0] for span in recorded["spans"])
+            flop += recorded["counts"].get("mlp.flop", 0.0)
+        wanted = {
+            "mlp.train",
+            "mlp.predict_batch",
+            "graph.propagate",
+            "evaluation.ablation",
+            "evaluation.sweep",
+        }
+        assert wanted <= spans
+        assert flop > 0
 
 
 class TestFailureModes:

@@ -275,11 +275,7 @@ class TestScatterAdd:
 class TestRankBySeedSimilarity:
     def _table(self, words, vectors):
         vectors = np.asarray(vectors, dtype=np.float64)
-        return EmbeddingTable(
-            words=list(words),
-            vectors=vectors,
-            frequencies=np.ones(len(words), dtype=np.int64),
-        )
+        return EmbeddingTable(words=list(words), vectors=vectors)
 
     def test_vocabulary_of_seeds_only(self):
         table = self._table(["rise", "drop"], [[1.0, 0.0], [0.0, 1.0]])
@@ -329,14 +325,12 @@ class TestVectorFile:
         table = EmbeddingTable(
             words=["alpha", "beta", "gamma"],
             vectors=rng.normal(size=(3, 5)),
-            frequencies=np.array([7, 3, 2], dtype=np.int64),
         )
         path = tmp_path / "vectors.txt"
         save_embeddings(table, path)
         again = load_embeddings(path)
         assert again.words == table.words
         np.testing.assert_allclose(again.vectors, table.vectors, atol=1e-6)
-        assert np.all(again.frequencies == 1)
 
     def test_header_declares_shape(self, tmp_path):
         path = tmp_path / "vectors.txt"

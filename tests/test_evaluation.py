@@ -17,7 +17,6 @@ from newsmotion.evaluation import (
     SweepReport,
     SweepRow,
     _normalize_combination,
-    error_rate,
     render_ablation,
     render_sweep,
     run_ablation,
@@ -28,15 +27,10 @@ from newsmotion.evaluation import (
 from newsmotion.features import FeatureLayout, FeatureMatrix, slice_blocks
 from newsmotion.graph import CorrelationGraph
 from newsmotion.ingest import PriceSeries
-from newsmotion.mlp import MlpModel, TrainConfig, save_model, train
+from newsmotion.mlp import MlpModel, TrainConfig, error_rate, save_model, train
 from newsmotion.sampling import NEGATIVE, POSITIVE
 
 DAY = date(2013, 7, 1)
-
-
-def accuracy(predictions, truths) -> float:
-    """Complement of error_rate; the two sum to exactly 1.0."""
-    return 1.0 - error_rate(predictions, truths)
 
 
 def combination_name(blocks) -> str:
@@ -66,28 +60,18 @@ def _small_config() -> TrainConfig:
 
 class TestErrorRate:
     def test_all_correct(self):
-        assert error_rate(["up", "down"], ["up", "down"]) == 0.0
+        assert error_rate(np.array([0.5, -0.5]), [POSITIVE, NEGATIVE]) == 0.0
 
     def test_hand_fraction(self):
-        predictions = ["up"] * 100
-        truths = ["up"] * 57 + ["down"] * 43
-        assert error_rate(predictions, truths) == 0.43
+        confidences = np.full(100, 0.25)
+        labels = [POSITIVE] * 57 + [NEGATIVE] * 43
+        err = error_rate(confidences, labels)
+        assert err == 0.43 and type(err) is float
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            error_rate([], [])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            error_rate(["up"], ["up", "down"])
-
-    def test_accuracy_complements_exactly(self):
-        rng = np.random.default_rng(81)
-        for _ in range(300):
-            n = int(rng.integers(1, 50))
-            predictions = ["up" if b else "down" for b in rng.random(n) < 0.5]
-            truths = ["up" if b else "down" for b in rng.random(n) < 0.5]
-            assert error_rate(predictions, truths) + accuracy(predictions, truths) == 1.0
+    def test_tie_predicts_down(self):
+        confidences = np.array([0.0, 0.0, 0.5, -0.5])
+        labels = [NEGATIVE, POSITIVE, POSITIVE, NEGATIVE]
+        assert error_rate(confidences, labels) == 0.25
 
 
 class TestCombinationName:

@@ -36,7 +36,7 @@ from newsmotion.lexicon import (
     KeywordEntry,
     KeywordLexicon,
 )
-from newsmotion.sampling import POSITIVE, Sample, Sentence
+from newsmotion.sampling import NEGATIVE, POSITIVE, Sample, Sentence
 
 DAY = date(2012, 3, 5)
 
@@ -396,7 +396,7 @@ class TestFeatureMatrixFile:
             layout=layout,
             tickers=[f"T{i}" for i in range(n)],
             dates=[DAY + timedelta(days=i) for i in range(n)],
-            labels=["up" if i % 2 else "down" for i in range(n)],
+            labels=[POSITIVE if i % 2 else NEGATIVE for i in range(n)],
             x=rng.normal(size=(n, layout.dimension)),
         )
 
@@ -420,6 +420,17 @@ class TestFeatureMatrixFile:
         with pytest.raises(ParseError, match="bytes"):
             load_feature_matrix(path)
 
+    def test_unknown_label_rejected(self, tmp_path):
+        matrix = self._matrix()
+        path = tmp_path / "features_test.bin"
+        write_feature_matrix(matrix, path)
+        header, body = path.read_bytes().split(b"\n", 1)
+        header = header.replace(f'"{NEGATIVE}"'.encode(), b'"up"', 1)
+        path.write_bytes(header + b"\n" + body)
+        with pytest.raises(ParseError, match="'up'") as err:
+            load_feature_matrix(path)
+        assert str(path) in str(err.value)
+
     def test_garbage_header_rejected(self, tmp_path):
         path = tmp_path / "features.bin"
         path.write_bytes(b"not json\n")
@@ -433,6 +444,6 @@ class TestFeatureMatrixFile:
                 layout=layout,
                 tickers=["A"],
                 dates=[],
-                labels=["up"],
+                labels=[POSITIVE],
                 x=np.zeros((1, 12)),
             )

@@ -41,11 +41,7 @@ def _sample(label: str | None, *texts: str, ticker: str = "AAPL") -> Sample:
 
 def _table(words: list[str], vectors) -> EmbeddingTable:
     arr = np.asarray(vectors, dtype=np.float64)
-    return EmbeddingTable(
-        words=list(words),
-        vectors=arr,
-        frequencies=np.ones(len(words), dtype=np.int64),
-    )
+    return EmbeddingTable(words=list(words), vectors=arr)
 
 
 def _invert(sample: Sample) -> Sample:

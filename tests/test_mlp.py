@@ -10,15 +10,12 @@ import pytest
 
 from newsmotion.errors import TrainingDiverged, ValidationError, ParseError
 from newsmotion.features import FeatureLayout, FeatureMatrix
+from newsmotion.graph import DOWN, UP
 from newsmotion.mlp import (
-    DOWN,
-    UP,
     MlpModel,
     TrainConfig,
-    direction_of,
     init,
     loss_and_gradients,
-    logits,
     load_model,
     predict_batch,
     save_model,
@@ -31,8 +28,14 @@ DAY = date(2012, 3, 5)
 
 
 def forward(model: MlpModel, x: np.ndarray) -> tuple[float, float]:
-    """Probabilities (p_up, p_down) for one feature vector."""
-    p = softmax(logits(model, x))
+    """Probabilities (p_up, p_down) for one feature vector, layer by layer."""
+    a = np.asarray(x, dtype=np.float64)
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        a = w @ a + b
+        if i < last:
+            a = np.maximum(a, 0.0)
+    p = softmax(a)
     return float(p[0]), float(p[1])
 
 
@@ -47,13 +50,13 @@ def _layout(dim: int) -> FeatureLayout:
     return FeatureLayout(blocks=("ct",), k=0, n_categories=dim)
 
 
-def _matrix(x: np.ndarray, labels: list[str]) -> FeatureMatrix:
+def _matrix(x: np.ndarray, labels: list[str] | None = None) -> FeatureMatrix:
     n = x.shape[0]
     return FeatureMatrix(
         layout=_layout(x.shape[1]),
         tickers=[f"T{i}" for i in range(n)],
         dates=[DAY + timedelta(days=i) for i in range(n)],
-        labels=labels,
+        labels=[POSITIVE] * n if labels is None else labels,
         x=x,
     )
 
@@ -69,47 +72,41 @@ def _separable(n: int, dim: int, seed: int) -> FeatureMatrix:
 def _zero_model(dims: tuple[int, ...]) -> MlpModel:
     weights = [np.zeros((dims[i + 1], dims[i])) for i in range(len(dims) - 1)]
     biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
-    return MlpModel(layer_dims=dims, weights=weights, biases=biases)
-
-
-class TestDirectionOf:
-    def test_maps_movement_labels(self):
-        assert direction_of(POSITIVE) == UP
-        assert direction_of(NEGATIVE) == DOWN
-
-    def test_unknown_label_rejected(self):
-        with pytest.raises(ValidationError):
-            direction_of("sideways")
+    return MlpModel(
+        layer_dims=dims, weights=weights, biases=biases, layout=_layout(dims[0])
+    )
 
 
 class TestInit:
     def test_shapes_and_zero_biases(self):
-        model = init([5, 7, 2], seed=3)
+        model = init([5, 7, 2], seed=3, layout=_layout(5))
         assert model.layer_dims == (5, 7, 2)
         assert model.weights[0].shape == (7, 5)
         assert model.weights[1].shape == (2, 7)
         assert all(np.all(b == 0.0) for b in model.biases)
 
     def test_weights_stay_inside_the_glorot_bound(self):
-        model = init([9, 6, 2], seed=4)
+        model = init([9, 6, 2], seed=4, layout=_layout(9))
         for w, (fan_out, fan_in) in zip(model.weights, [(6, 9), (2, 6)]):
             limit = math.sqrt(6.0 / (fan_in + fan_out))
             assert np.all(np.abs(w) <= limit)
 
     def test_deterministic_in_seed(self):
-        a = init([4, 3, 2], seed=11)
-        b = init([4, 3, 2], seed=11)
-        c = init([4, 3, 2], seed=12)
+        a = init([4, 3, 2], seed=11, layout=_layout(4))
+        b = init([4, 3, 2], seed=11, layout=_layout(4))
+        c = init([4, 3, 2], seed=12, layout=_layout(4))
         assert all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
         assert any(not np.array_equal(x, y) for x, y in zip(a.weights, c.weights))
 
     def test_bad_dims_rejected(self):
         with pytest.raises(ValidationError):
-            init([5], seed=1)
+            init([5], seed=1, layout=_layout(5))
         with pytest.raises(ValidationError):
-            init([5, 3], seed=1)
+            init([5, 3], seed=1, layout=_layout(5))
         with pytest.raises(ValidationError):
-            init([5, 0, 2], seed=1)
+            init([5, 0, 2], seed=1, layout=_layout(5))
+        with pytest.raises(ValidationError, match="layout"):
+            init([5, 3, 2], seed=1, layout=_layout(4))
 
 
 class TestSoftmax:
@@ -144,7 +141,7 @@ class TestLossAndGradients:
 
     def _numeric_check(self, dims: tuple[int, ...], l2: float, seed: int) -> float:
         rng = np.random.default_rng(seed)
-        model = init(dims, seed=seed)
+        model = init(dims, seed=seed, layout=_layout(dims[0]))
         for b in model.biases:
             b += rng.normal(scale=0.1, size=b.shape)
         x = rng.normal(size=(6, dims[0]))
@@ -175,7 +172,7 @@ class TestLossAndGradients:
         assert self._numeric_check((3, 4, 2), l2=0.05, seed=32) < 1e-5
 
     def test_l2_penalizes_weights_but_not_biases(self):
-        model = init([3, 4, 2], seed=5)
+        model = init([3, 4, 2], seed=5, layout=_layout(3))
         for b in model.biases:
             b += 1.0
         rng = np.random.default_rng(6)
@@ -211,15 +208,14 @@ class TestTrain:
             hidden=(8,), learning_rate=0.5, batch_size=16, epochs=40, seed=2
         )
         model = train(matrix, matrix, config)
-        predicted, _ = predict_batch(model, matrix.x)
-        expected = [direction_of(label) for label in matrix.labels]
-        assert predicted == expected
+        predicted = (predict_batch(model, matrix) > 0).tolist()
+        assert predicted == [label == POSITIVE for label in matrix.labels]
 
     def test_zero_epochs_returns_initial_parameters(self):
         matrix = _separable(30, 3, seed=42)
         config = TrainConfig(hidden=(4,), epochs=0, seed=9)
         model = train(matrix, matrix, config)
-        fresh = init((3, 4, 2), seed=9)
+        fresh = init((3, 4, 2), seed=9, layout=_layout(3))
         assert all(np.array_equal(w, f) for w, f in zip(model.weights, fresh.weights))
         assert model.metadata["epochs_run"] == 0
         assert model.metadata["best_epoch"] == -1
@@ -234,8 +230,8 @@ class TestTrain:
         errors = model.metadata["validation_errors"]
         best = model.metadata["best_epoch"]
         assert errors[best] == min(errors)
-        predicted, _ = predict_batch(model, valid_m.x)
-        expected = [direction_of(label) for label in valid_m.labels]
+        predicted = [predict(model, x)[0] for x in valid_m.x]
+        expected = [UP if label == POSITIVE else DOWN for label in valid_m.labels]
         mismatches = sum(p != e for p, e in zip(predicted, expected))
         assert mismatches / len(valid_m) == errors[best]
 
@@ -263,7 +259,7 @@ class TestTrain:
 
     def test_empty_split_rejected(self):
         matrix = _separable(20, 3, seed=49)
-        empty = _matrix(np.zeros((0, 3)), [])
+        empty = _matrix(np.zeros((0, 3)))
         with pytest.raises(ValidationError):
             train(empty, matrix, TrainConfig(hidden=(4,), epochs=1))
 
@@ -276,7 +272,7 @@ class TestPredict:
         assert confidence == 0.0
 
     def test_confidence_is_probability_gap(self):
-        model = init([4, 5, 2], seed=51)
+        model = init([4, 5, 2], seed=51, layout=_layout(4))
         rng = np.random.default_rng(52)
         x = rng.normal(size=4)
         label, confidence = predict(model, x)
@@ -285,19 +281,19 @@ class TestPredict:
         assert label == (UP if p_up > p_down else DOWN)
 
     def test_batch_agrees_with_single_predictions(self):
-        model = init([4, 6, 2], seed=53)
+        model = init([4, 6, 2], seed=53, layout=_layout(4))
         rng = np.random.default_rng(54)
-        x = rng.normal(size=(25, 4))
-        labels, confidences = predict_batch(model, x)
-        for i in range(len(x)):
-            label, confidence = predict(model, x[i])
-            assert labels[i] == label
+        matrix = _matrix(rng.normal(size=(25, 4)))
+        confidences = predict_batch(model, matrix)
+        for i in range(len(matrix)):
+            label, confidence = predict(model, matrix.x[i])
+            assert (UP if confidences[i] > 0 else DOWN) == label
             assert abs(confidences[i] - confidence) < 1e-12
 
     def test_wrong_input_dimension_rejected(self):
-        model = init([4, 5, 2], seed=55)
-        with pytest.raises(ValidationError):
-            logits(model, np.ones(3))
+        model = init([4, 5, 2], seed=55, layout=_layout(4))
+        with pytest.raises(ValidationError, match="layouts differ"):
+            predict_batch(model, _matrix(np.ones((2, 3))))
 
 
 class TestModelFile:
@@ -311,18 +307,22 @@ class TestModelFile:
         assert loaded.layer_dims == model.layer_dims
         assert loaded.layout == model.layout
         assert loaded.metadata == model.metadata
-        _, original = predict_batch(model, matrix.x)
-        _, restored = predict_batch(loaded, matrix.x)
+        original = predict_batch(model, matrix)
+        restored = predict_batch(loaded, matrix)
         assert np.array_equal(original, restored)
 
-    def test_layout_free_model_round_trips(self, tmp_path):
-        model = init([3, 4, 2], seed=62)
+    def test_header_without_layout_rejected(self, tmp_path):
         path = tmp_path / "model.bin"
-        save_model(model, path)
-        assert load_model(path).layout is None
+        save_model(init([3, 4, 2], seed=62, layout=_layout(3)), path)
+        header, body = path.read_bytes().split(b"\n", 1)
+        header = header.replace(b'"layout":', b'"was_layout":')
+        path.write_bytes(header + b"\n" + body)
+        with pytest.raises(ParseError, match="no feature layout") as err:
+            load_model(path)
+        assert str(path) in str(err.value)
 
     def test_truncated_parameters_rejected(self, tmp_path):
-        model = init([3, 4, 2], seed=63)
+        model = init([3, 4, 2], seed=63, layout=_layout(3))
         path = tmp_path / "model.bin"
         save_model(model, path)
         path.write_bytes(path.read_bytes()[:-4])
