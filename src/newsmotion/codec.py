@@ -1,0 +1,112 @@
+"""The three artifact encodings, framed and read in one place.
+
+A table is leading ``# key=value`` lines, one exact header line, then
+comma-separated rows; JSON lines hold one object per line; a blob is a
+JSON header line, then little-endian float64 values. Whatever a caller's
+decoder raises comes back as a `ParseError` naming the file and line.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Callable, Iterator, Sequence, TypeVar
+
+import numpy as np
+
+from .errors import ParseError, ValidationError
+
+T = TypeVar("T")
+
+_DECODE_ERRORS = (KeyError, TypeError, ValueError, ParseError, ValidationError)
+
+
+@contextmanager
+def decoding(where: str | Path, missing: str = "field") -> Iterator[None]:
+    """Re-raise a decoder's error as a ParseError naming ``where`` (and a key)."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ParseError(f"{where}: missing {missing} {exc}") from exc
+    except _DECODE_ERRORS as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
+def read_table(
+    path: str | Path, header: str, fields: int, row: Callable[[list[str]], T]
+) -> tuple[dict[str, str], list[T]]:
+    """The leading ``# key=value`` metadata and ``row(parts)`` per data row."""
+    meta: dict[str, str] = {}
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        lines = enumerate((line.rstrip("\n") for line in fh), start=1)
+        lineno, line = next(lines, (1, ""))
+        while line.startswith("#"):
+            key, sep, value = line[1:].strip().partition("=")
+            if not sep:
+                raise ParseError(f"{path}:{lineno}: bad metadata line {line!r}")
+            meta[key.strip()] = value.strip()
+            lineno, line = next(lines, (lineno + 1, ""))
+        if line != header:
+            raise ParseError(f"{path}:{lineno}: unexpected header {line!r}")
+        for lineno, line in lines:
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != fields:
+                raise ParseError(f"{path}:{lineno}: expected {fields} fields")
+            with decoding(f"{path}:{lineno}"):
+                rows.append(row(parts))
+    return meta, rows
+
+
+def read_records(path: str | Path, decode: Callable[[dict], T]) -> Iterator[T]:
+    """Stream ``decode(obj)`` for each JSON object line, in file order."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ParseError(f"{path}:{lineno}: expected an object")
+            with decoding(f"{path}:{lineno}"):
+                value = decode(record)
+            yield value
+
+
+def write_blob(path: str | Path, header: dict, arrays: Sequence[np.ndarray]) -> None:
+    """Write the header as one JSON line, then each array as ``<f8`` values."""
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, separators=(",", ":"), sort_keys=True).encode())
+        fh.write(b"\n")
+        for a in arrays:
+            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+
+
+def read_blob(path: str | Path, decode: Callable[[dict, bytes], T]) -> T:
+    """``decode(header, data)`` for a blob; ``data`` is the bytes after the header."""
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        data = fh.read()
+    try:
+        header = json.loads(line)
+    except ValueError as exc:
+        raise ParseError(f"{path}: bad header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ParseError(f"{path}: bad header: expected a JSON object")
+    with decoding(path, "header field"):
+        return decode(header, data)
+
+
+def unpack(data: bytes, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """Split blob data into fresh float64 arrays of the given shapes, in order."""
+    sizes = [math.prod(shape) for shape in shapes]
+    if len(data) != 8 * sum(sizes):
+        raise ValueError(f"expected {8 * sum(sizes)} data bytes, found {len(data)}")
+    values = np.split(np.frombuffer(data, dtype="<f8"), np.cumsum(sizes)[:-1])
+    return [v.reshape(shape).copy() for v, shape in zip(values, shapes)]

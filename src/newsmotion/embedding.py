@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .codec import decoding
 from .errors import ParseError, ValidationError
 
 log = logging.getLogger(__name__)
@@ -249,26 +250,27 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
-            raise ParseError(f"{path}: expected header '<vocab_size> <dimension>'")
-        try:
+            raise ParseError(f"{path}:1: expected header '<vocab_size> <dimension>'")
+        with decoding(f"{path}:1"):
             vocab_size, dim = int(header[0]), int(header[1])
-        except ValueError as exc:
-            raise ParseError(f"{path}: non-integer header: {exc}") from exc
+            vectors = np.empty((vocab_size, dim))
         words: list[str] = []
-        vectors = np.empty((vocab_size, dim))
-        for i, line in enumerate(fh):
+        for lineno, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:
                 continue
-            if i >= vocab_size:
-                raise ParseError(f"{path}: more rows than declared vocab {vocab_size}")
+            where = f"{path}:{lineno}"
+            if len(words) == vocab_size:
+                raise ParseError(f"{where}: more rows than declared vocab {vocab_size}")
             word, comps = parts[0], parts[1:]
             if len(comps) != dim:
                 raise ParseError(
-                    f"{path}: word {word!r} has {len(comps)} components, expected {dim}"
+                    f"{where}: word {word!r} has {len(comps)} components, expected {dim}"
                 )
+            with decoding(where):
+                vectors[len(words)] = [float(c) for c in comps]
             words.append(word)
-            vectors[i] = [float(c) for c in comps]
     if len(words) != vocab_size:
         raise ParseError(f"{path}: {len(words)} rows, header declared {vocab_size}")
-    return EmbeddingTable(words=words, vectors=vectors)
+    with decoding(path):
+        return EmbeddingTable(words=words, vectors=vectors)

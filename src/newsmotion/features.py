@@ -7,13 +7,13 @@ log-count per event category. Prices are z-scored with each ticker's
 training-window mean and std, which only this module computes. The
 subject test behind the polarity signs reads the mentions each sentence
 carries from ingest. The layout descriptor travels with every matrix and
-model file so train and serve can never disagree on shapes.
+model file (both `codec` blobs) so train and serve can never disagree on
+shapes.
 """
 
 from __future__ import annotations
 
 import bisect
-import json
 from dataclasses import dataclass
 from datetime import date as Date
 from pathlib import Path
@@ -21,6 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .codec import read_blob, unpack, write_blob
 from .errors import ParseError, PipelineError, ValidationError
 from .ingest import DateRange, PriceSeries, parse_date
 from .lexicon import CategoryLexicon, KeywordLexicon
@@ -99,14 +100,11 @@ class FeatureLayout:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FeatureLayout":
-        try:
-            layout = cls(
-                blocks=tuple(data["blocks"]),
-                k=int(data["k"]),
-                n_categories=int(data["categories"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad layout descriptor: {exc}") from exc
+        layout = cls(
+            blocks=tuple(data["blocks"]),
+            k=int(data["k"]),
+            n_categories=int(data["categories"]),
+        )
         sizes = data.get("sizes")
         if sizes is not None:
             declared = {b: int(sizes[b]) for b in sizes}
@@ -375,7 +373,7 @@ def slice_blocks(matrix: FeatureMatrix, blocks: Sequence[str]) -> FeatureMatrix:
 
 
 def write_feature_matrix(matrix: FeatureMatrix, path: str | Path) -> None:
-    """Binary format: one JSON header line, then the rows as little-endian float64."""
+    """A blob: the layout and row metadata in the header, then the rows."""
     header = {
         "layout": matrix.layout.to_dict(),
         "rows": len(matrix),
@@ -383,36 +381,20 @@ def write_feature_matrix(matrix: FeatureMatrix, path: str | Path) -> None:
         "dates": [d.isoformat() for d in matrix.dates],
         "labels": matrix.labels,
     }
-    with Path(path).open("wb") as fh:
-        fh.write(json.dumps(header, separators=(",", ":"), sort_keys=True).encode())
-        fh.write(b"\n")
-        fh.write(np.ascontiguousarray(matrix.x, dtype="<f8").tobytes())
+    write_blob(path, header, [matrix.x])
+
+
+def _feature_matrix(header: dict, data: bytes) -> FeatureMatrix:
+    layout = FeatureLayout.from_dict(header["layout"])
+    (x,) = unpack(data, [(int(header["rows"]), layout.dimension)])
+    return FeatureMatrix(
+        layout=layout,
+        tickers=list(header["tickers"]),
+        dates=[parse_date(d) for d in header["dates"]],
+        labels=list(header["labels"]),
+        x=x,
+    )
 
 
 def load_feature_matrix(path: str | Path) -> FeatureMatrix:
-    path = Path(path)
-    with path.open("rb") as fh:
-        try:
-            header = json.loads(fh.readline())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: bad header: {exc}") from exc
-        layout = FeatureLayout.from_dict(header["layout"])
-        rows = int(header["rows"])
-        body = fh.read()
-    expected = rows * layout.dimension * 8
-    if len(body) != expected:
-        raise ParseError(
-            f"{path}: expected {expected} data bytes for "
-            f"{rows}x{layout.dimension}, found {len(body)}"
-        )
-    x = np.frombuffer(body, dtype="<f8").reshape(rows, layout.dimension).copy()
-    try:
-        return FeatureMatrix(
-            layout=layout,
-            tickers=list(header["tickers"]),
-            dates=[parse_date(d) for d in header["dates"]],
-            labels=list(header["labels"]),
-            x=x,
-        )
-    except ValidationError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return read_blob(path, _feature_matrix)

@@ -26,7 +26,8 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .codec import decoding, read_table
+from .errors import ValidationError
 from .ingest import DateRange, PriceSeries
 
 DNN = "dnn"
@@ -237,57 +238,38 @@ def write_graph(graph: CorrelationGraph, path: str | Path) -> None:
             fh.write(f"{graph.nodes[i]},{graph.nodes[j]},{w!r}\n")
 
 
+def _edge(parts: list[str]) -> tuple[str, str, float]:
+    return parts[0], parts[1], float(parts[2])
+
+
 def load_graph(path: str | Path) -> CorrelationGraph:
-    path = Path(path)
-    meta: dict[str, str] = {}
-    edges: list[tuple[str, str, float]] = []
-    with path.open("r", encoding="utf-8") as fh:
-        lineno = 0
-        for line in fh:
-            lineno += 1
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                key, sep, value = line[1:].strip().partition("=")
-                if not sep:
-                    raise ParseError(f"{path}:{lineno}: bad metadata line {line!r}")
-                meta[key.strip()] = value.strip()
-                continue
-            if line == "ticker_i,ticker_j,weight":
-                continue
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 fields")
-            try:
-                edges.append((parts[0], parts[1], float(parts[2])))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad weight: {exc}") from exc
-    for key in ("threshold", "min_overlap", "nodes"):
-        if key not in meta:
-            raise ParseError(f"{path}: missing '# {key}=' header")
-    nodes = meta["nodes"].split(",") if meta["nodes"] else []
-    index = {t: i for i, t in enumerate(nodes)}
-    weights = np.zeros((len(nodes), len(nodes)))
-    seen: set[frozenset[int]] = set()
-    for a, b, w in edges:
-        if a not in index or b not in index:
-            raise ParseError(f"{path}: edge {a},{b} references unknown node")
-        pair = frozenset((index[a], index[b]))
-        if len(pair) == 1:
-            raise ParseError(f"{path}: self-edge on {a}")
-        if pair in seen:
-            raise ParseError(f"{path}: edge {a},{b} repeated")
-        seen.add(pair)
-        weights[index[a], index[b]] = weights[index[b], index[a]] = w
-    window = None if meta.get("window", "none") == "none" else DateRange.parse(meta["window"])
-    return CorrelationGraph(
-        nodes=nodes,
-        weights=weights,
-        threshold=float(meta["threshold"]),
-        min_overlap=int(meta["min_overlap"]),
-        window=window,
-    )
+    meta, edges = read_table(path, "ticker_i,ticker_j,weight", 3, _edge)
+    with decoding(path, "header field"):
+        threshold = float(meta["threshold"])
+        min_overlap = int(meta["min_overlap"])
+        nodes = meta["nodes"].split(",") if meta["nodes"] else []
+        window = meta.get("window", "none")
+        window = None if window == "none" else DateRange.parse(window)
+        index = {t: i for i, t in enumerate(nodes)}
+        weights = np.zeros((len(nodes), len(nodes)))
+        seen: set[frozenset[int]] = set()
+        for a, b, w in edges:
+            if a not in index or b not in index:
+                raise ValueError(f"edge {a},{b} references unknown node")
+            pair = frozenset((index[a], index[b]))
+            if len(pair) == 1:
+                raise ValueError(f"self-edge on {a}")
+            if pair in seen:
+                raise ValueError(f"edge {a},{b} repeated")
+            seen.add(pair)
+            weights[index[a], index[b]] = weights[index[b], index[a]] = w
+        return CorrelationGraph(
+            nodes=nodes,
+            weights=weights,
+            threshold=threshold,
+            min_overlap=min_overlap,
+            window=window,
+        )
 
 
 @dataclass(frozen=True)

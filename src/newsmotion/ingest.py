@@ -1,9 +1,9 @@
 """Loading and validation of news article and daily closing-price files.
 
-Articles arrive as line-delimited JSON objects, prices as a CSV of
-(date, ticker, close) rows. Both loaders validate as they go and report
-the offending line number on failure. Prices load as one immutable
-series per ticker; normalising them is the featurizer's business.
+Articles arrive as JSON lines read by `codec`, prices as a CSV of
+(date, ticker, close) rows. Both loaders validate as they go and name
+the file and line on failure. Prices load as one immutable series per
+ticker; normalising them is the featurizer's business.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .codec import read_records
 from .errors import ParseError, ValidationError
-
-ARTICLE_FIELDS = ("id", "date", "title", "body", "source")
 
 
 def parse_date(text: str) -> Date:
@@ -71,38 +70,23 @@ class Article:
     source: str
 
 
+def _article(record: dict) -> Article:
+    return Article(
+        id=str(record["id"]),
+        date=parse_date(record["date"]),
+        title=str(record["title"]),
+        body=str(record["body"]),
+        source=str(record["source"]),
+    )
+
+
 def load_articles(path: str | Path) -> Iterator[Article]:
     """Stream articles from a line-delimited JSON file, in file order.
 
-    Blank lines are skipped. Raises ParseError (naming the line) on bad
-    JSON or missing keys, ValidationError on bad field values.
+    Blank lines are skipped. Raises ParseError naming the line on bad
+    JSON, a missing key or a bad field value.
     """
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ParseError(f"{path}:{lineno}: expected an object")
-            missing = [k for k in ARTICLE_FIELDS if k not in record]
-            if missing:
-                raise ParseError(
-                    f"{path}:{lineno}: missing field(s) {', '.join(missing)}"
-                )
-            try:
-                yield Article(
-                    id=str(record["id"]),
-                    date=parse_date(record["date"]),
-                    title=str(record["title"]),
-                    body=str(record["body"]),
-                    source=str(record["source"]),
-                )
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    return read_records(path, _article)
 
 
 def write_articles(articles: Iterable[Article], path: str | Path) -> None:

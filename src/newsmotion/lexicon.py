@@ -16,6 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
+from .codec import decoding, read_table
 from .embedding import EmbeddingTable, rank_by_seed_similarity
 from .errors import ParseError, ValidationError
 from .sampling import NEGATIVE, POSITIVE, Sample
@@ -275,34 +276,18 @@ def write_keyword_lexicon(lexicon: KeywordLexicon, path: str | Path) -> None:
             )
 
 
+def _keyword_entry(parts: list[str]) -> KeywordEntry:
+    word, seed, similarity, df, idf, ps = parts
+    return KeywordEntry(
+        word, bool(int(seed)), float(similarity), int(df), float(idf), float(ps)
+    )
+
+
 def load_keyword_lexicon(path: str | Path) -> KeywordLexicon:
-    path = Path(path)
-    entries = []
-    with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "word,seed_flag,similarity,df,idf,ps":
-            raise ParseError(f"{path}:1: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise ParseError(f"{path}:{lineno}: expected 6 fields")
-            try:
-                entries.append(
-                    KeywordEntry(
-                        word=parts[0],
-                        seed=bool(int(parts[1])),
-                        similarity=float(parts[2]),
-                        df=int(parts[3]),
-                        idf=float(parts[4]),
-                        ps=float(parts[5]),
-                    )
-                )
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    return KeywordLexicon(entries)
+    header = "word,seed_flag,similarity,df,idf,ps"
+    _, entries = read_table(path, header, 6, _keyword_entry)
+    with decoding(path):
+        return KeywordLexicon(entries)
 
 
 def write_category_lexicon(lexicon: CategoryLexicon, path: str | Path) -> None:
@@ -313,31 +298,14 @@ def write_category_lexicon(lexicon: CategoryLexicon, path: str | Path) -> None:
             fh.write(f"{e.category},{e.word},{int(e.seed)},{e.similarity!r}\n")
 
 
+def _category_entry(parts: list[str]) -> CategoryEntry:
+    category, word, seed, similarity = parts
+    return CategoryEntry(category, word, bool(int(seed)), float(similarity))
+
+
 def load_category_lexicon(path: str | Path) -> CategoryLexicon:
-    path = Path(path)
-    entries = []
-    categories: list[str] = []
-    with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "category,word,seed_flag,similarity":
-            raise ParseError(f"{path}:1: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ParseError(f"{path}:{lineno}: expected 4 fields")
-            try:
-                entry = CategoryEntry(
-                    category=parts[0],
-                    word=parts[1],
-                    seed=bool(int(parts[2])),
-                    similarity=float(parts[3]),
-                )
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if entry.category not in categories:
-                categories.append(entry.category)
-            entries.append(entry)
-    return CategoryLexicon(categories, entries)
+    header = "category,word,seed_flag,similarity"
+    _, entries = read_table(path, header, 4, _category_entry)
+    categories = list(dict.fromkeys(e.category for e in entries))
+    with decoding(path):
+        return CategoryLexicon(categories, entries)

@@ -9,17 +9,18 @@ Every model carries the feature layout it was trained on, and
 of another layout and returns the confidence p_up - p_down per row. A
 row predicts up if and only if its confidence is positive, so ties
 predict down; `error_rate` applies that rule to the matrix labels.
+Models are saved as `codec` blobs.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .codec import read_blob, unpack, write_blob
 from .errors import ParseError, TrainingDiverged, ValidationError
 from .features import FeatureLayout, FeatureMatrix
 from .sampling import POSITIVE
@@ -269,54 +270,31 @@ def train(
 
 
 def save_model(model: MlpModel, path: str | Path) -> None:
-    """Binary format: JSON header line, then per-layer weight and bias float64 blocks."""
+    """A blob: dims, layout and metadata in the header, then each layer's w and b."""
     header = {
         "layer_dims": list(model.layer_dims),
         "layout": model.layout.to_dict(),
         "metadata": model.metadata,
     }
-    with Path(path).open("wb") as fh:
-        fh.write(json.dumps(header, separators=(",", ":"), sort_keys=True).encode())
-        fh.write(b"\n")
-        for w, b in zip(model.weights, model.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    arrays = [a for w, b in zip(model.weights, model.biases) for a in (w, b)]
+    write_blob(path, header, arrays)
 
 
-def load_model(path: str | Path) -> MlpModel:
-    path = Path(path)
-    with path.open("rb") as fh:
-        try:
-            header = json.loads(fh.readline())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: bad header: {exc}") from exc
-        dims = tuple(int(d) for d in header["layer_dims"])
-        if header.get("layout") is None:
-            raise ParseError(f"{path}: header has no feature layout")
-        layout = FeatureLayout.from_dict(header["layout"])
-        body = fh.read()
-    expected = 8 * sum(
-        dims[i + 1] * dims[i] + dims[i + 1] for i in range(len(dims) - 1)
-    )
-    if len(body) != expected:
-        raise ParseError(
-            f"{path}: expected {expected} parameter bytes, found {len(body)}"
-        )
-    weights = []
-    biases = []
-    offset = 0
-    for i in range(len(dims) - 1):
-        w_count = dims[i + 1] * dims[i]
-        w = np.frombuffer(body, dtype="<f8", count=w_count, offset=offset)
-        offset += 8 * w_count
-        b = np.frombuffer(body, dtype="<f8", count=dims[i + 1], offset=offset)
-        offset += 8 * dims[i + 1]
-        weights.append(w.reshape(dims[i + 1], dims[i]).copy())
-        biases.append(b.copy())
+def _model(header: dict, data: bytes) -> MlpModel:
+    dims = tuple(int(d) for d in header["layer_dims"])
+    if header.get("layout") is None:
+        raise ParseError("header has no feature layout")
+    layout = FeatureLayout.from_dict(header["layout"])
+    layers = zip(dims, dims[1:])  # (fan_in n, fan_out m): weights (m, n), bias (m,)
+    arrays = unpack(data, [s for n, m in layers for s in ((m, n), (m,))])
     return MlpModel(
         layer_dims=dims,
-        weights=weights,
-        biases=biases,
+        weights=arrays[0::2],
+        biases=arrays[1::2],
         layout=layout,
         metadata=header.get("metadata", {}),
     )
+
+
+def load_model(path: str | Path) -> MlpModel:
+    return read_blob(path, _model)

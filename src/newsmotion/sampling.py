@@ -19,6 +19,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .codec import read_records
 from .errors import ParseError, ValidationError
 from .ingest import Article, PriceSeries, parse_date
 
@@ -308,32 +309,20 @@ def _sentence(record, ticker: str, d: Date) -> Sentence:
     return Sentence(text=record["text"], article_date=d, mentions=mentions)
 
 
+def _sample(record: dict) -> Sample:
+    d = parse_date(record["date"])
+    label = record["label"]
+    if label is not None and label not in (POSITIVE, NEGATIVE):
+        raise ValidationError(f"bad label {label!r}")
+    ticker = record["ticker"]
+    sentences = tuple(_sentence(s, ticker, d) for s in record["sentences"])
+    return Sample(ticker, d, sentences, label)
+
+
 def load_samples(path: str | Path) -> list[Sample]:
     """Rehydrate checkpointed samples with the mentions ingest found.
 
     Raises ParseError naming the line on bad JSON, a missing field, or a
     sentence whose mentions do not include the sample's ticker.
     """
-    path = Path(path)
-    samples = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            try:
-                d = parse_date(record["date"])
-                label = record["label"]
-                if label is not None and label not in (POSITIVE, NEGATIVE):
-                    raise ValidationError(f"bad label {label!r}")
-                ticker = record["ticker"]
-                sentences = tuple(_sentence(s, ticker, d) for s in record["sentences"])
-            except KeyError as exc:
-                raise ParseError(f"{path}:{lineno}: missing field {exc}") from exc
-            except (TypeError, ValidationError) as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            samples.append(Sample(ticker, d, sentences, label))
-    return samples
+    return list(read_records(path, _sample))

@@ -8,40 +8,22 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from newsmotion.errors import ParseError, ValidationError
+from newsmotion.codec import read_table
+from newsmotion.errors import ValidationError
 from newsmotion.graph import CorrelationGraph, Prediction
 from newsmotion.ingest import PriceSeries, parse_date
 from newsmotion.lexicon import _document_counts, polarity_score
 from newsmotion.sampling import Sample
 
 
+def _prediction(parts: list[str]) -> Prediction:
+    day, ticker, source, label, confidence = parts
+    return Prediction(parse_date(day), ticker, source, label, float(confidence))
+
+
 def load_predictions(path: str | Path) -> list[Prediction]:
-    path = Path(path)
-    out = []
-    with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "date,ticker,source,label,confidence":
-            raise ParseError(f"{path}:1: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise ParseError(f"{path}:{lineno}: expected 5 fields")
-            try:
-                out.append(
-                    Prediction(
-                        date=parse_date(parts[0]),
-                        ticker=parts[1],
-                        source=parts[2],
-                        label=parts[3],
-                        confidence=float(parts[4]),
-                    )
-                )
-            except (ValidationError, ValueError) as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    return out
+    header = "date,ticker,source,label,confidence"
+    return read_table(path, header, 5, _prediction)[1]
 
 
 def write_prices(prices: Mapping[str, PriceSeries], path: str | Path) -> None:

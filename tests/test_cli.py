@@ -777,6 +777,33 @@ class TestFailureModes:
         assert "layouts differ" in caplog.text
         assert (work / "predictions.csv").read_bytes() == predictions
 
+    @pytest.mark.parametrize(
+        "artifact, unit, pattern, corrupt, message",
+        [
+            (
+                "model.bin",
+                "train",
+                rb'"layer_dims":',
+                b'"dims":',
+                "model.bin: missing header field 'layer_dims'",
+            ),
+            ("graph.csv", "graph", rb"# threshold=[^\n]*", b"# threshold=abc", "'abc'"),
+        ],
+    )
+    def test_corrupt_artifact_header_exits_one_naming_the_file(
+        self, pipeline, tmp_path, caplog, artifact, unit, pattern, corrupt, message
+    ):
+        config = _copy(pipeline, tmp_path)
+        work = config.parent / "work"
+        path = work / artifact
+        path.write_bytes(re.sub(pattern, corrupt, path.read_bytes(), count=1))
+        # The producer's manifest records the corrupt file, so that the
+        # loader, not staleness, is what rejects it.
+        _record(config, unit)
+        error = _refused(config, "predict", caplog)
+        assert str(path) in error
+        assert message in error
+
     def test_unusable_work_dir_exits_two(self, tmp_path):
         config = _write_config(tmp_path, "")
         (tmp_path / "work").write_text("not a directory\n")

@@ -350,3 +350,22 @@ class TestVectorFile:
         path.write_text("3 2\nup 1.0 0.0\n", encoding="utf-8")
         with pytest.raises(ParseError):
             load_embeddings(path)
+
+    def test_bad_component_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("2 3\nup 1.0 0.0 0.0\nword 1.0 x 0.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"vectors\.txt:3: .*'x'"):
+            load_embeddings(path)
+
+    def test_blank_line_between_rows_is_skipped(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("2 3\nup 1.0 0.0 0.0\n\ndown 0.0 1.0 0.0\n", encoding="utf-8")
+        table = load_embeddings(path)
+        assert table.words == ["up", "down"]
+        np.testing.assert_array_equal(table.vectors, [[1, 0, 0], [0, 1, 0]])
+
+    def test_extra_row_names_its_line(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("1 1\nup 1.0\n\ndown 0.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"vectors\.txt:4: more rows than declared"):
+            load_embeddings(path)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from datetime import date, timedelta
 
@@ -9,7 +10,12 @@ import numpy as np
 import pytest
 
 from newsmotion.errors import TrainingDiverged, ValidationError, ParseError
-from newsmotion.features import FeatureLayout, FeatureMatrix
+from newsmotion.features import (
+    FeatureLayout,
+    FeatureMatrix,
+    load_feature_matrix,
+    write_feature_matrix,
+)
 from newsmotion.graph import DOWN, UP
 from newsmotion.mlp import (
     MlpModel,
@@ -334,3 +340,69 @@ class TestModelFile:
         path.write_bytes(b"broken\n")
         with pytest.raises(ParseError, match="header"):
             load_model(path)
+
+
+def _write_blob(name: str, path) -> None:
+    if name == "model.bin":
+        save_model(init([3, 4, 2], seed=64, layout=_layout(3)), path)
+    else:
+        write_feature_matrix(_separable(6, 3, seed=65), path)
+
+
+# Each header key of both blob formats, with a value of the wrong type;
+# ("layout", key) is a key of the feature layout in that header.
+_HEADER_KEYS = [
+    ("model.bin", ("layer_dims",), "wide"),
+    ("model.bin", ("layout",), []),
+    ("features_test.bin", ("layout",), []),
+    ("features_test.bin", ("rows",), "many"),
+    ("features_test.bin", ("tickers",), 3),
+    ("features_test.bin", ("dates",), 3),
+    ("features_test.bin", ("labels",), 3),
+] + [
+    (name, ("layout", key), wrong)
+    for name in ("model.bin", "features_test.bin")
+    for key, wrong in (("blocks", 3), ("k", "many"), ("categories", None))
+]
+
+
+class TestBlobHeaders:
+    """Every bad blob header is a ParseError that names the file."""
+
+    @staticmethod
+    def _load(name: str, path):
+        return (load_model if name == "model.bin" else load_feature_matrix)(path)
+
+    @pytest.mark.parametrize("drop", [True, False], ids=["dropped", "wrong_type"])
+    @pytest.mark.parametrize(
+        "name, keys, wrong",
+        [pytest.param(*case, id=f"{case[0]}:{'.'.join(case[1])}") for case in _HEADER_KEYS],
+    )
+    def test_bad_header_key_names_the_file(self, tmp_path, name, keys, wrong, drop):
+        path = tmp_path / name
+        _write_blob(name, path)
+        line, data = path.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        parent = header
+        for key in keys[:-1]:
+            parent = parent[key]
+        if drop:
+            del parent[keys[-1]]
+        else:
+            parent[keys[-1]] = wrong
+        path.write_bytes(json.dumps(header).encode() + b"\n" + data)
+        with pytest.raises(ParseError) as err:
+            self._load(name, path)
+        assert str(path) in str(err.value)
+        if drop:
+            assert keys[-1] in str(err.value)
+
+    @pytest.mark.parametrize("name", ["model.bin", "features_test.bin"])
+    def test_header_that_is_not_an_object_names_the_file(self, tmp_path, name):
+        path = tmp_path / name
+        _write_blob(name, path)
+        data = path.read_bytes().split(b"\n", 1)[1]
+        path.write_bytes(b"[1, 2]\n" + data)
+        with pytest.raises(ParseError, match="header") as err:
+            self._load(name, path)
+        assert str(path) in str(err.value)
