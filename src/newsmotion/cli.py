@@ -350,12 +350,14 @@ UNITS = {
         (*_FEATURES, "skipped.csv"),
         _featurize,
     ),
+    # revision 1 of train and ablation: training computes in float32
     "train": Unit(
         "train",
         ("training",),
         ("features_train.bin", "features_valid.bin"),
         ("model.bin",),
         _train,
+        revision=1,
     ),
     "graph": Unit(
         "graph",
@@ -378,6 +380,7 @@ UNITS = {
         ("ablation.csv", "ablation.txt"),
         _ablation,
         report="ablation.txt",
+        revision=1,
     ),
     "sweep": Unit(
         "evaluate",

@@ -4,6 +4,15 @@ Training is plain mini-batch gradient descent on cross-entropy with
 optional L2, a step-decayed learning rate, and model selection by best
 validation error. Everything is deterministic in the config seed.
 
+`train` computes in float32: it rounds the float64 Glorot draw of `init`
+to float32, and `loss_and_gradients` computes in the dtype of the
+model's weights, casting each mini-batch as it is drawn. A float64 model
+(the gradient oracle's) still runs in float64. Scoring is float64: numpy
+upcasts float32 weights exactly against the float64 feature matrix, and
+the `<f8` blob holds them exactly, so a trained model scores the same in
+memory and loaded back. The last bits of a matrix product depend on the
+BLAS thread count.
+
 Every model carries the feature layout it was trained on, and
 `predict_batch` is the only way a model scores rows: it rejects a matrix
 of another layout and returns the confidence p_up - p_down per row. A
@@ -147,9 +156,11 @@ def loss_and_gradients(
 
     y holds class indices (0 = up, 1 = down). With l2 > 0 the loss adds
     l2/2 times the squared Frobenius norm of every weight matrix (biases
-    are not penalized).
+    are not penalized). The batch is cast to the dtype of the model's
+    weights, and the gradients are returned in that dtype.
     """
-    x = np.asarray(x, dtype=np.float64)
+    dtype = model.weights[0].dtype
+    x = np.asarray(x, dtype=dtype)
     y = np.asarray(y, dtype=np.int64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValidationError("batch must be a non-empty 2-D array")
@@ -169,8 +180,7 @@ def loss_and_gradients(
     if l2 > 0:
         loss += 0.5 * l2 * sum(float(np.sum(w * w)) for w in model.weights)
 
-    probs = softmax(z_out)
-    delta = probs
+    delta = softmax(z_out).astype(dtype, copy=False)
     delta[np.arange(n), y] -= 1.0
     delta /= n
     grad_w: list[np.ndarray] = [None] * len(model.weights)
@@ -218,6 +228,8 @@ def train(
 
     dims = (train_matrix.layout.dimension, *config.hidden, 2)
     model = init(dims, config.seed, layout=train_matrix.layout)
+    model.weights = [w.astype(np.float32) for w in model.weights]
+    model.biases = [b.astype(np.float32) for b in model.biases]
     rng = np.random.default_rng(config.seed)
     n = x_train.shape[0]
 
@@ -241,9 +253,10 @@ def train(
                     f"non-finite loss {loss} at epoch {epoch}, batch start {start}; "
                     f"lower the learning rate"
                 )
-            for i in range(len(model.weights)):
-                model.weights[i] -= lr * grad_w[i]
-                model.biases[i] -= lr * grad_b[i]
+            for params, grads in ((model.weights, grad_w), (model.biases, grad_b)):
+                for p, g in zip(params, grads):
+                    g *= lr
+                    p -= g
             epoch_loss += loss * len(batch)
         train_losses.append(epoch_loss / n)
         error = error_rate(predict_batch(model, valid_matrix), valid_matrix.labels)

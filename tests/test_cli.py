@@ -23,7 +23,12 @@ from newsmotion.features import load_feature_matrix
 from newsmotion.graph import DNN, DOWN, PROPAGATED, UP, load_graph
 from newsmotion.ingest import load_prices
 from newsmotion.lexicon import load_keyword_lexicon
-from newsmotion.manifest import manifest_path, work_dir_lock, write_manifest
+from newsmotion.manifest import (
+    manifest_path,
+    text_sha256,
+    work_dir_lock,
+    write_manifest,
+)
 from newsmotion.mlp import init, load_model, save_model
 from newsmotion.sampling import POSITIVE, movement_label
 
@@ -111,8 +116,11 @@ def _copy(pipeline: Path, tmp_path: Path) -> Path:
     return root / "pipeline.ini"
 
 
-def _record(config_path: Path, unit: str) -> None:
-    """Write ``unit``'s manifest for the files now in place, under its current key."""
+def _record(config_path: Path, unit: str, key: str | None = None) -> None:
+    """Write ``unit``'s manifest for the files now in place.
+
+    The manifest holds ``key``, by default the unit's current key.
+    """
     config = load_config(config_path)
     spec = cli.UNITS[unit]
     write_manifest(
@@ -120,7 +128,7 @@ def _record(config_path: Path, unit: str) -> None:
         unit,
         cli._files(config, spec.inputs),
         cli._files(config, spec.outputs),
-        cli._stage_key(config, unit),
+        cli._stage_key(config, unit) if key is None else key,
     )
 
 
@@ -497,6 +505,22 @@ class TestEvaluateUnits:
             self._evaluate(config, *override)
         assert "artifacts up to date" not in caplog.text
         # the train stage's one training, then every row but the full one
+        assert len(trainings) == len(evaluation.DEFAULT_COMBINATIONS)
+
+    def test_a_work_dir_trained_in_float64_retrains_once(
+        self, pipeline, tmp_path, trainings, caplog
+    ):
+        config = _copy(pipeline, tmp_path)
+        # train and the ablation keyed [training] alone before revision 1
+        key = text_sha256(repr(load_config(config).training))
+        for unit in ("train", "ablation"):
+            _record(config, unit, key)
+        with caplog.at_level(logging.INFO):
+            for _ in range(2):
+                for stage in ("train", "evaluate"):
+                    assert cli.main([stage, "--config", str(config)]) == 0, stage
+        assert caplog.text.count("train: artifacts up to date, skipping") == 1
+        assert caplog.text.count("ablation: artifacts up to date, skipping") == 1
         assert len(trainings) == len(evaluation.DEFAULT_COMBINATIONS)
 
     def test_full_row_scores_the_vouched_model(self, pipeline, tmp_path, trainings):

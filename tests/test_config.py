@@ -195,7 +195,9 @@ class TestLoadConfig:
     def test_stage_key_covers_only_the_declared_sections(self, tmp_path):
         config = load_config(_write_config(tmp_path))
         assert cli._stage_key(config, "lexicon") == text_sha256(repr(config.lexicon))
-        assert cli._stage_key(config, "ablation") == text_sha256(repr(config.training))
+        assert cli._stage_key(config, "ablation") == text_sha256(
+            f"{config.training!r}\nrevision 1"
+        )
         dates, graph, sweep = config.dates, config.graph, config.sweep
         assert cli._stage_key(config, "ingest") == text_sha256(
             f"dates.train_end={dates.train_end!r}\n"

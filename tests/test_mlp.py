@@ -197,6 +197,22 @@ class TestLossAndGradients:
         _, grad_w, _ = loss_and_gradients(model, x, np.array([0, 1]))
         assert np.all(grad_w[0] == 0.0)
 
+    @pytest.mark.parametrize("dims", [(5, 7, 2), (12, 16, 16, 2)])
+    def test_gradients_take_the_dtype_of_the_weights(self, dims):
+        rng = np.random.default_rng(len(dims))
+        model = init(dims, seed=33, layout=_layout(dims[0]))
+        x = rng.normal(size=(6, dims[0]))
+        y = rng.integers(0, 2, size=6)
+        _, grad_w, grad_b = loss_and_gradients(model, x, y, l2=0.01)
+        assert all(g.dtype == np.float64 for g in (*grad_w, *grad_b))
+        model.weights = [w.astype(np.float32) for w in model.weights]
+        model.biases = [b.astype(np.float32) for b in model.biases]
+        _, grad_w32, grad_b32 = loss_and_gradients(model, x, y, l2=0.01)
+        assert all(g.dtype == np.float32 for g in (*grad_w32, *grad_b32))
+        for g32, g64 in zip((*grad_w32, *grad_b32), (*grad_w, *grad_b)):
+            scale = max(float(np.abs(g64).max()), 1e-8)
+            assert float(np.abs(g32 - g64).max()) / scale < 1e-3
+
     def test_bad_batches_rejected(self):
         model = _zero_model((3, 2))
         with pytest.raises(ValidationError):
@@ -222,7 +238,9 @@ class TestTrain:
         config = TrainConfig(hidden=(4,), epochs=0, seed=9)
         model = train(matrix, matrix, config)
         fresh = init((3, 4, 2), seed=9, layout=_layout(3))
-        assert all(np.array_equal(w, f) for w, f in zip(model.weights, fresh.weights))
+        # training starts from the float64 Glorot draw rounded to float32
+        for w, f in zip(model.weights, fresh.weights):
+            assert np.array_equal(w, f.astype(np.float32))
         assert model.metadata["epochs_run"] == 0
         assert model.metadata["best_epoch"] == -1
 
@@ -316,6 +334,21 @@ class TestModelFile:
         original = predict_batch(model, matrix)
         restored = predict_batch(loaded, matrix)
         assert np.array_equal(original, restored)
+
+    def test_float32_weights_survive_the_blob_exactly(self, tmp_path):
+        matrix = _separable(80, 3, seed=62)
+        config = TrainConfig(hidden=(6, 5), learning_rate=0.3, epochs=3, seed=7)
+        model = train(matrix, matrix, config)
+        params = (*model.weights, *model.biases)
+        assert all(p.dtype == np.float32 for p in params)
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        loaded = load_model(path)
+        for p, q in zip(params, (*loaded.weights, *loaded.biases)):
+            assert np.array_equal(p, q)
+        original = predict_batch(model, matrix)
+        assert original.dtype == np.float64
+        assert original.tobytes() == predict_batch(loaded, matrix).tobytes()
 
     def test_header_without_layout_rejected(self, tmp_path):
         path = tmp_path / "model.bin"
