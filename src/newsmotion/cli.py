@@ -15,6 +15,7 @@ runtime failure.
 from __future__ import annotations
 
 import argparse
+import importlib
 import logging
 import sys
 import tempfile
@@ -26,53 +27,13 @@ from typing import Callable, Sequence
 
 from . import __version__
 from .config import PipelineConfig, load_config
-from .embedding import load_embeddings, save_embeddings, train_skipgram
+from .dates import DateRange
 from .errors import (
     ConfigError,
     MissingArtifactError,
     ParseError,
     PipelineError,
     ValidationError,
-)
-from .evaluation import (
-    DEFAULT_COMBINATIONS,
-    render_ablation,
-    render_sweep,
-    run_ablation,
-    run_propagation_sweep,
-    write_ablation_report,
-    write_sweep_report,
-)
-from .features import (
-    BLOCK_ORDER,
-    FeatureLayout,
-    featurize_samples,
-    load_feature_matrix,
-    training_stats,
-    write_feature_matrix,
-)
-from .graph import (
-    DNN,
-    DOWN,
-    PROPAGATED,
-    UP,
-    Prediction,
-    build_graph,
-    load_graph,
-    propagate,
-    threshold_predictions,
-    write_graph,
-    write_predictions,
-)
-from .ingest import DateRange, load_articles, load_prices
-from .lexicon import (
-    build_category_lexicon,
-    build_keyword_lexicon,
-    load_category_lexicon,
-    load_category_seeds,
-    load_keyword_lexicon,
-    write_category_lexicon,
-    write_keyword_lexicon,
 )
 from .manifest import (
     Digests,
@@ -82,18 +43,85 @@ from .manifest import (
     work_dir_lock,
     write_manifest,
 )
-from .mlp import load_model, predict_batch, save_model, train
-from .sampling import (
-    AliasMatcher,
-    build_samples,
-    extract_sentences,
-    load_aliases,
-    load_samples,
-    split_by_date,
-    write_samples,
-)
-from .synth import generate_synthetic_fixture
 from .tokens import tokenize
+
+# What the unit bodies call from the stage modules, by module. The stage
+# modules load numpy, so they are imported only when a body runs, and a
+# stage that skips stays cheap. perfbench's tracer gets and sets these
+# names as attributes of this module, and tests patch them, so each name
+# also resolves here on first lookup (PEP 562) and a name already bound,
+# a wrapper say, is kept. Delete this shim once the stages count their
+# own work and perfbench no longer wraps them (ROADMAP direction 3).
+_STAGE_NAMES = {
+    "embedding": ("load_embeddings", "save_embeddings", "train_skipgram"),
+    "evaluation": (
+        "DEFAULT_COMBINATIONS",
+        "render_ablation",
+        "render_sweep",
+        "run_ablation",
+        "run_propagation_sweep",
+        "write_ablation_report",
+        "write_sweep_report",
+    ),
+    "features": (
+        "BLOCK_ORDER",
+        "FeatureLayout",
+        "featurize_samples",
+        "load_feature_matrix",
+        "training_stats",
+        "write_feature_matrix",
+    ),
+    "graph": (
+        "DNN",
+        "DOWN",
+        "PROPAGATED",
+        "UP",
+        "Prediction",
+        "build_graph",
+        "load_graph",
+        "propagate",
+        "threshold_predictions",
+        "write_graph",
+        "write_predictions",
+    ),
+    "ingest": ("load_articles", "load_prices"),
+    "lexicon": (
+        "build_category_lexicon",
+        "build_keyword_lexicon",
+        "load_category_lexicon",
+        "load_category_seeds",
+        "load_keyword_lexicon",
+        "write_category_lexicon",
+        "write_keyword_lexicon",
+    ),
+    "mlp": ("load_model", "predict_batch", "save_model", "train"),
+    "sampling": (
+        "AliasMatcher",
+        "build_samples",
+        "extract_sentences",
+        "load_aliases",
+        "load_samples",
+        "split_by_date",
+        "write_samples",
+    ),
+    "synth": ("generate_synthetic_fixture",),
+}
+
+
+def _bind_stage_names() -> None:
+    """Import the stage modules and bind their names here, keeping any bound."""
+    for module, names in _STAGE_NAMES.items():
+        loaded = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    if any(name in names for names in _STAGE_NAMES.values()):
+        _bind_stage_names()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 logger = logging.getLogger(__name__)
 
@@ -485,6 +513,7 @@ def _run_unit(
         logger.info("%s: artifacts up to date, skipping", unit)
         return
     outputs = _files(config, spec.outputs)
+    _bind_stage_names()
     with replacing(outputs) as temporary:
         spec.body(config, inputs, temporary)
     key = _stage_key(config, unit)

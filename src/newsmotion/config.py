@@ -1,15 +1,17 @@
 """Pipeline configuration: one INI file, full defaults, flag overrides win.
 
-The schema is one frozen dataclass per INI section: ``[embedding]`` is
-:class:`~newsmotion.embedding.SkipGramConfig`, ``[training]`` is
-:class:`~newsmotion.mlp.TrainConfig`, ``[synth]`` is
-:class:`~newsmotion.synth.SynthConfig`, and the small classes below cover
-``[paths]``, ``[dates]``, ``[lexicon]``, ``[graph]``, ``[sweep]`` and
-``[pipeline]``. A section's keys, defaults and types are its dataclass
-fields, and its ``__post_init__`` is the only range check for it; only
-the ordering of the ``[dates]`` boundaries is checked here. The one
-``pipeline.seed`` key fills the ``seed`` field of the embedding and
-training sections, which have no ``seed`` key of their own.
+The schema is one frozen dataclass per INI section, all defined here:
+``[paths]``, ``[dates]``, ``[lexicon]``, ``[embedding]``
+(:class:`SkipGramConfig`), ``[training]`` (:class:`TrainConfig`),
+``[graph]``, ``[sweep]``, ``[synth]`` (:class:`SynthConfig`) and
+``[pipeline]``. The embedding, mlp and synth modules import their
+section's class from here. This module imports no numpy and no stage
+module, so a stage that only checks its manifest stays cheap. A
+section's keys, defaults and types are its dataclass fields, and its
+``__post_init__`` is the only range check for it; only the ordering of
+the ``[dates]`` boundaries is checked here. The one ``pipeline.seed``
+key fills the ``seed`` field of the embedding and training sections,
+which have no ``seed`` key of their own.
 
 Every key has a default, so an empty config file runs the whole pipeline
 on files named ``articles.jsonl``, ``prices.csv``, and ``aliases.csv``
@@ -27,11 +29,11 @@ from datetime import date as Date
 from pathlib import Path
 from typing import Any, Callable, Sequence, get_args, get_type_hints
 
-from .embedding import SkipGramConfig
+from .dates import DateRange
 from .errors import ConfigError, ValidationError
-from .ingest import DateRange
-from .mlp import TrainConfig
-from .synth import SynthConfig
+
+# How many tickers synth can name: the length of its ``_STEMS``.
+SYNTH_NAMES = 52
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,94 @@ class SweepConfig:
             raise ValidationError("taus must be non-negative")
         if self.predict_tau < 0:
             raise ValidationError("predict_tau must be non-negative")
+
+
+@dataclass(frozen=True)
+class SkipGramConfig:
+    dimension: int = 100
+    window: int = 5
+    negatives: int = 5
+    epochs: int = 5
+    learning_rate: float = 0.025
+    min_count: int = 5
+    seed: int = 1
+
+    def __post_init__(self):
+        for name in ("dimension", "window", "negatives", "epochs", "min_count"):
+            if getattr(self, name) <= 0:
+                raise ValidationError(f"{name} must be positive")
+        if self.learning_rate <= 0:
+            raise ValidationError("learning_rate must be positive")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    hidden: tuple[int, ...] = (1024, 1024, 1024, 1024)
+    learning_rate: float = 0.05
+    decay: float = 0.5
+    decay_every: int = 10
+    batch_size: int = 64
+    epochs: int = 30
+    l2: float = 0.0
+    seed: int = 1
+    patience: int = 0  # epochs without validation improvement; 0 disables
+
+    def __post_init__(self):
+        if not self.hidden:
+            raise ValidationError("hidden needs at least one layer size")
+        if any(h <= 0 for h in self.hidden):
+            raise ValidationError(f"hidden sizes must be positive, got {self.hidden}")
+        if self.learning_rate <= 0:
+            raise ValidationError("learning_rate must be positive")
+        if not 0 < self.decay <= 1:
+            raise ValidationError("decay must be in (0, 1]")
+        if self.decay_every <= 0 or self.batch_size <= 0:
+            raise ValidationError("decay_every and batch_size must be positive")
+        if self.epochs < 0 or self.l2 < 0 or self.patience < 0:
+            raise ValidationError("epochs, l2, and patience must be non-negative")
+
+
+@dataclass(frozen=True)
+class SynthConfig:
+    tickers: int = 50
+    group_count: int = 12
+    group_size: int = 3
+    actives_per_group: int = 2
+    start: Date = Date(2011, 1, 3)
+    end: Date = Date(2013, 12, 31)
+    news_start: Date = Date(2011, 2, 1)
+    samples_per_day: float = 7.0
+    noise: float = 0.1
+    driver_weight: float = 0.97
+    mean_reversion: float = 0.9
+    volatility: float = 0.08
+    seed: int = 7
+
+    def __post_init__(self):
+        if not 0 < self.tickers <= SYNTH_NAMES:
+            raise ValidationError(
+                f"tickers must be in 1..{SYNTH_NAMES}, got {self.tickers}"
+            )
+        if self.group_count < 0 or self.group_size < 2:
+            raise ValidationError("need group_size >= 2 and group_count >= 0")
+        if not 1 <= self.actives_per_group < self.group_size:
+            raise ValidationError(
+                "actives_per_group must leave at least one quiet member per group"
+            )
+        if self.group_count * self.group_size > self.tickers:
+            raise ValidationError("groups need more tickers than available")
+        if not self.start <= self.news_start <= self.end:
+            raise ValidationError("need start <= news_start <= end")
+        if self.samples_per_day <= 0:
+            raise ValidationError("samples_per_day must be positive")
+        if not 0 <= self.noise <= 0.5:
+            raise ValidationError("noise must be in [0, 0.5]")
+        if not 0 < self.driver_weight <= 1:
+            raise ValidationError("driver_weight must be in (0, 1]")
+        if not 0 <= self.mean_reversion < 1:
+            raise ValidationError("mean_reversion must be in [0, 1)")
+        if self.volatility <= 0:
+            raise ValidationError("volatility must be positive")
 
 
 @dataclass(frozen=True)

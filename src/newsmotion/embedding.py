@@ -17,27 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .codec import decoding
+from .config import SkipGramConfig
 from .errors import ParseError, ValidationError
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class SkipGramConfig:
-    dimension: int = 100
-    window: int = 5
-    negatives: int = 5
-    epochs: int = 5
-    learning_rate: float = 0.025
-    min_count: int = 5
-    seed: int = 1
-
-    def __post_init__(self):
-        for name in ("dimension", "window", "negatives", "epochs", "min_count"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be positive")
 
 
 @dataclass

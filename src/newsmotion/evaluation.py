@@ -19,11 +19,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import TrainConfig
 from .errors import PipelineError, ValidationError
 from .features import BLOCK_ORDER, FeatureMatrix, slice_blocks
 from .graph import CorrelationGraph, propagate, threshold_predictions
 from .ingest import PriceSeries
-from .mlp import MlpModel, TrainConfig, error_rate, load_model, predict_batch, train
+from .mlp import MlpModel, error_rate, load_model, predict_batch, train
 from .sampling import POSITIVE, movement_label
 
 logger = logging.getLogger(__name__)

@@ -23,7 +23,8 @@ import numpy as np
 
 from .codec import read_blob, unpack, write_blob
 from .errors import ParseError, PipelineError, ValidationError
-from .ingest import DateRange, PriceSeries, parse_date
+from .dates import DateRange, parse_date
+from .ingest import PriceSeries
 from .lexicon import CategoryLexicon, KeywordLexicon
 from .sampling import NEGATIVE, POSITIVE, Sample, Sentence
 from .tokens import tokenize, tokenize_with_offsets

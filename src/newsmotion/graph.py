@@ -28,7 +28,8 @@ import numpy as np
 
 from .codec import decoding, read_table
 from .errors import ValidationError
-from .ingest import DateRange, PriceSeries
+from .dates import DateRange
+from .ingest import PriceSeries
 
 DNN = "dnn"
 PROPAGATED = "propagated"

@@ -1,64 +1,30 @@
 """Loading and validation of news article and daily closing-price files.
 
 Articles arrive as JSON lines read by `codec`, prices as a CSV of
-(date, ticker, close) rows. Both loaders validate as they go and name
-the file and line on failure. Prices load as one immutable series per
-ticker; normalising them is the featurizer's business.
+(date, ticker, close) rows. Both loaders name the file and line on
+failure. The price loader makes one lean pass; only when some row is
+bad does it read the file again, row by row, to say which row and why.
+Prices load as one immutable series per ticker; normalising them is the
+featurizer's business.
 """
 
 from __future__ import annotations
 
 import bisect
 import csv
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from datetime import date as Date
-from datetime import timedelta
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .codec import read_records
+from .dates import parse_date
 from .errors import ParseError, ValidationError
-
-
-def parse_date(text: str) -> Date:
-    try:
-        return Date.fromisoformat(text)
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(f"invalid date {text!r}: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class DateRange:
-    """Inclusive calendar-date interval."""
-
-    start: Date
-    end: Date
-
-    def __post_init__(self):
-        if self.start > self.end:
-            raise ValidationError(f"empty date range {self.start}..{self.end}")
-
-    def __contains__(self, d: Date) -> bool:
-        return self.start <= d <= self.end
-
-    def __str__(self) -> str:
-        return f"{self.start.isoformat()}:{self.end.isoformat()}"
-
-    @classmethod
-    def parse(cls, text: str) -> "DateRange":
-        left, sep, right = text.partition(":")
-        if not sep:
-            raise ValidationError(f"date range needs 'start:end', got {text!r}")
-        return cls(parse_date(left), parse_date(right))
-
-    def days(self) -> Iterator[Date]:
-        d = self.start
-        while d <= self.end:
-            yield d
-            d += timedelta(days=1)
 
 
 @dataclass(frozen=True)
@@ -136,22 +102,90 @@ class PriceSeries:
         return i if i < len(self.dates) else None
 
 
+_HEADER = ["date", "ticker", "close"]
+
+
+class _BadRow(Exception):
+    """The fast pass of `load_prices` met a row that `_check_prices` rejects."""
+
+
+def _header(rows: Iterator[list[str]], path: Path) -> None:
+    header = next(rows, None)
+    if header is None or [h.strip() for h in header] != _HEADER:
+        raise ParseError(f"{path}: expected header 'date,ticker,close'")
+
+
 def load_prices(path: str | Path) -> dict[str, PriceSeries]:
     """Load the (date, ticker, close) CSV into per-ticker sorted series.
 
     Returns the series keyed by ticker, in ticker order. Raises
-    ValidationError on non-positive closes or duplicate (date, ticker)
-    rows; ParseError on structural problems, including a ticker with a
-    comma, which no comma-separated artifact could hold.
+    ValidationError on closes that are not finite and positive or on
+    duplicate (date, ticker) rows; ParseError on structural problems,
+    including a ticker with a comma, which no comma-separated artifact
+    could hold. Every error names the file and the first bad line.
     """
     path = Path(path)
-    rows: dict[str, list[tuple[Date, float]]] = {}
+    try:
+        groups = _read_prices(path)
+    except (_BadRow, ValueError, csv.Error):
+        _check_prices(path)  # raises for every row the fast pass rejects
+        raise
+    return {
+        ticker: PriceSeries(ticker, tuple(dates), np.asarray(closes, dtype=np.float64))
+        for ticker, (dates, closes) in sorted(groups.items())
+    }
+
+
+def _read_prices(path: Path) -> dict[str, tuple[list[Date], list[float]]]:
+    """The rows grouped by ticker, each group in date order.
+
+    The fast pass: it splits lines without quotes on commas, parses each
+    distinct date string once and looks for duplicates per ticker after
+    grouping. It raises, without saying where, when any row is bad.
+    """
+    parsed: dict[str, Date] = {}
+    groups: dict[str, tuple[list[Date], list[float]]] = {}
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        _header(csv.reader(fh), path)
+        for line in fh:
+            if '"' in line or "\0" in line:
+                # csv quoting, or a NUL that csv rejects; a quoted line
+                # break reads on into fh
+                parts = next(csv.reader(itertools.chain([line], fh)))
+            else:
+                line = line.rstrip("\r\n")
+                if not line:
+                    continue
+                parts = line.split(",")
+            raw_date, ticker, raw_close = parts
+            d = parsed.get(raw_date)
+            if d is None:
+                d = parsed[raw_date] = Date.fromisoformat(raw_date)
+            ticker = ticker.strip()
+            close = float(raw_close)
+            if not ticker or "," in ticker or not 0 < close < math.inf:
+                raise _BadRow
+            group = groups.get(ticker)
+            if group is None:
+                group = groups[ticker] = ([], [])
+            group[0].append(d)
+            group[1].append(close)
+    for dates, closes in groups.values():
+        if len(set(dates)) != len(dates):
+            raise _BadRow
+        ordered = sorted(dates)
+        if ordered != dates:
+            closes[:] = [close for _, close in sorted(zip(dates, closes))]
+            dates[:] = ordered
+    return groups
+
+
+def _check_prices(path: Path) -> None:
+    """Raise, naming the file and line, for the first bad row in file order."""
     seen: set[tuple[Date, str]] = set()
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["date", "ticker", "close"]:
-            raise ParseError(f"{path}: expected header 'date,ticker,close'")
+        _header(reader, path)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -175,17 +209,8 @@ def load_prices(path: str | Path) -> dict[str, PriceSeries]:
                 raise ValidationError(
                     f"{path}:{lineno}: close must be > 0, got {close}"
                 )
+            if not math.isfinite(close):
+                raise ValidationError(f"{path}:{lineno}: close must be finite and > 0")
             if (d, ticker) in seen:
                 raise ValidationError(f"{path}:{lineno}: duplicate ({d}, {ticker})")
             seen.add((d, ticker))
-            rows.setdefault(ticker, []).append((d, close))
-
-    series: dict[str, PriceSeries] = {}
-    for ticker in sorted(rows):
-        obs = sorted(rows[ticker])
-        series[ticker] = PriceSeries(
-            ticker=ticker,
-            dates=tuple(d for d, _ in obs),
-            closes=np.asarray([c for _, c in obs], dtype=np.float64),
-        )
-    return series

@@ -12,15 +12,15 @@ manifests are written to a temporary file and renamed into place.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import logging
 import os
 import platform
+from importlib import metadata
 from pathlib import Path
 from typing import Iterator, Mapping
-
-import numpy as np
 
 from . import __version__
 from .errors import PipelineError
@@ -45,11 +45,18 @@ def text_sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+@functools.cache
+def _numpy_version() -> str:
+    # Read from numpy's metadata, so that a stage that only checks its
+    # manifest never imports numpy.
+    return metadata.version("numpy")
+
+
 def _versions() -> dict[str, str]:
     return {
         "package": __version__,
         "python": platform.python_version(),
-        "numpy": np.__version__,
+        "numpy": _numpy_version(),
     }
 
 

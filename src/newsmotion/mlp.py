@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .codec import read_blob, unpack, write_blob
+from .config import TrainConfig
 from .errors import ParseError, TrainingDiverged, ValidationError
 from .features import FeatureLayout, FeatureMatrix
 from .sampling import POSITIVE
@@ -73,33 +74,6 @@ class MlpModel:
 
     def copy_parameters(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         return [w.copy() for w in self.weights], [b.copy() for b in self.biases]
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    hidden: tuple[int, ...] = (1024, 1024, 1024, 1024)
-    learning_rate: float = 0.05
-    decay: float = 0.5
-    decay_every: int = 10
-    batch_size: int = 64
-    epochs: int = 30
-    l2: float = 0.0
-    seed: int = 1
-    patience: int = 0  # epochs without validation improvement; 0 disables
-
-    def __post_init__(self):
-        if not self.hidden:
-            raise ValidationError("hidden needs at least one layer size")
-        if any(h <= 0 for h in self.hidden):
-            raise ValidationError(f"hidden sizes must be positive, got {self.hidden}")
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be positive")
-        if not 0 < self.decay <= 1:
-            raise ValidationError("decay must be in (0, 1]")
-        if self.decay_every <= 0 or self.batch_size <= 0:
-            raise ValidationError("decay_every and batch_size must be positive")
-        if self.epochs < 0 or self.l2 < 0 or self.patience < 0:
-            raise ValidationError("epochs, l2, and patience must be non-negative")
 
 
 def init(layer_dims: Sequence[int], seed: int, layout: FeatureLayout) -> MlpModel:

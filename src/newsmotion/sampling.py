@@ -21,7 +21,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .codec import read_records
 from .errors import ParseError, ValidationError
-from .ingest import Article, PriceSeries, parse_date
+from .dates import parse_date
+from .ingest import Article, PriceSeries
 
 POSITIVE = "positive"
 NEGATIVE = "negative"

@@ -22,8 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import SynthConfig
+from .dates import DateRange
 from .errors import ValidationError
-from .ingest import Article, DateRange, write_articles
+from .ingest import Article, write_articles
 
 _STEMS = (
     "Ardex", "Boltaric", "Cavenor", "Dorreth", "Elmquist", "Fenwick",
@@ -97,49 +99,6 @@ _FILLERS = (
     "Futures drifted overnight before settling flat.",
     "Breadth finished mixed across the major averages.",
 )
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    tickers: int = 50
-    group_count: int = 12
-    group_size: int = 3
-    actives_per_group: int = 2
-    start: Date = Date(2011, 1, 3)
-    end: Date = Date(2013, 12, 31)
-    news_start: Date = Date(2011, 2, 1)
-    samples_per_day: float = 7.0
-    noise: float = 0.1
-    driver_weight: float = 0.97
-    mean_reversion: float = 0.9
-    volatility: float = 0.08
-    seed: int = 7
-
-    def __post_init__(self):
-        if not 0 < self.tickers <= len(_STEMS):
-            raise ValidationError(
-                f"tickers must be in 1..{len(_STEMS)}, got {self.tickers}"
-            )
-        if self.group_count < 0 or self.group_size < 2:
-            raise ValidationError("need group_size >= 2 and group_count >= 0")
-        if not 1 <= self.actives_per_group < self.group_size:
-            raise ValidationError(
-                "actives_per_group must leave at least one quiet member per group"
-            )
-        if self.group_count * self.group_size > self.tickers:
-            raise ValidationError("groups need more tickers than available")
-        if not self.start <= self.news_start <= self.end:
-            raise ValidationError("need start <= news_start <= end")
-        if self.samples_per_day <= 0:
-            raise ValidationError("samples_per_day must be positive")
-        if not 0 <= self.noise <= 0.5:
-            raise ValidationError("noise must be in [0, 0.5]")
-        if not 0 < self.driver_weight <= 1:
-            raise ValidationError("driver_weight must be in (0, 1]")
-        if not 0 <= self.mean_reversion < 1:
-            raise ValidationError("mean_reversion must be in [0, 1)")
-        if self.volatility <= 0:
-            raise ValidationError("volatility must be positive")
 
 
 def _ar1_path(eps: np.ndarray, phi: float, sigma: float) -> np.ndarray:

@@ -14,7 +14,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from newsmotion.errors import ValidationError
-from newsmotion.ingest import DateRange, PriceSeries
+from newsmotion.dates import DateRange
+from newsmotion.ingest import PriceSeries
 
 
 def pearson(u: np.ndarray, v: np.ndarray) -> float:

@@ -11,7 +11,8 @@ import numpy as np
 from newsmotion.codec import read_table
 from newsmotion.errors import ValidationError
 from newsmotion.graph import CorrelationGraph, Prediction
-from newsmotion.ingest import PriceSeries, parse_date
+from newsmotion.dates import parse_date
+from newsmotion.ingest import PriceSeries
 from newsmotion.lexicon import _document_counts, polarity_score
 from newsmotion.sampling import Sample
 

@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +29,8 @@ from newsmotion.features import (
     training_stats,
 )
 from newsmotion.graph import CorrelationGraph, build_graph, propagate
-from newsmotion.ingest import DateRange, PriceSeries
+from newsmotion.dates import DateRange
+from newsmotion.ingest import PriceSeries
 from newsmotion.lexicon import (
     SEED_WORDS,
     CategoryEntry,
@@ -526,3 +531,32 @@ class TestEmbeddingOnFixture:
             f"{[(e.word, round(e.similarity, 4)) for e in planted]}, "
             f"rank 15 {entries[14].word} at {next_score:.4f}",
         )
+
+
+# Runs two stages that must skip, then checks what they imported.
+_SKIPPING = """\
+import sys
+from newsmotion import cli
+for stage in ("ingest", "train"):
+    assert cli.main([stage, "--config", sys.argv[1]]) == 0, stage
+loaded = sorted(name for name in sys.modules if name.startswith("newsmotion."))
+assert "numpy" not in sys.modules, f"numpy imported; newsmotion modules {loaded}"
+"""
+
+
+class TestCachedRerun:
+    """A rerun over the shared fixture run's finished work dir."""
+
+    def test_skipped_stages_import_no_numpy(self, pipeline):
+        config = pipeline["work_dirs"][0].parent / "pipeline.ini"
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _SKIPPING, str(config)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        for unit in ("ingest", "train"):
+            assert f"{unit}: artifacts up to date, skipping" in done.stderr

@@ -690,6 +690,11 @@ class TestTracingPlan:
         ]
         assert missing == []
 
+    def test_unknown_names_are_not_module_attributes(self):
+        assert not hasattr(cli, "no_such_stage_function")
+        with pytest.raises(AttributeError, match="no_such_stage_function"):
+            cli.no_such_stage_function
+
     def test_traced_stages_record_their_spans(self, pipeline, tmp_path):
         """The tracer's spans and FLOP counter still fire after signature changes."""
         repo = Path(__file__).resolve().parent.parent
@@ -701,11 +706,14 @@ class TestTracingPlan:
             "OPENBLAS_NUM_THREADS": "1",
         }
         spans, flop = set(), 0.0
-        for stage in ("train", "predict", "evaluate"):
+        # ingest skips; the stage modules load only for the others' bodies.
+        runs = {"ingest": ()}
+        runs.update({stage: ("--force",) for stage in ("train", "graph", "predict", "evaluate")})
+        for stage, args in runs.items():
             trace = tmp_path / f"{stage}.trace.json"
             argv = [str(repo / "perfbench" / "launch.py"), str(trace), stage]
             done = subprocess.run(
-                [sys.executable, *argv, "--config", str(config), "--force"],
+                [sys.executable, *argv, "--config", str(config), *args],
                 cwd=tmp_path,
                 env=env,
                 capture_output=True,
@@ -714,9 +722,17 @@ class TestTracingPlan:
             assert done.returncode == 0, (stage, done.stderr)
             recorded = json.loads(trace.read_text())
             assert recorded["exit_code"] == 0, stage
-            spans.update(span[0] for span in recorded["spans"])
+            names = [span[0] for span in recorded["spans"]]
+            if stage == "ingest":
+                assert "ingest: artifacts up to date, skipping" in done.stderr
+                assert "manifest.check" in names
+                assert "ingest.load_prices" not in names
+            spans.update(names)
             flop += recorded["counts"].get("mlp.flop", 0.0)
         wanted = {
+            "manifest.check",
+            "ingest.load_prices",
+            "graph.build",
             "mlp.train",
             "mlp.predict_batch",
             "graph.propagate",

@@ -12,7 +12,8 @@ import pytest
 from newsmotion import cli
 from newsmotion.config import SCHEMA, SECTIONS, load_config
 from newsmotion.errors import ConfigError, PipelineError
-from newsmotion.ingest import DateRange
+from newsmotion.dates import DateRange
+from newsmotion import manifest
 from newsmotion.manifest import (
     file_sha256,
     manifest_path,
@@ -335,6 +336,12 @@ class TestManifest:
         record["versions"]["package"] = "0.0.0-other"
         path.write_text(json.dumps(record))
         assert not up_to_date(work, "stage", inputs, outputs, "cfg")
+
+    def test_recorded_numpy_version_is_the_imported_one(self):
+        """The version is read from metadata; manifests must not change by it."""
+        import numpy
+
+        assert manifest._versions()["numpy"] == numpy.__version__
 
 
 class TestWorkDirLock:

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from newsmotion.config import SkipGramConfig
 from newsmotion.embedding import (
     EmbeddingTable,
-    SkipGramConfig,
     _scatter_add,
     _sigmoid,
     load_embeddings,

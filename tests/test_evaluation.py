@@ -7,6 +7,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from newsmotion.config import TrainConfig
 from newsmotion.errors import ValidationError
 from newsmotion.evaluation import (
     DEFAULT_COMBINATIONS,
@@ -27,7 +28,7 @@ from newsmotion.evaluation import (
 from newsmotion.features import FeatureLayout, FeatureMatrix, slice_blocks
 from newsmotion.graph import CorrelationGraph
 from newsmotion.ingest import PriceSeries
-from newsmotion.mlp import MlpModel, TrainConfig, error_rate, save_model, train
+from newsmotion.mlp import MlpModel, error_rate, save_model, train
 from newsmotion.sampling import NEGATIVE, POSITIVE
 
 DAY = date(2013, 7, 1)

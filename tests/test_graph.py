@@ -21,7 +21,8 @@ from newsmotion.graph import (
     write_graph,
     write_predictions,
 )
-from newsmotion.ingest import DateRange, PriceSeries
+from newsmotion.dates import DateRange
+from newsmotion.ingest import PriceSeries
 
 from graph_oracle import build_graph_pairwise, dense_weights, pearson
 from support import degree, load_predictions

@@ -7,15 +7,14 @@ from datetime import date
 import numpy as np
 import pytest
 
+from newsmotion.dates import DateRange, parse_date
 from newsmotion.errors import ParseError, ValidationError
 from newsmotion.features import training_stats
 from newsmotion.ingest import (
     Article,
-    DateRange,
     PriceSeries,
     load_articles,
     load_prices,
-    parse_date,
     write_articles,
 )
 
@@ -195,6 +194,157 @@ class TestLoadPrices:
             assert again[ticker].dates == prices[ticker].dates
             np.testing.assert_array_equal(again[ticker].closes, prices[ticker].closes)
 
+
+
+def _iso_error(text: str) -> str:
+    """What ``date.fromisoformat`` says about ``text`` on this Python."""
+    try:
+        date.fromisoformat(text)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{text!r} is a valid date")
+
+
+_GOOD = "2012-01-02,AAA,10\n"
+
+
+class TestLoadPricesErrors:
+    """Each bad row raises its own exact message, naming the file and line."""
+
+    @pytest.mark.parametrize(
+        "body, kind, message",
+        [
+            ("2012-01-03,AAA\n", ParseError, "3: expected 3 columns, got 2"),
+            ("2012-01-03,AAA,10,x\n", ParseError, "3: expected 3 columns, got 4"),
+            (
+                "07/05/2012,AAA,10\n",
+                ValidationError,
+                f"3: invalid date '07/05/2012': {_iso_error('07/05/2012')}",
+            ),
+            (
+                "2012-01-03 ,AAA,10\n",
+                ValidationError,
+                f"3: invalid date '2012-01-03 ': {_iso_error('2012-01-03 ')}",
+            ),
+            ("2012-01-03, ,10\n", ValidationError, "3: empty ticker"),
+            ("2012-01-03,AAA,ten\n", ParseError, "3: bad close 'ten'"),
+            ("2012-01-03,AAA,\n", ParseError, "3: bad close ''"),
+            ("2012-01-03,AAA,0\n", ValidationError, "3: close must be > 0, got 0.0"),
+            ("2012-01-03,AAA,-1.5\n", ValidationError, "3: close must be > 0, got -1.5"),
+            ("2012-01-02,AAA,11\n", ValidationError, "3: duplicate (2012-01-02, AAA)"),
+            ("2012-01-02, AAA ,11\n", ValidationError, "3: duplicate (2012-01-02, AAA)"),
+            ('2012-01-02,"Q,Z",11\n', ParseError, "3: comma in ticker 'Q,Z'"),
+        ],
+    )
+    def test_bad_row_message(self, tmp_path, body, kind, message):
+        path = _write(tmp_path, "p.csv", "date,ticker,close\n" + _GOOD + body)
+        with pytest.raises(kind) as caught:
+            load_prices(path)
+        assert type(caught.value) is kind
+        assert str(caught.value) == f"{path}:{message}"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "\n2012-01-02,AAA,10\n", "day,sym,price\n" + _GOOD, "date,ticker\n" + _GOOD],
+    )
+    def test_bad_header_message(self, tmp_path, text):
+        path = _write(tmp_path, "p.csv", text)
+        with pytest.raises(ParseError) as caught:
+            load_prices(path)
+        assert str(caught.value) == f"{path}: expected header 'date,ticker,close'"
+
+    def test_first_bad_line_wins(self, tmp_path):
+        """A duplicate is reported at its own line, before a later bad row."""
+        path = _write(
+            tmp_path,
+            "p.csv",
+            "date,ticker,close\n"
+            "2012-01-02,AAA,10\n2012-01-02,BBB,5\n"
+            "2012-01-02,AAA,11\n2012-01-03,AAA,ten\n",
+        )
+        with pytest.raises(ValidationError) as caught:
+            load_prices(path)
+        assert str(caught.value) == f"{path}:4: duplicate (2012-01-02, AAA)"
+
+    def test_blank_lines_count_toward_line_numbers(self, tmp_path):
+        path = _write(tmp_path, "p.csv", "date,ticker,close\n\n" + _GOOD + "\n2012-01-03,AAA,x\n")
+        with pytest.raises(ParseError) as caught:
+            load_prices(path)
+        assert str(caught.value) == f"{path}:5: bad close 'x'"
+
+    @pytest.mark.parametrize("close", ["nan", "NaN", "inf", "+Infinity", "1e999"])
+    def test_non_finite_close_names_the_file(self, tmp_path, close):
+        path = _write(tmp_path, "p.csv", f"date,ticker,close\n{_GOOD}2012-01-03,AAA,{close}\n")
+        with pytest.raises(ValidationError) as caught:
+            load_prices(path)
+        assert str(caught.value) == f"{path}:3: close must be finite and > 0"
+
+    def test_negative_infinity_is_not_positive(self, tmp_path):
+        path = _write(tmp_path, "p.csv", f"date,ticker,close\n{_GOOD}2012-01-03,AAA,-inf\n")
+        with pytest.raises(ValidationError) as caught:
+            load_prices(path)
+        assert str(caught.value) == f"{path}:3: close must be > 0, got -inf"
+
+
+def _closes(*values: float) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestLoadPricesEquivalence:
+    """Layouts the loader accepts, pinned to the series they load as."""
+
+    EXPECTED = {
+        "AAA": ((date(2012, 1, 2), date(2012, 1, 3), date(2012, 1, 5)), _closes(10.5, 11.25, 0.1)),
+        "BBB": ((date(2012, 1, 2), date(2012, 1, 4)), _closes(3.0, 1e-05)),
+    }
+
+    def _check(self, path):
+        prices = load_prices(path)
+        assert list(prices) == ["AAA", "BBB"]
+        for ticker, (dates, closes) in self.EXPECTED.items():
+            assert prices[ticker].ticker == ticker
+            assert prices[ticker].dates == dates
+            assert prices[ticker].closes.dtype == np.float64
+            assert prices[ticker].closes.tobytes() == closes
+
+    ROWS = (
+        "2012-01-02,AAA,10.5",
+        "2012-01-02,BBB,3",
+        "2012-01-03,AAA,11.25",
+        "2012-01-04,BBB,1e-5",
+        "2012-01-05,AAA,.1",
+    )
+
+    def test_sorted_rows(self, tmp_path):
+        self._check(_write(tmp_path, "p.csv", "date,ticker,close\n" + "\n".join(self.ROWS)))
+
+    def test_unsorted_rows(self, tmp_path):
+        rows = [self.ROWS[i] for i in (4, 3, 0, 2, 1)]
+        self._check(_write(tmp_path, "p.csv", "date,ticker,close\n" + "\n".join(rows) + "\n"))
+
+    def test_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_bytes(("date,ticker,close\r\n" + "\r\n".join(self.ROWS) + "\r\n").encode())
+        self._check(path)
+
+    def test_blank_lines(self, tmp_path):
+        text = "date,ticker,close\n\n" + "\n\n".join(self.ROWS) + "\n\n\r\n"
+        self._check(_write(tmp_path, "p.csv", text))
+
+    def test_header_with_spaces(self, tmp_path):
+        text = " date , ticker ,close \n" + "\n".join(self.ROWS) + "\n"
+        self._check(_write(tmp_path, "p.csv", text))
+
+    def test_quoted_fields_and_padded_tickers(self, tmp_path):
+        rows = [
+            '"2012-01-02","AAA"," 10.5 "',
+            "2012-01-02, BBB ,3",
+            '2012-01-03,"AAA",11.25',
+            '"2012-01-04",BBB,1e-5',
+            '2012-01-05,"AAA",.1',
+        ]
+        text = '"date","ticker","close"\n' + "\n".join(rows) + "\n"
+        self._check(_write(tmp_path, "p.csv", text))
 
 class TestAlignSeries:
     """The per-pair date alignment behind the graph build's test oracle."""

@@ -9,6 +9,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from newsmotion.config import TrainConfig
 from newsmotion.errors import TrainingDiverged, ValidationError, ParseError
 from newsmotion.features import (
     FeatureLayout,
@@ -19,7 +20,6 @@ from newsmotion.features import (
 from newsmotion.graph import DOWN, UP
 from newsmotion.mlp import (
     MlpModel,
-    TrainConfig,
     init,
     loss_and_gradients,
     load_model,

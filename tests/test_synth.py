@@ -6,16 +6,18 @@ from datetime import date
 
 import pytest
 
+from newsmotion.config import SYNTH_NAMES, SynthConfig
+from newsmotion.dates import DateRange
 from newsmotion.errors import ValidationError
 from newsmotion.graph import build_graph
-from newsmotion.ingest import DateRange, load_articles, load_prices
+from newsmotion.ingest import load_articles, load_prices
 from newsmotion.sampling import (
     AliasMatcher,
     build_samples,
     extract_sentences,
     load_aliases,
 )
-from newsmotion.synth import SynthConfig, generate_synthetic_fixture
+from newsmotion.synth import _STEMS, generate_synthetic_fixture
 
 SMALL = SynthConfig(
     tickers=9,
@@ -147,6 +149,12 @@ class TestGeneratedFiles:
 
 
 class TestSynthConfig:
+    def test_ticker_cap_is_the_number_of_names(self):
+        assert SYNTH_NAMES == len(_STEMS)
+        SynthConfig(tickers=SYNTH_NAMES, group_count=0)
+        with pytest.raises(ValidationError, match=f"1..{len(_STEMS)}"):
+            SynthConfig(tickers=SYNTH_NAMES + 1)
+
     def test_group_layout_validated(self):
         with pytest.raises(ValidationError):
             SynthConfig(tickers=5, group_count=2, group_size=3)
