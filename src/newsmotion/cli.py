@@ -234,9 +234,12 @@ def _train(config, inputs, outputs) -> None:
     meta = model.metadata
     errors = meta.get("validation_errors", [])
     best = meta.get("best_epoch", -1)
+    run, epochs = meta.get("epochs_run", 0), config.training.epochs
     logger.info(
-        "train: %d epochs, best epoch %d, validation error %.4f",
-        meta.get("epochs_run", 0),
+        "train: %s, best epoch %d, validation error %.4f",
+        f"stopped early after {run} of {epochs} epochs"
+        if run < epochs
+        else f"{run} epochs",
         best,
         errors[best] if 0 <= best < len(errors) else float("nan"),
     )

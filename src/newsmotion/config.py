@@ -135,7 +135,7 @@ class TrainConfig:
     epochs: int = 30
     l2: float = 0.0
     seed: int = 1
-    patience: int = 0  # epochs without validation improvement; 0 disables
+    patience: int = 8  # epochs without validation improvement; 0 disables
 
     def __post_init__(self):
         if not self.hidden:

@@ -18,7 +18,7 @@ import json
 import logging
 import os
 import platform
-from importlib import metadata
+from importlib import util
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -48,7 +48,19 @@ def text_sha256(text: str) -> str:
 @functools.cache
 def _numpy_version() -> str:
     # Read from numpy's metadata, so that a stage that only checks its
-    # manifest never imports numpy.
+    # manifest never imports numpy. The dist-info next to the package
+    # is read directly: importing importlib.metadata costs 20-30 ms.
+    spec = util.find_spec("numpy")
+    site = Path(spec.origin).parent.parent if spec and spec.origin else None
+    infos = list(site.glob("numpy-*.dist-info")) if site else []
+    if len(infos) == 1:
+        with contextlib.suppress(OSError):
+            text = (infos[0] / "METADATA").read_text(encoding="utf-8")
+            for line in text.splitlines():
+                if line.startswith("Version:"):
+                    return line.split(":", 1)[1].strip()
+    from importlib import metadata
+
     return metadata.version("numpy")
 
 

@@ -173,8 +173,14 @@ def predict_batch(model: MlpModel, matrix: FeatureMatrix) -> np.ndarray:
     """Confidence p_up - p_down per matrix row; a row predicts up iff it is > 0."""
     if model.layout != matrix.layout:
         raise ValidationError("model and matrix feature layouts differ")
-    _, activations = _forward_pass(model, matrix.x)
-    p = softmax(activations[-1])
+    # Holds one layer at a time; _forward_pass keeps every layer for backprop.
+    a = matrix.x
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        a = a @ w.T + b
+        if i < last:
+            np.maximum(a, 0.0, out=a)
+    p = softmax(a)
     return p[:, 0] - p[:, 1]
 
 

@@ -541,6 +541,7 @@ for stage in ("ingest", "train"):
     assert cli.main([stage, "--config", sys.argv[1]]) == 0, stage
 loaded = sorted(name for name in sys.modules if name.startswith("newsmotion."))
 assert "numpy" not in sys.modules, f"numpy imported; newsmotion modules {loaded}"
+assert "importlib.metadata" not in sys.modules, "importlib.metadata imported"
 """
 
 

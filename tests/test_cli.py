@@ -330,6 +330,25 @@ class TestFullPipeline:
             assert cli.main(["lexicon", "--config", str(config), "--force"]) == 0
         assert "up to date, skipping" not in caplog.text
 
+    @pytest.mark.parametrize(
+        "patience, logged",
+        [
+            ("1", "train: stopped early after 2 of 8 epochs, best epoch 0,"),
+            ("0", "train: 8 epochs, best epoch 0,"),
+        ],
+    )
+    def test_train_logs_an_early_stop(
+        self, pipeline, tmp_path, caplog, patience, logged
+    ):
+        config = _copy(pipeline, tmp_path)
+        # a vanishing rate never improves on the first epoch's error
+        argv = ["train", "--config", str(config)]
+        argv += ["--set", "training.learning_rate=1e-12"]
+        argv += ["--set", f"training.patience={patience}"]
+        with caplog.at_level(logging.INFO):
+            assert cli.main(argv) == 0
+        assert logged in caplog.text
+
 
 class TestStageKeys:
     def test_stages_read_only_their_declared_sections(

@@ -20,6 +20,7 @@ from newsmotion.features import (
 from newsmotion.graph import DOWN, UP
 from newsmotion.mlp import (
     MlpModel,
+    _forward_pass,
     init,
     loss_and_gradients,
     load_model,
@@ -73,6 +74,15 @@ def _separable(n: int, dim: int, seed: int) -> FeatureMatrix:
     x[:, 0] = np.where(x[:, 0] >= 0, x[:, 0] + 0.5, x[:, 0] - 0.5)
     labels = [POSITIVE if v > 0 else NEGATIVE for v in x[:, 0]]
     return _matrix(x, labels)
+
+
+def _longest_stall(errors: list[float]) -> int:
+    """Most epochs in a row without a strictly lower validation error."""
+    best, run, longest = math.inf, 0, 0
+    for error in errors:
+        run = 0 if error < best else run + 1
+        best, longest = min(best, error), max(longest, run)
+    return longest
 
 
 def _zero_model(dims: tuple[int, ...]) -> MlpModel:
@@ -267,6 +277,41 @@ class TestTrain:
         model = train(matrix, matrix, config)
         assert model.metadata["epochs_run"] == 3
 
+    def test_zero_patience_runs_every_epoch(self):
+        matrix = _separable(40, 3, seed=45)
+        config = TrainConfig(
+            hidden=(4,), learning_rate=1e-12, epochs=50, patience=0, seed=4
+        )
+        model = train(matrix, matrix, config)
+        # the vanishing rate never improves on the first epoch's error
+        assert model.metadata["best_epoch"] == 0
+        assert model.metadata["epochs_run"] == 50
+
+    def test_default_patience_keeps_the_best_epoch_of_a_full_run(self):
+        train_m = _separable(120, 4, seed=66)
+        noisy = _separable(60, 4, seed=86)
+        flip = np.random.default_rng(6).random(60) < 0.2
+        labels = [
+            (NEGATIVE if label == POSITIVE else POSITIVE) if f else label
+            for label, f in zip(noisy.labels, flip)
+        ]
+        valid_m = _matrix(noisy.x, labels)
+        settings = dict(
+            hidden=(6,), learning_rate=0.2, batch_size=16, epochs=30, seed=6
+        )
+        full = train(train_m, valid_m, TrainConfig(patience=0, **settings))
+        short = train(train_m, valid_m, TrainConfig(**settings))
+        assert TrainConfig().patience == 8
+        best = full.metadata["best_epoch"]
+        assert _longest_stall(full.metadata["validation_errors"][: best + 1]) < 8
+        run = short.metadata["epochs_run"]
+        assert run == best + 9 < full.metadata["epochs_run"] == 30
+        assert short.metadata["best_epoch"] == best
+        for key in ("train_losses", "validation_errors"):
+            assert short.metadata[key] == full.metadata[key][:run]
+        for a, b in zip(full.weights + full.biases, short.weights + short.biases):
+            assert np.array_equal(a, b)
+
     def test_divergence_raises_instead_of_returning_garbage(self):
         base = _separable(60, 3, seed=46)
         matrix = _matrix(base.x * 1e150, base.labels)
@@ -313,6 +358,17 @@ class TestPredict:
             label, confidence = predict(model, matrix.x[i])
             assert (UP if confidences[i] > 0 else DOWN) == label
             assert abs(confidences[i] - confidence) < 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batch_is_a_softmax_over_the_training_forward_pass(self, dtype):
+        model = init([7, 16, 16, 16, 2], seed=56, layout=_layout(7))
+        model.weights = [w.astype(dtype) for w in model.weights]
+        model.biases = [(b + 0.01).astype(dtype) for b in model.biases]
+        matrix = _matrix(np.random.default_rng(57).normal(size=(40, 7)))
+        _, activations = _forward_pass(model, matrix.x)
+        p = softmax(activations[-1])
+        expected = p[:, 0] - p[:, 1]
+        assert predict_batch(model, matrix).tobytes() == expected.tobytes()
 
     def test_wrong_input_dimension_rejected(self):
         model = init([4, 5, 2], seed=55, layout=_layout(4))
