@@ -4,7 +4,8 @@ Training is single-threaded and deterministic: a fixed seed drives
 initialization and negative sampling, and updates are applied in
 fixed-order mini-batches of (center, context) pairs taken in corpus
 order, so the same corpus, config, and seed always yield bit-identical
-vectors.
+vectors. Negatives are drawn for a block of batches at a time, and each
+batch's updates reach the parameters through one bincount scatter-add.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from .config import SkipGramConfig
 from .errors import ParseError, ValidationError
 
 log = logging.getLogger(__name__)
+
+# Pairs per block of batches drawn at once; keeps the block arrays small.
+_BLOCK_PAIRS = 4096
 
 
 @dataclass
@@ -80,13 +84,22 @@ def _pair_arrays(
     return centers, flat[clipped[valid]]
 
 
-def _scatter_add(table: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:
-    """table[rows] += updates, accumulating repeated rows (sort + reduceat)."""
-    order = np.argsort(rows, kind="stable")
-    sorted_rows = rows[order]
-    starts = np.flatnonzero(sorted_rows[1:] != sorted_rows[:-1]) + 1
-    starts = np.concatenate(([0], starts))
-    table[sorted_rows[starts]] += np.add.reduceat(updates[order], starts, axis=0)
+def _scatter_add(
+    table: np.ndarray, cells: np.ndarray, rows: np.ndarray, updates: np.ndarray
+) -> None:
+    """table[rows] += updates, accumulating repeated rows (one bincount).
+
+    ``cells`` holds each entry's flat index, ``np.arange(table.size)`` in
+    the table's shape. A repeated row's updates are summed in order before
+    they reach the table. Every other entry gets +0.0 added, which keeps
+    its bits unless it is -0.0, so a call costs the whole table, not just
+    the rows it touches.
+    """
+    table += np.bincount(
+        cells.take(rows, axis=0).ravel(),
+        weights=updates.ravel(),
+        minlength=table.size,
+    ).reshape(table.shape)
 
 
 def train_skipgram(
@@ -101,6 +114,9 @@ def train_skipgram(
     vocabulary of V words: every pair of a batch is scored against the
     vectors as they stood at the batch start, so repeated rows pile their
     updates into one step, and a batch that is large against V diverges.
+    Row ids, learning rates and negatives are drawn once per block of
+    whole batches (about ``_BLOCK_PAIRS`` pairs), and a batch's updates
+    are applied by one `_scatter_add`.
     The mean loss of each epoch is recorded on the returned table.
     """
     counts: dict[str, int] = {}
@@ -142,6 +158,10 @@ def train_skipgram(
     lr_floor = lr0 * 1e-4
     schedule_len = total_pairs * config.epochs
     batch = max(1, min(1024, n_words // 4))
+    # rng.random hands out its doubles in order, so one (block, k) draw is
+    # the block's batches' own draws laid end to end.
+    block = batch * max(1, _BLOCK_PAIRS // batch)
+    cells = np.arange(params.size).reshape(params.shape)
     target = np.zeros(k + 1)
     target[0] = 1.0
     loss_sign = np.full(k + 1, 1.0)
@@ -150,30 +170,31 @@ def train_skipgram(
     epoch_losses = []
     for epoch in range(config.epochs):
         loss_sum = 0.0
-        for start in range(0, total_pairs, batch):
-            stop = min(start + batch, total_pairs)
-            done = epoch * total_pairs + start
+        for block_start in range(0, total_pairs, block):
+            size = min(block, total_pairs - block_start)
+            done = epoch * total_pairs + block_start
             lr = np.maximum(
-                lr0 * (1.0 - np.arange(done, done + stop - start) / schedule_len),
-                lr_floor,
+                lr0 * (1.0 - np.arange(done, done + size) / schedule_len), lr_floor
             )
             # Per pair: center row, context row, then the negatives' rows.
-            rows = np.empty((stop - start, k + 2), dtype=np.int64)
-            rows[:, 0] = centers[start:stop]
-            rows[:, 1] = context_rows[start:stop]
-            negatives = np.searchsorted(
-                noise_cdf, rng.random((stop - start, k)), side="right"
-            )
+            rows = np.empty((size, k + 2), dtype=np.int64)
+            rows[:, 0] = centers[block_start : block_start + size]
+            rows[:, 1] = context_rows[block_start : block_start + size]
+            negatives = np.searchsorted(noise_cdf, rng.random((size, k)), side="right")
             np.add(negatives, n_words, out=rows[:, 2:])
-            u = params[rows[:, 0]]
-            v = params[rows[:, 1:]]
-            scores = np.einsum("bd,bkd->bk", u, v)
-            loss_sum += np.logaddexp(0.0, loss_sign * scores).sum()
-            g = lr[:, None] * (target - _sigmoid(scores))
-            updates = np.empty((stop - start, k + 2, dim))
-            np.einsum("bk,bkd->bd", g, v, out=updates[:, 0])
-            np.multiply(g[:, :, None], u[:, None, :], out=updates[:, 1:])
-            _scatter_add(params, rows.ravel(), updates.reshape(-1, dim))
+            for start in range(0, size, batch):
+                stop = start + batch
+                u = params.take(rows[start:stop, 0], axis=0)
+                v = params.take(rows[start:stop, 1:], axis=0)
+                scores = np.einsum("bd,bkd->bk", u, v)
+                loss_sum += np.logaddexp(0.0, loss_sign * scores).sum()
+                g = lr[start:stop, None] * (target - _sigmoid(scores))
+                updates = np.empty((len(u), k + 2, dim))
+                np.einsum("bk,bkd->bd", g, v, out=updates[:, 0])
+                np.multiply(g[:, :, None], u[:, None, :], out=updates[:, 1:])
+                _scatter_add(
+                    params, cells, rows[start:stop].ravel(), updates.reshape(-1, dim)
+                )
         epoch_losses.append(loss_sum / total_pairs)
 
     return EmbeddingTable(
@@ -228,7 +249,12 @@ def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
-    """Read the text vector format written by `save_embeddings`."""
+    """Read the text vector format written by `save_embeddings`.
+
+    Rows are collected before the header's counts are trusted, so a header
+    that declares more rows than the file holds is a `ParseError`, not an
+    allocation of that size.
+    """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -236,8 +262,10 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             raise ParseError(f"{path}:1: expected header '<vocab_size> <dimension>'")
         with decoding(f"{path}:1"):
             vocab_size, dim = int(header[0]), int(header[1])
-            vectors = np.empty((vocab_size, dim))
+        if vocab_size < 0 or dim < 0:
+            raise ParseError(f"{path}:1: negative dimensions are not allowed")
         words: list[str] = []
+        rows: list[np.ndarray] = []
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:
@@ -251,9 +279,11 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
                     f"{where}: word {word!r} has {len(comps)} components, expected {dim}"
                 )
             with decoding(where):
-                vectors[len(words)] = [float(c) for c in comps]
+                rows.append(np.array([float(c) for c in comps]))
             words.append(word)
     if len(words) != vocab_size:
         raise ParseError(f"{path}: {len(words)} rows, header declared {vocab_size}")
     with decoding(path):
-        return EmbeddingTable(words=words, vectors=vectors)
+        return EmbeddingTable(
+            words=words, vectors=np.array(rows, dtype=np.float64).reshape(vocab_size, dim)
+        )

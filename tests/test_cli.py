@@ -17,6 +17,7 @@ import pytest
 
 from newsmotion import cli, evaluation, mlp
 from newsmotion.config import load_config
+from newsmotion.embedding import _pair_arrays, load_embeddings
 from newsmotion.errors import PipelineError
 from newsmotion.evaluation import run_propagation_sweep
 from newsmotion.features import load_feature_matrix
@@ -31,6 +32,7 @@ from newsmotion.manifest import (
 )
 from newsmotion.mlp import init, load_model, save_model
 from newsmotion.sampling import POSITIVE, movement_label
+from newsmotion.tokens import tokenize
 
 from support import load_predictions
 
@@ -724,10 +726,11 @@ class TestTracingPlan:
             "PYTHONPATH": os.pathsep.join(filter(None, [str(repo / "src"), path])),
             "OPENBLAS_NUM_THREADS": "1",
         }
-        spans, flop = set(), 0.0
+        spans, flop, pairs = set(), 0.0, 0.0
         # ingest skips; the stage modules load only for the others' bodies.
         runs = {"ingest": ()}
-        runs.update({stage: ("--force",) for stage in ("train", "graph", "predict", "evaluate")})
+        forced = ("embed", "train", "graph", "predict", "evaluate")
+        runs.update({stage: ("--force",) for stage in forced})
         for stage, args in runs.items():
             trace = tmp_path / f"{stage}.trace.json"
             argv = [str(repo / "perfbench" / "launch.py"), str(trace), stage]
@@ -748,9 +751,11 @@ class TestTracingPlan:
                 assert "ingest.load_prices" not in names
             spans.update(names)
             flop += recorded["counts"].get("mlp.flop", 0.0)
+            pairs += recorded["counts"].get("embedding.pairs", 0.0)
         wanted = {
             "manifest.check",
             "ingest.load_prices",
+            "embedding.train_skipgram",
             "graph.build",
             "mlp.train",
             "mlp.predict_batch",
@@ -760,6 +765,13 @@ class TestTracingPlan:
         }
         assert wanted <= spans
         assert flop > 0
+        work = config.parent / "work"
+        with (work / "corpus.txt").open(encoding="utf-8") as fh:
+            sentences = [tokens for tokens in map(tokenize, fh) if tokens]
+        index = load_embeddings(work / "embeddings.txt").index
+        settings = load_config(config).embedding
+        centers, _ = _pair_arrays(sentences, index, settings.window)
+        assert pairs == len(centers) * settings.epochs
 
 
 class TestFailureModes:
@@ -862,6 +874,21 @@ class TestFailureModes:
         error = _refused(config, "predict", caplog)
         assert str(path) in error
         assert message in error
+
+    def test_embeddings_header_beyond_the_rows_exits_one(
+        self, pipeline, tmp_path, caplog
+    ):
+        config = _copy(pipeline, tmp_path)
+        path = config.parent / "work" / "embeddings.txt"
+        header, rows = path.read_text(encoding="utf-8").split("\n", 1)
+        dim = header.split()[1]
+        path.write_text(f"99999999999 {dim}\n{rows}", encoding="utf-8")
+        # embed's manifest records the edited file, so that the loader, not
+        # staleness, is what rejects it.
+        _record(config, "embed")
+        error = _refused(config, "lexicon", caplog)
+        assert f"{path}: " in error
+        assert "header declared 99999999999" in error
 
     def test_unusable_work_dir_exits_two(self, tmp_path):
         config = _write_config(tmp_path, "")

@@ -7,7 +7,9 @@ import pytest
 
 from newsmotion.config import SkipGramConfig
 from newsmotion.embedding import (
+    _BLOCK_PAIRS,
     EmbeddingTable,
+    _pair_arrays,
     _scatter_add,
     _sigmoid,
     load_embeddings,
@@ -35,22 +37,27 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
+def _vocabulary(sentences, min_count):
+    """Words by falling count then spelling, their ids, and their counts."""
+    counts = {}
+    for sentence in sentences:
+        for token in sentence:
+            counts[token] = counts.get(token, 0) + 1
+    vocab = sorted(
+        (w for w, c in counts.items() if c >= min_count),
+        key=lambda w: (-counts[w], w),
+    )
+    index = {w: i for i, w in enumerate(vocab)}
+    return vocab, index, np.asarray([counts[w] for w in vocab], dtype=np.int64)
+
+
 def sequential_skipgram(sentences, config):
     """Pair-by-pair SGNS oracle: one update per (center, context) pair.
 
     Same vocabulary, initialization, negative-sampling stream and
     learning-rate schedule as ``train_skipgram``; returns (vectors, losses).
     """
-    counts = {}
-    for sentence in sentences:
-        for token in sentence:
-            counts[token] = counts.get(token, 0) + 1
-    vocab = sorted(
-        (w for w, c in counts.items() if c >= config.min_count),
-        key=lambda w: (-counts[w], w),
-    )
-    index = {w: i for i, w in enumerate(vocab)}
-    freqs = np.asarray([counts[w] for w in vocab], dtype=np.int64)
+    vocab, index, freqs = _vocabulary(sentences, config.min_count)
     pair_centers, pair_contexts = [], []
     total_pairs = 0
     for sentence in sentences:
@@ -104,6 +111,88 @@ def sequential_skipgram(sentences, config):
                 done += 1
         losses.append(loss_sum / total_pairs)
     return vecs, losses
+
+
+def _reduceat_scatter_add(table, rows, updates):
+    """table[rows] += updates, accumulating repeated rows (sort + reduceat)."""
+    order = np.argsort(rows, kind="stable")
+    sorted_rows = rows[order]
+    starts = np.flatnonzero(sorted_rows[1:] != sorted_rows[:-1]) + 1
+    starts = np.concatenate(([0], starts))
+    table[sorted_rows[starts]] += np.add.reduceat(updates[order], starts, axis=0)
+
+
+def per_batch_skipgram(sentences, config):
+    """Mini-batch SGNS oracle that draws its negatives batch by batch.
+
+    The same batches, update rule and random stream as ``train_skipgram``,
+    but each batch draws its own negatives and learning rates, and the
+    updates are summed by sort + reduceat. Returns (vectors, losses).
+    """
+    vocab, index, freqs = _vocabulary(sentences, config.min_count)
+    centers, contexts = _pair_arrays(sentences, index, config.window)
+    total_pairs = len(centers)
+
+    rng = np.random.default_rng(config.seed)
+    n_words = len(vocab)
+    dim = config.dimension
+    params = np.zeros((2 * n_words, dim))
+    params[:n_words] = (rng.random((n_words, dim)) - 0.5) / dim
+    context_rows = contexts + n_words
+    noise_cdf = np.cumsum(freqs.astype(np.float64) ** 0.75)
+    noise_cdf /= noise_cdf[-1]
+    k = config.negatives
+    lr0 = config.learning_rate
+    schedule_len = total_pairs * config.epochs
+    batch = max(1, min(1024, n_words // 4))
+    target = np.zeros(k + 1)
+    target[0] = 1.0
+    loss_sign = np.full(k + 1, 1.0)
+    loss_sign[0] = -1.0
+    losses = []
+    for epoch in range(config.epochs):
+        loss_sum = 0.0
+        for start in range(0, total_pairs, batch):
+            stop = min(start + batch, total_pairs)
+            done = epoch * total_pairs + start
+            lr = np.maximum(
+                lr0 * (1.0 - np.arange(done, done + stop - start) / schedule_len),
+                lr0 * 1e-4,
+            )
+            rows = np.empty((stop - start, k + 2), dtype=np.int64)
+            rows[:, 0] = centers[start:stop]
+            rows[:, 1] = context_rows[start:stop]
+            negatives = np.searchsorted(
+                noise_cdf, rng.random((stop - start, k)), side="right"
+            )
+            rows[:, 2:] = negatives + n_words
+            u = params[rows[:, 0]]
+            v = params[rows[:, 1:]]
+            scores = np.einsum("bd,bkd->bk", u, v)
+            loss_sum += np.logaddexp(0.0, loss_sign * scores).sum()
+            g = lr[:, None] * (target - _sigmoid(scores))
+            updates = np.empty((stop - start, k + 2, dim))
+            np.einsum("bk,bkd->bd", g, v, out=updates[:, 0])
+            np.multiply(g[:, :, None], u[:, None, :], out=updates[:, 1:])
+            _reduceat_scatter_add(params, rows.ravel(), updates.reshape(-1, dim))
+        losses.append(loss_sum / total_pairs)
+    return params[:n_words], losses
+
+
+def _cells(table):
+    return np.arange(table.size).reshape(table.shape)
+
+
+def _zipf_corpus(n_words=48, sentences=700, seed=23):
+    """Sentences over ``n_words`` words drawn with Zipf-like frequencies."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i:02d}" for i in range(n_words)]
+    weights = 1.0 / np.arange(1, n_words + 1)
+    weights /= weights.sum()
+    return [
+        list(rng.choice(words, size=int(rng.integers(2, 9)), p=weights))
+        for _ in range(sentences)
+    ]
 
 
 def _mini_corpus():
@@ -258,6 +347,26 @@ class TestTrainSkipgram:
         np.testing.assert_allclose(table.vectors, vectors, rtol=0.0, atol=1e-10)
         np.testing.assert_allclose(table.epoch_losses, losses, rtol=0.0, atol=1e-10)
 
+    def test_blocks_of_batches_match_per_batch_oracle(self):
+        corpus = _zipf_corpus()
+        config = SkipGramConfig(
+            dimension=8, window=2, negatives=3, epochs=2, min_count=1, seed=9
+        )
+        table = train_skipgram(corpus, config)
+        vectors, losses = per_batch_skipgram(corpus, config)
+        # Batches of 10 or more, several blocks an epoch, and a last batch
+        # and block that are both cut short.
+        batch = len(table) // 4
+        block = batch * (_BLOCK_PAIRS // batch)
+        pairs = len(_pair_arrays(corpus, table.index, config.window)[0])
+        assert batch >= 10
+        assert pairs > 2 * block
+        assert pairs % batch and pairs % block
+        np.testing.assert_allclose(table.vectors, vectors, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(table.epoch_losses, losses, rtol=0.0, atol=1e-12)
+        text = [[f"{x:.6f}" for x in row] for row in table.vectors]
+        assert text == [[f"{x:.6f}" for x in row] for row in vectors]
+
 
 class TestScatterAdd:
     def test_matches_add_at_on_repeated_rows(self):
@@ -267,9 +376,23 @@ class TestScatterAdd:
         updates = rng.normal(size=(60, 4))
         got = rng.normal(size=(9, 4))  # rows 7 and 8 are never touched
         expected = got.copy()
-        _scatter_add(got, rows, updates)
+        _scatter_add(got, _cells(got), rows, updates)
         np.add.at(expected, rows, updates)
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+
+    def test_untouched_rows_keep_their_bits(self):
+        rng = np.random.default_rng(12)
+        # Word rows above, context rows at +0.0 below, as in training.
+        table = np.zeros((8, 5))
+        table[:4] = rng.normal(size=(4, 5))
+        table[1, 2] = np.inf
+        before = table.copy()
+        rows = np.array([0, 2, 2, 5, 0, 5])
+        _scatter_add(table, _cells(table), rows, rng.normal(size=(6, 5)))
+        untouched = [1, 3, 4, 6, 7]
+        assert table[untouched].tobytes() == before[untouched].tobytes()
+        assert not np.signbit(table[[4, 6, 7]]).any()
+        assert (table[[0, 2, 5]] != before[[0, 2, 5]]).all()
 
 
 class TestRankBySeedSimilarity:
@@ -363,6 +486,22 @@ class TestVectorFile:
         table = load_embeddings(path)
         assert table.words == ["up", "down"]
         np.testing.assert_array_equal(table.vectors, [[1, 0, 0], [0, 1, 0]])
+
+    def test_header_beyond_the_rows_is_a_parse_error(self, tmp_path):
+        # The count is checked against the rows read, never allocated.
+        path = tmp_path / "vectors.txt"
+        row = " ".join(["0.5"] * 48)
+        path.write_text(f"99999999999 48\nup {row}\ndown {row}\n", encoding="utf-8")
+        with pytest.raises(
+            ParseError, match=r"vectors\.txt: 2 rows, header declared 99999999999"
+        ):
+            load_embeddings(path)
+
+    def test_negative_header_count_names_the_first_line(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("-1 2\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"vectors\.txt:1: negative dimensions"):
+            load_embeddings(path)
 
     def test_extra_row_names_its_line(self, tmp_path):
         path = tmp_path / "vectors.txt"
