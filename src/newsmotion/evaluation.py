@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .errors import PipelineError, ValidationError
-from .features import BLOCK_ORDER, FeatureMatrix, slice_blocks
+from .features import FeatureMatrix, block_set, slice_blocks
 from .graph import CorrelationGraph, propagate, threshold_predictions
 from .ingest import PriceSeries
 from .mlp import MlpModel, error_rate, load_model, predict_batch, train
@@ -92,16 +92,6 @@ class SweepReport:
     metadata: dict
 
 
-def _normalize_combination(blocks: Sequence[str]) -> tuple[str, ...]:
-    wanted = set(blocks)
-    if not wanted:
-        raise ValidationError("a feature combination cannot be empty")
-    unknown = wanted - set(BLOCK_ORDER)
-    if unknown:
-        raise ValidationError(f"unknown blocks {sorted(unknown)}")
-    return tuple(b for b in BLOCK_ORDER if b in wanted)
-
-
 def run_ablation(
     train_matrix: FeatureMatrix,
     valid_matrix: FeatureMatrix,
@@ -113,13 +103,15 @@ def run_ablation(
     """Train one model per block combination and score each on the test rows.
 
     Every model shares the same seed and hyperparameters, so rows differ
-    only in their feature columns. A combination that fails to train is
-    marked failed and the remaining combinations still run. ``full_model``,
-    when given, is a model file holding what ``train`` returns for the
-    full train and validation matrices under ``config``: the combination
-    of every block loads and scores it instead of training the same model
-    again. It is loaded only when that row comes up, so it is not held in
-    memory while the other rows train.
+    only in their feature columns. An empty or unknown combination is
+    rejected before the first training; one that fails to train, or names
+    a block the matrices lack, is marked failed and the remaining
+    combinations still run. ``full_model``, when given, is a model file
+    holding what ``train`` returns for the full train and validation
+    matrices under ``config``: the combination of every block loads and
+    scores it instead of training the same model again. It is loaded only
+    when that row comes up, so it is not held in memory while the other
+    rows train.
     """
     config = config or TrainConfig()
     if not (train_matrix.layout == valid_matrix.layout == test_matrix.layout):
@@ -129,8 +121,7 @@ def run_ablation(
     if not combinations:
         raise ValidationError("at least one combination is required")
     rows: list[AblationRow] = []
-    for requested in combinations:
-        blocks = _normalize_combination(requested)
+    for blocks in [block_set(c) for c in combinations]:
         name = "+".join(blocks)
         try:
             if full_model is not None and blocks == train_matrix.layout.blocks:

@@ -5,10 +5,12 @@ A feature vector is the fixed-order concatenation of the enabled blocks:
 (bag-of-keywords), one signed polarity component per keyword, and one
 log-count per event category. Prices are z-scored with each ticker's
 training-window mean and std, which only this module computes. The
-subject test behind the polarity signs reads the mentions each sentence
-carries from ingest. The layout descriptor travels with every matrix and
-model file (both `codec` blobs) so train and serve can never disagree on
-shapes.
+three news blocks are counts over the same tokens, so each sentence is
+tokenized once and that one walk fills all of them; each row is written
+in place in the matrix. The subject test behind the polarity signs reads
+the mentions each sentence carries from ingest. The layout descriptor
+travels with every matrix and model file (both `codec` blobs) so train
+and serve can never disagree on shapes.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import bisect
 from dataclasses import dataclass
 from datetime import date as Date
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .dates import DateRange, parse_date
 from .ingest import PriceSeries
 from .lexicon import CategoryLexicon, KeywordLexicon
 from .sampling import NEGATIVE, POSITIVE, Sample, Sentence
-from .tokens import tokenize, tokenize_with_offsets
+from .tokens import tokenize_with_offsets
 
 PRICE_DIM = 12
 BLOCK_ORDER = ("price", "bok", "ps", "ct")
@@ -117,18 +119,6 @@ class FeatureLayout:
         return layout
 
 
-@dataclass(frozen=True)
-class PriceFeature:
-    """Normalized close window plus its first and second differences."""
-
-    p: np.ndarray  # 5 z-scored closes, oldest first
-    dp: np.ndarray  # 4 first differences
-    ddp: np.ndarray  # 3 second differences
-
-    def concat(self) -> np.ndarray:
-        return np.concatenate([self.p, self.dp, self.ddp])
-
-
 def training_stats(
     prices: Mapping[str, PriceSeries], window: DateRange
 ) -> dict[str, tuple[float, float]]:
@@ -152,12 +142,13 @@ def training_stats(
 
 def price_features(
     series: PriceSeries, stats: tuple[float, float], t: Date
-) -> PriceFeature:
-    """Features from the five trading closes strictly before t.
+) -> np.ndarray:
+    """The 12 price features from the five trading closes strictly before t.
 
-    Closes are z-scored with the supplied training-window (mean, std);
-    differences are taken on the normalized values. Fewer than five prior
-    closes is a skip, not an error.
+    Closes are z-scored with the supplied training-window (mean, std):
+    the 5 normalized closes, oldest first, then their 4 first and 3
+    second differences. Fewer than five prior closes is a skip, not an
+    error.
     """
     mean, std = stats
     if std <= 0:
@@ -167,25 +158,7 @@ def price_features(
         raise FeatureSkip(INSUFFICIENT_HISTORY)
     p = (series.closes[end - 5 : end] - mean) / std
     dp = np.diff(p)
-    return PriceFeature(p=p, dp=dp, ddp=np.diff(dp))
-
-
-def _token_counts(sample: Sample) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for sentence in sample.sentences:
-        for token in tokenize(sentence.text):
-            counts[token] = counts.get(token, 0) + 1
-    return counts
-
-
-def bok_features(sample: Sample, lexicon: KeywordLexicon) -> np.ndarray:
-    """tf·idf per lexicon keyword; tf is the raw token count in the sample."""
-    vec = np.zeros(len(lexicon))
-    for word, tf in _token_counts(sample).items():
-        i = lexicon.index.get(word)
-        if i is not None:
-            vec[i] = tf * lexicon.entries[i].idf
-    return vec
+    return np.concatenate([p, dp, np.diff(dp)])
 
 
 def subject_of_keyword(sentence: Sentence, target: str, keyword_offset: int) -> bool:
@@ -205,47 +178,48 @@ def subject_of_keyword(sentence: Sentence, target: str, keyword_offset: int) -> 
     return best_ticker == target
 
 
-def ps_features(sample: Sample, lexicon: KeywordLexicon) -> np.ndarray:
-    """idf-weighted polarity per keyword, sign-flipped per non-subject occurrence."""
+def _fill_news(
+    row: np.ndarray,
+    offsets: Mapping[str, tuple[int, int]],
+    sample: Sample,
+    keywords: KeywordLexicon | None,
+    categories: CategoryLexicon | None,
+) -> None:
+    """Write a sample's enabled news blocks into its zeroed feature row.
+
+    One walk over each sentence's tokens counts every keyword hit (tf),
+    signs it by the subject test when ps is enabled, and counts category
+    words. Then bok is tf·idf, ps is idf·(signed hits)·polarity for each
+    keyword hit at least once, and ct is log(1 + N_c) per category.
+    """
+    index = keywords.index if "bok" in offsets or "ps" in offsets else {}
+    word_categories = categories.word_categories if "ct" in offsets else {}
+    signs = "ps" in offsets
+    ct_start, ct_stop = offsets.get("ct", (0, 0))
+    tf: dict[int, int] = {}
     signed: dict[int, int] = {}
     for sentence in sample.sentences:
         for token, offset in tokenize_with_offsets(sentence.text):
-            i = lexicon.index.get(token)
-            if i is None:
-                continue
-            sign = 1 if subject_of_keyword(sentence, sample.ticker, offset) else -1
-            signed[i] = signed.get(i, 0) + sign
-    vec = np.zeros(len(lexicon))
-    for i, total in signed.items():
-        entry = lexicon.entries[i]
-        vec[i] = entry.idf * total * entry.ps
-    return vec
-
-
-def ct_features(sample: Sample, categories: CategoryLexicon) -> np.ndarray:
-    """log(1 + N_c) per category, N_c counting category-word occurrences."""
-    counts = np.zeros(len(categories.categories))
-    for sentence in sample.sentences:
-        for token in tokenize(sentence.text):
-            for ci in categories.word_categories.get(token, ()):
-                counts[ci] += 1
-    return np.log1p(counts)
-
-
-def assemble(parts: dict[str, np.ndarray], layout: FeatureLayout) -> np.ndarray:
-    """Concatenate enabled blocks in fixed order, enforcing the layout's sizes."""
-    pieces = []
-    for name in layout.blocks:
-        part = parts.get(name)
-        if part is None:
-            raise ValidationError(f"block {name!r} enabled but not supplied")
-        if part.shape != (layout.block_size(name),):
-            raise ValidationError(
-                f"block {name!r} has shape {part.shape}, "
-                f"expected ({layout.block_size(name)},)"
-            )
-        pieces.append(part)
-    return np.concatenate(pieces)
+            i = index.get(token)
+            if i is not None:
+                tf[i] = tf.get(i, 0) + 1
+                if signs:
+                    sign = 1 if subject_of_keyword(sentence, sample.ticker, offset) else -1
+                    signed[i] = signed.get(i, 0) + sign
+            for ci in word_categories.get(token, ()):
+                row[ct_start + ci] += 1
+    if "bok" in offsets:
+        start = offsets["bok"][0]
+        for i, n in tf.items():
+            row[start + i] = n * keywords.entries[i].idf
+    if signs:
+        start = offsets["ps"][0]
+        for i, total in signed.items():
+            entry = keywords.entries[i]
+            row[start + i] = entry.idf * total * entry.ps
+    if "ct" in offsets:
+        counts = row[ct_start:ct_stop]
+        np.log1p(counts, out=counts)
 
 
 @dataclass
@@ -303,7 +277,9 @@ def featurize_samples(
             f"layout categories={layout.n_categories} does not match "
             f"{len(categories.categories)} lexicon categories"
         )
-    rows: list[np.ndarray] = []
+    offsets = layout.offsets()
+    news = any(b in offsets for b in ("bok", "ps", "ct"))
+    x = np.zeros((len(samples), layout.dimension))
     tickers: list[str] = []
     dates: list[Date] = []
     labels: list[str] = []
@@ -313,35 +289,40 @@ def featurize_samples(
             raise ValidationError(
                 f"unlabeled sample ({sample.ticker}, {sample.date}) cannot be featurized"
             )
-        try:
-            parts: dict[str, np.ndarray] = {}
-            if "price" in layout.blocks:
-                series = prices.get(sample.ticker)
+        # A skipped sample writes nothing, so the next one reuses its row.
+        row = x[len(tickers)]
+        if "price" in offsets:
+            series = prices.get(sample.ticker)
+            normal = stats.get(sample.ticker)
+            try:
                 if series is None:
                     raise FeatureSkip(NO_PRICE_HISTORY)
-                normal = stats.get(sample.ticker)
                 if normal is None:
                     raise FeatureSkip(UNNORMALIZABLE)
-                parts["price"] = price_features(series, normal, sample.date).concat()
-            if "bok" in layout.blocks:
-                parts["bok"] = bok_features(sample, keywords)
-            if "ps" in layout.blocks:
-                parts["ps"] = ps_features(sample, keywords)
-            if "ct" in layout.blocks:
-                parts["ct"] = ct_features(sample, categories)
-        except FeatureSkip as skip:
-            skipped.append((sample.ticker, sample.date, skip.reason))
-            continue
-        rows.append(assemble(parts, layout))
+                row[slice(*offsets["price"])] = price_features(series, normal, sample.date)
+            except FeatureSkip as skip:
+                skipped.append((sample.ticker, sample.date, skip.reason))
+                continue
+        if news:
+            _fill_news(row, offsets, sample, keywords, categories)
         tickers.append(sample.ticker)
         dates.append(sample.date)
         labels.append(sample.label)
-    x = (
-        np.vstack(rows)
-        if rows
-        else np.zeros((0, layout.dimension))
-    )
-    return FeatureMatrix(layout, tickers, dates, labels, x), skipped
+    return FeatureMatrix(layout, tickers, dates, labels, x[: len(tickers)]), skipped
+
+
+def block_set(blocks: Iterable[str]) -> tuple[str, ...]:
+    """The distinct names in ``blocks``, in `BLOCK_ORDER`.
+
+    An empty set, or a name that is not a block, is rejected.
+    """
+    wanted = set(blocks)
+    if not wanted:
+        raise ValidationError("a feature combination cannot be empty")
+    unknown = wanted - set(BLOCK_ORDER)
+    if unknown:
+        raise ValidationError(f"unknown blocks {sorted(unknown)}")
+    return tuple(b for b in BLOCK_ORDER if b in wanted)
 
 
 def slice_blocks(matrix: FeatureMatrix, blocks: Sequence[str]) -> FeatureMatrix:
@@ -351,14 +332,10 @@ def slice_blocks(matrix: FeatureMatrix, blocks: Sequence[str]) -> FeatureMatrix:
     projected matrix is column-identical to featurizing with the smaller
     layout directly.
     """
-    wanted = set(blocks)
-    unknown = wanted - set(BLOCK_ORDER)
-    if unknown:
-        raise ValidationError(f"unknown blocks {sorted(unknown)}")
-    missing = wanted - set(matrix.layout.blocks)
+    ordered = block_set(blocks)
+    missing = set(ordered) - set(matrix.layout.blocks)
     if missing:
         raise ValidationError(f"matrix does not contain blocks {sorted(missing)}")
-    ordered = tuple(b for b in BLOCK_ORDER if b in wanted)
     sub = FeatureLayout(
         blocks=ordered, k=matrix.layout.k, n_categories=matrix.layout.n_categories
     )

@@ -64,11 +64,34 @@ def _numpy_version() -> str:
     return metadata.version("numpy")
 
 
+def _blas_threads() -> int:
+    """The thread count OpenBLAS starts with, read without importing numpy.
+
+    Matrix products can round differently at another thread count, so
+    bytes made at one count are not reused at another. OpenBLAS takes the
+    first positive value of these variables, capped at the CPUs this
+    process may run on; with none set, it uses all of those CPUs.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return min(threads, cpus)
+    return cpus
+
+
 def _versions() -> dict[str, str]:
     return {
         "package": __version__,
         "python": platform.python_version(),
         "numpy": _numpy_version(),
+        "blas_threads": str(_blas_threads()),
     }
 
 

@@ -24,7 +24,6 @@ from newsmotion.embedding import _pair_arrays, load_embeddings
 from newsmotion.features import (
     FeatureLayout,
     featurize_samples,
-    ps_features,
     subject_of_keyword,
     training_stats,
 )
@@ -352,10 +351,12 @@ class TestAcceptance:
         lexicon = KeywordLexicon(
             [KeywordEntry(word="rose", seed=True, similarity=1.0, df=1, idf=1.0, ps=0.7)]
         )
+        layout = FeatureLayout(("ps",), k=1, n_categories=0)
         signs = {}
         for target in ("AAPL", "SSNLF", "MSFT"):
             sample = _sample(target, text, POSITIVE, mentions)
-            signs[target] = float(ps_features(sample, lexicon)[0])
+            matrix, _ = featurize_samples([sample], {}, {}, lexicon, None, layout)
+            signs[target] = float(matrix.x[0, 0])
         sentence = Sentence(text=text, article_date=DAY, mentions=mentions)
         _report(
             "criterion 6, subject heuristic",

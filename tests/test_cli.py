@@ -422,6 +422,26 @@ class TestStageKeys:
         skipped = self._run(config, stages, "pipeline.seed=2", caplog)
         assert skipped == {"synth", "ingest", "graph"}
 
+    def test_blas_thread_count_change_reruns_a_unit(
+        self, pipeline, tmp_path, caplog, monkeypatch
+    ):
+        """Bytes made at one BLAS thread count are not reused at another."""
+        config = _copy(pipeline, tmp_path)
+        # Two usable CPUs, so that both counts below hold on any host.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        argv = ["graph", "--config", str(config)]
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert cli.main(argv) == 0
+        caplog.clear()
+        with caplog.at_level(logging.INFO):
+            assert cli.main(argv) == 0
+        assert "graph: artifacts up to date, skipping" in caplog.text
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        caplog.clear()
+        with caplog.at_level(logging.INFO):
+            assert cli.main(argv) == 0
+        assert "up to date, skipping" not in caplog.text
+
     def test_iterations_change_reruns_predict_not_train(
         self, pipeline, tmp_path, caplog
     ):
@@ -721,15 +741,16 @@ class TestTracingPlan:
         repo = Path(__file__).resolve().parent.parent
         config = _copy(pipeline, tmp_path)
         path = os.environ.get("PYTHONPATH")
+        # The BLAS thread variables stay as the fixture run had them: the
+        # manifests record the thread count, and ingest must still skip.
         env = {
             **os.environ,
             "PYTHONPATH": os.pathsep.join(filter(None, [str(repo / "src"), path])),
-            "OPENBLAS_NUM_THREADS": "1",
         }
-        spans, flop, pairs = set(), 0.0, 0.0
+        spans, flop, pairs, counts = set(), 0.0, 0.0, {}
         # ingest skips; the stage modules load only for the others' bodies.
         runs = {"ingest": ()}
-        forced = ("embed", "train", "graph", "predict", "evaluate")
+        forced = ("embed", "featurize", "train", "graph", "predict", "evaluate")
         runs.update({stage: ("--force",) for stage in forced})
         for stage, args in runs.items():
             trace = tmp_path / f"{stage}.trace.json"
@@ -752,10 +773,13 @@ class TestTracingPlan:
             spans.update(names)
             flop += recorded["counts"].get("mlp.flop", 0.0)
             pairs += recorded["counts"].get("embedding.pairs", 0.0)
+            if stage == "featurize":
+                counts = recorded["counts"]
         wanted = {
             "manifest.check",
             "ingest.load_prices",
             "embedding.train_skipgram",
+            "features.featurize",
             "graph.build",
             "mlp.train",
             "mlp.predict_batch",
@@ -772,6 +796,13 @@ class TestTracingPlan:
         settings = load_config(config).embedding
         centers, _ = _pair_arrays(sentences, index, settings.window)
         assert pairs == len(centers) * settings.epochs
+        rows = sum(
+            len(load_feature_matrix(work / f"features_{split}.bin"))
+            for split in ("train", "valid", "test")
+        )
+        skipped = (work / "skipped.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert counts["features.rows"] == rows > 0
+        assert counts["features.skipped"] == len(skipped)
 
 
 class TestFailureModes:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import os
 from datetime import date
 from pathlib import Path
 
@@ -336,6 +337,31 @@ class TestManifest:
         record["versions"]["package"] = "0.0.0-other"
         path.write_text(json.dumps(record))
         assert not up_to_date(work, "stage", inputs, outputs, "cfg")
+
+    @pytest.mark.parametrize(
+        "env, cpus, threads",
+        [
+            ({}, 2, 2),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 2, 1),
+            ({"OMP_NUM_THREADS": "1"}, 2, 1),
+            ({"GOTO_NUM_THREADS": "1"}, 2, 1),
+            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 2),
+            ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, 1),
+            ({"OPENBLAS_NUM_THREADS": "4"}, 2, 2),
+            ({"OPENBLAS_NUM_THREADS": "0"}, 2, 2),
+            ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 1),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 1, 1),
+        ],
+    )
+    def test_recorded_blas_threads(self, monkeypatch, env, cpus, threads):
+        """The first positive thread variable, capped at the usable CPUs."""
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        usable = set(range(cpus))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable, raising=False)
+        assert manifest._versions()["blas_threads"] == str(threads)
 
     def test_recorded_numpy_version_is_the_imported_one(self):
         """The version is read from metadata; manifests must not change by it."""

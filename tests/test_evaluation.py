@@ -7,6 +7,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from newsmotion import evaluation
 from newsmotion.config import TrainConfig
 from newsmotion.errors import ValidationError
 from newsmotion.evaluation import (
@@ -17,7 +18,6 @@ from newsmotion.evaluation import (
     AblationRow,
     SweepReport,
     SweepRow,
-    _normalize_combination,
     render_ablation,
     render_sweep,
     run_ablation,
@@ -25,7 +25,7 @@ from newsmotion.evaluation import (
     write_ablation_report,
     write_sweep_report,
 )
-from newsmotion.features import FeatureLayout, FeatureMatrix, slice_blocks
+from newsmotion.features import FeatureLayout, FeatureMatrix, block_set, slice_blocks
 from newsmotion.graph import CorrelationGraph
 from newsmotion.ingest import PriceSeries
 from newsmotion.mlp import MlpModel, error_rate, save_model, train
@@ -35,7 +35,7 @@ DAY = date(2013, 7, 1)
 
 
 def combination_name(blocks) -> str:
-    return "+".join(_normalize_combination(blocks))
+    return "+".join(block_set(blocks))
 
 
 def _signal_matrix(n: int, seed: int, ps_scale: float = 1.0) -> FeatureMatrix:
@@ -94,6 +94,22 @@ class TestCombinationName:
 
 
 class TestRunAblation:
+    def test_unknown_combination_rejected_before_any_training(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(evaluation, "train", lambda *a, **k: calls.append(a))
+        train_m = _signal_matrix(20, seed=80)
+        with pytest.raises(ValidationError, match="volume"):
+            run_ablation(train_m, train_m, train_m, [("bok",), ("bok", "volume")])
+        assert calls == []
+
+    def test_block_missing_from_matrices_fails_only_its_row(self):
+        train_m = _signal_matrix(60, seed=81)
+        report = run_ablation(
+            train_m, train_m, train_m, [("price",), ("bok",)], _small_config()
+        )
+        assert [row.status for row in report.rows] == [FAILED, OK]
+        assert "price" in report.rows[0].note
+
     def test_rows_follow_request_order(self):
         train_m = _signal_matrix(120, seed=82)
         report = run_ablation(

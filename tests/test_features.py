@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import re
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
+from newsmotion import features, tokens
 from newsmotion.errors import ParseError, ValidationError
 from newsmotion.features import (
     BLOCK_ORDER,
@@ -18,13 +20,9 @@ from newsmotion.features import (
     INSUFFICIENT_HISTORY,
     NO_PRICE_HISTORY,
     UNNORMALIZABLE,
-    assemble,
-    bok_features,
-    ct_features,
     featurize_samples,
     load_feature_matrix,
     price_features,
-    ps_features,
     slice_blocks,
     subject_of_keyword,
     write_feature_matrix,
@@ -37,6 +35,9 @@ from newsmotion.lexicon import (
     KeywordLexicon,
 )
 from newsmotion.sampling import NEGATIVE, POSITIVE, Sample, Sentence
+from newsmotion.tokens import tokenize_with_offsets
+
+from feature_oracle import oracle_rows
 
 DAY = date(2012, 3, 5)
 
@@ -85,21 +86,38 @@ def _categories() -> CategoryLexicon:
     return CategoryLexicon(["energy", "tech"], entries)
 
 
+def _row(
+    sample: Sample,
+    blocks: tuple[str, ...],
+    keywords: KeywordLexicon | None = None,
+    categories: CategoryLexicon | None = None,
+) -> np.ndarray:
+    """The sample's feature row under a layout of only the given news blocks."""
+    layout = FeatureLayout(
+        blocks=blocks,
+        k=len(keywords) if keywords else 0,
+        n_categories=len(categories.categories) if categories else 0,
+    )
+    matrix, skipped = featurize_samples([sample], {}, {}, keywords, categories, layout)
+    assert skipped == []
+    return matrix.x[0]
+
+
 class TestPriceFeatures:
     def test_hand_z_scores(self):
         series = _series("AAA", [1.0, 2.0, 3.0, 4.0, 5.0])
         t = series.dates[-1] + timedelta(days=1)
         feature = price_features(series, (3.0, math.sqrt(2.0)), t)
         scale = 1.0 / math.sqrt(2.0)
-        assert np.allclose(feature.p, np.array([-2, -1, 0, 1, 2]) * scale, atol=1e-12)
-        assert np.allclose(feature.dp, np.full(4, scale), atol=1e-12)
-        assert np.allclose(feature.ddp, np.zeros(3), atol=1e-12)
-        assert feature.concat().shape == (PRICE_DIM,)
+        assert feature.shape == (PRICE_DIM,)
+        assert np.allclose(feature[:5], np.array([-2, -1, 0, 1, 2]) * scale, atol=1e-12)
+        assert np.allclose(feature[5:9], np.full(4, scale), atol=1e-12)
+        assert np.allclose(feature[9:], np.zeros(3), atol=1e-12)
 
     def test_close_on_t_is_excluded(self):
         series = _series("AAA", [1.0, 2.0, 3.0, 4.0, 5.0, 99.0])
         feature = price_features(series, (3.0, 1.0), series.dates[-1])
-        assert np.allclose(feature.p, np.array([1.0, 2.0, 3.0, 4.0, 5.0]) - 3.0)
+        assert np.allclose(feature[:5], np.array([1.0, 2.0, 3.0, 4.0, 5.0]) - 3.0)
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(23)
@@ -110,8 +128,8 @@ class TestPriceFeatures:
             base = _series("AAA", closes)
             scaled = _series("AAA", a * closes + b)
             t = base.dates[-1] + timedelta(days=1)
-            f1 = price_features(base, _stats(base), t).concat()
-            f2 = price_features(scaled, _stats(scaled), t).concat()
+            f1 = price_features(base, _stats(base), t)
+            f2 = price_features(scaled, _stats(scaled), t)
             assert np.allclose(f1, f2, atol=1e-9)
 
     def test_too_few_prior_closes_is_a_skip(self):
@@ -131,7 +149,7 @@ class TestBokFeatures:
     def test_tf_times_idf(self):
         lexicon = _keywords(("surge", 2.0, 0.5), ("drop", 3.0, -0.5))
         sample = _text_sample("AAA", "surge surge drop and more")
-        vec = bok_features(sample, lexicon)
+        vec = _row(sample, ("bok",), keywords=lexicon)
         assert vec.tolist() == [2 * 2.0, 1 * 3.0]
 
     def test_counts_span_sentences(self):
@@ -141,12 +159,12 @@ class TestBokFeatures:
             Sentence("a surge today", DAY, ()),
             Sentence("another surge tomorrow", DAY, ()),
         )
-        assert bok_features(sample, lexicon).tolist() == [2 * 2.0]
+        assert _row(sample, ("bok",), keywords=lexicon).tolist() == [2 * 2.0]
 
     def test_unknown_words_leave_zeros(self):
         lexicon = _keywords(("surge", 2.0, 0.5))
         sample = _text_sample("AAA", "nothing relevant here")
-        assert bok_features(sample, lexicon).tolist() == [0.0]
+        assert _row(sample, ("bok",), keywords=lexicon).tolist() == [0.0]
 
 
 class TestSubjectHeuristic:
@@ -177,36 +195,37 @@ class TestSubjectHeuristic:
 
 
 class TestPsFeatures:
-    def _lexicon(self) -> KeywordLexicon:
-        return _keywords(("rose", 2.0, 0.5), ("fell", 3.0, -0.4))
+    def _ps(self, sample: Sample) -> np.ndarray:
+        lexicon = _keywords(("rose", 2.0, 0.5), ("fell", 3.0, -0.4))
+        return _row(sample, ("ps",), keywords=lexicon)
 
     def test_subject_occurrence_is_positive(self):
         sentence = Sentence("Apple rose sharply", DAY, (("AAPL", 0),))
-        vec = ps_features(_sample("AAPL", sentence), self._lexicon())
+        vec = self._ps(_sample("AAPL", sentence))
         assert vec.tolist() == [2.0 * 1 * 0.5, 0.0]
 
     def test_non_subject_occurrence_flips_sign(self):
         sentence = Sentence("Samsung fell behind Apple", DAY, (("SSNLF", 0), ("AAPL", 20)))
-        vec = ps_features(_sample("AAPL", sentence), self._lexicon())
+        vec = self._ps(_sample("AAPL", sentence))
         assert vec.tolist() == [0.0, 3.0 * -1 * -0.4]
 
     def test_opposite_occurrences_cancel(self):
         first = Sentence("Apple rose early", DAY, (("AAPL", 0),))
         second = Sentence("Samsung rose late", DAY, (("SSNLF", 0),))
-        vec = ps_features(_sample("AAPL", first, second), self._lexicon())
+        vec = self._ps(_sample("AAPL", first, second))
         assert vec.tolist() == [0.0, 0.0]
 
     def test_repeated_subject_occurrences_accumulate(self):
         first = Sentence("Apple rose early", DAY, (("AAPL", 0),))
         second = Sentence("Apple rose again", DAY, (("AAPL", 0),))
-        vec = ps_features(_sample("AAPL", first, second), self._lexicon())
+        vec = self._ps(_sample("AAPL", first, second))
         assert vec.tolist() == [2.0 * 2 * 0.5, 0.0]
 
 
 class TestCtFeatures:
     def test_log1p_of_occurrence_counts(self):
         sample = _text_sample("AAA", "oil oil gas chip unrelated")
-        vec = ct_features(sample, _categories())
+        vec = _row(sample, ("ct",), categories=_categories())
         assert vec == pytest.approx([math.log(4.0), math.log(2.0)], abs=1e-12)
 
     def test_word_in_two_categories_counts_in_both(self):
@@ -215,11 +234,11 @@ class TestCtFeatures:
             CategoryEntry("transport", "fuel", False, 0.8),
         ]
         categories = CategoryLexicon(["energy", "transport"], entries)
-        vec = ct_features(_text_sample("AAA", "fuel prices"), categories)
+        vec = _row(_text_sample("AAA", "fuel prices"), ("ct",), categories=categories)
         assert vec == pytest.approx([math.log(2.0), math.log(2.0)], abs=1e-12)
 
     def test_no_category_words_gives_zeros(self):
-        vec = ct_features(_text_sample("AAA", "quiet day"), _categories())
+        vec = _row(_text_sample("AAA", "quiet day"), ("ct",), categories=_categories())
         assert vec.tolist() == [0.0, 0.0]
 
 
@@ -255,24 +274,6 @@ class TestFeatureLayout:
         data["sizes"]["price"] = 13
         with pytest.raises(ParseError, match="sizes"):
             FeatureLayout.from_dict(data)
-
-
-class TestAssemble:
-    def test_concatenates_in_layout_order(self):
-        layout = FeatureLayout(blocks=("price", "ct"), k=0, n_categories=2)
-        parts = {"ct": np.array([8.0, 9.0]), "price": np.arange(12.0)}
-        vec = assemble(parts, layout)
-        assert vec.tolist() == [*range(12), 8.0, 9.0]
-
-    def test_missing_block_rejected(self):
-        layout = FeatureLayout(blocks=("price", "ct"), k=0, n_categories=2)
-        with pytest.raises(ValidationError, match="ct"):
-            assemble({"price": np.arange(12.0)}, layout)
-
-    def test_wrong_size_rejected(self):
-        layout = FeatureLayout(blocks=("price",), k=0, n_categories=0)
-        with pytest.raises(ValidationError, match="shape"):
-            assemble({"price": np.arange(11.0)}, layout)
 
 
 class TestFeaturizeSamples:
@@ -315,13 +316,35 @@ class TestFeaturizeSamples:
         prices, stats = table
         expected = np.concatenate(
             [
-                price_features(prices["AAA"], stats["AAA"], DAY).concat(),
-                bok_features(sample, keywords),
-                ps_features(sample, keywords),
-                ct_features(sample, categories),
+                price_features(prices["AAA"], stats["AAA"], DAY),
+                _row(sample, ("bok",), keywords=keywords),
+                _row(sample, ("ps",), keywords=keywords),
+                _row(sample, ("ct",), categories=categories),
             ]
         )
         assert np.array_equal(matrix.x[0], expected)
+
+    def test_each_sentence_is_tokenized_once(self, monkeypatch):
+        table, keywords, categories, layout, _ = self._fixture()
+        samples = [
+            _sample(
+                "AAA",
+                Sentence("a surge in oil demand", DAY, ()),
+                Sentence("chip makers drop", DAY, ()),
+            ),
+            _text_sample("AAA", "oil drop"),
+        ]
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return tokenize_with_offsets(text)
+
+        # tokens.tokenize goes through tokens.tokenize_with_offsets too.
+        monkeypatch.setattr(tokens, "tokenize_with_offsets", counting)
+        monkeypatch.setattr(features, "tokenize_with_offsets", counting)
+        featurize_samples(samples, *table, keywords, categories, layout)
+        assert calls == [s.text for sample in samples for s in sample.sentences]
 
     def test_unlabeled_sample_rejected(self):
         table, keywords, categories, layout, _ = self._fixture()
@@ -349,6 +372,92 @@ class TestFeaturizeSamples:
         assert len(matrix) == 0
         assert matrix.x.shape == (0, layout.dimension)
         assert len(skipped) == 1
+
+
+class TestOneWalkMatchesOracle:
+    """featurize_samples against the per-block oracle, byte for byte."""
+
+    LAYOUTS = (("ps",), ("ct",), ("bok", "ct"), BLOCK_ORDER)
+
+    def _lexicons(self):
+        # "drop" has a negative polarity; "oil" is a keyword and a category word.
+        keywords = _keywords(
+            ("surge", 2.0, 0.5), ("drop", 3.0, -0.5), ("oil", 1.5, -0.25)
+        )
+        entries = [
+            CategoryEntry("energy", "oil", True, 1.0),
+            CategoryEntry("energy", "fuel", False, 0.9),
+            CategoryEntry("transport", "fuel", False, 0.8),
+            CategoryEntry("tech", "chip", True, 1.0),
+        ]
+        return keywords, CategoryLexicon(["energy", "transport", "tech"], entries)
+
+    def _samples(self) -> list[Sample]:
+        text = "Acme drop; Bolt drop"
+        cancel = Sentence(text, DAY, (("AAA", 0), ("BBB", 11)))
+        return [
+            _sample("AAA", cancel),
+            _sample(
+                "AAA",
+                Sentence("Acme surge on oil and fuel", DAY, (("AAA", 0),)),
+                Sentence("Bolt chip drop as oil falls", DAY, (("BBB", 0),)),
+                Sentence("fuel fuel, Oil!", DAY, ()),
+                label=NEGATIVE,
+            ),
+            _sample("BBB", Sentence("surge before Bolt", DAY, (("BBB", 13),))),
+            _text_sample("CCC", "no prices, but a surge"),
+            _sample("AAA"),
+            _text_sample("DDD", "surge"),
+        ]
+
+    def _random_samples(self, n: int) -> list[Sample]:
+        rng = np.random.default_rng(31)
+        words = ["surge", "drop", "oil", "fuel", "chip", "Acme", "Bolt", "the", "up"]
+        tickers = {"Acme": "AAA", "Bolt": "BBB"}
+        samples = []
+        for i in range(n):
+            sentences = []
+            for _ in range(int(rng.integers(1, 4))):
+                text = " ".join(rng.choice(words, size=int(rng.integers(1, 9))))
+                mentions = tuple(
+                    (tickers[m.group()], m.start()) for m in re.finditer("Acme|Bolt", text)
+                )
+                sentences.append(Sentence(text, DAY, mentions))
+            ticker = "AAA" if i % 2 else "BBB"
+            samples.append(_sample(ticker, *sentences))
+        return samples
+
+    def _check(self, samples: list[Sample]) -> None:
+        keywords, categories = self._lexicons()
+        prices, stats = _ptable(
+            [
+                _series("AAA", [10.0, 11.0, 12.0, 11.5, 12.5, 13.0]),
+                _series("BBB", [20.0, 21.0, 22.5, 21.0, 20.5, 23.0, 24.0]),
+                _series("DDD", [5.0, 5.5, 6.0]),
+            ]
+        )
+        for blocks in self.LAYOUTS:
+            layout = FeatureLayout(blocks, k=3, n_categories=3)
+            matrix, skipped = featurize_samples(
+                samples, prices, stats, keywords, categories, layout
+            )
+            expected, reasons = oracle_rows(
+                samples, prices, stats, keywords, categories, layout
+            )
+            assert matrix.x.shape == expected.shape, blocks
+            assert matrix.x.tobytes() == expected.tobytes(), blocks
+            assert [reason for *_, reason in skipped] == reasons, blocks
+
+    def test_edge_cases_match(self):
+        self._check(self._samples())
+
+    def test_random_samples_match(self):
+        self._check(self._random_samples(60))
+
+    def test_cancelled_negative_polarity_is_negative_zero(self):
+        keywords, categories = self._lexicons()
+        row = _row(self._samples()[0], ("ps",), keywords=keywords)
+        assert row[1] == 0.0 and np.signbit(row[1])
 
 
 class TestSliceBlocks:
