@@ -51,7 +51,7 @@ from .tokens import tokenize
 # names as attributes of this module, and tests patch them, so each name
 # also resolves here on first lookup (PEP 562) and a name already bound,
 # a wrapper say, is kept. Delete this shim once the stages count their
-# own work and perfbench no longer wraps them (ROADMAP direction 3).
+# own work and perfbench no longer wraps them (ROADMAP direction 1(b)).
 _STAGE_NAMES = {
     "embedding": ("load_embeddings", "save_embeddings", "train_skipgram"),
     "evaluation": (
@@ -64,8 +64,6 @@ _STAGE_NAMES = {
         "write_sweep_report",
     ),
     "features": (
-        "BLOCK_ORDER",
-        "FeatureLayout",
         "featurize_samples",
         "load_feature_matrix",
         "training_stats",
@@ -154,7 +152,9 @@ def _ingest(config, inputs, outputs) -> None:
     with outputs["corpus.txt"].open("w", encoding="utf-8", newline="\n") as fh:
         for sentence in sentences:
             if sentence.article_date <= config.dates.train_end:
-                fh.write(sentence.text.replace("\n", " ") + "\n")
+                # Reading text mode splits lines at "\r" too.
+                text = sentence.text.replace("\r", " ").replace("\n", " ")
+                fh.write(text + "\n")
     logger.info(
         "ingest: %d mention sentences; %d/%d/%d train/valid/test samples",
         len(sentences),
@@ -198,9 +198,6 @@ def _lexicon(config, inputs, outputs) -> None:
 def _featurize(config, inputs, outputs) -> None:
     keywords = load_keyword_lexicon(inputs["keywords.csv"])
     categories = load_category_lexicon(inputs["categories.csv"])
-    layout = FeatureLayout(
-        blocks=BLOCK_ORDER, k=len(keywords), n_categories=len(categories.categories)
-    )
     prices = load_prices(inputs["prices"])
     stats = training_stats(
         prices, DateRange(config.dates.train_start, config.dates.train_end)
@@ -208,16 +205,14 @@ def _featurize(config, inputs, outputs) -> None:
     all_skipped: list[tuple[str, str, Date, str]] = []
     for split_name in _SPLITS:
         samples = load_samples(inputs[f"samples_{split_name}.jsonl"])
-        matrix, skipped = featurize_samples(
-            samples, prices, stats, keywords, categories, layout
-        )
+        matrix, skipped = featurize_samples(samples, prices, stats, keywords, categories)
         write_feature_matrix(matrix, outputs[f"features_{split_name}.bin"])
         all_skipped.extend((split_name, t, d, reason) for t, d, reason in skipped)
         logger.info(
             "featurize: %s split %d rows x %d dims, %d skipped",
             split_name,
             len(matrix),
-            layout.dimension,
+            matrix.layout.dimension,
             len(skipped),
         )
     with outputs["skipped.csv"].open("w", encoding="utf-8", newline="\n") as fh:
@@ -355,14 +350,15 @@ _PROPAGATION = ("graph.iterations", "graph.clamp_observed")
 # ablation.
 UNITS = {
     "synth": Unit("synth", ("synth",), (), _FIXTURE, _synth),
-    # revision 1: each sample sentence keeps its mentions
+    # revision 1: each sample sentence keeps its mentions; revision 2: a
+    # "\r" in a sentence becomes a space in corpus.txt, as "\n" does
     "ingest": Unit(
         "ingest",
         ("dates.train_end", "dates.valid_end"),
         _FIXTURE,
         (*_SAMPLES, "corpus.txt"),
         _ingest,
-        revision=1,
+        revision=2,
     ),
     "embed": Unit(
         "embed", ("embedding",), ("corpus.txt",), ("embeddings.txt",), _embed

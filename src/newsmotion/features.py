@@ -1,16 +1,18 @@
 """Numeric feature blocks for labeled samples: price, BoK, PS, CT.
 
-A feature vector is the fixed-order concatenation of the enabled blocks:
+A feature vector is the concatenation of four blocks in `BLOCK_ORDER`:
 12 normalized price values, one tf-idf component per lexicon keyword
 (bag-of-keywords), one signed polarity component per keyword, and one
-log-count per event category. Prices are z-scored with each ticker's
-training-window mean and std, which only this module computes. The
-three news blocks are counts over the same tokens, so each sentence is
-tokenized once and that one walk fills all of them; each row is written
-in place in the matrix. The subject test behind the polarity signs reads
-the mentions each sentence carries from ingest. The layout descriptor
-travels with every matrix and model file (both `codec` blobs) so train
-and serve can never disagree on shapes.
+log-count per event category. The featurizer always fills all four; a
+subset of blocks is a column slice of that matrix (`slice_blocks`).
+Prices are z-scored with each ticker's training-window mean and std,
+which only this module computes. The three news blocks are counts over
+the same tokens, so each sentence is tokenized once and that one walk
+fills all of them; each row is written in place in the matrix. The
+subject test behind the polarity signs reads the mentions each sentence
+carries from ingest. The layout descriptor travels with every matrix
+and model file (both `codec` blobs) so train and serve can never
+disagree on shapes.
 """
 
 from __future__ import annotations
@@ -179,23 +181,22 @@ def subject_of_keyword(sentence: Sentence, target: str, keyword_offset: int) -> 
 
 
 def _fill_news(
-    row: np.ndarray,
-    offsets: Mapping[str, tuple[int, int]],
+    news: np.ndarray,
     sample: Sample,
-    keywords: KeywordLexicon | None,
-    categories: CategoryLexicon | None,
+    keywords: KeywordLexicon,
+    categories: CategoryLexicon,
 ) -> None:
-    """Write a sample's enabled news blocks into its zeroed feature row.
+    """Write a sample's bok, ps and ct blocks into the zeroed row after its prices.
 
     One walk over each sentence's tokens counts every keyword hit (tf),
-    signs it by the subject test when ps is enabled, and counts category
-    words. Then bok is tf·idf, ps is idf·(signed hits)·polarity for each
-    keyword hit at least once, and ct is log(1 + N_c) per category.
+    signs it by the subject test, and counts category words. Then bok is
+    tf·idf, ps is idf·(signed hits)·polarity for each keyword hit at
+    least once, and ct is log(1 + N_c) per category.
     """
-    index = keywords.index if "bok" in offsets or "ps" in offsets else {}
-    word_categories = categories.word_categories if "ct" in offsets else {}
-    signs = "ps" in offsets
-    ct_start, ct_stop = offsets.get("ct", (0, 0))
+    k = len(keywords)
+    index = keywords.index
+    word_categories = categories.word_categories
+    ct = news[2 * k :]
     tf: dict[int, int] = {}
     signed: dict[int, int] = {}
     for sentence in sample.sentences:
@@ -203,23 +204,16 @@ def _fill_news(
             i = index.get(token)
             if i is not None:
                 tf[i] = tf.get(i, 0) + 1
-                if signs:
-                    sign = 1 if subject_of_keyword(sentence, sample.ticker, offset) else -1
-                    signed[i] = signed.get(i, 0) + sign
+                sign = 1 if subject_of_keyword(sentence, sample.ticker, offset) else -1
+                signed[i] = signed.get(i, 0) + sign
             for ci in word_categories.get(token, ()):
-                row[ct_start + ci] += 1
-    if "bok" in offsets:
-        start = offsets["bok"][0]
-        for i, n in tf.items():
-            row[start + i] = n * keywords.entries[i].idf
-    if signs:
-        start = offsets["ps"][0]
-        for i, total in signed.items():
-            entry = keywords.entries[i]
-            row[start + i] = entry.idf * total * entry.ps
-    if "ct" in offsets:
-        counts = row[ct_start:ct_stop]
-        np.log1p(counts, out=counts)
+                ct[ci] += 1
+    for i, n in tf.items():
+        news[i] = n * keywords.entries[i].idf
+    for i, total in signed.items():
+        entry = keywords.entries[i]
+        news[k + i] = entry.idf * total * entry.ps
+    np.log1p(ct, out=ct)
 
 
 @dataclass
@@ -253,32 +247,19 @@ def featurize_samples(
     samples: Sequence[Sample],
     prices: Mapping[str, PriceSeries],
     stats: Mapping[str, tuple[float, float]],
-    keywords: KeywordLexicon | None,
-    categories: CategoryLexicon | None,
-    layout: FeatureLayout,
+    keywords: KeywordLexicon,
+    categories: CategoryLexicon,
 ) -> tuple[FeatureMatrix, list[tuple[str, Date, str]]]:
-    """Build the feature matrix for labeled samples.
+    """Build the feature matrix of every block, in `BLOCK_ORDER`, for labeled samples.
 
-    ``stats`` holds each ticker's normalisation (see `training_stats`).
-    Samples whose price block cannot be built are skipped and returned as
-    (ticker, date, reason) records. Keyword and category lexicons are only
-    required when the layout enables the corresponding blocks.
+    The layout's sizes are the two lexicons' sizes. ``stats`` holds each
+    ticker's normalisation (see `training_stats`). Samples whose price
+    block cannot be built are skipped and returned as (ticker, date,
+    reason) records.
     """
-    if ("bok" in layout.blocks or "ps" in layout.blocks) and keywords is None:
-        raise ValidationError("layout enables keyword blocks but no keyword lexicon given")
-    if "ct" in layout.blocks and categories is None:
-        raise ValidationError("layout enables ct block but no category lexicon given")
-    if keywords is not None and layout.k != len(keywords):
-        raise ValidationError(
-            f"layout k={layout.k} does not match lexicon size {len(keywords)}"
-        )
-    if categories is not None and layout.n_categories != len(categories.categories):
-        raise ValidationError(
-            f"layout categories={layout.n_categories} does not match "
-            f"{len(categories.categories)} lexicon categories"
-        )
-    offsets = layout.offsets()
-    news = any(b in offsets for b in ("bok", "ps", "ct"))
+    layout = FeatureLayout(
+        BLOCK_ORDER, k=len(keywords), n_categories=len(categories.categories)
+    )
     x = np.zeros((len(samples), layout.dimension))
     tickers: list[str] = []
     dates: list[Date] = []
@@ -291,20 +272,18 @@ def featurize_samples(
             )
         # A skipped sample writes nothing, so the next one reuses its row.
         row = x[len(tickers)]
-        if "price" in offsets:
-            series = prices.get(sample.ticker)
-            normal = stats.get(sample.ticker)
-            try:
-                if series is None:
-                    raise FeatureSkip(NO_PRICE_HISTORY)
-                if normal is None:
-                    raise FeatureSkip(UNNORMALIZABLE)
-                row[slice(*offsets["price"])] = price_features(series, normal, sample.date)
-            except FeatureSkip as skip:
-                skipped.append((sample.ticker, sample.date, skip.reason))
-                continue
-        if news:
-            _fill_news(row, offsets, sample, keywords, categories)
+        series = prices.get(sample.ticker)
+        normal = stats.get(sample.ticker)
+        try:
+            if series is None:
+                raise FeatureSkip(NO_PRICE_HISTORY)
+            if normal is None:
+                raise FeatureSkip(UNNORMALIZABLE)
+            row[:PRICE_DIM] = price_features(series, normal, sample.date)
+        except FeatureSkip as skip:
+            skipped.append((sample.ticker, sample.date, skip.reason))
+            continue
+        _fill_news(row[PRICE_DIM:], sample, keywords, categories)
         tickers.append(sample.ticker)
         dates.append(sample.date)
         labels.append(sample.label)
@@ -328,9 +307,7 @@ def block_set(blocks: Iterable[str]) -> tuple[str, ...]:
 def slice_blocks(matrix: FeatureMatrix, blocks: Sequence[str]) -> FeatureMatrix:
     """Project a matrix onto a subset of its blocks, preserving row metadata.
 
-    Lets one full featurization pass serve every block combination: the
-    projected matrix is column-identical to featurizing with the smaller
-    layout directly.
+    Lets one full featurization pass serve every block combination.
     """
     ordered = block_set(blocks)
     missing = set(ordered) - set(matrix.layout.blocks)

@@ -141,13 +141,12 @@ def write_manifest(
     inputs: Mapping[str, Path],
     outputs: Mapping[str, Path],
     config_hash: str,
-    digests: Digests | None = None,
+    digests: Digests,
 ) -> None:
     """Record the stage's input and output hashes after a successful run.
 
     The outputs are hashed afresh, as the stage has just rewritten them.
     """
-    digests = Digests() if digests is None else digests
     for path in outputs.values():
         digests.pop(path, None)
     record = {
@@ -169,10 +168,9 @@ def up_to_date(
     inputs: Mapping[str, Path],
     outputs: Mapping[str, Path],
     config_hash: str,
-    digests: Digests | None = None,
+    digests: Digests,
 ) -> bool:
     """Whether the stage's manifest still matches its inputs and outputs."""
-    digests = Digests() if digests is None else digests
     try:
         record = json.loads(manifest_path(work_dir, stage).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError):

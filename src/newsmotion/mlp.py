@@ -96,15 +96,10 @@ def init(layer_dims: Sequence[int], seed: int, layout: FeatureLayout) -> MlpMode
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax (max subtraction); accepts 1-D or 2-D input."""
+    """Row-wise stable softmax (max subtraction) of a 2-D array of logits."""
     z = np.asarray(logits, dtype=np.float64)
-    squeeze = z.ndim == 1
-    if squeeze:
-        z = z[None, :]
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
-    return p[0] if squeeze else p
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def _forward_pass(

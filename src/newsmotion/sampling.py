@@ -44,9 +44,7 @@ def _parse_abbreviations(text: str) -> frozenset[str]:
     return frozenset(out)
 
 
-def split_sentences(
-    text: str, abbreviations: frozenset[str] | None = None
-) -> list[str]:
+def split_sentences(text: str, abbreviations: frozenset[str]) -> list[str]:
     """Split text at sentence terminators (. ? !).
 
     A terminator only ends a sentence when followed by whitespace or end
@@ -55,8 +53,6 @@ def split_sentences(
     are stripped slices of the input, so their concatenation reproduces
     the input up to whitespace.
     """
-    if abbreviations is None:
-        abbreviations = default_abbreviations()
     sentences = []
     start = 0
     n = len(text)

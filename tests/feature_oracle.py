@@ -2,8 +2,9 @@
 
 Each news block walks the sample's sentences on its own and tokenizes
 them again, and a row is the concatenation of its blocks' vectors.
-`newsmotion.features.featurize_samples` fills the same blocks in one
-walk, in place, and must reproduce `oracle_rows` byte for byte.
+`newsmotion.features.featurize_samples` fills all four blocks in one
+walk, in place; each block combination sliced from its matrix must
+reproduce `oracle_rows` for that combination's layout byte for byte.
 """
 
 from __future__ import annotations
@@ -85,8 +86,8 @@ def oracle_rows(
     samples: Sequence[Sample],
     prices: Mapping[str, PriceSeries],
     stats: Mapping[str, tuple[float, float]],
-    keywords: KeywordLexicon | None,
-    categories: CategoryLexicon | None,
+    keywords: KeywordLexicon,
+    categories: CategoryLexicon,
     layout: FeatureLayout,
 ) -> tuple[np.ndarray, list[str]]:
     """The feature rows of the samples that are not skipped, and the skip reasons."""

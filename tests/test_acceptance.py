@@ -24,6 +24,7 @@ from newsmotion.embedding import _pair_arrays, load_embeddings
 from newsmotion.features import (
     FeatureLayout,
     featurize_samples,
+    slice_blocks,
     subject_of_keyword,
     training_stats,
 )
@@ -196,7 +197,7 @@ class TestAcceptance:
         rng = np.random.default_rng(99)
         logits = rng.uniform(-700.0, 700.0, size=(10_000, 2))
         logits[:4] = [[700.0, -700.0], [-700.0, 700.0], [700.0, 700.0], [0.0, 0.0]]
-        probs = np.vstack([softmax(row) for row in logits[:4]])
+        probs = softmax(logits[:4])
         gap = float(np.abs(softmax(logits).sum(axis=1) - 1.0).max())
 
         zero = MlpModel(
@@ -351,12 +352,18 @@ class TestAcceptance:
         lexicon = KeywordLexicon(
             [KeywordEntry(word="rose", seed=True, similarity=1.0, df=1, idf=1.0, ps=0.7)]
         )
-        layout = FeatureLayout(("ps",), k=1, n_categories=0)
+        categories = CategoryLexicon(["energy"], [CategoryEntry("energy", "oil", True, 1.0)])
+        closes = np.linspace(10.0, 12.0, 10)
+        dates = tuple(date(2012, 1, 2) + timedelta(days=i) for i in range(10))
+        table = _price_table(
+            [PriceSeries(t, dates, closes) for t in ("AAPL", "SSNLF", "MSFT")]
+        )
+        stats = training_stats(table, DateRange(date(2012, 1, 1), date(2012, 12, 31)))
         signs = {}
         for target in ("AAPL", "SSNLF", "MSFT"):
             sample = _sample(target, text, POSITIVE, mentions)
-            matrix, _ = featurize_samples([sample], {}, {}, lexicon, None, layout)
-            signs[target] = float(matrix.x[0, 0])
+            full, _ = featurize_samples([sample], table, stats, lexicon, categories)
+            signs[target] = float(slice_blocks(full, ["ps"]).x[0, 0])
         sentence = Sentence(text=text, article_date=DAY, mentions=mentions)
         _report(
             "criterion 6, subject heuristic",
@@ -469,9 +476,7 @@ class TestAcceptance:
             _sample("AAA", f"{words[0]} {words[999]}", NEGATIVE),
         ]
         stats = training_stats(table, DateRange(date(2012, 1, 1), date(2012, 12, 31)))
-        matrix, skipped = featurize_samples(
-            samples, table, stats, keywords, categories, layout
-        )
+        matrix, skipped = featurize_samples(samples, table, stats, keywords, categories)
         model = init((layout.dimension, 8, 2), seed=1, layout=layout)
         path = tmp_path / "model.bin"
         save_model(model, path)
@@ -482,6 +487,7 @@ class TestAcceptance:
             layout.dimension == FULL_DIMENSION
             and matrix.x.shape == (2, FULL_DIMENSION)
             and not skipped
+            and matrix.layout == layout
             and loaded.layout == layout
             and loaded.layout.dimension == matrix.x.shape[1]
             and len(confidences) == 2,

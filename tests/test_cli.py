@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import bisect
+import inspect
 import json
 import logging
 import os
@@ -11,6 +13,7 @@ import shutil
 import subprocess
 import sys
 from dataclasses import replace
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -20,18 +23,23 @@ from newsmotion.config import load_config
 from newsmotion.embedding import _pair_arrays, load_embeddings
 from newsmotion.errors import PipelineError
 from newsmotion.evaluation import run_propagation_sweep
-from newsmotion.features import load_feature_matrix
+from newsmotion.features import (
+    INSUFFICIENT_HISTORY,
+    UNNORMALIZABLE,
+    load_feature_matrix,
+)
 from newsmotion.graph import DNN, DOWN, PROPAGATED, UP, load_graph
-from newsmotion.ingest import load_prices
+from newsmotion.ingest import Article, load_prices, write_articles
 from newsmotion.lexicon import load_keyword_lexicon
 from newsmotion.manifest import (
+    Digests,
     manifest_path,
     text_sha256,
     work_dir_lock,
     write_manifest,
 )
 from newsmotion.mlp import init, load_model, save_model
-from newsmotion.sampling import POSITIVE, movement_label
+from newsmotion.sampling import POSITIVE, load_samples, movement_label
 from newsmotion.tokens import tokenize
 
 from support import load_predictions
@@ -131,6 +139,7 @@ def _record(config_path: Path, unit: str, key: str | None = None) -> None:
         cli._files(config, spec.inputs),
         cli._files(config, spec.outputs),
         cli._stage_key(config, unit) if key is None else key,
+        Digests(),
     )
 
 
@@ -350,6 +359,85 @@ class TestFullPipeline:
         with caplog.at_level(logging.INFO):
             assert cli.main(argv) == 0
         assert logged in caplog.text
+
+
+class TestIngestCorpus:
+    def test_a_carriage_return_stays_inside_its_corpus_line(self, tmp_path):
+        """embed reads corpus.txt in text mode, which also ends a line at "\r"."""
+        (tmp_path / "aliases.csv").write_text("Acme,ACM\n")
+        closes = [("2012-03-01", 10.0), ("2012-03-02", 11.0), ("2012-03-05", 10.5)]
+        (tmp_path / "prices.csv").write_text(
+            "date,ticker,close\n" + "".join(f"{d},ACM,{c}\n" for d, c in closes)
+        )
+        body = "Acme rose\r\nin early trade. Later Acme fell."
+        article = Article("a1", date(2012, 3, 2), "", body, "wire")
+        write_articles([article], tmp_path / "articles.jsonl")
+        config = _write_config(tmp_path, "")
+        assert cli.main(["ingest", "--config", str(config)]) == 0
+        with (tmp_path / "work" / "corpus.txt").open(encoding="utf-8") as fh:
+            lines = [" ".join(line.split()) for line in fh]
+        assert lines == ["Acme rose in early trade.", "Later Acme fell."]
+
+
+class TestFeaturizeSkips:
+    def test_trimmed_prices_fill_skipped_csv(self, pipeline, tmp_path):
+        """Samples whose price block cannot be built are listed, not featurized.
+
+        One ticker loses its closes before one of its training samples, so
+        that sample has fewer than five prior closes; another loses every
+        close up to ``dates.train_end``, so it has no training-window
+        statistics. The third reason, no price history, cannot occur
+        through the CLI: ingest leaves a sample whose ticker has no price
+        series unlabeled and drops it.
+        """
+        config = _copy(pipeline, tmp_path)
+        settings = load_config(config)
+        work, train_end = settings.paths.work_dir, settings.dates.train_end
+        splits = ("train", "valid", "test")
+        sample = load_samples(work / "samples_train.jsonl")[100]
+        late = sample.ticker
+        series = load_prices(settings.paths.prices)[late]
+        cut = series.dates[series.last_index_on_or_before(sample.date)]
+        test_tickers = [s.ticker for s in load_samples(work / "samples_test.jsonl")]
+        unnormalizable = next(t for t in test_tickers if t != late)
+        lines = settings.paths.prices.read_text().splitlines(keepends=True)
+        kept = [lines[0]]
+        for line in lines[1:]:
+            day, ticker, _ = line.split(",")
+            if ticker == late and day < cut.isoformat():
+                continue
+            if ticker == unnormalizable and day <= train_end.isoformat():
+                continue
+            kept.append(line)
+        settings.paths.prices.write_text("".join(kept))
+        for stage in ("ingest", "embed", "lexicon", "featurize"):
+            assert cli.main([stage, "--config", str(config)]) == 0, stage
+
+        prices = load_prices(settings.paths.prices)
+        expected, featurized = [], []
+        for split in splits:
+            for s in load_samples(work / f"samples_{split}.jsonl"):
+                row = f"{split},{s.ticker},{s.date.isoformat()}"
+                prior = bisect.bisect_left(prices[s.ticker].dates, s.date)
+                if s.ticker == unnormalizable:
+                    expected.append(f"{row},{UNNORMALIZABLE}")
+                elif s.ticker == late and prior < 5:
+                    expected.append(f"{row},{INSUFFICIENT_HISTORY}")
+                else:
+                    featurized.append((split, s.ticker, s.date))
+        skipped = (work / "skipped.csv").read_text(encoding="utf-8").splitlines()
+        assert skipped[0] == "split,ticker,date,reason"
+        assert skipped[1:] == expected
+        date_of = sample.date.isoformat()
+        assert f"train,{late},{date_of},{INSUFFICIENT_HISTORY}" in expected
+        assert any(row.endswith(UNNORMALIZABLE) for row in expected)
+        rows = [
+            (split, ticker, d)
+            for split in splits
+            for matrix in [load_feature_matrix(work / f"features_{split}.bin")]
+            for ticker, d in zip(matrix.tickers, matrix.dates)
+        ]
+        assert rows == featurized
 
 
 class TestStageKeys:
@@ -730,6 +818,15 @@ class TestTracingPlan:
             n for n in names if not hasattr(cli, n) and not hasattr(evaluation, n)
         ]
         assert missing == []
+
+    def test_every_shim_name_is_read_by_a_unit_body(self):
+        """The shim binds each listed name; one that no body reads is a dead entry."""
+        read = set()
+        for spec in cli.UNITS.values():
+            tree = ast.parse(inspect.getsource(spec.body))
+            read.update(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+        listed = {name for names in cli._STAGE_NAMES.values() for name in names}
+        assert sorted(listed - read) == []
 
     def test_unknown_names_are_not_module_attributes(self):
         assert not hasattr(cli, "no_such_stage_function")

@@ -16,6 +16,7 @@ from newsmotion.errors import ConfigError, PipelineError
 from newsmotion.dates import DateRange
 from newsmotion import manifest
 from newsmotion.manifest import (
+    Digests,
     file_sha256,
     manifest_path,
     text_sha256,
@@ -203,7 +204,7 @@ class TestLoadConfig:
         dates, graph, sweep = config.dates, config.graph, config.sweep
         assert cli._stage_key(config, "ingest") == text_sha256(
             f"dates.train_end={dates.train_end!r}\n"
-            f"dates.valid_end={dates.valid_end!r}\nrevision 1"
+            f"dates.valid_end={dates.valid_end!r}\nrevision 2"
         )
         assert cli._stage_key(config, "graph") == text_sha256(
             f"graph.threshold={graph.threshold!r}\n"
@@ -276,67 +277,68 @@ class TestManifest:
     def test_fresh_manifest_is_up_to_date(self, tmp_path):
         inputs, outputs = self._stage_files(tmp_path)
         work = tmp_path / "work"
-        write_manifest(work, "stage", inputs, outputs, "cfg")
+        write_manifest(work, "stage", inputs, outputs, "cfg", Digests())
         assert manifest_path(work, "stage").is_file()
-        assert up_to_date(work, "stage", inputs, outputs, "cfg")
+        assert up_to_date(work, "stage", inputs, outputs, "cfg", Digests())
 
     def test_changed_input_invalidates(self, tmp_path):
         inputs, outputs = self._stage_files(tmp_path)
         work = tmp_path / "work"
-        write_manifest(work, "stage", inputs, outputs, "cfg")
+        write_manifest(work, "stage", inputs, outputs, "cfg", Digests())
         inputs["source"].write_text("different data\n")
-        assert not up_to_date(work, "stage", inputs, outputs, "cfg")
+        assert not up_to_date(work, "stage", inputs, outputs, "cfg", Digests())
 
     def test_changed_config_invalidates(self, tmp_path):
         inputs, outputs = self._stage_files(tmp_path)
         work = tmp_path / "work"
-        write_manifest(work, "stage", inputs, outputs, "cfg")
-        assert not up_to_date(work, "stage", inputs, outputs, "other")
+        write_manifest(work, "stage", inputs, outputs, "cfg", Digests())
+        assert not up_to_date(work, "stage", inputs, outputs, "other", Digests())
 
     def test_dropped_or_added_input_invalidates(self, tmp_path):
         inputs, outputs = self._stage_files(tmp_path)
         work = tmp_path / "work"
         extra = tmp_path / "extra.txt"
         extra.write_text("optional input\n")
-        write_manifest(work, "stage", {**inputs, "extra": extra}, outputs, "cfg")
-        assert up_to_date(work, "stage", {**inputs, "extra": extra}, outputs, "cfg")
-        assert not up_to_date(work, "stage", inputs, outputs, "cfg")
-        write_manifest(work, "stage", inputs, outputs, "cfg")
-        assert not up_to_date(work, "stage", {**inputs, "extra": extra}, outputs, "cfg")
+        extended = {**inputs, "extra": extra}
+        write_manifest(work, "stage", extended, outputs, "cfg", Digests())
+        assert up_to_date(work, "stage", extended, outputs, "cfg", Digests())
+        assert not up_to_date(work, "stage", inputs, outputs, "cfg", Digests())
+        write_manifest(work, "stage", inputs, outputs, "cfg", Digests())
+        assert not up_to_date(work, "stage", extended, outputs, "cfg", Digests())
 
     def test_missing_or_modified_output_invalidates(self, tmp_path):
         inputs, outputs = self._stage_files(tmp_path)
         work = tmp_path / "work"
-        write_manifest(work, "stage", inputs, outputs, "cfg")
+        write_manifest(work, "stage", inputs, outputs, "cfg", Digests())
         outputs["artifact"].write_text("tampered\n")
-        assert not up_to_date(work, "stage", inputs, outputs, "cfg")
+        assert not up_to_date(work, "stage", inputs, outputs, "cfg", Digests())
         outputs["artifact"].unlink()
-        assert not up_to_date(work, "stage", inputs, outputs, "cfg")
+        assert not up_to_date(work, "stage", inputs, outputs, "cfg", Digests())
 
     def test_renamed_output_set_invalidates(self, tmp_path):
         inputs, outputs = self._stage_files(tmp_path)
         work = tmp_path / "work"
-        write_manifest(work, "stage", inputs, outputs, "cfg")
+        write_manifest(work, "stage", inputs, outputs, "cfg", Digests())
         renamed = {"other_name": outputs["artifact"]}
-        assert not up_to_date(work, "stage", inputs, renamed, "cfg")
+        assert not up_to_date(work, "stage", inputs, renamed, "cfg", Digests())
 
     def test_absent_or_corrupt_manifest_is_stale(self, tmp_path):
         inputs, outputs = self._stage_files(tmp_path)
         work = tmp_path / "work"
-        assert not up_to_date(work, "stage", inputs, outputs, "cfg")
+        assert not up_to_date(work, "stage", inputs, outputs, "cfg", Digests())
         for text in ("{broken", "[]"):
             manifest_path(work, "stage").write_text(text)
-            assert not up_to_date(work, "stage", inputs, outputs, "cfg")
+            assert not up_to_date(work, "stage", inputs, outputs, "cfg", Digests())
 
     def test_version_change_invalidates(self, tmp_path):
         inputs, outputs = self._stage_files(tmp_path)
         work = tmp_path / "work"
-        write_manifest(work, "stage", inputs, outputs, "cfg")
+        write_manifest(work, "stage", inputs, outputs, "cfg", Digests())
         path = manifest_path(work, "stage")
         record = json.loads(path.read_text())
         record["versions"]["package"] = "0.0.0-other"
         path.write_text(json.dumps(record))
-        assert not up_to_date(work, "stage", inputs, outputs, "cfg")
+        assert not up_to_date(work, "stage", inputs, outputs, "cfg", Digests())
 
     @pytest.mark.parametrize(
         "env, cpus, threads",

@@ -11,6 +11,7 @@ import pytest
 
 from newsmotion import features, tokens
 from newsmotion.errors import ParseError, ValidationError
+from newsmotion.evaluation import DEFAULT_COMBINATIONS
 from newsmotion.features import (
     BLOCK_ORDER,
     PRICE_DIM,
@@ -92,15 +93,17 @@ def _row(
     keywords: KeywordLexicon | None = None,
     categories: CategoryLexicon | None = None,
 ) -> np.ndarray:
-    """The sample's feature row under a layout of only the given news blocks."""
-    layout = FeatureLayout(
-        blocks=blocks,
-        k=len(keywords) if keywords else 0,
-        n_categories=len(categories.categories) if categories else 0,
-    )
-    matrix, skipped = featurize_samples([sample], {}, {}, keywords, categories, layout)
+    """The given blocks of the sample's feature row, sliced from the full row.
+
+    The sample's ticker gets six closes before DAY; a lexicon left
+    out is a small stand-in whose blocks the slice drops.
+    """
+    keywords = keywords or _keywords(("placeholder", 1.0, 0.0))
+    categories = categories or _categories()
+    table = _ptable([_series(sample.ticker, [10.0, 11.0, 12.0, 11.5, 12.5, 13.0])])
+    matrix, skipped = featurize_samples([sample], *table, keywords, categories)
     assert skipped == []
-    return matrix.x[0]
+    return slice_blocks(matrix, blocks).x[0]
 
 
 class TestPriceFeatures:
@@ -287,22 +290,20 @@ class TestFeaturizeSamples:
             skip_stats={"DDD"},
         )
         keywords = _keywords(("surge", 2.0, 0.5), ("drop", 3.0, -0.5))
-        layout = FeatureLayout(blocks=BLOCK_ORDER, k=2, n_categories=2)
         samples = [
             _text_sample("AAA", "a surge in oil demand"),
             _text_sample("BBB", "chip makers drop"),
             _text_sample("CCC", "no prices at all"),
             _text_sample("DDD", "flat closes all year"),
         ]
-        return table, keywords, _categories(), layout, samples
+        return table, keywords, _categories(), samples
 
     def test_rows_and_skips(self):
-        table, keywords, categories, layout, samples = self._fixture()
-        matrix, skipped = featurize_samples(
-            samples, *table, keywords, categories, layout
-        )
+        table, keywords, categories, samples = self._fixture()
+        matrix, skipped = featurize_samples(samples, *table, keywords, categories)
         assert matrix.tickers == ["AAA"]
-        assert matrix.x.shape == (1, layout.dimension)
+        assert matrix.layout == FeatureLayout(BLOCK_ORDER, k=2, n_categories=2)
+        assert matrix.x.shape == (1, matrix.layout.dimension)
         assert skipped == [
             ("BBB", DAY, INSUFFICIENT_HISTORY),
             ("CCC", DAY, NO_PRICE_HISTORY),
@@ -310,8 +311,8 @@ class TestFeaturizeSamples:
         ]
 
     def test_row_content_matches_block_functions(self):
-        table, keywords, categories, layout, samples = self._fixture()
-        matrix, _ = featurize_samples(samples, *table, keywords, categories, layout)
+        table, keywords, categories, samples = self._fixture()
+        matrix, _ = featurize_samples(samples, *table, keywords, categories)
         sample = samples[0]
         prices, stats = table
         expected = np.concatenate(
@@ -325,7 +326,7 @@ class TestFeaturizeSamples:
         assert np.array_equal(matrix.x[0], expected)
 
     def test_each_sentence_is_tokenized_once(self, monkeypatch):
-        table, keywords, categories, layout, _ = self._fixture()
+        table, keywords, categories, _ = self._fixture()
         samples = [
             _sample(
                 "AAA",
@@ -343,41 +344,26 @@ class TestFeaturizeSamples:
         # tokens.tokenize goes through tokens.tokenize_with_offsets too.
         monkeypatch.setattr(tokens, "tokenize_with_offsets", counting)
         monkeypatch.setattr(features, "tokenize_with_offsets", counting)
-        featurize_samples(samples, *table, keywords, categories, layout)
+        featurize_samples(samples, *table, keywords, categories)
         assert calls == [s.text for sample in samples for s in sample.sentences]
 
     def test_unlabeled_sample_rejected(self):
-        table, keywords, categories, layout, _ = self._fixture()
+        table, keywords, categories, _ = self._fixture()
         bad = Sample(ticker="AAA", date=DAY, sentences=(), label=None)
         with pytest.raises(ValidationError, match="unlabeled"):
-            featurize_samples([bad], *table, keywords, categories, layout)
-
-    def test_lexicon_size_mismatch_rejected(self):
-        table, keywords, categories, _, samples = self._fixture()
-        layout = FeatureLayout(blocks=BLOCK_ORDER, k=5, n_categories=2)
-        with pytest.raises(ValidationError, match="k=5"):
-            featurize_samples(samples, *table, keywords, categories, layout)
-
-    def test_missing_lexicon_rejected(self):
-        table, _, categories, layout, samples = self._fixture()
-        with pytest.raises(ValidationError, match="keyword"):
-            featurize_samples(samples, *table, None, categories, layout)
+            featurize_samples([bad], *table, keywords, categories)
 
     def test_all_skipped_gives_empty_matrix(self):
-        table, keywords, categories, layout, _ = self._fixture()
+        table, keywords, categories, _ = self._fixture()
         samples = [_text_sample("CCC", "nothing")]
-        matrix, skipped = featurize_samples(
-            samples, *table, keywords, categories, layout
-        )
+        matrix, skipped = featurize_samples(samples, *table, keywords, categories)
         assert len(matrix) == 0
-        assert matrix.x.shape == (0, layout.dimension)
+        assert matrix.x.shape == (0, matrix.layout.dimension)
         assert len(skipped) == 1
 
 
 class TestOneWalkMatchesOracle:
-    """featurize_samples against the per-block oracle, byte for byte."""
-
-    LAYOUTS = (("ps",), ("ct",), ("bok", "ct"), BLOCK_ORDER)
+    """Each ablation combination, sliced from the full matrix, against the oracle."""
 
     def _lexicons(self):
         # "drop" has a negative polarity; "oil" is a keyword and a category word.
@@ -436,13 +422,11 @@ class TestOneWalkMatchesOracle:
                 _series("DDD", [5.0, 5.5, 6.0]),
             ]
         )
-        for blocks in self.LAYOUTS:
-            layout = FeatureLayout(blocks, k=3, n_categories=3)
-            matrix, skipped = featurize_samples(
-                samples, prices, stats, keywords, categories, layout
-            )
+        full, skipped = featurize_samples(samples, prices, stats, keywords, categories)
+        for blocks in DEFAULT_COMBINATIONS:
+            matrix = slice_blocks(full, blocks)
             expected, reasons = oracle_rows(
-                samples, prices, stats, keywords, categories, layout
+                samples, prices, stats, keywords, categories, matrix.layout
             )
             assert matrix.x.shape == expected.shape, blocks
             assert matrix.x.tobytes() == expected.tobytes(), blocks
@@ -462,35 +446,30 @@ class TestOneWalkMatchesOracle:
 
 class TestSliceBlocks:
     def _full(self):
-        table, keywords, categories, layout, samples = (
-            TestFeaturizeSamples()._fixture()
-        )
-        matrix, _ = featurize_samples(samples, *table, keywords, categories, layout)
-        return matrix, table, keywords, categories, samples
+        table, keywords, categories, samples = TestFeaturizeSamples()._fixture()
+        matrix, _ = featurize_samples(samples, *table, keywords, categories)
+        return matrix
 
-    def test_slice_equals_direct_featurization(self):
-        matrix, table, keywords, categories, samples = self._full()
+    def test_slice_keeps_the_rows_and_narrows_the_layout(self):
+        matrix = self._full()
         sliced = slice_blocks(matrix, ["price", "ps"])
-        direct_layout = FeatureLayout(blocks=("price", "ps"), k=2, n_categories=2)
-        direct, _ = featurize_samples(
-            samples, *table, keywords, categories, direct_layout
-        )
-        assert sliced.layout == direct.layout
-        assert sliced.tickers == direct.tickers
-        assert sliced.labels == direct.labels
-        assert np.array_equal(sliced.x, direct.x)
+        assert sliced.layout == FeatureLayout(("price", "ps"), k=2, n_categories=2)
+        assert sliced.tickers == matrix.tickers
+        assert sliced.dates == matrix.dates
+        assert sliced.labels == matrix.labels
+        assert np.array_equal(sliced.x, matrix.x[:, list(range(12)) + [14, 15]])
 
     def test_block_request_order_does_not_matter(self):
-        matrix, *_ = self._full()
+        matrix = self._full()
         assert slice_blocks(matrix, ["ct", "price"]).layout.blocks == ("price", "ct")
 
     def test_unknown_block_rejected(self):
-        matrix, *_ = self._full()
+        matrix = self._full()
         with pytest.raises(ValidationError, match="unknown"):
             slice_blocks(matrix, ["price", "volume"])
 
     def test_absent_block_rejected(self):
-        matrix, *_ = self._full()
+        matrix = self._full()
         narrowed = slice_blocks(matrix, ["price"])
         with pytest.raises(ValidationError, match="ct"):
             slice_blocks(narrowed, ["price", "ct"])
