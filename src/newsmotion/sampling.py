@@ -5,14 +5,16 @@ mentions against an alias table, and the surviving sentences are grouped
 into one sample per (publication date, ticker). A sample's label is the
 direction of the ticker's next trading close relative to its most recent
 close on or before the publication date; ties and missing prices leave
-the sample unlabeled. The alias scan runs once, at ingest: the sample
-checkpoint keeps each sentence's mentions, and later stages read them
-from there.
+the sample unlabeled. Splitting and the alias scan are each one compiled
+pattern (see split_sentences and AliasMatcher). The alias scan runs once,
+at ingest: the sample checkpoint keeps each sentence's mentions, and later
+stages read them from there.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from datetime import date as Date
 from importlib import resources
@@ -27,109 +29,72 @@ from .ingest import Article, PriceSeries
 POSITIVE = "positive"
 NEGATIVE = "negative"
 
-_TERMINATORS = frozenset(".?!")
+# A whitespace chunk ending in a terminator; the lookbehind anchors the
+# match at the chunk's start, so the match is the whole chunk.
+_SENTENCE_END = re.compile(r"(?<!\S)\S*[.?!](?!\S)")
 
 
 def default_abbreviations() -> frozenset[str]:
     text = resources.files("newsmotion.data").joinpath("abbreviations.txt").read_text()
-    return _parse_abbreviations(text)
-
-
-def _parse_abbreviations(text: str) -> frozenset[str]:
-    out = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            out.add(line)
-    return frozenset(out)
+    lines = (line.strip() for line in text.splitlines())
+    return frozenset(line for line in lines if line and not line.startswith("#"))
 
 
 def split_sentences(text: str, abbreviations: frozenset[str]) -> list[str]:
     """Split text at sentence terminators (. ? !).
 
-    A terminator only ends a sentence when followed by whitespace or end
-    of text (which also keeps decimal points like "3.50" intact), and a
-    period terminating a known abbreviation never does. Output sentences
-    are stripped slices of the input, so their concatenation reproduces
-    the input up to whitespace.
+    A sentence ends after each whitespace chunk whose last character is a
+    terminator, unless the chunk ends in a period and is a known
+    abbreviation. A terminator inside a chunk never ends one, which keeps
+    decimal points like "3.50" intact. Output sentences are stripped
+    slices of the input, so their concatenation reproduces the input up
+    to whitespace.
     """
-    sentences = []
-    start = 0
-    n = len(text)
-    for i, ch in enumerate(text):
-        if ch not in _TERMINATORS:
-            continue
-        if i + 1 < n and not text[i + 1].isspace():
-            continue
-        if ch == ".":
-            j = i
-            while j > 0 and not text[j - 1].isspace():
-                j -= 1
-            if text[j : i + 1] in abbreviations:
-                continue
-        chunk = text[start : i + 1].strip()
-        if chunk:
-            sentences.append(chunk)
-        start = i + 1
-    tail = text[start:].strip()
-    if tail:
-        sentences.append(tail)
-    return sentences
+    ends = [
+        m.end()
+        for m in _SENTENCE_END.finditer(text)
+        if not (m.group().endswith(".") and m.group() in abbreviations)
+    ]
+    pieces = (text[a:b].strip() for a, b in zip([0, *ends], [*ends, len(text)]))
+    return [piece for piece in pieces if piece]
 
 
 class AliasMatcher:
     """Longest-match scanner mapping company surface forms to tickers.
 
-    Aliases with any lowercase letter are company names and match
-    case-insensitively; all-caps aliases are symbols and match exactly.
-    Matches must start and end at non-alphanumeric boundaries, and the
-    scan consumes each match, so an alias inside a longer matching alias
-    never fires.
+    Aliases that differ from their own upper case are company names and
+    match as Python's re.IGNORECASE compares them; the others are symbols
+    and match exactly. All aliases form one alternation, longest first
+    and then by string, between alphanumeric boundaries, and the scan
+    consumes each match, so an alias inside a longer matching alias never
+    fires. A matched text maps to the ticker of the first alias in that
+    order that matches it in full, which is the branch the scan took.
     """
 
     def __init__(self, aliases: dict[str, str]):
-        # first character -> (alias, lowered alias or None, ticker), longest first
-        buckets: dict[str, list[tuple[str, str | None, str]]] = {}
-        for alias, ticker in aliases.items():
-            if not alias:
-                raise ValidationError("empty alias")
-            case_sensitive = alias == alias.upper()
-            entry = (alias, None if case_sensitive else alias.lower(), ticker)
-            first = alias[0]
-            keys = {first} if case_sensitive else {first.lower(), first.upper()}
-            for key in keys:
-                buckets.setdefault(key, []).append(entry)
-        self._buckets = {
-            key: sorted(entries, key=lambda e: (-len(e[0]), e[0]))
-            for key, entries in buckets.items()
-        }
+        if "" in aliases:
+            raise ValidationError("empty alias")
+        ordered = sorted(aliases.items(), key=lambda e: (-len(e[0]), e[0]))
+        self._branches = [
+            (re.escape(a) if a == a.upper() else f"(?i:{re.escape(a)})", ticker)
+            for a, ticker in ordered
+        ]
+        # An empty alternation would match everywhere; (?!) matches nowhere.
+        alternation = "|".join(branch for branch, _ in self._branches) or "(?!)"
+        # [^\W_] is alphanumeric as str.isalnum has it: a word character but not "_".
+        self._scan = re.compile(rf"(?<![^\W_])(?:{alternation})(?![^\W_])")
+        self._tickers: dict[str, str] = {}
+
+    def _ticker(self, found: str) -> str:
+        ticker = self._tickers.get(found)
+        if ticker is None:
+            ticker = next(t for branch, t in self._branches if re.fullmatch(branch, found))
+            self._tickers[found] = ticker
+        return ticker
 
     def find(self, text: str) -> list[tuple[str, int]]:
         """All alias occurrences as (ticker, character offset), left to right."""
-        mentions = []
-        n = len(text)
-        i = 0
-        while i < n:
-            matched = 0
-            for alias, lowered, ticker in self._buckets.get(text[i], ()):
-                end = i + len(alias)
-                if end > n:
-                    continue
-                piece = text[i:end]
-                if lowered is None:
-                    if piece != alias:
-                        continue
-                elif piece.lower() != lowered:
-                    continue
-                if i > 0 and text[i - 1].isalnum():
-                    continue
-                if end < n and text[end].isalnum():
-                    continue
-                mentions.append((ticker, i))
-                matched = len(alias)
-                break
-            i += matched if matched else 1
-        return mentions
+        return [(self._ticker(m.group()), m.start()) for m in self._scan.finditer(text)]
 
 
 def load_aliases(path: str | Path) -> dict[str, str]:

@@ -1,8 +1,13 @@
-"""Word tokenization shared by the embedding, lexicon, and feature stages.
+r"""Word tokenization shared by the embedding, lexicon, and feature stages.
 
 Rule: split on whitespace, lowercase, drop punctuation except hyphens that
 join two alphanumeric characters. Chunks that clean down to nothing are
 dropped.
+
+`_DROP` is that rule as one pattern over the lowercased chunk: it removes
+every character that is neither a word character nor a hyphen, the
+underscore, and any hyphen without an alphanumeric character on both
+sides. `[^\W_]` matches exactly the characters `str.isalnum` accepts.
 """
 
 from __future__ import annotations
@@ -10,18 +15,11 @@ from __future__ import annotations
 import re
 
 _CHUNK = re.compile(r"\S+")
+_DROP = re.compile(r"[^\w-]|_|(?<![^\W_])-|-(?![^\W_])")
 
 
 def _clean(chunk: str) -> str:
-    out = []
-    lower = chunk.lower()
-    for i, ch in enumerate(lower):
-        if ch.isalnum():
-            out.append(ch)
-        elif ch == "-" and 0 < i < len(lower) - 1:
-            if lower[i - 1].isalnum() and lower[i + 1].isalnum():
-                out.append(ch)
-    return "".join(out)
+    return _DROP.sub("", chunk.lower())
 
 
 def tokenize_with_offsets(text: str) -> list[tuple[str, int]]:

@@ -71,6 +71,14 @@ class TestSplitSentences:
             "trailing words",
         ]
 
+    def test_only_a_chunk_ending_in_a_terminator_ends_a_sentence(self):
+        text = 'He said "up." Then it fell! Done?'
+        assert split_sentences(text, ABBR) == ['He said "up." Then it fell!', "Done?"]
+
+    def test_any_whitespace_after_a_terminator_ends_a_sentence(self):
+        for space in ("\t", "\u00a0"):
+            assert split_sentences(f"Up.{space}Down!", ABBR) == ["Up.", "Down!"]
+
     def test_concatenation_preserves_text_up_to_whitespace(self):
         rng = np.random.default_rng(5)
         words = ["Alpha", "beta", "3.5", "Inc.", "ends.", "next!", "what?"]
@@ -102,6 +110,23 @@ class TestAliasMatcher:
         matcher = AliasMatcher({"Apple": "AAPL", "Samsung": "SSNLF"})
         text = "Shares of Apple fell behind Samsung."
         assert matcher.find(text) == [("AAPL", 10), ("SSNLF", 28)]
+
+    def test_empty_table_finds_nothing(self):
+        assert AliasMatcher({}).find("Apple and AAPL rose") == []
+        assert AliasMatcher({}).find("") == []
+
+    def test_same_length_aliases_are_tried_in_string_order(self):
+        matcher = AliasMatcher({"ABC": "T1", "Abc": "T2"})
+        assert matcher.find("ABC abc aBC") == [("T1", 0), ("T2", 4), ("T2", 8)]
+
+    def test_underscore_and_hyphen_are_boundaries(self):
+        matcher = AliasMatcher({"Apple": "AAPL"})
+        assert matcher.find("_Apple x-Apple") == [("AAPL", 1), ("AAPL", 9)]
+
+    def test_titlecase_first_letter_matches_its_own_spelling(self):
+        # U+01C5 is titlecase: its lower and upper forms both differ from it.
+        matcher = AliasMatcher({"\u01c5emal Corp": "DZ"})
+        assert matcher.find("\u01c5emal Corp rose") == [("DZ", 0)]
 
     def test_load_aliases_handles_commas_in_names(self, tmp_path):
         path = tmp_path / "aliases.csv"

@@ -26,6 +26,20 @@ class TestTokenize:
     def test_empty_text(self):
         assert tokenize("") == []
 
+    def test_underscore_is_dropped(self):
+        assert tokenize("net_income") == ["netincome"]
+        assert tokenize("a-_b") == ["ab"]
+
+    def test_non_ascii_alphanumerics_survive(self):
+        assert tokenize("Café²") == ["café²"]
+
+    def test_every_bmp_code_point_follows_the_rule(self):
+        # One character: keep what str.isalnum accepts of its lowercase form.
+        for code in range(0x10000):
+            c = chr(code)
+            kept = "".join(ch for ch in c.lower() if ch.isalnum())
+            assert tokenize(c) == ([kept] if kept else []), hex(code)
+
 
 class TestOffsets:
     def test_offsets_mark_chunk_starts(self):
