@@ -2,8 +2,7 @@
 
 Articles arrive as JSON lines read by `codec`, prices as a CSV of
 (date, ticker, close) rows. Both loaders name the file and line on
-failure. The price loader makes one lean pass; only when some row is
-bad does it read the file again, row by row, to say which row and why.
+failure; the price loader checks each row in its one pass over the file.
 Prices load as one immutable series per ticker; normalising them is the
 featurizer's business.
 """
@@ -36,13 +35,20 @@ class Article:
     source: str
 
 
+def _text(record: dict, key: str) -> str:
+    value = record[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string, got {json.dumps(value)}")
+    return value
+
+
 def _article(record: dict) -> Article:
     return Article(
         id=str(record["id"]),
         date=parse_date(record["date"]),
-        title=str(record["title"]),
-        body=str(record["body"]),
-        source=str(record["source"]),
+        title=_text(record, "title"),
+        body=_text(record, "body"),
+        source=_text(record, "source"),
     )
 
 
@@ -105,16 +111,6 @@ class PriceSeries:
 _HEADER = ["date", "ticker", "close"]
 
 
-class _BadRow(Exception):
-    """The fast pass of `load_prices` met a row that `_check_prices` rejects."""
-
-
-def _header(rows: Iterator[list[str]], path: Path) -> None:
-    header = next(rows, None)
-    if header is None or [h.strip() for h in header] != _HEADER:
-        raise ParseError(f"{path}: expected header 'date,ticker,close'")
-
-
 def load_prices(path: str | Path) -> dict[str, PriceSeries]:
     """Load the (date, ticker, close) CSV into per-ticker sorted series.
 
@@ -122,80 +118,36 @@ def load_prices(path: str | Path) -> dict[str, PriceSeries]:
     ValidationError on closes that are not finite and positive or on
     duplicate (date, ticker) rows; ParseError on structural problems,
     including a ticker with a comma, which no comma-separated artifact
-    could hold. Every error names the file and the first bad line.
+    could hold. Every error names the file and the first bad row,
+    counted from the header as line 1.
     """
     path = Path(path)
-    try:
-        groups = _read_prices(path)
-    except (_BadRow, ValueError, csv.Error):
-        _check_prices(path)  # raises for every row the fast pass rejects
-        raise
-    return {
-        ticker: PriceSeries(ticker, tuple(dates), np.asarray(closes, dtype=np.float64))
-        for ticker, (dates, closes) in sorted(groups.items())
-    }
-
-
-def _read_prices(path: Path) -> dict[str, tuple[list[Date], list[float]]]:
-    """The rows grouped by ticker, each group in date order.
-
-    The fast pass: it splits lines without quotes on commas, parses each
-    distinct date string once and looks for duplicates per ticker after
-    grouping. It raises, without saying where, when any row is bad.
-    """
     parsed: dict[str, Date] = {}
-    groups: dict[str, tuple[list[Date], list[float]]] = {}
+    # ticker -> [dates, closes, every date so far once the dates stop rising]
+    groups: dict[str, list] = {}
     with path.open("r", encoding="utf-8", newline="") as fh:
-        _header(csv.reader(fh), path)
-        for line in fh:
+        header = next(csv.reader(fh), None)
+        if header is None or [h.strip() for h in header] != _HEADER:
+            raise ParseError(f"{path}: expected header 'date,ticker,close'")
+        for lineno, line in enumerate(fh, start=2):
             if '"' in line or "\0" in line:
-                # csv quoting, or a NUL that csv rejects; a quoted line
-                # break reads on into fh
-                parts = next(csv.reader(itertools.chain([line], fh)))
+                # csv quoting, or a NUL, which Python 3.10's csv rejects; a
+                # quoted line break reads on into fh without moving lineno
+                row = next(csv.reader(itertools.chain([line], fh)))
             else:
                 line = line.rstrip("\r\n")
                 if not line:
                     continue
-                parts = line.split(",")
-            raw_date, ticker, raw_close = parts
-            d = parsed.get(raw_date)
-            if d is None:
-                d = parsed[raw_date] = Date.fromisoformat(raw_date)
-            ticker = ticker.strip()
-            close = float(raw_close)
-            if not ticker or "," in ticker or not 0 < close < math.inf:
-                raise _BadRow
-            group = groups.get(ticker)
-            if group is None:
-                group = groups[ticker] = ([], [])
-            group[0].append(d)
-            group[1].append(close)
-    for dates, closes in groups.values():
-        if len(set(dates)) != len(dates):
-            raise _BadRow
-        ordered = sorted(dates)
-        if ordered != dates:
-            closes[:] = [close for _, close in sorted(zip(dates, closes))]
-            dates[:] = ordered
-    return groups
-
-
-def _check_prices(path: Path) -> None:
-    """Raise, naming the file and line, for the first bad row in file order."""
-    seen: set[tuple[Date, str]] = set()
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        _header(reader, path)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+                row = line.split(",")
             if len(row) != 3:
                 raise ParseError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
             raw_date, ticker, raw_close = row
-            try:
-                d = parse_date(raw_date)
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+            d = parsed.get(raw_date)
+            if d is None:
+                try:
+                    d = parsed[raw_date] = parse_date(raw_date)
+                except ValidationError as exc:
+                    raise ValidationError(f"{path}:{lineno}: {exc}") from exc
             ticker = ticker.strip()
             if not ticker:
                 raise ValidationError(f"{path}:{lineno}: empty ticker")
@@ -205,12 +157,27 @@ def _check_prices(path: Path) -> None:
                 close = float(raw_close)
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: bad close {raw_close!r}") from exc
-            if close <= 0:
-                raise ValidationError(
-                    f"{path}:{lineno}: close must be > 0, got {close}"
-                )
-            if not math.isfinite(close):
-                raise ValidationError(f"{path}:{lineno}: close must be finite and > 0")
-            if (d, ticker) in seen:
-                raise ValidationError(f"{path}:{lineno}: duplicate ({d}, {ticker})")
-            seen.add((d, ticker))
+            if not 0 < close < math.inf:
+                rule = f"> 0, got {close}" if close <= 0 else "finite and > 0"
+                raise ValidationError(f"{path}:{lineno}: close must be {rule}")
+            group = groups.get(ticker)
+            if group is None:
+                groups[ticker] = [[d], [close], None]
+                continue
+            dates, closes, seen = group
+            if seen is None and d <= dates[-1]:
+                seen = group[2] = set(dates)
+            if seen is not None:
+                if d in seen:
+                    raise ValidationError(f"{path}:{lineno}: duplicate ({d}, {ticker})")
+                seen.add(d)
+            dates.append(d)
+            closes.append(close)
+    for dates, closes, seen in groups.values():
+        if seen is not None:
+            closes[:] = [close for _, close in sorted(zip(dates, closes))]
+            dates.sort()
+    return {
+        ticker: PriceSeries(ticker, tuple(dates), np.asarray(closes, dtype=np.float64))
+        for ticker, (dates, closes, _) in sorted(groups.items())
+    }

@@ -183,7 +183,7 @@ def up_to_date(
     # no longer passes (say, a config path now left blank) makes it stale.
     for kind, files in (("inputs", inputs), ("outputs", outputs)):
         recorded = record.get(kind, {})
-        if set(recorded) != set(files):
+        if not isinstance(recorded, dict) or set(recorded) != set(files):
             return False
         for name, file in sorted(files.items()):
             if not Path(file).is_file() or recorded[name] != digests[file]:

@@ -709,6 +709,16 @@ class TestVouchedInputs:
             assert cli.main(["predict", "--config", str(config), "--force"]) == 1
         assert "model.bin: train is not up to date; rerun train" in caplog.text
 
+    def test_malformed_manifest_reads_as_stale(self, pipeline, tmp_path, caplog):
+        config = _copy(pipeline, tmp_path)
+        path = manifest_path(config.parent / "work", "ingest")
+        record = json.loads(path.read_text())
+        path.write_text(json.dumps({**record, "outputs": None}))
+        error = _refused(config, "embed", caplog)
+        assert "corpus.txt: ingest is not up to date; rerun ingest" in error
+        assert cli.main(["ingest", "--config", str(config)]) == 0
+        assert json.loads(path.read_text()) == record
+
     def test_config_paths_are_not_vouched_for(self, pipeline, tmp_path, caplog):
         config = _copy(pipeline, tmp_path)
         with (config.parent / "prices.csv").open("a") as fh:

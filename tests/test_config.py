@@ -330,6 +330,18 @@ class TestManifest:
             manifest_path(work, "stage").write_text(text)
             assert not up_to_date(work, "stage", inputs, outputs, "cfg", Digests())
 
+    @pytest.mark.parametrize("kind", ["inputs", "outputs"])
+    @pytest.mark.parametrize("shape", [None, 5, "names"])
+    def test_malformed_file_table_is_stale(self, tmp_path, kind, shape):
+        inputs, outputs = self._stage_files(tmp_path)
+        work = tmp_path / "work"
+        write_manifest(work, "stage", inputs, outputs, "cfg", Digests())
+        path = manifest_path(work, "stage")
+        record = json.loads(path.read_text())
+        record[kind] = sorted(record[kind]) if shape == "names" else shape
+        path.write_text(json.dumps(record))
+        assert not up_to_date(work, "stage", inputs, outputs, "cfg", Digests())
+
     def test_version_change_invalidates(self, tmp_path):
         inputs, outputs = self._stage_files(tmp_path)
         work = tmp_path / "work"

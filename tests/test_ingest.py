@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import collections
+import json
+import random
 from datetime import date
 
 import numpy as np
@@ -19,6 +22,7 @@ from newsmotion.ingest import (
 )
 
 from graph_oracle import align_series
+from price_oracle import oracle_prices, random_prices_text
 from support import write_prices
 
 
@@ -85,6 +89,19 @@ class TestArticles:
         (article,) = load_articles(path)
         assert article.title == ""
         assert article.body == "b"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("title", "null"), ("body", "null"), ("source", "3"), ("body", '["b"]')],
+    )
+    def test_text_field_of_another_type_names_the_line(self, tmp_path, field, value):
+        record = {"id": "x", "date": "2012-01-02", "title": "t", "body": "b", "source": "s"}
+        good = json.dumps(record)
+        bad = good.replace(f'"{field}": "{record[field]}"', f'"{field}": {value}')
+        path = _write(tmp_path, "a.jsonl", f"{good}\n{bad}\n")
+        with pytest.raises(ParseError) as caught:
+            list(load_articles(path))
+        assert str(caught.value) == f"{path}:2: {field} must be a string, got {value}"
 
     def test_blank_lines_are_skipped(self, tmp_path):
         record = (
@@ -272,6 +289,26 @@ class TestLoadPricesErrors:
             load_prices(path)
         assert str(caught.value) == f"{path}:5: bad close 'x'"
 
+    def test_duplicate_after_an_earlier_date_is_caught(self, tmp_path):
+        """A row that is out of order is not the only one checked for a duplicate."""
+        path = _write(
+            tmp_path,
+            "p.csv",
+            "date,ticker,close\n2012-01-06,A,1\n2012-01-02,A,2\n2012-01-06,A,3\n",
+        )
+        with pytest.raises(ValidationError) as caught:
+            load_prices(path)
+        assert str(caught.value) == f"{path}:4: duplicate (2012-01-06, A)"
+
+    def test_quoted_line_break_counts_as_one_row(self, tmp_path):
+        """Errors name the row counted from the header, not the physical line."""
+        path = _write(
+            tmp_path, "p.csv", 'date,ticker,close\n2012-01-02,"A\nB",1\n2012-01-03,A,x\n'
+        )
+        with pytest.raises(ParseError) as caught:
+            load_prices(path)
+        assert str(caught.value) == f"{path}:3: bad close 'x'"
+
     @pytest.mark.parametrize("close", ["nan", "NaN", "inf", "+Infinity", "1e999"])
     def test_non_finite_close_names_the_file(self, tmp_path, close):
         path = _write(tmp_path, "p.csv", f"date,ticker,close\n{_GOOD}2012-01-03,AAA,{close}\n")
@@ -345,6 +382,34 @@ class TestLoadPricesEquivalence:
         ]
         text = '"date","ticker","close"\n' + "\n".join(rows) + "\n"
         self._check(_write(tmp_path, "p.csv", text))
+
+
+class TestLoadPricesOracle:
+    def test_generated_files_match_the_oracle(self, tmp_path):
+        """Series bytes, or exception type and message, equal the csv.reader oracle's."""
+        rng = random.Random(19)
+        path = tmp_path / "p.csv"
+        outcomes = collections.Counter()
+        for _ in range(2000):
+            path.write_bytes(random_prices_text(rng).encode("utf-8"))
+            expected, got = _outcome(oracle_prices, path), _outcome(load_prices, path)
+            assert got == expected, path.read_bytes()
+            outcomes[expected[0]] += 1
+        # every kind of outcome occurs, each many times
+        assert set(outcomes) == {"ok", ParseError, ValidationError}
+        assert min(outcomes.values()) > 300
+
+
+def _outcome(load, path) -> tuple:
+    try:
+        prices = load(path)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return "ok", [
+        (ticker, s.ticker, s.dates, s.closes.dtype, s.closes.tobytes())
+        for ticker, s in prices.items()
+    ]
+
 
 class TestAlignSeries:
     """The per-pair date alignment behind the graph build's test oracle."""
