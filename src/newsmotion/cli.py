@@ -377,14 +377,15 @@ UNITS = {
         (*_FEATURES, "skipped.csv"),
         _featurize,
     ),
-    # revision 1 of train and ablation: training computes in float32
+    # revisions of train and ablation: 1, training computes in float32; 2,
+    # activations are feature-major and validation scores in float32
     "train": Unit(
         "train",
         ("training",),
         ("features_train.bin", "features_valid.bin"),
         ("model.bin",),
         _train,
-        revision=1,
+        revision=2,
     ),
     "graph": Unit(
         "graph",
@@ -407,7 +408,7 @@ UNITS = {
         ("ablation.csv", "ablation.txt"),
         _ablation,
         report="ablation.txt",
-        revision=1,
+        revision=2,
     ),
     "sweep": Unit(
         "evaluate",

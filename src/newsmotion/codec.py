@@ -3,7 +3,8 @@
 A table is leading ``# key=value`` lines, one exact header line, then
 comma-separated rows; JSON lines hold one object per line; a blob is a
 JSON header line, then little-endian float64 values. Whatever a caller's
-decoder raises comes back as a `ParseError` naming the file and line.
+decoder raises comes back as a `ParseError` naming the file and line, and
+so does a text file that is not UTF-8 (`utf8_text`).
 """
 
 from __future__ import annotations
@@ -34,13 +35,35 @@ def decoding(where: str | Path, missing: str = "field") -> Iterator[None]:
         raise ParseError(f"{where}: {exc}") from exc
 
 
+@contextmanager
+def utf8_text(path: str | Path) -> Iterator[None]:
+    """Re-raise a UnicodeDecodeError from reading ``path`` as a ParseError.
+
+    The message names the line of the first byte that is not UTF-8, found
+    by reading the file again as bytes.
+    """
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as bad:
+            head = data[: bad.start]
+            line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+            where = f"{path}:{line}: not UTF-8 text (byte 0x{data[bad.start]:02x})"
+        else:
+            where = f"{path}: not UTF-8 text"
+        raise ParseError(where) from exc
+
+
 def read_table(
     path: str | Path, header: str, fields: int, row: Callable[[list[str]], T]
 ) -> tuple[dict[str, str], list[T]]:
     """The leading ``# key=value`` metadata and ``row(parts)`` per data row."""
     meta: dict[str, str] = {}
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with utf8_text(path), open(path, encoding="utf-8") as fh:
         lines = enumerate((line.rstrip("\n") for line in fh), start=1)
         lineno, line = next(lines, (1, ""))
         while line.startswith("#"):
@@ -64,7 +87,7 @@ def read_table(
 
 def read_records(path: str | Path, decode: Callable[[dict], T]) -> Iterator[T]:
     """Stream ``decode(obj)`` for each JSON object line, in file order."""
-    with open(path, encoding="utf-8") as fh:
+    with utf8_text(path), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -307,6 +307,8 @@ def _merge(path: Path, overrides: Sequence[str]) -> dict[str, dict[str, str]]:
             parser.read_file(fh, source=str(path))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     for section in parser.sections():

@@ -307,7 +307,9 @@ def block_set(blocks: Iterable[str]) -> tuple[str, ...]:
 def slice_blocks(matrix: FeatureMatrix, blocks: Sequence[str]) -> FeatureMatrix:
     """Project a matrix onto a subset of its blocks, preserving row metadata.
 
-    Lets one full featurization pass serve every block combination.
+    Lets one full featurization pass serve every block combination. The
+    slice is C-ordered (``x[:, cols]`` would be F-ordered), so training
+    gathers each mini-batch from contiguous rows.
     """
     ordered = block_set(blocks)
     missing = set(ordered) - set(matrix.layout.blocks)
@@ -323,7 +325,7 @@ def slice_blocks(matrix: FeatureMatrix, blocks: Sequence[str]) -> FeatureMatrix:
         tickers=list(matrix.tickers),
         dates=list(matrix.dates),
         labels=list(matrix.labels),
-        x=matrix.x[:, cols],
+        x=matrix.x.take(cols, axis=1),
     )
 
 

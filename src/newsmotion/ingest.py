@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .codec import read_records
+from .codec import read_records, utf8_text
 from .dates import parse_date
 from .errors import ParseError, ValidationError
 
@@ -44,7 +44,7 @@ def _text(record: dict, key: str) -> str:
 
 def _article(record: dict) -> Article:
     return Article(
-        id=str(record["id"]),
+        id=_text(record, "id"),
         date=parse_date(record["date"]),
         title=_text(record, "title"),
         body=_text(record, "body"),
@@ -56,7 +56,7 @@ def load_articles(path: str | Path) -> Iterator[Article]:
     """Stream articles from a line-delimited JSON file, in file order.
 
     Blank lines are skipped. Raises ParseError naming the line on bad
-    JSON, a missing key or a bad field value.
+    JSON, a missing key, a bad field value or bytes that are not UTF-8.
     """
     return read_records(path, _article)
 
@@ -125,7 +125,7 @@ def load_prices(path: str | Path) -> dict[str, PriceSeries]:
     parsed: dict[str, Date] = {}
     # ticker -> [dates, closes, every date so far once the dates stop rising]
     groups: dict[str, list] = {}
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with utf8_text(path), path.open("r", encoding="utf-8", newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None or [h.strip() for h in header] != _HEADER:
             raise ParseError(f"{path}: expected header 'date,ticker,close'")

@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-from .codec import decoding, read_table
+from .codec import decoding, read_table, utf8_text
 from .embedding import EmbeddingTable, rank_by_seed_similarity
 from .errors import ParseError, ValidationError
 from .sampling import NEGATIVE, POSITIVE, Sample
@@ -235,7 +235,8 @@ def load_category_seeds(path: str | Path | None = None) -> dict[str, list[str]]:
         name = "category_seeds.txt"
     else:
         path = Path(path)
-        text = path.read_text(encoding="utf-8")
+        with utf8_text(path):
+            text = path.read_text(encoding="utf-8")
         name = str(path)
     categories: dict[str, list[str]] = {}
     current: str | None = None

@@ -4,14 +4,22 @@ Training is plain mini-batch gradient descent on cross-entropy with
 optional L2, a step-decayed learning rate, and model selection by best
 validation error. Everything is deterministic in the config seed.
 
+Activations are feature-major, (units, rows), so every layer is one
+``w @ a`` product (`_layers`), in training and in scoring alike.
+
 `train` computes in float32: it rounds the float64 Glorot draw of `init`
-to float32, and `loss_and_gradients` computes in the dtype of the
-model's weights, casting each mini-batch as it is drawn. A float64 model
-(the gradient oracle's) still runs in float64. Scoring is float64: numpy
-upcasts float32 weights exactly against the float64 feature matrix, and
-the `<f8` blob holds them exactly, so a trained model scores the same in
-memory and loaded back. The last bits of a matrix product depend on the
-BLAS thread count.
+to float32 and keeps every weight and bias in one flat buffer, viewed
+per layer, so each step updates every parameter with one
+``grads *= lr; params -= grads`` and the best-epoch snapshot is one
+copy. `loss_and_gradients` is the step `train` takes on
+each mini-batch: it computes in the dtype of the model's weights,
+casting the batch, so a float64 model (the gradient oracle's) runs in
+float64. Validation inside `train` scores in float32. Final scoring,
+`predict_batch`, is float64: numpy upcasts float32 weights exactly
+against the float64 feature matrix, and the `<f8` blob holds them
+exactly, so a trained model scores the same in memory and loaded back.
+The last bits of a matrix product depend on the BLAS thread count and on
+the orientation of its operands.
 
 Every model carries the feature layout it was trained on, and
 `predict_batch` is the only way a model scores rows: it rejects a matrix
@@ -25,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -72,9 +80,6 @@ class MlpModel:
     def input_dim(self) -> int:
         return self.layer_dims[0]
 
-    def copy_parameters(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        return [w.copy() for w in self.weights], [b.copy() for b in self.biases]
-
 
 def init(layer_dims: Sequence[int], seed: int, layout: FeatureLayout) -> MlpModel:
     """Glorot-uniform weights, zero biases, deterministic in seed."""
@@ -102,20 +107,71 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _forward_pass(
-    model: MlpModel, x: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Returns (pre-activations per layer, activations per layer incl. input)."""
-    activations = [x]
-    pre = []
-    a = x
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.T + b
-        pre.append(z)
-        a = z if i == last else np.maximum(z, 0.0)
-        activations.append(a)
-    return pre, activations
+def _layers(
+    weights: Sequence[np.ndarray],
+    biases: Sequence[np.ndarray],
+    a: np.ndarray,
+    out: Sequence[np.ndarray] | None = None,
+) -> Iterator[np.ndarray]:
+    """Yields each layer's activations, feature-major; the last are the logits.
+
+    ``a`` is (fan_in, rows), and each layer is (units, rows), so a layer
+    is ``w @ a``. ``out``, if given, holds one such buffer per layer to
+    write into.
+    """
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        a = np.matmul(w, a, out=None if out is None else out[i])
+        a += b[:, None]
+        if i < last:
+            np.maximum(a, 0.0, out=a)
+        yield a
+
+
+def _confidences(
+    weights: Sequence[np.ndarray], biases: Sequence[np.ndarray], a: np.ndarray
+) -> np.ndarray:
+    """p_up - p_down per column of a feature-major ``a``, one layer held at a time."""
+    for logits in _layers(weights, biases, a):
+        pass
+    p = softmax(logits.T)
+    return p[:, 0] - p[:, 1]
+
+
+def _step(
+    weights: Sequence[np.ndarray],
+    biases: Sequence[np.ndarray],
+    a: np.ndarray,
+    y: np.ndarray,
+    l2: float,
+    grad_w: Sequence[np.ndarray],
+    grad_b: Sequence[np.ndarray],
+    out: Sequence[np.ndarray] | None = None,
+) -> float:
+    """Loss of a feature-major batch ``a``; writes the gradients into grad_w, grad_b."""
+    n = a.shape[1]
+    activations = [a, *_layers(weights, biases, a, out)]
+    z = activations[-1]
+    cols = np.arange(n)
+    # log p(label) = z_label - logsumexp(z); stable via max subtraction
+    z_max = z.max(axis=0)
+    log_norm = z_max + np.log(np.exp(z - z_max).sum(axis=0))
+    loss = float(np.mean(log_norm - z[y, cols]))
+    if l2 > 0:
+        loss += 0.5 * l2 * sum(float(np.sum(w * w)) for w in weights)
+    # the softmax is taken in float64, then rounded to the step's dtype
+    delta = np.ascontiguousarray(softmax(z.T).T, dtype=z.dtype)
+    delta[y, cols] -= 1.0
+    delta /= n
+    for i in range(len(weights) - 1, -1, -1):
+        np.matmul(delta, activations[i].T, out=grad_w[i])
+        if l2 > 0:
+            grad_w[i] += l2 * weights[i]
+        np.sum(delta, axis=1, out=grad_b[i])
+        if i > 0:
+            delta = weights[i].T @ delta
+            delta *= activations[i] > 0
+    return loss
 
 
 def loss_and_gradients(
@@ -126,10 +182,10 @@ def loss_and_gradients(
     y holds class indices (0 = up, 1 = down). With l2 > 0 the loss adds
     l2/2 times the squared Frobenius norm of every weight matrix (biases
     are not penalized). The batch is cast to the dtype of the model's
-    weights, and the gradients are returned in that dtype.
+    weights, and the gradients are returned in that dtype. This is the
+    step `train` takes on each mini-batch.
     """
-    dtype = model.weights[0].dtype
-    x = np.asarray(x, dtype=dtype)
+    x = np.asarray(x)
     y = np.asarray(y, dtype=np.int64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValidationError("batch must be a non-empty 2-D array")
@@ -139,28 +195,10 @@ def loss_and_gradients(
         raise ValidationError(
             f"input dimension {x.shape[1]} != model input {model.input_dim}"
         )
-    n = x.shape[0]
-    pre, activations = _forward_pass(model, x)
-    z_out = pre[-1]
-    # log p(label) = z_label - logsumexp(z); stable via max subtraction
-    z_max = z_out.max(axis=1, keepdims=True)
-    log_norm = z_max[:, 0] + np.log(np.exp(z_out - z_max).sum(axis=1))
-    loss = float(np.mean(log_norm - z_out[np.arange(n), y]))
-    if l2 > 0:
-        loss += 0.5 * l2 * sum(float(np.sum(w * w)) for w in model.weights)
-
-    delta = softmax(z_out).astype(dtype, copy=False)
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
-    grad_w: list[np.ndarray] = [None] * len(model.weights)
-    grad_b: list[np.ndarray] = [None] * len(model.weights)
-    for i in range(len(model.weights) - 1, -1, -1):
-        grad_w[i] = delta.T @ activations[i]
-        if l2 > 0:
-            grad_w[i] += l2 * model.weights[i]
-        grad_b[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ model.weights[i]) * (pre[i - 1] > 0)
+    grad_w = [np.empty_like(w) for w in model.weights]
+    grad_b = [np.empty_like(b) for b in model.biases]
+    a = np.ascontiguousarray(x.T, dtype=model.weights[0].dtype)
+    loss = _step(model.weights, model.biases, a, y, l2, grad_w, grad_b)
     return loss, grad_w, grad_b
 
 
@@ -168,21 +206,26 @@ def predict_batch(model: MlpModel, matrix: FeatureMatrix) -> np.ndarray:
     """Confidence p_up - p_down per matrix row; a row predicts up iff it is > 0."""
     if model.layout != matrix.layout:
         raise ValidationError("model and matrix feature layouts differ")
-    # Holds one layer at a time; _forward_pass keeps every layer for backprop.
-    a = matrix.x
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        a = a @ w.T + b
-        if i < last:
-            np.maximum(a, 0.0, out=a)
-    p = softmax(a)
-    return p[:, 0] - p[:, 1]
+    return _confidences(model.weights, model.biases, matrix.x.T)
 
 
 def error_rate(confidences: np.ndarray, labels: Sequence[str]) -> float:
     """Share of rows whose predicted direction disagrees with the label."""
     truths = np.asarray(labels) == POSITIVE
     return float(np.mean((confidences > 0) != truths))
+
+
+def _views(
+    flat: np.ndarray, dims: Sequence[int]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views of one flat buffer, in blob order."""
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        weights.append(flat[at : at + fan_out * fan_in].reshape(fan_out, fan_in))
+        at += fan_out * fan_in
+        biases.append(flat[at : at + fan_out])
+        at += fan_out
+    return weights, biases
 
 
 def train(
@@ -200,19 +243,30 @@ def train(
     x_train = train_matrix.x
     # class 0 is up, class 1 is down
     y_train = (np.asarray(train_matrix.labels) != POSITIVE).astype(np.int64)
+    x_valid = np.ascontiguousarray(valid_matrix.x.T, dtype=np.float32)
+    valid_labels = np.asarray(valid_matrix.labels)
 
     dims = (train_matrix.layout.dimension, *config.hidden, 2)
     model = init(dims, config.seed, layout=train_matrix.layout)
-    model.weights = [w.astype(np.float32) for w in model.weights]
-    model.biases = [b.astype(np.float32) for b in model.biases]
+    params = np.concatenate(
+        [a.ravel() for layer in zip(model.weights, model.biases) for a in layer]
+    ).astype(np.float32)
+    weights, biases = _views(params, dims)
+    grads = np.empty_like(params)
+    grad_w, grad_b = _views(grads, dims)
+    best_params = params.copy()
+    # the input and each layer of a batch; m rows use the first m * units
+    buffers = [np.empty(d * config.batch_size, dtype=np.float32) for d in dims]
+
+    def batch_views(m: int) -> list[np.ndarray]:
+        return [buf[: d * m].reshape(d, m) for buf, d in zip(buffers, dims)]
+
     rng = np.random.default_rng(config.seed)
     n = x_train.shape[0]
-
     train_losses: list[float] = []
     valid_errors: list[float] = []
     best_error = np.inf
     best_epoch = -1
-    best_params = model.copy_parameters()
     since_best = 0
     for epoch in range(config.epochs):
         lr = config.learning_rate * config.decay ** (epoch // config.decay_every)
@@ -220,33 +274,31 @@ def train(
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            loss, grad_w, grad_b = loss_and_gradients(
-                model, x_train[batch], y_train[batch], config.l2
-            )
+            a, *out = batch_views(len(batch))
+            np.copyto(a, x_train[batch].T)
+            y = y_train[batch]
+            loss = _step(weights, biases, a, y, config.l2, grad_w, grad_b, out)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss {loss} at epoch {epoch}, batch start {start}; "
                     f"lower the learning rate"
                 )
-            for params, grads in ((model.weights, grad_w), (model.biases, grad_b)):
-                for p, g in zip(params, grads):
-                    g *= lr
-                    p -= g
+            grads *= lr
+            params -= grads
             epoch_loss += loss * len(batch)
         train_losses.append(epoch_loss / n)
-        error = error_rate(predict_batch(model, valid_matrix), valid_matrix.labels)
+        error = error_rate(_confidences(weights, biases, x_valid), valid_labels)
         valid_errors.append(error)
         if error < best_error:
             best_error = error
             best_epoch = epoch
-            best_params = model.copy_parameters()
+            np.copyto(best_params, params)
             since_best = 0
         else:
             since_best += 1
             if config.patience and since_best >= config.patience:
                 break
-    if best_epoch >= 0:
-        model.weights, model.biases = best_params
+    model.weights, model.biases = _views(best_params, dims)
     model.metadata = {
         "seed": config.seed,
         "epochs_run": len(train_losses),

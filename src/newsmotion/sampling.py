@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .codec import read_records
+from .codec import read_records, utf8_text
 from .errors import ParseError, ValidationError
 from .dates import parse_date
 from .ingest import Article, PriceSeries
@@ -101,7 +101,7 @@ def load_aliases(path: str | Path) -> dict[str, str]:
     """Read the 'alias,ticker' CSV into a dict."""
     path = Path(path)
     aliases: dict[str, str] = {}
-    with path.open("r", encoding="utf-8") as fh:
+    with utf8_text(path), path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):

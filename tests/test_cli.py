@@ -642,6 +642,18 @@ class TestEvaluateUnits:
         config = _copy(pipeline, tmp_path)
         # train and the ablation keyed [training] alone before revision 1
         key = text_sha256(repr(load_config(config).training))
+        self._check_retrains_once(config, key, trainings, caplog)
+
+    def test_a_work_dir_trained_row_major_retrains_once(
+        self, pipeline, tmp_path, trainings, caplog
+    ):
+        config = _copy(pipeline, tmp_path)
+        # revision 1 trained with row-major activations, one array per layer
+        key = text_sha256(f"{load_config(config).training!r}\nrevision 1")
+        self._check_retrains_once(config, key, trainings, caplog)
+
+    @staticmethod
+    def _check_retrains_once(config, key, trainings, caplog):
         for unit in ("train", "ablation"):
             _record(config, unit, key)
         with caplog.at_level(logging.INFO):
@@ -946,6 +958,27 @@ class TestFailureModes:
         with caplog.at_level(logging.ERROR):
             assert cli.main(["ingest", "--config", str(config)]) == 1
         assert "paths.articles" in caplog.text
+
+    @pytest.mark.parametrize(
+        "name, line",
+        [
+            ("prices", b"2012-01-02,Z\xff,1\n"),
+            ("articles", b'{"id": "\xff", "date": "2012-01-02"}\n'),
+            ("aliases", b"Caf\xe9,CAF\n"),
+        ],
+    )
+    def test_input_that_is_not_utf8_exits_one(
+        self, pipeline, tmp_path, caplog, name, line
+    ):
+        config = _copy(pipeline, tmp_path)
+        path = getattr(load_config(config).paths, name)
+        data = path.read_bytes()
+        path.write_bytes(data + line)
+        lineno = data.count(b"\n") + 1
+        with caplog.at_level(logging.ERROR):
+            assert cli.main(["ingest", "--config", str(config)]) == 1
+        assert f"{path}:{lineno}: not UTF-8 text" in caplog.text
+        assert "Traceback" not in caplog.text
 
     def test_missing_artifact_names_its_producer(self, tmp_path, caplog):
         config = _write_config(tmp_path, "")

@@ -85,6 +85,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="mystery"):
             load_config(path)
 
+    def test_bytes_that_are_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "pipeline.ini"
+        path.write_bytes(b"[pipeline]\nseed = 9 \xff\n")
+        with pytest.raises(ConfigError, match="not UTF-8") as caught:
+            load_config(path)
+        assert str(caught.value).startswith(f"{path}: ")
+
     def test_unknown_key_rejected(self, tmp_path):
         path = _write_config(tmp_path, "[lexicon]\nkeyword_count = 50\n")
         with pytest.raises(ConfigError, match="keyword_count"):
@@ -199,7 +206,7 @@ class TestLoadConfig:
         config = load_config(_write_config(tmp_path))
         assert cli._stage_key(config, "lexicon") == text_sha256(repr(config.lexicon))
         assert cli._stage_key(config, "ablation") == text_sha256(
-            f"{config.training!r}\nrevision 1"
+            f"{config.training!r}\nrevision 2"
         )
         dates, graph, sweep = config.dates, config.graph, config.sweep
         assert cli._stage_key(config, "ingest") == text_sha256(

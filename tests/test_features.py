@@ -21,6 +21,7 @@ from newsmotion.features import (
     INSUFFICIENT_HISTORY,
     NO_PRICE_HISTORY,
     UNNORMALIZABLE,
+    block_set,
     featurize_samples,
     load_feature_matrix,
     price_features,
@@ -458,6 +459,23 @@ class TestSliceBlocks:
         assert sliced.dates == matrix.dates
         assert sliced.labels == matrix.labels
         assert np.array_equal(sliced.x, matrix.x[:, list(range(12)) + [14, 15]])
+
+    @pytest.mark.parametrize("blocks", DEFAULT_COMBINATIONS)
+    def test_slice_is_c_ordered_and_equals_the_column_gather(self, blocks):
+        layout = FeatureLayout(BLOCK_ORDER, k=3, n_categories=4)
+        x = np.random.default_rng(30).normal(size=(5, layout.dimension))
+        matrix = FeatureMatrix(
+            layout=layout,
+            tickers=["AAA"] * 5,
+            dates=[DAY + timedelta(days=i) for i in range(5)],
+            labels=[POSITIVE] * 5,
+            x=x,
+        )
+        offsets = matrix.layout.offsets()
+        cols = [c for b in block_set(blocks) for c in range(*offsets[b])]
+        sliced = slice_blocks(matrix, blocks)
+        assert sliced.x.flags.c_contiguous
+        assert sliced.x.tobytes() == matrix.x[:, cols].tobytes()
 
     def test_block_request_order_does_not_matter(self):
         matrix = self._full()

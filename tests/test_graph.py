@@ -470,6 +470,16 @@ class TestGraphFile:
         write_graph(graph, path)
         assert load_graph(path).window is None
 
+    def test_bytes_that_are_not_utf8_name_the_line(self, tmp_path):
+        path = tmp_path / "graph.csv"
+        write_graph(self._sample_graph(), path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[-1] = lines[-1].replace(b"BBB", b"B\xe9B")
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ParseError) as caught:
+            load_graph(path)
+        assert str(caught.value) == f"{path}:{len(lines)}: not UTF-8 text (byte 0xe9)"
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "graph.csv"
         path.write_text("# threshold=0.8\nticker_i,ticker_j,weight\n")

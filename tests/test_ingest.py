@@ -92,7 +92,14 @@ class TestArticles:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("title", "null"), ("body", "null"), ("source", "3"), ("body", '["b"]')],
+        [
+            ("title", "null"),
+            ("body", "null"),
+            ("source", "3"),
+            ("body", '["b"]'),
+            ("id", "null"),
+            ("id", "7"),
+        ],
     )
     def test_text_field_of_another_type_names_the_line(self, tmp_path, field, value):
         record = {"id": "x", "date": "2012-01-02", "title": "t", "body": "b", "source": "s"}
@@ -102,6 +109,17 @@ class TestArticles:
         with pytest.raises(ParseError) as caught:
             list(load_articles(path))
         assert str(caught.value) == f"{path}:2: {field} must be a string, got {value}"
+
+    def test_bytes_that_are_not_utf8_name_the_line(self, tmp_path):
+        good = (
+            '{"id": "x", "date": "2012-01-02", "title": "t", '
+            '"body": "b", "source": "s"}\n'
+        )
+        path = tmp_path / "a.jsonl"
+        path.write_bytes(good.encode() + good.replace('"b"', '"\xff"').encode("latin-1"))
+        with pytest.raises(ParseError) as caught:
+            list(load_articles(path))
+        assert str(caught.value) == f"{path}:2: not UTF-8 text (byte 0xff)"
 
     def test_blank_lines_are_skipped(self, tmp_path):
         record = (
@@ -269,6 +287,18 @@ class TestLoadPricesErrors:
         with pytest.raises(ParseError) as caught:
             load_prices(path)
         assert str(caught.value) == f"{path}: expected header 'date,ticker,close'"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("good_rows", [1, 1000])
+    def test_bytes_that_are_not_utf8_name_the_line(self, tmp_path, newline, good_rows):
+        rows = [f"2012-01-{d:02d},T{k},10" for k in range(36) for d in range(1, 29)]
+        lines = ["date,ticker,close", *rows[:good_rows], "2012-01-02,Z\xff,1", ""]
+        path = tmp_path / "p.csv"
+        path.write_bytes(newline.join(lines).encode("latin-1"))
+        with pytest.raises(ParseError) as caught:
+            load_prices(path)
+        line = good_rows + 2
+        assert str(caught.value) == f"{path}:{line}: not UTF-8 text (byte 0xff)"
 
     def test_first_bad_line_wins(self, tmp_path):
         """A duplicate is reported at its own line, before a later bad row."""

@@ -325,6 +325,13 @@ class TestLoadCategorySeeds:
         with pytest.raises(ParseError, match=":1"):
             load_category_seeds(path)
 
+    def test_bytes_that_are_not_utf8_name_the_line(self, tmp_path):
+        path = tmp_path / "seeds.txt"
+        path.write_bytes(b"[energy]\noil\ng\x80s\n")
+        with pytest.raises(ParseError) as caught:
+            load_category_seeds(path)
+        assert str(caught.value) == f"{path}:3: not UTF-8 text (byte 0x80)"
+
     def test_duplicate_category(self, tmp_path):
         path = tmp_path / "seeds.txt"
         path.write_text("[energy]\noil\n[energy]\ngas\n")

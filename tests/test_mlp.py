@@ -20,7 +20,8 @@ from newsmotion.features import (
 from newsmotion.graph import DOWN, UP
 from newsmotion.mlp import (
     MlpModel,
-    _forward_pass,
+    _layers,
+    error_rate,
     init,
     loss_and_gradients,
     load_model,
@@ -183,6 +184,45 @@ class TestLossAndGradients:
     def test_gradients_match_central_differences_with_l2(self):
         assert self._numeric_check((3, 4, 2), l2=0.05, seed=32) < 1e-5
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_step_gradients_match_central_differences_in_either_dtype(self, dtype):
+        # the model of the given dtype takes the step; the differences are
+        # taken in float64 on the same (float32-exact) parameter values
+        dims, l2 = (5, 6, 4, 2), 0.05
+        rng = np.random.default_rng(34)
+        exact = init(dims, seed=34, layout=_layout(dims[0]))
+        exact.weights = [w.astype(dtype).astype(np.float64) for w in exact.weights]
+        exact.biases = [
+            rng.normal(scale=0.1, size=b.shape).astype(dtype).astype(np.float64)
+            for b in exact.biases
+        ]
+        model = MlpModel(
+            layer_dims=dims,
+            weights=[w.astype(dtype) for w in exact.weights],
+            biases=[b.astype(dtype) for b in exact.biases],
+            layout=exact.layout,
+        )
+        x = rng.normal(size=(7, dims[0])).astype(dtype).astype(np.float64)
+        y = rng.integers(0, 2, size=7)
+        _, grad_w, grad_b = loss_and_gradients(model, x, y, l2)
+        eps = 1e-6
+        for params, grads in ((exact.weights, grad_w), (exact.biases, grad_b)):
+            for arr, grad in zip(params, grads):
+                assert grad.dtype == dtype
+                numeric = np.empty(arr.shape)
+                flat = arr.ravel()
+                for idx in range(flat.size):
+                    original = flat[idx]
+                    flat[idx] = original + eps
+                    up, _, _ = loss_and_gradients(exact, x, y, l2)
+                    flat[idx] = original - eps
+                    down, _, _ = loss_and_gradients(exact, x, y, l2)
+                    flat[idx] = original
+                    numeric.ravel()[idx] = (up - down) / (2 * eps)
+                scale = float(np.abs(numeric).max())
+                tolerance = 1e-4 if dtype == np.float32 else 1e-7
+                assert float(np.abs(grad - numeric).max()) <= tolerance * scale
+
     def test_l2_penalizes_weights_but_not_biases(self):
         model = init([3, 4, 2], seed=5, layout=_layout(3))
         for b in model.biases:
@@ -308,6 +348,46 @@ class TestTrain:
         for a, b in zip(full.weights + full.biases, short.weights + short.biases):
             assert np.array_equal(a, b)
 
+    def test_training_replays_the_gradient_step_batch_by_batch(self):
+        # 70 rows in batches of 16 leave a last batch of 6
+        train_m = _separable(70, 5, seed=67)
+        valid_m = _separable(30, 5, seed=68)
+        config = TrainConfig(
+            hidden=(6, 4), learning_rate=0.3, batch_size=16, epochs=6,
+            l2=0.01, patience=0, seed=8,
+        )
+        assert len(train_m) % config.batch_size != 0
+        model = train(train_m, valid_m, config)
+
+        replay = init((5, 6, 4, 2), seed=config.seed, layout=train_m.layout)
+        params = [p.astype(np.float32) for p in (*replay.weights, *replay.biases)]
+        replay.weights, replay.biases = params[:3], params[3:]
+        y = (np.asarray(train_m.labels) != POSITIVE).astype(np.int64)
+        rng = np.random.default_rng(config.seed)
+        losses, errors, snapshots = [], [], []
+        for epoch in range(config.epochs):
+            lr = config.learning_rate * config.decay ** (epoch // config.decay_every)
+            order = rng.permutation(len(train_m))
+            total = 0.0
+            for start in range(0, len(train_m), config.batch_size):
+                batch = order[start : start + config.batch_size]
+                loss, grad_w, grad_b = loss_and_gradients(
+                    replay, train_m.x[batch], y[batch], config.l2
+                )
+                for p, g in zip(params, (*grad_w, *grad_b)):
+                    p -= lr * g
+                total += loss * len(batch)
+            losses.append(total / len(train_m))
+            errors.append(error_rate(predict_batch(replay, valid_m), valid_m.labels))
+            snapshots.append([p.copy() for p in params])
+
+        assert model.metadata["train_losses"] == losses
+        assert model.metadata["validation_errors"] == errors
+        best = snapshots[model.metadata["best_epoch"]]
+        for got, want in zip((*model.weights, *model.biases), best):
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
+
     def test_divergence_raises_instead_of_returning_garbage(self):
         base = _separable(60, 3, seed=46)
         matrix = _matrix(base.x * 1e150, base.labels)
@@ -361,8 +441,8 @@ class TestPredict:
         model.weights = [w.astype(dtype) for w in model.weights]
         model.biases = [(b + 0.01).astype(dtype) for b in model.biases]
         matrix = _matrix(np.random.default_rng(57).normal(size=(40, 7)))
-        _, activations = _forward_pass(model, matrix.x)
-        p = softmax(activations[-1])
+        *_, logits = _layers(model.weights, model.biases, matrix.x.T)
+        p = softmax(logits.T)
         expected = p[:, 0] - p[:, 1]
         assert predict_batch(model, matrix).tobytes() == expected.tobytes()
 
@@ -401,6 +481,17 @@ class TestModelFile:
         original = predict_batch(model, matrix)
         assert original.dtype == np.float64
         assert original.tobytes() == predict_batch(loaded, matrix).tobytes()
+
+    def test_two_trainings_in_one_process_save_identical_bytes(self, tmp_path):
+        train_m = _separable(90, 6, seed=69)
+        valid_m = _separable(40, 6, seed=70)
+        config = TrainConfig(
+            hidden=(16, 8), learning_rate=0.2, batch_size=32, epochs=4, seed=9
+        )
+        paths = [tmp_path / "first.bin", tmp_path / "second.bin"]
+        for path in paths:
+            save_model(train(train_m, valid_m, config), path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_header_without_layout_rejected(self, tmp_path):
         path = tmp_path / "model.bin"

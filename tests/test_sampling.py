@@ -136,6 +136,13 @@ class TestAliasMatcher:
         aliases = load_aliases(path)
         assert aliases == {"Apple, Inc.": "AAPL", "AAPL": "AAPL"}
 
+    def test_load_aliases_names_a_line_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "aliases.csv"
+        path.write_bytes(b"# alias,ticker\r\nAcme,ACM\r\nCaf\xe9,CAF\r\n")
+        with pytest.raises(ParseError) as caught:
+            load_aliases(path)
+        assert str(caught.value) == f"{path}:3: not UTF-8 text (byte 0xe9)"
+
     def test_load_aliases_rejects_bare_lines(self, tmp_path):
         path = tmp_path / "aliases.csv"
         path.write_text("justoneword\n", encoding="utf-8")
