@@ -3,6 +3,7 @@
 ``UNITS`` lists each cache unit once: the stage it belongs to, the config
 sections and fields its cache key hashes, its inputs and outputs, and the
 body that does its work. One runner does the rest for every unit. It
+first deletes the temporary files a killed run of the unit left. It
 requires the inputs, and it reads a work-dir input only while the unit
 that made it, and every unit above that one, is up to date under the
 current config. It skips the unit when its own manifest is still up to
@@ -18,7 +19,6 @@ import argparse
 import importlib
 import logging
 import sys
-import tempfile
 from dataclasses import dataclass
 from datetime import date as Date
 from operator import attrgetter
@@ -37,6 +37,8 @@ from .errors import (
 )
 from .manifest import (
     Digests,
+    manifest_path,
+    remove_leftovers,
     replacing,
     text_sha256,
     up_to_date,
@@ -127,11 +129,9 @@ _SPLITS = ("train", "valid", "test")
 
 
 def _synth(config, inputs, outputs) -> None:
-    with tempfile.TemporaryDirectory(dir=outputs["articles"].parent) as scratch:
-        summary = generate_synthetic_fixture(config.synth, scratch)
-        summary.articles_path.replace(outputs["articles"])
-        summary.prices_path.replace(outputs["prices"])
-        summary.aliases_path.replace(outputs["aliases"])
+    summary = generate_synthetic_fixture(
+        config.synth, outputs["articles"], outputs["prices"], outputs["aliases"]
+    )
     logger.info(
         "synth: %d tickers over %d trading days, %d articles, about %d samples",
         summary.tickers,
@@ -497,6 +497,10 @@ def _run_unit(
     config: PipelineConfig, unit: str, force: bool, digests: Digests, answers: dict
 ):
     spec = UNITS[unit]
+    outputs = _files(config, spec.outputs)
+    # The lock rules out a live writer, so any temporary file of the
+    # unit's is a killed run's, whether the unit now runs or skips.
+    remove_leftovers([*outputs.values(), manifest_path(config.paths.work_dir, unit)])
     inputs = _files(config, spec.inputs)
     for name, path in inputs.items():
         producer = _PRODUCER.get(name)
@@ -512,7 +516,6 @@ def _run_unit(
     if not force and _stale(config, unit, digests, answers) is None:
         logger.info("%s: artifacts up to date, skipping", unit)
         return
-    outputs = _files(config, spec.outputs)
     _bind_stage_names()
     with replacing(outputs) as temporary:
         spec.body(config, inputs, temporary)

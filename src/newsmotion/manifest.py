@@ -12,20 +12,19 @@ manifests are written to a temporary file and renamed into place.
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import functools
+import glob
 import hashlib
 import json
-import logging
 import os
 import platform
 from importlib import util
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import __version__
 from .errors import PipelineError
-
-logger = logging.getLogger(__name__)
 
 _CHUNK = 1 << 20
 
@@ -135,6 +134,17 @@ def replacing(files: Mapping[str, Path]) -> Iterator[dict[str, Path]]:
                 path.unlink()
 
 
+def remove_leftovers(files: Iterable[Path]) -> None:
+    """Delete the temporary files a killed ``replacing`` left beside ``files``.
+
+    Call it only where no other run can be writing them, under the
+    work-dir lock.
+    """
+    for path in files:
+        for leftover in path.parent.glob(f".{glob.escape(path.name)}.*.tmp"):
+            leftover.unlink(missing_ok=True)
+
+
 def write_manifest(
     work_dir: str | Path,
     stage: str,
@@ -191,56 +201,23 @@ def up_to_date(
     return True
 
 
-def _lock_holder_gone(lock: Path) -> bool:
-    """Whether the PID recorded in the lock file names no running process.
-
-    An unreadable or malformed lock file counts as held: its writer may be
-    between creating the file and writing its PID.
-    """
-    try:
-        pid = int(lock.read_text(encoding="utf-8").strip())
-    except (OSError, ValueError):
-        return False
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except PermissionError:  # alive, owned by another user
-        return False
-    return False
-
-
 @contextlib.contextmanager
 def work_dir_lock(work_dir: str | Path) -> Iterator[None]:
     """Exclusive lock on the work dir; concurrent runs against it refuse to start.
 
-    A lock left behind by a process that no longer exists (a killed run)
-    is reclaimed.
+    The kernel holds an ``flock`` on the open ``.lock`` file and drops it
+    when the holder ends, however it ends, so a killed run never leaves
+    the work dir locked. The file holds nothing and is never removed:
+    after an unlink, a run that had opened the old file could lock it
+    while a third run locks a new one, and both would go ahead.
     """
     work_dir = Path(work_dir)
     work_dir.mkdir(parents=True, exist_ok=True)
-    lock = work_dir / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        fd = None
-        if _lock_holder_gone(lock):
-            logger.warning("reclaiming %s: the run that held it is gone", lock)
-            with contextlib.suppress(FileNotFoundError):
-                lock.unlink()
-            with contextlib.suppress(FileExistsError):
-                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        if fd is None:
+    with (work_dir / ".lock").open("ab") as fh:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
             raise PipelineError(
-                f"work dir {work_dir} is locked by another run; "
-                f"remove {lock} if that run is gone"
+                f"work dir {work_dir} is locked by another run"
             ) from None
-    try:
-        os.write(fd, f"{os.getpid()}\n".encode())
-        os.close(fd)
         yield
-    finally:
-        with contextlib.suppress(OSError):
-            lock.unlink()

@@ -117,9 +117,6 @@ def _trading_dates(start: Date, end: Date) -> list[Date]:
 
 @dataclass(frozen=True)
 class FixtureSummary:
-    articles_path: Path
-    prices_path: Path
-    aliases_path: Path
     tickers: int
     active_tickers: int
     quiet_tickers: int
@@ -128,10 +125,13 @@ class FixtureSummary:
     expected_samples: int
 
 
-def generate_synthetic_fixture(config: SynthConfig, out_dir: str | Path) -> FixtureSummary:
-    """Write articles.jsonl, prices.csv, and aliases.csv under out_dir."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def generate_synthetic_fixture(
+    config: SynthConfig,
+    articles_path: str | Path,
+    prices_path: str | Path,
+    aliases_path: str | Path,
+) -> FixtureSummary:
+    """Write the articles, prices, and aliases files to the paths given."""
     rng = np.random.default_rng(config.seed)
 
     n = config.tickers
@@ -264,28 +264,22 @@ def generate_synthetic_fixture(config: SynthConfig, out_dir: str | Path) -> Fixt
                 )
             )
 
-    articles_path = out_dir / "articles.jsonl"
-    prices_path = out_dir / "prices.csv"
-    aliases_path = out_dir / "aliases.csv"
     write_articles(articles, articles_path)
 
-    with prices_path.open("w", encoding="utf-8", newline="\n") as fh:
+    with open(prices_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("date,ticker,close\n")
         order = sorted(range(n), key=lambda i: symbols[i])
         for t, day in enumerate(dates):
             for i in order:
                 fh.write(f"{day.isoformat()},{symbols[i]},{close_strs[i][t]}\n")
 
-    with aliases_path.open("w", encoding="utf-8", newline="\n") as fh:
+    with open(aliases_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# alias,ticker\n")
         for i in range(n):
             fh.write(f"{names[i]},{symbols[i]}\n")
             fh.write(f"{symbols[i]},{symbols[i]}\n")
 
     return FixtureSummary(
-        articles_path=articles_path,
-        prices_path=prices_path,
-        aliases_path=aliases_path,
         tickers=n,
         active_tickers=len(active),
         quiet_tickers=n - len(active),

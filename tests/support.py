@@ -1,8 +1,10 @@
 """Helpers only the tests use: a predictions reader, a prices writer, a
-graph node's degree, and the brute-force polarity oracle."""
+graph node's degree, the brute-force polarity oracle, and the environment
+of a child Python."""
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -54,3 +56,14 @@ def polarity_score_of(word: str, samples: Sequence[Sample]) -> float:
             "polarity scores need both positive and negative training samples"
         )
     return polarity_score(pos_df.get(word, 0), neg_df.get(word, 0), n_pos, n_neg)
+
+
+def child_env() -> dict[str, str]:
+    """The environment for a child Python that imports this checkout's package.
+
+    The BLAS thread variables stay as they are: manifests record the
+    thread count, so the child's stages skip where the parent's would.
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}

@@ -10,6 +10,7 @@ import logging
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -21,7 +22,6 @@ import pytest
 from newsmotion import cli, evaluation, mlp
 from newsmotion.config import load_config
 from newsmotion.embedding import _pair_arrays, load_embeddings
-from newsmotion.errors import PipelineError
 from newsmotion.evaluation import run_propagation_sweep
 from newsmotion.features import (
     INSUFFICIENT_HISTORY,
@@ -42,7 +42,7 @@ from newsmotion.mlp import init, load_model, save_model
 from newsmotion.sampling import POSITIVE, load_samples, movement_label
 from newsmotion.tokens import tokenize
 
-from support import load_predictions
+from support import child_env, load_predictions
 
 SMOKE_CONFIG = """\
 [synth]
@@ -794,13 +794,72 @@ class TestAtomicWrites:
     def test_failed_synth_leaves_no_scratch_behind(self, tmp_path, monkeypatch):
         config = _write_config(tmp_path)
 
-        def failing(synth, out_dir):
-            (Path(out_dir) / "articles.jsonl").write_text("{")
+        def failing(synth, articles, prices, aliases):
+            Path(articles).write_text("{")
             raise OSError("disk full")
 
         monkeypatch.setattr(cli, "generate_synthetic_fixture", failing)
         assert cli.main(["synth", "--config", str(config)]) == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pipeline.ini", "work"]
+
+
+# Runs the CLI with ``os.replace`` wrapped to SIGKILL the process on its
+# Nth call: argv is N, then the CLI's arguments.
+_KILL_AT_REPLACE = """\
+import os, signal, sys
+from newsmotion import cli
+
+calls, replace = 0, os.replace
+
+def killing(*args, **kwargs):
+    global calls
+    calls += 1
+    if calls == int(sys.argv[1]):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return replace(*args, **kwargs)
+
+os.replace = killing
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    """Every file under ``root`` but the lock, by relative path."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path.name != ".lock"
+    }
+
+
+class TestCrashRecovery:
+    # featurize renames its four outputs, then its manifest; synth its
+    # three fixture files, then its manifest.
+    @pytest.mark.parametrize(
+        "stage, n",
+        [("featurize", n) for n in range(1, 6)] + [("synth", n) for n in range(1, 5)],
+    )
+    def test_rerun_after_a_kill_at_each_rename_leaves_no_debris(
+        self, pipeline, tmp_path, caplog, stage, n
+    ):
+        config = _copy(pipeline, tmp_path)
+        root = config.parent
+        uninterrupted = _tree(root)
+        killed = subprocess.run(
+            [sys.executable, "-c", _KILL_AT_REPLACE, str(n), stage]
+            + ["--config", str(config), "--force"],
+            cwd=tmp_path,
+            env=child_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        assert list(root.rglob(".*.tmp")), "the kill left no temporary file"
+        with caplog.at_level(logging.WARNING):
+            assert cli.main([stage, "--config", str(config)]) == 0
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert list(root.rglob(".*.tmp")) == []
+        assert _tree(root) == uninterrupted
 
 
 class TestReadme:
@@ -859,13 +918,6 @@ class TestTracingPlan:
         """The tracer's spans and FLOP counter still fire after signature changes."""
         repo = Path(__file__).resolve().parent.parent
         config = _copy(pipeline, tmp_path)
-        path = os.environ.get("PYTHONPATH")
-        # The BLAS thread variables stay as the fixture run had them: the
-        # manifests record the thread count, and ingest must still skip.
-        env = {
-            **os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [str(repo / "src"), path])),
-        }
         spans, flop, pairs, counts = set(), 0.0, 0.0, {}
         # ingest skips; the stage modules load only for the others' bodies.
         runs = {"ingest": ()}
@@ -877,7 +929,7 @@ class TestTracingPlan:
             done = subprocess.run(
                 [sys.executable, *argv, "--config", str(config), *args],
                 cwd=tmp_path,
-                env=env,
+                env=child_env(),
                 capture_output=True,
                 text=True,
             )
@@ -988,10 +1040,7 @@ class TestFailureModes:
 
     def test_locked_work_dir_exits_two(self, tmp_path, caplog):
         config = _write_config(tmp_path, "")
-        work = tmp_path / "work"
-        work.mkdir()
-        (work / ".lock").write_text(f"{os.getpid()}\n")
-        with caplog.at_level(logging.ERROR):
+        with work_dir_lock(tmp_path / "work"), caplog.at_level(logging.ERROR):
             assert cli.main(["synth", "--config", str(config)]) == 2
         assert "locked by another run" in caplog.text
 
@@ -1094,29 +1143,3 @@ class TestOverrides:
         ]
         symbols = {line.split(",")[1] for line in rows}
         assert len(symbols) == 6
-
-
-class TestWorkDirLock:
-    def test_lock_of_a_finished_process_is_reclaimed(self, tmp_path, caplog):
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()  # reaped, so its PID names no process
-        (tmp_path / ".lock").write_text(f"{child.pid}\n")
-        with caplog.at_level(logging.WARNING):
-            with work_dir_lock(tmp_path):
-                assert (tmp_path / ".lock").read_text() == f"{os.getpid()}\n"
-        assert "reclaiming" in caplog.text
-        assert not (tmp_path / ".lock").exists()
-
-    def test_lock_of_a_live_process_is_kept(self, tmp_path):
-        (tmp_path / ".lock").write_text(f"{os.getppid()}\n")
-        with pytest.raises(PipelineError, match="locked by another run"):
-            with work_dir_lock(tmp_path):
-                pass
-        assert (tmp_path / ".lock").read_text() == f"{os.getppid()}\n"
-
-    @pytest.mark.parametrize("content", ["", "not a pid\n", "0\n", "-1\n"])
-    def test_unreadable_lock_is_kept(self, tmp_path, content):
-        (tmp_path / ".lock").write_text(content)
-        with pytest.raises(PipelineError):
-            with work_dir_lock(tmp_path):
-                pass

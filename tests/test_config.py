@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import configparser
 import json
+import logging
 import os
+import signal
+import subprocess
+import sys
 from datetime import date
 from pathlib import Path
 
@@ -24,6 +28,8 @@ from newsmotion.manifest import (
     work_dir_lock,
     write_manifest,
 )
+
+from support import child_env
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SHA_ABC = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
@@ -396,24 +402,79 @@ class TestWorkDirLock:
         work = tmp_path / "work"
         with work_dir_lock(work):
             assert (work / ".lock").is_file()
-        assert not (work / ".lock").exists()
+        with work_dir_lock(work):
+            pass
 
     def test_concurrent_lock_refused(self, tmp_path):
         work = tmp_path / "work"
         with work_dir_lock(work):
-            with pytest.raises(PipelineError, match="locked"):
+            with pytest.raises(PipelineError, match="locked by another run"):
                 with work_dir_lock(work):
                     pass
-        assert not (work / ".lock").exists()
+        with work_dir_lock(work):
+            pass
 
     def test_lock_released_after_an_exception(self, tmp_path):
         work = tmp_path / "work"
         with pytest.raises(RuntimeError):
             with work_dir_lock(work):
                 raise RuntimeError("boom")
-        assert not (work / ".lock").exists()
+        with work_dir_lock(work):
+            pass
 
     def test_creates_missing_work_dir(self, tmp_path):
         work = tmp_path / "deep" / "nested" / "work"
         with work_dir_lock(work):
             assert work.is_dir()
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "",
+            "not a pid\n",
+            "0\n",
+            "-1\n",
+            pytest.param(f"{os.getppid()}\n", id="live-pid"),
+        ],
+    )
+    def test_lock_file_content_does_not_block(self, tmp_path, content):
+        (tmp_path / ".lock").write_text(content)
+        with work_dir_lock(tmp_path):
+            with pytest.raises(PipelineError, match="locked by another run"):
+                with work_dir_lock(tmp_path):
+                    pass
+
+    def test_lock_of_a_killed_run_is_free_without_a_warning(self, tmp_path, caplog):
+        config = _write_config(
+            tmp_path,
+            "[synth]\ntickers = 6\ngroup_count = 2\ngroup_size = 3\n"
+            "actives_per_group = 2\nstart = 2012-01-02\nend = 2012-03-30\n"
+            "news_start = 2012-02-01\n",
+        )
+        holder = subprocess.Popen(
+            [
+                sys.executable,
+                "-c",
+                "import sys; from newsmotion.manifest import work_dir_lock\n"
+                "with work_dir_lock(sys.argv[1]):\n"
+                "    print('locked', flush=True); sys.stdin.read()",
+                str(tmp_path / "work"),
+            ],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            env=child_env(),
+            text=True,
+        )
+        try:
+            assert holder.stdout.readline() == "locked\n"
+            with caplog.at_level(logging.ERROR):
+                assert cli.main(["synth", "--config", str(config)]) == 2
+            assert "locked by another run" in caplog.text
+        finally:
+            holder.kill()
+            holder.communicate()
+        assert holder.returncode == -signal.SIGKILL
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            assert cli.main(["synth", "--config", str(config)]) == 0
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from datetime import date
+from pathlib import Path
 
 import pytest
 
@@ -36,19 +37,23 @@ def _ticker_index(symbol: str) -> int:
     return int("".join(ch for ch in symbol if ch.isdigit()))
 
 
+def _paths(out_dir: Path) -> tuple[Path, Path, Path]:
+    """The articles, prices and aliases paths of a fixture under ``out_dir``."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir / "articles.jsonl", out_dir / "prices.csv", out_dir / "aliases.csv"
+
+
 class TestDeterminism:
     def test_same_config_writes_byte_identical_files(self, tmp_path):
-        a = generate_synthetic_fixture(SMALL, tmp_path / "a")
-        b = generate_synthetic_fixture(SMALL, tmp_path / "b")
-        for first, second in (
-            (a.articles_path, b.articles_path),
-            (a.prices_path, b.prices_path),
-            (a.aliases_path, b.aliases_path),
-        ):
+        a, b = _paths(tmp_path / "a"), _paths(tmp_path / "b")
+        generate_synthetic_fixture(SMALL, *a)
+        generate_synthetic_fixture(SMALL, *b)
+        for first, second in zip(a, b):
             assert first.read_bytes() == second.read_bytes()
 
     def test_different_seed_changes_the_articles(self, tmp_path):
-        a = generate_synthetic_fixture(SMALL, tmp_path / "a")
+        a, b = _paths(tmp_path / "a"), _paths(tmp_path / "b")
+        generate_synthetic_fixture(SMALL, *a)
         reseeded = SynthConfig(
             tickers=SMALL.tickers,
             group_count=SMALL.group_count,
@@ -60,17 +65,22 @@ class TestDeterminism:
             samples_per_day=SMALL.samples_per_day,
             seed=8,
         )
-        b = generate_synthetic_fixture(reseeded, tmp_path / "b")
-        assert a.articles_path.read_bytes() != b.articles_path.read_bytes()
+        generate_synthetic_fixture(reseeded, *b)
+        assert a[0].read_bytes() != b[0].read_bytes()
 
 
 @pytest.fixture(scope="module")
-def fixture(tmp_path_factory):
-    return generate_synthetic_fixture(SMALL, tmp_path_factory.mktemp("synth"))
+def paths(tmp_path_factory):
+    return _paths(tmp_path_factory.mktemp("synth"))
+
+
+@pytest.fixture(scope="module")
+def fixture(paths):
+    return generate_synthetic_fixture(SMALL, *paths)
 
 
 class TestGeneratedFiles:
-    def test_summary_counts_are_consistent(self, fixture):
+    def test_summary_counts_are_consistent(self, fixture, paths):
         assert fixture.tickers == 9
         assert fixture.active_tickers + fixture.quiet_tickers == 9
         assert fixture.quiet_tickers == 3
@@ -78,26 +88,26 @@ class TestGeneratedFiles:
             1 for d in DateRange(SMALL.start, SMALL.end).days() if d.weekday() < 5
         )
         assert fixture.trading_days == weekdays
-        assert fixture.articles == len(list(load_articles(fixture.articles_path)))
+        assert fixture.articles == len(list(load_articles(paths[0])))
 
-    def test_all_tickers_priced_on_every_trading_day(self, fixture):
-        prices = load_prices(fixture.prices_path)
+    def test_all_tickers_priced_on_every_trading_day(self, fixture, paths):
+        prices = load_prices(paths[1])
         assert len(prices) == 9
         for series in prices.values():
             assert len(series.dates) == fixture.trading_days
 
-    def test_aliases_cover_names_and_symbols(self, fixture):
-        aliases = load_aliases(fixture.aliases_path)
+    def test_aliases_cover_names_and_symbols(self, fixture, paths):
+        aliases = load_aliases(paths[2])
         tickers = set(aliases.values())
         assert len(tickers) == 9
         for ticker in tickers:
             named = [a for a, t in aliases.items() if t == ticker and a != ticker]
             assert ticker in aliases and len(named) == 1
 
-    def test_quiet_members_never_reach_the_news(self, fixture):
-        aliases = load_aliases(fixture.aliases_path)
+    def test_quiet_members_never_reach_the_news(self, fixture, paths):
+        aliases = load_aliases(paths[2])
         matcher = AliasMatcher(aliases)
-        sentences = extract_sentences(load_articles(fixture.articles_path), matcher)
+        sentences = extract_sentences(load_articles(paths[0]), matcher)
         mentioned = {t for s in sentences for t in s.tickers()}
         quiet = {
             t
@@ -108,10 +118,11 @@ class TestGeneratedFiles:
         assert not mentioned & quiet
         assert len(mentioned) == fixture.active_tickers
 
-    def test_expected_samples_matches_the_ingest_pipeline(self, fixture):
-        prices = load_prices(fixture.prices_path)
-        matcher = AliasMatcher(load_aliases(fixture.aliases_path))
-        sentences = extract_sentences(load_articles(fixture.articles_path), matcher)
+    def test_expected_samples_matches_the_ingest_pipeline(self, fixture, paths):
+        articles, prices_path, aliases = paths
+        prices = load_prices(prices_path)
+        matcher = AliasMatcher(load_aliases(aliases))
+        sentences = extract_sentences(load_articles(articles), matcher)
         samples = build_samples(sentences, prices)
         labeled = [s for s in samples if s.label is not None]
         assert len(labeled) == fixture.expected_samples
@@ -128,9 +139,10 @@ class TestGeneratedFiles:
             driver_weight=0.98,
             seed=11,
         )
-        summary = generate_synthetic_fixture(config, tmp_path)
+        articles, prices_path, aliases = _paths(tmp_path)
+        generate_synthetic_fixture(config, articles, prices_path, aliases)
         window = DateRange(config.start, config.end)
-        prices = load_prices(summary.prices_path)
+        prices = load_prices(prices_path)
         graph = build_graph(
             prices, list(prices), window=window, threshold=0.8, min_overlap=60
         )
