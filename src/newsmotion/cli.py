@@ -20,7 +20,6 @@ import importlib
 import logging
 import sys
 from dataclasses import dataclass
-from datetime import date as Date
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Sequence
@@ -55,6 +54,7 @@ from .tokens import tokenize
 # a wrapper say, is kept. Delete this shim once the stages count their
 # own work and perfbench no longer wraps them (ROADMAP direction 1(b)).
 _STAGE_NAMES = {
+    "codec": ("write_table",),
     "embedding": ("load_embeddings", "save_embeddings", "train_skipgram"),
     "evaluation": (
         "DEFAULT_COMBINATIONS",
@@ -126,6 +126,8 @@ def __getattr__(name: str):
 logger = logging.getLogger(__name__)
 
 _SPLITS = ("train", "valid", "test")
+
+SKIPPED_HEADER = "split,ticker,date,reason"
 
 
 def _synth(config, inputs, outputs) -> None:
@@ -202,12 +204,12 @@ def _featurize(config, inputs, outputs) -> None:
     stats = training_stats(
         prices, DateRange(config.dates.train_start, config.dates.train_end)
     )
-    all_skipped: list[tuple[str, str, Date, str]] = []
+    skipped_rows: list[tuple[str, str, str, str]] = []
     for split_name in _SPLITS:
         samples = load_samples(inputs[f"samples_{split_name}.jsonl"])
         matrix, skipped = featurize_samples(samples, prices, stats, keywords, categories)
         write_feature_matrix(matrix, outputs[f"features_{split_name}.bin"])
-        all_skipped.extend((split_name, t, d, reason) for t, d, reason in skipped)
+        skipped_rows.extend((split_name, t, d.isoformat(), why) for t, d, why in skipped)
         logger.info(
             "featurize: %s split %d rows x %d dims, %d skipped",
             split_name,
@@ -215,10 +217,7 @@ def _featurize(config, inputs, outputs) -> None:
             matrix.layout.dimension,
             len(skipped),
         )
-    with outputs["skipped.csv"].open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("split,ticker,date,reason\n")
-        for split_name, ticker, d, reason in all_skipped:
-            fh.write(f"{split_name},{ticker},{d.isoformat()},{reason}\n")
+    write_table(outputs["skipped.csv"], SKIPPED_HEADER, skipped_rows)
 
 
 def _train(config, inputs, outputs) -> None:

@@ -1,10 +1,11 @@
-"""The three artifact encodings, framed and read in one place.
+"""The three artifact encodings, written and read in one place.
 
 A table is leading ``# key=value`` lines, one exact header line, then
 comma-separated rows; JSON lines hold one object per line; a blob is a
-JSON header line, then little-endian float64 values. Whatever a caller's
-decoder raises comes back as a `ParseError` naming the file and line, and
-so does a text file that is not UTF-8 (`utf8_text`).
+JSON header line, then little-endian float64 values. Text is written as
+UTF-8 with ``"\n"`` line ends. Whatever a caller's decoder raises comes
+back as a `ParseError` naming the file and line, and so does a text file
+that is not UTF-8 (`utf8_text`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import math
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -57,10 +58,27 @@ def utf8_text(path: str | Path) -> Iterator[None]:
         raise ParseError(where) from exc
 
 
+def write_table(
+    path: str | Path,
+    header: str,
+    rows: Iterable[Iterable[str]],
+    meta: Mapping[str, str] = {},
+) -> None:
+    """Write ``# key=value`` per meta item, the header, then each row's fields."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(f"# {key}={value}\n" for key, value in meta.items())
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
 def read_table(
-    path: str | Path, header: str, fields: int, row: Callable[[list[str]], T]
+    path: str | Path, header: str, row: Callable[[list[str]], T]
 ) -> tuple[dict[str, str], list[T]]:
-    """The leading ``# key=value`` metadata and ``row(parts)`` per data row."""
+    """The leading ``# key=value`` metadata and ``row(parts)`` per data row.
+
+    Each row must have as many fields as the header names.
+    """
+    fields = header.count(",") + 1
     meta: dict[str, str] = {}
     rows = []
     with utf8_text(path), open(path, encoding="utf-8") as fh:
@@ -83,6 +101,12 @@ def read_table(
             with decoding(f"{path}:{lineno}"):
                 rows.append(row(parts))
     return meta, rows
+
+
+def write_records(path: str | Path, records: Iterable[dict]) -> None:
+    """Write each record as one JSON line, non-ASCII text kept as is."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
 
 
 def read_records(path: str | Path, decode: Callable[[dict], T]) -> Iterator[T]:

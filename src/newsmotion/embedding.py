@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import decoding
+from .codec import decoding, utf8_text
 from .config import SkipGramConfig
 from .errors import ParseError, ValidationError
 
@@ -253,10 +253,10 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
 
     Rows are collected before the header's counts are trusted, so a header
     that declares more rows than the file holds is a `ParseError`, not an
-    allocation of that size.
+    allocation of that size. So are bytes that are not UTF-8, named by line.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    with utf8_text(path), path.open("r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise ParseError(f"{path}:1: expected header '<vocab_size> <dimension>'")

@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .codec import write_table
 from .config import TrainConfig
 from .errors import PipelineError, ValidationError
 from .features import FeatureMatrix, block_set, slice_blocks
@@ -44,6 +45,9 @@ DEFAULT_COMBINATIONS: tuple[tuple[str, ...], ...] = (
 OK = "ok"
 FAILED = "failed"
 NOT_AVAILABLE = "n/a"
+
+ABLATION_HEADER = "combination,error_rate,samples,status"
+SWEEP_HEADER = "tau,accuracy,predicted_per_day,observed_per_day"
 
 
 @dataclass(frozen=True)
@@ -236,13 +240,15 @@ def _render_table(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _cell(value: float | None) -> str:
+    """A CSV field: the float's repr, or n/a for a missing value."""
+    return NOT_AVAILABLE if value is None else repr(value)
+
+
 def write_ablation_report(report: AblationReport, path: str | Path) -> None:
     """CSV with one row per combination; failed rows carry an n/a error rate."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write("combination,error_rate,samples,status\n")
-        for row in report.rows:
-            err = NOT_AVAILABLE if row.error is None else repr(row.error)
-            fh.write(f"{row.name},{err},{row.samples},{row.status}\n")
+    rows = ((r.name, _cell(r.error), str(r.samples), r.status) for r in report.rows)
+    write_table(path, ABLATION_HEADER, rows)
 
 
 def render_ablation(report: AblationReport) -> str:
@@ -258,13 +264,11 @@ def render_ablation(report: AblationReport) -> str:
 
 def write_sweep_report(report: SweepReport, path: str | Path) -> None:
     """Plot-ready CSV: tau, accuracy, predicted_per_day, observed_per_day."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write("tau,accuracy,predicted_per_day,observed_per_day\n")
-        for row in report.rows:
-            acc = NOT_AVAILABLE if row.accuracy is None else repr(row.accuracy)
-            fh.write(
-                f"{row.tau!r},{acc},{row.predicted_per_day!r},{row.observed_per_day!r}\n"
-            )
+    rows = (
+        map(_cell, (r.tau, r.accuracy, r.predicted_per_day, r.observed_per_day))
+        for r in report.rows
+    )
+    write_table(path, SWEEP_HEADER, rows)
 
 
 def render_sweep(report: SweepReport) -> str:

@@ -26,7 +26,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .codec import decoding, read_table
+from .codec import decoding, read_table, write_table
 from .errors import ValidationError
 from .dates import DateRange
 from .ingest import PriceSeries
@@ -35,6 +35,9 @@ DNN = "dnn"
 PROPAGATED = "propagated"
 UP = "up"
 DOWN = "down"
+
+GRAPH_HEADER = "ticker_i,ticker_j,weight"
+PREDICTIONS_HEADER = "date,ticker,source,label,confidence"
 
 
 @dataclass(eq=False)
@@ -228,15 +231,14 @@ def threshold_predictions(
 
 def write_graph(graph: CorrelationGraph, path: str | Path) -> None:
     """CSV of edges (i < j lexicographically) under '# key=value' header lines."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# threshold={graph.threshold!r}\n")
-        fh.write(f"# min_overlap={graph.min_overlap}\n")
-        fh.write(f"# window={graph.window if graph.window is not None else 'none'}\n")
-        fh.write(f"# nodes={','.join(graph.nodes)}\n")
-        fh.write("ticker_i,ticker_j,weight\n")
-        for i, j, w in graph.edges():
-            fh.write(f"{graph.nodes[i]},{graph.nodes[j]},{w!r}\n")
+    meta = {
+        "threshold": repr(graph.threshold),
+        "min_overlap": str(graph.min_overlap),
+        "window": "none" if graph.window is None else str(graph.window),
+        "nodes": ",".join(graph.nodes),
+    }
+    rows = ((graph.nodes[i], graph.nodes[j], repr(w)) for i, j, w in graph.edges())
+    write_table(path, GRAPH_HEADER, rows, meta)
 
 
 def _edge(parts: list[str]) -> tuple[str, str, float]:
@@ -244,7 +246,7 @@ def _edge(parts: list[str]) -> tuple[str, str, float]:
 
 
 def load_graph(path: str | Path) -> CorrelationGraph:
-    meta, edges = read_table(path, "ticker_i,ticker_j,weight", 3, _edge)
+    meta, edges = read_table(path, GRAPH_HEADER, _edge)
     with decoding(path, "header field"):
         threshold = float(meta["threshold"])
         min_overlap = int(meta["min_overlap"])
@@ -291,10 +293,8 @@ class Prediction:
 
 
 def write_predictions(predictions: Sequence[Prediction], path: str | Path) -> None:
-    rows = sorted(predictions, key=lambda p: (p.date, p.ticker, p.source))
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("date,ticker,source,label,confidence\n")
-        for p in rows:
-            fh.write(
-                f"{p.date.isoformat()},{p.ticker},{p.source},{p.label},{p.confidence!r}\n"
-            )
+    rows = (
+        (p.date.isoformat(), p.ticker, p.source, p.label, repr(p.confidence))
+        for p in sorted(predictions, key=lambda p: (p.date, p.ticker, p.source))
+    )
+    write_table(path, PREDICTIONS_HEADER, rows)

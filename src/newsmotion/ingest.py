@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .codec import read_records, utf8_text
+from .codec import read_records, utf8_text, write_records
 from .dates import parse_date
 from .errors import ParseError, ValidationError
 
@@ -63,17 +63,17 @@ def load_articles(path: str | Path) -> Iterator[Article]:
 
 def write_articles(articles: Iterable[Article], path: str | Path) -> None:
     """Serialize articles to the line-delimited JSON format load_articles reads."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for a in articles:
-            record = {
-                "id": a.id,
-                "date": a.date.isoformat(),
-                "title": a.title,
-                "body": a.body,
-                "source": a.source,
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    records = (
+        {
+            "id": a.id,
+            "date": a.date.isoformat(),
+            "title": a.title,
+            "body": a.body,
+            "source": a.source,
+        }
+        for a in articles
+    )
+    write_records(path, records)
 
 
 @dataclass(frozen=True)

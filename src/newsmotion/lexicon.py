@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-from .codec import decoding, read_table, utf8_text
+from .codec import decoding, read_table, utf8_text, write_table
 from .embedding import EmbeddingTable, rank_by_seed_similarity
 from .errors import ParseError, ValidationError
 from .sampling import NEGATIVE, POSITIVE, Sample
@@ -35,6 +35,9 @@ SEED_WORDS = (
     "gain",
     "slump",
 )
+
+KEYWORDS_HEADER = "word,seed_flag,similarity,df,idf,ps"
+CATEGORIES_HEADER = "category,word,seed_flag,similarity"
 
 
 @dataclass(frozen=True)
@@ -268,13 +271,11 @@ def load_category_seeds(path: str | Path | None = None) -> dict[str, list[str]]:
 
 
 def write_keyword_lexicon(lexicon: KeywordLexicon, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("word,seed_flag,similarity,df,idf,ps\n")
-        for e in lexicon.entries:
-            fh.write(
-                f"{e.word},{int(e.seed)},{e.similarity!r},{e.df},{e.idf!r},{e.ps!r}\n"
-            )
+    rows = (
+        (e.word, f"{e.seed:d}", repr(e.similarity), str(e.df), repr(e.idf), repr(e.ps))
+        for e in lexicon.entries
+    )
+    write_table(path, KEYWORDS_HEADER, rows)
 
 
 def _keyword_entry(parts: list[str]) -> KeywordEntry:
@@ -285,18 +286,16 @@ def _keyword_entry(parts: list[str]) -> KeywordEntry:
 
 
 def load_keyword_lexicon(path: str | Path) -> KeywordLexicon:
-    header = "word,seed_flag,similarity,df,idf,ps"
-    _, entries = read_table(path, header, 6, _keyword_entry)
+    _, entries = read_table(path, KEYWORDS_HEADER, _keyword_entry)
     with decoding(path):
         return KeywordLexicon(entries)
 
 
 def write_category_lexicon(lexicon: CategoryLexicon, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("category,word,seed_flag,similarity\n")
-        for e in lexicon.entries:
-            fh.write(f"{e.category},{e.word},{int(e.seed)},{e.similarity!r}\n")
+    rows = (
+        (e.category, e.word, f"{e.seed:d}", repr(e.similarity)) for e in lexicon.entries
+    )
+    write_table(path, CATEGORIES_HEADER, rows)
 
 
 def _category_entry(parts: list[str]) -> CategoryEntry:
@@ -305,8 +304,7 @@ def _category_entry(parts: list[str]) -> CategoryEntry:
 
 
 def load_category_lexicon(path: str | Path) -> CategoryLexicon:
-    header = "category,word,seed_flag,similarity"
-    _, entries = read_table(path, header, 4, _category_entry)
+    _, entries = read_table(path, CATEGORIES_HEADER, _category_entry)
     categories = list(dict.fromkeys(e.category for e in entries))
     with decoding(path):
         return CategoryLexicon(categories, entries)

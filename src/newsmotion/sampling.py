@@ -13,7 +13,6 @@ stages read them from there.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from datetime import date as Date
@@ -21,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .codec import read_records, utf8_text
+from .codec import read_records, utf8_text, write_records
 from .errors import ParseError, ValidationError
 from .dates import parse_date
 from .ingest import Article, PriceSeries
@@ -243,19 +242,18 @@ def write_samples(samples: Iterable[Sample], path: str | Path) -> None:
     A record holds ticker, date, label and sentences; each sentence is
     its text with its mentions as [ticker, offset] pairs.
     """
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for s in samples:
-            record = {
-                "ticker": s.ticker,
-                "date": s.date.isoformat(),
-                "label": s.label,
-                "sentences": [
-                    {"text": sent.text, "mentions": sent.mentions}
-                    for sent in s.sentences
-                ],
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    records = (
+        {
+            "ticker": s.ticker,
+            "date": s.date.isoformat(),
+            "label": s.label,
+            "sentences": [
+                {"text": sent.text, "mentions": sent.mentions} for sent in s.sentences
+            ],
+        }
+        for s in samples
+    )
+    write_records(path, records)
 
 
 def _sentence(record, ticker: str, d: Date) -> Sentence:

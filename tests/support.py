@@ -12,7 +12,7 @@ import numpy as np
 
 from newsmotion.codec import read_table
 from newsmotion.errors import ValidationError
-from newsmotion.graph import CorrelationGraph, Prediction
+from newsmotion.graph import PREDICTIONS_HEADER, CorrelationGraph, Prediction
 from newsmotion.dates import parse_date
 from newsmotion.ingest import PriceSeries
 from newsmotion.lexicon import _document_counts, polarity_score
@@ -25,8 +25,7 @@ def _prediction(parts: list[str]) -> Prediction:
 
 
 def load_predictions(path: str | Path) -> list[Prediction]:
-    header = "date,ticker,source,label,confidence"
-    return read_table(path, header, 5, _prediction)[1]
+    return read_table(path, PREDICTIONS_HEADER, _prediction)[1]
 
 
 def write_prices(prices: Mapping[str, PriceSeries], path: str | Path) -> None:

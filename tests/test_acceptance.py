@@ -20,7 +20,9 @@ import numpy as np
 import pytest
 
 from newsmotion import cli
+from newsmotion.codec import read_table
 from newsmotion.embedding import _pair_arrays, load_embeddings
+from newsmotion.evaluation import ABLATION_HEADER, NOT_AVAILABLE, OK, SWEEP_HEADER
 from newsmotion.features import (
     FeatureLayout,
     featurize_samples,
@@ -161,20 +163,22 @@ def pipeline(tmp_path_factory):
     return {"work_dirs": work_dirs, "seconds": first_seconds}
 
 
+def _ablation_error(parts: list[str]) -> tuple[str, float | None]:
+    name, err, _, status = parts
+    return name, float(err) if status == OK else None
+
+
 def _ablation_errors(work) -> dict[str, float | None]:
-    rows = {}
-    for line in (work / "ablation.csv").read_text().splitlines()[1:]:
-        name, err, _, status = line.split(",")
-        rows[name] = float(err) if status == "ok" else None
-    return rows
+    return dict(read_table(work / "ablation.csv", ABLATION_HEADER, _ablation_error)[1])
+
+
+def _sweep_row(parts: list[str]) -> tuple[float, float | None, float]:
+    tau, acc, per_day, _ = parts
+    return float(tau), None if acc == NOT_AVAILABLE else float(acc), float(per_day)
 
 
 def _sweep_rows(work) -> list[tuple[float, float | None, float]]:
-    rows = []
-    for line in (work / "sweep.csv").read_text().splitlines()[1:]:
-        tau, acc, per_day, _ = line.split(",")
-        rows.append((float(tau), None if acc == "n/a" else float(acc), float(per_day)))
-    return rows
+    return read_table(work / "sweep.csv", SWEEP_HEADER, _sweep_row)[1]
 
 
 class TestAcceptance:

@@ -480,6 +480,13 @@ class TestVectorFile:
         with pytest.raises(ParseError, match=r"vectors\.txt:3: .*'x'"):
             load_embeddings(path)
 
+    def test_bytes_that_are_not_utf8_name_the_line(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(b"2 3\nup 1.0 0.0 0.0\ndo\xffwn 0.0 1.0 0.0\n")
+        with pytest.raises(ParseError) as caught:
+            load_embeddings(path)
+        assert str(caught.value) == f"{path}:3: not UTF-8 text (byte 0xff)"
+
     def test_blank_line_between_rows_is_skipped(self, tmp_path):
         path = tmp_path / "vectors.txt"
         path.write_text("2 3\nup 1.0 0.0 0.0\n\ndown 0.0 1.0 0.0\n", encoding="utf-8")

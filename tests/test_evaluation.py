@@ -397,10 +397,10 @@ class TestReportFiles:
     def test_ablation_csv_content(self, tmp_path):
         path = tmp_path / "ablation.csv"
         write_ablation_report(self._ablation(), path)
-        assert path.read_text() == (
-            "combination,error_rate,samples,status\n"
-            "bok,0.25,4,ok\n"
-            "ps,n/a,4,failed\n"
+        assert path.read_bytes() == (
+            b"combination,error_rate,samples,status\n"
+            b"bok,0.25,4,ok\n"
+            b"ps,n/a,4,failed\n"
         )
 
     def test_ablation_rendering(self):
@@ -412,10 +412,10 @@ class TestReportFiles:
     def test_sweep_csv_content(self, tmp_path):
         path = tmp_path / "sweep.csv"
         write_sweep_report(self._sweep(), path)
-        assert path.read_text() == (
-            "tau,accuracy,predicted_per_day,observed_per_day\n"
-            "0.0,0.8,2.0,1.5\n"
-            "0.5,n/a,0.0,1.5\n"
+        assert path.read_bytes() == (
+            b"tau,accuracy,predicted_per_day,observed_per_day\n"
+            b"0.0,0.8,2.0,1.5\n"
+            b"0.5,n/a,0.0,1.5\n"
         )
 
     def test_sweep_rendering(self):

@@ -451,6 +451,15 @@ class TestGraphFile:
         graph = self._sample_graph()
         path = tmp_path / "graph.csv"
         write_graph(graph, path)
+        assert path.read_bytes() == (
+            b"# threshold=0.85\n"
+            b"# min_overlap=30\n"
+            b"# window=2012-01-02:2012-06-29\n"
+            b"# nodes=AAA,BBB,CCC,DDD\n"
+            b"ticker_i,ticker_j,weight\n"
+            b"AAA,BBB,0.912345678\n"
+            b"BBB,CCC,-0.87\n"
+        )
         loaded = load_graph(path)
         assert loaded.nodes == graph.nodes
         assert np.array_equal(loaded.weights, graph.weights)
@@ -468,6 +477,7 @@ class TestGraphFile:
         graph = _graph(["A", "B"], [("A", "B", 0.9)])
         path = tmp_path / "graph.csv"
         write_graph(graph, path)
+        assert b"\n# window=none\n" in path.read_bytes()
         assert load_graph(path).window is None
 
     def test_bytes_that_are_not_utf8_name_the_line(self, tmp_path):
@@ -533,6 +543,12 @@ class TestPredictionFile:
     def test_round_trip_sorts_by_date_ticker(self, tmp_path):
         path = tmp_path / "predictions.csv"
         write_predictions(self._predictions(), path)
+        assert path.read_bytes() == (
+            b"date,ticker,source,label,confidence\n"
+            b"2012-03-04,CCC,dnn,down,-0.25\n"
+            b"2012-03-05,AAA,dnn,up,0.875\n"
+            b"2012-03-05,BBB,propagated,down,-0.625\n"
+        )
         loaded = load_predictions(path)
         assert loaded == sorted(
             self._predictions(), key=lambda p: (p.date, p.ticker, p.source)

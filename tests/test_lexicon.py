@@ -408,6 +408,22 @@ class TestLexiconFiles:
         write_keyword_lexicon(lexicon, path)
         assert load_keyword_lexicon(path).entries == lexicon.entries
 
+    def test_keyword_file_bytes(self, tmp_path):
+        lexicon = KeywordLexicon(
+            [
+                KeywordEntry("surge", True, 1.0, 3, 0.5, 0.25),
+                KeywordEntry("rally", False, 0.1, 0, 2.0794415416798357, -1.5),
+            ]
+        )
+        path = tmp_path / "keywords.csv"
+        write_keyword_lexicon(lexicon, path)
+        assert path.read_bytes() == (
+            b"word,seed_flag,similarity,df,idf,ps\n"
+            b"surge,1,1.0,3,0.5,0.25\n"
+            b"rally,0,0.1,0,2.0794415416798357,-1.5\n"
+        )
+        assert load_keyword_lexicon(path).entries == lexicon.entries
+
     def test_keyword_bad_header(self, tmp_path):
         path = tmp_path / "keywords.csv"
         path.write_text("nope\n")
@@ -431,6 +447,24 @@ class TestLexiconFiles:
         loaded = load_category_lexicon(path)
         assert loaded.categories == lexicon.categories
         assert loaded.entries == lexicon.entries
+
+    def test_category_file_bytes(self, tmp_path):
+        entries = [
+            CategoryEntry("energy", "oil", True, 1.0),
+            CategoryEntry("energy", "gas", False, 0.8980265101338746),
+            CategoryEntry("tech", "chip", True, 1.0),
+        ]
+        lexicon = CategoryLexicon(["energy", "tech"], entries)
+        path = tmp_path / "categories.csv"
+        write_category_lexicon(lexicon, path)
+        assert path.read_bytes() == (
+            b"category,word,seed_flag,similarity\n"
+            b"energy,oil,1,1.0\n"
+            b"energy,gas,0,0.8980265101338746\n"
+            b"tech,chip,1,1.0\n"
+        )
+        loaded = load_category_lexicon(path)
+        assert (loaded.categories, loaded.entries) == (lexicon.categories, entries)
 
     def test_category_bad_field_count(self, tmp_path):
         path = tmp_path / "categories.csv"

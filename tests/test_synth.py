@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from datetime import date
 from pathlib import Path
 
@@ -158,6 +159,22 @@ class TestGeneratedFiles:
                 if a < b and ga == gb:
                     expected.add((a, b))
         assert found == expected
+
+
+class TestDefaultFixture:
+    # The fixture of the default config (seed 7), pinned so that a change in
+    # how synth draws or frames its files shows here. Measured with numpy 2.4.6.
+    DIGESTS = {
+        "aliases.csv": "d9e50bf128d73a204e7b181953f8fa18e73e59c2600007f21652559ef5b6f335",
+        "articles.jsonl": "7a22a3150f37f208f25dfdf278b3248c5089def154c9f0addb29476fd7a22720",
+        "prices.csv": "fa00fd104fa37810b96729c542c0194fc0fde8a24a2a7b6f5b32d333fe135780",
+    }
+
+    def test_default_config_writes_the_pinned_bytes(self, tmp_path):
+        paths = _paths(tmp_path)
+        generate_synthetic_fixture(SynthConfig(), *paths)
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+        assert digests == self.DIGESTS
 
 
 class TestSynthConfig:
