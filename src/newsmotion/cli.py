@@ -8,9 +8,11 @@ requires the inputs, and it reads a work-dir input only while the unit
 that made it, and every unit above that one, is up to date under the
 current config. It skips the unit when its own manifest is still up to
 date. Otherwise it runs the body against temporary outputs, moves them
-into place and writes the manifest. ``evaluate`` has two units, the
-ablation and the sweep. Exit codes: 0 success, 1 validation error, 2
-runtime failure.
+into place and writes the manifest. ``ingest`` has two units: ``prices``
+parses and checks the price CSV into ``prices.bin``, which every later
+price reader loads, and ``ingest`` makes the samples. ``evaluate`` has
+two, the ablation and the sweep. Exit codes: 0 success, 1 validation
+error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ _STAGE_NAMES = {
         "write_graph",
         "write_predictions",
     ),
-    "ingest": ("load_articles", "load_prices"),
+    "ingest": ("load_articles", "load_price_table", "load_prices", "write_price_table"),
     "lexicon": (
         "build_category_lexicon",
         "build_keyword_lexicon",
@@ -143,9 +145,13 @@ def _synth(config, inputs, outputs) -> None:
     )
 
 
+def _prices(config, inputs, outputs) -> None:
+    write_price_table(load_prices(inputs["prices"]), outputs["prices.bin"])
+
+
 def _ingest(config, inputs, outputs) -> None:
     matcher = AliasMatcher(load_aliases(inputs["aliases"]))
-    prices = load_prices(inputs["prices"])
+    prices = load_price_table(inputs["prices.bin"])
     sentences = extract_sentences(load_articles(inputs["articles"]), matcher)
     samples = build_samples(sentences, prices)
     split = split_by_date(samples, config.dates.train_end, config.dates.valid_end)
@@ -200,7 +206,7 @@ def _lexicon(config, inputs, outputs) -> None:
 def _featurize(config, inputs, outputs) -> None:
     keywords = load_keyword_lexicon(inputs["keywords.csv"])
     categories = load_category_lexicon(inputs["categories.csv"])
-    prices = load_prices(inputs["prices"])
+    prices = load_price_table(inputs["prices.bin"])
     stats = training_stats(
         prices, DateRange(config.dates.train_start, config.dates.train_end)
     )
@@ -240,7 +246,7 @@ def _train(config, inputs, outputs) -> None:
 
 
 def _graph(config, inputs, outputs) -> None:
-    prices = load_prices(inputs["prices"])
+    prices = load_price_table(inputs["prices.bin"])
     g = build_graph(
         prices,
         list(prices),
@@ -306,7 +312,7 @@ def _sweep(config, inputs, outputs) -> None:
         load_feature_matrix(inputs["features_test.bin"]),
         load_model(inputs["model.bin"]),
         load_graph(inputs["graph.csv"]),
-        load_prices(inputs["prices"]),
+        load_price_table(inputs["prices.bin"]),
         config.sweep.taus,
         iterations=config.graph.iterations,
         clamp_observed=config.graph.clamp_observed,
@@ -345,16 +351,18 @@ _FEATURES = ("features_train.bin", "features_valid.bin", "features_test.bin")
 _FIXTURE = ("paths.articles", "paths.prices", "paths.aliases")
 _PROPAGATION = ("graph.iterations", "graph.clamp_observed")
 
-# evaluate has two units, so a sweep or graph change does not retrain the
+# ingest has two units, so a dates change does not remake prices.bin, and
+# evaluate has two, so a sweep or graph change does not retrain the
 # ablation.
 UNITS = {
     "synth": Unit("synth", ("synth",), (), _FIXTURE, _synth),
+    "prices": Unit("ingest", (), ("paths.prices",), ("prices.bin",), _prices),
     # revision 1: each sample sentence keeps its mentions; revision 2: a
     # "\r" in a sentence becomes a space in corpus.txt, as "\n" does
     "ingest": Unit(
         "ingest",
         ("dates.train_end", "dates.valid_end"),
-        _FIXTURE,
+        ("paths.articles", "prices.bin", "paths.aliases"),
         (*_SAMPLES, "corpus.txt"),
         _ingest,
         revision=2,
@@ -372,7 +380,7 @@ UNITS = {
     "featurize": Unit(
         "featurize",
         ("dates.train_start", "dates.train_end"),
-        (*_SAMPLES, "keywords.csv", "categories.csv", "paths.prices"),
+        (*_SAMPLES, "keywords.csv", "categories.csv", "prices.bin"),
         (*_FEATURES, "skipped.csv"),
         _featurize,
     ),
@@ -389,7 +397,7 @@ UNITS = {
     "graph": Unit(
         "graph",
         ("graph.threshold", "graph.min_overlap", "graph.window_start", "graph.window_end"),
-        ("paths.prices",),
+        ("prices.bin",),
         ("graph.csv",),
         _graph,
     ),
@@ -412,7 +420,7 @@ UNITS = {
     "sweep": Unit(
         "evaluate",
         (*_PROPAGATION, "sweep.taus"),
-        ("features_test.bin", "model.bin", "graph.csv", "paths.prices"),
+        ("features_test.bin", "model.bin", "graph.csv", "prices.bin"),
         ("sweep.csv", "sweep.txt"),
         _sweep,
         report="sweep.txt",
@@ -429,7 +437,7 @@ _PRODUCER = {
 
 _HELP = {
     "synth": "generate a synthetic articles/prices/aliases fixture",
-    "ingest": "split articles into labeled samples and the embedding corpus",
+    "ingest": "check the prices; split articles into samples and the embedding corpus",
     "embed": "train word embeddings on the training corpus",
     "lexicon": "build the keyword and category lexicons",
     "featurize": "build feature matrices for all splits",
@@ -520,6 +528,8 @@ def _run_unit(
         spec.body(config, inputs, temporary)
     key = _stage_key(config, unit)
     write_manifest(config.paths.work_dir, unit, inputs, outputs, key, digests)
+    # A later unit of the stage may read what this one just wrote.
+    answers[unit] = None
 
 
 def _run_stage(config: PipelineConfig, stage: str, force: bool) -> int:

@@ -150,10 +150,17 @@ def read_blob(path: str | Path, decode: Callable[[dict, bytes], T]) -> T:
         return decode(header, data)
 
 
-def unpack(data: bytes, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
-    """Split blob data into fresh float64 arrays of the given shapes, in order."""
+def unpack(
+    data: bytes, shapes: Sequence[tuple[int, ...]], copy: bool = True
+) -> list[np.ndarray]:
+    """Split blob data into float64 arrays of the given shapes, in order.
+
+    The arrays are fresh copies, or with ``copy=False`` read-only views of
+    ``data``, which then stays alive as long as any of them does.
+    """
     sizes = [math.prod(shape) for shape in shapes]
     if len(data) != 8 * sum(sizes):
         raise ValueError(f"expected {8 * sum(sizes)} data bytes, found {len(data)}")
     values = np.split(np.frombuffer(data, dtype="<f8"), np.cumsum(sizes)[:-1])
-    return [v.reshape(shape).copy() for v, shape in zip(values, shapes)]
+    arrays = [v.reshape(shape) for v, shape in zip(values, shapes)]
+    return [a.copy() for a in arrays] if copy else arrays

@@ -253,7 +253,8 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
 
     Rows are collected before the header's counts are trusted, so a header
     that declares more rows than the file holds is a `ParseError`, not an
-    allocation of that size. So are bytes that are not UTF-8, named by line.
+    allocation of that size. So are bytes that are not UTF-8 and a ``nan``
+    or infinite component, named by line.
     """
     path = Path(path)
     with utf8_text(path), path.open("r", encoding="utf-8") as fh:
@@ -279,7 +280,10 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
                     f"{where}: word {word!r} has {len(comps)} components, expected {dim}"
                 )
             with decoding(where):
-                rows.append(np.array([float(c) for c in comps]))
+                row = np.array([float(c) for c in comps])
+            if not np.all(np.isfinite(row)):
+                raise ParseError(f"{where}: word {word!r} has a non-finite component")
+            rows.append(row)
             words.append(word)
     if len(words) != vocab_size:
         raise ParseError(f"{path}: {len(words)} rows, header declared {vocab_size}")

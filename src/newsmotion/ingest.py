@@ -4,7 +4,8 @@ Articles arrive as JSON lines read by `codec`, prices as a CSV of
 (date, ticker, close) rows. Both loaders name the file and line on
 failure; the price loader checks each row in its one pass over the file.
 Prices load as one immutable series per ticker; normalising them is the
-featurizer's business.
+featurizer's business. The checked series are kept as a `codec` blob,
+the price table, which later stages load without parsing the CSV again.
 """
 
 from __future__ import annotations
@@ -14,14 +15,15 @@ import csv
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from datetime import date as Date
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .codec import read_records, utf8_text, write_records
+from .codec import read_blob, read_records, unpack, utf8_text, write_blob, write_records
 from .dates import parse_date
 from .errors import ParseError, ValidationError
 
@@ -87,13 +89,11 @@ class PriceSeries:
     def __post_init__(self):
         if len(self.dates) != len(self.closes):
             raise ValidationError(f"{self.ticker}: dates/closes length mismatch")
-        for prev, cur in zip(self.dates, self.dates[1:]):
-            if cur <= prev:
-                raise ValidationError(
-                    f"{self.ticker}: dates not strictly ascending at {cur}"
-                )
-        if len(self.closes) and not np.all(self.closes > 0):
-            raise ValidationError(f"{self.ticker}: closes must be positive")
+        if not all(map(operator.lt, self.dates, self.dates[1:])):
+            cur = next(c for p, c in zip(self.dates, self.dates[1:]) if c <= p)
+            raise ValidationError(f"{self.ticker}: dates not strictly ascending at {cur}")
+        if not np.all((self.closes > 0) & (self.closes < np.inf)):
+            raise ValidationError(f"{self.ticker}: closes must be finite and > 0")
         self.closes.setflags(write=False)
 
     def __len__(self) -> int:
@@ -109,6 +109,7 @@ class PriceSeries:
 
 
 _HEADER = ["date", "ticker", "close"]
+_MAX_ORDINAL = Date.max.toordinal()
 
 
 def load_prices(path: str | Path) -> dict[str, PriceSeries]:
@@ -181,3 +182,54 @@ def load_prices(path: str | Path) -> dict[str, PriceSeries]:
         ticker: PriceSeries(ticker, tuple(dates), np.asarray(closes, dtype=np.float64))
         for ticker, (dates, closes, _) in sorted(groups.items())
     }
+
+
+def write_price_table(prices: Mapping[str, PriceSeries], path: str | Path) -> None:
+    """A blob: tickers and series lengths in the header, in ticker order.
+
+    The values are every date as its day ordinal, then every close;
+    ``<f8`` holds both exactly.
+    """
+    header = {"tickers": list(prices), "lengths": [len(s) for s in prices.values()]}
+    ordinals = [d.toordinal() for s in prices.values() for d in s.dates]
+    write_blob(path, header, [np.array(ordinals), *(s.closes for s in prices.values())])
+
+
+def _price_table(header: dict, data: bytes) -> dict[str, PriceSeries]:
+    tickers, lengths = header["tickers"], header["lengths"]
+    if not isinstance(tickers, list) or not all(
+        isinstance(t, str) and t and "," not in t for t in tickers
+    ):
+        raise ValueError("tickers must be non-empty strings without a comma")
+    if any(a >= b for a, b in zip(tickers, tickers[1:])):
+        raise ValueError("tickers must be distinct and in order")
+    if not isinstance(lengths, list) or len(lengths) != len(tickers) or not all(
+        type(n) is int and n >= 0 for n in lengths
+    ):
+        raise ValueError("lengths must hold one count >= 0 per ticker")
+    total = sum(lengths)
+    # Views: each series keeps its closes read-only anyway, and a copy
+    # would hold the table twice while it loads.
+    ordinals, closes = unpack(data, [(total,), (total,)], copy=False)
+    whole = np.floor(ordinals) == ordinals
+    if not np.all(whole & (ordinals >= 1) & (ordinals <= _MAX_ORDINAL)):
+        raise ValueError("dates must be whole day ordinals")
+    # One date object per distinct day, shared by every series; each
+    # series converts only its own ordinals.
+    days = {o: Date.fromordinal(o) for o in np.unique(ordinals).astype(int).tolist()}
+    prices, start = {}, 0
+    for ticker, n in zip(tickers, lengths):
+        keys = ordinals[start : start + n].astype(int).tolist()
+        dates = tuple(map(days.__getitem__, keys))
+        prices[ticker] = PriceSeries(ticker, dates, closes[start : start + n])
+        start += n
+    return prices
+
+
+def load_price_table(path: str | Path) -> dict[str, PriceSeries]:
+    """The series `write_price_table` wrote, keyed by ticker, in ticker order.
+
+    A bad header field or a byte count that disagrees with the lengths is
+    a `ParseError` naming the file; so is a series `PriceSeries` rejects.
+    """
+    return read_blob(path, _price_table)

@@ -11,6 +11,7 @@ import os
 import re
 import shutil
 import signal
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -92,6 +93,7 @@ STAGES = (
 )
 
 ARTIFACTS = (
+    "prices.bin",
     "samples_train.jsonl",
     "samples_valid.jsonl",
     "samples_test.jsonl",
@@ -260,6 +262,20 @@ class TestFullPipeline:
             assert (pipeline / "work" / name).is_file(), name
         for name in ("articles.jsonl", "prices.csv", "aliases.csv"):
             assert (pipeline / name).is_file(), name
+
+    def test_a_cold_pass_parses_prices_once(self, tmp_path, monkeypatch):
+        """Only ingest parses prices.csv; every later reader loads prices.bin."""
+        config = _write_config(tmp_path)
+        parse, stages = cli.load_prices, []
+
+        def counting(path):
+            stages.append(stage)
+            return parse(path)
+
+        monkeypatch.setattr(cli, "load_prices", counting)
+        for stage in STAGES:
+            assert cli.main([stage, "--config", str(config)]) == 0, stage
+        assert stages == ["ingest"]
 
     def test_reports_are_wellformed(self, pipeline):
         ablation = (pipeline / "work" / "ablation.csv").read_text().splitlines()
@@ -466,11 +482,14 @@ class TestStageKeys:
             monkeypatch.setattr(cli, "load_config", recording)
             assert cli.main([stage, "--config", config, "--force"]) == 0, stage
             (recorder,) = recorders
-            assert set(recorder.read) - {None} == set(units), stage
+            # A unit that declares no section reads none.
+            keyed = {unit for unit, declared in units.items() if declared}
+            assert set(recorder.read) - {None} == keyed, stage
             outside = recorder.read.get(None, set())
             assert all(field.startswith("paths.") for field in outside), stage
             for unit, declared in units.items():
-                fields = {f for f in recorder.read[unit] if not f.startswith("paths.")}
+                seen = recorder.read.get(unit, set())
+                fields = {f for f in seen if not f.startswith("paths.")}
                 # A field of a section declared whole counts as that section.
                 whole = {f.partition(".")[0] for f in fields} & set(declared)
                 read = {f for f in fields if f.partition(".")[0] not in whole} | whole
@@ -508,7 +527,7 @@ class TestStageKeys:
         config = _copy(pipeline, tmp_path)
         stages = ("synth", "ingest", "graph", "embed")
         skipped = self._run(config, stages, "pipeline.seed=2", caplog)
-        assert skipped == {"synth", "ingest", "graph"}
+        assert skipped == {"synth", "prices", "ingest", "graph"}
 
     def test_blas_thread_count_change_reruns_a_unit(
         self, pipeline, tmp_path, caplog, monkeypatch
@@ -517,18 +536,22 @@ class TestStageKeys:
         config = _copy(pipeline, tmp_path)
         # Two usable CPUs, so that both counts below hold on any host.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        argv = ["graph", "--config", str(config)]
+
+        def run() -> str:
+            # graph reads prices.bin, which the ingest stage makes.
+            caplog.clear()
+            with caplog.at_level(logging.INFO):
+                for stage in ("ingest", "graph"):
+                    assert cli.main([stage, "--config", str(config)]) == 0, stage
+            return caplog.text
+
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert cli.main(argv) == 0
-        caplog.clear()
-        with caplog.at_level(logging.INFO):
-            assert cli.main(argv) == 0
-        assert "graph: artifacts up to date, skipping" in caplog.text
+        run()
+        assert "graph: artifacts up to date, skipping" in run()
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        caplog.clear()
-        with caplog.at_level(logging.INFO):
-            assert cli.main(argv) == 0
-        assert "up to date, skipping" not in caplog.text
+        error = _refused(config, "graph", caplog)
+        assert "prices.bin: prices is not up to date; rerun ingest" in error
+        assert "up to date, skipping" not in run()
 
     def test_iterations_change_reruns_predict_not_train(
         self, pipeline, tmp_path, caplog
@@ -559,7 +582,7 @@ class TestStageKeys:
     @pytest.mark.parametrize(
         "stages, override, skipped",
         [
-            (("ingest",), "dates.train_start=2012-02-01", {"ingest"}),
+            (("ingest",), "dates.train_start=2012-02-01", {"prices", "ingest"}),
             (("predict",), "sweep.taus=0.1,0.9", {"predict"}),
             (("evaluate",), "sweep.predict_tau=0.5", {"ablation", "sweep"}),
         ],
@@ -735,9 +758,15 @@ class TestVouchedInputs:
         config = _copy(pipeline, tmp_path)
         with (config.parent / "prices.csv").open("a") as fh:
             fh.write("2012-12-31,ZZZ0,10.0\n")
+        error = _refused(config, "graph", caplog)
+        assert "prices.bin: prices is not up to date; rerun ingest" in error
+        caplog.clear()
         with caplog.at_level(logging.INFO):
-            assert cli.main(["graph", "--config", str(config)]) == 0
+            for stage in ("ingest", "graph"):
+                assert cli.main([stage, "--config", str(config)]) == 0, stage
+        assert "prices: artifacts up to date" not in caplog.text
         assert "graph: artifacts up to date" not in caplog.text
+        assert "ZZZ0" in load_graph(config.parent / "work" / "graph.csv").nodes
 
     @pytest.mark.parametrize("force", [(), ("--force",)])
     @pytest.mark.parametrize(
@@ -919,12 +948,12 @@ class TestTracingPlan:
         repo = Path(__file__).resolve().parent.parent
         config = _copy(pipeline, tmp_path)
         spans, flop, pairs, counts = set(), 0.0, 0.0, {}
-        # ingest skips; the stage modules load only for the others' bodies.
-        runs = {"ingest": ()}
-        forced = ("embed", "featurize", "train", "graph", "predict", "evaluate")
-        runs.update({stage: ("--force",) for stage in forced})
-        for stage, args in runs.items():
-            trace = tmp_path / f"{stage}.trace.json"
+        # ingest skips first; the stage modules load only for bodies that run.
+        runs = [("ingest", ())]
+        forced = ("ingest", "embed", "featurize", "train", "graph", "predict", "evaluate")
+        runs.extend((stage, ("--force",)) for stage in forced)
+        for n, (stage, args) in enumerate(runs):
+            trace = tmp_path / f"{n}.{stage}.trace.json"
             argv = [str(repo / "perfbench" / "launch.py"), str(trace), stage]
             done = subprocess.run(
                 [sys.executable, *argv, "--config", str(config), *args],
@@ -937,10 +966,12 @@ class TestTracingPlan:
             recorded = json.loads(trace.read_text())
             assert recorded["exit_code"] == 0, stage
             names = [span[0] for span in recorded["spans"]]
-            if stage == "ingest":
+            if not args:
                 assert "ingest: artifacts up to date, skipping" in done.stderr
                 assert "manifest.check" in names
-                assert "ingest.load_prices" not in names
+            # Only the ingest stage parses prices.csv, and only when it runs.
+            parses = names.count("ingest.load_prices")
+            assert parses == (stage == "ingest" and bool(args)), stage
             spans.update(names)
             flop += recorded["counts"].get("mlp.flop", 0.0)
             pairs += recorded["counts"].get("embedding.pairs", 0.0)
@@ -1007,9 +1038,14 @@ class TestFailureModes:
 
     def test_missing_input_file_exits_one(self, tmp_path, caplog):
         config = _write_config(tmp_path, "")
-        with caplog.at_level(logging.ERROR):
-            assert cli.main(["ingest", "--config", str(config)]) == 1
-        assert "paths.articles" in caplog.text
+        for missing in ("paths.prices", "paths.articles"):
+            caplog.clear()
+            with caplog.at_level(logging.ERROR):
+                assert cli.main(["ingest", "--config", str(config)]) == 1
+            assert f"not found ({missing})" in caplog.text
+            # The price table is made first; with prices in place, the
+            # samples unit names the next missing file.
+            (tmp_path / "prices.csv").write_text("date,ticker,close\n2012-01-02,A,1\n")
 
     @pytest.mark.parametrize(
         "name, line",
@@ -1031,6 +1067,19 @@ class TestFailureModes:
             assert cli.main(["ingest", "--config", str(config)]) == 1
         assert f"{path}:{lineno}: not UTF-8 text" in caplog.text
         assert "Traceback" not in caplog.text
+
+    def test_price_table_with_an_infinite_close_exits_one(
+        self, pipeline, tmp_path, caplog
+    ):
+        config = _copy(pipeline, tmp_path)
+        table = config.parent / "work" / "prices.bin"
+        # The last value is the last ticker's last close.
+        table.write_bytes(table.read_bytes()[:-8] + struct.pack("<d", float("inf")))
+        _record(config, "prices")
+        last = list(load_prices(config.parent / "prices.csv"))[-1]
+        error = _refused(config, "graph", caplog)
+        assert f"{table}: {last}: closes must be finite and > 0" in error
+        assert "Traceback" not in error
 
     def test_missing_artifact_names_its_producer(self, tmp_path, caplog):
         config = _write_config(tmp_path, "")

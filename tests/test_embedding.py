@@ -487,6 +487,25 @@ class TestVectorFile:
             load_embeddings(path)
         assert str(caught.value) == f"{path}:3: not UTF-8 text (byte 0xff)"
 
+    @pytest.mark.parametrize(
+        "rows, line, word",
+        [
+            ("up nan 0.5\ndown 0.1 0.2\n", 2, "up"),
+            ("up 0.1 0.5\ndown 0.1 inf\n", 3, "down"),
+            ("up 0.1 0.5\ndown -Infinity 0.2\n", 3, "down"),
+            ("up 0.1 1e999\ndown 0.1 0.2\n", 2, "up"),
+        ],
+        ids=["nan", "inf", "-inf", "overflow"],
+    )
+    def test_non_finite_component_names_the_line(self, tmp_path, rows, line, word):
+        # Such a vector would silently drop out of every similarity ranking.
+        path = tmp_path / "vectors.txt"
+        path.write_text("2 2\n" + rows, encoding="utf-8")
+        with pytest.raises(ParseError) as caught:
+            load_embeddings(path)
+        message = f"{path}:{line}: word {word!r} has a non-finite component"
+        assert str(caught.value) == message
+
     def test_blank_line_between_rows_is_skipped(self, tmp_path):
         path = tmp_path / "vectors.txt"
         path.write_text("2 3\nup 1.0 0.0 0.0\n\ndown 0.0 1.0 0.0\n", encoding="utf-8")

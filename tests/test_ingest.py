@@ -5,11 +5,14 @@ from __future__ import annotations
 import collections
 import json
 import random
+import re
 from datetime import date
 
 import numpy as np
 import pytest
 
+from newsmotion.codec import write_blob
+from newsmotion.config import SynthConfig
 from newsmotion.dates import DateRange, parse_date
 from newsmotion.errors import ParseError, ValidationError
 from newsmotion.features import training_stats
@@ -17,9 +20,12 @@ from newsmotion.ingest import (
     Article,
     PriceSeries,
     load_articles,
+    load_price_table,
     load_prices,
     write_articles,
+    write_price_table,
 )
+from newsmotion.synth import generate_synthetic_fixture
 
 from graph_oracle import align_series
 from price_oracle import oracle_prices, random_prices_text
@@ -151,6 +157,13 @@ class TestPriceSeries:
     def test_rejects_nonpositive_closes(self):
         with pytest.raises(ValidationError):
             PriceSeries("AAA", (date(2012, 1, 2),), np.array([0.0]))
+
+    @pytest.mark.parametrize("close", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_closes(self, close):
+        days = (date(2012, 1, 2), date(2012, 1, 3))
+        with pytest.raises(ValidationError) as caught:
+            PriceSeries("AAA", days, np.array([10.0, close]))
+        assert str(caught.value) == "AAA: closes must be finite and > 0"
 
 
 YEAR_2012 = DateRange(date(2012, 1, 1), date(2012, 12, 31))
@@ -439,6 +452,112 @@ def _outcome(load, path) -> tuple:
         (ticker, s.ticker, s.dates, s.closes.dtype, s.closes.tobytes())
         for ticker, s in prices.items()
     ]
+
+
+def _series(prices) -> list[tuple]:
+    return [
+        (ticker, s.ticker, s.dates, s.closes.dtype, s.closes.tobytes())
+        for ticker, s in prices.items()
+    ]
+
+
+JAN_3 = float(date(2012, 1, 3).toordinal())
+
+
+class TestPriceTable:
+    """prices.bin: the checked series, loaded without parsing the CSV again."""
+
+    def _round_trip(self, csv_path, tmp_path):
+        prices = load_prices(csv_path)
+        table = tmp_path / "prices.bin"
+        write_price_table(prices, table)
+        assert _series(load_price_table(table)) == _series(prices)
+        return table
+
+    def test_seed_7_fixture_loads_bit_for_bit(self, tmp_path):
+        paths = [tmp_path / name for name in ("a.jsonl", "prices.csv", "aliases.csv")]
+        generate_synthetic_fixture(SynthConfig(), *paths)
+        self._round_trip(paths[1], tmp_path)
+
+    def test_calendars_and_row_order_survive(self, tmp_path):
+        rows = [
+            "2012-01-05,BBB,7.25",
+            "2012-01-02,AAA,10.5",
+            "2013-03-01,CCC,1e-3",
+            "2012-01-03,BBB,0.1",
+            "2012-01-04,AAA,11.0",
+            "2012-01-02,CCC,3",
+            "2012-01-03,AAA,12.125",
+        ]
+        path = _write(tmp_path, "p.csv", "date,ticker,close\n" + "\n".join(rows))
+        table = load_price_table(self._round_trip(path, tmp_path))
+        assert list(table) == ["AAA", "BBB", "CCC"]
+        assert table["CCC"].dates == (date(2012, 1, 2), date(2013, 3, 1))
+
+    def test_empty_table_round_trips(self, tmp_path):
+        path = tmp_path / "prices.bin"
+        write_price_table({}, path)
+        assert load_price_table(path) == {}
+
+    def _table(self, tmp_path):
+        rows = "2012-01-02,AAA,10\n2012-01-03,AAA,11\n2012-01-02,BBB,3\n"
+        path = _write(tmp_path, "p.csv", "date,ticker,close\n" + rows)
+        return self._round_trip(path, tmp_path)
+
+    def test_truncated_table_names_the_file(self, tmp_path):
+        path = self._table(tmp_path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ParseError) as caught:
+            load_price_table(path)
+        assert str(caught.value) == f"{path}: expected 48 data bytes, found 40"
+
+    def test_lengths_that_disagree_with_the_bytes_name_the_file(self, tmp_path):
+        path = self._table(tmp_path)
+        header, data = path.read_bytes().split(b"\n", 1)
+        assert json.loads(header) == {"lengths": [2, 1], "tickers": ["AAA", "BBB"]}
+        path.write_bytes(b'{"lengths":[2,2],"tickers":["AAA","BBB"]}\n' + data)
+        with pytest.raises(ParseError) as caught:
+            load_price_table(path)
+        assert str(caught.value) == f"{path}: expected 64 data bytes, found 48"
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ({"tickers": ["AAA"]}, "missing header field 'lengths'"),
+            ({"tickers": "AAA", "lengths": [3]}, "tickers must be non-empty strings"),
+            ({"tickers": ["BBB", "AAA"], "lengths": [2, 1]}, "distinct and in order"),
+            ({"tickers": ["AAA", "AAA"], "lengths": [2, 1]}, "distinct and in order"),
+            ({"tickers": ["AAA", "BBB"], "lengths": [3]}, "one count >= 0 per ticker"),
+            ({"tickers": ["AAA", "BBB"], "lengths": [4, -1]}, "one count >= 0"),
+            ({"tickers": ["AAA", "BBB"], "lengths": [2.0, 1]}, "one count >= 0"),
+        ],
+    )
+    def test_bad_header_field_names_the_file(self, tmp_path, header, message):
+        path = self._table(tmp_path)
+        data = path.read_bytes().split(b"\n", 1)[1]
+        path.write_bytes(json.dumps(header).encode() + b"\n" + data)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: .*{message}"):
+            load_price_table(path)
+
+    @pytest.mark.parametrize(
+        "ordinal, close, message",
+        [
+            (JAN_3 + 0.5, 10.0, "dates must be whole day ordinals"),
+            (0.0, 10.0, "dates must be whole day ordinals"),
+            (np.nan, 10.0, "dates must be whole day ordinals"),
+            (JAN_3 - 2, 10.0, "AAA: dates not strictly ascending at 2012-01-01"),
+            (JAN_3, np.inf, "AAA: closes must be finite and > 0"),
+            (JAN_3, -1.0, "AAA: closes must be finite and > 0"),
+        ],
+    )
+    def test_bad_values_name_the_file(self, tmp_path, ordinal, close, message):
+        # AAA's second row; its first is 2012-01-02 at 10.0.
+        path = tmp_path / "prices.bin"
+        values = [np.array([JAN_3 - 1, ordinal]), np.array([10.0, close])]
+        write_blob(path, {"tickers": ["AAA"], "lengths": [2]}, values)
+        with pytest.raises(ParseError) as caught:
+            load_price_table(path)
+        assert str(caught.value) == f"{path}: {message}"
 
 
 class TestAlignSeries:
