@@ -127,12 +127,16 @@ def read_records(path: str | Path, decode: Callable[[dict], T]) -> Iterator[T]:
 
 
 def write_blob(path: str | Path, header: dict, arrays: Sequence[np.ndarray]) -> None:
-    """Write the header as one JSON line, then each array as ``<f8`` values."""
+    """Write the header as one JSON line, then each array as ``<f8`` values.
+
+    An array that is already C-ordered ``<f8`` is written from its own
+    buffer; any other is converted first.
+    """
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, separators=(",", ":"), sort_keys=True).encode())
         fh.write(b"\n")
         for a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+            fh.write(memoryview(np.ascontiguousarray(a, dtype="<f8")))
 
 
 def read_blob(path: str | Path, decode: Callable[[dict, bytes], T]) -> T:

@@ -3,9 +3,13 @@
 The ablation trains one classifier per feature-block combination (shared
 seed and hyperparameters) and scores each on the same test rows; the
 combination of every block can score a model file already trained on the
-full matrices instead. The sweep seeds the correlation graph with per-date
-classifier confidences, propagates, and measures accuracy and coverage of
-the emitted unseen-stock predictions as the confidence threshold rises.
+full matrices instead. Each training reads the full train and validation
+matrices and casts only its blocks' columns to float32 (`mlp.train`), so
+no float64 copy of a subset is made for training; the test rows are
+sliced to float64 (`slice_blocks`) and scored as every model is. The
+sweep seeds the correlation graph with per-date classifier confidences,
+propagates, and measures accuracy and coverage of the emitted
+unseen-stock predictions as the confidence threshold rises.
 Both score through `mlp.predict_batch`, which rejects a model of another
 feature layout, and count a confidence above 0 as an up prediction.
 """
@@ -114,8 +118,8 @@ def run_ablation(
     holding what ``train`` returns for the full train and validation
     matrices under ``config``: the combination of every block loads and
     scores it instead of training the same model again. It is loaded only
-    when that row comes up, so it is not held in memory while the other
-    rows train.
+    when that row comes up, and each row's model is dropped once its test
+    rows are scored, so no model is held while another row trains.
     """
     config = config or TrainConfig()
     if not (train_matrix.layout == valid_matrix.layout == test_matrix.layout):
@@ -127,16 +131,16 @@ def run_ablation(
     rows: list[AblationRow] = []
     for blocks in [block_set(c) for c in combinations]:
         name = "+".join(blocks)
+        from_file = full_model is not None and blocks == train_matrix.layout.blocks
         try:
-            if full_model is not None and blocks == train_matrix.layout.blocks:
-                model = load_model(full_model)
-            else:
-                model = train(
-                    slice_blocks(train_matrix, blocks),
-                    slice_blocks(valid_matrix, blocks),
-                    config,
-                )
-            confidences = predict_batch(model, slice_blocks(test_matrix, blocks))
+            # The model is a temporary, so no row's model is held while the
+            # next row trains.
+            confidences = predict_batch(
+                load_model(full_model)
+                if from_file
+                else train(train_matrix, valid_matrix, config, blocks),
+                slice_blocks(test_matrix, blocks),
+            )
             err = error_rate(confidences, test_matrix.labels)
         except PipelineError as exc:
             logger.warning("combination %s failed: %s", name, exc)

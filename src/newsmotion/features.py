@@ -4,7 +4,10 @@ A feature vector is the concatenation of four blocks in `BLOCK_ORDER`:
 12 normalized price values, one tf-idf component per lexicon keyword
 (bag-of-keywords), one signed polarity component per keyword, and one
 log-count per event category. The featurizer always fills all four; a
-subset of blocks is a column slice of that matrix (`slice_blocks`).
+subset of blocks is a column slice of that matrix, and `block_columns`
+is the one place that computes a subset's layout and columns, as a copy
+in the dtype the caller asks for (`slice_blocks` for float64 matrices,
+`mlp.train` for its float32 training rows).
 Prices are z-scored with each ticker's training-window mean and std,
 which only this module computes. The three news blocks are counts over
 the same tokens, so each sentence is tokenized once and that one walk
@@ -304,28 +307,41 @@ def block_set(blocks: Iterable[str]) -> tuple[str, ...]:
     return tuple(b for b in BLOCK_ORDER if b in wanted)
 
 
+def block_columns(
+    x: np.ndarray, layout: FeatureLayout, blocks: Iterable[str], dtype=np.float64
+) -> tuple[FeatureLayout, np.ndarray]:
+    """The layout of a subset of ``layout``'s blocks, and those columns of ``x``.
+
+    ``x`` holds rows of ``layout``. The columns come back as one C-ordered
+    array of ``dtype``: each block is cast as it is copied in, so no other
+    copy of the columns is made. A block ``layout`` lacks is rejected.
+    """
+    ordered = block_set(blocks)
+    missing = set(ordered) - set(layout.blocks)
+    if missing:
+        raise ValidationError(f"matrix does not contain blocks {sorted(missing)}")
+    sub = FeatureLayout(blocks=ordered, k=layout.k, n_categories=layout.n_categories)
+    out = np.empty((x.shape[0], sub.dimension), dtype=dtype)
+    offsets = layout.offsets()
+    for name, (at, stop) in sub.offsets().items():
+        start = offsets[name][0]
+        out[:, at:stop] = x[:, start : start + stop - at]
+    return sub, out
+
+
 def slice_blocks(matrix: FeatureMatrix, blocks: Sequence[str]) -> FeatureMatrix:
     """Project a matrix onto a subset of its blocks, preserving row metadata.
 
-    Lets one full featurization pass serve every block combination. The
-    slice is C-ordered (``x[:, cols]`` would be F-ordered), so training
-    gathers each mini-batch from contiguous rows.
+    Lets one full featurization pass serve every block combination; the
+    columns are a float64 copy from `block_columns`.
     """
-    ordered = block_set(blocks)
-    missing = set(ordered) - set(matrix.layout.blocks)
-    if missing:
-        raise ValidationError(f"matrix does not contain blocks {sorted(missing)}")
-    sub = FeatureLayout(
-        blocks=ordered, k=matrix.layout.k, n_categories=matrix.layout.n_categories
-    )
-    offsets = matrix.layout.offsets()
-    cols = np.concatenate([np.arange(*offsets[b]) for b in ordered])
+    sub, x = block_columns(matrix.x, matrix.layout, blocks)
     return FeatureMatrix(
         layout=sub,
         tickers=list(matrix.tickers),
         dates=list(matrix.dates),
         labels=list(matrix.labels),
-        x=matrix.x.take(cols, axis=1),
+        x=x,
     )
 
 

@@ -7,17 +7,23 @@ validation error. Everything is deterministic in the config seed.
 Activations are feature-major, (units, rows), so every layer is one
 ``w @ a`` product (`_layers`), in training and in scoring alike.
 
-`train` computes in float32: it rounds the float64 Glorot draw of `init`
-to float32 and keeps every weight and bias in one flat buffer, viewed
-per layer, so each step updates every parameter with one
-``grads *= lr; params -= grads`` and the best-epoch snapshot is one
-copy. `loss_and_gradients` is the step `train` takes on
-each mini-batch: it computes in the dtype of the model's weights,
-casting the batch, so a float64 model (the gradient oracle's) runs in
-float64. Validation inside `train` scores in float32. Final scoring,
-`predict_batch`, is float64: numpy upcasts float32 weights exactly
-against the float64 feature matrix, and the `<f8` blob holds them
-exactly, so a trained model scores the same in memory and loaded back.
+`train` computes in float32. It takes the full float64 train and
+validation matrices and the blocks to train on, and casts just those
+blocks' columns once, through `features.block_columns`, to one
+row-major float32 copy that every mini-batch is gathered from; the
+matrices themselves are only read. Every weight and bias lives in one
+flat float32 buffer, viewed per layer, that each layer's float64
+Glorot draw (`_glorot`, the same draw `init` stacks) is rounded into as
+it is made, so no float64 copy of the model is held. Each step updates
+every parameter with one ``grads *= lr; params -= grads`` and the
+best-epoch snapshot is one copy. `loss_and_gradients` is the step
+`train` takes on each mini-batch: it computes in the dtype of the
+model's weights, casting the batch, so a float64 model (the gradient
+oracle's) runs in float64. Validation inside `train` scores in
+float32. Final scoring, `predict_batch`, is float64: numpy upcasts
+float32 weights exactly against the float64 feature matrix, and the
+`<f8` blob holds them exactly, so a trained model scores the same in
+memory and loaded back.
 The last bits of a matrix product depend on the BLAS thread count and on
 the orientation of its operands.
 
@@ -40,7 +46,7 @@ import numpy as np
 from .codec import read_blob, unpack, write_blob
 from .config import TrainConfig
 from .errors import ParseError, TrainingDiverged, ValidationError
-from .features import FeatureLayout, FeatureMatrix
+from .features import FeatureLayout, FeatureMatrix, block_columns
 from .sampling import POSITIVE
 
 
@@ -81,20 +87,24 @@ class MlpModel:
         return self.layer_dims[0]
 
 
+def _glorot(dims: Sequence[int], seed: int) -> Iterator[np.ndarray]:
+    """Each layer's Glorot-uniform weights, (fan_out, fan_in) float64, in order.
+
+    One generator, deterministic in seed, draws every layer in turn.
+    """
+    rng = np.random.default_rng(seed)
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        yield rng.uniform(-limit, limit, size=(fan_out, fan_in))
+
+
 def init(layer_dims: Sequence[int], seed: int, layout: FeatureLayout) -> MlpModel:
     """Glorot-uniform weights, zero biases, deterministic in seed."""
     dims = tuple(int(d) for d in layer_dims)
-    rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(dims, dims[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
     return MlpModel(
         layer_dims=dims,
-        weights=weights,
-        biases=biases,
+        weights=list(_glorot(dims, seed)),
+        biases=[np.zeros(fan_out) for fan_out in dims[1:]],
         layout=layout,
         metadata={"seed": int(seed)},
     )
@@ -229,10 +239,16 @@ def _views(
 
 
 def train(
-    train_matrix: FeatureMatrix, valid_matrix: FeatureMatrix, config: TrainConfig
+    train_matrix: FeatureMatrix,
+    valid_matrix: FeatureMatrix,
+    config: TrainConfig,
+    blocks: Sequence[str] | None = None,
 ) -> MlpModel:
     """Fit on the training matrix, selecting the best validation-error epoch.
 
+    ``blocks`` names the feature blocks to train on, all of the matrices'
+    by default; the model's layout is theirs. The float64 matrices are
+    only read: training casts those blocks' columns to float32 once.
     Records per-epoch train loss and validation error in model metadata.
     Raises TrainingDiverged on non-finite loss.
     """
@@ -240,18 +256,21 @@ def train(
         raise ValidationError("train and validation sets must be non-empty")
     if train_matrix.layout != valid_matrix.layout:
         raise ValidationError("train and validation feature layouts differ")
-    x_train = train_matrix.x
+    blocks = train_matrix.layout.blocks if blocks is None else blocks
+    layout, x_train = block_columns(
+        train_matrix.x, train_matrix.layout, blocks, np.float32
+    )
     # class 0 is up, class 1 is down
     y_train = (np.asarray(train_matrix.labels) != POSITIVE).astype(np.int64)
-    x_valid = np.ascontiguousarray(valid_matrix.x.T, dtype=np.float32)
+    _, x_valid = block_columns(valid_matrix.x, valid_matrix.layout, blocks, np.float32)
+    x_valid = np.ascontiguousarray(x_valid.T)
     valid_labels = np.asarray(valid_matrix.labels)
 
-    dims = (train_matrix.layout.dimension, *config.hidden, 2)
-    model = init(dims, config.seed, layout=train_matrix.layout)
-    params = np.concatenate(
-        [a.ravel() for layer in zip(model.weights, model.biases) for a in layer]
-    ).astype(np.float32)
+    dims = (layout.dimension, *config.hidden, 2)
+    params = np.zeros(sum(m * (n + 1) for n, m in zip(dims, dims[1:])), np.float32)
     weights, biases = _views(params, dims)
+    for w, draw in zip(weights, _glorot(dims, config.seed)):
+        w[...] = draw
     grads = np.empty_like(params)
     grad_w, grad_b = _views(grads, dims)
     best_params = params.copy()
@@ -298,15 +317,20 @@ def train(
             since_best += 1
             if config.patience and since_best >= config.patience:
                 break
-    model.weights, model.biases = _views(best_params, dims)
-    model.metadata = {
-        "seed": config.seed,
-        "epochs_run": len(train_losses),
-        "best_epoch": best_epoch,
-        "train_losses": train_losses,
-        "validation_errors": valid_errors,
-    }
-    return model
+    best_weights, best_biases = _views(best_params, dims)
+    return MlpModel(
+        layer_dims=dims,
+        weights=best_weights,
+        biases=best_biases,
+        layout=layout,
+        metadata={
+            "seed": config.seed,
+            "epochs_run": len(train_losses),
+            "best_epoch": best_epoch,
+            "train_losses": train_losses,
+            "validation_errors": valid_errors,
+        },
+    )
 
 
 def save_model(model: MlpModel, path: str | Path) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
@@ -25,7 +26,14 @@ from newsmotion.evaluation import (
     write_ablation_report,
     write_sweep_report,
 )
-from newsmotion.features import FeatureLayout, FeatureMatrix, block_set, slice_blocks
+from newsmotion.features import (
+    BLOCK_ORDER,
+    PRICE_DIM,
+    FeatureLayout,
+    FeatureMatrix,
+    block_set,
+    slice_blocks,
+)
 from newsmotion.graph import CorrelationGraph
 from newsmotion.ingest import PriceSeries
 from newsmotion.mlp import MlpModel, error_rate, save_model, train
@@ -46,6 +54,21 @@ def _signal_matrix(n: int, seed: int, ps_scale: float = 1.0) -> FeatureMatrix:
     x[:, 0] = np.where(x[:, 0] >= 0, x[:, 0] + 0.5, x[:, 0] - 0.5)
     x[:, 3:] *= ps_scale
     labels = [POSITIVE if v > 0 else NEGATIVE for v in x[:, 0]]
+    return FeatureMatrix(
+        layout=layout,
+        tickers=[f"T{i}" for i in range(n)],
+        dates=[DAY + timedelta(days=i) for i in range(n)],
+        labels=labels,
+        x=x,
+    )
+
+
+def _all_blocks_matrix(n: int, seed: int, k: int = 3) -> FeatureMatrix:
+    """Every block; the first bok column carries the label, the rest is noise."""
+    rng = np.random.default_rng(seed)
+    layout = FeatureLayout(blocks=BLOCK_ORDER, k=k, n_categories=2)
+    x = rng.normal(size=(n, layout.dimension))
+    labels = [POSITIVE if v > 0 else NEGATIVE for v in x[:, PRICE_DIM]]
     return FeatureMatrix(
         layout=layout,
         tickers=[f"T{i}" for i in range(n)],
@@ -109,6 +132,64 @@ class TestRunAblation:
         )
         assert [row.status for row in report.rows] == [FAILED, OK]
         assert "price" in report.rows[0].note
+
+    def test_training_on_a_subset_equals_training_on_its_slice(self, tmp_path):
+        train_m = _all_blocks_matrix(90, seed=70)
+        valid_m = _all_blocks_matrix(30, seed=71)
+        for blocks in DEFAULT_COMBINATIONS:
+            subset = train(train_m, valid_m, _small_config(), blocks)
+            sliced = train(
+                slice_blocks(train_m, blocks),
+                slice_blocks(valid_m, blocks),
+                _small_config(),
+            )
+            assert subset.layout.blocks == blocks
+            assert all(w.dtype == np.float32 for w in subset.weights)
+            save_model(subset, tmp_path / "subset.bin")
+            save_model(sliced, tmp_path / "sliced.bin")
+            assert (tmp_path / "subset.bin").read_bytes() == (
+                tmp_path / "sliced.bin"
+            ).read_bytes(), blocks
+
+    def test_training_on_a_block_the_matrices_lack_is_a_validation_error(self):
+        train_m = _signal_matrix(30, seed=72)
+        with pytest.raises(ValidationError, match="price"):
+            train(train_m, train_m, _small_config(), ("price", "bok"))
+
+    def test_peak_holds_no_float64_copy_of_a_block_subset(self):
+        train_m = _all_blocks_matrix(2000, seed=73, k=300)  # 614 columns
+        small = _all_blocks_matrix(50, seed=74, k=300)
+        config = TrainConfig(hidden=(4,), batch_size=64, epochs=1, seed=3)
+        tracemalloc.start()
+        try:
+            report = run_ablation(
+                train_m, small, small, [("price", "bok", "ps")], config
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.rows[0].status == OK
+        # The subset is 612 of the 614 columns. Its float32 training copy
+        # takes under half of train_m.x.nbytes, and a quarter more covers
+        # the batches, the validation and test rows and the model; a
+        # float64 copy of the subset (0.997 of x.nbytes) does not fit.
+        assert peak < 0.75 * train_m.x.nbytes
+
+    def test_no_row_model_is_held_while_the_next_row_trains(self):
+        matrix = _all_blocks_matrix(8, seed=75, k=30)  # 74 columns
+        config = TrainConfig(hidden=(10000,), batch_size=4, epochs=1, seed=4)
+        dims = (74, 10000, 2)
+        n_params = sum(m * (n + 1) for n, m in zip(dims, dims[1:]))
+        tracemalloc.start()
+        try:
+            run_ablation(matrix, matrix, matrix, [BLOCK_ORDER, BLOCK_ORDER], config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A training holds three float32 parameter buffers, 12 bytes per
+        # parameter; 2 more cover the rest. The first row's model (4 bytes
+        # per parameter) held through the second training does not fit.
+        assert peak < 14 * n_params
 
     def test_rows_follow_request_order(self):
         train_m = _signal_matrix(120, seed=82)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
@@ -395,6 +396,22 @@ class TestTrain:
         with pytest.raises(TrainingDiverged):
             with np.errstate(over="ignore", invalid="ignore"):
                 train(matrix, matrix, config)
+
+    def test_peak_holds_no_float64_copy_of_the_weights(self):
+        matrix = _separable(8, 64, seed=50)
+        config = TrainConfig(hidden=(20000,), batch_size=4, epochs=1, seed=6)
+        dims = (64, 20000, 2)
+        n_params = sum(m * (n + 1) for n, m in zip(dims, dims[1:]))
+        tracemalloc.start()
+        try:
+            train(matrix, matrix, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The float32 parameters, gradients and best-epoch snapshot take
+        # 12 bytes per parameter; 4 more cover the activations and the
+        # rest. A float64 copy of the weights (8 bytes each) does not fit.
+        assert peak < 16 * n_params
 
     def test_mismatched_layouts_rejected(self):
         a = _separable(20, 3, seed=47)
