@@ -223,13 +223,21 @@ def _featurize(config, inputs, outputs) -> None:
             matrix.layout.dimension,
             len(skipped),
         )
+        # Freed before the next split loads, so no two splits are held.
+        del samples, matrix
     write_table(outputs["skipped.csv"], SKIPPED_HEADER, skipped_rows)
 
 
+def _training_matrices(inputs) -> list:
+    """The train and validation matrices with float32 rows, all training reads."""
+    return [
+        load_feature_matrix(inputs[f"features_{name}.bin"], "float32")
+        for name in ("train", "valid")
+    ]
+
+
 def _train(config, inputs, outputs) -> None:
-    train_matrix = load_feature_matrix(inputs["features_train.bin"])
-    valid_matrix = load_feature_matrix(inputs["features_valid.bin"])
-    model = train(train_matrix, valid_matrix, config.training)
+    model = train(*_training_matrices(inputs), config.training)
     save_model(model, outputs["model.bin"])
     meta = model.metadata
     errors = meta.get("validation_errors", [])
@@ -298,7 +306,8 @@ def _predict(config, inputs, outputs) -> None:
 
 def _ablation(config, inputs, outputs) -> None:
     ablation = run_ablation(
-        *(load_feature_matrix(inputs[f"features_{name}.bin"]) for name in _SPLITS),
+        *_training_matrices(inputs),
+        load_feature_matrix(inputs["features_test.bin"]),
         DEFAULT_COMBINATIONS,
         config.training,
         full_model=inputs["model.bin"],

@@ -2,7 +2,9 @@
 
 A table is leading ``# key=value`` lines, one exact header line, then
 comma-separated rows; JSON lines hold one object per line; a blob is a
-JSON header line, then little-endian float64 values. Text is written as
+JSON header line, then little-endian float64 values, which load into
+one float64 array that the decoder's arrays view (`unpack`), so a load
+holds its data once. Text is written as
 UTF-8 with ``"\n"`` line ends. Whatever a caller's decoder raises comes
 back as a `ParseError` naming the file and line, and so does a text file
 that is not UTF-8 (`utf8_text`).
@@ -12,9 +14,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -139,32 +142,37 @@ def write_blob(path: str | Path, header: dict, arrays: Sequence[np.ndarray]) -> 
             fh.write(memoryview(np.ascontiguousarray(a, dtype="<f8")))
 
 
-def read_blob(path: str | Path, decode: Callable[[dict, bytes], T]) -> T:
-    """``decode(header, data)`` for a blob; ``data`` is the bytes after the header."""
+def read_blob(path: str | Path, decode: Callable[[dict, BinaryIO], T]) -> T:
+    """``decode(header, data)`` for a blob.
+
+    ``data`` is the open file, just after the header line; the decoder
+    reads the values with `unpack`.
+    """
     with open(path, "rb") as fh:
         line = fh.readline()
-        data = fh.read()
-    try:
-        header = json.loads(line)
-    except ValueError as exc:
-        raise ParseError(f"{path}: bad header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ParseError(f"{path}: bad header: expected a JSON object")
-    with decoding(path, "header field"):
-        return decode(header, data)
+        try:
+            header = json.loads(line)
+        except ValueError as exc:
+            raise ParseError(f"{path}: bad header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise ParseError(f"{path}: bad header: expected a JSON object")
+        with decoding(path, "header field"):
+            return decode(header, fh)
 
 
-def unpack(
-    data: bytes, shapes: Sequence[tuple[int, ...]], copy: bool = True
-) -> list[np.ndarray]:
-    """Split blob data into float64 arrays of the given shapes, in order.
+def unpack(data: BinaryIO, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """The rest of a blob as float64 arrays of the given shapes, in order.
 
-    The arrays are fresh copies, or with ``copy=False`` read-only views of
-    ``data``, which then stays alive as long as any of them does.
+    The byte count is checked first. The values are then read straight
+    into one float64 array, and the arrays returned are views of it.
     """
     sizes = [math.prod(shape) for shape in shapes]
-    if len(data) != 8 * sum(sizes):
-        raise ValueError(f"expected {8 * sum(sizes)} data bytes, found {len(data)}")
-    values = np.split(np.frombuffer(data, dtype="<f8"), np.cumsum(sizes)[:-1])
-    arrays = [v.reshape(shape) for v, shape in zip(values, shapes)]
-    return [a.copy() for a in arrays] if copy else arrays
+    expected = 8 * sum(sizes)
+    found = os.fstat(data.fileno()).st_size - data.tell()
+    if found == expected:
+        values = np.empty(sum(sizes), dtype="<f8")
+        found = data.readinto(values.view(np.uint8))
+    if found != expected:
+        raise ValueError(f"expected {expected} data bytes, found {found}")
+    chunks = np.split(values, np.cumsum(sizes)[:-1])
+    return [v.reshape(shape) for v, shape in zip(chunks, shapes)]

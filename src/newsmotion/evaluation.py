@@ -4,9 +4,11 @@ The ablation trains one classifier per feature-block combination (shared
 seed and hyperparameters) and scores each on the same test rows; the
 combination of every block can score a model file already trained on the
 full matrices instead. Each training reads the full train and validation
-matrices and casts only its blocks' columns to float32 (`mlp.train`), so
-no float64 copy of a subset is made for training; the test rows are
-sliced to float64 (`slice_blocks`) and scored as every model is. The
+matrices, float64 or float32, and trains on only its blocks' columns in
+float32 (`mlp.train`), so no float64 copy of a subset is made for
+training; the `evaluate` stage loads those two matrices as float32 and
+gets the same rows as from float64. The test rows are float64, sliced
+by `slice_blocks` and scored as every model is. The
 sweep seeds the correlation graph with per-date classifier confidences,
 propagates, and measures accuracy and coverage of the emitted
 unseen-stock predictions as the confidence threshold rises.

@@ -5,9 +5,10 @@ A feature vector is the concatenation of four blocks in `BLOCK_ORDER`:
 (bag-of-keywords), one signed polarity component per keyword, and one
 log-count per event category. The featurizer always fills all four; a
 subset of blocks is a column slice of that matrix, and `block_columns`
-is the one place that computes a subset's layout and columns, as a copy
-in the dtype the caller asks for (`slice_blocks` for float64 matrices,
-`mlp.train` for its float32 training rows).
+is the one place that computes a subset's layout and columns, in the
+dtype the caller asks for (`slice_blocks` for float64 matrices,
+`mlp.train` for its float32 training rows); it copies only when the
+columns are not already ``x`` itself.
 Prices are z-scored with each ticker's training-window mean and std,
 which only this module computes. The three news blocks are counts over
 the same tokens, so each sentence is tokenized once and that one walk
@@ -23,8 +24,9 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from datetime import date as Date
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import BinaryIO, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -227,7 +229,9 @@ class FeatureMatrix:
     tickers: list[str]
     dates: list[Date]
     labels: list[str]  # POSITIVE or NEGATIVE
-    x: np.ndarray  # (n, layout.dimension) float64
+    # (n, layout.dimension) float64; rows that are only trained on may be
+    # float32 (`load_feature_matrix`), as training reads float32 anyway.
+    x: np.ndarray
 
     def __post_init__(self):
         n = len(self.tickers)
@@ -313,13 +317,17 @@ def block_columns(
     """The layout of a subset of ``layout``'s blocks, and those columns of ``x``.
 
     ``x`` holds rows of ``layout``. The columns come back as one C-ordered
-    array of ``dtype``: each block is cast as it is copied in, so no other
-    copy of the columns is made. A block ``layout`` lacks is rejected.
+    array of ``dtype``. That is ``x`` itself when the blocks are all of
+    ``layout``'s and ``x`` already is such an array; otherwise each block
+    is cast as it is copied in, so no other copy of the columns is made.
+    A block ``layout`` lacks is rejected.
     """
     ordered = block_set(blocks)
     missing = set(ordered) - set(layout.blocks)
     if missing:
         raise ValidationError(f"matrix does not contain blocks {sorted(missing)}")
+    if ordered == layout.blocks and x.dtype == dtype and x.flags.c_contiguous:
+        return layout, x
     sub = FeatureLayout(blocks=ordered, k=layout.k, n_categories=layout.n_categories)
     out = np.empty((x.shape[0], sub.dimension), dtype=dtype)
     offsets = layout.offsets()
@@ -333,7 +341,8 @@ def slice_blocks(matrix: FeatureMatrix, blocks: Sequence[str]) -> FeatureMatrix:
     """Project a matrix onto a subset of its blocks, preserving row metadata.
 
     Lets one full featurization pass serve every block combination; the
-    columns are a float64 copy from `block_columns`.
+    columns are a float64 copy from `block_columns`, or on the full
+    layout of float64 rows the matrix's own ``x``.
     """
     sub, x = block_columns(matrix.x, matrix.layout, blocks)
     return FeatureMatrix(
@@ -357,9 +366,12 @@ def write_feature_matrix(matrix: FeatureMatrix, path: str | Path) -> None:
     write_blob(path, header, [matrix.x])
 
 
-def _feature_matrix(header: dict, data: bytes) -> FeatureMatrix:
+def _feature_matrix(dtype, header: dict, data: BinaryIO) -> FeatureMatrix:
     layout = FeatureLayout.from_dict(header["layout"])
-    (x,) = unpack(data, [(int(header["rows"]), layout.dimension)])
+    # A float64 array that is cast is freed as soon as its cast exists.
+    x = unpack(data, [(int(header["rows"]), layout.dimension)])[0].astype(
+        dtype, copy=False
+    )
     return FeatureMatrix(
         layout=layout,
         tickers=list(header["tickers"]),
@@ -369,5 +381,10 @@ def _feature_matrix(header: dict, data: bytes) -> FeatureMatrix:
     )
 
 
-def load_feature_matrix(path: str | Path) -> FeatureMatrix:
-    return read_blob(path, _feature_matrix)
+def load_feature_matrix(path: str | Path, dtype=np.float64) -> FeatureMatrix:
+    """The matrix `write_feature_matrix` wrote, its rows as ``dtype``.
+
+    The rows load as float64, once; any other ``dtype`` is one cast of
+    them, after which the float64 rows are dropped.
+    """
+    return read_blob(path, partial(_feature_matrix, dtype))

@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass
 from datetime import date as Date
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import BinaryIO, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -195,7 +195,7 @@ def write_price_table(prices: Mapping[str, PriceSeries], path: str | Path) -> No
     write_blob(path, header, [np.array(ordinals), *(s.closes for s in prices.values())])
 
 
-def _price_table(header: dict, data: bytes) -> dict[str, PriceSeries]:
+def _price_table(header: dict, data: BinaryIO) -> dict[str, PriceSeries]:
     tickers, lengths = header["tickers"], header["lengths"]
     if not isinstance(tickers, list) or not all(
         isinstance(t, str) and t and "," not in t for t in tickers
@@ -208,9 +208,8 @@ def _price_table(header: dict, data: bytes) -> dict[str, PriceSeries]:
     ):
         raise ValueError("lengths must hold one count >= 0 per ticker")
     total = sum(lengths)
-    # Views: each series keeps its closes read-only anyway, and a copy
-    # would hold the table twice while it loads.
-    ordinals, closes = unpack(data, [(total,), (total,)], copy=False)
+    # Each series' closes are a read-only view of the loaded values.
+    ordinals, closes = unpack(data, [(total,), (total,)])
     whole = np.floor(ordinals) == ordinals
     if not np.all(whole & (ordinals >= 1) & (ordinals <= _MAX_ORDINAL)):
         raise ValueError("dates must be whole day ordinals")

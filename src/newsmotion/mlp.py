@@ -7,23 +7,25 @@ validation error. Everything is deterministic in the config seed.
 Activations are feature-major, (units, rows), so every layer is one
 ``w @ a`` product (`_layers`), in training and in scoring alike.
 
-`train` computes in float32. It takes the full float64 train and
-validation matrices and the blocks to train on, and casts just those
-blocks' columns once, through `features.block_columns`, to one
-row-major float32 copy that every mini-batch is gathered from; the
-matrices themselves are only read. Every weight and bias lives in one
-flat float32 buffer, viewed per layer, that each layer's float64
-Glorot draw (`_glorot`, the same draw `init` stacks) is rounded into as
-it is made, so no float64 copy of the model is held. Each step updates
-every parameter with one ``grads *= lr; params -= grads`` and the
-best-epoch snapshot is one copy. `loss_and_gradients` is the step
-`train` takes on each mini-batch: it computes in the dtype of the
-model's weights, casting the batch, so a float64 model (the gradient
-oracle's) runs in float64. Validation inside `train` scores in
+`train` computes in float32. It takes the full train and validation
+matrices, float64 or float32, and the blocks to train on. Every
+mini-batch is gathered from one row-major float32 array of just those
+blocks' columns, from `features.block_columns`: the train matrix's own
+rows when they are float32 and the blocks are all of them, else one
+cast copy; the matrices themselves are only read. Every weight and
+bias lives in one flat float32 buffer, viewed per layer, that each
+layer's float64 Glorot draw (`_glorot`, the same draw `init` stacks) is
+rounded into as it is made, so no float64 copy of the model is held.
+Each step updates every parameter with one ``grads *= lr; params -=
+grads`` and the best-epoch snapshot is one copy. `loss_and_gradients`
+is the step `train` takes on each mini-batch: it computes in the dtype
+of the model's weights, casting the batch, so a float64 model (the
+gradient oracle's) runs in float64. Validation inside `train` scores in
 float32. Final scoring, `predict_batch`, is float64: numpy upcasts
 float32 weights exactly against the float64 feature matrix, and the
 `<f8` blob holds them exactly, so a trained model scores the same in
-memory and loaded back.
+memory and loaded back. A loaded model's weights and biases are views
+of the one float64 array its blob loads into (`codec.unpack`).
 The last bits of a matrix product depend on the BLAS thread count and on
 the orientation of its operands.
 
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -247,8 +249,11 @@ def train(
     """Fit on the training matrix, selecting the best validation-error epoch.
 
     ``blocks`` names the feature blocks to train on, all of the matrices'
-    by default; the model's layout is theirs. The float64 matrices are
-    only read: training casts those blocks' columns to float32 once.
+    by default; the model's layout is theirs. The matrices, float64 or
+    float32, are only read: training casts those blocks' columns to
+    float32 once, and takes float32 rows of every block as they are. A
+    float32 matrix trains the same model, byte for byte, as the float64
+    matrix it was cast from.
     Records per-epoch train loss and validation error in model metadata.
     Raises TrainingDiverged on non-finite loss.
     """
@@ -344,7 +349,7 @@ def save_model(model: MlpModel, path: str | Path) -> None:
     write_blob(path, header, arrays)
 
 
-def _model(header: dict, data: bytes) -> MlpModel:
+def _model(header: dict, data: BinaryIO) -> MlpModel:
     dims = tuple(int(d) for d in header["layer_dims"])
     if header.get("layout") is None:
         raise ParseError("header has no feature layout")

@@ -1,12 +1,13 @@
 """Helpers only the tests use: a predictions reader, a prices writer, a
-graph node's degree, the brute-force polarity oracle, and the environment
-of a child Python."""
+graph node's degree, the brute-force polarity oracle, the environment
+of a child Python, and a call's traced memory peak."""
 
 from __future__ import annotations
 
 import os
+import tracemalloc
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -17,6 +18,8 @@ from newsmotion.dates import parse_date
 from newsmotion.ingest import PriceSeries
 from newsmotion.lexicon import _document_counts, polarity_score
 from newsmotion.sampling import Sample
+
+T = TypeVar("T")
 
 
 def _prediction(parts: list[str]) -> Prediction:
@@ -66,3 +69,18 @@ def child_env() -> dict[str, str]:
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+def traced_peak(call: Callable[[], T]) -> tuple[T, int]:
+    """What ``call()`` returns, and the peak bytes tracemalloc saw while it ran.
+
+    numpy reports its array buffers to tracemalloc, so the peak counts
+    them with every Python object.
+    """
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak

@@ -14,20 +14,27 @@ import signal
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from datetime import date
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from newsmotion import cli, evaluation, mlp
-from newsmotion.config import load_config
+from newsmotion.config import TrainConfig, load_config
 from newsmotion.embedding import _pair_arrays, load_embeddings
 from newsmotion.evaluation import run_propagation_sweep
 from newsmotion.features import (
+    BLOCK_ORDER,
     INSUFFICIENT_HISTORY,
     UNNORMALIZABLE,
+    FeatureLayout,
+    FeatureMatrix,
     load_feature_matrix,
+    write_feature_matrix,
 )
 from newsmotion.graph import DNN, DOWN, PROPAGATED, UP, load_graph
 from newsmotion.ingest import Article, load_prices, write_articles
@@ -40,10 +47,10 @@ from newsmotion.manifest import (
     write_manifest,
 )
 from newsmotion.mlp import init, load_model, save_model
-from newsmotion.sampling import POSITIVE, load_samples, movement_label
+from newsmotion.sampling import NEGATIVE, POSITIVE, load_samples, movement_label
 from newsmotion.tokens import tokenize
 
-from support import child_env, load_predictions
+from support import child_env, load_predictions, traced_peak
 
 SMOKE_CONFIG = """\
 [synth]
@@ -708,6 +715,43 @@ class TestEvaluateUnits:
         assert "model.bin: train is not up to date; rerun train" in error
         assert trainings == []
         assert ablation.read_bytes() == before
+
+
+class TestTrainUnit:
+    def test_training_holds_no_float64_copy_of_the_train_rows(
+        self, tmp_path, monkeypatch
+    ):
+        layout = FeatureLayout(BLOCK_ORDER, k=300, n_categories=2)  # 614 columns
+        rng = np.random.default_rng(5)
+        inputs = {}
+        for name, n in (("train", 2000), ("valid", 50)):
+            inputs[f"features_{name}.bin"] = tmp_path / f"features_{name}.bin"
+            matrix = FeatureMatrix(
+                layout=layout,
+                tickers=["AAA"] * n,
+                dates=[date(2012, 3, 5)] * n,
+                labels=[POSITIVE if i % 2 else NEGATIVE for i in range(n)],
+                x=rng.normal(size=(n, layout.dimension)),
+            )
+            write_feature_matrix(matrix, inputs[f"features_{name}.bin"])
+        train_bytes = 2000 * layout.dimension * 8
+
+        def training(*args, **kwargs):
+            tracemalloc.reset_peak()  # the peak from here on is the training's
+            return mlp.train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", training)
+        config = SimpleNamespace(
+            training=TrainConfig(hidden=(4,), batch_size=64, epochs=1, seed=3)
+        )
+        outputs = {"model.bin": tmp_path / "model.bin"}
+        _, peak = traced_peak(lambda: cli._train(config, inputs, outputs))
+        assert load_model(outputs["model.bin"]).layout == layout
+        # While it trains, the unit holds the float32 train rows, half of
+        # the float64 rows' bytes; a quarter more covers the validation
+        # rows, the model and its batches. The float64 train rows do not
+        # fit, nor a second float32 copy of them.
+        assert peak < 0.75 * train_bytes
 
 
 class TestVouchedInputs:

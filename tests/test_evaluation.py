@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import tracemalloc
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -38,6 +38,8 @@ from newsmotion.graph import CorrelationGraph
 from newsmotion.ingest import PriceSeries
 from newsmotion.mlp import MlpModel, error_rate, save_model, train
 from newsmotion.sampling import NEGATIVE, POSITIVE
+
+from support import traced_peak
 
 DAY = date(2013, 7, 1)
 
@@ -76,6 +78,11 @@ def _all_blocks_matrix(n: int, seed: int, k: int = 3) -> FeatureMatrix:
         labels=labels,
         x=x,
     )
+
+
+def _float32(matrix: FeatureMatrix) -> FeatureMatrix:
+    """The matrix with its rows cast to float32, as the evaluate stage loads them."""
+    return replace(matrix, x=matrix.x.astype(np.float32))
 
 
 def _small_config() -> TrainConfig:
@@ -151,6 +158,26 @@ class TestRunAblation:
                 tmp_path / "sliced.bin"
             ).read_bytes(), blocks
 
+    def test_float32_matrices_train_the_same_model_bytes(self, tmp_path):
+        train_m = _all_blocks_matrix(90, seed=76)
+        valid_m = _all_blocks_matrix(30, seed=77)
+        train32, valid32 = _float32(train_m), _float32(valid_m)
+        paths = [tmp_path / "float64.bin", tmp_path / "float32.bin"]
+        for blocks in DEFAULT_COMBINATIONS:
+            for (t, v), path in zip([(train_m, valid_m), (train32, valid32)], paths):
+                save_model(train(t, v, _small_config(), blocks), path)
+            assert paths[0].read_bytes() == paths[1].read_bytes(), blocks
+
+    def test_float32_training_matrices_give_the_same_rows(self):
+        train_m = _all_blocks_matrix(90, seed=78)
+        valid_m = _all_blocks_matrix(30, seed=79)
+        test_m = _all_blocks_matrix(40, seed=85)
+        want = run_ablation(train_m, valid_m, test_m, config=_small_config())
+        got = run_ablation(
+            _float32(train_m), _float32(valid_m), test_m, config=_small_config()
+        )
+        assert got == want
+
     def test_training_on_a_block_the_matrices_lack_is_a_validation_error(self):
         train_m = _signal_matrix(30, seed=72)
         with pytest.raises(ValidationError, match="price"):
@@ -160,14 +187,10 @@ class TestRunAblation:
         train_m = _all_blocks_matrix(2000, seed=73, k=300)  # 614 columns
         small = _all_blocks_matrix(50, seed=74, k=300)
         config = TrainConfig(hidden=(4,), batch_size=64, epochs=1, seed=3)
-        tracemalloc.start()
-        try:
-            report = run_ablation(
-                train_m, small, small, [("price", "bok", "ps")], config
-            )
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        blocks = ("price", "bok", "ps")
+        report, peak = traced_peak(
+            lambda: run_ablation(train_m, small, small, [blocks], config)
+        )
         assert report.rows[0].status == OK
         # The subset is 612 of the 614 columns. Its float32 training copy
         # takes under half of train_m.x.nbytes, and a quarter more covers
@@ -180,12 +203,11 @@ class TestRunAblation:
         config = TrainConfig(hidden=(10000,), batch_size=4, epochs=1, seed=4)
         dims = (74, 10000, 2)
         n_params = sum(m * (n + 1) for n, m in zip(dims, dims[1:]))
-        tracemalloc.start()
-        try:
-            run_ablation(matrix, matrix, matrix, [BLOCK_ORDER, BLOCK_ORDER], config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(
+            lambda: run_ablation(
+                matrix, matrix, matrix, [BLOCK_ORDER, BLOCK_ORDER], config
+            )
+        )
         # A training holds three float32 parameter buffers, 12 bytes per
         # parameter; 2 more cover the rest. The first row's model (4 bytes
         # per parameter) held through the second training does not fit.

@@ -21,6 +21,7 @@ from newsmotion.features import (
     INSUFFICIENT_HISTORY,
     NO_PRICE_HISTORY,
     UNNORMALIZABLE,
+    block_columns,
     block_set,
     featurize_samples,
     load_feature_matrix,
@@ -40,6 +41,7 @@ from newsmotion.sampling import NEGATIVE, POSITIVE, Sample, Sentence
 from newsmotion.tokens import tokenize_with_offsets
 
 from feature_oracle import oracle_rows
+from support import traced_peak
 
 DAY = date(2012, 3, 5)
 
@@ -493,6 +495,40 @@ class TestSliceBlocks:
             slice_blocks(narrowed, ["price", "ct"])
 
 
+class TestBlockColumns:
+    LAYOUT = FeatureLayout(BLOCK_ORDER, k=3, n_categories=4)
+
+    def _x(self, dtype=np.float64) -> np.ndarray:
+        rng = np.random.default_rng(31)
+        return rng.normal(size=(6, self.LAYOUT.dimension)).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_the_full_layout_in_its_own_dtype_is_x_itself(self, dtype):
+        x = self._x(dtype)
+        layout, out = block_columns(x, self.LAYOUT, BLOCK_ORDER, dtype)
+        assert layout == self.LAYOUT
+        assert out is x
+
+    def test_a_subset_is_a_copy(self):
+        x = self._x()
+        layout, out = block_columns(x, self.LAYOUT, ("price", "bok", "ps"))
+        assert layout.blocks == ("price", "bok", "ps")
+        assert not np.shares_memory(out, x)
+        assert np.array_equal(out, x[:, : layout.dimension])
+
+    def test_another_dtype_is_a_cast_copy(self):
+        x = self._x()
+        _, out = block_columns(x, self.LAYOUT, BLOCK_ORDER, np.float32)
+        assert out.dtype == np.float32 and not np.shares_memory(out, x)
+        assert out.tobytes() == x.astype(np.float32).tobytes()
+
+    def test_rows_not_in_c_order_are_copied_into_c_order(self):
+        x = np.asfortranarray(self._x())
+        _, out = block_columns(x, self.LAYOUT, BLOCK_ORDER)
+        assert out.flags.c_contiguous and not np.shares_memory(out, x)
+        assert np.array_equal(out, x)
+
+
 class TestFeatureMatrixFile:
     def _matrix(self) -> FeatureMatrix:
         rng = np.random.default_rng(29)
@@ -516,6 +552,51 @@ class TestFeatureMatrixFile:
         assert loaded.dates == matrix.dates
         assert loaded.labels == matrix.labels
         assert np.array_equal(loaded.x, matrix.x)
+
+    def test_a_load_holds_the_rows_once(self, tmp_path):
+        layout = FeatureLayout(BLOCK_ORDER, k=300, n_categories=2)  # 614 columns
+        n = 2000
+        matrix = FeatureMatrix(
+            layout=layout,
+            tickers=[f"T{i % 50}" for i in range(n)],
+            dates=[DAY + timedelta(days=i % 300) for i in range(n)],
+            labels=[POSITIVE if i % 2 else NEGATIVE for i in range(n)],
+            x=np.random.default_rng(32).normal(size=(n, layout.dimension)),
+        )
+        path = tmp_path / "features.bin"
+        write_feature_matrix(matrix, path)
+        loaded, peak = traced_peak(lambda: load_feature_matrix(path))
+        assert np.array_equal(loaded.x, matrix.x)
+        # The rows are read into one array of x.nbytes; the header and
+        # the row metadata take the rest. A second copy does not fit.
+        assert peak < 1.1 * matrix.x.nbytes
+
+    def test_float32_rows_are_the_cast_of_the_file_rows(self, tmp_path):
+        matrix = self._matrix()
+        path = tmp_path / "features.bin"
+        write_feature_matrix(matrix, path)
+        loaded = load_feature_matrix(path, np.float32)
+        assert loaded.x.dtype == np.float32 and loaded.x.flags.c_contiguous
+        assert loaded.x.tobytes() == matrix.x.astype(np.float32).tobytes()
+        assert (loaded.layout, loaded.tickers, loaded.dates, loaded.labels) == (
+            matrix.layout,
+            matrix.tickers,
+            matrix.dates,
+            matrix.labels,
+        )
+
+    @pytest.mark.parametrize("cut", [8, 3])
+    def test_truncation_names_the_byte_counts(self, tmp_path, cut):
+        matrix = self._matrix()
+        path = tmp_path / "features.bin"
+        write_feature_matrix(matrix, path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ParseError) as caught:
+            load_feature_matrix(path)
+        size = matrix.x.nbytes
+        assert str(caught.value) == (
+            f"{path}: expected {size} data bytes, found {size - cut}"
+        )
 
     def test_truncated_body_rejected(self, tmp_path):
         matrix = self._matrix()

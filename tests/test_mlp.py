@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
@@ -32,6 +31,8 @@ from newsmotion.mlp import (
     train,
 )
 from newsmotion.sampling import NEGATIVE, POSITIVE
+
+from support import traced_peak
 
 DAY = date(2012, 3, 5)
 
@@ -402,12 +403,7 @@ class TestTrain:
         config = TrainConfig(hidden=(20000,), batch_size=4, epochs=1, seed=6)
         dims = (64, 20000, 2)
         n_params = sum(m * (n + 1) for n, m in zip(dims, dims[1:]))
-        tracemalloc.start()
-        try:
-            train(matrix, matrix, config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: train(matrix, matrix, config))
         # The float32 parameters, gradients and best-epoch snapshot take
         # 12 bytes per parameter; 4 more cover the activations and the
         # rest. A float64 copy of the weights (8 bytes each) does not fit.
@@ -498,6 +494,20 @@ class TestModelFile:
         original = predict_batch(model, matrix)
         assert original.dtype == np.float64
         assert original.tobytes() == predict_batch(loaded, matrix).tobytes()
+
+    def test_a_load_holds_the_parameters_once(self, tmp_path):
+        dims = (64, 20000, 2)
+        n_params = sum(m * (n + 1) for n, m in zip(dims, dims[1:]))
+        model = init(dims, seed=66, layout=_layout(64))
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        loaded, peak = traced_peak(lambda: load_model(path))
+        saved = (*model.weights, *model.biases)
+        for p, q in zip(saved, (*loaded.weights, *loaded.biases)):
+            assert p.tobytes() == q.tobytes()
+        # The parameters are read into one float64 array, 8 bytes each; a
+        # second copy of them does not fit.
+        assert peak < 1.1 * 8 * n_params
 
     def test_two_trainings_in_one_process_save_identical_bytes(self, tmp_path):
         train_m = _separable(90, 6, seed=69)
