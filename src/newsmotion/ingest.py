@@ -1,8 +1,10 @@
 """Loading and validation of news article and daily closing-price files.
 
 Articles arrive as JSON lines read by `codec`, prices as a CSV of
-(date, ticker, close) rows. Both loaders name the file and line on
-failure; the price loader checks each row in its one pass over the file.
+(date, ticker, close) rows under the `PRICES_HEADER` line. Both loaders
+name the file and line on failure. The price loader checks each row in
+one `csv.reader` pass, keeps a `{date: close}` dict per ticker to catch
+duplicates, and sorts each ticker's dates once at the end.
 Prices load as one immutable series per ticker; normalising them is the
 featurizer's business. The checked series are kept as a `codec` blob,
 the price table, which later stages load without parsing the CSV again.
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 import bisect
 import csv
-import itertools
 import json
 import math
 import operator
@@ -108,7 +109,7 @@ class PriceSeries:
         return i if i < len(self.dates) else None
 
 
-_HEADER = ["date", "ticker", "close"]
+PRICES_HEADER = "date,ticker,close"
 _MAX_ORDINAL = Date.max.toordinal()
 
 
@@ -118,70 +119,64 @@ def load_prices(path: str | Path) -> dict[str, PriceSeries]:
     Returns the series keyed by ticker, in ticker order. Raises
     ValidationError on closes that are not finite and positive or on
     duplicate (date, ticker) rows; ParseError on structural problems,
-    including a ticker with a comma, which no comma-separated artifact
-    could hold. Every error names the file and the first bad row,
-    counted from the header as line 1.
+    including malformed CSV, such as a quote left open until a field
+    outgrows csv's limit, and a ticker with a comma, which no
+    comma-separated artifact could hold. Every error names the file and
+    the first bad row, counted from the header as line 1.
     """
     path = Path(path)
     parsed: dict[str, Date] = {}
-    # ticker -> [dates, closes, every date so far once the dates stop rising]
-    groups: dict[str, list] = {}
-    with utf8_text(path), path.open("r", encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None or [h.strip() for h in header] != _HEADER:
-            raise ParseError(f"{path}: expected header 'date,ticker,close'")
-        for lineno, line in enumerate(fh, start=2):
-            if '"' in line or "\0" in line:
-                # csv quoting, or a NUL, which Python 3.10's csv rejects; a
-                # quoted line break reads on into fh without moving lineno
-                row = next(csv.reader(itertools.chain([line], fh)))
-            else:
-                line = line.rstrip("\r\n")
-                if not line:
+    groups: dict[str, dict[Date, float]] = {}  # ticker -> {date: close}
+    lineno = 0  # the last row read; a csv.Error is in the next one
+    try:
+        with utf8_text(path), path.open("r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            lineno = 1
+            if header is None or [h.strip() for h in header] != PRICES_HEADER.split(","):
+                raise ParseError(f"{path}: expected header '{PRICES_HEADER}'")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
                     continue
-                row = line.split(",")
-            if len(row) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            raw_date, ticker, raw_close = row
-            d = parsed.get(raw_date)
-            if d is None:
+                if len(row) != 3:
+                    raise ParseError(
+                        f"{path}:{lineno}: expected 3 columns, got {len(row)}"
+                    )
+                raw_date, ticker, raw_close = row
+                d = parsed.get(raw_date)
+                if d is None:
+                    try:
+                        d = parsed[raw_date] = parse_date(raw_date)
+                    except ValidationError as exc:
+                        raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+                ticker = ticker.strip()
+                if not ticker:
+                    raise ValidationError(f"{path}:{lineno}: empty ticker")
+                if "," in ticker:
+                    raise ParseError(f"{path}:{lineno}: comma in ticker {ticker!r}")
                 try:
-                    d = parsed[raw_date] = parse_date(raw_date)
-                except ValidationError as exc:
-                    raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-            ticker = ticker.strip()
-            if not ticker:
-                raise ValidationError(f"{path}:{lineno}: empty ticker")
-            if "," in ticker:
-                raise ParseError(f"{path}:{lineno}: comma in ticker {ticker!r}")
-            try:
-                close = float(raw_close)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad close {raw_close!r}") from exc
-            if not 0 < close < math.inf:
-                rule = f"> 0, got {close}" if close <= 0 else "finite and > 0"
-                raise ValidationError(f"{path}:{lineno}: close must be {rule}")
-            group = groups.get(ticker)
-            if group is None:
-                groups[ticker] = [[d], [close], None]
-                continue
-            dates, closes, seen = group
-            if seen is None and d <= dates[-1]:
-                seen = group[2] = set(dates)
-            if seen is not None:
-                if d in seen:
+                    close = float(raw_close)
+                except ValueError as exc:
+                    raise ParseError(
+                        f"{path}:{lineno}: bad close {raw_close!r}"
+                    ) from exc
+                if not 0 < close < math.inf:
+                    rule = f"> 0, got {close}" if close <= 0 else "finite and > 0"
+                    raise ValidationError(f"{path}:{lineno}: close must be {rule}")
+                closes = groups.get(ticker)
+                if closes is None:
+                    closes = groups[ticker] = {}
+                elif d in closes:
                     raise ValidationError(f"{path}:{lineno}: duplicate ({d}, {ticker})")
-                seen.add(d)
-            dates.append(d)
-            closes.append(close)
-    for dates, closes, seen in groups.values():
-        if seen is not None:
-            closes[:] = [close for _, close in sorted(zip(dates, closes))]
-            dates.sort()
-    return {
-        ticker: PriceSeries(ticker, tuple(dates), np.asarray(closes, dtype=np.float64))
-        for ticker, (dates, closes, _) in sorted(groups.items())
-    }
+                closes[d] = close
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{lineno + 1}: {exc}") from exc
+    prices = {}
+    for ticker, closes in sorted(groups.items()):
+        dates = sorted(closes)
+        series = np.array([closes[d] for d in dates], dtype=np.float64)
+        prices[ticker] = PriceSeries(ticker, tuple(dates), series)
+    return prices
 
 
 def write_price_table(prices: Mapping[str, PriceSeries], path: str | Path) -> None:

@@ -146,12 +146,9 @@ def _document_counts(
 
 
 def build_keyword_lexicon(
-    table: EmbeddingTable,
-    samples: Sequence[Sample],
-    k: int = 1000,
-    seeds: Sequence[str] = SEED_WORDS,
+    table: EmbeddingTable, samples: Sequence[Sample], k: int = 1000
 ) -> KeywordLexicon:
-    """Select the top-k corpus words by best seed similarity and score them.
+    """Select the top-k corpus words by best similarity to a SEED_WORDS word.
 
     Candidates are words that occur in the given samples (seeds present in
     the embedding vocabulary always qualify). When fewer than k candidates
@@ -164,11 +161,10 @@ def build_keyword_lexicon(
         raise ValidationError(
             "polarity scores need both positive and negative training samples"
         )
-    seed_set = set(seeds)
-    candidates = set(df) | {s for s in seeds if s in table}
+    candidates = set(df) | {s for s in SEED_WORDS if s in table}
     ranked = [
         (word, score)
-        for word, score in rank_by_seed_similarity(table, seeds)
+        for word, score in rank_by_seed_similarity(table, SEED_WORDS)
         if word in candidates
     ]
     if len(ranked) < k:
@@ -177,7 +173,7 @@ def build_keyword_lexicon(
     entries = [
         KeywordEntry(
             word=word,
-            seed=word in seed_set,
+            seed=word in SEED_WORDS,
             similarity=score,
             df=df.get(word, 0),
             idf=compute_idf(df.get(word, 0), n_samples),

@@ -14,18 +14,18 @@ blocks' columns, from `features.block_columns`: the train matrix's own
 rows when they are float32 and the blocks are all of them, else one
 cast copy; the matrices themselves are only read. Every weight and
 bias lives in one flat float32 buffer, viewed per layer, that each
-layer's float64 Glorot draw (`_glorot`, the same draw `init` stacks) is
-rounded into as it is made, so no float64 copy of the model is held.
-Each step updates every parameter with one ``grads *= lr; params -=
-grads`` and the best-epoch snapshot is one copy. `loss_and_gradients`
-is the step `train` takes on each mini-batch: it computes in the dtype
-of the model's weights, casting the batch, so a float64 model (the
-gradient oracle's) runs in float64. Validation inside `train` scores in
-float32. Final scoring, `predict_batch`, is float64: numpy upcasts
-float32 weights exactly against the float64 feature matrix, and the
-`<f8` blob holds them exactly, so a trained model scores the same in
-memory and loaded back. A loaded model's weights and biases are views
-of the one float64 array its blob loads into (`codec.unpack`).
+layer's float64 Glorot draw (`_glorot`) is rounded into as it is made,
+so no float64 copy of the model is held. Each step updates every
+parameter with one ``grads *= lr; params -= grads`` and the best-epoch
+snapshot is one copy. `_step`, the step `train` takes on each
+mini-batch, computes in the dtype of the weights it is given, so the
+tests' gradient oracle runs the same step on a float64 model in
+float64. Validation inside `train` scores in float32. Final scoring,
+`predict_batch`, is float64: numpy upcasts float32 weights exactly
+against the float64 feature matrix, and the `<f8` blob holds them
+exactly, so a trained model scores the same in memory and loaded back.
+A loaded model's weights and biases are views of the one float64 array
+its blob loads into (`codec.unpack`).
 The last bits of a matrix product depend on the BLAS thread count and on
 the orientation of its operands.
 
@@ -84,10 +84,6 @@ class MlpModel:
                 f"layout dimension {self.layout.dimension} != input dim {dims[0]}"
             )
 
-    @property
-    def input_dim(self) -> int:
-        return self.layer_dims[0]
-
 
 def _glorot(dims: Sequence[int], seed: int) -> Iterator[np.ndarray]:
     """Each layer's Glorot-uniform weights, (fan_out, fan_in) float64, in order.
@@ -98,18 +94,6 @@ def _glorot(dims: Sequence[int], seed: int) -> Iterator[np.ndarray]:
     for fan_in, fan_out in zip(dims, dims[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         yield rng.uniform(-limit, limit, size=(fan_out, fan_in))
-
-
-def init(layer_dims: Sequence[int], seed: int, layout: FeatureLayout) -> MlpModel:
-    """Glorot-uniform weights, zero biases, deterministic in seed."""
-    dims = tuple(int(d) for d in layer_dims)
-    return MlpModel(
-        layer_dims=dims,
-        weights=list(_glorot(dims, seed)),
-        biases=[np.zeros(fan_out) for fan_out in dims[1:]],
-        layout=layout,
-        metadata={"seed": int(seed)},
-    )
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -184,34 +168,6 @@ def _step(
             delta = weights[i].T @ delta
             delta *= activations[i] > 0
     return loss
-
-
-def loss_and_gradients(
-    model: MlpModel, x: np.ndarray, y: np.ndarray, l2: float = 0.0
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Mean cross-entropy over the batch plus backpropagated gradients.
-
-    y holds class indices (0 = up, 1 = down). With l2 > 0 the loss adds
-    l2/2 times the squared Frobenius norm of every weight matrix (biases
-    are not penalized). The batch is cast to the dtype of the model's
-    weights, and the gradients are returned in that dtype. This is the
-    step `train` takes on each mini-batch.
-    """
-    x = np.asarray(x)
-    y = np.asarray(y, dtype=np.int64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValidationError("batch must be a non-empty 2-D array")
-    if x.shape[0] != y.shape[0]:
-        raise ValidationError("batch inputs and labels have different lengths")
-    if x.shape[1] != model.input_dim:
-        raise ValidationError(
-            f"input dimension {x.shape[1]} != model input {model.input_dim}"
-        )
-    grad_w = [np.empty_like(w) for w in model.weights]
-    grad_b = [np.empty_like(b) for b in model.biases]
-    a = np.ascontiguousarray(x.T, dtype=model.weights[0].dtype)
-    loss = _step(model.weights, model.biases, a, y, l2, grad_w, grad_b)
-    return loss, grad_w, grad_b
 
 
 def predict_batch(model: MlpModel, matrix: FeatureMatrix) -> np.ndarray:

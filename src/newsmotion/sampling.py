@@ -151,13 +151,10 @@ class DatasetSplit:
 
 
 def extract_sentences(
-    articles: Iterable[Article],
-    matcher: AliasMatcher,
-    abbreviations: frozenset[str] | None = None,
+    articles: Iterable[Article], matcher: AliasMatcher
 ) -> list[Sentence]:
     """Split article bodies and keep only sentences mentioning a known stock."""
-    if abbreviations is None:
-        abbreviations = default_abbreviations()
+    abbreviations = default_abbreviations()
     kept = []
     for article in articles:
         for text in split_sentences(article.body, abbreviations):

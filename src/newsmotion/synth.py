@@ -22,10 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import write_table
 from .config import SynthConfig
 from .dates import DateRange
 from .errors import ValidationError
-from .ingest import Article, write_articles
+from .ingest import PRICES_HEADER, Article, write_articles
 
 _STEMS = (
     "Ardex", "Boltaric", "Cavenor", "Dorreth", "Elmquist", "Fenwick",
@@ -266,12 +267,13 @@ def generate_synthetic_fixture(
 
     write_articles(articles, articles_path)
 
-    with open(prices_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("date,ticker,close\n")
-        order = sorted(range(n), key=lambda i: symbols[i])
-        for t, day in enumerate(dates):
-            for i in order:
-                fh.write(f"{day.isoformat()},{symbols[i]},{close_strs[i][t]}\n")
+    order = sorted(range(n), key=lambda i: symbols[i])
+    price_rows = (
+        (day, symbols[i], close_strs[i][t])
+        for t, day in enumerate(d.isoformat() for d in dates)
+        for i in order
+    )
+    write_table(prices_path, PRICES_HEADER, price_rows)
 
     with open(aliases_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# alias,ticker\n")

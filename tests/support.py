@@ -1,6 +1,7 @@
 """Helpers only the tests use: a predictions reader, a prices writer, a
-graph node's degree, the brute-force polarity oracle, the environment
-of a child Python, and a call's traced memory peak."""
+graph node's degree, the brute-force polarity oracle, a Glorot-initialised
+MLP and the loss and gradients of one of `mlp.train`'s steps, the
+environment of a child Python, and a call's traced memory peak."""
 
 from __future__ import annotations
 
@@ -11,12 +12,14 @@ from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from newsmotion.codec import read_table
+from newsmotion.codec import read_table, write_table
 from newsmotion.errors import ValidationError
+from newsmotion.features import FeatureLayout
 from newsmotion.graph import PREDICTIONS_HEADER, CorrelationGraph, Prediction
 from newsmotion.dates import parse_date
-from newsmotion.ingest import PriceSeries
+from newsmotion.ingest import PRICES_HEADER, PriceSeries
 from newsmotion.lexicon import _document_counts, polarity_score
+from newsmotion.mlp import MlpModel, _glorot, _step
 from newsmotion.sampling import Sample
 
 T = TypeVar("T")
@@ -33,16 +36,12 @@ def load_predictions(path: str | Path) -> list[Prediction]:
 
 def write_prices(prices: Mapping[str, PriceSeries], path: str | Path) -> None:
     """Serialize price series back to the CSV format load_prices reads."""
-    path = Path(path)
     rows = []
     for ticker, s in prices.items():
         for d, c in zip(s.dates, s.closes.tolist()):
             rows.append((d, ticker, c))
     rows.sort(key=lambda r: (r[0], r[1]))
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("date,ticker,close\n")
-        for d, ticker, c in rows:
-            fh.write(f"{d.isoformat()},{ticker},{c!r}\n")
+    write_table(path, PRICES_HEADER, ((d.isoformat(), t, repr(c)) for d, t, c in rows))
 
 
 def degree(graph: CorrelationGraph, ticker: str) -> int:
@@ -58,6 +57,46 @@ def polarity_score_of(word: str, samples: Sequence[Sample]) -> float:
             "polarity scores need both positive and negative training samples"
         )
     return polarity_score(pos_df.get(word, 0), neg_df.get(word, 0), n_pos, n_neg)
+
+
+def init(layer_dims: Sequence[int], seed: int, layout: FeatureLayout) -> MlpModel:
+    """Glorot-uniform weights, zero biases, deterministic in seed."""
+    dims = tuple(int(d) for d in layer_dims)
+    return MlpModel(
+        layer_dims=dims,
+        weights=list(_glorot(dims, seed)),
+        biases=[np.zeros(fan_out) for fan_out in dims[1:]],
+        layout=layout,
+        metadata={"seed": int(seed)},
+    )
+
+
+def loss_and_gradients(
+    model: MlpModel, x: np.ndarray, y: np.ndarray, l2: float = 0.0
+) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+    """Mean cross-entropy over the batch plus backpropagated gradients.
+
+    y holds class indices (0 = up, 1 = down). With l2 > 0 the loss adds
+    l2/2 times the squared Frobenius norm of every weight matrix (biases
+    are not penalized). The batch is cast to the dtype of the model's
+    weights, and the gradients are returned in that dtype. This is the
+    step `train` takes on each mini-batch.
+    """
+    x = np.asarray(x)
+    y = np.asarray(y, dtype=np.int64)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise ValidationError("batch must be a non-empty 2-D array")
+    if x.shape[0] != y.shape[0]:
+        raise ValidationError("batch inputs and labels have different lengths")
+    if x.shape[1] != model.layer_dims[0]:
+        raise ValidationError(
+            f"input dimension {x.shape[1]} != model input {model.layer_dims[0]}"
+        )
+    grad_w = [np.empty_like(w) for w in model.weights]
+    grad_b = [np.empty_like(b) for b in model.biases]
+    a = np.ascontiguousarray(x.T, dtype=model.weights[0].dtype)
+    loss = _step(model.weights, model.biases, a, y, l2, grad_w, grad_b)
+    return loss, grad_w, grad_b
 
 
 def child_env() -> dict[str, str]:

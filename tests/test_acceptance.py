@@ -41,20 +41,12 @@ from newsmotion.lexicon import (
     KeywordLexicon,
     load_keyword_lexicon,
 )
-from newsmotion.mlp import (
-    MlpModel,
-    init,
-    load_model,
-    loss_and_gradients,
-    predict_batch,
-    save_model,
-    softmax,
-)
+from newsmotion.mlp import MlpModel, load_model, predict_batch, save_model, softmax
 from newsmotion.sampling import NEGATIVE, POSITIVE, Sample, Sentence
 from newsmotion.tokens import tokenize
 
 from graph_oracle import pearson
-from support import polarity_score_of
+from support import init, loss_and_gradients, polarity_score_of
 
 GRADIENT_TOLERANCE = 1e-4
 GRADIENT_TIME_LIMIT = 10.0

@@ -46,11 +46,11 @@ from newsmotion.manifest import (
     work_dir_lock,
     write_manifest,
 )
-from newsmotion.mlp import init, load_model, save_model
+from newsmotion.mlp import load_model, save_model
 from newsmotion.sampling import NEGATIVE, POSITIVE, load_samples, movement_label
 from newsmotion.tokens import tokenize
 
-from support import child_env, load_predictions, traced_peak
+from support import child_env, init, load_predictions, traced_peak
 
 SMOKE_CONFIG = """\
 [synth]
@@ -955,6 +955,32 @@ class TestReadme:
         }
 
 
+class TestPublicNames:
+    def test_every_public_name_is_referenced_in_the_package(self):
+        """The package holds what the pipeline calls; test-only helpers live in tests/.
+
+        A name the stage shim lists as a string counts as referenced.
+        """
+        package = Path(cli.__file__).resolve().parent
+        trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in package.glob("*.py")}
+        used = {name for names in cli._STAGE_NAMES.values() for name in names}
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+        defined = [
+            f"{module}.{node.name}"
+            for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+        ]
+        assert len(defined) > 100
+        assert sorted(name for name in defined if name.split(".")[1] not in used) == []
+
+
 class TestTracingPlan:
     def test_traced_names_are_still_module_attributes(self):
         """perfbench/launch.py wraps these by name; a rename would zero its spans."""
@@ -1110,6 +1136,19 @@ class TestFailureModes:
         with caplog.at_level(logging.ERROR):
             assert cli.main(["ingest", "--config", str(config)]) == 1
         assert f"{path}:{lineno}: not UTF-8 text" in caplog.text
+        assert "Traceback" not in caplog.text
+
+    def test_malformed_prices_csv_exits_one(self, pipeline, tmp_path, caplog):
+        config = _copy(pipeline, tmp_path)
+        path = load_config(config).paths.prices
+        data = path.read_bytes()
+        # The quote stays open until the field outgrows csv's limit.
+        rows = "".join(f"2013-01-{d:02d},T{k},10\n" for k in range(300) for d in range(1, 28))
+        path.write_bytes(data + b'2012-01-02,"AAA,10\n' + rows.encode())
+        lineno = data.count(b"\n") + 1
+        with caplog.at_level(logging.ERROR):
+            assert cli.main(["ingest", "--config", str(config)]) == 1
+        assert f"{path}:{lineno}: field larger than field limit" in caplog.text
         assert "Traceback" not in caplog.text
 
     def test_price_table_with_an_infinite_close_exits_one(

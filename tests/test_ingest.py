@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import csv
 import json
 import random
 import re
@@ -351,6 +352,20 @@ class TestLoadPricesErrors:
         with pytest.raises(ParseError) as caught:
             load_prices(path)
         assert str(caught.value) == f"{path}:3: bad close 'x'"
+
+    @pytest.mark.parametrize(
+        "head, line",
+        [("", 1), ("date,ticker,close\n", 2), ("date,ticker,close\n" + _GOOD, 3)],
+        ids=["header", "first row", "second row"],
+    )
+    def test_malformed_csv_names_the_row(self, tmp_path, head, line):
+        """A quote left open runs on until its field outgrows csv's limit."""
+        rows = "".join(f"2012-01-{d:02d},T{k},10\n" for k in range(300) for d in range(3, 30))
+        path = _write(tmp_path, "p.csv", head + '2012-01-02,"AAA,10\n' + rows)
+        with pytest.raises(ParseError) as caught:
+            load_prices(path)
+        limit = csv.field_size_limit()
+        assert str(caught.value) == f"{path}:{line}: field larger than field limit ({limit})"
 
     @pytest.mark.parametrize("close", ["nan", "NaN", "inf", "+Infinity", "1e999"])
     def test_non_finite_close_names_the_file(self, tmp_path, close):

@@ -22,8 +22,6 @@ from newsmotion.mlp import (
     MlpModel,
     _layers,
     error_rate,
-    init,
-    loss_and_gradients,
     load_model,
     predict_batch,
     save_model,
@@ -32,7 +30,7 @@ from newsmotion.mlp import (
 )
 from newsmotion.sampling import NEGATIVE, POSITIVE
 
-from support import traced_peak
+from support import init, loss_and_gradients, traced_peak
 
 DAY = date(2012, 3, 5)
 
