@@ -24,6 +24,7 @@ import sys
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
+from types import CodeType, FunctionType
 from typing import Callable, Sequence
 
 from . import __version__
@@ -49,12 +50,14 @@ from .manifest import (
 from .tokens import tokenize
 
 # What the unit bodies call from the stage modules, by module. The stage
-# modules load numpy, so they are imported only when a body runs, and a
-# stage that skips stays cheap. perfbench's tracer gets and sets these
-# names as attributes of this module, and tests patch them, so each name
-# also resolves here on first lookup (PEP 562) and a name already bound,
-# a wrapper say, is kept. Delete this shim once the stages count their
-# own work and perfbench no longer wraps them (ROADMAP direction 1(b)).
+# modules load numpy, so a module is imported only when a body that runs
+# reads one of its names, and a stage that skips stays cheap.
+# perfbench's tracer gets and sets these names as attributes of this
+# module, and tests patch them, so each name also resolves here on first
+# lookup (PEP 562), importing only its own module, and a name already
+# bound, a wrapper say, is kept. Delete this shim once the stages count
+# their own work and perfbench no longer wraps them (ROADMAP direction
+# 1(b)).
 _STAGE_NAMES = {
     "codec": ("write_table",),
     "embedding": ("load_embeddings", "save_embeddings", "train_skipgram"),
@@ -110,17 +113,51 @@ _STAGE_NAMES = {
 }
 
 
-def _bind_stage_names() -> None:
-    """Import the stage modules and bind their names here, keeping any bound."""
-    for module, names in _STAGE_NAMES.items():
-        loaded = importlib.import_module(f".{module}", __package__)
-        for name in names:
-            globals().setdefault(name, getattr(loaded, name))
+_OWNER = {name: module for module, names in _STAGE_NAMES.items() for name in names}
+
+
+def _bind_stage_module(module: str) -> None:
+    """Import a stage module and bind its names here, keeping any bound."""
+    loaded = importlib.import_module(f".{module}", __package__)
+    for name in _STAGE_NAMES[module]:
+        globals().setdefault(name, getattr(loaded, name))
+
+
+def _modules_read(func: FunctionType, seen: set[CodeType]) -> set[str]:
+    """The stage modules owning a global name that ``func`` loads.
+
+    The walk takes in the code nested in ``func`` (comprehensions and
+    generator expressions), the functions of this module that it loads,
+    such as `_training_matrices`, and the functions it closes over, such
+    as the body a wrapper calls. ``seen`` holds the code already walked.
+    """
+    import dis  # only a stage that runs a body pays for it
+
+    modules: set[str] = set()
+    calls = [cell.cell_contents for cell in func.__closure__ or ()]
+    codes = [func.__code__]
+    while codes:
+        code = codes.pop()
+        if code in seen:
+            continue
+        seen.add(code)
+        codes.extend(c for c in code.co_consts if isinstance(c, CodeType))
+        for op in dis.get_instructions(code):
+            if op.opname != "LOAD_GLOBAL":
+                continue
+            if op.argval in _OWNER:
+                modules.add(_OWNER[op.argval])
+            elif getattr(globals().get(op.argval), "__module__", None) == __name__:
+                calls.append(globals()[op.argval])
+    for called in calls:
+        if isinstance(called, FunctionType):
+            modules |= _modules_read(called, seen)
+    return modules
 
 
 def __getattr__(name: str):
-    if any(name in names for names in _STAGE_NAMES.values()):
-        _bind_stage_names()
+    if name in _OWNER:
+        _bind_stage_module(_OWNER[name])
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -532,7 +569,8 @@ def _run_unit(
     if not force and _stale(config, unit, digests, answers) is None:
         logger.info("%s: artifacts up to date, skipping", unit)
         return
-    _bind_stage_names()
+    for module in sorted(_modules_read(spec.body, set())):
+        _bind_stage_module(module)
     with replacing(outputs) as temporary:
         spec.body(config, inputs, temporary)
     key = _stage_key(config, unit)

@@ -3,8 +3,10 @@
 A table is leading ``# key=value`` lines, one exact header line, then
 comma-separated rows; JSON lines hold one object per line; a blob is a
 JSON header line, then little-endian float64 values, which load into
-one float64 array that the decoder's arrays view (`unpack`), so a load
-holds its data once. Text is written as
+one array that the decoder's arrays view (`unpack`), so a load holds its
+data once: float64 values are read straight into it, and a load as
+another dtype casts them in as it reads them, a bounded chunk at a time,
+so it holds no float64 copy of its data either. Text is written as
 UTF-8 with ``"\n"`` line ends. Whatever a caller's decoder raises comes
 back as a `ParseError` naming the file and line, and so does a text file
 that is not UTF-8 (`utf8_text`).
@@ -160,19 +162,46 @@ def read_blob(path: str | Path, decode: Callable[[dict, BinaryIO], T]) -> T:
             return decode(header, fh)
 
 
-def unpack(data: BinaryIO, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
-    """The rest of a blob as float64 arrays of the given shapes, in order.
+# A load as another dtype reads this many float64 values at a time.
+_CHUNK = 1 << 15
 
-    The byte count is checked first. The values are then read straight
-    into one float64 array, and the arrays returned are views of it.
+
+def unpack(
+    data: BinaryIO, shapes: Sequence[tuple[int, ...]], dtype="<f8"
+) -> list[np.ndarray]:
+    """The rest of a blob as arrays of ``dtype`` and the given shapes, in order.
+
+    The byte count is checked first. The values are then read into one
+    array of ``dtype``, and the arrays returned are views of it.
     """
     sizes = [math.prod(shape) for shape in shapes]
     expected = 8 * sum(sizes)
     found = os.fstat(data.fileno()).st_size - data.tell()
     if found == expected:
-        values = np.empty(sum(sizes), dtype="<f8")
-        found = data.readinto(values.view(np.uint8))
+        values = np.empty(sum(sizes), dtype=dtype)
+        found = _read_values(data, values)
     if found != expected:
         raise ValueError(f"expected {expected} data bytes, found {found}")
     chunks = np.split(values, np.cumsum(sizes)[:-1])
     return [v.reshape(shape) for v, shape in zip(chunks, shapes)]
+
+
+def _read_values(data: BinaryIO, values: np.ndarray) -> int:
+    """Reads ``<f8`` values into ``values``, cast to its dtype; the bytes read.
+
+    ``<f8`` values are read straight into it; for any other dtype each
+    chunk of at most `_CHUNK` values is read into one float64 buffer and
+    cast in from there.
+    """
+    if values.dtype == np.dtype("<f8"):
+        return data.readinto(values.view(np.uint8))
+    buffer = np.empty(min(values.size, _CHUNK), dtype="<f8")
+    found = 0
+    for at in range(0, values.size, _CHUNK):
+        chunk = buffer[: values.size - at]
+        read = data.readinto(chunk.view(np.uint8))
+        found += read
+        if read != chunk.nbytes:
+            break
+        values[at : at + chunk.size] = chunk
+    return found

@@ -5,10 +5,11 @@ A feature vector is the concatenation of four blocks in `BLOCK_ORDER`:
 (bag-of-keywords), one signed polarity component per keyword, and one
 log-count per event category. The featurizer always fills all four; a
 subset of blocks is a column slice of that matrix, and `block_columns`
-is the one place that computes a subset's layout and columns, in the
-dtype the caller asks for (`slice_blocks` for float64 matrices,
-`mlp.train` for its float32 training rows); it copies only when the
-columns are not already ``x`` itself.
+is the one place that computes a subset's layout and where its columns
+sit in the full rows. `slice_blocks` copies those columns into float64
+rows, unless they are the matrix's own float64 rows, and `mlp.train`
+gathers each mini-batch's share of them straight from the full rows, so
+training makes no copy of a subset.
 Prices are z-scored with each ticker's training-window mean and std,
 which only this module computes. The three news blocks are counts over
 the same tokens, so each sentence is tokenized once and that one walk
@@ -312,39 +313,44 @@ def block_set(blocks: Iterable[str]) -> tuple[str, ...]:
 
 
 def block_columns(
-    x: np.ndarray, layout: FeatureLayout, blocks: Iterable[str], dtype=np.float64
-) -> tuple[FeatureLayout, np.ndarray]:
-    """The layout of a subset of ``layout``'s blocks, and those columns of ``x``.
+    layout: FeatureLayout, blocks: Iterable[str]
+) -> tuple[FeatureLayout, list[tuple[slice, slice]]]:
+    """The layout of a subset of ``layout``'s blocks, and where its columns sit.
 
-    ``x`` holds rows of ``layout``. The columns come back as one C-ordered
-    array of ``dtype``. That is ``x`` itself when the blocks are all of
-    ``layout``'s and ``x`` already is such an array; otherwise each block
-    is cast as it is copied in, so no other copy of the columns is made.
-    A block ``layout`` lacks is rejected.
+    Each ``(src, dst)`` pair is a run of blocks adjacent in both layouts:
+    a row of the subset holds columns ``src`` of a row of ``layout`` as
+    its columns ``dst``. A block ``layout`` lacks is rejected.
     """
     ordered = block_set(blocks)
     missing = set(ordered) - set(layout.blocks)
     if missing:
         raise ValidationError(f"matrix does not contain blocks {sorted(missing)}")
-    if ordered == layout.blocks and x.dtype == dtype and x.flags.c_contiguous:
-        return layout, x
     sub = FeatureLayout(blocks=ordered, k=layout.k, n_categories=layout.n_categories)
-    out = np.empty((x.shape[0], sub.dimension), dtype=dtype)
     offsets = layout.offsets()
+    runs: list[tuple[slice, slice]] = []
     for name, (at, stop) in sub.offsets().items():
         start = offsets[name][0]
-        out[:, at:stop] = x[:, start : start + stop - at]
-    return sub, out
+        if runs and runs[-1][0].stop == start:
+            src, dst = runs.pop()
+            start, at = src.start, dst.start
+        runs.append((slice(start, start + stop - at), slice(at, stop)))
+    return sub, runs
 
 
 def slice_blocks(matrix: FeatureMatrix, blocks: Sequence[str]) -> FeatureMatrix:
     """Project a matrix onto a subset of its blocks, preserving row metadata.
 
-    Lets one full featurization pass serve every block combination; the
-    columns are a float64 copy from `block_columns`, or on the full
-    layout of float64 rows the matrix's own ``x``.
+    Lets one full featurization pass serve every block combination. The
+    rows are one C-ordered float64 array: the matrix's own ``x`` when it
+    already is that array of the whole layout, else a copy of the blocks'
+    columns, each cast as it is copied in.
     """
-    sub, x = block_columns(matrix.x, matrix.layout, blocks)
+    sub, runs = block_columns(matrix.layout, blocks)
+    x = matrix.x
+    if sub != matrix.layout or x.dtype != np.float64 or not x.flags.c_contiguous:
+        x = np.empty((len(matrix), sub.dimension))
+        for src, dst in runs:
+            x[:, dst] = matrix.x[:, src]
     return FeatureMatrix(
         layout=sub,
         tickers=list(matrix.tickers),
@@ -368,10 +374,7 @@ def write_feature_matrix(matrix: FeatureMatrix, path: str | Path) -> None:
 
 def _feature_matrix(dtype, header: dict, data: BinaryIO) -> FeatureMatrix:
     layout = FeatureLayout.from_dict(header["layout"])
-    # A float64 array that is cast is freed as soon as its cast exists.
-    x = unpack(data, [(int(header["rows"]), layout.dimension)])[0].astype(
-        dtype, copy=False
-    )
+    (x,) = unpack(data, [(int(header["rows"]), layout.dimension)], dtype)
     return FeatureMatrix(
         layout=layout,
         tickers=list(header["tickers"]),
@@ -384,7 +387,8 @@ def _feature_matrix(dtype, header: dict, data: BinaryIO) -> FeatureMatrix:
 def load_feature_matrix(path: str | Path, dtype=np.float64) -> FeatureMatrix:
     """The matrix `write_feature_matrix` wrote, its rows as ``dtype``.
 
-    The rows load as float64, once; any other ``dtype`` is one cast of
-    them, after which the float64 rows are dropped.
+    The rows are read into one array of ``dtype``. As any other dtype
+    than float64 they are cast as they are read, so the load holds no
+    float64 copy of them (`codec.unpack`).
     """
     return read_blob(path, partial(_feature_matrix, dtype))

@@ -8,17 +8,21 @@ Activations are feature-major, (units, rows), so every layer is one
 ``w @ a`` product (`_layers`), in training and in scoring alike.
 
 `train` computes in float32. It takes the full train and validation
-matrices, float64 or float32, and the blocks to train on. Every
-mini-batch is gathered from one row-major float32 array of just those
-blocks' columns, from `features.block_columns`: the train matrix's own
-rows when they are float32 and the blocks are all of them, else one
-cast copy; the matrices themselves are only read. Every weight and
-bias lives in one flat float32 buffer, viewed per layer, that each
+matrices, float64 or float32, and the blocks to train on, and only
+reads them: each mini-batch gathers its rows' columns of those blocks
+(`features.block_columns`) straight from the train matrix, cast to
+float32 as they are copied into the batch buffer, so no copy of a
+block subset is made. Every weight and bias lives in one flat float32
+buffer, each layer's ``[w | b]`` one contiguous run of it, that each
 layer's float64 Glorot draw (`_glorot`) is rounded into as it is made,
-so no float64 copy of the model is held. Each step updates every
-parameter with one ``grads *= lr; params -= grads`` and the best-epoch
-snapshot is one copy. `_step`, the step `train` takes on each
-mini-batch, computes in the dtype of the weights it is given, so the
+so no float64 copy of the model is held. `_step`, the step `train`
+takes on each mini-batch, writes one layer's gradient at a time into
+one buffer the size of the largest layer, and hands it on once the
+error has been carried back through that layer's weights; `train`
+then updates the layer with ``g *= lr; p -= g``. So training holds the
+parameters, the best-epoch snapshot and one layer's gradient, and each
+parameter takes the same update as from a whole-model gradient.
+`_step` computes in the dtype of the weights it is given, so the
 tests' gradient oracle runs the same step on a float64 model in
 float64. Validation inside `train` scores in float32. Final scoring,
 `predict_batch`, is float64: numpy upcasts float32 weights exactly
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -142,9 +146,18 @@ def _step(
     l2: float,
     grad_w: Sequence[np.ndarray],
     grad_b: Sequence[np.ndarray],
+    apply: Callable[[int], None],
     out: Sequence[np.ndarray] | None = None,
 ) -> float:
-    """Loss of a feature-major batch ``a``; writes the gradients into grad_w, grad_b."""
+    """Loss of a feature-major batch ``a``; writes and applies each layer's gradients.
+
+    From the last layer back, layer i's gradients are written into
+    ``grad_w[i]`` and ``grad_b[i]``, the error is carried back through
+    ``weights[i]``, and only then is ``apply(i)`` called. So ``apply``
+    may update layer i in place, every gradient is still that of the
+    weights the batch was scored with, and the layers' gradient buffers
+    may share memory.
+    """
     n = a.shape[1]
     activations = [a, *_layers(weights, biases, a, out)]
     z = activations[-1]
@@ -167,6 +180,7 @@ def _step(
         if i > 0:
             delta = weights[i].T @ delta
             delta *= activations[i] > 0
+        apply(i)
     return loss
 
 
@@ -196,6 +210,18 @@ def _views(
     return weights, biases
 
 
+def _gather(
+    out: np.ndarray,
+    x: np.ndarray,
+    rows: np.ndarray | slice,
+    runs: Sequence[tuple[slice, slice]],
+) -> None:
+    """Writes ``rows`` of ``x``, in the column runs of `features.block_columns`,
+    feature-major into ``out``, cast to its dtype as they are copied."""
+    for src, dst in runs:
+        np.copyto(out[dst], x[rows, src].T)
+
+
 def train(
     train_matrix: FeatureMatrix,
     valid_matrix: FeatureMatrix,
@@ -206,10 +232,9 @@ def train(
 
     ``blocks`` names the feature blocks to train on, all of the matrices'
     by default; the model's layout is theirs. The matrices, float64 or
-    float32, are only read: training casts those blocks' columns to
-    float32 once, and takes float32 rows of every block as they are. A
-    float32 matrix trains the same model, byte for byte, as the float64
-    matrix it was cast from.
+    float32, are only read: each batch casts its rows' columns of those
+    blocks to float32 as it gathers them. A float32 matrix trains the
+    same model, byte for byte, as the float64 matrix it was cast from.
     Records per-epoch train loss and validation error in model metadata.
     Raises TrainingDiverged on non-finite loss.
     """
@@ -218,22 +243,28 @@ def train(
     if train_matrix.layout != valid_matrix.layout:
         raise ValidationError("train and validation feature layouts differ")
     blocks = train_matrix.layout.blocks if blocks is None else blocks
-    layout, x_train = block_columns(
-        train_matrix.x, train_matrix.layout, blocks, np.float32
-    )
+    layout, runs = block_columns(train_matrix.layout, blocks)
     # class 0 is up, class 1 is down
     y_train = (np.asarray(train_matrix.labels) != POSITIVE).astype(np.int64)
-    _, x_valid = block_columns(valid_matrix.x, valid_matrix.layout, blocks, np.float32)
-    x_valid = np.ascontiguousarray(x_valid.T)
+    x_valid = np.empty((layout.dimension, len(valid_matrix)), dtype=np.float32)
+    _gather(x_valid, valid_matrix.x, slice(None), runs)
     valid_labels = np.asarray(valid_matrix.labels)
 
     dims = (layout.dimension, *config.hidden, 2)
-    params = np.zeros(sum(m * (n + 1) for n, m in zip(dims, dims[1:])), np.float32)
+    sizes = [m * (n + 1) for n, m in zip(dims, dims[1:])]
+    params = np.zeros(sum(sizes), np.float32)
     weights, biases = _views(params, dims)
-    for w, draw in zip(weights, _glorot(dims, config.seed)):
-        w[...] = draw
-    grads = np.empty_like(params)
-    grad_w, grad_b = _views(grads, dims)
+    # each draw is freed before the next is made
+    draws = _glorot(dims, config.seed)
+    for w in weights:
+        w[...] = next(draws)
+    # each layer's [w | b] run of params, and its gradient in that order
+    # at the front of one buffer the size of the largest layer
+    layer_params = np.split(params, np.cumsum(sizes)[:-1])
+    grad = np.empty(max(sizes), np.float32)
+    layer_grads = [grad[:size] for size in sizes]
+    grad_w = [grad[: w.size].reshape(w.shape) for w in weights]
+    grad_b = [grad[w.size : w.size + len(b)] for w, b in zip(weights, biases)]
     best_params = params.copy()
     # the input and each layer of a batch; m rows use the first m * units
     buffers = [np.empty(d * config.batch_size, dtype=np.float32) for d in dims]
@@ -241,8 +272,13 @@ def train(
     def batch_views(m: int) -> list[np.ndarray]:
         return [buf[: d * m].reshape(d, m) for buf, d in zip(buffers, dims)]
 
+    def update(i: int) -> None:
+        g = layer_grads[i]
+        g *= lr
+        layer_params[i] -= g
+
     rng = np.random.default_rng(config.seed)
-    n = x_train.shape[0]
+    n = len(train_matrix)
     train_losses: list[float] = []
     valid_errors: list[float] = []
     best_error = np.inf
@@ -255,16 +291,16 @@ def train(
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
             a, *out = batch_views(len(batch))
-            np.copyto(a, x_train[batch].T)
+            _gather(a, train_matrix.x, batch, runs)
             y = y_train[batch]
-            loss = _step(weights, biases, a, y, config.l2, grad_w, grad_b, out)
+            loss = _step(
+                weights, biases, a, y, config.l2, grad_w, grad_b, update, out
+            )
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss {loss} at epoch {epoch}, batch start {start}; "
                     f"lower the learning rate"
                 )
-            grads *= lr
-            params -= grads
             epoch_loss += loss * len(batch)
         train_losses.append(epoch_loss / n)
         error = error_rate(_confidences(weights, biases, x_valid), valid_labels)

@@ -1008,6 +1008,48 @@ class TestTracingPlan:
         listed = {name for names in cli._STAGE_NAMES.values() for name in names}
         assert sorted(listed - read) == []
 
+    @pytest.mark.parametrize("stage", ["synth", "embed"])
+    def test_a_stage_imports_only_the_modules_its_body_reads(
+        self, pipeline, tmp_path, stage
+    ):
+        config = _copy(pipeline, tmp_path)
+        script = (
+            "import sys\n"
+            "from newsmotion import cli\n"
+            "assert cli.main([sys.argv[1], '--config', sys.argv[2], '--force']) == 0\n"
+            "print(' '.join(sorted(sys.modules)))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, stage, str(config)],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        loaded = set(done.stdout.split())
+        own = {"synth": "newsmotion.synth", "embed": "newsmotion.embedding"}[stage]
+        assert own in loaded
+        unread = {"newsmotion.mlp", "newsmotion.features", "newsmotion.evaluation"}
+        assert sorted(unread & loaded) == []
+
+    def test_a_name_looked_up_here_imports_only_its_own_module(self):
+        script = (
+            "import sys\n"
+            "from newsmotion import cli\n"
+            "cli.generate_synthetic_fixture\n"
+            "print(' '.join(sorted(sys.modules)))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        loaded = set(done.stdout.split())
+        assert "newsmotion.synth" in loaded
+        assert "newsmotion.mlp" not in loaded and "newsmotion.evaluation" not in loaded
+
     def test_unknown_names_are_not_module_attributes(self):
         assert not hasattr(cli, "no_such_stage_function")
         with pytest.raises(AttributeError, match="no_such_stage_function"):

@@ -198,6 +198,21 @@ class TestRunAblation:
         # float64 copy of the subset (0.997 of x.nbytes) does not fit.
         assert peak < 0.75 * train_m.x.nbytes
 
+    def test_float32_training_rows_make_no_block_subset_copy(self):
+        train32 = _float32(_all_blocks_matrix(2000, seed=73, k=300))  # 614 columns
+        small = _all_blocks_matrix(50, seed=74, k=300)
+        config = TrainConfig(hidden=(4,), batch_size=64, epochs=1, seed=3)
+        blocks = ("price", "bok", "ps")
+        report, peak = traced_peak(
+            lambda: run_ablation(train32, small, small, [blocks], config)
+        )
+        assert report.rows[0].status == OK
+        # Each batch gathers its rows' 612 columns from train32.x itself;
+        # the batches, the validation and test rows and the model take
+        # about a tenth of train32.x.nbytes. A float32 copy of the subset
+        # (0.997 of train32.x.nbytes) does not fit.
+        assert peak < 0.25 * train32.x.nbytes
+
     def test_no_row_model_is_held_while_the_next_row_trains(self):
         matrix = _all_blocks_matrix(8, seed=75, k=30)  # 74 columns
         config = TrainConfig(hidden=(10000,), batch_size=4, epochs=1, seed=4)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from datetime import date, timedelta
@@ -9,7 +10,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from newsmotion import features, tokens
+from newsmotion import codec, features, tokens
 from newsmotion.errors import ParseError, ValidationError
 from newsmotion.evaluation import DEFAULT_COMBINATIONS
 from newsmotion.features import (
@@ -498,35 +499,72 @@ class TestSliceBlocks:
 class TestBlockColumns:
     LAYOUT = FeatureLayout(BLOCK_ORDER, k=3, n_categories=4)
 
+    def _matrix(self, x: np.ndarray) -> FeatureMatrix:
+        n = x.shape[0]
+        return FeatureMatrix(
+            layout=self.LAYOUT,
+            tickers=["AAA"] * n,
+            dates=[DAY + timedelta(days=i) for i in range(n)],
+            labels=[POSITIVE] * n,
+            x=x,
+        )
+
     def _x(self, dtype=np.float64) -> np.ndarray:
         rng = np.random.default_rng(31)
         return rng.normal(size=(6, self.LAYOUT.dimension)).astype(dtype)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_the_full_layout_in_its_own_dtype_is_x_itself(self, dtype):
-        x = self._x(dtype)
-        layout, out = block_columns(x, self.LAYOUT, BLOCK_ORDER, dtype)
+    def test_the_full_layout_is_one_run_of_every_column(self):
+        layout, runs = block_columns(self.LAYOUT, BLOCK_ORDER)
+        width = self.LAYOUT.dimension
         assert layout == self.LAYOUT
-        assert out is x
+        assert runs == [(slice(0, width), slice(0, width))]
+
+    def test_blocks_adjacent_in_both_layouts_share_a_run(self):
+        # price 0:12, bok 12:15, ps 15:18, ct 18:22
+        layout, runs = block_columns(self.LAYOUT, ("price", "bok", "ct"))
+        assert layout == FeatureLayout(("price", "bok", "ct"), k=3, n_categories=4)
+        assert runs == [(slice(0, 15), slice(0, 15)), (slice(18, 22), slice(15, 19))]
+        _, runs = block_columns(self.LAYOUT, ("bok", "ps", "ct"))
+        assert runs == [(slice(12, 22), slice(0, 10))]
+
+    @pytest.mark.parametrize("blocks", DEFAULT_COMBINATIONS)
+    def test_runs_place_each_block_where_the_layouts_put_it(self, blocks):
+        layout, runs = block_columns(self.LAYOUT, blocks)
+        full, sub = self.LAYOUT.offsets(), layout.offsets()
+        want = [
+            (c, c - full[b][0] + sub[b][0]) for b in blocks for c in range(*full[b])
+        ]
+        got = [
+            pair
+            for src, dst in runs
+            for pair in zip(range(src.start, src.stop), range(dst.start, dst.stop))
+        ]
+        assert got == want
+
+    def test_the_full_layout_of_float64_rows_is_x_itself(self):
+        x = self._x()
+        sliced = slice_blocks(self._matrix(x), BLOCK_ORDER)
+        assert sliced.layout == self.LAYOUT
+        assert sliced.x is x
 
     def test_a_subset_is_a_copy(self):
         x = self._x()
-        layout, out = block_columns(x, self.LAYOUT, ("price", "bok", "ps"))
-        assert layout.blocks == ("price", "bok", "ps")
-        assert not np.shares_memory(out, x)
-        assert np.array_equal(out, x[:, : layout.dimension])
+        sliced = slice_blocks(self._matrix(x), ("price", "bok", "ps"))
+        assert sliced.layout.blocks == ("price", "bok", "ps")
+        assert not np.shares_memory(sliced.x, x)
+        assert np.array_equal(sliced.x, x[:, : sliced.layout.dimension])
 
-    def test_another_dtype_is_a_cast_copy(self):
-        x = self._x()
-        _, out = block_columns(x, self.LAYOUT, BLOCK_ORDER, np.float32)
-        assert out.dtype == np.float32 and not np.shares_memory(out, x)
-        assert out.tobytes() == x.astype(np.float32).tobytes()
+    def test_float32_rows_are_a_float64_cast_copy(self):
+        x = self._x(np.float32)
+        sliced = slice_blocks(self._matrix(x), BLOCK_ORDER)
+        assert sliced.x.dtype == np.float64 and not np.shares_memory(sliced.x, x)
+        assert sliced.x.tobytes() == x.astype(np.float64).tobytes()
 
     def test_rows_not_in_c_order_are_copied_into_c_order(self):
         x = np.asfortranarray(self._x())
-        _, out = block_columns(x, self.LAYOUT, BLOCK_ORDER)
-        assert out.flags.c_contiguous and not np.shares_memory(out, x)
-        assert np.array_equal(out, x)
+        sliced = slice_blocks(self._matrix(x), BLOCK_ORDER)
+        assert sliced.x.flags.c_contiguous and not np.shares_memory(sliced.x, x)
+        assert np.array_equal(sliced.x, x)
 
 
 class TestFeatureMatrixFile:
@@ -570,6 +608,47 @@ class TestFeatureMatrixFile:
         # The rows are read into one array of x.nbytes; the header and
         # the row metadata take the rest. A second copy does not fit.
         assert peak < 1.1 * matrix.x.nbytes
+
+    def test_a_float32_load_holds_no_float64_copy(self, tmp_path):
+        layout = FeatureLayout(BLOCK_ORDER, k=1000, n_categories=10)  # 2022 columns
+        n = 2000
+        matrix = FeatureMatrix(
+            layout=layout,
+            tickers=[f"T{i % 50}" for i in range(n)],
+            dates=[DAY + timedelta(days=i % 300) for i in range(n)],
+            labels=[POSITIVE if i % 2 else NEGATIVE for i in range(n)],
+            x=np.random.default_rng(33).normal(size=(n, layout.dimension)),
+        )
+        path = tmp_path / "features.bin"
+        write_feature_matrix(matrix, path)
+        loaded, peak = traced_peak(lambda: load_feature_matrix(path, np.float32))
+        rows = matrix.x.astype(np.float32)
+        assert loaded.x.tobytes() == rows.tobytes()
+        # The rows are read into one float32 array, through one float64
+        # chunk buffer; the header and the row metadata take the rest.
+        # The float64 rows (2 x rows.nbytes) do not fit beside them.
+        assert peak < 1.1 * rows.nbytes
+
+    @pytest.mark.parametrize("cut", [8, 3])
+    def test_a_float32_load_names_the_same_byte_counts(self, tmp_path, cut):
+        matrix = self._matrix()
+        path = tmp_path / "features.bin"
+        write_feature_matrix(matrix, path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ParseError) as caught:
+            load_feature_matrix(path, np.float32)
+        size = matrix.x.nbytes
+        assert str(caught.value) == (
+            f"{path}: expected {size} data bytes, found {size - cut}"
+        )
+
+    def test_a_short_chunked_read_counts_the_bytes_it_read(self, monkeypatch):
+        monkeypatch.setattr(codec, "_CHUNK", 4)
+        values = np.arange(10.0)
+        data = io.BytesIO(values.astype("<f8").tobytes()[:-3])
+        out = np.zeros(10, dtype=np.float32)
+        assert codec._read_values(data, out) == 77
+        assert out.tolist() == [*range(8), 0.0, 0.0]
 
     def test_float32_rows_are_the_cast_of_the_file_rows(self, tmp_path):
         matrix = self._matrix()

@@ -12,14 +12,17 @@ import pytest
 from newsmotion.config import TrainConfig
 from newsmotion.errors import TrainingDiverged, ValidationError, ParseError
 from newsmotion.features import (
+    BLOCK_ORDER,
     FeatureLayout,
     FeatureMatrix,
     load_feature_matrix,
+    slice_blocks,
     write_feature_matrix,
 )
 from newsmotion.graph import DOWN, UP
 from newsmotion.mlp import (
     MlpModel,
+    _confidences,
     _layers,
     error_rate,
     load_model,
@@ -84,6 +87,80 @@ def _longest_stall(errors: list[float]) -> int:
         run = 0 if error < best else run + 1
         best, longest = min(best, error), max(longest, run)
     return longest
+
+
+def _all_blocks(n: int, seed: int) -> FeatureMatrix:
+    """Every block, k = 3 and 2 categories; the first price column carries the label."""
+    rng = np.random.default_rng(seed)
+    layout = FeatureLayout(BLOCK_ORDER, k=3, n_categories=2)
+    x = rng.normal(size=(n, layout.dimension))
+    labels = [POSITIVE if v > 0 else NEGATIVE for v in x[:, 0] + 0.5 * x[:, 1]]
+    return FeatureMatrix(
+        layout=layout,
+        tickers=[f"T{i}" for i in range(n)],
+        dates=[DAY + timedelta(days=i) for i in range(n)],
+        labels=labels,
+        x=x,
+    )
+
+
+def _reference_train(
+    train_m: FeatureMatrix,
+    valid_m: FeatureMatrix,
+    config: TrainConfig,
+    blocks: tuple[str, ...],
+) -> MlpModel:
+    """`train` with a whole-model step: every layer's gradient of a batch
+    from `loss_and_gradients`, then one ``g *= lr; p -= g`` over one
+    buffer of every parameter. Rows come from `slice_blocks`."""
+    train_m, valid_m = slice_blocks(train_m, blocks), slice_blocks(valid_m, blocks)
+    dims = (train_m.layout.dimension, *config.hidden, 2)
+    model = init(dims, config.seed, train_m.layout)
+    layers = [p for w, b in zip(model.weights, model.biases) for p in (w, b)]
+    shapes = [p.shape for p in layers]
+    params = np.concatenate([p.ravel() for p in layers]).astype(np.float32)
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    views = [v.reshape(s) for v, s in zip(np.split(params, ends[:-1]), shapes)]
+    model.weights, model.biases = views[0::2], views[1::2]
+    grads = np.empty_like(params)
+    y = (np.asarray(train_m.labels) != POSITIVE).astype(np.int64)
+    x_valid = np.ascontiguousarray(valid_m.x.T, dtype=np.float32)
+    rng = np.random.default_rng(config.seed)
+    best, best_error, best_epoch, since_best = params.copy(), math.inf, -1, 0
+    losses, errors = [], []
+    for epoch in range(config.epochs):
+        lr = config.learning_rate * config.decay ** (epoch // config.decay_every)
+        order = rng.permutation(len(train_m))
+        total = 0.0
+        for start in range(0, len(train_m), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            loss, grad_w, grad_b = loss_and_gradients(
+                model, train_m.x[batch], y[batch], config.l2
+            )
+            parts = [g.ravel() for gw, gb in zip(grad_w, grad_b) for g in (gw, gb)]
+            np.concatenate(parts, out=grads)
+            grads *= lr
+            params -= grads
+            total += loss * len(batch)
+        losses.append(total / len(train_m))
+        confidences = _confidences(model.weights, model.biases, x_valid)
+        errors.append(error_rate(confidences, valid_m.labels))
+        if errors[-1] < best_error:
+            best_error, best_epoch, since_best = errors[-1], epoch, 0
+            np.copyto(best, params)
+        else:
+            since_best += 1
+            if config.patience and since_best >= config.patience:
+                break
+    np.copyto(params, best)
+    model.metadata = {
+        "seed": config.seed,
+        "epochs_run": len(losses),
+        "best_epoch": best_epoch,
+        "train_losses": losses,
+        "validation_errors": errors,
+    }
+    return model
 
 
 def _zero_model(dims: tuple[int, ...]) -> MlpModel:
@@ -406,6 +483,39 @@ class TestTrain:
         # 12 bytes per parameter; 4 more cover the activations and the
         # rest. A float64 copy of the weights (8 bytes each) does not fit.
         assert peak < 16 * n_params
+
+    @pytest.mark.parametrize("l2", [0.0, 0.02])
+    @pytest.mark.parametrize("blocks", [BLOCK_ORDER, ("price", "ps", "ct")])
+    def test_training_saves_the_bytes_of_a_whole_buffer_step(
+        self, tmp_path, l2, blocks
+    ):
+        # 70 rows in batches of 16 leave a last batch of 6; patience 3
+        # stops the run early
+        train_m = _all_blocks(70, seed=90)
+        valid_m = _all_blocks(40, seed=91)
+        config = TrainConfig(
+            hidden=(7, 6, 5), learning_rate=0.4, batch_size=16, epochs=25,
+            decay_every=4, l2=l2, patience=3, seed=11,
+        )
+        paths = [tmp_path / "train.bin", tmp_path / "reference.bin"]
+        model = train(train_m, valid_m, config, blocks)
+        assert model.metadata["epochs_run"] < config.epochs
+        save_model(model, paths[0])
+        save_model(_reference_train(train_m, valid_m, config, blocks), paths[1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_peak_holds_one_layer_of_gradients(self):
+        matrix = _separable(8, 64, seed=51)
+        config = TrainConfig(hidden=(1000, 1000, 1000), batch_size=4, epochs=1, seed=7)
+        dims = (64, 1000, 1000, 1000, 2)
+        sizes = [m * (n + 1) for n, m in zip(dims, dims[1:])]
+        _, peak = traced_peak(lambda: train(matrix, matrix, config))
+        # The float32 parameters and best-epoch snapshot take 8 bytes per
+        # parameter, and the gradient 4 per parameter of the largest
+        # layer; 1 MiB covers the activations, the rows and the rest. A
+        # whole-model gradient (4 bytes per parameter, 4.3 MB more here)
+        # does not fit, nor do two float64 Glorot draws held at once.
+        assert peak < 4 * (2 * sum(sizes) + max(sizes)) + 2**20
 
     def test_mismatched_layouts_rejected(self):
         a = _separable(20, 3, seed=47)
