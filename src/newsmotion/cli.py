@@ -24,7 +24,6 @@ import sys
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from types import CodeType, FunctionType
 from typing import Callable, Sequence
 
 from . import __version__
@@ -50,14 +49,13 @@ from .manifest import (
 from .tokens import tokenize
 
 # What the unit bodies call from the stage modules, by module. The stage
-# modules load numpy, so a module is imported only when a body that runs
-# reads one of its names, and a stage that skips stays cheap.
-# perfbench's tracer gets and sets these names as attributes of this
-# module, and tests patch them, so each name also resolves here on first
-# lookup (PEP 562), importing only its own module, and a name already
-# bound, a wrapper say, is kept. Delete this shim once the stages count
-# their own work and perfbench no longer wraps them (ROADMAP direction
-# 1(b)).
+# modules load numpy, so this module imports none of them: a body reads
+# each name as an attribute of this module (`_here.train`), and the module
+# `__getattr__` (PEP 562) imports the name's own module on first use. A
+# name set on this module, a perfbench tracer wrapper or a test's patch
+# say, is found before `__getattr__`, so it is the one every body calls.
+# The table goes once perfbench wraps the stage modules themselves
+# (ROADMAP direction 8).
 _STAGE_NAMES = {
     "codec": ("write_table",),
     "embedding": ("load_embeddings", "save_embeddings", "train_skipgram"),
@@ -116,51 +114,15 @@ _STAGE_NAMES = {
 _OWNER = {name: module for module, names in _STAGE_NAMES.items() for name in names}
 
 
-def _bind_stage_module(module: str) -> None:
-    """Import a stage module and bind its names here, keeping any bound."""
-    loaded = importlib.import_module(f".{module}", __package__)
-    for name in _STAGE_NAMES[module]:
-        globals().setdefault(name, getattr(loaded, name))
-
-
-def _modules_read(func: FunctionType, seen: set[CodeType]) -> set[str]:
-    """The stage modules owning a global name that ``func`` loads.
-
-    The walk takes in the code nested in ``func`` (comprehensions and
-    generator expressions), the functions of this module that it loads,
-    such as `_training_matrices`, and the functions it closes over, such
-    as the body a wrapper calls. ``seen`` holds the code already walked.
-    """
-    import dis  # only a stage that runs a body pays for it
-
-    modules: set[str] = set()
-    calls = [cell.cell_contents for cell in func.__closure__ or ()]
-    codes = [func.__code__]
-    while codes:
-        code = codes.pop()
-        if code in seen:
-            continue
-        seen.add(code)
-        codes.extend(c for c in code.co_consts if isinstance(c, CodeType))
-        for op in dis.get_instructions(code):
-            if op.opname != "LOAD_GLOBAL":
-                continue
-            if op.argval in _OWNER:
-                modules.add(_OWNER[op.argval])
-            elif getattr(globals().get(op.argval), "__module__", None) == __name__:
-                calls.append(globals()[op.argval])
-    for called in calls:
-        if isinstance(called, FunctionType):
-            modules |= _modules_read(called, seen)
-    return modules
-
-
 def __getattr__(name: str):
     if name in _OWNER:
-        _bind_stage_module(_OWNER[name])
-        return globals()[name]
+        return getattr(importlib.import_module(f".{_OWNER[name]}", __package__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
+
+# This module as run: `__main__` under `python -m newsmotion.cli`, where
+# `from . import cli` would load a second copy.
+_here = sys.modules[__name__]
 
 logger = logging.getLogger(__name__)
 
@@ -170,7 +132,7 @@ SKIPPED_HEADER = "split,ticker,date,reason"
 
 
 def _synth(config, inputs, outputs) -> None:
-    summary = generate_synthetic_fixture(
+    summary = _here.generate_synthetic_fixture(
         config.synth, outputs["articles"], outputs["prices"], outputs["aliases"]
     )
     logger.info(
@@ -183,17 +145,18 @@ def _synth(config, inputs, outputs) -> None:
 
 
 def _prices(config, inputs, outputs) -> None:
-    write_price_table(load_prices(inputs["prices"]), outputs["prices.bin"])
+    _here.write_price_table(_here.load_prices(inputs["prices"]), outputs["prices.bin"])
 
 
 def _ingest(config, inputs, outputs) -> None:
-    matcher = AliasMatcher(load_aliases(inputs["aliases"]))
-    prices = load_price_table(inputs["prices.bin"])
-    sentences = extract_sentences(load_articles(inputs["articles"]), matcher)
-    samples = build_samples(sentences, prices)
-    split = split_by_date(samples, config.dates.train_end, config.dates.valid_end)
+    matcher = _here.AliasMatcher(_here.load_aliases(inputs["aliases"]))
+    prices = _here.load_price_table(inputs["prices.bin"])
+    articles = _here.load_articles(inputs["articles"])
+    sentences = _here.extract_sentences(articles, matcher)
+    samples = _here.build_samples(sentences, prices)
+    split = _here.split_by_date(samples, config.dates.train_end, config.dates.valid_end)
     for name, rows in zip(_SPLITS, (split.train, split.validation, split.test)):
-        write_samples(rows, outputs[f"samples_{name}.jsonl"])
+        _here.write_samples(rows, outputs[f"samples_{name}.jsonl"])
     with outputs["corpus.txt"].open("w", encoding="utf-8", newline="\n") as fh:
         for sentence in sentences:
             if sentence.article_date <= config.dates.train_end:
@@ -212,8 +175,8 @@ def _ingest(config, inputs, outputs) -> None:
 def _embed(config, inputs, outputs) -> None:
     with inputs["corpus.txt"].open("r", encoding="utf-8") as fh:
         sentences = [tokens for tokens in (tokenize(line) for line in fh) if tokens]
-    table = train_skipgram(sentences, config.embedding)
-    save_embeddings(table, outputs["embeddings.txt"])
+    table = _here.train_skipgram(sentences, config.embedding)
+    _here.save_embeddings(table, outputs["embeddings.txt"])
     logger.info(
         "embed: %d sentences -> %d words x %d dims",
         len(sentences),
@@ -223,15 +186,17 @@ def _embed(config, inputs, outputs) -> None:
 
 
 def _lexicon(config, inputs, outputs) -> None:
-    table = load_embeddings(inputs["embeddings.txt"])
-    train_samples = load_samples(inputs["samples_train.jsonl"])
-    keywords = build_keyword_lexicon(table, train_samples, k=config.lexicon.keywords)
-    category_seeds = load_category_seeds(inputs.get("category_seeds"))
-    categories = build_category_lexicon(
+    table = _here.load_embeddings(inputs["embeddings.txt"])
+    train_samples = _here.load_samples(inputs["samples_train.jsonl"])
+    keywords = _here.build_keyword_lexicon(
+        table, train_samples, k=config.lexicon.keywords
+    )
+    category_seeds = _here.load_category_seeds(inputs.get("category_seeds"))
+    categories = _here.build_category_lexicon(
         table, category_seeds, m=config.lexicon.category_words
     )
-    write_keyword_lexicon(keywords, outputs["keywords.csv"])
-    write_category_lexicon(categories, outputs["categories.csv"])
+    _here.write_keyword_lexicon(keywords, outputs["keywords.csv"])
+    _here.write_category_lexicon(categories, outputs["categories.csv"])
     logger.info(
         "lexicon: %d keywords, %d categories x up to %d words",
         len(keywords),
@@ -241,17 +206,19 @@ def _lexicon(config, inputs, outputs) -> None:
 
 
 def _featurize(config, inputs, outputs) -> None:
-    keywords = load_keyword_lexicon(inputs["keywords.csv"])
-    categories = load_category_lexicon(inputs["categories.csv"])
-    prices = load_price_table(inputs["prices.bin"])
-    stats = training_stats(
+    keywords = _here.load_keyword_lexicon(inputs["keywords.csv"])
+    categories = _here.load_category_lexicon(inputs["categories.csv"])
+    prices = _here.load_price_table(inputs["prices.bin"])
+    stats = _here.training_stats(
         prices, DateRange(config.dates.train_start, config.dates.train_end)
     )
     skipped_rows: list[tuple[str, str, str, str]] = []
     for split_name in _SPLITS:
-        samples = load_samples(inputs[f"samples_{split_name}.jsonl"])
-        matrix, skipped = featurize_samples(samples, prices, stats, keywords, categories)
-        write_feature_matrix(matrix, outputs[f"features_{split_name}.bin"])
+        samples = _here.load_samples(inputs[f"samples_{split_name}.jsonl"])
+        matrix, skipped = _here.featurize_samples(
+            samples, prices, stats, keywords, categories
+        )
+        _here.write_feature_matrix(matrix, outputs[f"features_{split_name}.bin"])
         skipped_rows.extend((split_name, t, d.isoformat(), why) for t, d, why in skipped)
         logger.info(
             "featurize: %s split %d rows x %d dims, %d skipped",
@@ -262,20 +229,20 @@ def _featurize(config, inputs, outputs) -> None:
         )
         # Freed before the next split loads, so no two splits are held.
         del samples, matrix
-    write_table(outputs["skipped.csv"], SKIPPED_HEADER, skipped_rows)
+    _here.write_table(outputs["skipped.csv"], SKIPPED_HEADER, skipped_rows)
 
 
 def _training_matrices(inputs) -> list:
     """The train and validation matrices with float32 rows, all training reads."""
     return [
-        load_feature_matrix(inputs[f"features_{name}.bin"], "float32")
+        _here.load_feature_matrix(inputs[f"features_{name}.bin"], "float32")
         for name in ("train", "valid")
     ]
 
 
 def _train(config, inputs, outputs) -> None:
-    model = train(*_training_matrices(inputs), config.training)
-    save_model(model, outputs["model.bin"])
+    model = _here.train(*_training_matrices(inputs), config.training)
+    _here.save_model(model, outputs["model.bin"])
     meta = model.metadata
     errors = meta.get("validation_errors", [])
     best = meta.get("best_epoch", -1)
@@ -291,28 +258,31 @@ def _train(config, inputs, outputs) -> None:
 
 
 def _graph(config, inputs, outputs) -> None:
-    prices = load_price_table(inputs["prices.bin"])
-    g = build_graph(
+    prices = _here.load_price_table(inputs["prices.bin"])
+    g = _here.build_graph(
         prices,
         list(prices),
         window=config.graph.window,
         threshold=config.graph.threshold,
         min_overlap=config.graph.min_overlap,
     )
-    write_graph(g, outputs["graph.csv"])
+    _here.write_graph(g, outputs["graph.csv"])
     logger.info("graph: %d nodes, %d edges", len(g), g.edge_count())
 
 
 def _predict(config, inputs, outputs) -> None:
-    model = load_model(inputs["model.bin"])
-    test_matrix = load_feature_matrix(inputs["features_test.bin"])
-    g = load_graph(inputs["graph.csv"])
-    confidences = predict_batch(model, test_matrix)
+    model = _here.load_model(inputs["model.bin"])
+    test_matrix = _here.load_feature_matrix(inputs["features_test.bin"])
+    g = _here.load_graph(inputs["graph.csv"])
+    confidences = _here.predict_batch(model, test_matrix)
+    # Looked up once, not once per prediction.
+    prediction, up, down = _here.Prediction, _here.UP, _here.DOWN
+    dnn, propagated = _here.DNN, _here.PROPAGATED
     predictions = [
-        Prediction(d, t, DNN, UP if c > 0 else DOWN, float(c))
+        prediction(d, t, dnn, up if c > 0 else down, float(c))
         for d, t, c in zip(test_matrix.dates, test_matrix.tickers, confidences)
     ]
-    p = propagate(
+    p = _here.propagate(
         g,
         test_matrix.dates,
         test_matrix.tickers,
@@ -320,19 +290,21 @@ def _predict(config, inputs, outputs) -> None:
         config.graph.iterations,
         config.graph.clamp_observed,
     )
-    emitted = threshold_predictions(g, p.values, p.observed, config.sweep.predict_tau)
+    emitted = _here.threshold_predictions(
+        g, p.values, p.observed, config.sweep.predict_tau
+    )
     for r, c in zip(*emitted.nonzero()):
         value = float(p.values[r, c])
         predictions.append(
-            Prediction(
+            prediction(
                 date=p.dates[r],
                 ticker=g.nodes[c],
-                source=PROPAGATED,
-                label=UP if value > 0 else DOWN,
+                source=propagated,
+                label=up if value > 0 else down,
                 confidence=value,
             )
         )
-    write_predictions(predictions, outputs["predictions.csv"])
+    _here.write_predictions(predictions, outputs["predictions.csv"])
     logger.info(
         "predict: %d dnn and %d propagated predictions over %d dates",
         len(test_matrix),
@@ -342,29 +314,30 @@ def _predict(config, inputs, outputs) -> None:
 
 
 def _ablation(config, inputs, outputs) -> None:
-    ablation = run_ablation(
+    ablation = _here.run_ablation(
         *_training_matrices(inputs),
-        load_feature_matrix(inputs["features_test.bin"]),
-        DEFAULT_COMBINATIONS,
+        _here.load_feature_matrix(inputs["features_test.bin"]),
+        _here.DEFAULT_COMBINATIONS,
         config.training,
         full_model=inputs["model.bin"],
     )
-    write_ablation_report(ablation, outputs["ablation.csv"])
-    outputs["ablation.txt"].write_text(render_ablation(ablation), encoding="utf-8")
+    _here.write_ablation_report(ablation, outputs["ablation.csv"])
+    text = _here.render_ablation(ablation)
+    outputs["ablation.txt"].write_text(text, encoding="utf-8")
 
 
 def _sweep(config, inputs, outputs) -> None:
-    sweep = run_propagation_sweep(
-        load_feature_matrix(inputs["features_test.bin"]),
-        load_model(inputs["model.bin"]),
-        load_graph(inputs["graph.csv"]),
-        load_price_table(inputs["prices.bin"]),
+    sweep = _here.run_propagation_sweep(
+        _here.load_feature_matrix(inputs["features_test.bin"]),
+        _here.load_model(inputs["model.bin"]),
+        _here.load_graph(inputs["graph.csv"]),
+        _here.load_price_table(inputs["prices.bin"]),
         config.sweep.taus,
         iterations=config.graph.iterations,
         clamp_observed=config.graph.clamp_observed,
     )
-    write_sweep_report(sweep, outputs["sweep.csv"])
-    outputs["sweep.txt"].write_text(render_sweep(sweep), encoding="utf-8")
+    _here.write_sweep_report(sweep, outputs["sweep.csv"])
+    outputs["sweep.txt"].write_text(_here.render_sweep(sweep), encoding="utf-8")
 
 
 @dataclass(frozen=True)
@@ -569,8 +542,6 @@ def _run_unit(
     if not force and _stale(config, unit, digests, answers) is None:
         logger.info("%s: artifacts up to date, skipping", unit)
         return
-    for module in sorted(_modules_read(spec.body, set())):
-        _bind_stage_module(module)
     with replacing(outputs) as temporary:
         spec.body(config, inputs, temporary)
     key = _stage_key(config, unit)

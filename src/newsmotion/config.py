@@ -29,7 +29,7 @@ from datetime import date as Date
 from pathlib import Path
 from typing import Any, Callable, Sequence, get_args, get_type_hints
 
-from .dates import DateRange
+from .dates import DateRange, iso_date
 from .errors import ConfigError, ValidationError
 
 # How many tickers synth can name: the length of its ``_STEMS``.
@@ -259,7 +259,7 @@ _PARSERS: dict[Any, tuple[str, Callable[[str], Any]]] = {
     int: ("an integer", int),
     float: ("a number", float),
     bool: ("a boolean", _bool),
-    Date: ("a YYYY-MM-DD date", Date.fromisoformat),
+    Date: ("a YYYY-MM-DD date", iso_date),
     tuple[int, ...]: ("comma-separated integers", _items(int)),
     tuple[float, ...]: ("comma-separated numbers", _items(float)),
     Path: ("a non-empty path", _path),

@@ -6,6 +6,7 @@ check can use it without loading any stage module.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from datetime import date as Date
 from datetime import timedelta
@@ -14,9 +15,23 @@ from typing import Iterator
 from .errors import ValidationError
 
 
+_ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def iso_date(text: str) -> Date:
+    """The date ``text`` names as YYYY-MM-DD; ValueError for any other form.
+
+    From Python 3.11 on, ``date.fromisoformat`` alone also takes forms such
+    as ``20120102`` and ``2012-W01-1``.
+    """
+    if isinstance(text, str) and not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return Date.fromisoformat(text)
+
+
 def parse_date(text: str) -> Date:
     try:
-        return Date.fromisoformat(text)
+        return iso_date(text)
     except (ValueError, TypeError) as exc:
         raise ValidationError(f"invalid date {text!r}: {exc}") from exc
 

@@ -266,8 +266,10 @@ def train(
     grad_w = [grad[: w.size].reshape(w.shape) for w in weights]
     grad_b = [grad[w.size : w.size + len(b)] for w, b in zip(weights, biases)]
     best_params = params.copy()
-    # the input and each layer of a batch; m rows use the first m * units
-    buffers = [np.empty(d * config.batch_size, dtype=np.float32) for d in dims]
+    # the input and each layer of a batch; m rows use the first m * units,
+    # and no batch has more rows than the training matrix
+    rows = min(config.batch_size, len(train_matrix))
+    buffers = [np.empty(d * rows, dtype=np.float32) for d in dims]
 
     def batch_views(m: int) -> list[np.ndarray]:
         return [buf[: d * m].reshape(d, m) for buf, d in zip(buffers, dims)]

@@ -957,13 +957,10 @@ class TestReadme:
 
 class TestPublicNames:
     def test_every_public_name_is_referenced_in_the_package(self):
-        """The package holds what the pipeline calls; test-only helpers live in tests/.
-
-        A name the stage shim lists as a string counts as referenced.
-        """
+        """The package holds what the pipeline calls; test-only helpers live in tests/."""
         package = Path(cli.__file__).resolve().parent
         trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in package.glob("*.py")}
-        used = {name for names in cli._STAGE_NAMES.values() for name in names}
+        used = set()
         for tree in trees.values():
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -1000,13 +997,43 @@ class TestTracingPlan:
         assert missing == []
 
     def test_every_shim_name_is_read_by_a_unit_body(self):
-        """The shim binds each listed name; one that no body reads is a dead entry."""
+        """The shim resolves each listed name; one that no body reads is a dead entry."""
         read = set()
         for spec in cli.UNITS.values():
             tree = ast.parse(inspect.getsource(spec.body))
-            read.update(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+            read.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
         listed = {name for names in cli._STAGE_NAMES.values() for name in names}
         assert sorted(listed - read) == []
+
+    def test_no_stage_name_is_read_as_a_bare_global(self):
+        """A bare name skips the module `__getattr__`, and any wrapper set on cli."""
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        bare = [
+            f"{node.lineno}: {node.id}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in cli._OWNER
+        ]
+        assert bare == []
+
+    def test_module_run_writes_what_main_writes(self, pipeline, tmp_path):
+        """`python -m newsmotion.cli` runs as `__main__`, and looks its names up there."""
+        config = _copy(pipeline, tmp_path)
+        root = config.parent
+        made = _tree(root)
+        assert {f"work/{name}" for name in ARTIFACTS} <= set(made)
+        shutil.rmtree(root / "work")
+        for stage in STAGES:
+            argv = [stage, "--config", str(config), "--force"]
+            done = subprocess.run(
+                [sys.executable, "-m", "newsmotion.cli", *argv],
+                env=child_env(),
+                capture_output=True,
+                text=True,
+            )
+            assert done.returncode == 0, (stage, done.stderr)
+        remade = _tree(root)
+        assert sorted(remade) == sorted(made)
+        assert [name for name in made if remade[name] != made[name]] == []
 
     @pytest.mark.parametrize("stage", ["synth", "embed"])
     def test_a_stage_imports_only_the_modules_its_body_reads(

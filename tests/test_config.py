@@ -199,6 +199,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="paths.prices"):
             load_config(_write_config(tmp_path, "[paths]\nprices =\n"))
 
+    @pytest.mark.parametrize("text", ["20120102", "2012-W01-1"])
+    def test_dates_are_yyyy_mm_dd_in_the_file_and_in_overrides(self, tmp_path, text):
+        wanted = f"dates.train_end: expected a YYYY-MM-DD date, got {text!r}"
+        path = _write_config(tmp_path, f"[dates]\ntrain_end = {text}\n")
+        with pytest.raises(ConfigError) as caught:
+            load_config(path)
+        assert str(caught.value) == wanted
+        with pytest.raises(ConfigError) as caught:
+            load_config(_write_config(tmp_path), [f"dates.train_end={text}"])
+        assert str(caught.value) == wanted
+
     def test_pipeline_seed_is_the_only_seed_key_of_its_sections(self, tmp_path):
         path = _write_config(tmp_path, "[pipeline]\nseed = 9\n")
         config = load_config(path)

@@ -128,6 +128,16 @@ class TestArticles:
             list(load_articles(path))
         assert str(caught.value) == f"{path}:2: not UTF-8 text (byte 0xff)"
 
+    @pytest.mark.parametrize("text", ["20120102", "2012-W01-1"])
+    def test_date_that_is_not_yyyy_mm_dd_names_the_line(self, tmp_path, text):
+        record = {"id": "x", "date": text, "title": "t", "body": "b", "source": "s"}
+        path = _write(tmp_path, "a.jsonl", json.dumps(record) + "\n")
+        with pytest.raises(ParseError) as caught:
+            list(load_articles(path))
+        assert str(caught.value) == (
+            f"{path}:1: invalid date {text!r}: Invalid isoformat string: {text!r}"
+        )
+
     def test_blank_lines_are_skipped(self, tmp_path):
         record = (
             '\n{"id": "x", "date": "2012-01-02", "title": "t", '
@@ -274,6 +284,17 @@ class TestLoadPricesErrors:
                 "2012-01-03 ,AAA,10\n",
                 ValidationError,
                 f"3: invalid date '2012-01-03 ': {_iso_error('2012-01-03 ')}",
+            ),
+            # date.fromisoformat takes these two from Python 3.11 on
+            (
+                "20120102,AAA,10\n",
+                ValidationError,
+                "3: invalid date '20120102': Invalid isoformat string: '20120102'",
+            ),
+            (
+                "2012-W01-1,AAA,10\n",
+                ValidationError,
+                "3: invalid date '2012-W01-1': Invalid isoformat string: '2012-W01-1'",
             ),
             ("2012-01-03, ,10\n", ValidationError, "3: empty ticker"),
             ("2012-01-03,AAA,ten\n", ParseError, "3: bad close 'ten'"),

@@ -517,6 +517,19 @@ class TestTrain:
         # does not fit, nor do two float64 Glorot draws held at once.
         assert peak < 4 * (2 * sum(sizes) + max(sizes)) + 2**20
 
+    def test_batch_buffers_hold_at_most_the_training_rows(self):
+        matrix = _separable(40, 64, seed=52)
+        runs = {}
+        for batch_size in (40, 20000):
+            config = TrainConfig(hidden=(512,), batch_size=batch_size, epochs=1, seed=8)
+            runs[batch_size] = traced_peak(lambda: train(matrix, matrix, config))
+        (exact, exact_peak), (large, large_peak) = runs[40], runs[20000]
+        # Both run the same one batch; buffers for 20000 rows of 578 units
+        # would take 46 MB more.
+        for p, q in zip((*exact.weights, *exact.biases), (*large.weights, *large.biases)):
+            assert p.tobytes() == q.tobytes()
+        assert large_peak < 1.1 * exact_peak
+
     def test_mismatched_layouts_rejected(self):
         a = _separable(20, 3, seed=47)
         b = _separable(20, 4, seed=48)
