@@ -48,66 +48,24 @@ from .manifest import (
 )
 from .tokens import tokenize
 
-# What the unit bodies call from the stage modules, by module. The stage
-# modules load numpy, so this module imports none of them: a body reads
-# each name as an attribute of this module (`_here.train`), and the module
-# `__getattr__` (PEP 562) imports the name's own module on first use. A
-# name set on this module, a perfbench tracer wrapper or a test's patch
-# say, is found before `__getattr__`, so it is the one every body calls.
-# The table goes once perfbench wraps the stage modules themselves
-# (ROADMAP direction 8).
+# The stage functions perfbench's tracer wraps on this module, by the
+# module that owns them: a body reads each as an attribute of this module
+# (`_here.train`), so a wrapper or a test's patch set here is the one every
+# body calls. Every other stage name is called through its own module, which
+# the body imports when it starts. The stage modules load numpy, so this
+# module imports none of them: the module `__getattr__` (PEP 562) imports a
+# listed name's module on first use. The table goes once perfbench wraps the
+# stage modules themselves (ROADMAP direction 8).
 _STAGE_NAMES = {
-    "codec": ("write_table",),
-    "embedding": ("load_embeddings", "save_embeddings", "train_skipgram"),
-    "evaluation": (
-        "DEFAULT_COMBINATIONS",
-        "render_ablation",
-        "render_sweep",
-        "run_ablation",
-        "run_propagation_sweep",
-        "write_ablation_report",
-        "write_sweep_report",
-    ),
-    "features": (
-        "featurize_samples",
-        "load_feature_matrix",
-        "training_stats",
-        "write_feature_matrix",
-    ),
-    "graph": (
-        "DNN",
-        "DOWN",
-        "PROPAGATED",
-        "UP",
-        "Prediction",
-        "build_graph",
-        "load_graph",
-        "propagate",
-        "threshold_predictions",
-        "write_graph",
-        "write_predictions",
-    ),
-    "ingest": ("load_articles", "load_price_table", "load_prices", "write_price_table"),
-    "lexicon": (
-        "build_category_lexicon",
-        "build_keyword_lexicon",
-        "load_category_lexicon",
-        "load_category_seeds",
-        "load_keyword_lexicon",
-        "write_category_lexicon",
-        "write_keyword_lexicon",
-    ),
-    "mlp": ("load_model", "predict_batch", "save_model", "train"),
-    "sampling": (
-        "AliasMatcher",
-        "build_samples",
-        "extract_sentences",
-        "load_aliases",
-        "load_samples",
-        "split_by_date",
-        "write_samples",
-    ),
     "synth": ("generate_synthetic_fixture",),
+    "ingest": ("load_prices",),
+    "sampling": ("extract_sentences", "build_samples"),
+    "embedding": ("train_skipgram",),
+    "lexicon": ("build_keyword_lexicon", "build_category_lexicon"),
+    "features": ("featurize_samples",),
+    "mlp": ("train", "predict_batch"),
+    "graph": ("build_graph", "propagate", "threshold_predictions"),
+    "evaluation": ("run_ablation", "run_propagation_sweep"),
 }
 
 
@@ -145,18 +103,22 @@ def _synth(config, inputs, outputs) -> None:
 
 
 def _prices(config, inputs, outputs) -> None:
-    _here.write_price_table(_here.load_prices(inputs["prices"]), outputs["prices.bin"])
+    from . import ingest
+    ingest.write_price_table(_here.load_prices(inputs["prices"]), outputs["prices.bin"])
 
 
 def _ingest(config, inputs, outputs) -> None:
-    matcher = _here.AliasMatcher(_here.load_aliases(inputs["aliases"]))
-    prices = _here.load_price_table(inputs["prices.bin"])
-    articles = _here.load_articles(inputs["articles"])
+    from . import ingest, sampling
+    matcher = sampling.AliasMatcher(sampling.load_aliases(inputs["aliases"]))
+    prices = ingest.load_price_table(inputs["prices.bin"])
+    articles = ingest.load_articles(inputs["articles"])
     sentences = _here.extract_sentences(articles, matcher)
     samples = _here.build_samples(sentences, prices)
-    split = _here.split_by_date(samples, config.dates.train_end, config.dates.valid_end)
+    split = sampling.split_by_date(
+        samples, config.dates.train_end, config.dates.valid_end
+    )
     for name, rows in zip(_SPLITS, (split.train, split.validation, split.test)):
-        _here.write_samples(rows, outputs[f"samples_{name}.jsonl"])
+        sampling.write_samples(rows, outputs[f"samples_{name}.jsonl"])
     with outputs["corpus.txt"].open("w", encoding="utf-8", newline="\n") as fh:
         for sentence in sentences:
             if sentence.article_date <= config.dates.train_end:
@@ -173,10 +135,11 @@ def _ingest(config, inputs, outputs) -> None:
 
 
 def _embed(config, inputs, outputs) -> None:
+    from . import embedding
     with inputs["corpus.txt"].open("r", encoding="utf-8") as fh:
         sentences = [tokens for tokens in (tokenize(line) for line in fh) if tokens]
     table = _here.train_skipgram(sentences, config.embedding)
-    _here.save_embeddings(table, outputs["embeddings.txt"])
+    embedding.save_embeddings(table, outputs["embeddings.txt"])
     logger.info(
         "embed: %d sentences -> %d words x %d dims",
         len(sentences),
@@ -186,17 +149,18 @@ def _embed(config, inputs, outputs) -> None:
 
 
 def _lexicon(config, inputs, outputs) -> None:
-    table = _here.load_embeddings(inputs["embeddings.txt"])
-    train_samples = _here.load_samples(inputs["samples_train.jsonl"])
+    from . import embedding, lexicon, sampling
+    table = embedding.load_embeddings(inputs["embeddings.txt"])
+    train_samples = sampling.load_samples(inputs["samples_train.jsonl"])
     keywords = _here.build_keyword_lexicon(
         table, train_samples, k=config.lexicon.keywords
     )
-    category_seeds = _here.load_category_seeds(inputs.get("category_seeds"))
+    category_seeds = lexicon.load_category_seeds(inputs.get("category_seeds"))
     categories = _here.build_category_lexicon(
         table, category_seeds, m=config.lexicon.category_words
     )
-    _here.write_keyword_lexicon(keywords, outputs["keywords.csv"])
-    _here.write_category_lexicon(categories, outputs["categories.csv"])
+    lexicon.write_keyword_lexicon(keywords, outputs["keywords.csv"])
+    lexicon.write_category_lexicon(categories, outputs["categories.csv"])
     logger.info(
         "lexicon: %d keywords, %d categories x up to %d words",
         len(keywords),
@@ -206,19 +170,20 @@ def _lexicon(config, inputs, outputs) -> None:
 
 
 def _featurize(config, inputs, outputs) -> None:
-    keywords = _here.load_keyword_lexicon(inputs["keywords.csv"])
-    categories = _here.load_category_lexicon(inputs["categories.csv"])
-    prices = _here.load_price_table(inputs["prices.bin"])
-    stats = _here.training_stats(
+    from . import codec, features, ingest, lexicon, sampling
+    keywords = lexicon.load_keyword_lexicon(inputs["keywords.csv"])
+    categories = lexicon.load_category_lexicon(inputs["categories.csv"])
+    prices = ingest.load_price_table(inputs["prices.bin"])
+    stats = features.training_stats(
         prices, DateRange(config.dates.train_start, config.dates.train_end)
     )
     skipped_rows: list[tuple[str, str, str, str]] = []
     for split_name in _SPLITS:
-        samples = _here.load_samples(inputs[f"samples_{split_name}.jsonl"])
+        samples = sampling.load_samples(inputs[f"samples_{split_name}.jsonl"])
         matrix, skipped = _here.featurize_samples(
             samples, prices, stats, keywords, categories
         )
-        _here.write_feature_matrix(matrix, outputs[f"features_{split_name}.bin"])
+        features.write_feature_matrix(matrix, outputs[f"features_{split_name}.bin"])
         skipped_rows.extend((split_name, t, d.isoformat(), why) for t, d, why in skipped)
         logger.info(
             "featurize: %s split %d rows x %d dims, %d skipped",
@@ -229,20 +194,22 @@ def _featurize(config, inputs, outputs) -> None:
         )
         # Freed before the next split loads, so no two splits are held.
         del samples, matrix
-    _here.write_table(outputs["skipped.csv"], SKIPPED_HEADER, skipped_rows)
+    codec.write_table(outputs["skipped.csv"], SKIPPED_HEADER, skipped_rows)
 
 
 def _training_matrices(inputs) -> list:
     """The train and validation matrices with float32 rows, all training reads."""
+    from . import features
     return [
-        _here.load_feature_matrix(inputs[f"features_{name}.bin"], "float32")
+        features.load_feature_matrix(inputs[f"features_{name}.bin"], "float32")
         for name in ("train", "valid")
     ]
 
 
 def _train(config, inputs, outputs) -> None:
+    from . import mlp
     model = _here.train(*_training_matrices(inputs), config.training)
-    _here.save_model(model, outputs["model.bin"])
+    mlp.save_model(model, outputs["model.bin"])
     meta = model.metadata
     errors = meta.get("validation_errors", [])
     best = meta.get("best_epoch", -1)
@@ -258,7 +225,8 @@ def _train(config, inputs, outputs) -> None:
 
 
 def _graph(config, inputs, outputs) -> None:
-    prices = _here.load_price_table(inputs["prices.bin"])
+    from . import graph, ingest
+    prices = ingest.load_price_table(inputs["prices.bin"])
     g = _here.build_graph(
         prices,
         list(prices),
@@ -266,20 +234,20 @@ def _graph(config, inputs, outputs) -> None:
         threshold=config.graph.threshold,
         min_overlap=config.graph.min_overlap,
     )
-    _here.write_graph(g, outputs["graph.csv"])
+    graph.write_graph(g, outputs["graph.csv"])
     logger.info("graph: %d nodes, %d edges", len(g), g.edge_count())
 
 
 def _predict(config, inputs, outputs) -> None:
-    model = _here.load_model(inputs["model.bin"])
-    test_matrix = _here.load_feature_matrix(inputs["features_test.bin"])
-    g = _here.load_graph(inputs["graph.csv"])
+    from . import features, graph, mlp
+    model = mlp.load_model(inputs["model.bin"])
+    test_matrix = features.load_feature_matrix(inputs["features_test.bin"])
+    g = graph.load_graph(inputs["graph.csv"])
     confidences = _here.predict_batch(model, test_matrix)
-    # Looked up once, not once per prediction.
-    prediction, up, down = _here.Prediction, _here.UP, _here.DOWN
-    dnn, propagated = _here.DNN, _here.PROPAGATED
     predictions = [
-        prediction(d, t, dnn, up if c > 0 else down, float(c))
+        graph.Prediction(
+            d, t, graph.DNN, graph.UP if c > 0 else graph.DOWN, float(c)
+        )
         for d, t, c in zip(test_matrix.dates, test_matrix.tickers, confidences)
     ]
     p = _here.propagate(
@@ -296,15 +264,15 @@ def _predict(config, inputs, outputs) -> None:
     for r, c in zip(*emitted.nonzero()):
         value = float(p.values[r, c])
         predictions.append(
-            prediction(
+            graph.Prediction(
                 date=p.dates[r],
                 ticker=g.nodes[c],
-                source=propagated,
-                label=up if value > 0 else down,
+                source=graph.PROPAGATED,
+                label=graph.UP if value > 0 else graph.DOWN,
                 confidence=value,
             )
         )
-    _here.write_predictions(predictions, outputs["predictions.csv"])
+    graph.write_predictions(predictions, outputs["predictions.csv"])
     logger.info(
         "predict: %d dnn and %d propagated predictions over %d dates",
         len(test_matrix),
@@ -314,30 +282,32 @@ def _predict(config, inputs, outputs) -> None:
 
 
 def _ablation(config, inputs, outputs) -> None:
+    from . import evaluation, features
     ablation = _here.run_ablation(
         *_training_matrices(inputs),
-        _here.load_feature_matrix(inputs["features_test.bin"]),
-        _here.DEFAULT_COMBINATIONS,
+        features.load_feature_matrix(inputs["features_test.bin"]),
+        evaluation.DEFAULT_COMBINATIONS,
         config.training,
         full_model=inputs["model.bin"],
     )
-    _here.write_ablation_report(ablation, outputs["ablation.csv"])
-    text = _here.render_ablation(ablation)
+    evaluation.write_ablation_report(ablation, outputs["ablation.csv"])
+    text = evaluation.render_ablation(ablation)
     outputs["ablation.txt"].write_text(text, encoding="utf-8")
 
 
 def _sweep(config, inputs, outputs) -> None:
+    from . import evaluation, features, graph, ingest, mlp
     sweep = _here.run_propagation_sweep(
-        _here.load_feature_matrix(inputs["features_test.bin"]),
-        _here.load_model(inputs["model.bin"]),
-        _here.load_graph(inputs["graph.csv"]),
-        _here.load_price_table(inputs["prices.bin"]),
+        features.load_feature_matrix(inputs["features_test.bin"]),
+        mlp.load_model(inputs["model.bin"]),
+        graph.load_graph(inputs["graph.csv"]),
+        ingest.load_price_table(inputs["prices.bin"]),
         config.sweep.taus,
         iterations=config.graph.iterations,
         clamp_observed=config.graph.clamp_observed,
     )
-    _here.write_sweep_report(sweep, outputs["sweep.csv"])
-    outputs["sweep.txt"].write_text(_here.render_sweep(sweep), encoding="utf-8")
+    evaluation.write_sweep_report(sweep, outputs["sweep.csv"])
+    outputs["sweep.txt"].write_text(evaluation.render_sweep(sweep), encoding="utf-8")
 
 
 @dataclass(frozen=True)

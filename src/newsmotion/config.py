@@ -24,6 +24,7 @@ comment, so the README's annotated block loads as written.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import Field, dataclass, fields
 from datetime import date as Date
 from pathlib import Path
@@ -193,11 +194,17 @@ class SynthConfig:
             raise ValidationError("mean_reversion must be in [0, 1)")
         if self.volatility <= 0:
             raise ValidationError("volatility must be positive")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
 class SeedConfig:
     seed: int = 1  # master seed for embeddings and training
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -248,6 +255,13 @@ def _items(kind: Callable[[str], Any]) -> Callable[[str], tuple]:
     return lambda text: tuple(kind(part) for part in text.split(",") if part.strip())
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _path(text: str) -> Path:
     if not text:
         raise ValueError("empty path")
@@ -257,11 +271,11 @@ def _path(text: str) -> Path:
 # Field type -> (what a value must look like, parser of its config text).
 _PARSERS: dict[Any, tuple[str, Callable[[str], Any]]] = {
     int: ("an integer", int),
-    float: ("a number", float),
+    float: ("a finite number", _finite),
     bool: ("a boolean", _bool),
     Date: ("a YYYY-MM-DD date", iso_date),
     tuple[int, ...]: ("comma-separated integers", _items(int)),
-    tuple[float, ...]: ("comma-separated numbers", _items(float)),
+    tuple[float, ...]: ("comma-separated finite numbers", _items(_finite)),
     Path: ("a non-empty path", _path),
 }
 

@@ -97,18 +97,26 @@ class AliasMatcher:
 
 
 def load_aliases(path: str | Path) -> dict[str, str]:
-    """Read the 'alias,ticker' CSV into a dict."""
+    """Read the 'alias,ticker' CSV into a dict; an alias names one ticker."""
     path = Path(path)
     aliases: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with utf8_text(path), path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
                 continue
             alias, sep, ticker = line.rpartition(",")
-            if not sep or not alias or not ticker.strip():
+            ticker = ticker.strip()
+            if not sep or not alias or not ticker:
                 raise ParseError(f"{path}:{lineno}: expected 'alias,ticker'")
-            aliases[alias] = ticker.strip()
+            known = aliases.setdefault(alias, ticker)
+            if known != ticker:
+                raise ValidationError(
+                    f"{path}:{lineno}: alias {alias!r} is given for {ticker} here"
+                    f" and for {known} on line {first_line[alias]}"
+                )
+            first_line.setdefault(alias, lineno)
     return aliases
 
 

@@ -23,7 +23,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from newsmotion import cli, evaluation, mlp
+from newsmotion import cli, evaluation, graph, mlp
 from newsmotion.config import TrainConfig, load_config
 from newsmotion.embedding import _pair_arrays, load_embeddings
 from newsmotion.evaluation import run_propagation_sweep
@@ -858,7 +858,7 @@ class TestAtomicWrites:
             Path(path).write_text("date,ticker,source,label,confidence\n2013-")
             raise OSError("disk full")
 
-        monkeypatch.setattr(cli, "write_predictions", failing)
+        monkeypatch.setattr(graph, "write_predictions", failing)
         assert cli.main(["predict", "--config", str(config), "--force"]) == 2
         for path, content in kept.items():
             assert path.read_bytes() == content, path.name
@@ -978,23 +978,55 @@ class TestPublicNames:
         assert sorted(name for name in defined if name.split(".")[1] not in used) == []
 
 
+def _traced_names() -> list[str]:
+    """The function names perfbench/launch.py's `plan` wraps, in its order."""
+    launch = Path(__file__).resolve().parent.parent / "perfbench" / "launch.py"
+    tree = ast.parse(launch.read_text(encoding="utf-8"))
+    (plan,) = (
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "plan" for t in node.targets)
+    )
+    return [ast.literal_eval(key) for key in plan.keys]
+
+
 class TestTracingPlan:
     def test_traced_names_are_still_module_attributes(self):
         """perfbench/launch.py wraps these by name; a rename would zero its spans."""
-        launch = Path(__file__).resolve().parent.parent / "perfbench" / "launch.py"
-        tree = ast.parse(launch.read_text(encoding="utf-8"))
-        (plan,) = (
-            node.value
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "plan" for t in node.targets)
-        )
-        names = [ast.literal_eval(key) for key in plan.keys]
+        names = _traced_names()
         assert {"train", "run_ablation", "run_propagation_sweep"} <= set(names)
         missing = [
             n for n in names if not hasattr(cli, n) and not hasattr(evaluation, n)
         ]
         assert missing == []
+
+    def test_the_shim_lists_exactly_the_traced_names_it_does_not_import(self):
+        """The tracer sets each plan name on cli; the table holds nothing else."""
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert sorted(cli._OWNER) == sorted(set(_traced_names()) - imported)
+
+    def test_no_traced_name_is_read_through_its_stage_module(self):
+        """`mlp.train(...)` would bypass the wrapper the tracer sets on cli."""
+        package = Path(cli.__file__).parent
+        modules = {path.stem for path in package.glob("*.py")}
+        traced = set(_traced_names())
+        tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+        bypassed = [
+            f"{node.lineno}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr in traced
+        ]
+        assert bypassed == []
 
     def test_every_shim_name_is_read_by_a_unit_body(self):
         """The shim resolves each listed name; one that no body reads is a dead entry."""
@@ -1175,6 +1207,15 @@ class TestFailureModes:
         assert "[synth] tickers must be in" in caplog.text
         assert not (tmp_path / "work").exists()
 
+    def test_negative_synth_seed_exits_one_at_load(self, tmp_path, caplog):
+        config = _write_config(tmp_path, "")
+        argv = ["synth", "--config", str(config), "--set", "synth.seed=-1"]
+        with caplog.at_level(logging.ERROR):
+            assert cli.main(argv) == 1
+        assert "[synth] seed must be non-negative" in caplog.text
+        assert "Traceback" not in caplog.text
+        assert not (tmp_path / "work").exists()
+
     def test_missing_input_file_exits_one(self, tmp_path, caplog):
         config = _write_config(tmp_path, "")
         for missing in ("paths.prices", "paths.articles"):
@@ -1205,6 +1246,20 @@ class TestFailureModes:
         with caplog.at_level(logging.ERROR):
             assert cli.main(["ingest", "--config", str(config)]) == 1
         assert f"{path}:{lineno}: not UTF-8 text" in caplog.text
+        assert "Traceback" not in caplog.text
+
+    def test_alias_given_for_two_tickers_exits_one(self, pipeline, tmp_path, caplog):
+        config = _copy(pipeline, tmp_path)
+        path = load_config(config).paths.aliases
+        data = path.read_text(encoding="utf-8")
+        alias, ticker = next(
+            line.rsplit(",", 1) for line in data.splitlines() if not line.startswith("#")
+        )
+        path.write_text(data + f"{alias},{ticker}X\n", encoding="utf-8")
+        lineno = data.count("\n") + 1
+        with caplog.at_level(logging.ERROR):
+            assert cli.main(["ingest", "--config", str(config)]) == 1
+        assert f"{path}:{lineno}: alias {alias!r} is given for {ticker}X" in caplog.text
         assert "Traceback" not in caplog.text
 
     def test_malformed_prices_csv_exits_one(self, pipeline, tmp_path, caplog):

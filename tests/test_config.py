@@ -210,6 +210,33 @@ class TestLoadConfig:
             load_config(_write_config(tmp_path), [f"dates.train_end={text}"])
         assert str(caught.value) == wanted
 
+    @pytest.mark.parametrize(
+        "override, wanted",
+        [
+            ("training.l2=nan", "training.l2: expected a finite number, got 'nan'"),
+            (
+                "embedding.learning_rate=nan",
+                "embedding.learning_rate: expected a finite number, got 'nan'",
+            ),
+            (
+                "sweep.taus=0.2,inf",
+                "sweep.taus: expected comma-separated finite numbers, got '0.2,inf'",
+            ),
+        ],
+    )
+    def test_numbers_must_be_finite(self, tmp_path, override, wanted):
+        with pytest.raises(ConfigError) as caught:
+            load_config(_write_config(tmp_path), [override])
+        assert str(caught.value) == wanted
+
+    @pytest.mark.parametrize("section", ["pipeline", "synth"])
+    def test_seeds_must_be_non_negative(self, tmp_path, section):
+        path = _write_config(tmp_path)
+        with pytest.raises(ConfigError) as caught:
+            load_config(path, [f"{section}.seed=-3"])
+        assert str(caught.value) == f"[{section}] seed must be non-negative"
+        assert getattr(load_config(path, [f"{section}.seed=0"]), section).seed == 0
+
     def test_pipeline_seed_is_the_only_seed_key_of_its_sections(self, tmp_path):
         path = _write_config(tmp_path, "[pipeline]\nseed = 9\n")
         config = load_config(path)

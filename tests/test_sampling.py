@@ -131,7 +131,8 @@ class TestAliasMatcher:
     def test_load_aliases_handles_commas_in_names(self, tmp_path):
         path = tmp_path / "aliases.csv"
         path.write_text(
-            "# alias,ticker\nApple, Inc.,AAPL\nAAPL,AAPL\n", encoding="utf-8"
+            "# alias,ticker\nApple, Inc.,AAPL\nAAPL,AAPL\nApple, Inc., AAPL\n",
+            encoding="utf-8",
         )
         aliases = load_aliases(path)
         assert aliases == {"Apple, Inc.": "AAPL", "AAPL": "AAPL"}
@@ -148,6 +149,22 @@ class TestAliasMatcher:
         path.write_text("justoneword\n", encoding="utf-8")
         with pytest.raises(ParseError, match=":1"):
             load_aliases(path)
+
+    @pytest.mark.parametrize("first, second", [("ACM", "ACX"), ("ACX", "ACM")])
+    def test_load_aliases_rejects_an_alias_given_for_two_tickers(
+        self, tmp_path, first, second
+    ):
+        path = tmp_path / "aliases.csv"
+        path.write_text(
+            f"# alias,ticker\nAcme Corp,{first}\nAcme Corp,{second}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValidationError) as caught:
+            load_aliases(path)
+        assert str(caught.value) == (
+            f"{path}:3: alias 'Acme Corp' is given for {second} here"
+            f" and for {first} on line 2"
+        )
 
 
 class TestMovementLabel:
