@@ -48,11 +48,12 @@ from .manifest import (
 )
 from .tokens import tokenize
 
-# The stage functions perfbench's tracer wraps on this module, by the
-# module that owns them: a body reads each as an attribute of this module
-# (`_here.train`), so a wrapper or a test's patch set here is the one every
-# body calls. Every other stage name is called through its own module, which
-# the body imports when it starts. The stage modules load numpy, so this
+# The stage functions a body calls that perfbench's tracer wraps on this
+# module, by the module that owns them: a body reads each as an attribute
+# of this module (`_here.train`), so a wrapper or a test's patch set here is
+# the one every body calls. Every other stage name is called through its
+# own module, which the body imports when it starts; `evaluation`'s own
+# calls are wrapped on `evaluation`. The stage modules load numpy, so this
 # module imports none of them: the module `__getattr__` (PEP 562) imports a
 # listed name's module on first use. The table goes once perfbench wraps the
 # stage modules themselves (ROADMAP direction 8).
@@ -63,8 +64,8 @@ _STAGE_NAMES = {
     "embedding": ("train_skipgram",),
     "lexicon": ("build_keyword_lexicon", "build_category_lexicon"),
     "features": ("featurize_samples",),
-    "mlp": ("train", "predict_batch"),
-    "graph": ("build_graph", "propagate", "threshold_predictions"),
+    "mlp": ("train",),
+    "graph": ("build_graph",),
     "evaluation": ("run_ablation", "run_propagation_sweep"),
 }
 
@@ -239,40 +240,27 @@ def _graph(config, inputs, outputs) -> None:
 
 
 def _predict(config, inputs, outputs) -> None:
-    from . import features, graph, mlp
+    from . import evaluation, features, graph, mlp
     model = mlp.load_model(inputs["model.bin"])
     test_matrix = features.load_feature_matrix(inputs["features_test.bin"])
     g = graph.load_graph(inputs["graph.csv"])
-    confidences = _here.predict_batch(model, test_matrix)
-    predictions = [
-        graph.Prediction(
-            d, t, graph.DNN, graph.UP if c > 0 else graph.DOWN, float(c)
-        )
-        for d, t, c in zip(test_matrix.dates, test_matrix.tickers, confidences)
-    ]
-    p = _here.propagate(
+    confidences, p, (emitted,) = evaluation.emissions(
+        model,
+        test_matrix,
         g,
-        test_matrix.dates,
-        test_matrix.tickers,
-        confidences,
+        (config.sweep.predict_tau,),
         config.graph.iterations,
         config.graph.clamp_observed,
     )
-    emitted = _here.threshold_predictions(
-        g, p.values, p.observed, config.sweep.predict_tau
+    rows = [
+        (d, t, graph.DNN, float(c))
+        for d, t, c in zip(test_matrix.dates, test_matrix.tickers, confidences)
+    ]
+    rows.extend(
+        (p.dates[r], g.nodes[c], graph.PROPAGATED, float(p.values[r, c]))
+        for r, c in zip(*emitted.nonzero())
     )
-    for r, c in zip(*emitted.nonzero()):
-        value = float(p.values[r, c])
-        predictions.append(
-            graph.Prediction(
-                date=p.dates[r],
-                ticker=g.nodes[c],
-                source=graph.PROPAGATED,
-                label=graph.UP if value > 0 else graph.DOWN,
-                confidence=value,
-            )
-        )
-    graph.write_predictions(predictions, outputs["predictions.csv"])
+    graph.write_predictions(rows, outputs["predictions.csv"])
     logger.info(
         "predict: %d dnn and %d propagated predictions over %d dates",
         len(test_matrix),

@@ -11,7 +11,8 @@ gets the same rows as from float64. The test rows are float64, sliced
 by `slice_blocks` and scored as every model is. The
 sweep seeds the correlation graph with per-date classifier confidences,
 propagates, and measures accuracy and coverage of the emitted
-unseen-stock predictions as the confidence threshold rises.
+unseen-stock predictions as the confidence threshold rises, through
+`emissions`, which `predict` calls at its one threshold.
 Both score through `mlp.predict_batch`, which rejects a model of another
 feature layout, and count a confidence above 0 as an up prediction.
 """
@@ -29,7 +30,7 @@ from .codec import write_table
 from .config import TrainConfig
 from .errors import PipelineError, ValidationError
 from .features import FeatureMatrix, block_set, slice_blocks
-from .graph import CorrelationGraph, propagate, threshold_predictions
+from .graph import CorrelationGraph, Propagation, propagate, threshold_predictions
 from .ingest import PriceSeries
 from .mlp import MlpModel, error_rate, load_model, predict_batch, train
 from .sampling import POSITIVE, movement_label
@@ -158,6 +159,36 @@ def run_ablation(
     )
 
 
+def emissions(
+    model: MlpModel,
+    test_matrix: FeatureMatrix,
+    graph: CorrelationGraph,
+    taus: Sequence[float],
+    iterations: int = 1,
+    clamp_observed: bool = False,
+) -> tuple[np.ndarray, Propagation, list[np.ndarray]]:
+    """Each test row's confidence, their propagation, and one emission mask per tau.
+
+    `predict` writes these at its tau and the sweep scores them at each of
+    its taus, so the two emit from the same code.
+    """
+    if len(test_matrix) == 0:
+        raise ValidationError("test split is empty")
+    if not taus:
+        raise ValidationError("at least one tau is required")
+    confidences = predict_batch(model, test_matrix)
+    p = propagate(
+        graph,
+        test_matrix.dates,
+        test_matrix.tickers,
+        confidences,
+        iterations=iterations,
+        clamp_observed=clamp_observed,
+    )
+    masks = [threshold_predictions(graph, p.values, p.observed, tau) for tau in taus]
+    return confidences, p, masks
+
+
 def run_propagation_sweep(
     test_matrix: FeatureMatrix,
     model: MlpModel,
@@ -171,32 +202,18 @@ def run_propagation_sweep(
 
     Each test date's observed stocks seed one row of a dates x N matrix
     with their signed confidences, zeros elsewhere; after propagation,
-    each tau emits the unseen stocks whose confidence clears it, exactly
-    as `predict` does at its tau. Accuracy compares the emitted labels
-    against the next-day price movement where the price table defines
-    one; emissions without a defined movement count toward coverage but
-    not accuracy. Dates whose observed stocks all fall outside the graph
-    are skipped and counted in the report metadata.
+    each tau emits the unseen stocks whose confidence clears it, by the
+    `emissions` that `predict` calls at its tau. Accuracy compares the
+    emitted labels against the next-day price movement where the price
+    table defines one; emissions without a defined movement count toward
+    coverage but not accuracy. Dates whose observed stocks all fall
+    outside the graph are skipped and counted in the report metadata.
     """
-    if len(test_matrix) == 0:
-        raise ValidationError("test split is empty")
     taus = [float(t) for t in taus]
-    if not taus:
-        raise ValidationError("at least one tau is required")
-
-    confidences = predict_batch(model, test_matrix)
-    p = propagate(
-        graph,
-        test_matrix.dates,
-        test_matrix.tickers,
-        confidences,
-        iterations=iterations,
-        clamp_observed=clamp_observed,
-    )
+    _, p, emitted = emissions(model, test_matrix, graph, taus, iterations, clamp_observed)
     days_used = len(p.dates)
     if days_used == 0:
         raise ValidationError("no test date had an observed stock in the graph")
-    emitted = [threshold_predictions(graph, p.values, p.observed, tau) for tau in taus]
     # +1 / -1 where the next-day close moved up / down, 0 where undefined
     moved = np.zeros(p.values.shape, dtype=np.int8)
     for r, c in zip(*np.nonzero(np.logical_or.reduce(emitted))):

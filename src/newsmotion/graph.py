@@ -13,8 +13,8 @@ it by the weight matrix once per iteration to reach stocks absent from
 the news.
 
 A prediction row, direct or propagated, says UP where its confidence is
-positive and DOWN otherwise; the classifier module applies the same rule
-to its own confidences.
+positive and DOWN otherwise: `write_predictions` derives the label, and
+the classifier module applies the same rule to its own confidences.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date as Date
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -275,26 +275,12 @@ def load_graph(path: str | Path) -> CorrelationGraph:
         )
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """One emitted prediction row: direct from the classifier or propagated."""
-
-    date: Date
-    ticker: str
-    source: str  # DNN or PROPAGATED
-    label: str  # UP or DOWN
-    confidence: float
-
-    def __post_init__(self):
-        if self.source not in (DNN, PROPAGATED):
-            raise ValidationError(f"bad prediction source {self.source!r}")
-        if self.label not in (UP, DOWN):
-            raise ValidationError(f"bad prediction label {self.label!r}")
-
-
-def write_predictions(predictions: Sequence[Prediction], path: str | Path) -> None:
-    rows = (
-        (p.date.isoformat(), p.ticker, p.source, p.label, repr(p.confidence))
-        for p in sorted(predictions, key=lambda p: (p.date, p.ticker, p.source))
+def write_predictions(
+    rows: Iterable[tuple[Date, str, str, float]], path: str | Path
+) -> None:
+    """Write (date, ticker, source, confidence) rows sorted, each with its label."""
+    table = (
+        (d.isoformat(), ticker, source, UP if c > 0 else DOWN, repr(c))
+        for d, ticker, source, c in sorted(rows, key=lambda row: row[:3])
     )
-    write_table(path, PREDICTIONS_HEADER, rows)
+    write_table(path, PREDICTIONS_HEADER, table)

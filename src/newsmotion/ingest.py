@@ -45,23 +45,29 @@ def _text(record: dict, key: str) -> str:
     return value
 
 
-def _article(record: dict) -> Article:
-    return Article(
+def _article(record: dict, seen: set[str]) -> Article:
+    article = Article(
         id=_text(record, "id"),
         date=parse_date(record["date"]),
         title=_text(record, "title"),
         body=_text(record, "body"),
         source=_text(record, "source"),
     )
+    if article.id in seen:
+        raise ValidationError(f"duplicate article id {article.id!r}")
+    seen.add(article.id)
+    return article
 
 
 def load_articles(path: str | Path) -> Iterator[Article]:
     """Stream articles from a line-delimited JSON file, in file order.
 
     Blank lines are skipped. Raises ParseError naming the line on bad
-    JSON, a missing key, a bad field value or bytes that are not UTF-8.
+    JSON, a missing key, a bad field value, an id already seen or bytes
+    that are not UTF-8.
     """
-    return read_records(path, _article)
+    seen: set[str] = set()
+    return read_records(path, lambda record: _article(record, seen))
 
 
 def write_articles(articles: Iterable[Article], path: str | Path) -> None:

@@ -108,7 +108,7 @@ def load_aliases(path: str | Path) -> dict[str, str]:
                 continue
             alias, sep, ticker = line.rpartition(",")
             ticker = ticker.strip()
-            if not sep or not alias or not ticker:
+            if not sep or not alias.strip() or not ticker:
                 raise ParseError(f"{path}:{lineno}: expected 'alias,ticker'")
             known = aliases.setdefault(alias, ticker)
             if known != ticker:

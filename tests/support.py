@@ -1,12 +1,14 @@
-"""Helpers only the tests use: a predictions reader, a prices writer, a
-graph node's degree, the brute-force polarity oracle, a Glorot-initialised
-MLP and the loss and gradients of one of `mlp.train`'s steps, the
-environment of a child Python, and a call's traced memory peak."""
+"""Helpers only the tests use: a predictions reader and its row type, a
+prices writer, a graph node's degree, the brute-force polarity oracle, a
+Glorot-initialised MLP and the loss and gradients of one of `mlp.train`'s
+steps, the environment of a child Python, and a call's traced memory peak."""
 
 from __future__ import annotations
 
 import os
 import tracemalloc
+from dataclasses import dataclass
+from datetime import date as Date
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TypeVar
 
@@ -15,7 +17,14 @@ import numpy as np
 from newsmotion.codec import read_table, write_table
 from newsmotion.errors import ValidationError
 from newsmotion.features import FeatureLayout
-from newsmotion.graph import PREDICTIONS_HEADER, CorrelationGraph, Prediction
+from newsmotion.graph import (
+    DNN,
+    DOWN,
+    PREDICTIONS_HEADER,
+    PROPAGATED,
+    UP,
+    CorrelationGraph,
+)
 from newsmotion.dates import parse_date
 from newsmotion.ingest import PRICES_HEADER, PriceSeries
 from newsmotion.lexicon import _document_counts, polarity_score
@@ -23,6 +32,23 @@ from newsmotion.mlp import MlpModel, _glorot, _step
 from newsmotion.sampling import Sample
 
 T = TypeVar("T")
+
+
+@dataclass(frozen=True)
+class Prediction:
+    """One row of predictions.csv: direct from the classifier or propagated."""
+
+    date: Date
+    ticker: str
+    source: str  # DNN or PROPAGATED
+    label: str  # UP or DOWN
+    confidence: float
+
+    def __post_init__(self):
+        if self.source not in (DNN, PROPAGATED):
+            raise ValidationError(f"bad prediction source {self.source!r}")
+        if self.label not in (UP, DOWN):
+            raise ValidationError(f"bad prediction label {self.label!r}")
 
 
 def _prediction(parts: list[str]) -> Prediction:

@@ -1002,15 +1002,17 @@ class TestTracingPlan:
         assert missing == []
 
     def test_the_shim_lists_exactly_the_traced_names_it_does_not_import(self):
-        """The tracer sets each plan name on cli; the table holds nothing else."""
+        """The table holds exactly the plan names a body reads as `_here.<name>`."""
         tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
-        imported = {
-            alias.asname or alias.name
-            for node in tree.body
-            if isinstance(node, ast.ImportFrom)
-            for alias in node.names
+        read_here = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "_here"
         }
-        assert sorted(cli._OWNER) == sorted(set(_traced_names()) - imported)
+        assert sorted(read_here - set(_traced_names())) == []
+        assert sorted(cli._OWNER) == sorted(read_here)
 
     def test_no_traced_name_is_read_through_its_stage_module(self):
         """`mlp.train(...)` would bypass the wrapper the tracer sets on cli."""
@@ -1038,12 +1040,23 @@ class TestTracingPlan:
         assert sorted(listed - read) == []
 
     def test_no_stage_name_is_read_as_a_bare_global(self):
-        """A bare name skips the module `__getattr__`, and any wrapper set on cli."""
+        """A bare name skips the module `__getattr__`, and any wrapper set on cli.
+
+        Only a name this module imports at its top is a global the tracer
+        patches; one a body imports is a local it never sees.
+        """
         tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        traced = set(_traced_names()) - imported
         bare = [
             f"{node.lineno}: {node.id}"
             for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and node.id in cli._OWNER
+            if isinstance(node, ast.Name) and node.id in traced
         ]
         assert bare == []
 
@@ -1143,6 +1156,9 @@ class TestTracingPlan:
             # Only the ingest stage parses prices.csv, and only when it runs.
             parses = names.count("ingest.load_prices")
             assert parses == (stage == "ingest" and bool(args)), stage
+            if stage == "predict":
+                emitting = ("mlp.predict_batch", "graph.propagate", "graph.threshold")
+                assert [names.count(name) for name in emitting] == [1, 1, 1]
             spans.update(names)
             flop += recorded["counts"].get("mlp.flop", 0.0)
             pairs += recorded["counts"].get("embedding.pairs", 0.0)
@@ -1261,6 +1277,42 @@ class TestFailureModes:
             assert cli.main(["ingest", "--config", str(config)]) == 1
         assert f"{path}:{lineno}: alias {alias!r} is given for {ticker}X" in caplog.text
         assert "Traceback" not in caplog.text
+
+    @pytest.mark.parametrize("blank", [" ", "\t"])
+    def test_blank_alias_exits_one(self, pipeline, tmp_path, caplog, blank):
+        config = _copy(pipeline, tmp_path)
+        path = load_config(config).paths.aliases
+        data = path.read_text(encoding="utf-8")
+        path.write_text(data + f"{blank},ACX\n", encoding="utf-8")
+        lineno = data.count("\n") + 1
+        error = _refused(config, "ingest", caplog)
+        assert f"{path}:{lineno}: expected 'alias,ticker'" in error
+        assert "Traceback" not in error
+
+    def test_duplicate_article_id_exits_one(self, pipeline, tmp_path, caplog):
+        config = _copy(pipeline, tmp_path)
+        path = load_config(config).paths.articles
+        data = path.read_text(encoding="utf-8")
+        first = json.loads(data.splitlines()[0])
+        path.write_text(data + json.dumps(first) + "\n", encoding="utf-8")
+        lineno = data.count("\n") + 1
+        error = _refused(config, "ingest", caplog)
+        assert f"{path}:{lineno}: duplicate article id {first['id']!r}" in error
+        assert "Traceback" not in error
+
+    def test_empty_test_split_stops_predict_as_it_stops_evaluate(
+        self, pipeline, tmp_path, caplog
+    ):
+        config = _copy(pipeline, tmp_path)
+        work = config.parent / "work"
+        (work / "predictions.csv").unlink()
+        late = ("--set", "dates.valid_end=2099-01-01")
+        for stage in ("ingest", "featurize", "train"):
+            assert cli.main([stage, "--config", str(config), *late]) == 0, stage
+        assert len(load_feature_matrix(work / "features_test.bin")) == 0
+        for stage in ("predict", "evaluate"):
+            assert "test split is empty" in _refused(config, stage, caplog, *late)
+        assert not (work / "predictions.csv").exists()
 
     def test_malformed_prices_csv_exits_one(self, pipeline, tmp_path, caplog):
         config = _copy(pipeline, tmp_path)

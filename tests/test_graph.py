@@ -12,7 +12,6 @@ from newsmotion.graph import (
     DNN,
     PROPAGATED,
     CorrelationGraph,
-    Prediction,
     Propagation,
     build_graph,
     load_graph,
@@ -25,7 +24,7 @@ from newsmotion.dates import DateRange
 from newsmotion.ingest import PriceSeries
 
 from graph_oracle import build_graph_pairwise, dense_weights, pearson
-from support import degree, load_predictions
+from support import Prediction, degree, load_predictions
 
 DAY = date(2012, 3, 5)
 
@@ -542,7 +541,8 @@ class TestPredictionFile:
 
     def test_round_trip_sorts_by_date_ticker(self, tmp_path):
         path = tmp_path / "predictions.csv"
-        write_predictions(self._predictions(), path)
+        rows = [(p.date, p.ticker, p.source, p.confidence) for p in self._predictions()]
+        write_predictions(rows, path)
         assert path.read_bytes() == (
             b"date,ticker,source,label,confidence\n"
             b"2012-03-04,CCC,dnn,down,-0.25\n"

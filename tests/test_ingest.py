@@ -138,6 +138,14 @@ class TestArticles:
             f"{path}:1: invalid date {text!r}: Invalid isoformat string: {text!r}"
         )
 
+    def test_duplicate_id_names_the_line(self, tmp_path):
+        record = {"id": "a1", "date": "2012-01-02", "title": "t", "body": "b", "source": "s"}
+        other = {**record, "date": "2012-01-03", "body": "c"}
+        path = _write(tmp_path, "a.jsonl", f"{json.dumps(record)}\n{json.dumps(other)}\n")
+        with pytest.raises(ParseError) as caught:
+            list(load_articles(path))
+        assert str(caught.value) == f"{path}:2: duplicate article id 'a1'"
+
     def test_blank_lines_are_skipped(self, tmp_path):
         record = (
             '\n{"id": "x", "date": "2012-01-02", "title": "t", '

@@ -150,6 +150,14 @@ class TestAliasMatcher:
         with pytest.raises(ParseError, match=":1"):
             load_aliases(path)
 
+    @pytest.mark.parametrize("blank", [" ", "\t"])
+    def test_load_aliases_rejects_a_blank_alias(self, tmp_path, blank):
+        path = tmp_path / "aliases.csv"
+        path.write_text(f"# alias,ticker\nAcme Corp,ACM\n{blank},ACX\n", encoding="utf-8")
+        with pytest.raises(ParseError) as caught:
+            load_aliases(path)
+        assert str(caught.value) == f"{path}:3: expected 'alias,ticker'"
+
     @pytest.mark.parametrize("first, second", [("ACM", "ACX"), ("ACX", "ACM")])
     def test_load_aliases_rejects_an_alias_given_for_two_tickers(
         self, tmp_path, first, second
