@@ -3,11 +3,12 @@
 The ablation trains one classifier per feature-block combination (shared
 seed and hyperparameters) and scores each on the same test rows; the
 combination of every block can score a model file already trained on the
-full matrices instead. Each training reads the full train and validation
-matrices, float64 or float32, and trains on only its blocks' columns in
-float32 (`mlp.train`), so no float64 copy of a subset is made for
-training; the `evaluate` stage loads those two matrices as float32 and
-gets the same rows as from float64. The test rows are float64, sliced
+full matrices instead. The combinations train in lockstep groups
+(`mlp.train_each`), each model as `mlp.train` trains it alone: each
+reads the full train and validation matrices, float64 or float32, and
+trains on only its blocks' columns in float32, so no float64 copy of a
+subset is made for training; the `evaluate` stage loads those two
+matrices as float32 and gets the same rows as from float64. The test rows are float64, sliced
 by `slice_blocks` and scored as every model is. The
 sweep seeds the correlation graph with per-date classifier confidences,
 propagates, and measures accuracy and coverage of the emitted
@@ -32,7 +33,7 @@ from .errors import PipelineError, ValidationError
 from .features import FeatureMatrix, block_set, slice_blocks
 from .graph import CorrelationGraph, Propagation, propagate, threshold_predictions
 from .ingest import PriceSeries
-from .mlp import MlpModel, error_rate, load_model, predict_batch, train
+from .mlp import MlpModel, error_rate, load_model, predict_batch, train_each
 from .sampling import POSITIVE, movement_label
 
 logger = logging.getLogger(__name__)
@@ -121,8 +122,9 @@ def run_ablation(
     holding what ``train`` returns for the full train and validation
     matrices under ``config``: the combination of every block loads and
     scores it instead of training the same model again. It is loaded only
-    when that row comes up, and each row's model is dropped once its test
-    rows are scored, so no model is held while another row trains.
+    when that row comes up. The other rows train in `mlp.train_each`'s
+    groups, and each row's model is dropped once its test rows are
+    scored, so no model of a group is held while the next group trains.
     """
     config = config or TrainConfig()
     if not (train_matrix.layout == valid_matrix.layout == test_matrix.layout):
@@ -131,20 +133,25 @@ def run_ablation(
         raise ValidationError("test split is empty")
     if not combinations:
         raise ValidationError("at least one combination is required")
+    block_sets = [block_set(c) for c in combinations]
+    from_file = [
+        full_model is not None and blocks == train_matrix.layout.blocks
+        for blocks in block_sets
+    ]
+    trained = train_each(
+        train_matrix,
+        valid_matrix,
+        config,
+        [blocks for blocks, loaded in zip(block_sets, from_file) if not loaded],
+    )
     rows: list[AblationRow] = []
-    for blocks in [block_set(c) for c in combinations]:
+    for blocks, loaded in zip(block_sets, from_file):
         name = "+".join(blocks)
-        from_file = full_model is not None and blocks == train_matrix.layout.blocks
         try:
-            # The model is a temporary, so no row's model is held while the
-            # next row trains.
-            confidences = predict_batch(
-                load_model(full_model)
-                if from_file
-                else train(train_matrix, valid_matrix, config, blocks),
-                slice_blocks(test_matrix, blocks),
+            # The model is a temporary, dropped before the next group trains.
+            err = _test_error(
+                load_model(full_model) if loaded else next(trained), test_matrix, blocks
             )
-            err = error_rate(confidences, test_matrix.labels)
         except PipelineError as exc:
             logger.warning("combination %s failed: %s", name, exc)
             rows.append(
@@ -157,6 +164,17 @@ def run_ablation(
         rows=tuple(rows),
         metadata={"seed": config.seed, "test_samples": len(test_matrix)},
     )
+
+
+def _test_error(
+    model: MlpModel | PipelineError, test_matrix: FeatureMatrix, blocks: Sequence[str]
+) -> float:
+    """The model's error on the test rows' columns of ``blocks``; an error
+    that its training gave instead is raised."""
+    if isinstance(model, PipelineError):
+        raise model
+    confidences = predict_batch(model, slice_blocks(test_matrix, blocks))
+    return error_rate(confidences, test_matrix.labels)
 
 
 def emissions(

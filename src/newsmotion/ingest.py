@@ -215,8 +215,11 @@ def _price_table(header: dict, data: BinaryIO) -> dict[str, PriceSeries]:
     if not np.all(whole & (ordinals >= 1) & (ordinals <= _MAX_ORDINAL)):
         raise ValueError("dates must be whole day ordinals")
     # One date object per distinct day, shared by every series; each
-    # series converts only its own ordinals.
-    days = {o: Date.fromordinal(o) for o in np.unique(ordinals).astype(int).tolist()}
+    # series converts only its own ordinals. The distinct days come from a
+    # sort, not from np.unique, whose first call imports numpy.ma.
+    ordered = np.sort(ordinals)
+    distinct = ordered[np.diff(ordered, prepend=0.0) != 0]
+    days = {o: Date.fromordinal(o) for o in distinct.astype(int).tolist()}
     prices, start = {}, 0
     for ticker, n in zip(tickers, lengths):
         keys = ordinals[start : start + n].astype(int).tolist()

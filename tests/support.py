@@ -121,9 +121,18 @@ def loss_and_gradients(
     grad_w = [np.empty_like(w) for w in model.weights]
     grad_b = [np.empty_like(b) for b in model.biases]
     a = np.ascontiguousarray(x.T, dtype=model.weights[0].dtype)
+
+    def stack(arrays: list[np.ndarray]) -> list:
+        """A one-model stack's layers, as `_step` takes them: views, no copies."""
+        return [[arrays[0]], *(p[None] for p in arrays[1:])]
+
+    biases = [b[None] for b in model.biases]
     # the gradients are only read, so applying a layer's does nothing
-    loss = _step(model.weights, model.biases, a, y, l2, grad_w, grad_b, lambda i: None)
-    return loss, grad_w, grad_b
+    (loss,) = _step(
+        stack(model.weights), biases, [a], y, l2,
+        stack(grad_w), [g[None] for g in grad_b], lambda i: None,
+    )
+    return float(loss), grad_w, grad_b
 
 
 def child_env() -> dict[str, str]:

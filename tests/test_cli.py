@@ -241,16 +241,23 @@ def _watch_bodies(monkeypatch) -> dict[str, set[str]]:
 
 @pytest.fixture
 def trainings(monkeypatch) -> list[int]:
-    """Counts calls to ``mlp.train`` from the train stage and the ablation."""
-    calls: list[int] = []
+    """Counts the models trained, by the train stage and by the ablation.
+
+    Both train through ``mlp.train_each``, the ablation a group of
+    models at a time, so a count of calls would not count models.
+    """
+    trained: list[int] = []
+    train_each = mlp.train_each
 
     def counting(*args, **kwargs):
-        calls.append(1)
-        return mlp.train(*args, **kwargs)
+        for result in train_each(*args, **kwargs):
+            if isinstance(result, mlp.MlpModel):
+                trained.append(1)
+            yield result
 
-    monkeypatch.setattr(cli, "train", counting)
-    monkeypatch.setattr(evaluation, "train", counting)
-    return calls
+    monkeypatch.setattr(mlp, "train_each", counting)
+    monkeypatch.setattr(evaluation, "train_each", counting)
+    return trained
 
 
 @pytest.fixture(scope="module")

@@ -126,7 +126,7 @@ class TestCombinationName:
 class TestRunAblation:
     def test_unknown_combination_rejected_before_any_training(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(evaluation, "train", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(evaluation, "train_each", lambda *a, **k: calls.append(a))
         train_m = _signal_matrix(20, seed=80)
         with pytest.raises(ValidationError, match="volume"):
             run_ablation(train_m, train_m, train_m, [("bok",), ("bok", "volume")])

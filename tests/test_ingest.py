@@ -7,6 +7,8 @@ import csv
 import json
 import random
 import re
+import subprocess
+import sys
 from datetime import date
 
 import numpy as np
@@ -30,7 +32,7 @@ from newsmotion.synth import generate_synthetic_fixture
 
 from graph_oracle import align_series
 from price_oracle import oracle_prices, random_prices_text
-from support import write_prices
+from support import child_env, write_prices
 
 
 def _write(tmp_path, name, text):
@@ -537,6 +539,27 @@ class TestPriceTable:
         table = load_price_table(self._round_trip(path, tmp_path))
         assert list(table) == ["AAA", "BBB", "CCC"]
         assert table["CCC"].dates == (date(2012, 1, 2), date(2013, 3, 1))
+
+    def test_a_load_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.unique's first call imports numpy.ma, about 10 ms in each
+        # stage process that loads prices.bin
+        path = self._table(tmp_path)
+        script = (
+            "import sys\n"
+            "from newsmotion.ingest import load_price_table\n"
+            "assert list(load_price_table(sys.argv[1])) == ['AAA', 'BBB']\n"
+            "print(' '.join(sorted(sys.modules)))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        loaded = set(done.stdout.split())
+        assert "numpy" in loaded
+        assert sorted(m for m in loaded if m.split(".")[:2] == ["numpy", "ma"]) == []
 
     def test_empty_table_round_trips(self, tmp_path):
         path = tmp_path / "prices.bin"

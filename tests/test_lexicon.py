@@ -215,6 +215,22 @@ class TestBuildKeywordLexicon:
             assert entry.idf == compute_idf(entry.df, len(samples))
             assert entry.ps == polarity_score_of(entry.word, samples)
 
+    def test_keyword_file_counts_each_sample_once_per_word(self, tmp_path):
+        table, samples = self._planted()
+        # a word twice in one sentence, and in two sentences of one sample
+        samples.append(_sample(NEGATIVE, "rebound rebound drop", "drop filler3"))
+        path = tmp_path / "keywords.csv"
+        write_keyword_lexicon(build_keyword_lexicon(table, samples, k=20), path)
+        texts = [{w for s in sample.sentences for w in s.text.split()} for sample in samples]
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert len(rows) == 20
+        for word, _, _, df, idf, _ in rows:
+            count = sum(word in words for words in texts)
+            assert int(df) == count, word
+            assert float(idf) == math.log((len(samples) + 1) / (count + 1)), word
+        by_word = {row[0]: int(row[3]) for row in rows}
+        assert (by_word["rebound"], by_word["drop"], by_word["filler3"]) == (2, 2, 3)
+
     def test_words_outside_the_samples_are_not_candidates(self):
         table, samples = self._planted()
         boosted = _table(

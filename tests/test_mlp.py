@@ -4,32 +4,39 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
+from newsmotion import mlp
 from newsmotion.config import TrainConfig
+from newsmotion.evaluation import DEFAULT_COMBINATIONS
 from newsmotion.errors import TrainingDiverged, ValidationError, ParseError
 from newsmotion.features import (
     BLOCK_ORDER,
     FeatureLayout,
     FeatureMatrix,
+    block_columns,
     load_feature_matrix,
     slice_blocks,
     write_feature_matrix,
 )
 from newsmotion.graph import DOWN, UP
 from newsmotion.mlp import (
+    GROUP_PARAMS,
     MlpModel,
     _confidences,
     _layers,
+    _stack_size,
     error_rate,
     load_model,
     predict_batch,
     save_model,
     softmax,
     train,
+    train_each,
 )
 from newsmotion.sampling import NEGATIVE, POSITIVE
 
@@ -730,3 +737,105 @@ class TestBlobHeaders:
         with pytest.raises(ParseError, match="header") as err:
             self._load(name, path)
         assert str(path) in str(err.value)
+
+
+class TestTrainEach:
+    """Block sets train in lockstep groups, each model as `train` trains it alone."""
+
+    @staticmethod
+    def _groups(monkeypatch) -> list[int]:
+        """How many models each group trains, as `train_each` calls them."""
+        sizes: list[int] = []
+        train_group = mlp._train_group
+
+        def recording(train_m, valid_m, config, layouts):
+            sizes.append(len(layouts))
+            return train_group(train_m, valid_m, config, layouts)
+
+        monkeypatch.setattr(mlp, "_train_group", recording)
+        return sizes
+
+    @staticmethod
+    def _same_bytes(tmp_path, model: MlpModel, alone: MlpModel) -> bool:
+        paths = [tmp_path / "group.bin", tmp_path / "alone.bin"]
+        save_model(model, paths[0])
+        save_model(alone, paths[1])
+        return paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("l2", [0.0, 0.02])
+    def test_every_row_of_a_group_saves_the_bytes_of_training_it_alone(
+        self, tmp_path, monkeypatch, l2
+    ):
+        # 70 rows in batches of 16 leave a last batch of 6; patience 3
+        # stops the rows at different epochs, so the stack shrinks
+        train_m = _all_blocks(70, seed=92)
+        valid_m = _all_blocks(40, seed=93)
+        config = TrainConfig(
+            hidden=(7, 6, 5), learning_rate=0.4, batch_size=16, epochs=25,
+            decay_every=4, l2=l2, patience=3, seed=12,
+        )
+        groups = self._groups(monkeypatch)
+        models = list(train_each(train_m, valid_m, config, DEFAULT_COMBINATIONS))
+        assert groups == [len(DEFAULT_COMBINATIONS)]
+        runs = sorted({model.metadata["epochs_run"] for model in models})
+        assert len(runs) > 2 and runs[-1] < config.epochs
+        for blocks, model in zip(DEFAULT_COMBINATIONS, models):
+            alone = train(train_m, valid_m, config, blocks)
+            assert model.layout.blocks == blocks
+            assert self._same_bytes(tmp_path, model, alone), blocks
+
+    def test_a_missing_block_or_a_divergence_fails_only_its_row(
+        self, tmp_path, monkeypatch
+    ):
+        matrices = []
+        for n, seed in ((70, 94), (40, 95)):
+            full = _all_blocks(n, seed=seed)
+            # no ct block, and ps values large enough to overflow a step
+            layout = FeatureLayout(("price", "bok", "ps"), k=3, n_categories=0)
+            x = full.x[:, : layout.dimension].copy()
+            x[:, slice(*layout.offsets()["ps"])] *= 1e150
+            matrices.append(replace(full, layout=layout, x=x))
+        train_m, valid_m = matrices
+        config = TrainConfig(
+            hidden=(7, 5), learning_rate=0.4, batch_size=16, epochs=12,
+            patience=3, seed=13,
+        )
+        sets = [("price",), ("price", "ct"), ("price", "ps"), ("price", "bok"), ("bok", "ps")]
+        groups = self._groups(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = list(train_each(train_m, valid_m, config, sets))
+            assert groups == [4]
+            with pytest.raises(TrainingDiverged) as alone:
+                train(train_m, valid_m, config, ("price", "ps"))
+        missing, diverged = results[1], results[2]
+        assert isinstance(missing, ValidationError) and "ct" in str(missing)
+        assert isinstance(diverged, TrainingDiverged)
+        assert str(diverged) == str(alone.value)
+        assert isinstance(results[4], TrainingDiverged)
+        for i in (0, 3):
+            assert self._same_bytes(
+                tmp_path, results[i], train(train_m, valid_m, config, sets[i])
+            ), sets[i]
+            assert results[i].metadata["epochs_run"] > 1
+
+    def test_a_group_holds_at_most_its_parameter_budget(self):
+        matrix = _all_blocks(8, seed=96)
+        tail = (300, 250, 2)
+        widths = [block_columns(matrix.layout, s)[0].dimension for s in DEFAULT_COMBINATIONS]
+        sizes = [_stack_size([w], tail) for w in widths]
+        # about 0.3 of the budget each, so the eight form groups of three
+        assert 3 * max(sizes) <= GROUP_PARAMS < 4 * min(sizes)
+        config = TrainConfig(hidden=tail[:-1], batch_size=4, epochs=2, seed=14)
+
+        def count() -> int:
+            # each result is a temporary, as the ablation scores it, so no
+            # model of a group is held while the next group trains
+            results = train_each(matrix, matrix, config, DEFAULT_COMBINATIONS)
+            return sum(isinstance(next(results), MlpModel) for _ in widths)
+
+        trained, peak = traced_peak(count)
+        assert trained == len(DEFAULT_COMBINATIONS)
+        # A group's float32 parameters, snapshot and gradient take at most
+        # 12 bytes per parameter of the budget; 512 KiB covers the rest.
+        # One group of all eight models (8 MB here) does not fit.
+        assert peak < 12 * GROUP_PARAMS + 2**19

@@ -291,6 +291,15 @@ class TestSplitByDate:
             split_by_date([], date(2012, 1, 4), date(2012, 1, 4))
 
 
+class TestSentence:
+    def test_a_mention_offset_falls_inside_the_text(self):
+        text = "A rose."
+        assert Sentence(text, date(2012, 1, 2), (("A", len(text) - 1),)).tickers() == ["A"]
+        for offset in (-1, len(text), len(text) + 1):
+            with pytest.raises(ValidationError, match="outside sentence of length 7"):
+                Sentence(text, date(2012, 1, 2), (("A", offset),))
+
+
 class TestSampleCheckpoint:
     def test_round_trip_of_extracted_samples(self, tmp_path):
         matcher = AliasMatcher({"Apple": "AAPL", "AAPL": "AAPL"})
