@@ -335,14 +335,15 @@ UNITS = {
     "synth": Unit("synth", ("synth",), (), _FIXTURE, _synth),
     "prices": Unit("ingest", (), ("paths.prices",), ("prices.bin",), _prices),
     # revision 1: each sample sentence keeps its mentions; revision 2: a
-    # "\r" in a sentence becomes a space in corpus.txt, as "\n" does
+    # "\r" in a sentence becomes a space in corpus.txt, as "\n" does;
+    # revision 3: an alias is stripped of surrounding whitespace
     "ingest": Unit(
         "ingest",
         ("dates.train_end", "dates.valid_end"),
         ("paths.articles", "prices.bin", "paths.aliases"),
         (*_SAMPLES, "corpus.txt"),
         _ingest,
-        revision=2,
+        revision=3,
     ),
     "embed": Unit(
         "embed", ("embedding",), ("corpus.txt",), ("embeddings.txt",), _embed
@@ -354,22 +355,25 @@ UNITS = {
         ("keywords.csv", "categories.csv"),
         _lexicon,
     ),
+    # revision 1: the rows are stored as a bit mask plus their values
     "featurize": Unit(
         "featurize",
         ("dates.train_start", "dates.train_end"),
         (*_SAMPLES, "keywords.csv", "categories.csv", "prices.bin"),
         (*_FEATURES, "skipped.csv"),
         _featurize,
+        revision=1,
     ),
     # revisions of train and ablation: 1, training computes in float32; 2,
-    # activations are feature-major and validation scores in float32
+    # activations are feature-major and validation scores in float32; 3,
+    # model.bin stores the float32 weights as <f4
     "train": Unit(
         "train",
         ("training",),
         ("features_train.bin", "features_valid.bin"),
         ("model.bin",),
         _train,
-        revision=2,
+        revision=3,
     ),
     "graph": Unit(
         "graph",
@@ -392,7 +396,7 @@ UNITS = {
         ("ablation.csv", "ablation.txt"),
         _ablation,
         report="ablation.txt",
-        revision=2,
+        revision=3,
     ),
     "sweep": Unit(
         "evaluate",

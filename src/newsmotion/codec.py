@@ -2,14 +2,17 @@
 
 A table is leading ``# key=value`` lines, one exact header line, then
 comma-separated rows; JSON lines hold one object per line; a blob is a
-JSON header line, then little-endian float64 values, which load into
-one array that the decoder's arrays view (`unpack`), so a load holds its
-data once: float64 values are read straight into it, and a load as
-another dtype casts them in as it reads them, a bounded chunk at a time,
-so it holds no float64 copy of its data either. Text is written as
-UTF-8 with ``"\n"`` line ends. Whatever a caller's decoder raises comes
-back as a `ParseError` naming the file and line, and so does a text file
-that is not UTF-8 (`utf8_text`).
+JSON header line, then each array's little-endian values. float32 and
+uint8 arrays are stored as ``<f4`` and ``|u1``, any other as ``<f8``;
+the header's ``dtypes`` names each array's stored dtype, and a header
+without it holds ``<f8`` arrays only. Consecutive arrays of one dtype
+load into one array that the decoder's arrays view (`unpack`), so a load
+holds its data once: values are read straight into it, and a load of
+float values as another float dtype casts them in as it reads them, a
+bounded chunk at a time, so it holds no copy in the stored dtype either.
+Text is written as UTF-8 with ``"\n"`` line ends. Whatever a caller's
+decoder raises comes back as a `ParseError` naming the file and line,
+and so does a text file that is not UTF-8 (`utf8_text`).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
+from itertools import groupby
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -27,7 +31,9 @@ from .errors import ParseError, ValidationError
 
 T = TypeVar("T")
 
-_DECODE_ERRORS = (KeyError, TypeError, ValueError, ParseError, ValidationError)
+_DECODE_ERRORS = (
+    KeyError, TypeError, ValueError, OverflowError, ParseError, ValidationError
+)
 
 
 @contextmanager
@@ -131,17 +137,32 @@ def read_records(path: str | Path, decode: Callable[[dict], T]) -> Iterator[T]:
             yield value
 
 
-def write_blob(path: str | Path, header: dict, arrays: Sequence[np.ndarray]) -> None:
-    """Write the header as one JSON line, then each array as ``<f8`` values.
+# The dtypes a blob stores arrays as, by the tag its header names them by.
+_STORED = {"<f8": np.dtype("<f8"), "<f4": np.dtype("<f4"), "|u1": np.dtype("|u1")}
 
-    An array that is already C-ordered ``<f8`` is written from its own
-    buffer; any other is converted first.
+
+def _stored(a: np.ndarray) -> str:
+    """The tag ``a`` is stored as: its own for float32 and uint8, else ``<f8``."""
+    dtype = np.asarray(a).dtype
+    return {np.float32: "<f4", np.uint8: "|u1"}.get(dtype.type, "<f8")
+
+
+def write_blob(path: str | Path, header: dict, arrays: Sequence[np.ndarray]) -> None:
+    """Write the header as one JSON line, then each array's values.
+
+    Each array is stored as `_stored` says; when one is not ``<f8`` the
+    header's ``dtypes`` lists every array's tag. An array that is
+    already C-ordered in its stored dtype is written from its own buffer;
+    any other is converted first.
     """
+    tags = [_stored(a) for a in arrays]
+    if any(tag != "<f8" for tag in tags):
+        header = {**header, "dtypes": tags}
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, separators=(",", ":"), sort_keys=True).encode())
         fh.write(b"\n")
-        for a in arrays:
-            fh.write(memoryview(np.ascontiguousarray(a, dtype="<f8")))
+        for a, tag in zip(arrays, tags):
+            fh.write(memoryview(np.ascontiguousarray(a, dtype=tag)))
 
 
 def read_blob(path: str | Path, decode: Callable[[dict, BinaryIO], T]) -> T:
@@ -162,40 +183,68 @@ def read_blob(path: str | Path, decode: Callable[[dict, BinaryIO], T]) -> T:
             return decode(header, fh)
 
 
-# A load as another dtype reads this many float64 values at a time.
+# A load as another float dtype reads this many stored values at a time.
 _CHUNK = 1 << 15
 
 
 def unpack(
-    data: BinaryIO, shapes: Sequence[tuple[int, ...]], dtype="<f8"
+    data: BinaryIO,
+    header: dict,
+    shapes: Sequence[tuple[int, ...]],
+    as_float=None,
 ) -> list[np.ndarray]:
-    """The rest of a blob as arrays of ``dtype`` and the given shapes, in order.
+    """The rest of a blob as arrays of the given shapes, in order.
 
-    The byte count is checked first. The values are then read into one
-    array of ``dtype``, and the arrays returned are views of it.
+    Each array has the stored dtype the header names (`write_blob`); with
+    ``as_float``, every float array loads as that dtype instead. The tags
+    and the byte count are checked first. Then each run of consecutive
+    arrays of one stored and loaded dtype is read into one array, and the
+    arrays returned are views of it.
     """
+    tags = header.get("dtypes", ["<f8"] * len(shapes))
+    if not isinstance(tags, list) or len(tags) != len(shapes):
+        raise ValueError(f"expected {len(shapes)} dtype tags, got {tags!r}")
+    for tag in tags:
+        if not isinstance(tag, str) or tag not in _STORED:
+            raise ValueError(f"unknown dtype tag {tag!r}")
     sizes = [math.prod(shape) for shape in shapes]
-    expected = 8 * sum(sizes)
+    if any(n < 0 for shape in shapes for n in shape):
+        raise ValueError(f"negative array shape in {list(shapes)}")
+    stored = [_STORED[tag] for tag in tags]
+    loaded = [
+        np.dtype(as_float) if as_float is not None and s.kind == "f" else s
+        for s in stored
+    ]
+    expected = sum(n * s.itemsize for n, s in zip(sizes, stored))
     found = os.fstat(data.fileno()).st_size - data.tell()
-    if found == expected:
-        values = np.empty(sum(sizes), dtype=dtype)
-        found = _read_values(data, values)
     if found != expected:
         raise ValueError(f"expected {expected} data bytes, found {found}")
-    chunks = np.split(values, np.cumsum(sizes)[:-1])
-    return [v.reshape(shape) for v, shape in zip(chunks, shapes)]
+    arrays: list[np.ndarray] = []
+    found = 0
+    runs = groupby(zip(shapes, sizes, stored, loaded), key=lambda array: array[2:])
+    for (stored_as, loaded_as), run in runs:
+        run_shapes, run_sizes, *_ = zip(*run)
+        values = np.empty(sum(run_sizes), dtype=loaded_as)
+        read = _read_values(data, values, stored_as)
+        found += read
+        if read != values.size * stored_as.itemsize:
+            raise ValueError(f"expected {expected} data bytes, found {found}")
+        chunks = np.split(values, np.cumsum(run_sizes)[:-1])
+        arrays.extend(v.reshape(shape) for v, shape in zip(chunks, run_shapes))
+    return arrays
 
 
-def _read_values(data: BinaryIO, values: np.ndarray) -> int:
-    """Reads ``<f8`` values into ``values``, cast to its dtype; the bytes read.
+def _read_values(data: BinaryIO, values: np.ndarray, stored="<f8") -> int:
+    """Reads ``stored`` values into ``values``, cast to its dtype; the bytes read.
 
-    ``<f8`` values are read straight into it; for any other dtype each
-    chunk of at most `_CHUNK` values is read into one float64 buffer and
-    cast in from there.
+    Values of its own dtype are read straight into it; for any other
+    dtype each chunk of at most `_CHUNK` values is read into one buffer
+    of the stored dtype and cast in from there.
     """
-    if values.dtype == np.dtype("<f8"):
+    stored = np.dtype(stored)
+    if values.dtype == stored:
         return data.readinto(values.view(np.uint8))
-    buffer = np.empty(min(values.size, _CHUNK), dtype="<f8")
+    buffer = np.empty(min(values.size, _CHUNK), dtype=stored)
     found = 0
     for at in range(0, values.size, _CHUNK):
         chunk = buffer[: values.size - at]

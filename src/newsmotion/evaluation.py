@@ -8,8 +8,9 @@ full matrices instead. The combinations train in lockstep groups
 reads the full train and validation matrices, float64 or float32, and
 trains on only its blocks' columns in float32, so no float64 copy of a
 subset is made for training; the `evaluate` stage loads those two
-matrices as float32 and gets the same rows as from float64. The test rows are float64, sliced
-by `slice_blocks` and scored as every model is. The
+matrices as float32 and gets the same rows as from float64. The test
+rows are float64: each row of the ablation decodes its blocks' columns
+of them whole, and nothing else, when its model scores them. The
 sweep seeds the correlation graph with per-date classifier confidences,
 propagates, and measures accuracy and coverage of the emitted
 unseen-stock predictions as the confidence threshold rises, through
@@ -30,7 +31,7 @@ import numpy as np
 from .codec import write_table
 from .config import TrainConfig
 from .errors import PipelineError, ValidationError
-from .features import FeatureMatrix, block_set, slice_blocks
+from .features import FeatureMatrix, block_set
 from .graph import CorrelationGraph, Propagation, propagate, threshold_predictions
 from .ingest import PriceSeries
 from .mlp import MlpModel, error_rate, load_model, predict_batch, train_each
@@ -173,7 +174,7 @@ def _test_error(
     that its training gave instead is raised."""
     if isinstance(model, PipelineError):
         raise model
-    confidences = predict_batch(model, slice_blocks(test_matrix, blocks))
+    confidences = predict_batch(model, test_matrix, blocks)
     return error_rate(confidences, test_matrix.labels)
 
 

@@ -4,26 +4,33 @@ A feature vector is the concatenation of four blocks in `BLOCK_ORDER`:
 12 normalized price values, one tf-idf component per lexicon keyword
 (bag-of-keywords), one signed polarity component per keyword, and one
 log-count per event category. The featurizer always fills all four; a
-subset of blocks is a column slice of that matrix, and `block_columns`
-is the one place that computes a subset's layout and where its columns
-sit in the full rows. `slice_blocks` copies those columns into float64
-rows, unless they are the matrix's own float64 rows, and `mlp.train`
-gathers each mini-batch's share of them straight from the full rows, so
-training makes no copy of a subset.
+subset of blocks is a set of column runs of that matrix, and
+`block_columns` is the one place that computes a subset's layout and
+where its columns sit in the full rows.
+Most entries are zero, so a `FeatureMatrix` holds its rows as a packed
+bit mask of the entries whose bits are not all zero, plus their values
+in row-major order, in memory and in its file alike, and
+`FeatureMatrix.decode` is the one way to read them: it writes chosen
+rows' column runs into a buffer of the caller's dtype and layout. So
+training decodes each mini-batch straight into its float32 batch
+buffer, scoring decodes a block subset's rows as float64, and no dense
+copy of a matrix is made.
 Prices are z-scored with each ticker's training-window mean and std,
 which only this module computes. The three news blocks are counts over
 the same tokens, so each sentence is tokenized once and that one walk
-fills all of them; each row is written in place in the matrix. The
-subject test behind the polarity signs reads the mentions each sentence
-carries from ingest. The layout descriptor travels with every matrix
-and model file (both `codec` blobs) so train and serve can never
-disagree on shapes.
+fills all of them; each row is written into a small dense block of rows,
+which is packed once full. The subject test behind the polarity signs
+reads the mentions each sentence carries from ingest. The layout
+descriptor travels with every matrix and model file (both `codec`
+blobs) so train and serve can never disagree on shapes.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+import math
+from array import array
+from dataclasses import dataclass, field
 from datetime import date as Date
 from functools import partial
 from pathlib import Path
@@ -222,17 +229,37 @@ def _fill_news(
     np.log1p(ct, out=ct)
 
 
+# `featurize_samples` packs its rows this many at a time.
+_PACK_ROWS = 64
+# `FeatureMatrix.decode` keeps its temporaries (unpacked mask bits, value
+# indices and values) near this many bytes, at the matrix's mean number of
+# values a row.
+_DECODE_BYTES = 1 << 18
+# The number of set bits of each byte value.
+_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], np.uint8)
+
+
 @dataclass
 class FeatureMatrix:
-    """Feature rows for a set of samples, aligned with per-row metadata."""
+    """Feature rows for a set of samples, aligned with per-row metadata.
+
+    The rows are held as ``mask``, (n, ceil(dimension / 8)) uint8, the
+    `np.packbits` of the entries whose bits are not all zero, so that a
+    -0.0 is kept, and ``values``, those entries in row-major order. The
+    values are float64; rows that are only trained on may be float32
+    (`load_feature_matrix`), as training reads float32 anyway. Padding
+    bits are clear, the mask sets one bit per value, and no value's bits
+    are all zero.
+    """
 
     layout: FeatureLayout
     tickers: list[str]
     dates: list[Date]
     labels: list[str]  # POSITIVE or NEGATIVE
-    # (n, layout.dimension) float64; rows that are only trained on may be
-    # float32 (`load_feature_matrix`), as training reads float32 anyway.
-    x: np.ndarray
+    mask: np.ndarray
+    values: np.ndarray
+    # row i's values are values[starts[i] : starts[i + 1]]
+    starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.tickers)
@@ -241,14 +268,96 @@ class FeatureMatrix:
         unknown = set(self.labels) - {POSITIVE, NEGATIVE}
         if unknown:
             raise ValidationError(f"unknown movement labels {sorted(unknown)}")
-        if self.x.shape != (n, self.layout.dimension):
+        dim = self.layout.dimension
+        shape = (n, -(-dim // 8))
+        if self.mask.dtype != np.uint8 or self.mask.shape != shape:
             raise ValidationError(
-                f"matrix shape {self.x.shape} does not match "
-                f"{n} rows of dimension {self.layout.dimension}"
+                f"mask of {self.mask.dtype} {self.mask.shape} does not match "
+                f"{n} rows of dimension {dim}: expected uint8 {shape}"
             )
+        values = self.values
+        if values.dtype not in (np.float64, np.float32) or values.ndim != 1:
+            raise ValidationError(
+                f"values must be one float64 or float32 run, got "
+                f"{values.dtype} {values.shape}"
+            )
+        if dim % 8 and n and np.any(self.mask[:, -1] & (0xFF >> dim % 8)):
+            raise ValidationError("mask sets a padding bit")
+        # each row's value count, counted a bounded block of rows at a time
+        self.starts = np.zeros(n + 1, np.int64)
+        step = max(1, _DECODE_BYTES // max(1, shape[1]))
+        for at in range(0, n, step):
+            block = _POPCOUNT[self.mask[at : at + step]]
+            self.starts[at + 1 : at + 1 + len(block)] = block.sum(axis=1)
+        np.cumsum(self.starts, out=self.starts)
+        if self.starts[-1] != values.size:
+            raise ValidationError(
+                f"mask sets {self.starts[-1]} entries but "
+                f"{values.size} values are given"
+            )
+        bits = values.view(f"u{values.itemsize}")
+        if np.count_nonzero(bits) != bits.size:
+            raise ValidationError("a stored value is zero")
 
     def __len__(self) -> int:
         return len(self.tickers)
+
+    @property
+    def rows_per_decode(self) -> int:
+        """How many rows `decode` decodes at a time (`_DECODE_BYTES`)."""
+        values_per_row = self.values.size / max(1, len(self))
+        per_row = self.layout.dimension + (8 + self.values.itemsize) * values_per_row
+        return max(1, int(_DECODE_BYTES // per_row))
+
+    def decode(
+        self,
+        out: np.ndarray,
+        rows: np.ndarray | slice = slice(None),
+        runs: Sequence[tuple[slice, slice]] | None = None,
+    ) -> np.ndarray:
+        """Writes ``rows``, in the column runs of `block_columns`, into ``out``.
+
+        ``out`` is (..., width), of any dtype and strides, and is returned:
+        its positions before the last axis take the rows in C order. Each
+        value is cast to its dtype as it is written, and every entry the
+        mask leaves clear becomes zero. ``runs`` default to every column;
+        their ``dst`` runs fill ``out``'s width in order. Rows are decoded
+        `rows_per_decode` at a time, or a whole position of ``out``'s first
+        axis at a time when that holds more.
+        """
+        dim = self.layout.dimension
+        keep = None
+        if runs is not None and [src for src, _ in runs] != [slice(0, dim)]:
+            keep = np.zeros(dim, bool)
+            for src, _ in runs:
+                keep[src] = True
+        if not isinstance(rows, np.ndarray):
+            rows = np.arange(len(self))[rows]
+        out[...] = 0
+        inner = math.prod(out.shape[1:-1])  # rows a position of axis 0 takes
+        step = max(1, self.rows_per_decode // inner)
+        for at in range(0, len(out), step):
+            chunk = rows[at * inner : (at + step) * inner]
+            # the chunk's values: row i's run of them starts at lo[i]
+            lo = self.starts[chunk]
+            counts = self.starts[chunk + 1] - lo
+            ends = np.cumsum(counts)
+            index = np.repeat(lo - ends + counts, counts)
+            index += np.arange(ends[-1])
+            values = self.values[index]
+            bits = np.unpackbits(self.mask[chunk], axis=1, count=dim).view(bool)
+            if keep is not None:
+                values = values[np.broadcast_to(keep, bits.shape)[bits]]
+                bits = bits[:, keep]
+            part = out[at : at + step]
+            part[bits.reshape(part.shape)] = values
+        return out
+
+
+def _shared(items: Iterable[str]) -> list[str]:
+    """The strings as a list in which equal strings are one object."""
+    seen: dict[str, str] = {}
+    return [seen.setdefault(item, item) for item in items]
 
 
 def featurize_samples(
@@ -263,23 +372,36 @@ def featurize_samples(
     The layout's sizes are the two lexicons' sizes. ``stats`` holds each
     ticker's normalisation (see `training_stats`). Samples whose price
     block cannot be built are skipped and returned as (ticker, date,
-    reason) records.
+    reason) records. Rows are filled into a dense block of `_PACK_ROWS`
+    rows, which is packed into the mask and values once full, so no dense
+    matrix is made.
     """
     layout = FeatureLayout(
         BLOCK_ORDER, k=len(keywords), n_categories=len(categories.categories)
     )
-    x = np.zeros((len(samples), layout.dimension))
+    mask = np.zeros((len(samples), -(-layout.dimension // 8)), np.uint8)
+    values = array("d")
+    block = np.zeros((_PACK_ROWS, layout.dimension))
     tickers: list[str] = []
     dates: list[Date] = []
     labels: list[str] = []
     skipped: list[tuple[str, Date, str]] = []
+
+    def pack(n: int) -> None:
+        """Packs the block's first n rows, the last rows filled, and zeroes them."""
+        rows = block[:n]
+        bits = rows.view(np.uint64) != 0
+        mask[len(tickers) - n : len(tickers)] = np.packbits(bits, axis=1)
+        values.frombytes(rows[bits].view(np.uint8))
+        rows[...] = 0.0
+
     for sample in samples:
         if sample.label is None:
             raise ValidationError(
                 f"unlabeled sample ({sample.ticker}, {sample.date}) cannot be featurized"
             )
         # A skipped sample writes nothing, so the next one reuses its row.
-        row = x[len(tickers)]
+        row = block[len(tickers) % _PACK_ROWS]
         series = prices.get(sample.ticker)
         normal = stats.get(sample.ticker)
         try:
@@ -295,7 +417,18 @@ def featurize_samples(
         tickers.append(sample.ticker)
         dates.append(sample.date)
         labels.append(sample.label)
-    return FeatureMatrix(layout, tickers, dates, labels, x[: len(tickers)]), skipped
+        if len(tickers) % _PACK_ROWS == 0:
+            pack(_PACK_ROWS)
+    pack(len(tickers) % _PACK_ROWS)
+    matrix = FeatureMatrix(
+        layout,
+        tickers,
+        dates,
+        labels,
+        mask[: len(tickers)],
+        np.frombuffer(values, dtype=np.float64),
+    )
+    return matrix, skipped
 
 
 def block_set(blocks: Iterable[str]) -> tuple[str, ...]:
@@ -337,58 +470,43 @@ def block_columns(
     return sub, runs
 
 
-def slice_blocks(matrix: FeatureMatrix, blocks: Sequence[str]) -> FeatureMatrix:
-    """Project a matrix onto a subset of its blocks, preserving row metadata.
-
-    Lets one full featurization pass serve every block combination. The
-    rows are one C-ordered float64 array: the matrix's own ``x`` when it
-    already is that array of the whole layout, else a copy of the blocks'
-    columns, each cast as it is copied in.
-    """
-    sub, runs = block_columns(matrix.layout, blocks)
-    x = matrix.x
-    if sub != matrix.layout or x.dtype != np.float64 or not x.flags.c_contiguous:
-        x = np.empty((len(matrix), sub.dimension))
-        for src, dst in runs:
-            x[:, dst] = matrix.x[:, src]
-    return FeatureMatrix(
-        layout=sub,
-        tickers=list(matrix.tickers),
-        dates=list(matrix.dates),
-        labels=list(matrix.labels),
-        x=x,
-    )
-
-
 def write_feature_matrix(matrix: FeatureMatrix, path: str | Path) -> None:
-    """A blob: the layout and row metadata in the header, then the rows."""
+    """A blob: the layout, row metadata and value count in the header, then
+    the mask (``|u1``) and the values (``<f8`` as `featurize_samples` makes
+    them)."""
     header = {
         "layout": matrix.layout.to_dict(),
         "rows": len(matrix),
+        "values": matrix.values.size,
         "tickers": matrix.tickers,
         "dates": [d.isoformat() for d in matrix.dates],
         "labels": matrix.labels,
     }
-    write_blob(path, header, [matrix.x])
+    write_blob(path, header, [matrix.mask, matrix.values])
 
 
 def _feature_matrix(dtype, header: dict, data: BinaryIO) -> FeatureMatrix:
     layout = FeatureLayout.from_dict(header["layout"])
-    (x,) = unpack(data, [(int(header["rows"]), layout.dimension)], dtype)
+    shapes = [(int(header["rows"]), -(-layout.dimension // 8)), (int(header["values"]),)]
+    mask, values = unpack(data, header, shapes, dtype)
+    # each distinct day is parsed once, and equal strings are one object
+    days = {text: parse_date(text) for text in dict.fromkeys(header["dates"])}
     return FeatureMatrix(
         layout=layout,
-        tickers=list(header["tickers"]),
-        dates=[parse_date(d) for d in header["dates"]],
-        labels=list(header["labels"]),
-        x=x,
+        tickers=_shared(header["tickers"]),
+        dates=[days[text] for text in header["dates"]],
+        labels=_shared(header["labels"]),
+        mask=mask,
+        values=values,
     )
 
 
 def load_feature_matrix(path: str | Path, dtype=np.float64) -> FeatureMatrix:
-    """The matrix `write_feature_matrix` wrote, its rows as ``dtype``.
+    """The matrix `write_feature_matrix` wrote, its values as ``dtype``.
 
-    The rows are read into one array of ``dtype``. As any other dtype
-    than float64 they are cast as they are read, so the load holds no
-    float64 copy of them (`codec.unpack`).
+    The mask and the values are each read into one array. As any other
+    dtype than float64 the values are cast as they are read, so the load
+    holds no float64 copy of them (`codec.unpack`). A mask or values that
+    break `FeatureMatrix`'s rules are a `ParseError` naming the file.
     """
     return read_blob(path, partial(_feature_matrix, dtype))

@@ -210,7 +210,9 @@ def _price_table(header: dict, data: BinaryIO) -> dict[str, PriceSeries]:
         raise ValueError("lengths must hold one count >= 0 per ticker")
     total = sum(lengths)
     # Each series' closes are a read-only view of the loaded values.
-    ordinals, closes = unpack(data, [(total,), (total,)])
+    ordinals, closes = unpack(data, header, [(total,), (total,)])
+    if ordinals.dtype != np.float64 or closes.dtype != np.float64:
+        raise ValueError("dates and closes must be stored as <f8")
     whole = np.floor(ordinals) == ordinals
     if not np.all(whole & (ordinals >= 1) & (ordinals <= _MAX_ORDINAL)):
         raise ValueError("dates must be whole day ordinals")

@@ -12,17 +12,18 @@ case. Training computes in float32. It takes the full train and
 validation matrices, float64 or float32, and only reads them. Sets
 train in lockstep groups, in request order, while a group's parameters
 number at most `GROUP_PARAMS`; the models share the seed, so they see
-the same batches. Each mini-batch gathers its rows' columns of the
-group's blocks (`features.block_columns`) once, straight from the train
-matrix, cast to float32 as they are copied into the batch buffer. A
-model whose columns are one run of those reads a row slice of the
-batch, and any other copies its columns out of it, so no copy of a
-block subset's rows is made. A group's weights and biases live in one
-flat float32 buffer (`_Stack`), each layer's run holding every model's
-weights, then every model's biases: layer 0 one block per model, since
-each model reads its own columns, and every later layer one (models,
-fan_out, fan_in) stack, so that the group takes each later layer as
-one stacked product. A one-model group is laid out as its model's
+the same batches. Each mini-batch decodes its rows once, every column,
+straight from the train matrix's packed rows (`FeatureMatrix.decode`),
+cast to float32 as they are written into the batch buffer; full
+batches are decoded a few at a time, each into a buffer of its own. A model
+whose blocks' columns (`features.block_columns`) are one run of those
+reads a row slice of the batch, and any other copies its columns out of
+it, so no copy of a block subset's rows is made. A group's
+weights and biases live in one flat float32 buffer (`_Stack`), each
+layer's run holding every model's weights, then every model's biases:
+layer 0 one block per model, since each model reads its own columns,
+and every later layer one (models, fan_out, fan_in) stack, so that the
+group takes each later layer as one stacked product. A one-model group is laid out as its model's
 blob. Each model's float64 Glorot draw (`_glorot`) is rounded into the
 buffer layer by layer as it is made, so no float64 copy of a model is
 held. `_step`, the step a group takes on each mini-batch, writes one
@@ -38,13 +39,15 @@ turns non-finite, and the others go on. `_step` computes in the dtype
 of the weights it is given, so the tests' gradient oracle runs the same
 step on a float64 model in float64. Validation scores one model at a
 time, in float32. Final scoring,
-`predict_batch`, is float64: numpy upcasts float32 weights exactly
-against the float64 feature matrix, and the `<f8` blob holds them
-exactly, so a trained model scores the same in memory and loaded back.
-A loaded model's weights and biases are views of the one float64 array
+`predict_batch`, is float64: it decodes the model's columns of every
+row as float64, and numpy upcasts float32 weights exactly against
+them. The blob stores float32 weights as ``<f4`` and loads them back as
+they were, so a trained model scores the same in memory and loaded
+back. A loaded model's weights and biases are views of the one array
 its blob loads into (`codec.unpack`).
 The last bits of a matrix product depend on the BLAS thread count and on
-the orientation of its operands.
+the orientation of its operands, so a matrix's rows are always scored
+whole, never in chunks.
 
 Every model carries the feature layout it was trained on, and
 `predict_batch` is the only way a model scores rows: it rejects a matrix
@@ -235,11 +238,22 @@ def _step(
     return losses
 
 
-def predict_batch(model: MlpModel, matrix: FeatureMatrix) -> np.ndarray:
-    """Confidence p_up - p_down per matrix row; a row predicts up iff it is > 0."""
-    if model.layout != matrix.layout:
+def predict_batch(
+    model: MlpModel, matrix: FeatureMatrix, blocks: Sequence[str] | None = None
+) -> np.ndarray:
+    """Confidence p_up - p_down per matrix row; a row predicts up iff it is > 0.
+
+    The model scores the rows' columns of ``blocks``, all of the matrix's
+    by default, which are decoded whole as float64; their layout must be
+    the model's.
+    """
+    sub, runs = block_columns(
+        matrix.layout, matrix.layout.blocks if blocks is None else blocks
+    )
+    if model.layout != sub:
         raise ValidationError("model and matrix feature layouts differ")
-    return _confidences(model.weights, model.biases, matrix.x.T)
+    x = matrix.decode(np.empty((len(matrix), sub.dimension)), slice(None), runs)
+    return _confidences(model.weights, model.biases, x.T)
 
 
 def error_rate(confidences: np.ndarray, labels: Sequence[str]) -> float:
@@ -361,18 +375,6 @@ class _Stack:
                 dst_b[i][...] = src_b[i][ks]
 
 
-def _gather(
-    out: np.ndarray,
-    x: np.ndarray,
-    rows: np.ndarray | slice,
-    runs: Sequence[tuple[slice, slice]],
-) -> None:
-    """Writes ``rows`` of ``x``, in the column runs of `features.block_columns`,
-    feature-major into ``out``, cast to its dtype as they are copied."""
-    for src, dst in runs:
-        np.copyto(out[dst], x[rows, src].T)
-
-
 def _columns(
     u: np.ndarray, runs: Sequence[tuple[slice, slice]], buffer: np.ndarray | None
 ) -> np.ndarray:
@@ -381,7 +383,8 @@ def _columns(
     if len(runs) == 1:
         return u[runs[0][0]]
     out = buffer[: runs[-1][1].stop * u.shape[1]].reshape(-1, u.shape[1])
-    _gather(out, u.T, slice(None), runs)
+    for src, dst in runs:
+        np.copyto(out[dst], u[src])
     return out
 
 
@@ -391,7 +394,7 @@ class _Training:
 
     index: int
     layout: FeatureLayout
-    runs: list[tuple[slice, slice]]  # its columns in the group's union layout
+    runs: list[tuple[slice, slice]]  # its columns in the matrices' layout
     buffer: np.ndarray | None  # a batch of its columns, when they are not one run
     train_losses: list[float] = field(default_factory=list)
     valid_errors: list[float] = field(default_factory=list)
@@ -409,26 +412,23 @@ def _train_group(
 ) -> list[MlpModel | PipelineError]:
     """`train` for each layout, in order, every model stepping on the same batches.
 
-    Each batch and the validation rows are gathered once, in the union
-    of the layouts' blocks; the models step as one `_Stack` and are
-    scored one at a time. A model leaves the stack when its patience runs
+    Each batch and the validation rows are decoded once, every column of
+    them; the models step as one `_Stack` and are scored one at a time. A model leaves the stack when its patience runs
     out or its loss turns non-finite, and the rest go on.
     """
-    union, union_runs = block_columns(
-        train_matrix.layout, {b for layout in layouts for b in layout.blocks}
-    )
+    width = train_matrix.layout.dimension
     # class 0 is up, class 1 is down
     y_train = (np.asarray(train_matrix.labels) != POSITIVE).astype(np.int64)
     valid_labels = np.asarray(valid_matrix.labels)
     nv = len(valid_matrix)
-    u_valid = np.empty((union.dimension, nv), dtype=np.float32)
-    _gather(u_valid, valid_matrix.x, slice(None), union_runs)
+    u_valid = np.empty((width, nv), dtype=np.float32)
+    valid_matrix.decode(u_valid.T)
     # no batch has more rows than the training matrix; m rows use the
     # first m * units of each buffer
     rows = min(config.batch_size, len(train_matrix))
     active, copied = [], [0]
     for index, layout in enumerate(layouts):
-        runs = block_columns(union, layout.blocks)[1]
+        runs = block_columns(train_matrix.layout, layout.blocks)[1]
         buffer = None
         if len(runs) > 1:
             buffer = np.empty(layout.dimension * rows, np.float32)
@@ -436,7 +436,11 @@ def _train_group(
         active.append(_Training(index, layout, runs, buffer))
     tail = (*config.hidden, 2)
     stack = _Stack([t.layout.dimension for t in active], tail, config.seed)
-    u_batch = np.empty(union.dimension * rows, dtype=np.float32)
+    # Full batches are decoded `ahead` at a time, each into its own
+    # (width, rows) slot, as many as one `FeatureMatrix.decode` pass takes;
+    # a short last batch is decoded alone into the front of the first slot.
+    ahead = max(1, min(train_matrix.rows_per_decode, len(train_matrix)) // rows)
+    slots = np.empty((ahead, width, rows), dtype=np.float32)
     batch_out = [np.empty(len(active) * d * rows, np.float32) for d in tail]
     # Each model's validation columns are copied into this buffer, when
     # they are not one run, just before that model scores them.
@@ -489,8 +493,16 @@ def _train_group(
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
             m = len(batch)
-            u = u_batch[: union.dimension * m].reshape(union.dimension, m)
-            _gather(u, train_matrix.x, batch, union_runs)
+            slot = start // config.batch_size % ahead
+            if m < rows:
+                u = slots[0].reshape(-1)[: width * m].reshape(width, m)
+                train_matrix.decode(u.T, batch)
+            else:
+                if slot == 0:
+                    k = min(ahead, (n - start) // rows)
+                    decoded = order[start : start + k * rows]
+                    train_matrix.decode(slots[:k].transpose(0, 2, 1), decoded)
+                u = slots[slot]
             a = [_columns(u, t.runs, t.buffer) for t in active]
             out = [
                 buf[: len(active) * d * m].reshape(len(active), d, m)
@@ -549,7 +561,7 @@ def train_each(
     Sets train in lockstep groups, in request order, while a group's
     float32 parameters number at most `GROUP_PARAMS`; a set over it
     trains alone. Every model of a group sees the same batches, as they
-    share the seed, so each batch is gathered once and every model steps
+    share the seed, so each batch is decoded once and every model steps
     at once (`_Stack`), each exactly as `train` steps it alone. A group
     trains when its first result is asked for, and nothing of an earlier
     group is held by then but the results the caller still holds.
@@ -597,7 +609,7 @@ def train(
     ``blocks`` names the feature blocks to train on, all of the matrices'
     by default; the model's layout is theirs. The matrices, float64 or
     float32, are only read: each batch casts its rows' columns of those
-    blocks to float32 as it gathers them. A float32 matrix trains the
+    blocks to float32 as it decodes them. A float32 matrix trains the
     same model, byte for byte, as the float64 matrix it was cast from.
     Records per-epoch train loss and validation error in model metadata.
     Raises TrainingDiverged on non-finite loss. This is `train_each` of
@@ -611,7 +623,8 @@ def train(
 
 
 def save_model(model: MlpModel, path: str | Path) -> None:
-    """A blob: dims, layout and metadata in the header, then each layer's w and b."""
+    """A blob: dims, layout and metadata in the header, then each layer's w
+    and b, float32 ones as ``<f4`` (`codec.write_blob`)."""
     header = {
         "layer_dims": list(model.layer_dims),
         "layout": model.layout.to_dict(),
@@ -627,7 +640,9 @@ def _model(header: dict, data: BinaryIO) -> MlpModel:
         raise ParseError("header has no feature layout")
     layout = FeatureLayout.from_dict(header["layout"])
     layers = zip(dims, dims[1:])  # (fan_in n, fan_out m): weights (m, n), bias (m,)
-    arrays = unpack(data, [s for n, m in layers for s in ((m, n), (m,))])
+    arrays = unpack(data, header, [s for n, m in layers for s in ((m, n), (m,))])
+    if any(a.dtype.kind != "f" for a in arrays):
+        raise ValueError("weights and biases must be stored as floats")
     return MlpModel(
         layer_dims=dims,
         weights=arrays[0::2],
@@ -638,4 +653,5 @@ def _model(header: dict, data: BinaryIO) -> MlpModel:
 
 
 def load_model(path: str | Path) -> MlpModel:
+    """The model `save_model` wrote, its arrays in the dtypes it stored."""
     return read_blob(path, _model)

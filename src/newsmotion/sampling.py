@@ -97,7 +97,10 @@ class AliasMatcher:
 
 
 def load_aliases(path: str | Path) -> dict[str, str]:
-    """Read the 'alias,ticker' CSV into a dict; an alias names one ticker."""
+    """Read the 'alias,ticker' CSV into a dict; an alias names one ticker.
+
+    Both fields are stripped of surrounding whitespace.
+    """
     path = Path(path)
     aliases: dict[str, str] = {}
     first_line: dict[str, int] = {}
@@ -107,8 +110,8 @@ def load_aliases(path: str | Path) -> dict[str, str]:
             if not line.strip() or line.startswith("#"):
                 continue
             alias, sep, ticker = line.rpartition(",")
-            ticker = ticker.strip()
-            if not sep or not alias.strip() or not ticker:
+            alias, ticker = alias.strip(), ticker.strip()
+            if not sep or not alias or not ticker:
                 raise ParseError(f"{path}:{lineno}: expected 'alias,ticker'")
             known = aliases.setdefault(alias, ticker)
             if known != ticker:

@@ -1,7 +1,9 @@
 """Helpers only the tests use: a predictions reader and its row type, a
 prices writer, a graph node's degree, the brute-force polarity oracle, a
 Glorot-initialised MLP and the loss and gradients of one of `mlp.train`'s
-steps, the environment of a child Python, and a call's traced memory peak."""
+steps, a feature matrix packed from dense rows, its rows decoded dense and
+its block subset, the environment of a child Python, and a call's traced
+memory peak."""
 
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from newsmotion.codec import read_table, write_table
 from newsmotion.errors import ValidationError
-from newsmotion.features import FeatureLayout
+from newsmotion.features import FeatureLayout, FeatureMatrix, block_columns
 from newsmotion.graph import (
     DNN,
     DOWN,
@@ -133,6 +135,41 @@ def loss_and_gradients(
         stack(grad_w), [g[None] for g in grad_b], lambda i: None,
     )
     return float(loss), grad_w, grad_b
+
+
+def packed(
+    layout: FeatureLayout,
+    tickers: Sequence[str],
+    dates: Sequence[Date],
+    labels: Sequence[str],
+    x: np.ndarray,
+) -> FeatureMatrix:
+    """The matrix of the dense rows ``x``, float64 or float32: every entry
+    whose bits are not all zero is kept, as the featurizer keeps it."""
+    x = np.ascontiguousarray(x)
+    bits = x.view(f"u{x.itemsize}") != 0
+    mask = np.packbits(bits, axis=1).reshape(len(x), -(-x.shape[1] // 8))
+    return FeatureMatrix(
+        layout, list(tickers), list(dates), list(labels), mask, x[bits]
+    )
+
+
+def dense(
+    matrix: FeatureMatrix, blocks: Sequence[str] | None = None, dtype=np.float64
+) -> np.ndarray:
+    """The matrix's rows of ``blocks`` (all of its blocks by default), decoded
+    into one C-ordered array of ``dtype``."""
+    blocks = matrix.layout.blocks if blocks is None else blocks
+    sub, runs = block_columns(matrix.layout, blocks)
+    out = np.empty((len(matrix), sub.dimension), dtype)
+    return matrix.decode(out, slice(None), runs)
+
+
+def sliced(matrix: FeatureMatrix, blocks: Sequence[str]) -> FeatureMatrix:
+    """The matrix of the rows' columns of ``blocks``, with the same metadata."""
+    sub = block_columns(matrix.layout, blocks)[0]
+    x = dense(matrix, blocks, matrix.values.dtype)
+    return packed(sub, matrix.tickers, matrix.dates, matrix.labels, x)
 
 
 def child_env() -> dict[str, str]:

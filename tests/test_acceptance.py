@@ -26,7 +26,6 @@ from newsmotion.evaluation import ABLATION_HEADER, NOT_AVAILABLE, OK, SWEEP_HEAD
 from newsmotion.features import (
     FeatureLayout,
     featurize_samples,
-    slice_blocks,
     subject_of_keyword,
     training_stats,
 )
@@ -46,7 +45,7 @@ from newsmotion.sampling import NEGATIVE, POSITIVE, Sample, Sentence
 from newsmotion.tokens import tokenize
 
 from graph_oracle import pearson
-from support import init, loss_and_gradients, polarity_score_of
+from support import dense, init, loss_and_gradients, polarity_score_of
 
 GRADIENT_TOLERANCE = 1e-4
 GRADIENT_TIME_LIMIT = 10.0
@@ -359,7 +358,7 @@ class TestAcceptance:
         for target in ("AAPL", "SSNLF", "MSFT"):
             sample = _sample(target, text, POSITIVE, mentions)
             full, _ = featurize_samples([sample], table, stats, lexicon, categories)
-            signs[target] = float(slice_blocks(full, ["ps"]).x[0, 0])
+            signs[target] = float(dense(full, ["ps"])[0, 0])
         sentence = Sentence(text=text, article_date=DAY, mentions=mentions)
         _report(
             "criterion 6, subject heuristic",
@@ -481,13 +480,13 @@ class TestAcceptance:
         _report(
             "criterion 10, feature dimension contract",
             layout.dimension == FULL_DIMENSION
-            and matrix.x.shape == (2, FULL_DIMENSION)
+            and dense(matrix).shape == (2, FULL_DIMENSION)
             and not skipped
             and matrix.layout == layout
             and loaded.layout == layout
-            and loaded.layout.dimension == matrix.x.shape[1]
+            and loaded.layout.dimension == dense(matrix).shape[1]
             and len(confidences) == 2,
-            f"k=1000, 10 categories, all blocks: {matrix.x.shape[1]} dims, "
+            f"k=1000, 10 categories, all blocks: {matrix.layout.dimension} dims, "
             "model layout round-trips",
         )
 

@@ -32,7 +32,6 @@ from newsmotion.features import (
     INSUFFICIENT_HISTORY,
     UNNORMALIZABLE,
     FeatureLayout,
-    FeatureMatrix,
     load_feature_matrix,
     write_feature_matrix,
 )
@@ -50,7 +49,7 @@ from newsmotion.mlp import load_model, save_model
 from newsmotion.sampling import NEGATIVE, POSITIVE, load_samples, movement_label
 from newsmotion.tokens import tokenize
 
-from support import child_env, init, load_predictions, traced_peak
+from support import child_env, init, load_predictions, packed, traced_peak
 
 SMOKE_CONFIG = """\
 [synth]
@@ -733,12 +732,12 @@ class TestTrainUnit:
         inputs = {}
         for name, n in (("train", 2000), ("valid", 50)):
             inputs[f"features_{name}.bin"] = tmp_path / f"features_{name}.bin"
-            matrix = FeatureMatrix(
-                layout=layout,
-                tickers=["AAA"] * n,
-                dates=[date(2012, 3, 5)] * n,
-                labels=[POSITIVE if i % 2 else NEGATIVE for i in range(n)],
-                x=rng.normal(size=(n, layout.dimension)),
+            matrix = packed(
+                layout,
+                ["AAA"] * n,
+                [date(2012, 3, 5)] * n,
+                [POSITIVE if i % 2 else NEGATIVE for i in range(n)],
+                rng.normal(size=(n, layout.dimension)),
             )
             write_feature_matrix(matrix, inputs[f"features_{name}.bin"])
         train_bytes = 2000 * layout.dimension * 8

@@ -250,12 +250,12 @@ class TestLoadConfig:
         config = load_config(_write_config(tmp_path))
         assert cli._stage_key(config, "lexicon") == text_sha256(repr(config.lexicon))
         assert cli._stage_key(config, "ablation") == text_sha256(
-            f"{config.training!r}\nrevision 2"
+            f"{config.training!r}\nrevision 3"
         )
         dates, graph, sweep = config.dates, config.graph, config.sweep
         assert cli._stage_key(config, "ingest") == text_sha256(
             f"dates.train_end={dates.train_end!r}\n"
-            f"dates.valid_end={dates.valid_end!r}\nrevision 2"
+            f"dates.valid_end={dates.valid_end!r}\nrevision 3"
         )
         assert cli._stage_key(config, "graph") == text_sha256(
             f"graph.threshold={graph.threshold!r}\n"

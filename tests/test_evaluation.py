@@ -31,15 +31,16 @@ from newsmotion.features import (
     PRICE_DIM,
     FeatureLayout,
     FeatureMatrix,
+    block_columns,
     block_set,
-    slice_blocks,
 )
 from newsmotion.graph import CorrelationGraph
 from newsmotion.ingest import PriceSeries
-from newsmotion.mlp import MlpModel, error_rate, save_model, train
+from newsmotion.mlp import MlpModel, error_rate, predict_batch, save_model, train
 from newsmotion.sampling import NEGATIVE, POSITIVE
 
-from support import traced_peak
+import support
+from support import dense, init, packed, traced_peak
 
 DAY = date(2013, 7, 1)
 
@@ -56,12 +57,12 @@ def _signal_matrix(n: int, seed: int, ps_scale: float = 1.0) -> FeatureMatrix:
     x[:, 0] = np.where(x[:, 0] >= 0, x[:, 0] + 0.5, x[:, 0] - 0.5)
     x[:, 3:] *= ps_scale
     labels = [POSITIVE if v > 0 else NEGATIVE for v in x[:, 0]]
-    return FeatureMatrix(
-        layout=layout,
-        tickers=[f"T{i}" for i in range(n)],
-        dates=[DAY + timedelta(days=i) for i in range(n)],
-        labels=labels,
-        x=x,
+    return packed(
+        layout,
+        [f"T{i}" for i in range(n)],
+        [DAY + timedelta(days=i) for i in range(n)],
+        labels,
+        x,
     )
 
 
@@ -71,18 +72,18 @@ def _all_blocks_matrix(n: int, seed: int, k: int = 3) -> FeatureMatrix:
     layout = FeatureLayout(blocks=BLOCK_ORDER, k=k, n_categories=2)
     x = rng.normal(size=(n, layout.dimension))
     labels = [POSITIVE if v > 0 else NEGATIVE for v in x[:, PRICE_DIM]]
-    return FeatureMatrix(
-        layout=layout,
-        tickers=[f"T{i}" for i in range(n)],
-        dates=[DAY + timedelta(days=i) for i in range(n)],
-        labels=labels,
-        x=x,
+    return packed(
+        layout,
+        [f"T{i}" for i in range(n)],
+        [DAY + timedelta(days=i) for i in range(n)],
+        labels,
+        x,
     )
 
 
 def _float32(matrix: FeatureMatrix) -> FeatureMatrix:
     """The matrix with its rows cast to float32, as the evaluate stage loads them."""
-    return replace(matrix, x=matrix.x.astype(np.float32))
+    return replace(matrix, values=matrix.values.astype(np.float32))
 
 
 def _small_config() -> TrainConfig:
@@ -146,8 +147,8 @@ class TestRunAblation:
         for blocks in DEFAULT_COMBINATIONS:
             subset = train(train_m, valid_m, _small_config(), blocks)
             sliced = train(
-                slice_blocks(train_m, blocks),
-                slice_blocks(valid_m, blocks),
+                support.sliced(train_m, blocks),
+                support.sliced(valid_m, blocks),
                 _small_config(),
             )
             assert subset.layout.blocks == blocks
@@ -192,11 +193,26 @@ class TestRunAblation:
             lambda: run_ablation(train_m, small, small, [blocks], config)
         )
         assert report.rows[0].status == OK
-        # The subset is 612 of the 614 columns. Its float32 training copy
-        # takes under half of train_m.x.nbytes, and a quarter more covers
-        # the batches, the validation and test rows and the model; a
-        # float64 copy of the subset (0.997 of x.nbytes) does not fit.
-        assert peak < 0.75 * train_m.x.nbytes
+        # The subset is 612 of the 614 columns, every entry non-zero. Its
+        # float32 training copy would take under half of the dense float64
+        # rows' bytes, and a quarter more covers the batches, the
+        # validation and test rows and the model; a float64 copy of the
+        # subset (0.997 of those bytes) does not fit.
+        assert peak < 0.75 * len(train_m) * train_m.layout.dimension * 8
+
+    def test_scoring_a_leading_run_decodes_its_rows_once(self):
+        test_m = _all_blocks_matrix(2000, seed=76, k=300)  # 614 columns
+        blocks = ("price", "bok", "ps")
+        layout = block_columns(test_m.layout, blocks)[0]
+        model = init((layout.dimension, 4, 2), seed=5, layout=layout)
+        error, peak = traced_peak(lambda: evaluation._test_error(model, test_m, blocks))
+        sliced = support.sliced(test_m, blocks)
+        assert error == error_rate(predict_batch(model, sliced), test_m.labels)
+        # The subset's rows are decoded once as float64 (612 of 614
+        # columns, every entry non-zero) and scored whole; a bounded
+        # block of rows' decoding temporaries and the activations take
+        # the rest. A second copy of the rows does not fit.
+        assert peak < 1.25 * len(test_m) * layout.dimension * 8
 
     def test_float32_training_rows_make_no_block_subset_copy(self):
         train32 = _float32(_all_blocks_matrix(2000, seed=73, k=300))  # 614 columns
@@ -207,11 +223,11 @@ class TestRunAblation:
             lambda: run_ablation(train32, small, small, [blocks], config)
         )
         assert report.rows[0].status == OK
-        # Each batch gathers its rows' 612 columns from train32.x itself;
-        # the batches, the validation and test rows and the model take
-        # about a tenth of train32.x.nbytes. A float32 copy of the subset
-        # (0.997 of train32.x.nbytes) does not fit.
-        assert peak < 0.25 * train32.x.nbytes
+        # Each batch decodes its rows' 612 columns from train32's packed
+        # rows; the batches, the validation and test rows and the model
+        # take about a tenth of the dense float32 rows' bytes. A float32
+        # copy of the subset (0.997 of those bytes) does not fit.
+        assert peak < 0.25 * len(train32) * train32.layout.dimension * 4
 
     def test_no_row_model_is_held_while_the_next_row_trains(self):
         matrix = _all_blocks_matrix(8, seed=75, k=30)  # 74 columns
@@ -296,7 +312,7 @@ class TestRunAblation:
 
     def test_full_model_with_another_layout_fails_its_row(self, tmp_path):
         train_m = _signal_matrix(60, seed=98)
-        bok = slice_blocks(train_m, ("bok",))
+        bok = support.sliced(train_m, ("bok",))
         save_model(train(bok, bok, _small_config()), tmp_path / "model.bin")
         report = run_ablation(
             train_m,
@@ -338,19 +354,17 @@ class TestRunAblation:
 
     def test_bad_inputs_rejected(self):
         good = _signal_matrix(30, seed=94)
-        empty = FeatureMatrix(
-            layout=good.layout, tickers=[], dates=[], labels=[], x=np.zeros((0, 6))
-        )
+        empty = packed(good.layout, [], [], [], np.zeros((0, 6)))
         with pytest.raises(ValidationError, match="empty"):
             run_ablation(good, good, empty, config=_small_config())
         with pytest.raises(ValidationError, match="combination"):
             run_ablation(good, good, good, combinations=[], config=_small_config())
-        wider = FeatureMatrix(
-            layout=FeatureLayout(blocks=("bok",), k=12, n_categories=0),
-            tickers=good.tickers,
-            dates=good.dates,
-            labels=good.labels,
-            x=np.tile(good.x, 2),
+        wider = packed(
+            FeatureLayout(blocks=("bok",), k=12, n_categories=0),
+            good.tickers,
+            good.dates,
+            good.labels,
+            np.tile(dense(good), 2),
         )
         with pytest.raises(ValidationError, match="layout"):
             run_ablation(good, good, wider, config=_small_config())
@@ -395,12 +409,12 @@ class TestRunPropagationSweep:
 
     def _matrix(self, rows: list[tuple[str, date]]) -> FeatureMatrix:
         x = np.tile(np.array([1.0, 0.0]), (len(rows), 1))
-        return FeatureMatrix(
-            layout=self._layout(),
-            tickers=[t for t, _ in rows],
-            dates=[d for _, d in rows],
-            labels=[POSITIVE] * len(rows),
-            x=x,
+        return packed(
+            self._layout(),
+            [t for t, _ in rows],
+            [d for _, d in rows],
+            [POSITIVE] * len(rows),
+            x,
         )
 
     def test_hand_worked_thresholds(self):

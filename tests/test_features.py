@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import io
+import json
 import math
 import re
+import tracemalloc
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from newsmotion import codec, features, tokens
-from newsmotion.errors import ParseError, ValidationError
+from newsmotion.errors import ParseError, PipelineError, ValidationError
 from newsmotion.evaluation import DEFAULT_COMBINATIONS
 from newsmotion.features import (
     BLOCK_ORDER,
@@ -27,7 +30,6 @@ from newsmotion.features import (
     featurize_samples,
     load_feature_matrix,
     price_features,
-    slice_blocks,
     subject_of_keyword,
     write_feature_matrix,
 )
@@ -42,7 +44,7 @@ from newsmotion.sampling import NEGATIVE, POSITIVE, Sample, Sentence
 from newsmotion.tokens import tokenize_with_offsets
 
 from feature_oracle import oracle_rows
-from support import traced_peak
+from support import dense, packed, sliced, traced_peak
 
 DAY = date(2012, 3, 5)
 
@@ -107,7 +109,7 @@ def _row(
     table = _ptable([_series(sample.ticker, [10.0, 11.0, 12.0, 11.5, 12.5, 13.0])])
     matrix, skipped = featurize_samples([sample], *table, keywords, categories)
     assert skipped == []
-    return slice_blocks(matrix, blocks).x[0]
+    return dense(matrix, blocks)[0]
 
 
 class TestPriceFeatures:
@@ -307,7 +309,7 @@ class TestFeaturizeSamples:
         matrix, skipped = featurize_samples(samples, *table, keywords, categories)
         assert matrix.tickers == ["AAA"]
         assert matrix.layout == FeatureLayout(BLOCK_ORDER, k=2, n_categories=2)
-        assert matrix.x.shape == (1, matrix.layout.dimension)
+        assert dense(matrix).shape == (1, matrix.layout.dimension)
         assert skipped == [
             ("BBB", DAY, INSUFFICIENT_HISTORY),
             ("CCC", DAY, NO_PRICE_HISTORY),
@@ -327,7 +329,7 @@ class TestFeaturizeSamples:
                 _row(sample, ("ct",), categories=categories),
             ]
         )
-        assert np.array_equal(matrix.x[0], expected)
+        assert np.array_equal(dense(matrix)[0], expected)
 
     def test_each_sentence_is_tokenized_once(self, monkeypatch):
         table, keywords, categories, _ = self._fixture()
@@ -362,7 +364,7 @@ class TestFeaturizeSamples:
         samples = [_text_sample("CCC", "nothing")]
         matrix, skipped = featurize_samples(samples, *table, keywords, categories)
         assert len(matrix) == 0
-        assert matrix.x.shape == (0, matrix.layout.dimension)
+        assert dense(matrix).shape == (0, matrix.layout.dimension)
         assert len(skipped) == 1
 
 
@@ -428,12 +430,13 @@ class TestOneWalkMatchesOracle:
         )
         full, skipped = featurize_samples(samples, prices, stats, keywords, categories)
         for blocks in DEFAULT_COMBINATIONS:
-            matrix = slice_blocks(full, blocks)
+            layout = block_columns(full.layout, blocks)[0]
+            rows = dense(full, blocks)
             expected, reasons = oracle_rows(
-                samples, prices, stats, keywords, categories, matrix.layout
+                samples, prices, stats, keywords, categories, layout
             )
-            assert matrix.x.shape == expected.shape, blocks
-            assert matrix.x.tobytes() == expected.tobytes(), blocks
+            assert rows.shape == expected.shape, blocks
+            assert rows.tobytes() == expected.tobytes(), blocks
             assert [reason for *_, reason in skipped] == reasons, blocks
 
     def test_edge_cases_match(self):
@@ -449,6 +452,8 @@ class TestOneWalkMatchesOracle:
 
 
 class TestSliceBlocks:
+    """A block subset's rows, decoded from the full matrix's packed rows."""
+
     def _full(self):
         table, keywords, categories, samples = TestFeaturizeSamples()._fixture()
         matrix, _ = featurize_samples(samples, *table, keywords, categories)
@@ -456,44 +461,40 @@ class TestSliceBlocks:
 
     def test_slice_keeps_the_rows_and_narrows_the_layout(self):
         matrix = self._full()
-        sliced = slice_blocks(matrix, ["price", "ps"])
-        assert sliced.layout == FeatureLayout(("price", "ps"), k=2, n_categories=2)
-        assert sliced.tickers == matrix.tickers
-        assert sliced.dates == matrix.dates
-        assert sliced.labels == matrix.labels
-        assert np.array_equal(sliced.x, matrix.x[:, list(range(12)) + [14, 15]])
+        layout, _ = block_columns(matrix.layout, ["price", "ps"])
+        assert layout == FeatureLayout(("price", "ps"), k=2, n_categories=2)
+        rows = dense(matrix, ["price", "ps"])
+        assert np.array_equal(rows, dense(matrix)[:, list(range(12)) + [14, 15]])
 
     @pytest.mark.parametrize("blocks", DEFAULT_COMBINATIONS)
     def test_slice_is_c_ordered_and_equals_the_column_gather(self, blocks):
         layout = FeatureLayout(BLOCK_ORDER, k=3, n_categories=4)
         x = np.random.default_rng(30).normal(size=(5, layout.dimension))
-        matrix = FeatureMatrix(
-            layout=layout,
-            tickers=["AAA"] * 5,
-            dates=[DAY + timedelta(days=i) for i in range(5)],
-            labels=[POSITIVE] * 5,
-            x=x,
+        matrix = packed(
+            layout, ["AAA"] * 5, [DAY + timedelta(days=i) for i in range(5)],
+            [POSITIVE] * 5, x,
         )
         offsets = matrix.layout.offsets()
         cols = [c for b in block_set(blocks) for c in range(*offsets[b])]
-        sliced = slice_blocks(matrix, blocks)
-        assert sliced.x.flags.c_contiguous
-        assert sliced.x.tobytes() == matrix.x[:, cols].tobytes()
+        rows = dense(matrix, blocks)
+        assert rows.flags.c_contiguous
+        assert rows.tobytes() == x[:, cols].tobytes()
 
     def test_block_request_order_does_not_matter(self):
         matrix = self._full()
-        assert slice_blocks(matrix, ["ct", "price"]).layout.blocks == ("price", "ct")
+        layout, _ = block_columns(matrix.layout, ["ct", "price"])
+        assert layout.blocks == ("price", "ct")
 
     def test_unknown_block_rejected(self):
         matrix = self._full()
         with pytest.raises(ValidationError, match="unknown"):
-            slice_blocks(matrix, ["price", "volume"])
+            dense(matrix, ["price", "volume"])
 
     def test_absent_block_rejected(self):
         matrix = self._full()
-        narrowed = slice_blocks(matrix, ["price"])
+        narrowed = sliced(matrix, ["price"])
         with pytest.raises(ValidationError, match="ct"):
-            slice_blocks(narrowed, ["price", "ct"])
+            dense(narrowed, ["price", "ct"])
 
 
 class TestBlockColumns:
@@ -501,12 +502,9 @@ class TestBlockColumns:
 
     def _matrix(self, x: np.ndarray) -> FeatureMatrix:
         n = x.shape[0]
-        return FeatureMatrix(
-            layout=self.LAYOUT,
-            tickers=["AAA"] * n,
-            dates=[DAY + timedelta(days=i) for i in range(n)],
-            labels=[POSITIVE] * n,
-            x=x,
+        return packed(
+            self.LAYOUT, ["AAA"] * n, [DAY + timedelta(days=i) for i in range(n)],
+            [POSITIVE] * n, x,
         )
 
     def _x(self, dtype=np.float64) -> np.ndarray:
@@ -541,30 +539,44 @@ class TestBlockColumns:
         ]
         assert got == want
 
-    def test_the_full_layout_of_float64_rows_is_x_itself(self):
+    def test_the_full_layout_decodes_to_the_rows_exactly(self):
         x = self._x()
-        sliced = slice_blocks(self._matrix(x), BLOCK_ORDER)
-        assert sliced.layout == self.LAYOUT
-        assert sliced.x is x
+        x[0, :3] = [0.0, -0.0, 5e-324]
+        assert dense(self._matrix(x)).tobytes() == x.tobytes()
 
     def test_a_subset_is_a_copy(self):
         x = self._x()
-        sliced = slice_blocks(self._matrix(x), ("price", "bok", "ps"))
-        assert sliced.layout.blocks == ("price", "bok", "ps")
-        assert not np.shares_memory(sliced.x, x)
-        assert np.array_equal(sliced.x, x[:, : sliced.layout.dimension])
+        matrix = self._matrix(x)
+        rows = dense(matrix, ("price", "bok", "ps"))
+        assert not np.shares_memory(rows, matrix.values)
+        assert np.array_equal(rows, x[:, : rows.shape[1]])
 
     def test_float32_rows_are_a_float64_cast_copy(self):
         x = self._x(np.float32)
-        sliced = slice_blocks(self._matrix(x), BLOCK_ORDER)
-        assert sliced.x.dtype == np.float64 and not np.shares_memory(sliced.x, x)
-        assert sliced.x.tobytes() == x.astype(np.float64).tobytes()
+        matrix = self._matrix(x)
+        rows = dense(matrix, BLOCK_ORDER)
+        assert rows.dtype == np.float64 and not np.shares_memory(rows, matrix.values)
+        assert rows.tobytes() == x.astype(np.float64).tobytes()
 
     def test_rows_not_in_c_order_are_copied_into_c_order(self):
         x = np.asfortranarray(self._x())
-        sliced = slice_blocks(self._matrix(x), BLOCK_ORDER)
-        assert sliced.x.flags.c_contiguous and not np.shares_memory(sliced.x, x)
-        assert np.array_equal(sliced.x, x)
+        rows = dense(self._matrix(x), BLOCK_ORDER)
+        assert rows.flags.c_contiguous and not np.shares_memory(rows, x)
+        assert np.array_equal(rows, x)
+
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_decode_writes_chosen_rows_into_any_strides(self, strided):
+        x = self._x()
+        x[x < 0.3] = 0.0
+        matrix = self._matrix(x)
+        rows = np.array([4, 0, 4, 2])
+        runs = block_columns(self.LAYOUT, ("price", "ps", "ct"))[1]
+        want = np.concatenate([x[rows, :12], x[rows, 15:22]], axis=1)
+        buffer = np.full((want.shape[1], len(rows)) if strided else want.shape, 7.0)
+        out = buffer.T if strided else buffer
+        assert matrix.decode(out, rows, runs) is out
+        assert np.array_equal(out, want)
+        assert np.signbit(out).tolist() == np.signbit(want).tolist()
 
 
 class TestFeatureMatrixFile:
@@ -572,13 +584,19 @@ class TestFeatureMatrixFile:
         rng = np.random.default_rng(29)
         layout = FeatureLayout(blocks=("price", "ct"), k=0, n_categories=3)
         n = 7
-        return FeatureMatrix(
-            layout=layout,
-            tickers=[f"T{i}" for i in range(n)],
-            dates=[DAY + timedelta(days=i) for i in range(n)],
-            labels=[POSITIVE if i % 2 else NEGATIVE for i in range(n)],
-            x=rng.normal(size=(n, layout.dimension)),
+        x = rng.normal(size=(n, layout.dimension))
+        x[x < 0.2] = 0.0
+        x[1, 2] = -0.0
+        return packed(
+            layout,
+            [f"T{i}" for i in range(n)],
+            [DAY + timedelta(days=i) for i in range(n)],
+            [POSITIVE if i % 2 else NEGATIVE for i in range(n)],
+            x,
         )
+
+    def _data_bytes(self, matrix: FeatureMatrix) -> int:
+        return matrix.mask.nbytes + 8 * matrix.values.size
 
     def test_round_trip_is_exact(self, tmp_path):
         matrix = self._matrix()
@@ -589,45 +607,97 @@ class TestFeatureMatrixFile:
         assert loaded.tickers == matrix.tickers
         assert loaded.dates == matrix.dates
         assert loaded.labels == matrix.labels
-        assert np.array_equal(loaded.x, matrix.x)
+        assert loaded.mask.tobytes() == matrix.mask.tobytes()
+        assert loaded.values.tobytes() == matrix.values.tobytes()
+        assert dense(loaded).tobytes() == dense(matrix).tobytes()
+
+    def test_negative_zero_entries_survive_a_round_trip(self, tmp_path):
+        matrix = self._matrix()
+        assert np.signbit(dense(matrix)[1, 2]) and dense(matrix)[1, 2] == 0.0
+        path = tmp_path / "features.bin"
+        write_feature_matrix(matrix, path)
+        for dtype in (np.float64, np.float32):
+            row = dense(load_feature_matrix(path, dtype))[1]
+            assert row[2] == 0.0 and np.signbit(row[2]), dtype
+
+    def test_the_file_holds_a_mask_bit_per_row_entry_and_the_values(self, tmp_path):
+        matrix = self._matrix()
+        path = tmp_path / "features.bin"
+        write_feature_matrix(matrix, path)
+        header, body = path.read_bytes().split(b"\n", 1)
+        assert json.loads(header)["dtypes"] == ["|u1", "<f8"]
+        assert json.loads(header)["values"] == matrix.values.size
+        # 15 columns take two mask bytes a row
+        assert matrix.mask.shape == (7, 2)
+        assert body == matrix.mask.tobytes() + matrix.values.astype("<f8").tobytes()
 
     def test_a_load_holds_the_rows_once(self, tmp_path):
         layout = FeatureLayout(BLOCK_ORDER, k=300, n_categories=2)  # 614 columns
         n = 2000
-        matrix = FeatureMatrix(
-            layout=layout,
-            tickers=[f"T{i % 50}" for i in range(n)],
-            dates=[DAY + timedelta(days=i % 300) for i in range(n)],
-            labels=[POSITIVE if i % 2 else NEGATIVE for i in range(n)],
-            x=np.random.default_rng(32).normal(size=(n, layout.dimension)),
+        x = np.random.default_rng(32).normal(size=(n, layout.dimension))
+        matrix = packed(
+            layout,
+            [f"T{i % 50}" for i in range(n)],
+            [DAY + timedelta(days=i % 300) for i in range(n)],
+            [POSITIVE if i % 2 else NEGATIVE for i in range(n)],
+            x,
         )
         path = tmp_path / "features.bin"
         write_feature_matrix(matrix, path)
         loaded, peak = traced_peak(lambda: load_feature_matrix(path))
-        assert np.array_equal(loaded.x, matrix.x)
-        # The rows are read into one array of x.nbytes; the header and
-        # the row metadata take the rest. A second copy does not fit.
-        assert peak < 1.1 * matrix.x.nbytes
+        assert np.array_equal(dense(loaded), x)
+        # Every entry is non-zero: the values take x.nbytes and the mask
+        # 1/64 of it; the header and the row metadata take the rest. A
+        # second copy does not fit.
+        assert peak < 1.1 * x.nbytes
 
     def test_a_float32_load_holds_no_float64_copy(self, tmp_path):
         layout = FeatureLayout(BLOCK_ORDER, k=1000, n_categories=10)  # 2022 columns
         n = 2000
-        matrix = FeatureMatrix(
-            layout=layout,
-            tickers=[f"T{i % 50}" for i in range(n)],
-            dates=[DAY + timedelta(days=i % 300) for i in range(n)],
-            labels=[POSITIVE if i % 2 else NEGATIVE for i in range(n)],
-            x=np.random.default_rng(33).normal(size=(n, layout.dimension)),
+        x = np.random.default_rng(33).normal(size=(n, layout.dimension))
+        matrix = packed(
+            layout,
+            [f"T{i % 50}" for i in range(n)],
+            [DAY + timedelta(days=i % 300) for i in range(n)],
+            [POSITIVE if i % 2 else NEGATIVE for i in range(n)],
+            x,
         )
         path = tmp_path / "features.bin"
         write_feature_matrix(matrix, path)
         loaded, peak = traced_peak(lambda: load_feature_matrix(path, np.float32))
-        rows = matrix.x.astype(np.float32)
-        assert loaded.x.tobytes() == rows.tobytes()
-        # The rows are read into one float32 array, through one float64
-        # chunk buffer; the header and the row metadata take the rest.
-        # The float64 rows (2 x rows.nbytes) do not fit beside them.
+        rows = x.astype(np.float32)
+        assert dense(loaded, dtype=np.float32).tobytes() == rows.tobytes()
+        # The values are read into one float32 array, through one float64
+        # chunk buffer; the mask, the header and the row metadata take the
+        # rest. The float64 values (2 x rows.nbytes) do not fit beside them.
         assert peak < 1.1 * rows.nbytes
+
+    def test_a_load_holds_each_distinct_ticker_date_and_label_once(self, tmp_path):
+        layout = FeatureLayout(("price",), k=0, n_categories=0)
+        n = 3000
+        x = np.random.default_rng(34).normal(size=(n, layout.dimension))
+        matrix = packed(
+            layout,
+            [f"TICK{i % 50}" for i in range(n)],
+            [DAY + timedelta(days=i % 300) for i in range(n)],
+            [POSITIVE if i % 3 else NEGATIVE for i in range(n)],
+            x,
+        )
+        path = tmp_path / "features.bin"
+        write_feature_matrix(matrix, path)
+        tracemalloc.start()
+        try:
+            loaded = load_feature_matrix(path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = loaded.mask.nbytes + loaded.values.nbytes + loaded.starts.nbytes
+        # Three list slots a row (24 bytes) and one object per distinct
+        # ticker, day and label; an object per row takes 50 bytes or more.
+        assert (held - arrays) / n < 40
+        assert len({id(t) for t in loaded.tickers}) == 50
+        assert len({id(d) for d in loaded.dates}) == 300
+        assert len({id(label) for label in loaded.labels}) == 2
 
     @pytest.mark.parametrize("cut", [8, 3])
     def test_a_float32_load_names_the_same_byte_counts(self, tmp_path, cut):
@@ -637,7 +707,7 @@ class TestFeatureMatrixFile:
         path.write_bytes(path.read_bytes()[:-cut])
         with pytest.raises(ParseError) as caught:
             load_feature_matrix(path, np.float32)
-        size = matrix.x.nbytes
+        size = self._data_bytes(matrix)
         assert str(caught.value) == (
             f"{path}: expected {size} data bytes, found {size - cut}"
         )
@@ -655,8 +725,9 @@ class TestFeatureMatrixFile:
         path = tmp_path / "features.bin"
         write_feature_matrix(matrix, path)
         loaded = load_feature_matrix(path, np.float32)
-        assert loaded.x.dtype == np.float32 and loaded.x.flags.c_contiguous
-        assert loaded.x.tobytes() == matrix.x.astype(np.float32).tobytes()
+        assert loaded.values.dtype == np.float32 and loaded.values.flags.c_contiguous
+        rows = dense(loaded, dtype=np.float32)
+        assert rows.tobytes() == dense(matrix).astype(np.float32).tobytes()
         assert (loaded.layout, loaded.tickers, loaded.dates, loaded.labels) == (
             matrix.layout,
             matrix.tickers,
@@ -672,7 +743,7 @@ class TestFeatureMatrixFile:
         path.write_bytes(path.read_bytes()[:-cut])
         with pytest.raises(ParseError) as caught:
             load_feature_matrix(path)
-        size = matrix.x.nbytes
+        size = self._data_bytes(matrix)
         assert str(caught.value) == (
             f"{path}: expected {size} data bytes, found {size - cut}"
         )
@@ -706,10 +777,112 @@ class TestFeatureMatrixFile:
     def test_metadata_length_mismatch_rejected(self):
         layout = FeatureLayout(blocks=("price",), k=0, n_categories=0)
         with pytest.raises(ValidationError, match="mismatch"):
-            FeatureMatrix(
-                layout=layout,
-                tickers=["A"],
-                dates=[],
-                labels=[POSITIVE],
-                x=np.zeros((1, 12)),
+            packed(layout, ["A"], [], [POSITIVE], np.zeros((1, 12)))
+
+
+class TestFeatureBlobHardening:
+    """A features blob that breaks the mask-and-values rules is a ParseError."""
+
+    def _written(self, tmp_path) -> tuple[Path, FeatureMatrix, int]:
+        """A 15-column matrix file and where its data starts."""
+        matrix = TestFeatureMatrixFile()._matrix()
+        path = tmp_path / "features_train.bin"
+        write_feature_matrix(matrix, path)
+        return path, matrix, path.read_bytes().index(b"\n") + 1
+
+    def _rejected(self, path: Path, pattern: str) -> None:
+        for dtype in (np.float64, np.float32):
+            with pytest.raises(ParseError, match=pattern) as caught:
+                load_feature_matrix(path, dtype)
+            assert str(path) in str(caught.value)
+
+    def _edit(self, path: Path, at: int, byte: int) -> None:
+        data = bytearray(path.read_bytes())
+        data[at] = byte
+        path.write_bytes(bytes(data))
+
+    def test_a_set_padding_bit(self, tmp_path):
+        path, matrix, start = self._written(tmp_path)
+        # row 3's second mask byte holds columns 8-14 and one padding bit
+        self._edit(path, start + 3 * 2 + 1, matrix.mask[3, 1] | 1)
+        self._rejected(path, "padding bit")
+
+    def test_a_popcount_that_disagrees_with_the_value_count(self, tmp_path):
+        path, matrix, start = self._written(tmp_path)
+        row = int(np.flatnonzero(matrix.mask[:, 0] != 0xFF)[0])
+        free = 0xFF ^ int(matrix.mask[row, 0])
+        self._edit(path, start + 2 * row, matrix.mask[row, 0] | (free & -free))
+        self._rejected(path, f"sets {matrix.values.size + 1} entries but "
+                       f"{matrix.values.size} values")
+
+    def test_a_stored_value_whose_bits_are_all_zero(self, tmp_path):
+        path, matrix, start = self._written(tmp_path)
+        data = bytearray(path.read_bytes())
+        at = start + matrix.mask.nbytes + 8 * 3
+        data[at : at + 8] = bytes(8)
+        path.write_bytes(bytes(data))
+        self._rejected(path, "stored value is zero")
+
+    def test_a_truncated_array(self, tmp_path):
+        path, matrix, _ = self._written(tmp_path)
+        path.write_bytes(path.read_bytes()[:-5])
+        self._rejected(path, "data bytes")
+
+    def test_an_unknown_dtype_tag(self, tmp_path):
+        path, _, _ = self._written(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b'"<f8"', b'"<f2"', 1))
+        self._rejected(path, "unknown dtype tag '<f2'")
+
+    def test_byte_mutants_load_or_raise_a_pipeline_error(self, tmp_path):
+        path, _, _ = self._written(tmp_path)
+        original = path.read_bytes()
+        rng = np.random.default_rng(2012)
+        outcomes = {"loaded": 0, "rejected": 0}
+        for i in range(300):
+            data = bytearray(original)
+            for _ in range(rng.integers(1, 5)):
+                kind = rng.integers(4)
+                at = int(rng.integers(len(data))) if data else 0
+                if kind == 0 and data:
+                    data[at] ^= 1 << int(rng.integers(8))
+                elif kind == 1:
+                    data.insert(at, int(rng.integers(256)))
+                elif kind == 2 and data:
+                    del data[at]
+                else:
+                    del data[at:]
+            path.write_bytes(bytes(data))
+            try:
+                # a mutated value may be out of float32's range
+                with np.errstate(over="ignore", invalid="ignore"):
+                    load_feature_matrix(path, (np.float64, np.float32)[i % 2])
+            except PipelineError:
+                outcomes["rejected"] += 1
+            else:
+                outcomes["loaded"] += 1
+        assert sum(outcomes.values()) == 300
+        assert outcomes["rejected"] > 100 and outcomes["loaded"] > 10, outcomes
+
+
+class TestFeaturizeMemory:
+    def test_a_sparse_matrix_is_built_without_its_dense_rows(self):
+        k, n = 300, 2000
+        keywords = _keywords(*((f"kw{i}", 1.0 + i / k, 0.5) for i in range(k)))
+        rng = np.random.default_rng(35)
+        samples = [
+            _text_sample(
+                "AAA", " ".join(f"kw{i}" for i in rng.choice(k, 20, replace=False))
             )
+            for _ in range(n)
+        ]
+        table = _ptable([_series("AAA", [10.0, 11.0, 12.0, 11.5, 12.5, 13.0])])
+        (matrix, skipped), peak = traced_peak(
+            lambda: featurize_samples(samples, *table, keywords, _categories())
+        )
+        assert skipped == [] and len(matrix) == n
+        dense_bytes = n * matrix.layout.dimension * 8
+        density = matrix.values.size / (n * matrix.layout.dimension)
+        assert 0.05 < density < 0.1
+        # the mask, the values and one block of rows; the dense float64
+        # rows do not fit, nor a copy of the values beside them
+        assert peak < dense_bytes / 4

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
+import subprocess
+import sys
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from dataclasses import replace
 
 from newsmotion import mlp
 from newsmotion.config import TrainConfig
@@ -20,7 +22,6 @@ from newsmotion.features import (
     FeatureMatrix,
     block_columns,
     load_feature_matrix,
-    slice_blocks,
     write_feature_matrix,
 )
 from newsmotion.graph import DOWN, UP
@@ -40,7 +41,15 @@ from newsmotion.mlp import (
 )
 from newsmotion.sampling import NEGATIVE, POSITIVE
 
-from support import init, loss_and_gradients, traced_peak
+from support import (
+    child_env,
+    dense,
+    init,
+    loss_and_gradients,
+    packed,
+    sliced,
+    traced_peak,
+)
 
 DAY = date(2012, 3, 5)
 
@@ -70,12 +79,12 @@ def _layout(dim: int) -> FeatureLayout:
 
 def _matrix(x: np.ndarray, labels: list[str] | None = None) -> FeatureMatrix:
     n = x.shape[0]
-    return FeatureMatrix(
-        layout=_layout(x.shape[1]),
-        tickers=[f"T{i}" for i in range(n)],
-        dates=[DAY + timedelta(days=i) for i in range(n)],
-        labels=[POSITIVE] * n if labels is None else labels,
-        x=x,
+    return packed(
+        _layout(x.shape[1]),
+        [f"T{i}" for i in range(n)],
+        [DAY + timedelta(days=i) for i in range(n)],
+        [POSITIVE] * n if labels is None else labels,
+        x,
     )
 
 
@@ -102,12 +111,12 @@ def _all_blocks(n: int, seed: int) -> FeatureMatrix:
     layout = FeatureLayout(BLOCK_ORDER, k=3, n_categories=2)
     x = rng.normal(size=(n, layout.dimension))
     labels = [POSITIVE if v > 0 else NEGATIVE for v in x[:, 0] + 0.5 * x[:, 1]]
-    return FeatureMatrix(
-        layout=layout,
-        tickers=[f"T{i}" for i in range(n)],
-        dates=[DAY + timedelta(days=i) for i in range(n)],
-        labels=labels,
-        x=x,
+    return packed(
+        layout,
+        [f"T{i}" for i in range(n)],
+        [DAY + timedelta(days=i) for i in range(n)],
+        labels,
+        x,
     )
 
 
@@ -119,8 +128,9 @@ def _reference_train(
 ) -> MlpModel:
     """`train` with a whole-model step: every layer's gradient of a batch
     from `loss_and_gradients`, then one ``g *= lr; p -= g`` over one
-    buffer of every parameter. Rows come from `slice_blocks`."""
-    train_m, valid_m = slice_blocks(train_m, blocks), slice_blocks(valid_m, blocks)
+    buffer of every parameter. Rows are the blocks' columns, decoded dense."""
+    train_m, valid_m = sliced(train_m, blocks), sliced(valid_m, blocks)
+    x_train = dense(train_m)
     dims = (train_m.layout.dimension, *config.hidden, 2)
     model = init(dims, config.seed, train_m.layout)
     layers = [p for w, b in zip(model.weights, model.biases) for p in (w, b)]
@@ -131,7 +141,7 @@ def _reference_train(
     model.weights, model.biases = views[0::2], views[1::2]
     grads = np.empty_like(params)
     y = (np.asarray(train_m.labels) != POSITIVE).astype(np.int64)
-    x_valid = np.ascontiguousarray(valid_m.x.T, dtype=np.float32)
+    x_valid = np.ascontiguousarray(dense(valid_m).T, dtype=np.float32)
     rng = np.random.default_rng(config.seed)
     best, best_error, best_epoch, since_best = params.copy(), math.inf, -1, 0
     losses, errors = [], []
@@ -142,7 +152,7 @@ def _reference_train(
         for start in range(0, len(train_m), config.batch_size):
             batch = order[start : start + config.batch_size]
             loss, grad_w, grad_b = loss_and_gradients(
-                model, train_m.x[batch], y[batch], config.l2
+                model, x_train[batch], y[batch], config.l2
             )
             parts = [g.ravel() for gw, gb in zip(grad_w, grad_b) for g in (gw, gb)]
             np.concatenate(parts, out=grads)
@@ -384,7 +394,7 @@ class TestTrain:
         errors = model.metadata["validation_errors"]
         best = model.metadata["best_epoch"]
         assert errors[best] == min(errors)
-        predicted = [predict(model, x)[0] for x in valid_m.x]
+        predicted = [predict(model, x)[0] for x in dense(valid_m)]
         expected = [UP if label == POSITIVE else DOWN for label in valid_m.labels]
         mismatches = sum(p != e for p, e in zip(predicted, expected))
         assert mismatches / len(valid_m) == errors[best]
@@ -415,7 +425,7 @@ class TestTrain:
             (NEGATIVE if label == POSITIVE else POSITIVE) if f else label
             for label, f in zip(noisy.labels, flip)
         ]
-        valid_m = _matrix(noisy.x, labels)
+        valid_m = _matrix(dense(noisy), labels)
         settings = dict(
             hidden=(6,), learning_rate=0.2, batch_size=16, epochs=30, seed=6
         )
@@ -446,6 +456,7 @@ class TestTrain:
         replay = init((5, 6, 4, 2), seed=config.seed, layout=train_m.layout)
         params = [p.astype(np.float32) for p in (*replay.weights, *replay.biases)]
         replay.weights, replay.biases = params[:3], params[3:]
+        x_train = dense(train_m)
         y = (np.asarray(train_m.labels) != POSITIVE).astype(np.int64)
         rng = np.random.default_rng(config.seed)
         losses, errors, snapshots = [], [], []
@@ -456,7 +467,7 @@ class TestTrain:
             for start in range(0, len(train_m), config.batch_size):
                 batch = order[start : start + config.batch_size]
                 loss, grad_w, grad_b = loss_and_gradients(
-                    replay, train_m.x[batch], y[batch], config.l2
+                    replay, x_train[batch], y[batch], config.l2
                 )
                 for p, g in zip(params, (*grad_w, *grad_b)):
                     p -= lr * g
@@ -474,7 +485,7 @@ class TestTrain:
 
     def test_divergence_raises_instead_of_returning_garbage(self):
         base = _separable(60, 3, seed=46)
-        matrix = _matrix(base.x * 1e150, base.labels)
+        matrix = _matrix(dense(base) * 1e150, base.labels)
         config = TrainConfig(hidden=(8,), learning_rate=10.0, epochs=10, seed=5)
         with pytest.raises(TrainingDiverged):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -572,7 +583,7 @@ class TestPredict:
         matrix = _matrix(rng.normal(size=(25, 4)))
         confidences = predict_batch(model, matrix)
         for i in range(len(matrix)):
-            label, confidence = predict(model, matrix.x[i])
+            label, confidence = predict(model, dense(matrix)[i])
             assert (UP if confidences[i] > 0 else DOWN) == label
             assert abs(confidences[i] - confidence) < 1e-12
 
@@ -582,7 +593,7 @@ class TestPredict:
         model.weights = [w.astype(dtype) for w in model.weights]
         model.biases = [(b + 0.01).astype(dtype) for b in model.biases]
         matrix = _matrix(np.random.default_rng(57).normal(size=(40, 7)))
-        *_, logits = _layers(model.weights, model.biases, matrix.x.T)
+        *_, logits = _layers(model.weights, model.biases, dense(matrix).T)
         p = softmax(logits.T)
         expected = p[:, 0] - p[:, 1]
         assert predict_batch(model, matrix).tobytes() == expected.tobytes()
@@ -618,10 +629,74 @@ class TestModelFile:
         save_model(model, path)
         loaded = load_model(path)
         for p, q in zip(params, (*loaded.weights, *loaded.biases)):
-            assert np.array_equal(p, q)
+            assert q.dtype == np.float32 and q.tobytes() == p.tobytes()
         original = predict_batch(model, matrix)
         assert original.dtype == np.float64
         assert original.tobytes() == predict_batch(loaded, matrix).tobytes()
+
+    def test_float32_weights_are_stored_as_f4(self, tmp_path):
+        matrix = _separable(40, 3, seed=67)
+        config = TrainConfig(hidden=(6, 5), learning_rate=0.3, epochs=2, seed=7)
+        model = train(matrix, matrix, config)
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        line, body = path.read_bytes().split(b"\n", 1)
+        params = [p for w, b in zip(model.weights, model.biases) for p in (w, b)]
+        assert json.loads(line)["dtypes"] == ["<f4"] * len(params)
+        assert body == b"".join(p.astype("<f4").tobytes() for p in params)
+        loaded = load_model(path)
+        # every array views the one float32 array the blob loads into
+        base = loaded.weights[0].base
+        assert all(p.base is base for p in (*loaded.weights, *loaded.biases))
+
+    def test_a_float64_model_names_no_dtypes(self, tmp_path):
+        model = init([3, 4, 2], seed=68, layout=_layout(3))
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        line, body = path.read_bytes().split(b"\n", 1)
+        assert "dtypes" not in json.loads(line)
+        assert len(body) == 8 * sum(p.size for p in (*model.weights, *model.biases))
+        loaded = load_model(path)
+        assert all(w.dtype == np.float64 for w in loaded.weights)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_f4_weights_score_as_their_f8_upcast(self, tmp_path, threads):
+        # A child Python, so that the BLAS thread count is its own: the
+        # loaded float32 model scores every row to the bit as the float64
+        # upcast of its weights, the form earlier model files stored.
+        script = """
+import sys
+import numpy as np
+from dataclasses import replace
+from newsmotion.config import TrainConfig
+from newsmotion.features import FeatureLayout, FeatureMatrix
+from newsmotion.mlp import load_model, predict_batch, save_model, train
+from newsmotion.sampling import NEGATIVE, POSITIVE
+rng = np.random.default_rng(71)
+layout = FeatureLayout(("ct",), k=0, n_categories=40)
+x = rng.normal(size=(300, 40)) * (rng.random((300, 40)) < 0.3)
+bits = x.view(np.uint64) != 0
+matrix = FeatureMatrix(
+    layout, ["T"] * 300, [None] * 300, [POSITIVE, NEGATIVE] * 150,
+    np.packbits(bits, axis=1), x[bits],
+)
+config = TrainConfig(hidden=(64, 32), learning_rate=0.2, epochs=3, seed=8)
+save_model(train(matrix, matrix, config), sys.argv[1])
+model = load_model(sys.argv[1])
+upcast = replace(
+    model,
+    weights=[w.astype(np.float64) for w in model.weights],
+    biases=[b.astype(np.float64) for b in model.biases],
+)
+assert model.weights[0].dtype == np.float32
+assert predict_batch(model, matrix).tobytes() == predict_batch(upcast, matrix).tobytes()
+"""
+        env = {**child_env(), "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "model.bin")],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_a_load_holds_the_parameters_once(self, tmp_path):
         dims = (64, 20000, 2)
@@ -792,9 +867,9 @@ class TestTrainEach:
             full = _all_blocks(n, seed=seed)
             # no ct block, and ps values large enough to overflow a step
             layout = FeatureLayout(("price", "bok", "ps"), k=3, n_categories=0)
-            x = full.x[:, : layout.dimension].copy()
+            x = dense(full)[:, : layout.dimension]
             x[:, slice(*layout.offsets()["ps"])] *= 1e150
-            matrices.append(replace(full, layout=layout, x=x))
+            matrices.append(packed(layout, full.tickers, full.dates, full.labels, x))
         train_m, valid_m = matrices
         config = TrainConfig(
             hidden=(7, 5), learning_rate=0.4, batch_size=16, epochs=12,
@@ -839,3 +914,36 @@ class TestTrainEach:
         # 12 bytes per parameter of the budget; 512 KiB covers the rest.
         # One group of all eight models (8 MB here) does not fit.
         assert peak < 12 * GROUP_PARAMS + 2**19
+
+
+class TestBatchDecode:
+    """Each batch decodes from the packed rows to the bits of a dense gather."""
+
+    @staticmethod
+    def _gather(out, x, rows, runs) -> None:
+        """The dense gather training made before rows were packed."""
+        for src, dst in runs:
+            np.copyto(out[dst], x[rows, src].T)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_every_group_union_decodes_as_the_dense_gather(self, dtype):
+        matrix = _all_blocks(70, seed=97)
+        x = dense(matrix)
+        x[x < 0.4] = 0.0
+        x[::7, 3] = -0.0
+        matrix = packed(matrix.layout, matrix.tickers, matrix.dates, matrix.labels, x)
+        matrix = replace(matrix, values=matrix.values.astype(dtype))
+        x = x.astype(dtype)
+        order = np.random.default_rng(98).permutation(len(matrix))
+        combos = DEFAULT_COMBINATIONS
+        for i in range(len(combos)):
+            for j in range(i + 1, len(combos) + 1):
+                blocks = {b for c in combos[i:j] for b in c}
+                union, runs = block_columns(matrix.layout, blocks)
+                for start in range(0, len(matrix), 16):
+                    batch = order[start : start + 16]
+                    want = np.empty((union.dimension, len(batch)), np.float32)
+                    got = np.full_like(want, np.nan)
+                    self._gather(want, x, batch, runs)
+                    matrix.decode(got.T, batch, runs)
+                    assert got.tobytes() == want.tobytes(), (blocks, start)

@@ -137,6 +137,26 @@ class TestAliasMatcher:
         aliases = load_aliases(path)
         assert aliases == {"Apple, Inc.": "AAPL", "AAPL": "AAPL"}
 
+    def test_load_aliases_strips_the_alias(self, tmp_path):
+        path = tmp_path / "aliases.csv"
+        path.write_text(
+            "# alias,ticker\nAcme Corp ,ACM\n  Beta Inc,BET\n\tGamma Co\t, GAM\n",
+            encoding="utf-8",
+        )
+        aliases = load_aliases(path)
+        assert aliases == {"Acme Corp": "ACM", "Beta Inc": "BET", "Gamma Co": "GAM"}
+        found = AliasMatcher(aliases).find("Acme Corp rose. Beta Inc fell.")
+        assert [ticker for ticker, _ in found] == ["ACM", "BET"]
+
+    def test_an_alias_and_its_padded_spelling_are_one_alias(self, tmp_path):
+        path = tmp_path / "aliases.csv"
+        path.write_text("# alias,ticker\nAcme Corp,ACM\nAcme Corp ,ACX\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as caught:
+            load_aliases(path)
+        assert str(caught.value) == (
+            f"{path}:3: alias 'Acme Corp' is given for ACX here and for ACM on line 2"
+        )
+
     def test_load_aliases_names_a_line_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "aliases.csv"
         path.write_bytes(b"# alias,ticker\r\nAcme,ACM\r\nCaf\xe9,CAF\r\n")
