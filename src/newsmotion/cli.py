@@ -198,18 +198,13 @@ def _featurize(config, inputs, outputs) -> None:
     codec.write_table(outputs["skipped.csv"], SKIPPED_HEADER, skipped_rows)
 
 
-def _training_matrices(inputs) -> list:
-    """The train and validation matrices with float32 rows, all training reads."""
-    from . import features
-    return [
-        features.load_feature_matrix(inputs[f"features_{name}.bin"], "float32")
-        for name in ("train", "valid")
-    ]
-
-
 def _train(config, inputs, outputs) -> None:
-    from . import mlp
-    model = _here.train(*_training_matrices(inputs), config.training)
+    from . import features, mlp
+    model = _here.train(
+        features.load_feature_matrix(inputs["features_train.bin"]),
+        features.load_feature_matrix(inputs["features_valid.bin"]),
+        config.training,
+    )
     mlp.save_model(model, outputs["model.bin"])
     meta = model.metadata
     errors = meta.get("validation_errors", [])
@@ -272,7 +267,8 @@ def _predict(config, inputs, outputs) -> None:
 def _ablation(config, inputs, outputs) -> None:
     from . import evaluation, features
     ablation = _here.run_ablation(
-        *_training_matrices(inputs),
+        features.load_feature_matrix(inputs["features_train.bin"]),
+        features.load_feature_matrix(inputs["features_valid.bin"]),
         features.load_feature_matrix(inputs["features_test.bin"]),
         evaluation.DEFAULT_COMBINATIONS,
         config.training,

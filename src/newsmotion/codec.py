@@ -7,9 +7,8 @@ uint8 arrays are stored as ``<f4`` and ``|u1``, any other as ``<f8``;
 the header's ``dtypes`` names each array's stored dtype, and a header
 without it holds ``<f8`` arrays only. Consecutive arrays of one dtype
 load into one array that the decoder's arrays view (`unpack`), so a load
-holds its data once: values are read straight into it, and a load of
-float values as another float dtype casts them in as it reads them, a
-bounded chunk at a time, so it holds no copy in the stored dtype either.
+holds its data once: values are read straight into it, in their stored
+dtype.
 Text is written as UTF-8 with ``"\n"`` line ends. Whatever a caller's
 decoder raises comes back as a `ParseError` naming the file and line,
 and so does a text file that is not UTF-8 (`utf8_text`).
@@ -183,22 +182,14 @@ def read_blob(path: str | Path, decode: Callable[[dict, BinaryIO], T]) -> T:
             return decode(header, fh)
 
 
-# A load as another float dtype reads this many stored values at a time.
-_CHUNK = 1 << 15
-
-
 def unpack(
-    data: BinaryIO,
-    header: dict,
-    shapes: Sequence[tuple[int, ...]],
-    as_float=None,
+    data: BinaryIO, header: dict, shapes: Sequence[tuple[int, ...]]
 ) -> list[np.ndarray]:
     """The rest of a blob as arrays of the given shapes, in order.
 
-    Each array has the stored dtype the header names (`write_blob`); with
-    ``as_float``, every float array loads as that dtype instead. The tags
-    and the byte count are checked first. Then each run of consecutive
-    arrays of one stored and loaded dtype is read into one array, and the
+    Each array has the stored dtype the header names (`write_blob`). The
+    tags and the byte count are checked first. Then each run of
+    consecutive arrays of one dtype is read into one array, and the
     arrays returned are views of it.
     """
     tags = header.get("dtypes", ["<f8"] * len(shapes))
@@ -211,46 +202,19 @@ def unpack(
     if any(n < 0 for shape in shapes for n in shape):
         raise ValueError(f"negative array shape in {list(shapes)}")
     stored = [_STORED[tag] for tag in tags]
-    loaded = [
-        np.dtype(as_float) if as_float is not None and s.kind == "f" else s
-        for s in stored
-    ]
     expected = sum(n * s.itemsize for n, s in zip(sizes, stored))
     found = os.fstat(data.fileno()).st_size - data.tell()
     if found != expected:
         raise ValueError(f"expected {expected} data bytes, found {found}")
     arrays: list[np.ndarray] = []
     found = 0
-    runs = groupby(zip(shapes, sizes, stored, loaded), key=lambda array: array[2:])
-    for (stored_as, loaded_as), run in runs:
-        run_shapes, run_sizes, *_ = zip(*run)
-        values = np.empty(sum(run_sizes), dtype=loaded_as)
-        read = _read_values(data, values, stored_as)
+    for dtype, run in groupby(zip(shapes, sizes, stored), key=lambda array: array[2]):
+        run_shapes, run_sizes, _ = zip(*run)
+        values = np.empty(sum(run_sizes), dtype=dtype)
+        read = data.readinto(values.view(np.uint8))
         found += read
-        if read != values.size * stored_as.itemsize:
+        if read != values.nbytes:
             raise ValueError(f"expected {expected} data bytes, found {found}")
         chunks = np.split(values, np.cumsum(run_sizes)[:-1])
         arrays.extend(v.reshape(shape) for v, shape in zip(chunks, run_shapes))
     return arrays
-
-
-def _read_values(data: BinaryIO, values: np.ndarray, stored="<f8") -> int:
-    """Reads ``stored`` values into ``values``, cast to its dtype; the bytes read.
-
-    Values of its own dtype are read straight into it; for any other
-    dtype each chunk of at most `_CHUNK` values is read into one buffer
-    of the stored dtype and cast in from there.
-    """
-    stored = np.dtype(stored)
-    if values.dtype == stored:
-        return data.readinto(values.view(np.uint8))
-    buffer = np.empty(min(values.size, _CHUNK), dtype=stored)
-    found = 0
-    for at in range(0, values.size, _CHUNK):
-        chunk = buffer[: values.size - at]
-        read = data.readinto(chunk.view(np.uint8))
-        found += read
-        if read != chunk.nbytes:
-            break
-        values[at : at + chunk.size] = chunk
-    return found

@@ -5,16 +5,15 @@ seed and hyperparameters) and scores each on the same test rows; the
 combination of every block can score a model file already trained on the
 full matrices instead. The combinations train in lockstep groups
 (`mlp.train_each`), each model as `mlp.train` trains it alone: each
-reads the full train and validation matrices, float64 or float32, and
-trains on only its blocks' columns in float32, so no float64 copy of a
-subset is made for training; the `evaluate` stage loads those two
-matrices as float32 and gets the same rows as from float64. The test
-rows are float64: each row of the ablation decodes its blocks' columns
-of them whole, and nothing else, when its model scores them. The
-sweep seeds the correlation graph with per-date classifier confidences,
-propagates, and measures accuracy and coverage of the emitted
-unseen-stock predictions as the confidence threshold rises, through
-`emissions`, which `predict` calls at its one threshold.
+reads the full train and validation matrices and trains on only its
+blocks' columns, cast to float32 as each batch decodes them, so no copy
+of a subset is made for training. Each row of the ablation decodes its
+blocks' columns of the test rows whole, as float64, and nothing else,
+when its model scores them. The sweep seeds the correlation graph with
+per-date classifier confidences, propagates, and measures accuracy and
+coverage of the emitted unseen-stock predictions as the confidence
+threshold rises, through `emissions`, which `predict` calls at its one
+threshold.
 Both score through `mlp.predict_batch`, which rejects a model of another
 feature layout, and count a confidence above 0 as an up prediction.
 """

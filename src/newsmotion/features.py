@@ -32,7 +32,6 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from datetime import date as Date
-from functools import partial
 from pathlib import Path
 from typing import BinaryIO, Iterable, Mapping, Sequence
 
@@ -235,8 +234,6 @@ _PACK_ROWS = 64
 # indices and values) near this many bytes, at the matrix's mean number of
 # values a row.
 _DECODE_BYTES = 1 << 18
-# The number of set bits of each byte value.
-_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], np.uint8)
 
 
 @dataclass
@@ -245,11 +242,9 @@ class FeatureMatrix:
 
     The rows are held as ``mask``, (n, ceil(dimension / 8)) uint8, the
     `np.packbits` of the entries whose bits are not all zero, so that a
-    -0.0 is kept, and ``values``, those entries in row-major order. The
-    values are float64; rows that are only trained on may be float32
-    (`load_feature_matrix`), as training reads float32 anyway. Padding
-    bits are clear, the mask sets one bit per value, and no value's bits
-    are all zero.
+    -0.0 is kept, and ``values``, those entries in row-major order, as
+    float64. Padding bits are clear, the mask sets one bit per value, and
+    no value's bits are all zero.
     """
 
     layout: FeatureLayout
@@ -276,20 +271,14 @@ class FeatureMatrix:
                 f"{n} rows of dimension {dim}: expected uint8 {shape}"
             )
         values = self.values
-        if values.dtype not in (np.float64, np.float32) or values.ndim != 1:
+        if values.dtype != np.float64 or values.ndim != 1:
             raise ValidationError(
-                f"values must be one float64 or float32 run, got "
-                f"{values.dtype} {values.shape}"
+                f"values must be one float64 run, got {values.dtype} {values.shape}"
             )
         if dim % 8 and n and np.any(self.mask[:, -1] & (0xFF >> dim % 8)):
             raise ValidationError("mask sets a padding bit")
-        # each row's value count, counted a bounded block of rows at a time
         self.starts = np.zeros(n + 1, np.int64)
-        step = max(1, _DECODE_BYTES // max(1, shape[1]))
-        for at in range(0, n, step):
-            block = _POPCOUNT[self.mask[at : at + step]]
-            self.starts[at + 1 : at + 1 + len(block)] = block.sum(axis=1)
-        np.cumsum(self.starts, out=self.starts)
+        np.cumsum(np.bitwise_count(self.mask).sum(axis=1), out=self.starts[1:])
         if self.starts[-1] != values.size:
             raise ValidationError(
                 f"mask sets {self.starts[-1]} entries but "
@@ -306,7 +295,8 @@ class FeatureMatrix:
     def rows_per_decode(self) -> int:
         """How many rows `decode` decodes at a time (`_DECODE_BYTES`)."""
         values_per_row = self.values.size / max(1, len(self))
-        per_row = self.layout.dimension + (8 + self.values.itemsize) * values_per_row
+        # a byte per unpacked mask bit, an int64 index and a float64 a value
+        per_row = self.layout.dimension + 16 * values_per_row
         return max(1, int(_DECODE_BYTES // per_row))
 
     def decode(
@@ -485,10 +475,10 @@ def write_feature_matrix(matrix: FeatureMatrix, path: str | Path) -> None:
     write_blob(path, header, [matrix.mask, matrix.values])
 
 
-def _feature_matrix(dtype, header: dict, data: BinaryIO) -> FeatureMatrix:
+def _feature_matrix(header: dict, data: BinaryIO) -> FeatureMatrix:
     layout = FeatureLayout.from_dict(header["layout"])
     shapes = [(int(header["rows"]), -(-layout.dimension // 8)), (int(header["values"]),)]
-    mask, values = unpack(data, header, shapes, dtype)
+    mask, values = unpack(data, header, shapes)
     # each distinct day is parsed once, and equal strings are one object
     days = {text: parse_date(text) for text in dict.fromkeys(header["dates"])}
     return FeatureMatrix(
@@ -501,12 +491,11 @@ def _feature_matrix(dtype, header: dict, data: BinaryIO) -> FeatureMatrix:
     )
 
 
-def load_feature_matrix(path: str | Path, dtype=np.float64) -> FeatureMatrix:
-    """The matrix `write_feature_matrix` wrote, its values as ``dtype``.
+def load_feature_matrix(path: str | Path) -> FeatureMatrix:
+    """The matrix `write_feature_matrix` wrote.
 
-    The mask and the values are each read into one array. As any other
-    dtype than float64 the values are cast as they are read, so the load
-    holds no float64 copy of them (`codec.unpack`). A mask or values that
-    break `FeatureMatrix`'s rules are a `ParseError` naming the file.
+    The mask and the values are each read into one array in their stored
+    dtypes (`codec.unpack`). A mask or values that break `FeatureMatrix`'s
+    rules are a `ParseError` naming the file.
     """
-    return read_blob(path, partial(_feature_matrix, dtype))
+    return read_blob(path, _feature_matrix)

@@ -9,10 +9,10 @@ Activations are feature-major, (units, rows), so every layer is one
 
 `train_each` fits one model per block set, and `train` is its one-set
 case. Training computes in float32. It takes the full train and
-validation matrices, float64 or float32, and only reads them. Sets
-train in lockstep groups, in request order, while a group's parameters
-number at most `GROUP_PARAMS`; the models share the seed, so they see
-the same batches. Each mini-batch decodes its rows once, every column,
+validation matrices and only reads them. Sets train in lockstep
+groups, in request order, while a group's parameters number at most
+`GROUP_PARAMS`; the models share the seed, so they see the same
+batches. Each mini-batch decodes its rows once, every column,
 straight from the train matrix's packed rows (`FeatureMatrix.decode`),
 cast to float32 as they are written into the batch buffer; full
 batches are decoded a few at a time, each into a buffer of its own. A model
@@ -607,13 +607,11 @@ def train(
     """Fit on the training matrix, selecting the best validation-error epoch.
 
     ``blocks`` names the feature blocks to train on, all of the matrices'
-    by default; the model's layout is theirs. The matrices, float64 or
-    float32, are only read: each batch casts its rows' columns of those
-    blocks to float32 as it decodes them. A float32 matrix trains the
-    same model, byte for byte, as the float64 matrix it was cast from.
-    Records per-epoch train loss and validation error in model metadata.
-    Raises TrainingDiverged on non-finite loss. This is `train_each` of
-    one set.
+    by default; the model's layout is theirs. The matrices are only
+    read: each batch casts its rows' columns of those blocks to float32
+    as it decodes them. Records per-epoch train loss and validation
+    error in model metadata. Raises TrainingDiverged on non-finite loss.
+    This is `train_each` of one set.
     """
     blocks = train_matrix.layout.blocks if blocks is None else blocks
     (model,) = train_each(train_matrix, valid_matrix, config, [blocks])

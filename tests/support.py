@@ -144,8 +144,8 @@ def packed(
     labels: Sequence[str],
     x: np.ndarray,
 ) -> FeatureMatrix:
-    """The matrix of the dense rows ``x``, float64 or float32: every entry
-    whose bits are not all zero is kept, as the featurizer keeps it."""
+    """The matrix of the dense float64 rows ``x``: every entry whose bits
+    are not all zero is kept, as the featurizer keeps it."""
     x = np.ascontiguousarray(x)
     bits = x.view(f"u{x.itemsize}") != 0
     mask = np.packbits(bits, axis=1).reshape(len(x), -(-x.shape[1] // 8))
@@ -154,21 +154,19 @@ def packed(
     )
 
 
-def dense(
-    matrix: FeatureMatrix, blocks: Sequence[str] | None = None, dtype=np.float64
-) -> np.ndarray:
+def dense(matrix: FeatureMatrix, blocks: Sequence[str] | None = None) -> np.ndarray:
     """The matrix's rows of ``blocks`` (all of its blocks by default), decoded
-    into one C-ordered array of ``dtype``."""
+    into one C-ordered float64 array."""
     blocks = matrix.layout.blocks if blocks is None else blocks
     sub, runs = block_columns(matrix.layout, blocks)
-    out = np.empty((len(matrix), sub.dimension), dtype)
+    out = np.empty((len(matrix), sub.dimension))
     return matrix.decode(out, slice(None), runs)
 
 
 def sliced(matrix: FeatureMatrix, blocks: Sequence[str]) -> FeatureMatrix:
     """The matrix of the rows' columns of ``blocks``, with the same metadata."""
     sub = block_columns(matrix.layout, blocks)[0]
-    x = dense(matrix, blocks, matrix.values.dtype)
+    x = dense(matrix, blocks)
     return packed(sub, matrix.tickers, matrix.dates, matrix.labels, x)
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -81,11 +80,6 @@ def _all_blocks_matrix(n: int, seed: int, k: int = 3) -> FeatureMatrix:
     )
 
 
-def _float32(matrix: FeatureMatrix) -> FeatureMatrix:
-    """The matrix with its rows cast to float32, as the evaluate stage loads them."""
-    return replace(matrix, values=matrix.values.astype(np.float32))
-
-
 def _small_config() -> TrainConfig:
     return TrainConfig(hidden=(8,), learning_rate=0.3, batch_size=16, epochs=15, seed=2)
 
@@ -159,26 +153,6 @@ class TestRunAblation:
                 tmp_path / "sliced.bin"
             ).read_bytes(), blocks
 
-    def test_float32_matrices_train_the_same_model_bytes(self, tmp_path):
-        train_m = _all_blocks_matrix(90, seed=76)
-        valid_m = _all_blocks_matrix(30, seed=77)
-        train32, valid32 = _float32(train_m), _float32(valid_m)
-        paths = [tmp_path / "float64.bin", tmp_path / "float32.bin"]
-        for blocks in DEFAULT_COMBINATIONS:
-            for (t, v), path in zip([(train_m, valid_m), (train32, valid32)], paths):
-                save_model(train(t, v, _small_config(), blocks), path)
-            assert paths[0].read_bytes() == paths[1].read_bytes(), blocks
-
-    def test_float32_training_matrices_give_the_same_rows(self):
-        train_m = _all_blocks_matrix(90, seed=78)
-        valid_m = _all_blocks_matrix(30, seed=79)
-        test_m = _all_blocks_matrix(40, seed=85)
-        want = run_ablation(train_m, valid_m, test_m, config=_small_config())
-        got = run_ablation(
-            _float32(train_m), _float32(valid_m), test_m, config=_small_config()
-        )
-        assert got == want
-
     def test_training_on_a_block_the_matrices_lack_is_a_validation_error(self):
         train_m = _signal_matrix(30, seed=72)
         with pytest.raises(ValidationError, match="price"):
@@ -213,21 +187,6 @@ class TestRunAblation:
         # block of rows' decoding temporaries and the activations take
         # the rest. A second copy of the rows does not fit.
         assert peak < 1.25 * len(test_m) * layout.dimension * 8
-
-    def test_float32_training_rows_make_no_block_subset_copy(self):
-        train32 = _float32(_all_blocks_matrix(2000, seed=73, k=300))  # 614 columns
-        small = _all_blocks_matrix(50, seed=74, k=300)
-        config = TrainConfig(hidden=(4,), batch_size=64, epochs=1, seed=3)
-        blocks = ("price", "bok", "ps")
-        report, peak = traced_peak(
-            lambda: run_ablation(train32, small, small, [blocks], config)
-        )
-        assert report.rows[0].status == OK
-        # Each batch decodes its rows' 612 columns from train32's packed
-        # rows; the batches, the validation and test rows and the model
-        # take about a tenth of the dense float32 rows' bytes. A float32
-        # copy of the subset (0.997 of those bytes) does not fit.
-        assert peak < 0.25 * len(train32) * train32.layout.dimension * 4
 
     def test_no_row_model_is_held_while_the_next_row_trains(self):
         matrix = _all_blocks_matrix(8, seed=75, k=30)  # 74 columns

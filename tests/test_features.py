@@ -2,18 +2,18 @@
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from newsmotion import codec, features, tokens
+from newsmotion import features, tokens
 from newsmotion.errors import ParseError, PipelineError, ValidationError
 from newsmotion.evaluation import DEFAULT_COMBINATIONS
 from newsmotion.features import (
@@ -507,9 +507,9 @@ class TestBlockColumns:
             [POSITIVE] * n, x,
         )
 
-    def _x(self, dtype=np.float64) -> np.ndarray:
+    def _x(self) -> np.ndarray:
         rng = np.random.default_rng(31)
-        return rng.normal(size=(6, self.LAYOUT.dimension)).astype(dtype)
+        return rng.normal(size=(6, self.LAYOUT.dimension))
 
     def test_the_full_layout_is_one_run_of_every_column(self):
         layout, runs = block_columns(self.LAYOUT, BLOCK_ORDER)
@@ -551,13 +551,6 @@ class TestBlockColumns:
         assert not np.shares_memory(rows, matrix.values)
         assert np.array_equal(rows, x[:, : rows.shape[1]])
 
-    def test_float32_rows_are_a_float64_cast_copy(self):
-        x = self._x(np.float32)
-        matrix = self._matrix(x)
-        rows = dense(matrix, BLOCK_ORDER)
-        assert rows.dtype == np.float64 and not np.shares_memory(rows, matrix.values)
-        assert rows.tobytes() == x.astype(np.float64).tobytes()
-
     def test_rows_not_in_c_order_are_copied_into_c_order(self):
         x = np.asfortranarray(self._x())
         rows = dense(self._matrix(x), BLOCK_ORDER)
@@ -577,6 +570,38 @@ class TestBlockColumns:
         assert matrix.decode(out, rows, runs) is out
         assert np.array_equal(out, want)
         assert np.signbit(out).tolist() == np.signbit(want).tolist()
+
+
+class TestFeatureMatrix:
+    """A matrix whose mask or values break their one layout is rejected."""
+
+    def _matrix(self) -> FeatureMatrix:
+        return TestFeatureMatrixFile()._matrix()  # 7 rows of 15 columns
+
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            lambda m: m.astype(bool),
+            lambda m: m.astype(np.float64),
+            lambda m: m[:-1],
+            lambda m: m[:, :-1],
+        ],
+        ids=["bool", "float64", "a-row-short", "a-byte-short"],
+    )
+    def test_a_mask_not_of_uint8_and_the_row_shape(self, mask):
+        matrix = self._matrix()
+        with pytest.raises(ValidationError, match=re.escape("expected uint8 (7, 2)")):
+            replace(matrix, mask=mask(matrix.mask))
+
+    @pytest.mark.parametrize(
+        "values",
+        [lambda v: v.astype(np.float32), lambda v: v.reshape(1, -1)],
+        ids=["float32", "two-dimensional"],
+    )
+    def test_values_not_one_float64_run(self, values):
+        matrix = self._matrix()
+        with pytest.raises(ValidationError, match="values must be one float64 run"):
+            replace(matrix, values=values(matrix.values))
 
 
 class TestFeatureMatrixFile:
@@ -616,9 +641,8 @@ class TestFeatureMatrixFile:
         assert np.signbit(dense(matrix)[1, 2]) and dense(matrix)[1, 2] == 0.0
         path = tmp_path / "features.bin"
         write_feature_matrix(matrix, path)
-        for dtype in (np.float64, np.float32):
-            row = dense(load_feature_matrix(path, dtype))[1]
-            assert row[2] == 0.0 and np.signbit(row[2]), dtype
+        row = dense(load_feature_matrix(path))[1]
+        assert row[2] == 0.0 and np.signbit(row[2])
 
     def test_the_file_holds_a_mask_bit_per_row_entry_and_the_values(self, tmp_path):
         matrix = self._matrix()
@@ -651,27 +675,6 @@ class TestFeatureMatrixFile:
         # second copy does not fit.
         assert peak < 1.1 * x.nbytes
 
-    def test_a_float32_load_holds_no_float64_copy(self, tmp_path):
-        layout = FeatureLayout(BLOCK_ORDER, k=1000, n_categories=10)  # 2022 columns
-        n = 2000
-        x = np.random.default_rng(33).normal(size=(n, layout.dimension))
-        matrix = packed(
-            layout,
-            [f"T{i % 50}" for i in range(n)],
-            [DAY + timedelta(days=i % 300) for i in range(n)],
-            [POSITIVE if i % 2 else NEGATIVE for i in range(n)],
-            x,
-        )
-        path = tmp_path / "features.bin"
-        write_feature_matrix(matrix, path)
-        loaded, peak = traced_peak(lambda: load_feature_matrix(path, np.float32))
-        rows = x.astype(np.float32)
-        assert dense(loaded, dtype=np.float32).tobytes() == rows.tobytes()
-        # The values are read into one float32 array, through one float64
-        # chunk buffer; the mask, the header and the row metadata take the
-        # rest. The float64 values (2 x rows.nbytes) do not fit beside them.
-        assert peak < 1.1 * rows.nbytes
-
     def test_a_load_holds_each_distinct_ticker_date_and_label_once(self, tmp_path):
         layout = FeatureLayout(("price",), k=0, n_categories=0)
         n = 3000
@@ -698,42 +701,6 @@ class TestFeatureMatrixFile:
         assert len({id(t) for t in loaded.tickers}) == 50
         assert len({id(d) for d in loaded.dates}) == 300
         assert len({id(label) for label in loaded.labels}) == 2
-
-    @pytest.mark.parametrize("cut", [8, 3])
-    def test_a_float32_load_names_the_same_byte_counts(self, tmp_path, cut):
-        matrix = self._matrix()
-        path = tmp_path / "features.bin"
-        write_feature_matrix(matrix, path)
-        path.write_bytes(path.read_bytes()[:-cut])
-        with pytest.raises(ParseError) as caught:
-            load_feature_matrix(path, np.float32)
-        size = self._data_bytes(matrix)
-        assert str(caught.value) == (
-            f"{path}: expected {size} data bytes, found {size - cut}"
-        )
-
-    def test_a_short_chunked_read_counts_the_bytes_it_read(self, monkeypatch):
-        monkeypatch.setattr(codec, "_CHUNK", 4)
-        values = np.arange(10.0)
-        data = io.BytesIO(values.astype("<f8").tobytes()[:-3])
-        out = np.zeros(10, dtype=np.float32)
-        assert codec._read_values(data, out) == 77
-        assert out.tolist() == [*range(8), 0.0, 0.0]
-
-    def test_float32_rows_are_the_cast_of_the_file_rows(self, tmp_path):
-        matrix = self._matrix()
-        path = tmp_path / "features.bin"
-        write_feature_matrix(matrix, path)
-        loaded = load_feature_matrix(path, np.float32)
-        assert loaded.values.dtype == np.float32 and loaded.values.flags.c_contiguous
-        rows = dense(loaded, dtype=np.float32)
-        assert rows.tobytes() == dense(matrix).astype(np.float32).tobytes()
-        assert (loaded.layout, loaded.tickers, loaded.dates, loaded.labels) == (
-            matrix.layout,
-            matrix.tickers,
-            matrix.dates,
-            matrix.labels,
-        )
 
     @pytest.mark.parametrize("cut", [8, 3])
     def test_truncation_names_the_byte_counts(self, tmp_path, cut):
@@ -791,10 +758,9 @@ class TestFeatureBlobHardening:
         return path, matrix, path.read_bytes().index(b"\n") + 1
 
     def _rejected(self, path: Path, pattern: str) -> None:
-        for dtype in (np.float64, np.float32):
-            with pytest.raises(ParseError, match=pattern) as caught:
-                load_feature_matrix(path, dtype)
-            assert str(path) in str(caught.value)
+        with pytest.raises(ParseError, match=pattern) as caught:
+            load_feature_matrix(path)
+        assert str(path) in str(caught.value)
 
     def _edit(self, path: Path, at: int, byte: int) -> None:
         data = bytearray(path.read_bytes())
@@ -838,7 +804,7 @@ class TestFeatureBlobHardening:
         original = path.read_bytes()
         rng = np.random.default_rng(2012)
         outcomes = {"loaded": 0, "rejected": 0}
-        for i in range(300):
+        for _ in range(300):
             data = bytearray(original)
             for _ in range(rng.integers(1, 5)):
                 kind = rng.integers(4)
@@ -853,9 +819,7 @@ class TestFeatureBlobHardening:
                     del data[at:]
             path.write_bytes(bytes(data))
             try:
-                # a mutated value may be out of float32's range
-                with np.errstate(over="ignore", invalid="ignore"):
-                    load_feature_matrix(path, (np.float64, np.float32)[i % 2])
+                load_feature_matrix(path)
             except PipelineError:
                 outcomes["rejected"] += 1
             else:
