@@ -112,7 +112,10 @@ def _ingest(config, inputs, outputs) -> None:
     from . import ingest, sampling
     matcher = sampling.AliasMatcher(sampling.load_aliases(inputs["aliases"]))
     prices = ingest.load_price_table(inputs["prices.bin"])
-    articles = ingest.load_articles(inputs["articles"])
+    # in (date, id) order, so no output depends on the order of the file's lines
+    articles = sorted(
+        ingest.load_articles(inputs["articles"]), key=lambda a: (a.date, a.id)
+    )
     sentences = _here.extract_sentences(articles, matcher)
     samples = _here.build_samples(sentences, prices)
     split = sampling.split_by_date(
@@ -332,14 +335,15 @@ UNITS = {
     "prices": Unit("ingest", (), ("paths.prices",), ("prices.bin",), _prices),
     # revision 1: each sample sentence keeps its mentions; revision 2: a
     # "\r" in a sentence becomes a space in corpus.txt, as "\n" does;
-    # revision 3: an alias is stripped of surrounding whitespace
+    # revision 3: an alias is stripped of surrounding whitespace; revision
+    # 4: the articles are read in (date, id) order, not in file order
     "ingest": Unit(
         "ingest",
         ("dates.train_end", "dates.valid_end"),
         ("paths.articles", "prices.bin", "paths.aliases"),
         (*_SAMPLES, "corpus.txt"),
         _ingest,
-        revision=3,
+        revision=4,
     ),
     "embed": Unit(
         "embed", ("embedding",), ("corpus.txt",), ("embeddings.txt",), _embed

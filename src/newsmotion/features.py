@@ -11,9 +11,9 @@ Most entries are zero, so a `FeatureMatrix` holds its rows as a packed
 bit mask of the entries whose bits are not all zero, plus their values
 in row-major order, in memory and in its file alike, and
 `FeatureMatrix.decode` is the one way to read them: it writes chosen
-rows' column runs into a buffer of the caller's dtype and layout. So
-training decodes each mini-batch straight into its float32 batch
-buffer, scoring decodes a block subset's rows as float64, and no dense
+rows' column runs into a (rows, width) array of the caller's dtype and
+strides. So training decodes each mini-batch straight into a float32
+array, scoring decodes a block subset's rows as float64, and no dense
 copy of a matrix is made.
 Prices are z-scored with each ticker's training-window mean and std,
 which only this module computes. The three news blocks are counts over
@@ -28,7 +28,6 @@ blobs) so train and serve can never disagree on shapes.
 from __future__ import annotations
 
 import bisect
-import math
 from array import array
 from dataclasses import dataclass, field
 from datetime import date as Date
@@ -291,8 +290,7 @@ class FeatureMatrix:
     def __len__(self) -> int:
         return len(self.tickers)
 
-    @property
-    def rows_per_decode(self) -> int:
+    def _rows_per_decode(self) -> int:
         """How many rows `decode` decodes at a time (`_DECODE_BYTES`)."""
         values_per_row = self.values.size / max(1, len(self))
         # a byte per unpacked mask bit, an int64 index and a float64 a value
@@ -307,13 +305,11 @@ class FeatureMatrix:
     ) -> np.ndarray:
         """Writes ``rows``, in the column runs of `block_columns`, into ``out``.
 
-        ``out`` is (..., width), of any dtype and strides, and is returned:
-        its positions before the last axis take the rows in C order. Each
-        value is cast to its dtype as it is written, and every entry the
-        mask leaves clear becomes zero. ``runs`` default to every column;
-        their ``dst`` runs fill ``out``'s width in order. Rows are decoded
-        `rows_per_decode` at a time, or a whole position of ``out``'s first
-        axis at a time when that holds more.
+        ``out`` is (rows, width), of any dtype and strides, and is
+        returned. Each value is cast to its dtype as it is written, and
+        every entry the mask leaves clear becomes zero. ``runs`` default to
+        every column; their ``dst`` runs fill ``out``'s width in order.
+        Rows are decoded `_rows_per_decode` at a time.
         """
         dim = self.layout.dimension
         keep = None
@@ -324,10 +320,9 @@ class FeatureMatrix:
         if not isinstance(rows, np.ndarray):
             rows = np.arange(len(self))[rows]
         out[...] = 0
-        inner = math.prod(out.shape[1:-1])  # rows a position of axis 0 takes
-        step = max(1, self.rows_per_decode // inner)
+        step = self._rows_per_decode()
         for at in range(0, len(out), step):
-            chunk = rows[at * inner : (at + step) * inner]
+            chunk = rows[at : at + step]
             # the chunk's values: row i's run of them starts at lo[i]
             lo = self.starts[chunk]
             counts = self.starts[chunk + 1] - lo
@@ -339,8 +334,7 @@ class FeatureMatrix:
             if keep is not None:
                 values = values[np.broadcast_to(keep, bits.shape)[bits]]
                 bits = bits[:, keep]
-            part = out[at : at + step]
-            part[bits.reshape(part.shape)] = values
+            out[at : at + step][bits] = values
         return out
 
 

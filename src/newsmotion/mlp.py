@@ -13,12 +13,12 @@ validation matrices and only reads them. Sets train in lockstep
 groups, in request order, while a group's parameters number at most
 `GROUP_PARAMS`; the models share the seed, so they see the same
 batches. Each mini-batch decodes its rows once, every column,
-straight from the train matrix's packed rows (`FeatureMatrix.decode`),
-cast to float32 as they are written into the batch buffer; full
-batches are decoded a few at a time, each into a buffer of its own. A model
-whose blocks' columns (`features.block_columns`) are one run of those
-reads a row slice of the batch, and any other copies its columns out of
-it, so no copy of a block subset's rows is made. A group's
+straight from the train matrix's packed rows (`FeatureMatrix.decode`)
+into a new float32 (columns, rows) array, cast as they are written. A
+model whose blocks' columns (`features.block_columns`) are one run of
+those reads a row slice of the batch, and any other concatenates its
+column runs, so no copy of a block subset's matrix is made. Every
+temporary of a step is numpy's own allocation. A group's
 weights and biases live in one flat float32 buffer (`_Stack`), each
 layer's run holding every model's weights, then every model's biases:
 layer 0 one block per model, since each model reads its own columns,
@@ -133,10 +133,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _layers(
-    weights: Sequence,
-    biases: Sequence[np.ndarray],
-    a: np.ndarray | Sequence[np.ndarray],
-    out: Sequence[np.ndarray] | None = None,
+    weights: Sequence, biases: Sequence[np.ndarray], a: np.ndarray | Sequence[np.ndarray]
 ) -> Iterator[np.ndarray]:
     """Yields each layer's activations, feature-major; the last are the logits.
 
@@ -146,21 +143,17 @@ def _layers(
     activations (models, units, rows). Only its first layer differs,
     since each model reads its own columns: ``weights[0]`` and ``a`` are
     lists, one entry per model, and each model's product is written into
-    its slot of the stacked activations. ``out``, if given, holds one
-    buffer per layer to write into.
+    its slot of the stacked activations.
     """
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        into = None if out is None else out[i]
         if isinstance(w, list):
-            if into is None:
-                shape = (*b.shape, a[0].shape[1])
-                into = np.empty(shape, np.result_type(w[0], a[0]))
+            into = np.empty((*b.shape, a[0].shape[1]), np.result_type(w[0], a[0]))
             for w_k, a_k, into_k in zip(w, a, into):
                 np.matmul(w_k, a_k, out=into_k)
             a = into
         else:
-            a = np.matmul(w, a, out=into)
+            a = w @ a
         a += b[..., None]
         if i < last:
             np.maximum(a, 0.0, out=a)
@@ -186,7 +179,6 @@ def _step(
     grad_w: Sequence,
     grad_b: Sequence[np.ndarray],
     apply: Callable[[int], None],
-    out: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Each model's loss on a batch; writes and applies each layer's gradients.
 
@@ -202,7 +194,7 @@ def _step(
     bit, alone or in a stack of any size.
     """
     n = len(y)
-    activations = [a, *_layers(weights, biases, a, out)]
+    activations = [a, *_layers(weights, biases, a)]
     z = activations[-1]
     cols = np.arange(n)
     # log p(label) = z_label - logsumexp(z); stable via max subtraction
@@ -375,17 +367,12 @@ class _Stack:
                 dst_b[i][...] = src_b[i][ks]
 
 
-def _columns(
-    u: np.ndarray, runs: Sequence[tuple[slice, slice]], buffer: np.ndarray | None
-) -> np.ndarray:
+def _columns(u: np.ndarray, runs: Sequence[tuple[slice, slice]]) -> np.ndarray:
     """A model's rows of the feature-major ``u``: a row slice of it when its
-    columns are one run of ``u``'s, else a copy into the front of ``buffer``."""
+    columns are one run of ``u``'s, else the runs' rows concatenated."""
     if len(runs) == 1:
         return u[runs[0][0]]
-    out = buffer[: runs[-1][1].stop * u.shape[1]].reshape(-1, u.shape[1])
-    for src, dst in runs:
-        np.copyto(out[dst], u[src])
-    return out
+    return np.concatenate([u[src] for src, _ in runs])
 
 
 @dataclass
@@ -395,7 +382,6 @@ class _Training:
     index: int
     layout: FeatureLayout
     runs: list[tuple[slice, slice]]  # its columns in the matrices' layout
-    buffer: np.ndarray | None  # a batch of its columns, when they are not one run
     train_losses: list[float] = field(default_factory=list)
     valid_errors: list[float] = field(default_factory=list)
     best_error: float = np.inf
@@ -413,38 +399,26 @@ def _train_group(
     """`train` for each layout, in order, every model stepping on the same batches.
 
     Each batch and the validation rows are decoded once, every column of
-    them; the models step as one `_Stack` and are scored one at a time. A model leaves the stack when its patience runs
-    out or its loss turns non-finite, and the rest go on.
+    them, into a new C-ordered (width, rows) float32 array; the
+    orientation of a product's operands sets its last bits, so a batch
+    is never a transposed (rows, width) array. Each model takes its
+    columns from it (`_columns`). The models step as one
+    `_Stack` and are scored one at a time. A model leaves the stack when
+    its patience runs out or its loss turns non-finite, and the rest go
+    on.
     """
     width = train_matrix.layout.dimension
     # class 0 is up, class 1 is down
     y_train = (np.asarray(train_matrix.labels) != POSITIVE).astype(np.int64)
     valid_labels = np.asarray(valid_matrix.labels)
-    nv = len(valid_matrix)
-    u_valid = np.empty((width, nv), dtype=np.float32)
+    u_valid = np.empty((width, len(valid_matrix)), np.float32)
     valid_matrix.decode(u_valid.T)
-    # no batch has more rows than the training matrix; m rows use the
-    # first m * units of each buffer
-    rows = min(config.batch_size, len(train_matrix))
-    active, copied = [], [0]
-    for index, layout in enumerate(layouts):
-        runs = block_columns(train_matrix.layout, layout.blocks)[1]
-        buffer = None
-        if len(runs) > 1:
-            buffer = np.empty(layout.dimension * rows, np.float32)
-            copied.append(layout.dimension)
-        active.append(_Training(index, layout, runs, buffer))
+    active = [
+        _Training(index, layout, block_columns(train_matrix.layout, layout.blocks)[1])
+        for index, layout in enumerate(layouts)
+    ]
     tail = (*config.hidden, 2)
     stack = _Stack([t.layout.dimension for t in active], tail, config.seed)
-    # Full batches are decoded `ahead` at a time, each into its own
-    # (width, rows) slot, as many as one `FeatureMatrix.decode` pass takes;
-    # a short last batch is decoded alone into the front of the first slot.
-    ahead = max(1, min(train_matrix.rows_per_decode, len(train_matrix)) // rows)
-    slots = np.empty((ahead, width, rows), dtype=np.float32)
-    batch_out = [np.empty(len(active) * d * rows, np.float32) for d in tail]
-    # Each model's validation columns are copied into this buffer, when
-    # they are not one run, just before that model scores them.
-    valid_copy = np.empty(max(copied) * nv, np.float32)
     results: list[MlpModel | PipelineError | None] = [None] * len(layouts)
 
     def update(i: int) -> None:
@@ -493,24 +467,12 @@ def _train_group(
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
             m = len(batch)
-            slot = start // config.batch_size % ahead
-            if m < rows:
-                u = slots[0].reshape(-1)[: width * m].reshape(width, m)
-                train_matrix.decode(u.T, batch)
-            else:
-                if slot == 0:
-                    k = min(ahead, (n - start) // rows)
-                    decoded = order[start : start + k * rows]
-                    train_matrix.decode(slots[:k].transpose(0, 2, 1), decoded)
-                u = slots[slot]
-            a = [_columns(u, t.runs, t.buffer) for t in active]
-            out = [
-                buf[: len(active) * d * m].reshape(len(active), d, m)
-                for buf, d in zip(batch_out, tail)
-            ]
+            u = np.empty((width, m), np.float32)
+            train_matrix.decode(u.T, batch)
+            a = [_columns(u, t.runs) for t in active]
             losses = _step(
                 stack.weights, stack.biases, a, y_train[batch], config.l2,
-                stack.grad_w, stack.grad_b, update, out,
+                stack.grad_w, stack.grad_b, update,
             )
             diverged = []
             for k, (t, loss) in enumerate(zip(active, losses.tolist())):
@@ -528,7 +490,7 @@ def _train_group(
         stopped = []
         for k, t in enumerate(active):
             t.train_losses.append(t.epoch_loss / n)
-            x_valid = _columns(u_valid, t.runs, valid_copy)
+            x_valid = _columns(u_valid, t.runs)
             # one model scored at a time holds one model's activations
             weights, biases = _member(stack.weights, stack.biases, k)
             error = error_rate(_confidences(weights, biases, x_valid), valid_labels)
@@ -599,22 +561,17 @@ def train_each(
 
 
 def train(
-    train_matrix: FeatureMatrix,
-    valid_matrix: FeatureMatrix,
-    config: TrainConfig,
-    blocks: Sequence[str] | None = None,
+    train_matrix: FeatureMatrix, valid_matrix: FeatureMatrix, config: TrainConfig
 ) -> MlpModel:
-    """Fit on the training matrix, selecting the best validation-error epoch.
+    """Fit on every block of the training matrix, selecting the best
+    validation-error epoch.
 
-    ``blocks`` names the feature blocks to train on, all of the matrices'
-    by default; the model's layout is theirs. The matrices are only
-    read: each batch casts its rows' columns of those blocks to float32
-    as it decodes them. Records per-epoch train loss and validation
-    error in model metadata. Raises TrainingDiverged on non-finite loss.
-    This is `train_each` of one set.
+    The model's layout is the matrices'. The matrices are only read: each
+    batch casts its rows to float32 as it decodes them. Records per-epoch
+    train loss and validation error in model metadata. Raises
+    TrainingDiverged on non-finite loss. This is `train_each` of one set.
     """
-    blocks = train_matrix.layout.blocks if blocks is None else blocks
-    (model,) = train_each(train_matrix, valid_matrix, config, [blocks])
+    (model,) = train_each(train_matrix, valid_matrix, config, [train_matrix.layout.blocks])
     if isinstance(model, PipelineError):
         raise model
     return model

@@ -8,6 +8,7 @@ import inspect
 import json
 import logging
 import os
+import random
 import re
 import shutil
 import signal
@@ -406,6 +407,25 @@ class TestIngestCorpus:
         with (tmp_path / "work" / "corpus.txt").open(encoding="utf-8") as fh:
             lines = [" ".join(line.split()) for line in fh]
         assert lines == ["Acme rose in early trade.", "Later Acme fell."]
+
+
+class TestArticleOrder:
+    def test_shuffled_article_lines_change_no_output(self, pipeline, tmp_path):
+        """ingest reads the articles in (date, id) order, whatever the file's."""
+        config = _copy(pipeline, tmp_path)
+        work = config.parent / "work"
+        before = _tree(work)
+        articles = config.parent / "articles.jsonl"
+        lines = articles.read_bytes().splitlines(keepends=True)
+        shuffled = list(lines)
+        random.Random(5).shuffle(shuffled)
+        assert shuffled != lines
+        articles.write_bytes(b"".join(shuffled))
+        for stage in STAGES[1:]:
+            assert cli.main([stage, "--config", str(config)]) == 0, stage
+        after = _tree(work)
+        assert after.pop("ingest.manifest.json") != before.pop("ingest.manifest.json")
+        assert after == before
 
 
 class TestFeaturizeSkips:

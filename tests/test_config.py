@@ -255,7 +255,7 @@ class TestLoadConfig:
         dates, graph, sweep = config.dates, config.graph, config.sweep
         assert cli._stage_key(config, "ingest") == text_sha256(
             f"dates.train_end={dates.train_end!r}\n"
-            f"dates.valid_end={dates.valid_end!r}\nrevision 3"
+            f"dates.valid_end={dates.valid_end!r}\nrevision 4"
         )
         assert cli._stage_key(config, "graph") == text_sha256(
             f"graph.threshold={graph.threshold!r}\n"

@@ -35,7 +35,14 @@ from newsmotion.features import (
 )
 from newsmotion.graph import CorrelationGraph
 from newsmotion.ingest import PriceSeries
-from newsmotion.mlp import MlpModel, error_rate, predict_batch, save_model, train
+from newsmotion.mlp import (
+    MlpModel,
+    error_rate,
+    predict_batch,
+    save_model,
+    train,
+    train_each,
+)
 from newsmotion.sampling import NEGATIVE, POSITIVE
 
 import support
@@ -98,6 +105,8 @@ class TestErrorRate:
         confidences = np.array([0.0, 0.0, 0.5, -0.5])
         labels = [NEGATIVE, POSITIVE, POSITIVE, NEGATIVE]
         assert error_rate(confidences, labels) == 0.25
+        # one tie of each label reads 0.25 under either rule; this does not
+        assert error_rate(np.zeros(2), [NEGATIVE, NEGATIVE]) == 0.0
 
 
 class TestCombinationName:
@@ -139,7 +148,7 @@ class TestRunAblation:
         train_m = _all_blocks_matrix(90, seed=70)
         valid_m = _all_blocks_matrix(30, seed=71)
         for blocks in DEFAULT_COMBINATIONS:
-            subset = train(train_m, valid_m, _small_config(), blocks)
+            (subset,) = train_each(train_m, valid_m, _small_config(), [blocks])
             sliced = train(
                 support.sliced(train_m, blocks),
                 support.sliced(valid_m, blocks),
@@ -155,8 +164,8 @@ class TestRunAblation:
 
     def test_training_on_a_block_the_matrices_lack_is_a_validation_error(self):
         train_m = _signal_matrix(30, seed=72)
-        with pytest.raises(ValidationError, match="price"):
-            train(train_m, train_m, _small_config(), ("price", "bok"))
+        (result,) = train_each(train_m, train_m, _small_config(), [("price", "bok")])
+        assert isinstance(result, ValidationError) and "price" in str(result)
 
     def test_peak_holds_no_float64_copy_of_a_block_subset(self):
         train_m = _all_blocks_matrix(2000, seed=73, k=300)  # 614 columns

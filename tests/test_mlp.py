@@ -17,6 +17,7 @@ from newsmotion.evaluation import DEFAULT_COMBINATIONS
 from newsmotion.errors import TrainingDiverged, ValidationError, ParseError
 from newsmotion.features import (
     BLOCK_ORDER,
+    PRICE_DIM,
     FeatureLayout,
     FeatureMatrix,
     block_columns,
@@ -104,10 +105,11 @@ def _longest_stall(errors: list[float]) -> int:
     return longest
 
 
-def _all_blocks(n: int, seed: int) -> FeatureMatrix:
-    """Every block, k = 3 and 2 categories; the first price column carries the label."""
+def _all_blocks(n: int, seed: int, k: int = 3, categories: int = 2) -> FeatureMatrix:
+    """Every block, k keywords and the categories; the first price column
+    carries the label."""
     rng = np.random.default_rng(seed)
-    layout = FeatureLayout(BLOCK_ORDER, k=3, n_categories=2)
+    layout = FeatureLayout(BLOCK_ORDER, k=k, n_categories=categories)
     x = rng.normal(size=(n, layout.dimension))
     labels = [POSITIVE if v > 0 else NEGATIVE for v in x[:, 0] + 0.5 * x[:, 1]]
     return packed(
@@ -501,22 +503,43 @@ class TestTrain:
         # rest. A float64 copy of the weights (8 bytes each) does not fit.
         assert peak < 16 * n_params
 
-    @pytest.mark.parametrize("l2", [0.0, 0.02])
-    @pytest.mark.parametrize("blocks", [BLOCK_ORDER, ("price", "ps", "ct")])
+    # (train rows, k, categories, hidden, batch size, epochs): 70 rows in
+    # batches of 16 leave a last batch of 6, and patience 3 stops the run
+    # early; the acceptance config's shape, 466 columns into 64x32 hidden
+    # units in batches of 64, leaves a last batch of 44. Its products take
+    # other BLAS kernels than the small case's, so only it tells a batch
+    # decoded as C-ordered (columns, rows) from a transposed (rows, columns).
+    SHAPES = {
+        "small": (70, 3, 2, (7, 6, 5), 16, 25),
+        "accept": (300, 222, 10, (64, 32), 64, 3),
+    }
+
+    @pytest.mark.parametrize(
+        "shape, blocks, l2",
+        [
+            pytest.param(
+                shape, blocks, l2,
+                id=f"{'accept-' if shape == 'accept' else ''}blocks{i}-{l2}",
+            )
+            for shape in SHAPES
+            for l2 in (0.0, 0.02)
+            for i, blocks in enumerate([BLOCK_ORDER, ("price", "ps", "ct")])
+        ],
+    )
     def test_training_saves_the_bytes_of_a_whole_buffer_step(
-        self, tmp_path, l2, blocks
+        self, tmp_path, shape, blocks, l2
     ):
-        # 70 rows in batches of 16 leave a last batch of 6; patience 3
-        # stops the run early
-        train_m = _all_blocks(70, seed=90)
-        valid_m = _all_blocks(40, seed=91)
+        n, k, categories, hidden, batch_size, epochs = self.SHAPES[shape]
+        train_m = _all_blocks(n, seed=90, k=k, categories=categories)
+        valid_m = _all_blocks(40, seed=91, k=k, categories=categories)
         config = TrainConfig(
-            hidden=(7, 6, 5), learning_rate=0.4, batch_size=16, epochs=25,
-            decay_every=4, l2=l2, patience=3, seed=11,
+            hidden=hidden, learning_rate=0.4, batch_size=batch_size,
+            epochs=epochs, decay_every=4, l2=l2, patience=3, seed=11,
         )
         paths = [tmp_path / "train.bin", tmp_path / "reference.bin"]
-        model = train(train_m, valid_m, config, blocks)
-        assert model.metadata["epochs_run"] < config.epochs
+        (model,) = train_each(train_m, valid_m, config, [blocks])
+        if shape == "small":
+            assert model.metadata["epochs_run"] < config.epochs
         save_model(model, paths[0])
         save_model(_reference_train(train_m, valid_m, config, blocks), paths[1])
         assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -854,7 +877,7 @@ class TestTrainEach:
         runs = sorted({model.metadata["epochs_run"] for model in models})
         assert len(runs) > 2 and runs[-1] < config.epochs
         for blocks, model in zip(DEFAULT_COMBINATIONS, models):
-            alone = train(train_m, valid_m, config, blocks)
+            (alone,) = train_each(train_m, valid_m, config, [blocks])
             assert model.layout.blocks == blocks
             assert self._same_bytes(tmp_path, model, alone), blocks
 
@@ -879,17 +902,16 @@ class TestTrainEach:
         with np.errstate(over="ignore", invalid="ignore"):
             results = list(train_each(train_m, valid_m, config, sets))
             assert groups == [4]
-            with pytest.raises(TrainingDiverged) as alone:
-                train(train_m, valid_m, config, ("price", "ps"))
+            (alone,) = train_each(train_m, valid_m, config, [("price", "ps")])
             for i in (0, 3):
-                assert self._same_bytes(
-                    tmp_path, results[i], train(train_m, valid_m, config, sets[i])
-                ), sets[i]
+                (model,) = train_each(train_m, valid_m, config, [sets[i]])
+                assert self._same_bytes(tmp_path, results[i], model), sets[i]
                 assert results[i].metadata["epochs_run"] > 1
         missing, diverged = results[1], results[2]
         assert isinstance(missing, ValidationError) and "ct" in str(missing)
         assert isinstance(diverged, TrainingDiverged)
-        assert str(diverged) == str(alone.value)
+        assert isinstance(alone, TrainingDiverged)
+        assert str(diverged) == str(alone)
         assert isinstance(results[4], TrainingDiverged)
 
     def test_a_group_holds_at_most_its_parameter_budget(self):
@@ -913,6 +935,23 @@ class TestTrainEach:
         # 12 bytes per parameter of the budget; 512 KiB covers the rest.
         # One group of all eight models (8 MB here) does not fit.
         assert peak < 12 * GROUP_PARAMS + 2**19
+
+    @pytest.mark.parametrize("hidden, groups", [(8738, [2]), (8739, [1, 1])])
+    def test_two_models_share_a_group_up_to_exactly_the_budget(
+        self, monkeypatch, hidden, groups
+    ):
+        # two price-only models into 8738 hidden units and 2 outputs fill
+        # the budget exactly, and a set that fails takes none of it; one
+        # unit more, and each model trains alone
+        assert 2 * _stack_size([PRICE_DIM], (8738, 2)) == GROUP_PARAMS
+        matrix = _all_blocks(8, seed=99)
+        config = TrainConfig(hidden=(hidden,), batch_size=4, epochs=1, seed=15)
+        sizes = self._groups(monkeypatch)
+        sets = [("price",), ("volume",), ("price",)]
+        first, failed, last = train_each(matrix, matrix, config, sets)
+        assert sizes == groups
+        assert isinstance(failed, ValidationError)
+        assert isinstance(first, MlpModel) and isinstance(last, MlpModel)
 
 
 class TestBatchDecode:
