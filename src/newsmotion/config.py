@@ -343,7 +343,7 @@ def _merge(path: Path, overrides: Sequence[str]) -> dict[str, dict[str, str]]:
     return merged
 
 
-def load_config(path: str | Path, overrides: Sequence[str] = ()) -> PipelineConfig:
+def load_config(path: str | Path, overrides: Sequence[str]) -> PipelineConfig:
     """Parse and validate the config; raises ConfigError before any work runs."""
     path = Path(path)
     if not path.is_file():

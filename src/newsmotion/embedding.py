@@ -4,8 +4,11 @@ Training is single-threaded and deterministic: a fixed seed drives
 initialization and negative sampling, and updates are applied in
 fixed-order mini-batches of (center, context) pairs taken in corpus
 order, so the same corpus, config, and seed always yield bit-identical
-vectors. Negatives are drawn for a block of batches at a time, and each
-batch's updates reach the parameters through one bincount scatter-add.
+vectors. Negatives are drawn for a block of batches at a time, looked up
+in a grid over [0, 1) that gives exactly what a search of the noise CDF
+gives, and each batch's updates reach the parameters through one bincount
+scatter-add. A batch takes its rows once and runs its sigmoid in place;
+its loss is taken for the whole block once the block is done.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ log = logging.getLogger(__name__)
 
 # Pairs per block of batches drawn at once; keeps the block arrays small.
 _BLOCK_PAIRS = 4096
+# Cells of the negative lookup; a power of two, so a draw's cell is exact.
+_GRID = 4096
 
 
 @dataclass
@@ -55,8 +60,33 @@ class EmbeddingTable:
         return len(self.words)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -35.0, 35.0)))
+def _negative_lookup(noise_cdf: np.ndarray) -> np.ndarray:
+    """Per cell of a ``_GRID``-cell grid over [0, 1), the negative every draw
+    in it gets, or -1 where that depends on the draw.
+
+    A draw r lies in cell floor(r * _GRID); the grid is a power of two, so
+    that product and each cell edge g / _GRID are exact. Every r of cell g
+    has ``searchsorted(noise_cdf, r, "right")`` between the number of cdf
+    values <= g / _GRID and the number < (g + 1) / _GRID; where the two
+    counts meet, no cdf value lies strictly inside the cell, and that count
+    is every draw's answer.
+    """
+    edges = np.arange(_GRID + 1) / _GRID
+    lo = np.searchsorted(noise_cdf, edges[:-1], side="right")
+    hi = np.searchsorted(noise_cdf, edges[1:], side="left")
+    return np.where(lo >= hi, lo, -1)
+
+
+def _negatives(lookup: np.ndarray, noise_cdf: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(noise_cdf, r, side="right")`` for draws r in [0, 1).
+
+    ``lookup`` is `_negative_lookup` of ``noise_cdf``; only the draws that
+    land in a cell with a cdf value strictly inside it are searched.
+    """
+    negatives = lookup.take((r * _GRID).astype(np.intp))
+    searched = negatives < 0
+    negatives[searched] = np.searchsorted(noise_cdf, r[searched], side="right")
+    return negatives
 
 
 def _pair_arrays(
@@ -115,9 +145,13 @@ def train_skipgram(
     vectors as they stood at the batch start, so repeated rows pile their
     updates into one step, and a batch that is large against V diverges.
     Row ids, learning rates and negatives are drawn once per block of
-    whole batches (about ``_BLOCK_PAIRS`` pairs), and a batch's updates
-    are applied by one `_scatter_add`.
-    The mean loss of each epoch is recorded on the returned table.
+    whole batches (about ``_BLOCK_PAIRS`` pairs); a negative is the
+    `_negatives` lookup of its draw, which equals the draw's
+    ``searchsorted`` in the noise CDF. A batch's updates are applied by
+    one `_scatter_add`. Each batch's scores fill a block-wide array, whose
+    loss is taken once per block and summed batch by batch, so the sum
+    has each batch's own bits. The mean loss of each epoch is recorded on
+    the returned table.
     """
     counts: dict[str, int] = {}
     for sentence in sentences:
@@ -161,6 +195,7 @@ def train_skipgram(
     # rng.random hands out its doubles in order, so one (block, k) draw is
     # the block's batches' own draws laid end to end.
     block = batch * max(1, _BLOCK_PAIRS // batch)
+    lookup = _negative_lookup(noise_cdf)
     cells = np.arange(params.size).reshape(params.shape)
     target = np.zeros(k + 1)
     target[0] = 1.0
@@ -175,26 +210,41 @@ def train_skipgram(
             done = epoch * total_pairs + block_start
             lr = np.maximum(
                 lr0 * (1.0 - np.arange(done, done + size) / schedule_len), lr_floor
-            )
-            # Per pair: center row, context row, then the negatives' rows.
+            )[:, None]
+            # Per pair: center row, context row, then the negatives' rows,
+            # and a score for each row but the center's.
             rows = np.empty((size, k + 2), dtype=np.int64)
+            scores = np.empty((size, k + 1))
             rows[:, 0] = centers[block_start : block_start + size]
             rows[:, 1] = context_rows[block_start : block_start + size]
-            negatives = np.searchsorted(noise_cdf, rng.random((size, k)), side="right")
-            np.add(negatives, n_words, out=rows[:, 2:])
+            rows[:, 2:] = _negatives(lookup, noise_cdf, rng.random((size, k)))
+            rows[:, 2:] += n_words
             for start in range(0, size, batch):
                 stop = start + batch
-                u = params.take(rows[start:stop, 0], axis=0)
-                v = params.take(rows[start:stop, 1:], axis=0)
-                scores = np.einsum("bd,bkd->bk", u, v)
-                loss_sum += np.logaddexp(0.0, loss_sign * scores).sum()
-                g = lr[start:stop, None] * (target - _sigmoid(scores))
-                updates = np.empty((len(u), k + 2, dim))
+                uv = params.take(rows[start:stop], axis=0)
+                u, v = uv[:, 0], uv[:, 1:]
+                np.einsum("bd,bkd->bk", u, v, out=scores[start:stop])
+                # g = lr * (target - sigmoid(score)), sigmoid(x) being
+                # 1 / (1 + exp(-x)) with x clipped to [-35, 35].
+                g = np.negative(scores[start:stop])
+                np.minimum(g, 35.0, out=g)
+                np.maximum(g, -35.0, out=g)
+                np.exp(g, out=g)
+                g += 1.0
+                np.divide(1.0, g, out=g)
+                np.subtract(target, g, out=g)
+                g *= lr[start:stop]
+                updates = np.empty((len(g), k + 2, dim))
                 np.einsum("bk,bkd->bd", g, v, out=updates[:, 0])
-                np.multiply(g[:, :, None], u[:, None, :], out=updates[:, 1:])
+                np.einsum("bk,bd->bkd", g, u, out=updates[:, 1:])
                 _scatter_add(
                     params, cells, rows[start:stop].ravel(), updates.reshape(-1, dim)
                 )
+            # Each batch's loss, summed as that batch's own array would be.
+            scores *= loss_sign
+            np.logaddexp(0.0, scores, out=scores)
+            for start in range(0, size, batch):
+                loss_sum += scores[start : start + batch].sum()
         epoch_losses.append(loss_sum / total_pairs)
 
     return EmbeddingTable(

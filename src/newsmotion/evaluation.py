@@ -108,9 +108,9 @@ def run_ablation(
     train_matrix: FeatureMatrix,
     valid_matrix: FeatureMatrix,
     test_matrix: FeatureMatrix,
-    combinations: Sequence[Sequence[str]] = DEFAULT_COMBINATIONS,
-    config: TrainConfig | None = None,
-    full_model: str | Path | None = None,
+    combinations: Sequence[Sequence[str]],
+    config: TrainConfig,
+    full_model: str | Path | None,
 ) -> AblationReport:
     """Train one model per block combination and score each on the test rows.
 
@@ -118,7 +118,7 @@ def run_ablation(
     only in their feature columns. An empty or unknown combination is
     rejected before the first training; one that fails to train, or names
     a block the matrices lack, is marked failed and the remaining
-    combinations still run. ``full_model``, when given, is a model file
+    combinations still run. ``full_model``, when not None, is a model file
     holding what ``train`` returns for the full train and validation
     matrices under ``config``: the combination of every block loads and
     scores it instead of training the same model again. It is loaded only
@@ -126,7 +126,6 @@ def run_ablation(
     groups, and each row's model is dropped once its test rows are
     scored, so no model of a group is held while the next group trains.
     """
-    config = config or TrainConfig()
     if not (train_matrix.layout == valid_matrix.layout == test_matrix.layout):
         raise ValidationError("ablation matrices must share one feature layout")
     if len(test_matrix) == 0:
@@ -182,8 +181,8 @@ def emissions(
     test_matrix: FeatureMatrix,
     graph: CorrelationGraph,
     taus: Sequence[float],
-    iterations: int = 1,
-    clamp_observed: bool = False,
+    iterations: int,
+    clamp_observed: bool,
 ) -> tuple[np.ndarray, Propagation, list[np.ndarray]]:
     """Each test row's confidence, their propagation, and one emission mask per tau.
 
@@ -213,8 +212,8 @@ def run_propagation_sweep(
     graph: CorrelationGraph,
     prices: Mapping[str, PriceSeries],
     taus: Sequence[float],
-    iterations: int = 1,
-    clamp_observed: bool = False,
+    iterations: int,
+    clamp_observed: bool,
 ) -> SweepReport:
     """Propagate per-date classifier confidences and sweep the emission threshold.
 

@@ -84,7 +84,7 @@ class CorrelationGraph:
 def build_graph(
     prices: Mapping[str, PriceSeries],
     universe: Sequence[str],
-    window: DateRange | None = None,
+    window: DateRange | None,
     *,
     threshold: float,
     min_overlap: int,
@@ -169,8 +169,8 @@ def propagate(
     dates: Sequence[Date],
     tickers: Sequence[str],
     confidences: Sequence[float],
-    iterations: int = 1,
-    clamp_observed: bool = False,
+    iterations: int,
+    clamp_observed: bool,
 ) -> Propagation:
     """Seed one row per date with its samples' confidences and apply X' = XA.
 

@@ -146,7 +146,7 @@ def _document_counts(
 
 
 def build_keyword_lexicon(
-    table: EmbeddingTable, samples: Sequence[Sample], k: int = 1000
+    table: EmbeddingTable, samples: Sequence[Sample], k: int
 ) -> KeywordLexicon:
     """Select the top-k corpus words by best similarity to a SEED_WORDS word.
 
@@ -187,7 +187,7 @@ def build_keyword_lexicon(
 def build_category_lexicon(
     table: EmbeddingTable,
     category_seeds: dict[str, list[str]],
-    m: int = 100,
+    m: int,
 ) -> CategoryLexicon:
     """Expand each category's seed list to its top-m most similar vocabulary words."""
     if m <= 0:

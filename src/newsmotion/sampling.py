@@ -34,9 +34,10 @@ _SENTENCE_END = re.compile(r"(?<!\S)\S*[.?!](?!\S)")
 
 
 def default_abbreviations() -> frozenset[str]:
+    """The tokens whose trailing period does not end a sentence, one per
+    line of the package's ``abbreviations.txt``."""
     text = resources.files("newsmotion.data").joinpath("abbreviations.txt").read_text()
-    lines = (line.strip() for line in text.splitlines())
-    return frozenset(line for line in lines if line and not line.startswith("#"))
+    return frozenset(text.split())
 
 
 def split_sentences(text: str, abbreviations: frozenset[str]) -> list[str]:

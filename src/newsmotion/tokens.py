@@ -7,7 +7,8 @@ dropped.
 `_DROP` is that rule as one pattern over the lowercased chunk: it removes
 every character that is neither a word character nor a hyphen, the
 underscore, and any hyphen without an alphanumeric character on both
-sides. `[^\W_]` matches exactly the characters `str.isalnum` accepts.
+sides. `[^\W_]` matches exactly the characters `str.isalnum` accepts, so
+a chunk that is all alphanumeric is kept whole without the pattern.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ _DROP = re.compile(r"[^\w-]|_|(?<![^\W_])-|-(?![^\W_])")
 
 
 def _clean(chunk: str) -> str:
-    return _DROP.sub("", chunk.lower())
+    chunk = chunk.lower()
+    return chunk if chunk.isalnum() else _DROP.sub("", chunk)
 
 
 def tokenize_with_offsets(text: str) -> list[tuple[str, int]]:

@@ -284,10 +284,10 @@ class TestAcceptance:
             ]
         )
         at_threshold = build_graph(
-            table, ["AAA", "BBB"], threshold=0.8, min_overlap=2
+            table, ["AAA", "BBB"], None, threshold=0.8, min_overlap=2
         ).edge_count()
         below_threshold = build_graph(
-            table, ["AAA", "BBB"], threshold=0.79, min_overlap=2
+            table, ["AAA", "BBB"], None, threshold=0.79, min_overlap=2
         ).edge_count()
         _report(
             "criterion 4, pearson and threshold",

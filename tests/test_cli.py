@@ -140,7 +140,7 @@ def _record(config_path: Path, unit: str, key: str | None = None) -> None:
 
     The manifest holds ``key``, by default the unit's current key.
     """
-    config = load_config(config_path)
+    config = load_config(config_path, ())
     spec = cli.UNITS[unit]
     write_manifest(
         config.paths.work_dir,
@@ -311,7 +311,7 @@ class TestFullPipeline:
         root = tmp_path / "copy"
         shutil.copytree(pipeline, root)
         config_path = root / "pipeline.ini"
-        config = load_config(config_path)
+        config = load_config(config_path, ())
         work = root / "work"
         prices = load_prices(config.paths.prices)
         taus = (0.0, 0.4, 0.8)
@@ -440,7 +440,7 @@ class TestFeaturizeSkips:
         series unlabeled and drops it.
         """
         config = _copy(pipeline, tmp_path)
-        settings = load_config(config)
+        settings = load_config(config, ())
         work, train_end = settings.paths.work_dir, settings.dates.train_end
         splits = ("train", "valid", "test")
         sample = load_samples(work / "samples_train.jsonl")[100]
@@ -535,7 +535,7 @@ class TestStageKeys:
         read = _watch_bodies(monkeypatch)
         for stage in STAGES:
             assert cli.main([stage, "--config", str(config), "--force"]) == 0, stage
-        loaded = load_config(config)
+        loaded = load_config(config, ())
         assert read == {
             unit: set(cli._files(loaded, spec.inputs))
             for unit, spec in cli.UNITS.items()
@@ -697,7 +697,7 @@ class TestEvaluateUnits:
     ):
         config = _copy(pipeline, tmp_path)
         # train and the ablation keyed [training] alone before revision 1
-        key = text_sha256(repr(load_config(config).training))
+        key = text_sha256(repr(load_config(config, ()).training))
         self._check_retrains_once(config, key, trainings, caplog)
 
     def test_a_work_dir_trained_row_major_retrains_once(
@@ -705,7 +705,7 @@ class TestEvaluateUnits:
     ):
         config = _copy(pipeline, tmp_path)
         # revision 1 trained with row-major activations, one array per layer
-        key = text_sha256(f"{load_config(config).training!r}\nrevision 1")
+        key = text_sha256(f"{load_config(config, ()).training!r}\nrevision 1")
         self._check_retrains_once(config, key, trainings, caplog)
 
     @staticmethod
@@ -1207,7 +1207,7 @@ class TestTracingPlan:
         with (work / "corpus.txt").open(encoding="utf-8") as fh:
             sentences = [tokens for tokens in map(tokenize, fh) if tokens]
         index = load_embeddings(work / "embeddings.txt").index
-        settings = load_config(config).embedding
+        settings = load_config(config, ()).embedding
         centers, _ = _pair_arrays(sentences, index, settings.window)
         assert pairs == len(centers) * settings.epochs
         rows = sum(
@@ -1280,7 +1280,7 @@ class TestFailureModes:
         self, pipeline, tmp_path, caplog, name, line
     ):
         config = _copy(pipeline, tmp_path)
-        path = getattr(load_config(config).paths, name)
+        path = getattr(load_config(config, ()).paths, name)
         data = path.read_bytes()
         path.write_bytes(data + line)
         lineno = data.count(b"\n") + 1
@@ -1291,7 +1291,7 @@ class TestFailureModes:
 
     def test_alias_given_for_two_tickers_exits_one(self, pipeline, tmp_path, caplog):
         config = _copy(pipeline, tmp_path)
-        path = load_config(config).paths.aliases
+        path = load_config(config, ()).paths.aliases
         data = path.read_text(encoding="utf-8")
         alias, ticker = next(
             line.rsplit(",", 1) for line in data.splitlines() if not line.startswith("#")
@@ -1306,7 +1306,7 @@ class TestFailureModes:
     @pytest.mark.parametrize("blank", [" ", "\t"])
     def test_blank_alias_exits_one(self, pipeline, tmp_path, caplog, blank):
         config = _copy(pipeline, tmp_path)
-        path = load_config(config).paths.aliases
+        path = load_config(config, ()).paths.aliases
         data = path.read_text(encoding="utf-8")
         path.write_text(data + f"{blank},ACX\n", encoding="utf-8")
         lineno = data.count("\n") + 1
@@ -1316,7 +1316,7 @@ class TestFailureModes:
 
     def test_duplicate_article_id_exits_one(self, pipeline, tmp_path, caplog):
         config = _copy(pipeline, tmp_path)
-        path = load_config(config).paths.articles
+        path = load_config(config, ()).paths.articles
         data = path.read_text(encoding="utf-8")
         first = json.loads(data.splitlines()[0])
         path.write_text(data + json.dumps(first) + "\n", encoding="utf-8")
@@ -1341,7 +1341,7 @@ class TestFailureModes:
 
     def test_malformed_prices_csv_exits_one(self, pipeline, tmp_path, caplog):
         config = _copy(pipeline, tmp_path)
-        path = load_config(config).paths.prices
+        path = load_config(config, ()).paths.prices
         data = path.read_bytes()
         # The quote stays open until the field outgrows csv's limit.
         rows = "".join(f"2013-01-{d:02d},T{k},10\n" for k in range(300) for d in range(1, 28))

@@ -43,7 +43,7 @@ def _write_config(tmp_path: Path, text: str = "") -> Path:
 
 class TestLoadConfig:
     def test_empty_file_runs_on_defaults(self, tmp_path):
-        config = load_config(_write_config(tmp_path))
+        config = load_config(_write_config(tmp_path), ())
         assert config.lexicon.keywords == 1000
         assert config.lexicon.category_words == 100
         assert config.training.hidden == (1024, 1024, 1024, 1024)
@@ -59,7 +59,7 @@ class TestLoadConfig:
     def test_every_default_parses(self, tmp_path):
         # the schema itself must satisfy its own validation; every key of
         # every section comes out at its dataclass default
-        config = load_config(_write_config(tmp_path))
+        config = load_config(_write_config(tmp_path), ())
         for section, keys in SCHEMA.items():
             assert isinstance(getattr(config, section), SECTIONS[section])
             for key in keys:
@@ -75,7 +75,7 @@ class TestLoadConfig:
                 tmp_path,
                 "[lexicon]\nkeywords = 50\n\n[training]\nhidden = 32,16\n"
                 "[graph]\nclamp_observed = yes\n",
-            )
+            ), ()
         )
         assert config.lexicon.keywords == 50
         assert config.training.hidden == (32, 16)
@@ -89,19 +89,19 @@ class TestLoadConfig:
     def test_unknown_section_rejected(self, tmp_path):
         path = _write_config(tmp_path, "[mystery]\nkeywords = 50\n")
         with pytest.raises(ConfigError, match="mystery"):
-            load_config(path)
+            load_config(path, ())
 
     def test_bytes_that_are_not_utf8_rejected(self, tmp_path):
         path = tmp_path / "pipeline.ini"
         path.write_bytes(b"[pipeline]\nseed = 9 \xff\n")
         with pytest.raises(ConfigError, match="not UTF-8") as caught:
-            load_config(path)
+            load_config(path, ())
         assert str(caught.value).startswith(f"{path}: ")
 
     def test_unknown_key_rejected(self, tmp_path):
         path = _write_config(tmp_path, "[lexicon]\nkeyword_count = 50\n")
         with pytest.raises(ConfigError, match="keyword_count"):
-            load_config(path)
+            load_config(path, ())
 
     def test_malformed_override_rejected(self, tmp_path):
         path = _write_config(tmp_path)
@@ -112,40 +112,40 @@ class TestLoadConfig:
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
-            load_config(tmp_path / "absent.ini")
+            load_config(tmp_path / "absent.ini", ())
 
     def test_inline_comments_are_stripped(self, tmp_path):
         path = _write_config(tmp_path, "[lexicon]\nkeywords = 50   ; size K\n")
-        assert load_config(path).lexicon.keywords == 50
+        assert load_config(path, ()).lexicon.keywords == 50
 
     def test_ini_syntax_error_rejected(self, tmp_path):
         path = _write_config(tmp_path, "keywords = 50\n")
         with pytest.raises(ConfigError):
-            load_config(path)
+            load_config(path, ())
 
     def test_relative_paths_resolve_against_the_config(self, tmp_path):
         nested = tmp_path / "conf"
         nested.mkdir()
         path = nested / "pipeline.ini"
         path.write_text("[paths]\narticles = ../data/articles.jsonl\n")
-        config = load_config(path)
+        config = load_config(path, ())
         assert config.paths.articles == nested / "../data/articles.jsonl"
 
     def test_absolute_paths_kept(self, tmp_path):
         path = _write_config(tmp_path, f"[paths]\nprices = {tmp_path}/p.csv\n")
-        assert load_config(path).paths.prices == tmp_path / "p.csv"
+        assert load_config(path, ()).paths.prices == tmp_path / "p.csv"
 
     def test_graph_window_needs_both_ends(self, tmp_path):
         path = _write_config(tmp_path, "[graph]\nwindow_start = 2012-01-02\n")
         with pytest.raises(ConfigError, match="together"):
-            load_config(path)
+            load_config(path, ())
 
     def test_graph_window_parses_as_a_range(self, tmp_path):
         path = _write_config(
             tmp_path,
             "[graph]\nwindow_start = 2012-01-02\nwindow_end = 2012-06-29\n",
         )
-        assert load_config(path).graph.window == DateRange(
+        assert load_config(path, ()).graph.window == DateRange(
             date(2012, 1, 2), date(2012, 6, 29)
         )
 
@@ -155,14 +155,14 @@ class TestLoadConfig:
             "[graph]\nwindow_start = 2012-06-29\nwindow_end = 2012-01-02\n",
         )
         with pytest.raises(ConfigError, match="graph window"):
-            load_config(path)
+            load_config(path, ())
 
     def test_date_ordering_validated(self, tmp_path):
         path = _write_config(
             tmp_path, "[dates]\ntrain_end = 2013-12-31\nvalid_end = 2013-06-15\n"
         )
         with pytest.raises(ConfigError, match="valid_end"):
-            load_config(path)
+            load_config(path, ())
 
     def test_value_ranges_validated(self, tmp_path):
         cases = [
@@ -178,7 +178,7 @@ class TestLoadConfig:
         ]
         for text, needle in cases:
             with pytest.raises(ConfigError, match=needle):
-                load_config(_write_config(tmp_path, text))
+                load_config(_write_config(tmp_path, text), ())
 
     def test_range_errors_name_the_section(self, tmp_path):
         for text, section in [
@@ -187,24 +187,24 @@ class TestLoadConfig:
             ("[synth]\ntickers = 0\n", "synth"),
         ]:
             with pytest.raises(ConfigError, match=rf"^\[{section}\] "):
-                load_config(_write_config(tmp_path, text))
+                load_config(_write_config(tmp_path, text), ())
 
     def test_type_errors_name_the_key(self, tmp_path):
         with pytest.raises(ConfigError, match="lexicon.keywords"):
-            load_config(_write_config(tmp_path, "[lexicon]\nkeywords = many\n"))
+            load_config(_write_config(tmp_path, "[lexicon]\nkeywords = many\n"), ())
         with pytest.raises(ConfigError, match="clamp_observed"):
-            load_config(_write_config(tmp_path, "[graph]\nclamp_observed = maybe\n"))
+            load_config(_write_config(tmp_path, "[graph]\nclamp_observed = maybe\n"), ())
         with pytest.raises(ConfigError, match="synth.start"):
-            load_config(_write_config(tmp_path, "[synth]\nstart = someday\n"))
+            load_config(_write_config(tmp_path, "[synth]\nstart = someday\n"), ())
         with pytest.raises(ConfigError, match="paths.prices"):
-            load_config(_write_config(tmp_path, "[paths]\nprices =\n"))
+            load_config(_write_config(tmp_path, "[paths]\nprices =\n"), ())
 
     @pytest.mark.parametrize("text", ["20120102", "2012-W01-1"])
     def test_dates_are_yyyy_mm_dd_in_the_file_and_in_overrides(self, tmp_path, text):
         wanted = f"dates.train_end: expected a YYYY-MM-DD date, got {text!r}"
         path = _write_config(tmp_path, f"[dates]\ntrain_end = {text}\n")
         with pytest.raises(ConfigError) as caught:
-            load_config(path)
+            load_config(path, ())
         assert str(caught.value) == wanted
         with pytest.raises(ConfigError) as caught:
             load_config(_write_config(tmp_path), [f"dates.train_end={text}"])
@@ -239,7 +239,7 @@ class TestLoadConfig:
 
     def test_pipeline_seed_is_the_only_seed_key_of_its_sections(self, tmp_path):
         path = _write_config(tmp_path, "[pipeline]\nseed = 9\n")
-        config = load_config(path)
+        config = load_config(path, ())
         assert config.embedding.seed == config.training.seed == 9
         assert config.synth.seed == 7
         for key in ("embedding.seed=3", "training.seed=3"):
@@ -247,7 +247,7 @@ class TestLoadConfig:
                 load_config(path, overrides=[key])
 
     def test_stage_key_covers_only_the_declared_sections(self, tmp_path):
-        config = load_config(_write_config(tmp_path))
+        config = load_config(_write_config(tmp_path), ())
         assert cli._stage_key(config, "lexicon") == text_sha256(repr(config.lexicon))
         assert cli._stage_key(config, "ablation") == text_sha256(
             f"{config.training!r}\nrevision 3"
@@ -273,7 +273,7 @@ class TestLoadConfig:
         units = list(cli.UNITS)
 
         def changed(override):
-            base, tweaked = load_config(path), load_config(path, [override])
+            base, tweaked = load_config(path, ()), load_config(path, [override])
             key = cli._stage_key
             return {u for u in units if key(base, u) != key(tweaked, u)}
 
@@ -300,8 +300,8 @@ class TestReadme:
         listed = {section: set(parser[section]) for section in parser.sections()}
         assert listed == {s: {key.name for key in keys} for s, keys in SCHEMA.items()}
         # as written, comments and all, the block loads to exactly the defaults
-        defaults = load_config(_write_config(tmp_path))
-        assert load_config(_write_config(tmp_path, block)) == defaults
+        defaults = load_config(_write_config(tmp_path), ())
+        assert load_config(_write_config(tmp_path, block), ()) == defaults
 
 
 class TestHashes:

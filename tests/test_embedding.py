@@ -8,16 +8,20 @@ import pytest
 from newsmotion.config import SkipGramConfig
 from newsmotion.embedding import (
     _BLOCK_PAIRS,
+    _GRID,
     EmbeddingTable,
+    _negative_lookup,
+    _negatives,
     _pair_arrays,
     _scatter_add,
-    _sigmoid,
     load_embeddings,
     rank_by_seed_similarity,
     save_embeddings,
     train_skipgram,
 )
 from newsmotion.errors import ParseError, ValidationError
+
+from skipgram_oracle import _sigmoid, blockwise_skipgram
 
 _SMALL = SkipGramConfig(
     dimension=12, window=2, negatives=4, epochs=3, min_count=1, seed=3
@@ -366,6 +370,90 @@ class TestTrainSkipgram:
         np.testing.assert_allclose(table.epoch_losses, losses, rtol=0.0, atol=1e-12)
         text = [[f"{x:.6f}" for x in row] for row in table.vectors]
         assert text == [[f"{x:.6f}" for x in row] for row in vectors]
+
+
+class TestBitExact:
+    """The tuned batch loop against the verbatim earlier one."""
+
+    @pytest.mark.parametrize(
+        "corpus, config, batch",
+        [
+            pytest.param(
+                _zipf_corpus(),
+                SkipGramConfig(dimension=8, window=2, negatives=3, epochs=2,
+                               min_count=1, seed=9),
+                12,
+                id="zipf-48",
+            ),
+            pytest.param(
+                _zipf_corpus(n_words=224, sentences=1500, seed=31),
+                SkipGramConfig(dimension=48, window=3, negatives=5, epochs=2,
+                               min_count=1, seed=5),
+                55,
+                id="accept-shaped",
+            ),
+            pytest.param(_mini_corpus(), _SMALL, 1, id="batch-of-one"),
+        ],
+    )
+    def test_vectors_and_losses_equal_the_blockwise_oracle(self, corpus, config, batch):
+        table = train_skipgram(corpus, config)
+        oracle = blockwise_skipgram(corpus, config)
+        # Several blocks an epoch, and a last batch and block cut short.
+        block = batch * (_BLOCK_PAIRS // batch)
+        pairs = len(_pair_arrays(corpus, table.index, config.window)[0])
+        assert max(1, len(table) // 4) == batch
+        if batch > 1:
+            assert pairs > 2 * block
+            assert pairs % batch and pairs % block
+        assert table.words == oracle.words
+        assert table.vectors.tobytes() == oracle.vectors.tobytes()
+        assert np.array_equal(table.epoch_losses, oracle.epoch_losses)
+
+
+class TestNegativeLookup:
+    @staticmethod
+    def _cdf(counts):
+        cdf = np.cumsum(np.asarray(counts, dtype=np.float64) ** 0.75)
+        return cdf / cdf[-1]
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            pytest.param(np.arange(222, 0, -1) * 7, id="zipf-222"),
+            pytest.param([5, 3, 2, 1, 1, 1], id="six-words"),
+            # Equal counts put every cdf value on a cell edge: 1/4, 2/4, 3/4, 1.
+            pytest.param([9, 9, 9, 9], id="cdf-on-edges"),
+            pytest.param([1], id="one-word"),
+        ],
+    )
+    def test_equals_searchsorted_right(self, counts):
+        cdf = self._cdf(counts)
+        lookup = _negative_lookup(cdf)
+        edges = np.arange(_GRID) / _GRID
+        inner = cdf[cdf < 1.0]
+        draws = np.concatenate([
+            np.random.default_rng(4).random(50_000),
+            edges,
+            np.nextafter(edges[1:], 0.0),
+            inner,
+            np.nextafter(cdf, 0.0),
+            [0.0, np.nextafter(1.0, 0.0)],
+        ])
+        assert draws.min() >= 0.0 and draws.max() < 1.0
+        got = _negatives(lookup, cdf, draws.reshape(-1, 1))
+        assert got.shape == (len(draws), 1)
+        assert np.array_equal(got.ravel(), np.searchsorted(cdf, draws, side="right"))
+
+    def test_only_cells_holding_a_cdf_value_are_searched(self):
+        cdf = self._cdf([9, 9, 9, 9])
+        lookup = _negative_lookup(cdf)
+        assert lookup.shape == (_GRID,)
+        # 1/4, 2/4 and 3/4 open a cell, so no cell straddles a value.
+        assert (lookup >= 0).all()
+        assert np.array_equal(np.unique(lookup), [0, 1, 2, 3])
+        cdf = self._cdf([5, 3, 2, 1, 1, 1])
+        straddled = np.flatnonzero(_negative_lookup(cdf) < 0)
+        assert np.array_equal(straddled, np.floor(cdf[:-1] * _GRID).astype(int))
 
 
 class TestScatterAdd:

@@ -133,13 +133,15 @@ class TestRunAblation:
         monkeypatch.setattr(evaluation, "train_each", lambda *a, **k: calls.append(a))
         train_m = _signal_matrix(20, seed=80)
         with pytest.raises(ValidationError, match="volume"):
-            run_ablation(train_m, train_m, train_m, [("bok",), ("bok", "volume")])
+            run_ablation(
+                train_m, train_m, train_m, [("bok",), ("bok", "volume")], TrainConfig(), None
+            )
         assert calls == []
 
     def test_block_missing_from_matrices_fails_only_its_row(self):
         train_m = _signal_matrix(60, seed=81)
         report = run_ablation(
-            train_m, train_m, train_m, [("price",), ("bok",)], _small_config()
+            train_m, train_m, train_m, [("price",), ("bok",)], _small_config(), None
         )
         assert [row.status for row in report.rows] == [FAILED, OK]
         assert "price" in report.rows[0].note
@@ -173,7 +175,7 @@ class TestRunAblation:
         config = TrainConfig(hidden=(4,), batch_size=64, epochs=1, seed=3)
         blocks = ("price", "bok", "ps")
         report, peak = traced_peak(
-            lambda: run_ablation(train_m, small, small, [blocks], config)
+            lambda: run_ablation(train_m, small, small, [blocks], config, None)
         )
         assert report.rows[0].status == OK
         # The subset is 612 of the 614 columns, every entry non-zero. Its
@@ -204,7 +206,7 @@ class TestRunAblation:
         n_params = sum(m * (n + 1) for n, m in zip(dims, dims[1:]))
         _, peak = traced_peak(
             lambda: run_ablation(
-                matrix, matrix, matrix, [BLOCK_ORDER, BLOCK_ORDER], config
+                matrix, matrix, matrix, [BLOCK_ORDER, BLOCK_ORDER], config, None
             )
         )
         # A training holds three float32 parameter buffers, 12 bytes per
@@ -220,6 +222,7 @@ class TestRunAblation:
             _signal_matrix(40, seed=84),
             combinations=[("bok", "ps"), ("bok",)],
             config=_small_config(),
+            full_model=None,
         )
         assert [row.name for row in report.rows] == ["bok+ps", "bok"]
         assert all(row.status == OK for row in report.rows)
@@ -231,6 +234,7 @@ class TestRunAblation:
             _signal_matrix(100, seed=87),
             combinations=[("bok",), ("ps",)],
             config=_small_config(),
+            full_model=None,
         )
         by_name = {row.name: row for row in report.rows}
         assert by_name["bok"].error <= 0.1
@@ -244,7 +248,7 @@ class TestRunAblation:
             _signal_matrix(n, seed=s) for n, s in ((120, 92), (40, 93), (60, 94))
         )
         combos = [("bok",), ("bok", "ps")]
-        trained = run_ablation(train_m, valid_m, test_m, combos, _small_config())
+        trained = run_ablation(train_m, valid_m, test_m, combos, _small_config(), None)
         save_model(train(train_m, valid_m, _small_config()), tmp_path / "model.bin")
         scored = run_ablation(
             train_m,
@@ -271,10 +275,10 @@ class TestRunAblation:
             _small_config(),
             full_model=tmp_path / "model.bin",
         )
-        baseline = run_ablation(train_m, valid_m, test_m, [("bok", "ps")], noise)
+        baseline = run_ablation(train_m, valid_m, test_m, [("bok", "ps")], noise, None)
         assert report.rows[0].error == baseline.rows[0].error
         retrained = run_ablation(
-            train_m, valid_m, test_m, [("bok", "ps")], _small_config()
+            train_m, valid_m, test_m, [("bok", "ps")], _small_config(), None
         )
         assert report.rows[0].error != retrained.rows[0].error
 
@@ -304,6 +308,7 @@ class TestRunAblation:
                 test_m,
                 combinations=[("ps",), ("bok",)],
                 config=_small_config(),
+                full_model=None,
             )
         failed, ok = report.rows
         assert failed.status == FAILED
@@ -316,17 +321,17 @@ class TestRunAblation:
             _signal_matrix(30, seed=92),
             _signal_matrix(30, seed=93),
         ]
-        first = run_ablation(*matrices, combinations=[("bok",)], config=_small_config())
-        second = run_ablation(*matrices, combinations=[("bok",)], config=_small_config())
+        first = run_ablation(*matrices, [("bok",)], _small_config(), None)
+        second = run_ablation(*matrices, [("bok",)], _small_config(), None)
         assert first.rows == second.rows
 
     def test_bad_inputs_rejected(self):
         good = _signal_matrix(30, seed=94)
         empty = packed(good.layout, [], [], [], np.zeros((0, 6)))
         with pytest.raises(ValidationError, match="empty"):
-            run_ablation(good, good, empty, config=_small_config())
+            run_ablation(good, good, empty, DEFAULT_COMBINATIONS, _small_config(), None)
         with pytest.raises(ValidationError, match="combination"):
-            run_ablation(good, good, good, combinations=[], config=_small_config())
+            run_ablation(good, good, good, [], _small_config(), None)
         wider = packed(
             FeatureLayout(blocks=("bok",), k=12, n_categories=0),
             good.tickers,
@@ -335,7 +340,7 @@ class TestRunAblation:
             np.tile(dense(good), 2),
         )
         with pytest.raises(ValidationError, match="layout"):
-            run_ablation(good, good, wider, config=_small_config())
+            run_ablation(good, good, wider, DEFAULT_COMBINATIONS, _small_config(), None)
 
 
 class TestRunPropagationSweep:
@@ -395,6 +400,8 @@ class TestRunPropagationSweep:
             self._graph(),
             self._prices(),
             taus=[0.0, 0.5, 0.88, 2.0],
+            iterations=1,
+            clamp_observed=False,
         )
         by_tau = {row.tau: row for row in report.rows}
         assert by_tau[0.0].predicted_per_day == 2.0
@@ -410,7 +417,8 @@ class TestRunPropagationSweep:
         matrix = self._matrix([("A", DAY), ("A", DAY + timedelta(days=1))])
         taus = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
         report = run_propagation_sweep(
-            matrix, self._model(), self._graph(), self._prices(), taus=taus
+            matrix, self._model(), self._graph(), self._prices(), taus=taus,
+            iterations=1, clamp_observed=False
         )
         counts = [row.predicted_per_day for row in report.rows]
         assert counts == sorted(counts, reverse=True)
@@ -420,7 +428,8 @@ class TestRunPropagationSweep:
             [("A", DAY), ("ZZZ", DAY), ("ZZZ", DAY + timedelta(days=1))]
         )
         report = run_propagation_sweep(
-            matrix, self._model(), self._graph(), self._prices(), taus=[0.5]
+            matrix, self._model(), self._graph(), self._prices(), taus=[0.5],
+            iterations=1, clamp_observed=False
         )
         assert report.metadata["days_used"] == 1
         assert report.metadata["days_skipped"] == 1
@@ -434,6 +443,8 @@ class TestRunPropagationSweep:
             self._graph(),
             self._prices(tickers=("C",)),
             taus=[0.88],
+            iterations=1,
+            clamp_observed=False,
         )
         row = report.rows[0]
         assert row.predicted_per_day == 1.0
@@ -442,7 +453,8 @@ class TestRunPropagationSweep:
     def test_rows_keep_request_order(self):
         matrix = self._matrix([("A", DAY)])
         report = run_propagation_sweep(
-            matrix, self._model(), self._graph(), self._prices(), taus=[0.88, 0.0]
+            matrix, self._model(), self._graph(), self._prices(), taus=[0.88, 0.0],
+            iterations=1, clamp_observed=False
         )
         assert [row.tau for row in report.rows] == [0.88, 0.0]
 
@@ -450,18 +462,21 @@ class TestRunPropagationSweep:
         matrix = self._matrix([("ZZZ", DAY)])
         with pytest.raises(ValidationError, match="no test date"):
             run_propagation_sweep(
-                matrix, self._model(), self._graph(), self._prices(), taus=[0.5]
+                matrix, self._model(), self._graph(), self._prices(), taus=[0.5],
+                iterations=1, clamp_observed=False
             )
 
     def test_bad_taus_rejected(self):
         matrix = self._matrix([("A", DAY)])
         with pytest.raises(ValidationError):
             run_propagation_sweep(
-                matrix, self._model(), self._graph(), self._prices(), taus=[]
+                matrix, self._model(), self._graph(), self._prices(), taus=[],
+                iterations=1, clamp_observed=False
             )
         with pytest.raises(ValidationError):
             run_propagation_sweep(
-                matrix, self._model(), self._graph(), self._prices(), taus=[-0.1]
+                matrix, self._model(), self._graph(), self._prices(), taus=[-0.1],
+                iterations=1, clamp_observed=False
             )
 
     def test_layout_mismatch_rejected(self):
@@ -472,7 +487,8 @@ class TestRunPropagationSweep:
         )
         with pytest.raises(ValidationError, match="layout"):
             run_propagation_sweep(
-                matrix, model, self._graph(), self._prices(), taus=[0.5]
+                matrix, model, self._graph(), self._prices(), taus=[0.5],
+                iterations=1, clamp_observed=False
             )
 
 
@@ -522,6 +538,11 @@ class TestReportFiles:
         text = render_sweep(self._sweep())
         assert "days used: 3, skipped (no observed stocks): 1" in text
         assert "0.8000" in text and "n/a" in text
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0])
+    def test_rates_at_either_end_of_the_range_are_accepted(self, rate):
+        assert AblationRow("bok", ("bok",), rate, 4, OK).error == rate
+        assert SweepRow(0.0, rate, 1.0, 1.0).accuracy == rate
 
     def test_out_of_range_rates_rejected(self):
         with pytest.raises(ValidationError):

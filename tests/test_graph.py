@@ -49,14 +49,17 @@ def _graph(nodes, edges, threshold=0.8, min_overlap=2) -> CorrelationGraph:
     )
 
 
-def _one_day(graph: CorrelationGraph, confidences: dict, **kwargs) -> Propagation:
+def _one_day(
+    graph: CorrelationGraph, confidences: dict, iterations=1, clamp_observed=False
+) -> Propagation:
     """Propagate the confidences of a single date."""
     return propagate(
         graph,
         [DAY] * len(confidences),
         list(confidences),
         list(confidences.values()),
-        **kwargs,
+        iterations,
+        clamp_observed,
     )
 
 
@@ -113,7 +116,7 @@ class TestBuildGraph:
             _series("BBB", [2 * c for c in closes]),
             _series("CCC", [5.0, 5.1, 4.9, 5.05, 5.0]),
         )
-        graph = build_graph(table, ["AAA", "BBB", "CCC"], threshold=0.9, min_overlap=2)
+        graph = build_graph(table, ["AAA", "BBB", "CCC"], None, threshold=0.9, min_overlap=2)
         assert graph.nodes == ["AAA", "BBB", "CCC"]
         assert [(graph.nodes[i], graph.nodes[j]) for i, j, _ in graph.edges()] == [
             ("AAA", "BBB")
@@ -126,18 +129,18 @@ class TestBuildGraph:
             _series("AAA", [1.0, 3.0, 2.0, 4.0]),
             _series("BBB", [1.0, 2.0, 3.0, 4.0]),
         )
-        at_limit = build_graph(table, ["AAA", "BBB"], threshold=0.8, min_overlap=2)
+        at_limit = build_graph(table, ["AAA", "BBB"], None, threshold=0.8, min_overlap=2)
         assert at_limit.edge_count() == 0
-        below = build_graph(table, ["AAA", "BBB"], threshold=0.79, min_overlap=2)
+        below = build_graph(table, ["AAA", "BBB"], None, threshold=0.79, min_overlap=2)
         assert below.edge_count() == 1
 
     def test_min_overlap_gates_pairs(self):
         a = _series("AAA", [1.0, 2.0, 3.0, 4.0])
         b = _series("BBB", [2.0, 4.0, 6.0], start=a.dates[1])
         table = _ptable(a, b)
-        sparse = build_graph(table, ["AAA", "BBB"], threshold=0.5, min_overlap=4)
+        sparse = build_graph(table, ["AAA", "BBB"], None, threshold=0.5, min_overlap=4)
         assert sparse.edge_count() == 0
-        dense = build_graph(table, ["AAA", "BBB"], threshold=0.5, min_overlap=3)
+        dense = build_graph(table, ["AAA", "BBB"], None, threshold=0.5, min_overlap=3)
         assert dense.edge_count() == 1
 
     def test_window_restricts_the_correlation(self):
@@ -150,7 +153,7 @@ class TestBuildGraph:
             table, ["AAA", "BBB"], window=window, threshold=0.9, min_overlap=2
         )
         assert windowed.edge_count() == 1
-        full = build_graph(table, ["AAA", "BBB"], threshold=0.9, min_overlap=2)
+        full = build_graph(table, ["AAA", "BBB"], None, threshold=0.9, min_overlap=2)
         assert full.edge_count() == 0
 
     def test_constant_overlap_gets_no_edge(self):
@@ -158,7 +161,7 @@ class TestBuildGraph:
             _series("AAA", [5.0, 5.0, 5.0, 5.0]),
             _series("BBB", [1.0, 2.0, 3.0, 4.0]),
         )
-        graph = build_graph(table, ["AAA", "BBB"], threshold=0.1, min_overlap=2)
+        graph = build_graph(table, ["AAA", "BBB"], None, threshold=0.1, min_overlap=2)
         assert graph.edge_count() == 0
 
     @pytest.mark.parametrize(
@@ -177,7 +180,7 @@ class TestBuildGraph:
     def test_collinear_pair_gets_a_unit_edge(self, closes, other):
         # unclipped, these pairs compute |rho| = 1.0000000000000002
         table = _ptable(_series("AAA", closes), _series("BBB", other))
-        graph = build_graph(table, ["AAA", "BBB"], threshold=0.8, min_overlap=2)
+        graph = build_graph(table, ["AAA", "BBB"], None, threshold=0.8, min_overlap=2)
         assert abs(graph.weights[0, 1]) == 1.0
         assert graph.edge_count() == 1
 
@@ -224,24 +227,26 @@ class TestBuildGraph:
     def test_universe_without_prices_rejected(self):
         table = _ptable(_series("AAA", [1.0, 2.0]))
         with pytest.raises(ValidationError, match="ZZZ"):
-            build_graph(table, ["AAA", "ZZZ"], threshold=0.8, min_overlap=2)
+            build_graph(table, ["AAA", "ZZZ"], None, threshold=0.8, min_overlap=2)
 
     def test_bad_parameters_rejected(self):
         table = _ptable(_series("AAA", [1.0, 2.0]))
         with pytest.raises(ValidationError):
-            build_graph(table, ["AAA"], threshold=-0.1, min_overlap=2)
+            build_graph(table, ["AAA"], None, threshold=-0.1, min_overlap=2)
         with pytest.raises(ValidationError):
-            build_graph(table, ["AAA"], threshold=0.8, min_overlap=1)
+            build_graph(table, ["AAA"], None, threshold=0.8, min_overlap=1)
 
 
 class TestCorrelationGraph:
     def test_symmetry_enforced(self):
-        with pytest.raises(ValidationError, match="asymmetric"):
+        # (0, 2), (1, 2), (2, 0) and (2, 1) differ from their mirror entries;
+        # the error names the first of them.
+        weights = np.zeros((3, 3))
+        weights[0, 2] = 0.9
+        weights[1, 2] = 0.85
+        with pytest.raises(ValidationError, match=r"^asymmetric edge between 0 and 2$"):
             CorrelationGraph(
-                nodes=["A", "B"],
-                weights=np.array([[0.0, 0.9], [0.0, 0.0]]),
-                threshold=0.8,
-                min_overlap=2,
+                nodes=["A", "B", "C"], weights=weights, threshold=0.8, min_overlap=2
             )
 
     def test_degree_and_edge_count(self):
@@ -295,7 +300,7 @@ class TestPropagate:
 
     def test_zero_iterations_copies_the_input(self):
         confidences = np.array([-0.25])
-        out = propagate(self._chain(), [DAY], ["B"], confidences, iterations=0)
+        out = propagate(self._chain(), [DAY], ["B"], confidences, 0, False)
         assert np.array_equal(out.values, [[0.0, -0.25, 0.0]])
         assert not np.shares_memory(out.values, confidences)
 
@@ -352,11 +357,11 @@ class TestPropagate:
 
     def test_mismatched_vector_rejected(self):
         with pytest.raises(ValidationError):
-            propagate(self._chain(), [DAY, DAY], ["A", "B"], [0.5])
+            propagate(self._chain(), [DAY, DAY], ["A", "B"], [0.5], 1, False)
 
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValidationError):
-            propagate(self._chain(), [], [], [], iterations=-1)
+            propagate(self._chain(), [], [], [], -1, False)
 
 
 class TestInitialVector:
@@ -374,7 +379,7 @@ class TestInitialVector:
         graph = _graph(["A", "B"], [("A", "B", 0.9)])
         later = DAY + timedelta(days=1)
         x = propagate(
-            graph, [DAY, DAY, later], ["ZZZ", "A", "ZZZ"], [0.5, 0.25, 0.5], iterations=0
+            graph, [DAY, DAY, later], ["ZZZ", "A", "ZZZ"], [0.5, 0.25, 0.5], 0, False
         )
         assert x.dates == [DAY]
         assert x.values.tolist() == [[0.25, 0.0]]
@@ -391,7 +396,7 @@ class TestInitialVector:
     def test_rows_follow_date_order(self):
         graph = _graph(["A", "B"], [("A", "B", 0.9)])
         later = DAY + timedelta(days=1)
-        x = propagate(graph, [later, DAY], ["B", "A"], [0.5, -0.5], iterations=0)
+        x = propagate(graph, [later, DAY], ["B", "A"], [0.5, -0.5], 0, False)
         assert x.dates == [DAY, later]
         assert x.values.tolist() == [[-0.5, 0.0], [0.0, 0.5]]
         assert x.days_skipped == 0 and x.out_of_graph == 0
@@ -553,6 +558,17 @@ class TestPredictionFile:
         assert loaded == sorted(
             self._predictions(), key=lambda p: (p.date, p.ticker, p.source)
         )
+
+    def test_a_confidence_of_zero_is_labelled_down(self, tmp_path):
+        path = tmp_path / "predictions.csv"
+        rows = [(DAY, "AAA", DNN, 0.0), (DAY, "BBB", PROPAGATED, -0.0)]
+        write_predictions(rows, path)
+        assert path.read_bytes() == (
+            b"date,ticker,source,label,confidence\n"
+            b"2012-03-05,AAA,dnn,down,0.0\n"
+            b"2012-03-05,BBB,propagated,down,-0.0\n"
+        )
+        assert [p.label for p in load_predictions(path)] == ["down", "down"]
 
     def test_bad_source_rejected(self, tmp_path):
         path = tmp_path / "predictions.csv"

@@ -116,8 +116,10 @@ class TestAliasMatcher:
         assert AliasMatcher({}).find("") == []
 
     def test_same_length_aliases_are_tried_in_string_order(self):
-        matcher = AliasMatcher({"ABC": "T1", "Abc": "T2"})
-        assert matcher.find("ABC abc aBC") == [("T1", 0), ("T2", 4), ("T2", 8)]
+        # "ABC" sorts before "Abc", while their tickers sort the other way,
+        # and both match the text "ABC".
+        matcher = AliasMatcher({"ABC": "T2", "Abc": "T1"})
+        assert matcher.find("ABC abc aBC") == [("T2", 0), ("T1", 4), ("T1", 8)]
 
     def test_underscore_and_hyphen_are_boundaries(self):
         matcher = AliasMatcher({"Apple": "AAPL"})
@@ -358,6 +360,33 @@ class TestSampleCheckpoint:
         again = load_samples(path)
         assert again == samples
         assert again[1].sentences[0].mentions == (("AAPL", 0), ("MSFT", 14))
+
+    @staticmethod
+    def _write_labels(path, labels):
+        with path.open("w", encoding="utf-8") as fh:
+            for label in labels:
+                sentence = {"text": "A rose.", "mentions": [["A", 0]]}
+                record = {
+                    "ticker": "A",
+                    "date": "2012-01-02",
+                    "label": label,
+                    "sentences": [sentence],
+                }
+                fh.write(json.dumps(record) + "\n")
+
+    @pytest.mark.parametrize("label", ["up", "", "Positive", 1])
+    def test_a_label_neither_positive_nor_negative_names_its_line(
+        self, tmp_path, label
+    ):
+        path = tmp_path / "samples.jsonl"
+        self._write_labels(path, [NEGATIVE, label])
+        with pytest.raises(ParseError, match="samples.jsonl:2: .*bad label"):
+            load_samples(path)
+
+    def test_a_null_label_loads_as_unlabeled(self, tmp_path):
+        path = tmp_path / "samples.jsonl"
+        self._write_labels(path, [None, POSITIVE])
+        assert [s.label for s in load_samples(path)] == [None, POSITIVE]
 
     def test_bad_record_names_line(self, tmp_path):
         path = tmp_path / "samples.jsonl"
