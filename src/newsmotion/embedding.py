@@ -194,7 +194,7 @@ def train_skipgram(
     batch = max(1, min(1024, n_words // 4))
     # rng.random hands out its doubles in order, so one (block, k) draw is
     # the block's batches' own draws laid end to end.
-    block = batch * max(1, _BLOCK_PAIRS // batch)
+    block = batch * (_BLOCK_PAIRS // batch)
     lookup = _negative_lookup(noise_cdf)
     cells = np.arange(params.size).reshape(params.shape)
     target = np.zeros(k + 1)

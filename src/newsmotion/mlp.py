@@ -18,33 +18,33 @@ into a new float32 (columns, rows) array, cast as they are written. A
 model whose blocks' columns (`features.block_columns`) are one run of
 those reads a row slice of the batch, and any other concatenates its
 column runs, so no copy of a block subset's matrix is made. Every
-temporary of a step is numpy's own allocation. A group's
-weights and biases live in one flat float32 buffer (`_Stack`), each
-layer's run holding every model's weights, then every model's biases:
-layer 0 one block per model, since each model reads its own columns,
-and every later layer one (models, fan_out, fan_in) stack, so that the
-group takes each later layer as one stacked product. A one-model group is laid out as its model's
-blob. Each model's float64 Glorot draw (`_glorot`) is rounded into the
-buffer layer by layer as it is made, so no float64 copy of a model is
-held. `_step`, the step a group takes on each mini-batch, writes one
-layer's gradient at a time into one buffer the size of the group's
-largest layer, and hands it on once the error has been carried back
-through that layer's weights; the trainer then updates the layer with
-``g *= lr; p -= g``. So a group holds its parameters, their best-epoch
-snapshot and one layer's gradient, and each parameter takes the same
-update as from a whole-model gradient. Each model's arithmetic in a
-stack is its own, so a model trains to the same bits in a group of any
-size. A model leaves its group when its patience runs out or its loss
-turns non-finite, and the others go on. `_step` computes in the dtype
-of the weights it is given, so the tests' gradient oracle runs the same
-step on a float64 model in float64. Validation scores one model at a
-time, in float32. Final scoring,
-`predict_batch`, is float64: it decodes the model's columns of every
-row as float64, and numpy upcasts float32 weights exactly against
-them. The blob stores float32 weights as ``<f4`` and loads them back as
-they were, so a trained model scores the same in memory and loaded
-back. A loaded model's weights and biases are views of the one array
-its blob loads into (`codec.unpack`).
+temporary of a step is numpy's own allocation. A group holds plain
+float32 arrays: layer 0 one (fan_out, width) array per model, since
+each model reads its own columns, and every later layer one (models,
+fan_out, fan_in) array, with biases (models, fan_out), so that the
+group takes each later layer as one stacked product. A one-model
+group's arrays are its model's weights. Each model's float64 Glorot
+draw (`_glorot`) is rounded to float32 layer by layer as it is made, so
+no float64 copy of a model is held. `_step`, the step a group takes on
+each mini-batch, makes one layer's gradient at a time and hands it on
+once the error has been carried back through that layer's weights; the
+trainer then updates the layer with ``g *= lr; p -= g`` and the
+gradient is dropped before the next layer's is made. So a group holds
+its parameters, their best-epoch snapshot and one layer's gradient, and
+each parameter takes the same update as from a whole-model gradient.
+Each model's arithmetic in a stack is its own, so a model trains to the
+same bits in a group of any size. A model leaves its group when its
+patience runs out or its loss turns non-finite, and the others go on,
+gathered by index into new arrays (`_gather`). `_step` computes in the
+dtype of the weights it is given, so the tests' gradient oracle runs
+the same step on a float64 model in float64. Validation scores one
+model at a time, in float32. Final scoring, `predict_batch`, is
+float64: it decodes the model's columns of every row as float64, and
+numpy upcasts float32 weights exactly against them. The blob stores
+float32 weights as ``<f4`` and loads them back as they were, so a
+trained model scores the same in memory and loaded back. A loaded
+model's weights and biases are views of the one array its blob loads
+into (`codec.unpack`).
 The last bits of a matrix product depend on the BLAS thread count and on
 the orientation of its operands, so a matrix's rows are always scored
 whole, never in chunks.
@@ -176,22 +176,20 @@ def _step(
     a: Sequence[np.ndarray],
     y: np.ndarray,
     l2: float,
-    grad_w: Sequence,
-    grad_b: Sequence[np.ndarray],
-    apply: Callable[[int], None],
+    apply: Callable[[int, list | np.ndarray, np.ndarray], None],
 ) -> np.ndarray:
-    """Each model's loss on a batch; writes and applies each layer's gradients.
+    """Each model's loss on a batch; makes and applies each layer's gradients.
 
     The models are a stack as `_layers` takes it: ``a`` holds each
     model's (fan_in, rows) columns of the batch, and ``y`` its labels.
-    From the last layer back, layer i's gradients are written into
-    ``grad_w[i]`` and ``grad_b[i]``, shaped as the layer's weights and
-    biases, the error is carried back through ``weights[i]``, and only
-    then is ``apply(i)`` called. So ``apply`` may update layer i in
-    place, every gradient is still that of the weights the batch was
-    scored with, and the layers' gradient buffers may share memory.
-    Each model's arithmetic is its own: a model steps the same, bit for
-    bit, alone or in a stack of any size.
+    From the last layer back, layer i's gradients are made, shaped as
+    the layer's weights and biases, the error is carried back through
+    ``weights[i]``, and only then is ``apply(i, grad_w, grad_b)`` called.
+    So ``apply`` may update layer i in place, every gradient is still
+    that of the weights the batch was scored with, and no more than one
+    layer's gradients are held at once. Each model's arithmetic is its
+    own: a model steps the same, bit for bit, alone or in a stack of any
+    size.
     """
     n = len(y)
     activations = [a, *_layers(weights, biases, a)]
@@ -214,19 +212,20 @@ def _step(
     delta /= n
     for i in range(len(weights) - 1, -1, -1):
         if i > 0:
-            np.matmul(delta, activations[i].mT, out=grad_w[i])
+            grad_w = delta @ activations[i].mT
             if l2 > 0:
-                grad_w[i] += l2 * weights[i]
+                grad_w += l2 * weights[i]
         else:
-            for d_k, a_k, g_k, w_k in zip(delta, a, grad_w[0], weights[0]):
-                np.matmul(d_k, a_k.T, out=g_k)
-                if l2 > 0:
+            grad_w = [d_k @ a_k.T for d_k, a_k in zip(delta, a)]
+            if l2 > 0:
+                for g_k, w_k in zip(grad_w, weights[0]):
                     g_k += l2 * w_k
-        np.sum(delta, axis=2, out=grad_b[i])
+        grad_b = np.sum(delta, axis=2)
         if i > 0:
             delta = weights[i].mT @ delta
             delta *= activations[i] > 0
-        apply(i)
+        apply(i, grad_w, grad_b)
+        del grad_w, grad_b
     return losses
 
 
@@ -254,42 +253,9 @@ def error_rate(confidences: np.ndarray, labels: Sequence[str]) -> float:
     return float(np.mean((confidences > 0) != truths))
 
 
-def _stack_size(widths: Sequence[int], tail: Sequence[int]) -> int:
-    """How many parameters models of these input widths hold, ``tail`` after."""
-    return sum(m * (n + 1) for width in widths for n, m in zip((width, *tail), tail))
-
-
-def _stack_views(
-    flat: np.ndarray, widths: Sequence[int], tail: Sequence[int], shared: bool = False
-) -> tuple[list, list[np.ndarray], list[np.ndarray]]:
-    """The weights, biases and layer runs of a stack of models in ``flat``.
-
-    ``widths`` are the models' input widths, and ``tail`` the units of
-    every later layer, the same for every model. Layer i's run holds
-    every model's weights, then every model's biases, (models, fan_out):
-    for layer 0 one (fan_out, fan_in) block per model, as `_layers`
-    takes it, and for every later layer one (models, fan_out, fan_in)
-    stack. So a one-model stack is laid out as its model's blob. With
-    ``shared``, every run starts at the front of ``flat``, as one
-    gradient buffer the size of the largest layer holds them.
-    """
-    m = len(widths)
-    weights, biases, runs, at = [], [], [], 0
-    for i, fan_out in enumerate(tail):
-        start = at = 0 if shared else at
-        if i == 0:
-            w = []
-            for width in widths:
-                w.append(flat[at : at + fan_out * width].reshape(fan_out, width))
-                at += fan_out * width
-        else:
-            w = flat[at : at + m * fan_out * tail[i - 1]].reshape(m, fan_out, tail[i - 1])
-            at += w.size
-        weights.append(w)
-        biases.append(flat[at : at + m * fan_out].reshape(m, fan_out))
-        at += m * fan_out
-        runs.append(flat[start:at])
-    return weights, biases, runs
+def _param_count(width: int, tail: Sequence[int]) -> int:
+    """How many parameters a model of this input width holds, ``tail`` after."""
+    return sum(m * (n + 1) for n, m in zip((width, *tail), tail))
 
 
 def _member(
@@ -299,72 +265,14 @@ def _member(
     return [weights[0][k], *(w[k] for w in weights[1:])], [b[k] for b in biases]
 
 
-class _Stack:
-    """Models that train in lockstep: their float32 parameters, best-epoch
-    snapshot and one layer's gradient.
-
-    The parameters and the snapshot are each laid out as `_stack_views`
-    says, from the front of one flat buffer, and layer i's gradient takes
-    the front of one buffer the size of the largest layer, in the same
-    order, so that ``g *= lr; p -= g`` over layer i's runs updates every
-    model's layer i. The buffers are made once; models that leave free
-    no memory, and the rest move to the front of the same buffers.
-    """
-
-    def __init__(self, widths: Sequence[int], tail: Sequence[int], seed: int):
-        self.tail = tuple(tail)
-        self.params = np.zeros(_stack_size(widths, tail), np.float32)
-        weights, biases, layers = _stack_views(self.params, widths, tail)
-        for k, width in enumerate(widths):
-            # each model's float64 Glorot draw is rounded into float32 as it
-            # is made, and freed before the next is made
-            draws = _glorot((width, *tail), seed)
-            for w in _member(weights, biases, k)[0]:
-                w[...] = next(draws)
-        # the gradient is made before the snapshot: in the other order the
-        # heap fragments more, and a run of one-model groups (the ablation at
-        # 4x512) peaks about 1 MB higher in RSS
-        self.grad = np.empty(max(map(len, layers)), np.float32)
-        self.best = self.params.copy()
-        self._view(widths)
-
-    def _view(self, widths: Sequence[int]) -> None:
-        self.widths = list(widths)
-        size = _stack_size(widths, self.tail)
-        views = _stack_views(self.params[:size], widths, self.tail)
-        self.weights, self.biases, self.layers = views
-        self.best_views = _stack_views(self.best[:size], widths, self.tail)[:2]
-        self.grad_w, self.grad_b, self.grads = _stack_views(
-            self.grad, widths, self.tail, True
-        )
-
-    def snapshot(self, k: int) -> None:
-        """Model k's parameters become its best-epoch snapshot."""
-        saved = _member(*self.best_views, k)
-        current = _member(self.weights, self.biases, k)
-        for dst, src in zip(saved[0] + saved[1], current[0] + current[1]):
-            np.copyto(dst, src)
-
-    def keep(self, ks: Sequence[int]) -> None:
-        """Keeps models ``ks`` only, moved to the front of the buffers.
-
-        Layer by layer, a kept model's weights and biases move to a lower
-        address or stay, so a run is moved, in address order, before any
-        move lands on it; each stacked run is gathered before it is
-        written.
-        """
-        moved = ((self.weights, self.biases), self.best_views)
-        self._view([self.widths[k] for k in ks])
-        for (dst_w, dst_b), (src_w, src_b) in zip(
-            ((self.weights, self.biases), self.best_views), moved
-        ):
-            for i in range(len(self.tail)):
-                if i == 0:
-                    for j, k in enumerate(ks):
-                        np.copyto(dst_w[0][j], src_w[0][k])
-                else:
-                    dst_w[i][...] = src_w[i][ks]
-                dst_b[i][...] = src_b[i][ks]
+def _gather(
+    weights: Sequence, biases: Sequence[np.ndarray], ks: Sequence[int]
+) -> tuple[list, list[np.ndarray]]:
+    """A stack of models ``ks`` of a stack, in new arrays."""
+    return (
+        [[weights[0][k].copy() for k in ks], *(w[ks] for w in weights[1:])],
+        [b[ks] for b in biases],
+    )
 
 
 def _columns(u: np.ndarray, runs: Sequence[tuple[slice, slice]]) -> np.ndarray:
@@ -402,10 +310,10 @@ def _train_group(
     them, into a new C-ordered (width, rows) float32 array; the
     orientation of a product's operands sets its last bits, so a batch
     is never a transposed (rows, width) array. Each model takes its
-    columns from it (`_columns`). The models step as one
-    `_Stack` and are scored one at a time. A model leaves the stack when
-    its patience runs out or its loss turns non-finite, and the rest go
-    on.
+    columns from it (`_columns`). The models step as one stack, as
+    `_layers` takes it, and are scored one at a time. A model leaves the
+    stack when its patience runs out or its loss turns non-finite, and
+    the rest go on.
     """
     width = train_matrix.layout.dimension
     # class 0 is up, class 1 is down
@@ -418,32 +326,47 @@ def _train_group(
         for index, layout in enumerate(layouts)
     ]
     tail = (*config.hidden, 2)
-    stack = _Stack([t.layout.dimension for t in active], tail, config.seed)
+    # layer 0 is one (fan_out, width) array per model, as each reads its own
+    # columns, and every later layer one (models, fan_out, fan_in) array
+    weights: list = [
+        [], *(np.empty((len(layouts), m, n), np.float32) for n, m in zip(tail, tail[1:]))
+    ]
+    biases = [np.zeros((len(layouts), m), np.float32) for m in tail]
+    for k, t in enumerate(active):
+        # each model's float64 Glorot draw is rounded into float32 as it is
+        # made, and freed before the next is made
+        draws = _glorot((t.layout.dimension, *tail), config.seed)
+        weights[0].append(next(draws).astype(np.float32))
+        for w in weights[1:]:
+            w[k] = next(draws)
+    best_w, best_b = _gather(weights, biases, range(len(layouts)))
     results: list[MlpModel | PipelineError | None] = [None] * len(layouts)
 
-    def update(i: int) -> None:
-        g = stack.grads[i]
-        g *= lr
-        stack.layers[i] -= g
+    def update(i: int, grad_w: list | np.ndarray, grad_b: np.ndarray) -> None:
+        params = zip(weights[0], grad_w) if i == 0 else [(weights[i], grad_w)]
+        for p, g in (*params, (biases[i], grad_b)):
+            g *= lr
+            p -= g
 
     def leave(gone: Sequence[int]) -> None:
         """Models ``gone`` leave the stack, each with its best epoch unless it
-        diverged; its weights stay views of the snapshot it left."""
-        nonlocal stack, active
+        diverged, and the rest are gathered into new arrays."""
+        nonlocal weights, biases, best_w, best_b, active
         ks = [k for k in range(len(active)) if k not in gone]
         for k in gone:
             t = active[k]
             if results[t.index] is None:
-                weights, biases = _member(*stack.best_views, k)
+                saved_w, saved_b = _member(best_w, best_b, k)
                 if ks:
-                    # the snapshot moves when the stack shrinks, so a model
-                    # that leaves while others train on takes its own copy
-                    weights = [w.copy() for w in weights]
-                    biases = [b.copy() for b in biases]
+                    # views of the snapshot would hold all of it after the
+                    # rest are gathered, so a model that leaves while others
+                    # train on takes copies
+                    saved_w = [w.copy() for w in saved_w]
+                    saved_b = [b.copy() for b in saved_b]
                 results[t.index] = MlpModel(
                     layer_dims=(t.layout.dimension, *tail),
-                    weights=weights,
-                    biases=biases,
+                    weights=saved_w,
+                    biases=saved_b,
                     layout=t.layout,
                     metadata={
                         "seed": config.seed,
@@ -454,8 +377,8 @@ def _train_group(
                     },
                 )
         active = [active[k] for k in ks]
-        if ks:
-            stack.keep(ks)
+        weights, biases = _gather(weights, biases, ks)
+        best_w, best_b = _gather(best_w, best_b, ks)
 
     rng = np.random.default_rng(config.seed)
     n = len(train_matrix)
@@ -470,10 +393,7 @@ def _train_group(
             u = np.empty((width, m), np.float32)
             train_matrix.decode(u.T, batch)
             a = [_columns(u, t.runs) for t in active]
-            losses = _step(
-                stack.weights, stack.biases, a, y_train[batch], config.l2,
-                stack.grad_w, stack.grad_b, update,
-            )
+            losses = _step(weights, biases, a, y_train[batch], config.l2, update)
             diverged = []
             for k, (t, loss) in enumerate(zip(active, losses.tolist())):
                 t.epoch_loss += loss * m
@@ -492,13 +412,16 @@ def _train_group(
             t.train_losses.append(t.epoch_loss / n)
             x_valid = _columns(u_valid, t.runs)
             # one model scored at a time holds one model's activations
-            weights, biases = _member(stack.weights, stack.biases, k)
-            error = error_rate(_confidences(weights, biases, x_valid), valid_labels)
+            model_w, model_b = _member(weights, biases, k)
+            error = error_rate(_confidences(model_w, model_b, x_valid), valid_labels)
             t.valid_errors.append(error)
             if error < t.best_error:
                 t.best_error = error
                 t.best_epoch = epoch
-                stack.snapshot(k)
+                # model k's parameters become its best-epoch snapshot
+                for saved, current in zip(_member(best_w, best_b, k), (model_w, model_b)):
+                    for dst, src in zip(saved, current):
+                        dst[...] = src
                 t.since_best = 0
             else:
                 t.since_best += 1
@@ -524,7 +447,7 @@ def train_each(
     float32 parameters number at most `GROUP_PARAMS`; a set over it
     trains alone. Every model of a group sees the same batches, as they
     share the seed, so each batch is decoded once and every model steps
-    at once (`_Stack`), each exactly as `train` steps it alone. A group
+    at once (`_step`), each exactly as `train` steps it alone. A group
     trains when its first result is asked for, and nothing of an earlier
     group is held by then but the results the caller still holds.
     """
@@ -545,7 +468,7 @@ def train_each(
     for member in members:
         size = 0
         if isinstance(member, FeatureLayout):
-            size = _stack_size([member.dimension], tail)
+            size = _param_count(member.dimension, tail)
         if total and total + size > GROUP_PARAMS:
             spans.append([])
             total = 0

@@ -120,20 +120,18 @@ def loss_and_gradients(
         raise ValidationError(
             f"input dimension {x.shape[1]} != model input {model.layer_dims[0]}"
         )
-    grad_w = [np.empty_like(w) for w in model.weights]
-    grad_b = [np.empty_like(b) for b in model.biases]
     a = np.ascontiguousarray(x.T, dtype=model.weights[0].dtype)
+    grad_w: list[np.ndarray] = [None] * len(model.weights)
+    grad_b: list[np.ndarray] = [None] * len(model.biases)
 
-    def stack(arrays: list[np.ndarray]) -> list:
-        """A one-model stack's layers, as `_step` takes them: views, no copies."""
-        return [[arrays[0]], *(p[None] for p in arrays[1:])]
+    def collect(i: int, gw: list | np.ndarray, gb: np.ndarray) -> None:
+        """Keeps the one model's layer-i gradients; the weights are left as they are."""
+        grad_w[i], grad_b[i] = gw[0], gb[0]
 
+    # a one-model stack's layers, as `_step` takes them: views, no copies
+    weights = [[model.weights[0]], *(w[None] for w in model.weights[1:])]
     biases = [b[None] for b in model.biases]
-    # the gradients are only read, so applying a layer's does nothing
-    (loss,) = _step(
-        stack(model.weights), biases, [a], y, l2,
-        stack(grad_w), [g[None] for g in grad_b], lambda i: None,
-    )
+    (loss,) = _step(weights, biases, [a], y, l2, collect)
     return float(loss), grad_w, grad_b
 
 

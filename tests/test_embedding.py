@@ -295,6 +295,22 @@ class TestTrainSkipgram:
         assert "rare" not in table
         assert "common" in table
 
+    def test_a_word_at_exactly_min_count_is_kept(self):
+        corpus = [["common", "common", "twice"], ["common", "twice", "once"]]
+        table = train_skipgram(
+            corpus,
+            SkipGramConfig(dimension=4, window=2, epochs=1, min_count=2, seed=1),
+        )
+        assert table.words == ["common", "twice"]
+
+    def test_a_corpus_without_pairs_is_an_error(self):
+        # one word in all, so no window holds a second
+        with pytest.raises(ValidationError, match="no training pairs"):
+            train_skipgram(
+                [["alone"]],
+                SkipGramConfig(dimension=4, window=2, epochs=1, min_count=1, seed=1),
+            )
+
     def test_all_words_below_min_count_is_an_error(self):
         corpus = [["one", "two"], ["three", "four"]]
         with pytest.raises(ValidationError):
@@ -410,6 +426,22 @@ class TestBitExact:
         assert np.array_equal(table.epoch_losses, oracle.epoch_losses)
 
 
+    def test_a_large_vocabulary_takes_batches_of_1024_pairs(self):
+        # 4400 words would make batches of 1100 pairs without the cap
+        rng = np.random.default_rng(41)
+        words = [f"w{i:04d}" for i in range(4400)]
+        corpus = [list(s) for s in rng.permutation(words * 2).reshape(-1, 8)]
+        config = SkipGramConfig(
+            dimension=4, window=1, negatives=2, epochs=1, min_count=1, seed=7
+        )
+        table = train_skipgram(corpus, config)
+        oracle = blockwise_skipgram(corpus, config)
+        assert len(table) // 4 > 1024
+        assert len(_pair_arrays(corpus, table.index, config.window)[0]) > 2 * 1024
+        assert table.vectors.tobytes() == oracle.vectors.tobytes()
+        assert np.array_equal(table.epoch_losses, oracle.epoch_losses)
+
+
 class TestNegativeLookup:
     @staticmethod
     def _cdf(counts):
@@ -483,6 +515,25 @@ class TestScatterAdd:
         assert (table[[0, 2, 5]] != before[[0, 2, 5]]).all()
 
 
+class TestEmbeddingTable:
+    @pytest.mark.parametrize(
+        "vectors, message",
+        [
+            (np.zeros(2), "does not match vocabulary"),
+            (np.zeros((3, 2)), "does not match vocabulary"),
+            (np.zeros((2, 0)), "dimension must be positive"),
+        ],
+        ids=["1-D", "row-count", "zero-dimension"],
+    )
+    def test_a_table_of_the_wrong_shape_is_refused(self, vectors, message):
+        with pytest.raises(ValidationError, match=message):
+            EmbeddingTable(words=["up", "down"], vectors=vectors)
+
+    def test_one_component_is_a_valid_dimension(self):
+        table = EmbeddingTable(words=["up", "down"], vectors=np.array([[1.0], [-1.0]]))
+        assert table.dimension == 1
+
+
 class TestRankBySeedSimilarity:
     def _table(self, words, vectors):
         vectors = np.asarray(vectors, dtype=np.float64)
@@ -509,6 +560,12 @@ class TestRankBySeedSimilarity:
         )
         ranked = rank_by_seed_similarity(table, ["a"])
         assert [w for w, _ in ranked] == ["a", "b", "far"]
+
+    def test_a_zero_vector_is_left_out(self):
+        table = self._table(
+            ["rise", "blank", "drop"], [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]
+        )
+        assert rank_by_seed_similarity(table, ["rise"]) == [("rise", 1.0), ("drop", 0.0)]
 
     def test_absent_seed_warns_and_is_skipped(self, caplog):
         table = self._table(["rise", "x"], [[1.0, 0.0], [0.5, 0.5]])
@@ -609,6 +666,19 @@ class TestVectorFile:
         with pytest.raises(
             ParseError, match=r"vectors\.txt: 2 rows, header declared 99999999999"
         ):
+            load_embeddings(path)
+
+    def test_a_header_of_no_rows_loads_as_an_empty_table(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("0 3\n", encoding="utf-8")
+        table = load_embeddings(path)
+        assert len(table) == 0 and table.dimension == 3
+
+    def test_a_header_of_no_components_names_the_table_check(self, tmp_path):
+        # rows of no components read as declared; the table refuses them
+        path = tmp_path / "vectors.txt"
+        path.write_text("2 0\nup\ndown\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"vectors\.txt: vector dimension must be"):
             load_embeddings(path)
 
     def test_negative_header_count_names_the_first_line(self, tmp_path):

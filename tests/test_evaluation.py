@@ -209,7 +209,8 @@ class TestRunAblation:
                 matrix, matrix, matrix, [BLOCK_ORDER, BLOCK_ORDER], config, None
             )
         )
-        # A training holds three float32 parameter buffers, 12 bytes per
+        # A training holds its float32 parameters, their snapshot and layer
+        # 0's gradient, nearly every parameter here: 12 bytes per
         # parameter; 2 more cover the rest. The first row's model (4 bytes
         # per parameter) held through the second training does not fit.
         assert peak < 14 * n_params

@@ -30,7 +30,7 @@ from newsmotion.mlp import (
     MlpModel,
     _confidences,
     _layers,
-    _stack_size,
+    _param_count,
     error_rate,
     load_model,
     predict_batch,
@@ -220,6 +220,14 @@ class TestInit:
         with pytest.raises(ValidationError, match="layout"):
             init([5, 3, 2], seed=1, layout=_layout(4))
 
+    @pytest.mark.parametrize("short", ["weights", "biases"])
+    def test_a_layer_short_of_weights_or_biases_is_refused(self, short):
+        model = init([5, 3, 2], seed=1, layout=_layout(5))
+        parts = {"weights": model.weights, "biases": model.biases}
+        parts[short] = parts[short][:-1]
+        with pytest.raises(ValidationError, match="one weight matrix and bias vector"):
+            MlpModel(layer_dims=model.layer_dims, layout=model.layout, **parts)
+
 
 class TestSoftmax:
     def test_rows_sum_to_one_even_with_extreme_logits(self):
@@ -329,6 +337,21 @@ class TestLossAndGradients:
         penalized, _, _ = loss_and_gradients(model, x, y, 0.1)
         expected = 0.05 * sum(float(np.sum(w * w)) for w in model.weights)
         assert penalized - plain == pytest.approx(expected, abs=1e-12)
+
+    def test_no_l2_never_squares_the_weights(self):
+        # a weight whose square overflows, on an input that is always 0:
+        # without l2 it leaves the loss and every gradient as they were
+        model = init([3, 4, 2], seed=5, layout=_layout(3))
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(5, 3))
+        x[:, 0] = 0.0
+        y = rng.integers(0, 2, size=5)
+        plain = loss_and_gradients(model, x, y, 0.0)
+        model.weights[0][:, 0] = 1e200
+        huge = loss_and_gradients(model, x, y, 0.0)
+        assert huge[0] == plain[0]
+        for g, h in zip((*plain[1], *plain[2]), (*huge[1], *huge[2])):
+            assert np.array_equal(g, h)
 
     def test_inactive_relu_unit_gets_no_gradient(self):
         model = _zero_model((1, 1, 2))
@@ -498,9 +521,10 @@ class TestTrain:
         dims = (64, 20000, 2)
         n_params = sum(m * (n + 1) for n, m in zip(dims, dims[1:]))
         _, peak = traced_peak(lambda: train(matrix, matrix, config))
-        # The float32 parameters, gradients and best-epoch snapshot take
-        # 12 bytes per parameter; 4 more cover the activations and the
-        # rest. A float64 copy of the weights (8 bytes each) does not fit.
+        # The float32 parameters and best-epoch snapshot take 8 bytes per
+        # parameter, and layer 0's gradient, nearly every parameter here, 4
+        # more; 4 more cover the activations and the rest. A float64 copy
+        # of the weights (8 bytes each) does not fit.
         assert peak < 16 * n_params
 
     # (train rows, k, categories, hidden, batch size, epochs): 70 rows in
@@ -551,10 +575,11 @@ class TestTrain:
         sizes = [m * (n + 1) for n, m in zip(dims, dims[1:])]
         _, peak = traced_peak(lambda: train(matrix, matrix, config))
         # The float32 parameters and best-epoch snapshot take 8 bytes per
-        # parameter, and the gradient 4 per parameter of the largest
-        # layer; 1 MiB covers the activations, the rows and the rest. A
-        # whole-model gradient (4 bytes per parameter, 4.3 MB more here)
-        # does not fit, nor do two float64 Glorot draws held at once.
+        # parameter, and the one layer's gradient held at a time 4 per
+        # parameter of the largest layer; 1 MiB covers the activations,
+        # the rows and the rest. A whole-model gradient (4 bytes per
+        # parameter, 4.3 MB more here) does not fit, nor do two float64
+        # Glorot draws held at once.
         assert peak < 4 * (2 * sum(sizes) + max(sizes)) + 2**20
 
     def test_batch_buffers_hold_at_most_the_training_rows(self):
@@ -581,6 +606,17 @@ class TestTrain:
         empty = _matrix(np.zeros((0, 3)))
         with pytest.raises(ValidationError):
             train(empty, matrix, TrainConfig(hidden=(4,), epochs=1))
+
+    def test_an_empty_validation_split_is_rejected(self):
+        matrix = _separable(20, 3, seed=49)
+        empty = _matrix(np.zeros((0, 3)))
+        with pytest.raises(ValidationError, match="must be non-empty"):
+            train(matrix, empty, TrainConfig(hidden=(4,), epochs=1))
+
+    def test_one_row_of_each_split_trains(self):
+        one = _separable(1, 3, seed=49)
+        model = train(one, one, TrainConfig(hidden=(4,), epochs=2))
+        assert model.metadata["epochs_run"] == 2
 
 
 class TestPredict:
@@ -918,7 +954,7 @@ class TestTrainEach:
         matrix = _all_blocks(8, seed=96)
         tail = (300, 250, 2)
         widths = [block_columns(matrix.layout, s)[0].dimension for s in DEFAULT_COMBINATIONS]
-        sizes = [_stack_size([w], tail) for w in widths]
+        sizes = [_param_count(w, tail) for w in widths]
         # about 0.3 of the budget each, so the eight form groups of three
         assert 3 * max(sizes) <= GROUP_PARAMS < 4 * min(sizes)
         config = TrainConfig(hidden=tail[:-1], batch_size=4, epochs=2, seed=14)
@@ -931,10 +967,21 @@ class TestTrainEach:
 
         trained, peak = traced_peak(count)
         assert trained == len(DEFAULT_COMBINATIONS)
-        # A group's float32 parameters, snapshot and gradient take at most
-        # 12 bytes per parameter of the budget; 512 KiB covers the rest.
+        # A group's float32 parameters and snapshot take at most 8 bytes
+        # per parameter of the budget, and the one layer's gradient held at
+        # a time at most 4 more; 512 KiB covers the rest.
         # One group of all eight models (8 MB here) does not fit.
         assert peak < 12 * GROUP_PARAMS + 2**19
+
+    def test_a_later_group_also_fills_exactly_the_budget(self, monkeypatch):
+        # each pair of price-only models into 8738 hidden units fills the
+        # budget, so four make two groups of two
+        matrix = _all_blocks(8, seed=99)
+        config = TrainConfig(hidden=(8738,), batch_size=4, epochs=1, seed=15)
+        sizes = self._groups(monkeypatch)
+        models = list(train_each(matrix, matrix, config, [("price",)] * 4))
+        assert sizes == [2, 2]
+        assert all(isinstance(m, MlpModel) for m in models)
 
     @pytest.mark.parametrize("hidden, groups", [(8738, [2]), (8739, [1, 1])])
     def test_two_models_share_a_group_up_to_exactly_the_budget(
@@ -943,7 +990,7 @@ class TestTrainEach:
         # two price-only models into 8738 hidden units and 2 outputs fill
         # the budget exactly, and a set that fails takes none of it; one
         # unit more, and each model trains alone
-        assert 2 * _stack_size([PRICE_DIM], (8738, 2)) == GROUP_PARAMS
+        assert 2 * _param_count(PRICE_DIM, (8738, 2)) == GROUP_PARAMS
         matrix = _all_blocks(8, seed=99)
         config = TrainConfig(hidden=(hidden,), batch_size=4, epochs=1, seed=15)
         sizes = self._groups(monkeypatch)
