@@ -3,16 +3,19 @@
 ``UNITS`` lists each cache unit once: the stage it belongs to, the config
 sections and fields its cache key hashes, its inputs and outputs, and the
 body that does its work. One runner does the rest for every unit. It
-first deletes the temporary files a killed run of the unit left. It
-requires the inputs, and it reads a work-dir input only while the unit
-that made it, and every unit above that one, is up to date under the
-current config. It skips the unit when its own manifest is still up to
-date. Otherwise it runs the body against temporary outputs, moves them
-into place and writes the manifest. ``ingest`` has two units: ``prices``
-parses and checks the price CSV into ``prices.bin``, which every later
-price reader loads, and ``ingest`` makes the samples. ``evaluate`` has
-two, the ablation and the sweep. Exit codes: 0 success, 1 validation
-error, 2 runtime failure.
+first deletes the temporary files a killed run of the unit left, and the
+unit's store entries past ``[pipeline] store_entries``. It requires the
+inputs, and it reads a work-dir input only while the unit that made it,
+and every unit above that one, is up to date under the current config.
+It skips the unit when its own manifest is still up to date. Otherwise,
+when the work dir's store holds the unit's outputs for its current
+config key, inputs and versions, it copies them back with their
+manifest; failing that, it runs the body against temporary outputs,
+moves them into place, writes the manifest and stores both. ``ingest``
+has two units: ``prices`` parses and checks the price CSV into
+``prices.bin``, which every later price reader loads, and ``ingest``
+makes the samples. ``evaluate`` has two, the ablation and the sweep.
+Exit codes: 0 success, 1 validation error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
-from .config import PipelineConfig, load_config
+from .config import PACKAGED, PipelineConfig, load_config
 from .dates import DateRange
 from .errors import (
     ConfigError,
@@ -39,8 +42,11 @@ from .errors import (
 from .manifest import (
     Digests,
     manifest_path,
+    prune,
     remove_leftovers,
     replacing,
+    restore,
+    store,
     text_sha256,
     up_to_date,
     work_dir_lock,
@@ -116,7 +122,8 @@ def _ingest(config, inputs, outputs) -> None:
     articles = sorted(
         ingest.load_articles(inputs["articles"]), key=lambda a: (a.date, a.id)
     )
-    sentences = _here.extract_sentences(articles, matcher)
+    abbreviations = sampling.load_abbreviations(inputs["abbreviations"])
+    sentences = _here.extract_sentences(articles, matcher, abbreviations)
     samples = _here.build_samples(sentences, prices)
     split = sampling.split_by_date(
         samples, config.dates.train_end, config.dates.valid_end
@@ -159,7 +166,7 @@ def _lexicon(config, inputs, outputs) -> None:
     keywords = _here.build_keyword_lexicon(
         table, train_samples, k=config.lexicon.keywords
     )
-    category_seeds = lexicon.load_category_seeds(inputs.get("category_seeds"))
+    category_seeds = lexicon.load_category_seeds(inputs["category_seeds"])
     categories = _here.build_category_lexicon(
         table, category_seeds, m=config.lexicon.category_words
     )
@@ -210,16 +217,15 @@ def _train(config, inputs, outputs) -> None:
     )
     mlp.save_model(model, outputs["model.bin"])
     meta = model.metadata
-    errors = meta.get("validation_errors", [])
-    best = meta.get("best_epoch", -1)
-    run, epochs = meta.get("epochs_run", 0), config.training.epochs
+    best, run, epochs = meta["best_epoch"], meta["epochs_run"], config.training.epochs
     logger.info(
         "train: %s, best epoch %d, validation error %.4f",
         f"stopped early after {run} of {epochs} epochs"
         if run < epochs
         else f"{run} epochs",
         best,
-        errors[best] if 0 <= best < len(errors) else float("nan"),
+        # no epoch is best when none ran
+        meta["validation_errors"][best] if best >= 0 else float("nan"),
     )
 
 
@@ -303,8 +309,9 @@ class Unit:
 
     ``sections`` make up its cache key: each names a whole section, or
     one field as ``section.field``; [paths] never does, as the files are
-    content-hashed. ``inputs`` and ``outputs`` name work-dir artifacts, or
-    config paths as ``paths.<key>``. ``body(config, inputs, outputs)``
+    content-hashed. ``inputs`` and ``outputs`` name work-dir artifacts,
+    config paths as ``paths.<key>``, or files the package ships as
+    ``data.<key>``. ``body(config, inputs, outputs)``
     gets them keyed as in the manifest and writes every output it is
     given; the runner owns skipping, renaming and the manifest.
     ``report`` is an output that the stage prints whether the unit ran or
@@ -340,7 +347,7 @@ UNITS = {
     "ingest": Unit(
         "ingest",
         ("dates.train_end", "dates.valid_end"),
-        ("paths.articles", "prices.bin", "paths.aliases"),
+        ("paths.articles", "prices.bin", "paths.aliases", "data.abbreviations"),
         (*_SAMPLES, "corpus.txt"),
         _ingest,
         revision=4,
@@ -415,6 +422,9 @@ _PRODUCER = {
     for name in spec.outputs
     if not name.startswith("paths.")
 }
+# The units whose outputs the store keeps, those that make work-dir
+# artifacts: synth writes the user's files.
+_STORED = set(_PRODUCER.values())
 
 _HELP = {
     "synth": "generate a synthetic articles/prices/aliases fixture",
@@ -430,12 +440,19 @@ _HELP = {
 
 
 def _files(config: PipelineConfig, names: Sequence[str]) -> dict[str, Path]:
-    """Paths of declared files, keyed as in the manifest; blank paths drop out."""
+    """Paths of declared files, keyed as in the manifest.
+
+    A blank ``paths.<key>`` means the packaged file of that key, when the
+    package ships one, and otherwise drops out.
+    """
     files = {}
     for name in names:
         if name.startswith("paths."):
             name = name.removeprefix("paths.")
-            path = getattr(config.paths, name)
+            path = getattr(config.paths, name) or PACKAGED.get(name)
+        elif name.startswith("data."):
+            name = name.removeprefix("data.")
+            path = PACKAGED[name]
         else:
             path = config.paths.work_dir / name
         if path is not None:
@@ -485,10 +502,13 @@ def _run_unit(
     config: PipelineConfig, unit: str, force: bool, digests: Digests, answers: dict
 ):
     spec = UNITS[unit]
+    work_dir = config.paths.work_dir
     outputs = _files(config, spec.outputs)
+    entries = config.pipeline.store_entries if unit in _STORED else 0
     # The lock rules out a live writer, so any temporary file of the
     # unit's is a killed run's, whether the unit now runs or skips.
-    remove_leftovers([*outputs.values(), manifest_path(config.paths.work_dir, unit)])
+    remove_leftovers([*outputs.values(), manifest_path(work_dir, unit)])
+    prune(work_dir, unit, entries)
     inputs = _files(config, spec.inputs)
     for name, path in inputs.items():
         producer = _PRODUCER.get(name)
@@ -504,10 +524,15 @@ def _run_unit(
     if not force and _stale(config, unit, digests, answers) is None:
         logger.info("%s: artifacts up to date, skipping", unit)
         return
-    with replacing(outputs) as temporary:
-        spec.body(config, inputs, temporary)
     key = _stage_key(config, unit)
-    write_manifest(config.paths.work_dir, unit, inputs, outputs, key, digests)
+    if not force and entries and restore(work_dir, unit, inputs, outputs, key, digests):
+        logger.info("%s: restored from the store", unit)
+    else:
+        with replacing(outputs) as temporary:
+            spec.body(config, inputs, temporary)
+        write_manifest(work_dir, unit, inputs, outputs, key, digests)
+        if entries:
+            store(work_dir, unit, outputs, entries)
     # A later unit of the stage may read what this one just wrote.
     answers[unit] = None
 

@@ -4,14 +4,14 @@ The schema is one frozen dataclass per INI section, all defined here:
 ``[paths]``, ``[dates]``, ``[lexicon]``, ``[embedding]``
 (:class:`SkipGramConfig`), ``[training]`` (:class:`TrainConfig`),
 ``[graph]``, ``[sweep]``, ``[synth]`` (:class:`SynthConfig`) and
-``[pipeline]``. The embedding, mlp and synth modules import their
-section's class from here. This module imports no numpy and no stage
-module, so a stage that only checks its manifest stays cheap. A
-section's keys, defaults and types are its dataclass fields, and its
-``__post_init__`` is the only range check for it; only the ordering of
-the ``[dates]`` boundaries is checked here. The one ``pipeline.seed``
-key fills the ``seed`` field of the embedding and training sections,
-which have no ``seed`` key of their own.
+``[pipeline]`` (:class:`RunConfig`). The embedding, mlp and synth
+modules import their section's class from here. This module imports no
+numpy and no stage module, so a stage that only checks its manifest
+stays cheap. A section's keys, defaults and types are its dataclass
+fields, and its ``__post_init__`` is the only range check for it; only
+the ordering of the ``[dates]`` boundaries is checked here. The one
+``pipeline.seed`` key fills the ``seed`` field of the embedding and
+training sections, which have no ``seed`` key of their own.
 
 Every key has a default, so an empty config file runs the whole pipeline
 on files named ``articles.jsonl``, ``prices.csv``, and ``aliases.csv``
@@ -35,6 +35,13 @@ from .errors import ConfigError, ValidationError
 
 # How many tickers synth can name: the length of its ``_STEMS``.
 SYNTH_NAMES = 52
+
+# The data files the package ships, by key: a unit reads one as its input
+# ``data.<key>``, or as ``paths.<key>`` when that key is left blank.
+PACKAGED = {
+    key: Path(__file__).resolve().parent / "data" / f"{key}.txt"
+    for key in ("abbreviations", "category_seeds")
+}
 
 
 @dataclass(frozen=True)
@@ -199,12 +206,15 @@ class SynthConfig:
 
 
 @dataclass(frozen=True)
-class SeedConfig:
+class RunConfig:
     seed: int = 1  # master seed for embeddings and training
+    store_entries: int = 4  # past outputs kept per cache unit; 0 keeps none
 
     def __post_init__(self):
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
+        if self.store_entries < 0:
+            raise ValidationError("store_entries must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -222,7 +232,7 @@ class PipelineConfig:
     graph: GraphConfig
     sweep: SweepConfig
     synth: SynthConfig
-    pipeline: SeedConfig
+    pipeline: RunConfig
 
 
 # Sections whose ``seed`` field is pipeline.seed rather than a key of their own.

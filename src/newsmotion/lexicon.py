@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
@@ -219,24 +218,15 @@ def build_category_lexicon(
     return CategoryLexicon(list(category_seeds), entries)
 
 
-def load_category_seeds(path: str | Path | None = None) -> dict[str, list[str]]:
+def load_category_seeds(path: str | Path) -> dict[str, list[str]]:
     """Parse the category seed file: '[category]' headers, one seed per line.
 
     A category name may not hold a comma, as it becomes a field of
     categories.csv.
     """
-    if path is None:
-        text = (
-            resources.files("newsmotion.data")
-            .joinpath("category_seeds.txt")
-            .read_text(encoding="utf-8")
-        )
-        name = "category_seeds.txt"
-    else:
-        path = Path(path)
-        with utf8_text(path):
-            text = path.read_text(encoding="utf-8")
-        name = str(path)
+    path = Path(path)
+    with utf8_text(path):
+        text = path.read_text(encoding="utf-8")
     categories: dict[str, list[str]] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -246,23 +236,23 @@ def load_category_seeds(path: str | Path | None = None) -> dict[str, list[str]]:
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
             if not current:
-                raise ParseError(f"{name}:{lineno}: empty category name")
+                raise ParseError(f"{path}:{lineno}: empty category name")
             if "," in current:
-                raise ParseError(f"{name}:{lineno}: comma in category {current!r}")
+                raise ParseError(f"{path}:{lineno}: comma in category {current!r}")
             if current in categories:
-                raise ParseError(f"{name}:{lineno}: duplicate category {current!r}")
+                raise ParseError(f"{path}:{lineno}: duplicate category {current!r}")
             categories[current] = []
         elif current is None:
-            raise ParseError(f"{name}:{lineno}: seed word before any [category] header")
+            raise ParseError(f"{path}:{lineno}: seed word before any [category] header")
         else:
             if len(line.split()) != 1:
-                raise ParseError(f"{name}:{lineno}: expected one seed word per line")
+                raise ParseError(f"{path}:{lineno}: expected one seed word per line")
             categories[current].append(line)
     if not categories:
-        raise ParseError(f"{name}: no categories defined")
+        raise ParseError(f"{path}: no categories defined")
     for category, seeds in categories.items():
         if not seeds:
-            raise ParseError(f"{name}: category {category!r} has no seed words")
+            raise ParseError(f"{path}: category {category!r} has no seed words")
     return categories
 
 

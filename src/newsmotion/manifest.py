@@ -1,4 +1,5 @@
-"""Stage manifests for artifact caching, plus the work-dir lock.
+"""Stage manifests for artifact caching, the store of past outputs, and
+the work-dir lock.
 
 Each pipeline stage records the content hashes of its inputs and outputs,
 the hash of the config sections and fields it reads (the seed among
@@ -7,6 +8,13 @@ matches all of those, which lets expensive stages cache their artifacts
 across reruns. The CLI reads an artifact only while its producer, and
 every stage above that one, is up to date in this sense. Artifacts and
 manifests are written to a temporary file and renamed into place.
+
+The store, ``.store/<stage>/<trace>/`` in the work dir, keeps the last
+few outputs of each stage, each with its manifest. The trace names what
+the outputs are a function of: the config hash, the input hashes by name
+and the tool versions (the "constructive trace" of Mokhov, Mitchell and
+Peyton Jones, "Build Systems a la Carte", ICFP 2018). A stale stage
+whose trace is stored gets its outputs back by a copy.
 """
 
 from __future__ import annotations
@@ -19,6 +27,8 @@ import hashlib
 import json
 import os
 import platform
+import shutil
+import time
 from importlib import util
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -145,6 +155,18 @@ def remove_leftovers(files: Iterable[Path]) -> None:
             leftover.unlink(missing_ok=True)
 
 
+def _trace(
+    stage: str, inputs: Mapping[str, Path], config_hash: str, digests: Digests
+) -> dict:
+    """A manifest but for its outputs: everything the outputs are a function of."""
+    return {
+        "stage": stage,
+        "config": config_hash,
+        "inputs": {name: digests[path] for name, path in sorted(inputs.items())},
+        "versions": _versions(),
+    }
+
+
 def write_manifest(
     work_dir: str | Path,
     stage: str,
@@ -159,13 +181,8 @@ def write_manifest(
     """
     for path in outputs.values():
         digests.pop(path, None)
-    record = {
-        "stage": stage,
-        "config": config_hash,
-        "inputs": {name: digests[path] for name, path in sorted(inputs.items())},
-        "outputs": {name: digests[path] for name, path in sorted(outputs.items())},
-        "versions": _versions(),
-    }
+    record = _trace(stage, inputs, config_hash, digests)
+    record["outputs"] = {name: digests[path] for name, path in sorted(outputs.items())}
     with replacing({stage: manifest_path(work_dir, stage)}) as temporary:
         temporary[stage].write_text(
             json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -199,6 +216,102 @@ def up_to_date(
             if not Path(file).is_file() or recorded[name] != digests[file]:
                 return False
     return True
+
+
+def _entry(work_dir: str | Path, trace: dict) -> Path:
+    """The store directory of a trace."""
+    name = text_sha256(json.dumps(trace, sort_keys=True))
+    return Path(work_dir) / ".store" / trace["stage"] / name
+
+
+def _use(entry: Path) -> None:
+    """Mark a store entry as the stage's most recently used one."""
+    now = time.time_ns()
+    os.utime(entry, ns=(now, now))
+
+
+def restore(
+    work_dir: str | Path,
+    stage: str,
+    inputs: Mapping[str, Path],
+    outputs: Mapping[str, Path],
+    config_hash: str,
+    digests: Digests,
+) -> bool:
+    """Put back the stored outputs of the stage's current trace, and their manifest.
+
+    Returns False, and changes nothing, when the store holds no entry for
+    the trace or one of its files no longer hashes to the digest its
+    manifest records. The copies go through ``replacing``, the manifest
+    renamed last, so a run killed midway leaves the old manifest, which
+    vouches for no mix of old and new outputs.
+    """
+    trace = _trace(stage, inputs, config_hash, digests)
+    entry = _entry(work_dir, trace)
+    manifest = manifest_path(work_dir, stage)
+    try:
+        record = json.loads((entry / manifest.name).read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return False
+    stored = record.pop("outputs", None) if isinstance(record, dict) else None
+    if record != trace or not isinstance(stored, dict) or set(stored) != set(outputs):
+        return False
+    try:
+        if any(file_sha256(entry / p.name) != stored[n] for n, p in outputs.items()):
+            return False
+    except OSError:
+        return False
+    files = {**outputs, manifest.name: manifest}
+    with replacing(files) as temporary:
+        for name, path in files.items():
+            shutil.copyfile(entry / path.name, temporary[name])
+    for name, path in outputs.items():
+        digests[path] = stored[name]
+    _use(entry)
+    return True
+
+
+def store(
+    work_dir: str | Path, stage: str, outputs: Mapping[str, Path], entries: int
+) -> None:
+    """Keep copies of the stage's outputs and of the manifest just written for them.
+
+    The copies are made in a temporary directory, which one rename then
+    publishes as the trace's entry. The stage keeps its ``entries`` most
+    recently used entries.
+    """
+    manifest = manifest_path(work_dir, stage)
+    trace = json.loads(manifest.read_text(encoding="utf-8"))
+    del trace["outputs"]
+    entry = _entry(work_dir, trace)
+    temporary = entry.with_name(f".{entry.name}.{os.getpid()}.tmp")
+    temporary.mkdir(parents=True)
+    for path in (*outputs.values(), manifest):
+        shutil.copyfile(path, temporary / path.name)
+    shutil.rmtree(entry, ignore_errors=True)
+    os.replace(temporary, entry)
+    _use(entry)
+    prune(work_dir, stage, entries)
+
+
+def prune(work_dir: str | Path, stage: str, entries: int) -> None:
+    """Delete the stage's store entries past its ``entries`` most recently
+    used, and what a killed ``store`` left.
+
+    Call it only where no other run can be writing them, under the
+    work-dir lock.
+    """
+    root = Path(work_dir) / ".store" / stage
+    if not root.is_dir():
+        return
+    kept = []
+    for path in root.iterdir():
+        if path.name.startswith("."):
+            shutil.rmtree(path)
+        else:
+            kept.append((path.stat().st_mtime_ns, path.name))
+    for _, name in sorted(kept, reverse=True)[entries:]:
+        shutil.rmtree(root / name)
 
 
 @contextlib.contextmanager

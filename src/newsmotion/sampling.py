@@ -16,7 +16,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from datetime import date as Date
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -33,11 +32,10 @@ NEGATIVE = "negative"
 _SENTENCE_END = re.compile(r"(?<!\S)\S*[.?!](?!\S)")
 
 
-def default_abbreviations() -> frozenset[str]:
+def load_abbreviations(path: str | Path) -> frozenset[str]:
     """The tokens whose trailing period does not end a sentence, one per
-    line of the package's ``abbreviations.txt``."""
-    text = resources.files("newsmotion.data").joinpath("abbreviations.txt").read_text()
-    return frozenset(text.split())
+    line of the file, such as the package's ``abbreviations.txt``."""
+    return frozenset(Path(path).read_text(encoding="utf-8").split())
 
 
 def split_sentences(text: str, abbreviations: frozenset[str]) -> list[str]:
@@ -163,10 +161,11 @@ class DatasetSplit:
 
 
 def extract_sentences(
-    articles: Iterable[Article], matcher: AliasMatcher
+    articles: Iterable[Article],
+    matcher: AliasMatcher,
+    abbreviations: frozenset[str],
 ) -> list[Sentence]:
     """Split article bodies and keep only sentences mentioning a known stock."""
-    abbreviations = default_abbreviations()
     kept = []
     for article in articles:
         for text in split_sentences(article.body, abbreviations):

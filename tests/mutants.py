@@ -19,6 +19,12 @@ with them, are listed in ``mutants_equivalent.json`` next to this script,
 each with a one-line reason, and are not run. Every other survivor is
 printed with its line; the exit status is 1 if there is one.
 
+A mutant is named by its line's text, its change and its occurrence: the
+index, in source order, among the module's mutants with the same text
+and change (``#0`` for the first). An entry of the equivalents list gives
+the occurrence only where the text and change are not enough to tell the
+mutant apart, as for the two ``total = 0`` lines of ``mlp.train_each``.
+
 pytest does not collect this file: its name does not start with
 ``test_``.
 """
@@ -37,7 +43,7 @@ import sys
 import tempfile
 import time
 import tokenize
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,10 +78,19 @@ class Mutant:
     old: str
     new: str
     text: str  # the stripped source line
+    occurrence: int = 0  # among the mutants with the same text and change
 
     @property
     def change(self) -> str:
         return f"{self.old.strip()} -> {self.new.strip()}"
+
+    def listed(self, module: str, entry: dict) -> bool:
+        """Whether an equivalents entry names this mutant of ``module``."""
+        return (entry["module"], entry["line"], entry["change"]) == (
+            module,
+            self.text,
+            self.change,
+        ) and entry.get("occurrence", self.occurrence) == self.occurrence
 
 
 class _Source:
@@ -192,6 +207,10 @@ def mutants(text: str) -> list[Mutant]:
             start, stop = source.start(node), source.stop(node)
             add(node.lineno, start, stop, text[start:stop], str(node.value + 1))
     found.sort(key=lambda m: (m.start, m.stop, m.new))
+    seen: dict[tuple[str, str], int] = {}
+    for i, m in enumerate(found):
+        occurrence = seen[m.text, m.change] = seen.get((m.text, m.change), -1) + 1
+        found[i] = replace(m, occurrence=occurrence)
     return found
 
 
@@ -200,14 +219,14 @@ def apply(text: str, mutant: Mutant) -> str:
     return text[: mutant.start] + mutant.new + text[mutant.stop :]
 
 
-def load_equivalent() -> set[tuple[str, str, str]]:
-    """The (module, line text, change) of each mutant listed as equivalent.
+def load_equivalent() -> list[dict]:
+    """The entries of the mutants listed as equivalent.
 
-    A mutant is named by its line's text and its change, not its line
-    number, so that edits elsewhere in the module do not move it.
+    An entry names a mutant by its line's text and its change, and its
+    occurrence where those are shared, not by its line number, so that
+    edits elsewhere in the module do not move it.
     """
-    entries = json.loads(EQUIVALENT.read_text(encoding="utf-8"))
-    return {(e["module"], e["line"], e["change"]) for e in entries}
+    return json.loads(EQUIVALENT.read_text(encoding="utf-8"))
 
 
 def _copy_tree(into: Path) -> Path:
@@ -277,8 +296,11 @@ def main(argv: list[str] | None = None) -> int:
         limits = [5 * _timed(tree, tests) for tests in runs]
         survivors, listed, killed = [], 0, 0
         for mutant in chosen:
-            where = f"{path}:{mutant.line}: {mutant.text}  [{mutant.change}]"
-            if (args.module, mutant.text, mutant.change) in equivalent:
+            where = (
+                f"{path}:{mutant.line}: {mutant.text}"
+                f"  [{mutant.change}] #{mutant.occurrence}"
+            )
+            if any(mutant.listed(args.module, entry) for entry in equivalent):
                 listed += 1
                 continue
             target.write_text(apply(text, mutant), encoding="utf-8")

@@ -2,12 +2,15 @@
 prices writer, a graph node's degree, the brute-force polarity oracle, a
 Glorot-initialised MLP and the loss and gradients of one of `mlp.train`'s
 steps, a feature matrix packed from dense rows, its rows decoded dense and
-its block subset, the environment of a child Python, and a call's traced
-memory peak."""
+its block subset, the environment of a child Python, a call's traced
+memory peak, and the smoke pipeline run on transformed inputs, with the
+digest of every work-dir file it leaves."""
 
 from __future__ import annotations
 
+import hashlib
 import os
+import random
 import tracemalloc
 from dataclasses import dataclass
 from datetime import date as Date
@@ -16,6 +19,7 @@ from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
+from newsmotion import cli
 from newsmotion.codec import read_table, write_table
 from newsmotion.errors import ValidationError
 from newsmotion.features import FeatureLayout, FeatureMatrix, block_columns
@@ -34,6 +38,42 @@ from newsmotion.mlp import MlpModel, _glorot, _step
 from newsmotion.sampling import Sample
 
 T = TypeVar("T")
+
+# A small pipeline: 20 tickers over one year, small models.
+SMOKE_CONFIG = """\
+[synth]
+tickers = 20
+group_count = 5
+group_size = 3
+actives_per_group = 2
+start = 2012-01-02
+end = 2012-12-31
+news_start = 2012-02-01
+samples_per_day = 4.0
+
+[dates]
+train_start = 2012-01-01
+train_end = 2012-09-30
+valid_end = 2012-11-15
+
+[embedding]
+dimension = 24
+window = 3
+epochs = 2
+min_count = 3
+
+[lexicon]
+keywords = 120
+category_words = 30
+
+[training]
+hidden = 32,16
+epochs = 8
+batch_size = 32
+
+[graph]
+min_overlap = 60
+"""
 
 
 @dataclass(frozen=True)
@@ -192,3 +232,42 @@ def traced_peak(call: Callable[[], T]) -> tuple[T, int]:
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def work_digests(work: Path) -> dict[str, str]:
+    """The sha256 of every file under the work dir, by relative path,
+    leaving out the run lock and the store of past outputs."""
+    return {
+        str(path.relative_to(work)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(work.rglob("*"))
+        if path.is_file()
+        and path.name != ".lock"
+        and path.relative_to(work).parts[0] != ".store"
+    }
+
+
+def smoke_digests(
+    root: Path, transform: Callable[[Path], None] | None = None
+) -> dict[str, str]:
+    """Run every stage on the smoke config in ``root``, and return `work_digests`.
+
+    ``transform(root)`` runs after synth has written the fixture next to
+    the config, so the other stages read what it leaves.
+    """
+    config = root / "pipeline.ini"
+    config.write_text(SMOKE_CONFIG)
+    for stage in dict.fromkeys(spec.stage for spec in cli.UNITS.values()):
+        assert cli.main([stage, "--config", str(config)]) == 0, stage
+        if stage == "synth" and transform is not None:
+            transform(root)
+    return work_digests(root / "work")
+
+
+def shuffle_lines(path: Path, seed: int, header: bool) -> None:
+    """Rewrite a text file with its lines in another order, a header kept first."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    head, body = (lines[:1], lines[1:]) if header else ([], lines)
+    shuffled = list(body)
+    random.Random(seed).shuffle(shuffled)
+    assert shuffled != body
+    path.write_bytes(b"".join(head + shuffled))

@@ -8,7 +8,6 @@ import inspect
 import json
 import logging
 import os
-import random
 import re
 import shutil
 import signal
@@ -50,42 +49,17 @@ from newsmotion.mlp import load_model, save_model
 from newsmotion.sampling import NEGATIVE, POSITIVE, load_samples, movement_label
 from newsmotion.tokens import tokenize
 
-from support import child_env, init, load_predictions, packed, traced_peak
-
-SMOKE_CONFIG = """\
-[synth]
-tickers = 20
-group_count = 5
-group_size = 3
-actives_per_group = 2
-start = 2012-01-02
-end = 2012-12-31
-news_start = 2012-02-01
-samples_per_day = 4.0
-
-[dates]
-train_start = 2012-01-01
-train_end = 2012-09-30
-valid_end = 2012-11-15
-
-[embedding]
-dimension = 24
-window = 3
-epochs = 2
-min_count = 3
-
-[lexicon]
-keywords = 120
-category_words = 30
-
-[training]
-hidden = 32,16
-epochs = 8
-batch_size = 32
-
-[graph]
-min_overlap = 60
-"""
+from support import (
+    SMOKE_CONFIG,
+    child_env,
+    init,
+    load_predictions,
+    packed,
+    shuffle_lines,
+    smoke_digests,
+    traced_peak,
+    work_digests,
+)
 
 STAGES = (
     "synth",
@@ -264,9 +238,7 @@ def trainings(monkeypatch) -> list[int]:
 def pipeline(tmp_path_factory):
     """Run every stage once on a small synthetic dataset."""
     root = tmp_path_factory.mktemp("cli")
-    config = _write_config(root)
-    for stage in STAGES:
-        assert cli.main([stage, "--config", str(config)]) == 0, stage
+    smoke_digests(root)
     return root
 
 
@@ -372,23 +344,24 @@ class TestFullPipeline:
         assert "up to date, skipping" not in caplog.text
 
     @pytest.mark.parametrize(
-        "patience, logged",
+        "setting, logged",
         [
-            ("1", "train: stopped early after 2 of 8 epochs, best epoch 0,"),
-            ("0", "train: 8 epochs, best epoch 0,"),
+            ("patience=1", "train: stopped early after 2 of 8 epochs, best epoch 0,"),
+            ("patience=0", "train: 8 epochs, best epoch 0,"),
+            ("epochs=0", "train: 0 epochs, best epoch -1, validation error nan"),
         ],
     )
-    def test_train_logs_an_early_stop(
-        self, pipeline, tmp_path, caplog, patience, logged
-    ):
+    def test_train_logs_an_early_stop(self, pipeline, tmp_path, caplog, setting, logged):
         config = _copy(pipeline, tmp_path)
         # a vanishing rate never improves on the first epoch's error
         argv = ["train", "--config", str(config)]
         argv += ["--set", "training.learning_rate=1e-12"]
-        argv += ["--set", f"training.patience={patience}"]
+        argv += ["--set", f"training.{setting}"]
         with caplog.at_level(logging.INFO):
             assert cli.main(argv) == 0
         assert logged in caplog.text
+        # the best epoch's error is logged whenever an epoch ran
+        assert caplog.text.count("validation error nan") == logged.count("nan")
 
 
 class TestIngestCorpus:
@@ -409,22 +382,29 @@ class TestIngestCorpus:
         assert lines == ["Acme rose in early trade.", "Later Acme fell."]
 
 
-class TestArticleOrder:
-    def test_shuffled_article_lines_change_no_output(self, pipeline, tmp_path):
-        """ingest reads the articles in (date, id) order, whatever the file's."""
-        config = _copy(pipeline, tmp_path)
-        work = config.parent / "work"
-        before = _tree(work)
-        articles = config.parent / "articles.jsonl"
-        lines = articles.read_bytes().splitlines(keepends=True)
-        shuffled = list(lines)
-        random.Random(5).shuffle(shuffled)
-        assert shuffled != lines
-        articles.write_bytes(b"".join(shuffled))
-        for stage in STAGES[1:]:
-            assert cli.main([stage, "--config", str(config)]) == 0, stage
-        after = _tree(work)
-        assert after.pop("ingest.manifest.json") != before.pop("ingest.manifest.json")
+class TestInputOrder:
+    """The outputs depend on what the input files say, not on their line order.
+
+    ingest reads the articles in (date, id) order; the price and alias
+    loaders key every row. Only the manifest that hashes the file changes.
+    """
+
+    @pytest.mark.parametrize(
+        "name, header, manifest",
+        [
+            ("articles.jsonl", False, "ingest.manifest.json"),
+            ("prices.csv", True, "prices.manifest.json"),
+            ("aliases.csv", False, "ingest.manifest.json"),
+        ],
+    )
+    def test_shuffled_lines_change_no_output(
+        self, pipeline, tmp_path, name, header, manifest
+    ):
+        before = work_digests(pipeline / "work")
+        after = smoke_digests(
+            tmp_path, lambda root: shuffle_lines(root / name, 5, header)
+        )
+        assert after.pop(manifest) != before.pop(manifest)
         assert after == before
 
 
@@ -518,7 +498,9 @@ class TestStageKeys:
             # A unit that declares no section reads none.
             keyed = {unit for unit, declared in units.items() if declared}
             assert set(recorder.read) - {None} == keyed, stage
-            outside = recorder.read.get(None, set())
+            # The runner reads the paths, and the store's size, which no
+            # output depends on.
+            outside = recorder.read.get(None, set()) - {"pipeline.store_entries"}
             assert all(field.startswith("paths.") for field in outside), stage
             for unit, declared in units.items():
                 seen = recorder.read.get(unit, set())
@@ -644,6 +626,41 @@ class TestStageKeys:
         assert categories.read_bytes() == packaged
 
 
+    @pytest.mark.parametrize(
+        "key, unit, edit",
+        [
+            ("abbreviations", "ingest", "Zzq.\n"),
+            ("category_seeds", "lexicon", "# edited\n"),
+        ],
+    )
+    def test_an_edited_packaged_file_reruns_its_unit(
+        self, pipeline, tmp_path, caplog, monkeypatch, key, unit, edit
+    ):
+        """Packaged data is hashed like any input, whatever the package version."""
+        config = _copy(pipeline, tmp_path)
+        work = config.parent / "work"
+        before = {name: (work / name).read_bytes() for name in cli.UNITS[unit].outputs}
+        packaged = cli.PACKAGED[key]
+        edited = tmp_path / packaged.name
+        edited.write_text(packaged.read_text(encoding="utf-8") + edit, encoding="utf-8")
+        stage = [cli.UNITS[unit].stage, "--config", str(config)]
+        monkeypatch.setitem(cli.PACKAGED, key, edited)
+        with caplog.at_level(logging.INFO):
+            assert cli.main(stage) == 0
+        assert f"{unit}: artifacts up to date, skipping" not in caplog.text
+        assert "restored" not in caplog.text
+        record = json.loads(manifest_path(work, unit).read_text())
+        assert record["inputs"][key] == text_sha256(edited.read_text(encoding="utf-8"))
+        # the edit changes no word the unit uses
+        assert {name: (work / name).read_bytes() for name in before} == before
+        # and the packaged file as shipped is the store's to give back
+        monkeypatch.setitem(cli.PACKAGED, key, packaged)
+        caplog.clear()
+        with caplog.at_level(logging.INFO):
+            assert cli.main(stage) == 0
+        assert f"{unit}: restored from the store" in caplog.text
+
+
 class TestEvaluateUnits:
     """evaluate caches the ablation and the sweep apart, each with its manifest."""
 
@@ -710,6 +727,8 @@ class TestEvaluateUnits:
 
     @staticmethod
     def _check_retrains_once(config, key, trainings, caplog):
+        # a work dir of an older revision holds no store of this revision's outputs
+        shutil.rmtree(config.parent / "work" / ".store")
         for unit in ("train", "ablation"):
             _record(config, unit, key)
         with caplog.at_level(logging.INFO):
@@ -852,10 +871,10 @@ class TestVouchedInputs:
     ):
         config = _copy(pipeline, tmp_path)
         work = config.parent / "work"
-        before = {path: path.read_bytes() for path in work.iterdir()}
+        before = _tree(work)
         error = _refused(config, stage, caplog, "--set", override, *force)
         assert f"{artifact}: {unit} is not up to date; rerun {unit}" in error
-        assert {path: path.read_bytes() for path in work.iterdir()} == before
+        assert _tree(work) == before
 
     @pytest.mark.parametrize("override", ["training.epochs=3", "embedding.dimension=16"])
     def test_the_override_passed_to_every_stage_runs_them_all(

@@ -1,14 +1,8 @@
-"""Tests for config loading, stage manifests, and the work-dir lock."""
+"""Tests for config loading and the stage cache keys."""
 
 from __future__ import annotations
 
 import configparser
-import json
-import logging
-import os
-import signal
-import subprocess
-import sys
 from datetime import date
 from pathlib import Path
 
@@ -16,23 +10,11 @@ import pytest
 
 from newsmotion import cli
 from newsmotion.config import SCHEMA, SECTIONS, load_config
-from newsmotion.errors import ConfigError, PipelineError
+from newsmotion.errors import ConfigError
 from newsmotion.dates import DateRange
-from newsmotion import manifest
-from newsmotion.manifest import (
-    Digests,
-    file_sha256,
-    manifest_path,
-    text_sha256,
-    up_to_date,
-    work_dir_lock,
-    write_manifest,
-)
-
-from support import child_env
+from newsmotion.manifest import text_sha256
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-SHA_ABC = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 
 
 def _write_config(tmp_path: Path, text: str = "") -> Path:
@@ -237,6 +219,14 @@ class TestLoadConfig:
         assert str(caught.value) == f"[{section}] seed must be non-negative"
         assert getattr(load_config(path, [f"{section}.seed=0"]), section).seed == 0
 
+    def test_store_entries_must_be_non_negative(self, tmp_path):
+        path = _write_config(tmp_path)
+        assert load_config(path, ()).pipeline.store_entries == 4
+        with pytest.raises(ConfigError) as caught:
+            load_config(path, ["pipeline.store_entries=-1"])
+        assert str(caught.value) == "[pipeline] store_entries must be non-negative"
+        assert load_config(path, ["pipeline.store_entries=0"]).pipeline.store_entries == 0
+
     def test_pipeline_seed_is_the_only_seed_key_of_its_sections(self, tmp_path):
         path = _write_config(tmp_path, "[pipeline]\nseed = 9\n")
         config = load_config(path, ())
@@ -251,6 +241,11 @@ class TestLoadConfig:
         assert cli._stage_key(config, "lexicon") == text_sha256(repr(config.lexicon))
         assert cli._stage_key(config, "ablation") == text_sha256(
             f"{config.training!r}\nrevision 3"
+        )
+        assert cli._stage_key(config, "train") == cli._stage_key(config, "ablation")
+        assert cli._stage_key(config, "featurize") == text_sha256(
+            f"dates.train_start={config.dates.train_start!r}\n"
+            f"dates.train_end={config.dates.train_end!r}\nrevision 1"
         )
         dates, graph, sweep = config.dates, config.graph, config.sweep
         assert cli._stage_key(config, "ingest") == text_sha256(
@@ -280,6 +275,7 @@ class TestLoadConfig:
         assert changed("training.epochs=5") == {"train", "ablation"}
         assert changed("lexicon.keywords=7") == {"lexicon"}
         assert changed("pipeline.seed=2") == {"embed", "train", "ablation"}
+        assert changed("pipeline.store_entries=0") == set()
         assert changed("paths.work_dir=elsewhere") == set()
         assert changed("sweep.taus=0.5") == {"sweep"}
         assert changed("sweep.predict_tau=0.5") == {"predict"}
@@ -302,217 +298,3 @@ class TestReadme:
         # as written, comments and all, the block loads to exactly the defaults
         defaults = load_config(_write_config(tmp_path), ())
         assert load_config(_write_config(tmp_path, block), ()) == defaults
-
-
-class TestHashes:
-    def test_file_sha256_known_value(self, tmp_path):
-        path = tmp_path / "blob"
-        path.write_bytes(b"abc")
-        assert file_sha256(path) == SHA_ABC
-
-    def test_text_sha256_matches_file_hash(self, tmp_path):
-        path = tmp_path / "blob"
-        path.write_bytes(b"abc")
-        assert text_sha256("abc") == file_sha256(path)
-
-
-class TestManifest:
-    def _stage_files(self, tmp_path):
-        source = tmp_path / "input.txt"
-        source.write_text("raw data\n")
-        artifact = tmp_path / "work" / "artifact.txt"
-        artifact.parent.mkdir(exist_ok=True)
-        artifact.write_text("derived\n")
-        return {"source": source}, {"artifact": artifact}
-
-    def test_fresh_manifest_is_up_to_date(self, tmp_path):
-        inputs, outputs = self._stage_files(tmp_path)
-        work = tmp_path / "work"
-        write_manifest(work, "stage", inputs, outputs, "cfg", Digests())
-        assert manifest_path(work, "stage").is_file()
-        assert up_to_date(work, "stage", inputs, outputs, "cfg", Digests())
-
-    def test_changed_input_invalidates(self, tmp_path):
-        inputs, outputs = self._stage_files(tmp_path)
-        work = tmp_path / "work"
-        write_manifest(work, "stage", inputs, outputs, "cfg", Digests())
-        inputs["source"].write_text("different data\n")
-        assert not up_to_date(work, "stage", inputs, outputs, "cfg", Digests())
-
-    def test_changed_config_invalidates(self, tmp_path):
-        inputs, outputs = self._stage_files(tmp_path)
-        work = tmp_path / "work"
-        write_manifest(work, "stage", inputs, outputs, "cfg", Digests())
-        assert not up_to_date(work, "stage", inputs, outputs, "other", Digests())
-
-    def test_dropped_or_added_input_invalidates(self, tmp_path):
-        inputs, outputs = self._stage_files(tmp_path)
-        work = tmp_path / "work"
-        extra = tmp_path / "extra.txt"
-        extra.write_text("optional input\n")
-        extended = {**inputs, "extra": extra}
-        write_manifest(work, "stage", extended, outputs, "cfg", Digests())
-        assert up_to_date(work, "stage", extended, outputs, "cfg", Digests())
-        assert not up_to_date(work, "stage", inputs, outputs, "cfg", Digests())
-        write_manifest(work, "stage", inputs, outputs, "cfg", Digests())
-        assert not up_to_date(work, "stage", extended, outputs, "cfg", Digests())
-
-    def test_missing_or_modified_output_invalidates(self, tmp_path):
-        inputs, outputs = self._stage_files(tmp_path)
-        work = tmp_path / "work"
-        write_manifest(work, "stage", inputs, outputs, "cfg", Digests())
-        outputs["artifact"].write_text("tampered\n")
-        assert not up_to_date(work, "stage", inputs, outputs, "cfg", Digests())
-        outputs["artifact"].unlink()
-        assert not up_to_date(work, "stage", inputs, outputs, "cfg", Digests())
-
-    def test_renamed_output_set_invalidates(self, tmp_path):
-        inputs, outputs = self._stage_files(tmp_path)
-        work = tmp_path / "work"
-        write_manifest(work, "stage", inputs, outputs, "cfg", Digests())
-        renamed = {"other_name": outputs["artifact"]}
-        assert not up_to_date(work, "stage", inputs, renamed, "cfg", Digests())
-
-    def test_absent_or_corrupt_manifest_is_stale(self, tmp_path):
-        inputs, outputs = self._stage_files(tmp_path)
-        work = tmp_path / "work"
-        assert not up_to_date(work, "stage", inputs, outputs, "cfg", Digests())
-        for text in ("{broken", "[]"):
-            manifest_path(work, "stage").write_text(text)
-            assert not up_to_date(work, "stage", inputs, outputs, "cfg", Digests())
-
-    @pytest.mark.parametrize("kind", ["inputs", "outputs"])
-    @pytest.mark.parametrize("shape", [None, 5, "names"])
-    def test_malformed_file_table_is_stale(self, tmp_path, kind, shape):
-        inputs, outputs = self._stage_files(tmp_path)
-        work = tmp_path / "work"
-        write_manifest(work, "stage", inputs, outputs, "cfg", Digests())
-        path = manifest_path(work, "stage")
-        record = json.loads(path.read_text())
-        record[kind] = sorted(record[kind]) if shape == "names" else shape
-        path.write_text(json.dumps(record))
-        assert not up_to_date(work, "stage", inputs, outputs, "cfg", Digests())
-
-    def test_version_change_invalidates(self, tmp_path):
-        inputs, outputs = self._stage_files(tmp_path)
-        work = tmp_path / "work"
-        write_manifest(work, "stage", inputs, outputs, "cfg", Digests())
-        path = manifest_path(work, "stage")
-        record = json.loads(path.read_text())
-        record["versions"]["package"] = "0.0.0-other"
-        path.write_text(json.dumps(record))
-        assert not up_to_date(work, "stage", inputs, outputs, "cfg", Digests())
-
-    @pytest.mark.parametrize(
-        "env, cpus, threads",
-        [
-            ({}, 2, 2),
-            ({"OPENBLAS_NUM_THREADS": "1"}, 2, 1),
-            ({"OMP_NUM_THREADS": "1"}, 2, 1),
-            ({"GOTO_NUM_THREADS": "1"}, 2, 1),
-            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 2),
-            ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, 1),
-            ({"OPENBLAS_NUM_THREADS": "4"}, 2, 2),
-            ({"OPENBLAS_NUM_THREADS": "0"}, 2, 2),
-            ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 1),
-            ({"OPENBLAS_NUM_THREADS": "2"}, 1, 1),
-        ],
-    )
-    def test_recorded_blas_threads(self, monkeypatch, env, cpus, threads):
-        """The first positive thread variable, capped at the usable CPUs."""
-        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(name, raising=False)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-        usable = set(range(cpus))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable, raising=False)
-        assert manifest._versions()["blas_threads"] == str(threads)
-
-    def test_recorded_numpy_version_is_the_imported_one(self):
-        """The version is read from metadata; manifests must not change by it."""
-        import numpy
-
-        assert manifest._versions()["numpy"] == numpy.__version__
-
-
-class TestWorkDirLock:
-    def test_lock_file_lives_only_inside_the_context(self, tmp_path):
-        work = tmp_path / "work"
-        with work_dir_lock(work):
-            assert (work / ".lock").is_file()
-        with work_dir_lock(work):
-            pass
-
-    def test_concurrent_lock_refused(self, tmp_path):
-        work = tmp_path / "work"
-        with work_dir_lock(work):
-            with pytest.raises(PipelineError, match="locked by another run"):
-                with work_dir_lock(work):
-                    pass
-        with work_dir_lock(work):
-            pass
-
-    def test_lock_released_after_an_exception(self, tmp_path):
-        work = tmp_path / "work"
-        with pytest.raises(RuntimeError):
-            with work_dir_lock(work):
-                raise RuntimeError("boom")
-        with work_dir_lock(work):
-            pass
-
-    def test_creates_missing_work_dir(self, tmp_path):
-        work = tmp_path / "deep" / "nested" / "work"
-        with work_dir_lock(work):
-            assert work.is_dir()
-
-    @pytest.mark.parametrize(
-        "content",
-        [
-            "",
-            "not a pid\n",
-            "0\n",
-            "-1\n",
-            pytest.param(f"{os.getppid()}\n", id="live-pid"),
-        ],
-    )
-    def test_lock_file_content_does_not_block(self, tmp_path, content):
-        (tmp_path / ".lock").write_text(content)
-        with work_dir_lock(tmp_path):
-            with pytest.raises(PipelineError, match="locked by another run"):
-                with work_dir_lock(tmp_path):
-                    pass
-
-    def test_lock_of_a_killed_run_is_free_without_a_warning(self, tmp_path, caplog):
-        config = _write_config(
-            tmp_path,
-            "[synth]\ntickers = 6\ngroup_count = 2\ngroup_size = 3\n"
-            "actives_per_group = 2\nstart = 2012-01-02\nend = 2012-03-30\n"
-            "news_start = 2012-02-01\n",
-        )
-        holder = subprocess.Popen(
-            [
-                sys.executable,
-                "-c",
-                "import sys; from newsmotion.manifest import work_dir_lock\n"
-                "with work_dir_lock(sys.argv[1]):\n"
-                "    print('locked', flush=True); sys.stdin.read()",
-                str(tmp_path / "work"),
-            ],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            env=child_env(),
-            text=True,
-        )
-        try:
-            assert holder.stdout.readline() == "locked\n"
-            with caplog.at_level(logging.ERROR):
-                assert cli.main(["synth", "--config", str(config)]) == 2
-            assert "locked by another run" in caplog.text
-        finally:
-            holder.kill()
-            holder.communicate()
-        assert holder.returncode == -signal.SIGKILL
-        caplog.clear()
-        with caplog.at_level(logging.WARNING):
-            assert cli.main(["synth", "--config", str(config)]) == 0
-        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]

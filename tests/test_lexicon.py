@@ -8,6 +8,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+from newsmotion.config import PACKAGED
 from newsmotion.embedding import EmbeddingTable
 from newsmotion.errors import ParseError, ValidationError
 from newsmotion.lexicon import (
@@ -322,7 +323,7 @@ class TestBuildCategoryLexicon:
 
 class TestLoadCategorySeeds:
     def test_packaged_default(self):
-        categories = load_category_seeds()
+        categories = load_category_seeds(PACKAGED["category_seeds"])
         assert len(categories) == 10
         for seeds in categories.values():
             assert seeds and all(len(s.split()) == 1 for s in seeds)

@@ -8,6 +8,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+from newsmotion.config import PACKAGED
 from newsmotion.errors import ParseError, ValidationError
 from newsmotion.ingest import Article, PriceSeries
 from newsmotion.sampling import (
@@ -17,8 +18,8 @@ from newsmotion.sampling import (
     Sample,
     Sentence,
     build_samples,
-    default_abbreviations,
     extract_sentences,
+    load_abbreviations,
     load_aliases,
     load_samples,
     movement_label,
@@ -27,7 +28,7 @@ from newsmotion.sampling import (
     write_samples,
 )
 
-ABBR = default_abbreviations()
+ABBR = load_abbreviations(PACKAGED["abbreviations"])
 
 
 def _series(ticker, observations):
@@ -337,7 +338,7 @@ class TestSampleCheckpoint:
         prices = _table(
             _series("AAPL", [(date(2012, 1, 2), 10.0), (date(2012, 1, 3), 11.0)])
         )
-        samples = build_samples(extract_sentences(articles, matcher), prices)
+        samples = build_samples(extract_sentences(articles, matcher, ABBR), prices)
         path = tmp_path / "samples.jsonl"
         write_samples(samples, path)
         again = load_samples(path)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from newsmotion.config import SYNTH_NAMES, SynthConfig
+from newsmotion.config import PACKAGED, SYNTH_NAMES, SynthConfig
 from newsmotion.dates import DateRange
 from newsmotion.errors import ValidationError
 from newsmotion.graph import build_graph
@@ -17,9 +17,12 @@ from newsmotion.sampling import (
     AliasMatcher,
     build_samples,
     extract_sentences,
+    load_abbreviations,
     load_aliases,
 )
 from newsmotion.synth import _STEMS, generate_synthetic_fixture
+
+ABBR = load_abbreviations(PACKAGED["abbreviations"])
 
 SMALL = SynthConfig(
     tickers=9,
@@ -108,7 +111,7 @@ class TestGeneratedFiles:
     def test_quiet_members_never_reach_the_news(self, fixture, paths):
         aliases = load_aliases(paths[2])
         matcher = AliasMatcher(aliases)
-        sentences = extract_sentences(load_articles(paths[0]), matcher)
+        sentences = extract_sentences(load_articles(paths[0]), matcher, ABBR)
         mentioned = {t for s in sentences for t in s.tickers()}
         quiet = {
             t
@@ -123,7 +126,7 @@ class TestGeneratedFiles:
         articles, prices_path, aliases = paths
         prices = load_prices(prices_path)
         matcher = AliasMatcher(load_aliases(aliases))
-        sentences = extract_sentences(load_articles(articles), matcher)
+        sentences = extract_sentences(load_articles(articles), matcher, ABBR)
         samples = build_samples(sentences, prices)
         labeled = [s for s in samples if s.label is not None]
         assert len(labeled) == fixture.expected_samples
