@@ -150,7 +150,7 @@ def _embed(config, inputs, outputs) -> None:
     with inputs["corpus.txt"].open("r", encoding="utf-8") as fh:
         sentences = [tokens for tokens in (tokenize(line) for line in fh) if tokens]
     table = _here.train_skipgram(sentences, config.embedding)
-    embedding.save_embeddings(table, outputs["embeddings.txt"])
+    embedding.save_embeddings(table, outputs["embeddings.bin"])
     logger.info(
         "embed: %d sentences -> %d words x %d dims",
         len(sentences),
@@ -161,7 +161,7 @@ def _embed(config, inputs, outputs) -> None:
 
 def _lexicon(config, inputs, outputs) -> None:
     from . import embedding, lexicon, sampling
-    table = embedding.load_embeddings(inputs["embeddings.txt"])
+    table = embedding.load_embeddings(inputs["embeddings.bin"])
     train_samples = sampling.load_samples(inputs["samples_train.jsonl"])
     keywords = _here.build_keyword_lexicon(
         table, train_samples, k=config.lexicon.keywords
@@ -339,7 +339,10 @@ _PROPAGATION = ("graph.iterations", "graph.clamp_observed")
 # ablation.
 UNITS = {
     "synth": Unit("synth", ("synth",), (), _FIXTURE, _synth),
-    "prices": Unit("ingest", (), ("paths.prices",), ("prices.bin",), _prices),
+    # revision 1: prices.bin's header names its arrays' dtypes
+    "prices": Unit(
+        "ingest", (), ("paths.prices",), ("prices.bin",), _prices, revision=1
+    ),
     # revision 1: each sample sentence keeps its mentions; revision 2: a
     # "\r" in a sentence becomes a space in corpus.txt, as "\n" does;
     # revision 3: an alias is stripped of surrounding whitespace; revision
@@ -353,12 +356,12 @@ UNITS = {
         revision=4,
     ),
     "embed": Unit(
-        "embed", ("embedding",), ("corpus.txt",), ("embeddings.txt",), _embed
+        "embed", ("embedding",), ("corpus.txt",), ("embeddings.bin",), _embed
     ),
     "lexicon": Unit(
         "lexicon",
         ("lexicon",),
-        ("samples_train.jsonl", "embeddings.txt", "paths.category_seeds"),
+        ("samples_train.jsonl", "embeddings.bin", "paths.category_seeds"),
         ("keywords.csv", "categories.csv"),
         _lexicon,
     ),

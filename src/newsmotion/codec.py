@@ -4,11 +4,10 @@ A table is leading ``# key=value`` lines, one exact header line, then
 comma-separated rows; JSON lines hold one object per line; a blob is a
 JSON header line, then each array's little-endian values. float32 and
 uint8 arrays are stored as ``<f4`` and ``|u1``, any other as ``<f8``;
-the header's ``dtypes`` names each array's stored dtype, and a header
-without it holds ``<f8`` arrays only. Consecutive arrays of one dtype
-load into one array that the decoder's arrays view (`unpack`), so a load
-holds its data once: values are read straight into it, in their stored
-dtype.
+the header's ``dtypes`` names each array's stored dtype. Consecutive
+arrays of one dtype load into one array that the decoder's arrays view
+(`unpack`), so a load holds its data once: values are read straight into
+it, in their stored dtype.
 Text is written as UTF-8 with ``"\n"`` line ends. Whatever a caller's
 decoder raises comes back as a `ParseError` naming the file and line,
 and so does a text file that is not UTF-8 (`utf8_text`).
@@ -149,14 +148,13 @@ def _stored(a: np.ndarray) -> str:
 def write_blob(path: str | Path, header: dict, arrays: Sequence[np.ndarray]) -> None:
     """Write the header as one JSON line, then each array's values.
 
-    Each array is stored as `_stored` says; when one is not ``<f8`` the
-    header's ``dtypes`` lists every array's tag. An array that is
-    already C-ordered in its stored dtype is written from its own buffer;
-    any other is converted first.
+    Each array is stored as `_stored` says, and the header's ``dtypes``
+    lists every array's tag. An array that is already C-ordered in its
+    stored dtype is written from its own buffer; any other is converted
+    first.
     """
     tags = [_stored(a) for a in arrays]
-    if any(tag != "<f8" for tag in tags):
-        header = {**header, "dtypes": tags}
+    header = {**header, "dtypes": tags}
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, separators=(",", ":"), sort_keys=True).encode())
         fh.write(b"\n")
@@ -192,7 +190,7 @@ def unpack(
     consecutive arrays of one dtype is read into one array, and the
     arrays returned are views of it.
     """
-    tags = header.get("dtypes", ["<f8"] * len(shapes))
+    tags = header["dtypes"]
     if not isinstance(tags, list) or len(tags) != len(shapes):
         raise ValueError(f"expected {len(shapes)} dtype tags, got {tags!r}")
     for tag in tags:
@@ -207,14 +205,11 @@ def unpack(
     if found != expected:
         raise ValueError(f"expected {expected} data bytes, found {found}")
     arrays: list[np.ndarray] = []
-    found = 0
     for dtype, run in groupby(zip(shapes, sizes, stored), key=lambda array: array[2]):
         run_shapes, run_sizes, _ = zip(*run)
         values = np.empty(sum(run_sizes), dtype=dtype)
-        read = data.readinto(values.view(np.uint8))
-        found += read
-        if read != values.nbytes:
-            raise ValueError(f"expected {expected} data bytes, found {found}")
+        if data.readinto(values.view(np.uint8)) != values.nbytes:
+            raise ValueError(f"expected {expected} data bytes, found fewer")
         chunks = np.split(values, np.cumsum(run_sizes)[:-1])
         arrays.extend(v.reshape(shape) for v, shape in zip(chunks, run_shapes))
     return arrays

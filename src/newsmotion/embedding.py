@@ -16,13 +16,13 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .codec import decoding, utf8_text
+from .codec import read_blob, unpack, write_blob
 from .config import SkipGramConfig
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 
 log = logging.getLogger(__name__)
 
@@ -45,6 +45,11 @@ class EmbeddingTable:
             raise ValidationError("vectors shape does not match vocabulary")
         if self.dimension <= 0:
             raise ValidationError("vector dimension must be positive")
+        # A non-finite vector would silently drop out of every ranking.
+        finite = np.isfinite(self.vectors).all(axis=1)
+        if not finite.all():
+            word = self.words[int(np.argmin(finite))]
+            raise ValidationError(f"word {word!r} has a non-finite component")
         if len(set(self.words)) != len(self.words):
             raise ValidationError("duplicate words in vocabulary")
         self.index = {w: i for i, w in enumerate(self.words)}
@@ -290,54 +295,29 @@ def rank_by_seed_similarity(
 
 
 def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
-    """Write the standard text format: 'V d' header, then 'word v1 .. vd' rows."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{len(table.words)} {table.dimension}\n")
-        for word, row in zip(table.words, table.vectors):
-            fh.write(word + " " + " ".join(f"{x:.6f}" for x in row) + "\n")
+    """A blob: the words and the dimension in the header, then the (V, d)
+    vectors as ``<f8`` (`codec.write_blob`)."""
+    header = {"words": table.words, "dimension": table.dimension}
+    write_blob(path, header, [table.vectors])
+
+
+def _table(header: dict, data: BinaryIO) -> EmbeddingTable:
+    words, dim = header["words"], header["dimension"]
+    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+        raise ValueError("words must be a list of strings")
+    if type(dim) is not int or dim <= 0:
+        raise ValueError(f"dimension must be a positive int, got {dim!r}")
+    (vectors,) = unpack(data, header, [(len(words), dim)])
+    if vectors.dtype != np.float64:
+        raise ValueError("vectors must be stored as <f8")
+    return EmbeddingTable(words=words, vectors=vectors)
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
-    """Read the text vector format written by `save_embeddings`.
+    """The table `save_embeddings` wrote.
 
-    Rows are collected before the header's counts are trusted, so a header
-    that declares more rows than the file holds is a `ParseError`, not an
-    allocation of that size. So are bytes that are not UTF-8 and a ``nan``
-    or infinite component, named by line.
+    A bad header field, a byte count that disagrees with the header, and
+    a table `EmbeddingTable` refuses (a ``nan`` or infinite component
+    among them) are a `ParseError` naming the file.
     """
-    path = Path(path)
-    with utf8_text(path), path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ParseError(f"{path}:1: expected header '<vocab_size> <dimension>'")
-        with decoding(f"{path}:1"):
-            vocab_size, dim = int(header[0]), int(header[1])
-        if vocab_size < 0 or dim < 0:
-            raise ParseError(f"{path}:1: negative dimensions are not allowed")
-        words: list[str] = []
-        rows: list[np.ndarray] = []
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            where = f"{path}:{lineno}"
-            if len(words) == vocab_size:
-                raise ParseError(f"{where}: more rows than declared vocab {vocab_size}")
-            word, comps = parts[0], parts[1:]
-            if len(comps) != dim:
-                raise ParseError(
-                    f"{where}: word {word!r} has {len(comps)} components, expected {dim}"
-                )
-            with decoding(where):
-                row = np.array([float(c) for c in comps])
-            if not np.all(np.isfinite(row)):
-                raise ParseError(f"{where}: word {word!r} has a non-finite component")
-            rows.append(row)
-            words.append(word)
-    if len(words) != vocab_size:
-        raise ParseError(f"{path}: {len(words)} rows, header declared {vocab_size}")
-    with decoding(path):
-        return EmbeddingTable(
-            words=words, vectors=np.array(rows, dtype=np.float64).reshape(vocab_size, dim)
-        )
+    return read_blob(path, _table)

@@ -193,7 +193,8 @@ def write_price_table(prices: Mapping[str, PriceSeries], path: str | Path) -> No
     """
     header = {"tickers": list(prices), "lengths": [len(s) for s in prices.values()]}
     ordinals = [d.toordinal() for s in prices.values() for d in s.dates]
-    write_blob(path, header, [np.array(ordinals), *(s.closes for s in prices.values())])
+    closes = [s.closes for s in prices.values()] or [np.empty(0)]
+    write_blob(path, header, [np.array(ordinals), np.concatenate(closes)])
 
 
 def _price_table(header: dict, data: BinaryIO) -> dict[str, PriceSeries]:

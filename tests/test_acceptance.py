@@ -498,7 +498,7 @@ class TestEmbeddingOnFixture:
         work = pipeline["work_dirs"][0]
         with (work / "corpus.txt").open(encoding="utf-8") as fh:
             sentences = [tokens for tokens in map(tokenize, fh) if tokens]
-        words = load_embeddings(work / "embeddings.txt").words
+        words = load_embeddings(work / "embeddings.bin").words
         index = {w: i for i, w in enumerate(words)}
         window = 3
         expected_centers, expected_contexts = [], []

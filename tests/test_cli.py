@@ -40,6 +40,8 @@ from newsmotion.ingest import Article, load_prices, write_articles
 from newsmotion.lexicon import load_keyword_lexicon
 from newsmotion.manifest import (
     Digests,
+    _entry,
+    file_sha256,
     manifest_path,
     text_sha256,
     work_dir_lock,
@@ -79,7 +81,7 @@ ARTIFACTS = (
     "samples_valid.jsonl",
     "samples_test.jsonl",
     "corpus.txt",
-    "embeddings.txt",
+    "embeddings.bin",
     "keywords.csv",
     "categories.csv",
     "features_train.bin",
@@ -406,6 +408,108 @@ class TestInputOrder:
         )
         assert after.pop(manifest) != before.pop(manifest)
         assert after == before
+
+    def test_closes_times_four_change_only_prices_bin(self, pipeline, tmp_path):
+        """Scaling by a power of two is exact and commutes with every
+        rounding, so each scale-free number made from the closes keeps its
+        bits; only prices.bin and the manifests that hash it change."""
+
+        def times_four(root: Path) -> None:
+            path = root / "prices.csv"
+            header, *rows = path.read_text().splitlines()
+            fields = (row.rsplit(",", 1) for row in rows)
+            scaled = [f"{head},{4 * float(close)!r}" for head, close in fields]
+            path.write_text("\n".join([header, *scaled]) + "\n")
+
+        before = work_digests(pipeline / "work")
+        after = smoke_digests(tmp_path, times_four)
+        assert after.keys() == before.keys()
+        assert {name for name in before if after[name] != before[name]} == {
+            "prices.bin",
+            "prices.manifest.json",
+            "ingest.manifest.json",
+            "featurize.manifest.json",
+            "graph.manifest.json",
+            "sweep.manifest.json",
+        }
+
+
+def _word2vec_text(work: Path) -> None:
+    """Replace ``embeddings.bin`` by the word2vec text the previous format wrote."""
+    table = load_embeddings(work / "embeddings.bin")
+    rows = (
+        word + " " + " ".join(f"{x:.6f}" for x in row) + "\n"
+        for word, row in zip(table.words, table.vectors)
+    )
+    (work / "embeddings.txt").write_text(
+        f"{len(table)} {table.dimension}\n" + "".join(rows), encoding="utf-8"
+    )
+    (work / "embeddings.bin").unlink()
+
+
+def _previous_format(work: Path) -> None:
+    """Rewrite a work dir, its store included, as the previous format left it.
+
+    The word vectors are word2vec text, ``prices.bin``'s header names no
+    dtypes, the prices unit's key holds no revision, and every manifest
+    and store entry records those files.
+    """
+    entries = [path.parent for path in work.glob(".store/*/*/*.manifest.json")]
+    old = {}  # each rewritten file's digest, by its digest before
+    for where in (work, *entries):
+        if (where / "prices.bin").is_file():
+            path = where / "prices.bin"
+            before = file_sha256(path)
+            line, data = path.read_bytes().split(b"\n", 1)
+            header = json.loads(line)
+            del header["dtypes"]
+            line = json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
+            path.write_bytes(line + b"\n" + data)
+            old[before] = file_sha256(path)
+        if (where / "embeddings.bin").is_file():
+            before = file_sha256(where / "embeddings.bin")
+            _word2vec_text(where)
+            old[before] = file_sha256(where / "embeddings.txt")
+    for manifest in [*work.glob("*.manifest.json"), *work.glob(".store/*/*/*.manifest.json")]:
+        record = json.loads(manifest.read_text(encoding="utf-8"))
+        for kind in ("inputs", "outputs"):
+            record[kind] = {
+                ("embeddings.txt" if name == "embeddings.bin" else name): old.get(d, d)
+                for name, d in record[kind].items()
+            }
+        if record["stage"] == "prices":
+            record["config"] = text_sha256("")
+        manifest.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        if manifest.parent != work:
+            del record["outputs"]
+            manifest.parent.rename(_entry(work, record))
+
+
+class TestPreviousFormat:
+    """A work dir the previous format wrote runs through every stage."""
+
+    def test_a_previous_work_dir_reruns_the_changed_units_once(
+        self, pipeline, tmp_path, caplog
+    ):
+        config = _copy(pipeline, tmp_path)
+        work = config.parent / "work"
+        fresh = work_digests(work)
+        _previous_format(work)
+        skipped = []
+        for _ in range(2):
+            caplog.clear()
+            with caplog.at_level(logging.INFO):
+                for stage in STAGES[1:]:
+                    assert cli.main([stage, "--config", str(config)]) == 0, stage
+            assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+            skipped.append(set(re.findall(r"(\w+): artifacts up to date", caplog.text)))
+        # prices.bin's new bytes rerun its readers, which write what they wrote
+        assert skipped == [{"train", "predict", "ablation"}, set(cli.UNITS) - {"synth"}]
+        # a unit that runs again reads the prices.bin now in place
+        assert cli.main(["graph", "--config", str(config), "--force"]) == 0
+        after = work_digests(work)
+        assert after.pop("embeddings.txt")
+        assert after == fresh
 
 
 class TestFeaturizeSkips:
@@ -862,7 +966,7 @@ class TestVouchedInputs:
         [
             ("training.epochs=3", "predict", "model.bin", "train"),
             ("training.epochs=3", "evaluate", "model.bin", "train"),
-            ("embedding.dimension=16", "lexicon", "embeddings.txt", "embed"),
+            ("embedding.dimension=16", "lexicon", "embeddings.bin", "embed"),
             ("embedding.dimension=16", "predict", "model.bin", "embed"),
         ],
     )
@@ -1225,7 +1329,7 @@ class TestTracingPlan:
         work = config.parent / "work"
         with (work / "corpus.txt").open(encoding="utf-8") as fh:
             sentences = [tokens for tokens in map(tokenize, fh) if tokens]
-        index = load_embeddings(work / "embeddings.txt").index
+        index = load_embeddings(work / "embeddings.bin").index
         settings = load_config(config, ()).embedding
         centers, _ = _pair_arrays(sentences, index, settings.window)
         assert pairs == len(centers) * settings.epochs
@@ -1451,16 +1555,17 @@ class TestFailureModes:
         self, pipeline, tmp_path, caplog
     ):
         config = _copy(pipeline, tmp_path)
-        path = config.parent / "work" / "embeddings.txt"
-        header, rows = path.read_text(encoding="utf-8").split("\n", 1)
-        dim = header.split()[1]
-        path.write_text(f"99999999999 {dim}\n{rows}", encoding="utf-8")
+        path = config.parent / "work" / "embeddings.bin"
+        line, data = path.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        header["dimension"] = 99999999999
+        path.write_bytes(json.dumps(header).encode() + b"\n" + data)
         # embed's manifest records the edited file, so that the loader, not
         # staleness, is what rejects it.
         _record(config, "embed")
         error = _refused(config, "lexicon", caplog)
-        assert f"{path}: " in error
-        assert "header declared 99999999999" in error
+        expected = 8 * 99999999999 * len(header["words"])
+        assert f"{path}: expected {expected} data bytes, found {len(data)}" in error
 
     def test_unusable_work_dir_exits_two(self, tmp_path):
         config = _write_config(tmp_path, "")

@@ -581,8 +581,12 @@ class TestPriceTable:
     def test_lengths_that_disagree_with_the_bytes_name_the_file(self, tmp_path):
         path = self._table(tmp_path)
         header, data = path.read_bytes().split(b"\n", 1)
-        assert json.loads(header) == {"lengths": [2, 1], "tickers": ["AAA", "BBB"]}
-        path.write_bytes(b'{"lengths":[2,2],"tickers":["AAA","BBB"]}\n' + data)
+        assert json.loads(header) == {
+            "dtypes": ["<f8", "<f8"],
+            "lengths": [2, 1],
+            "tickers": ["AAA", "BBB"],
+        }
+        path.write_bytes(header.replace(b"[2,1]", b"[2,2]") + b"\n" + data)
         with pytest.raises(ParseError) as caught:
             load_price_table(path)
         assert str(caught.value) == f"{path}: expected 64 data bytes, found 48"

@@ -172,6 +172,9 @@ class TestComputeIdf:
     def test_absent_word(self):
         assert compute_idf(0, 3) == pytest.approx(math.log(4.0), abs=1e-12)
 
+    def test_no_samples_scores_zero(self):
+        assert compute_idf(0, 0) == 0.0
+
     def test_negative_counts_rejected(self):
         with pytest.raises(ValidationError):
             compute_idf(-1, 10)
@@ -248,11 +251,23 @@ class TestBuildKeywordLexicon:
         assert len(lexicon) == 20
         assert "keeping all" in caplog.text
 
+    def test_exactly_k_candidates_do_not_warn(self, caplog):
+        table, samples = self._planted()
+        with caplog.at_level("WARNING"):
+            lexicon = build_keyword_lexicon(table, samples, k=20)
+        assert len(lexicon) == 20
+        assert caplog.records == []
+
     def test_single_class_rejected(self):
         table, samples = self._planted()
         positives = [s for s in samples if s.label == POSITIVE]
         with pytest.raises(ValidationError, match="positive and negative"):
             build_keyword_lexicon(table, positives, k=10)
+
+    def test_one_sample_of_each_class_and_one_keyword(self):
+        table, samples = self._planted()
+        lexicon = build_keyword_lexicon(table, samples[1:3], k=1)
+        assert [e.word for e in lexicon.entries] == [min(SEED_WORDS)]
 
     def test_k_must_be_positive(self):
         table, samples = self._planted()
@@ -312,6 +327,12 @@ class TestBuildCategoryLexicon:
         assert len(lexicon.entries) == 6
         assert "energy" in caplog.text
 
+    def test_exactly_m_candidates_do_not_warn(self, caplog):
+        with caplog.at_level("WARNING"):
+            lexicon = build_category_lexicon(self._table(), {"energy": ["oil"]}, m=6)
+        assert len(lexicon.entries) == 6
+        assert caplog.records == []
+
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValidationError):
             build_category_lexicon(self._table(), {}, m=3)
@@ -335,6 +356,11 @@ class TestLoadCategorySeeds:
             "energy": ["oil", "gas"],
             "tech": ["chip"],
         }
+
+    def test_a_header_needs_both_brackets(self, tmp_path):
+        path = tmp_path / "seeds.txt"
+        path.write_text("[energy]\n[oil\ngas]\n")
+        assert load_category_seeds(path) == {"energy": ["[oil", "gas]"]}
 
     def test_seed_before_any_header(self, tmp_path):
         path = tmp_path / "seeds.txt"

@@ -707,12 +707,12 @@ class TestModelFile:
         base = loaded.weights[0].base
         assert all(p.base is base for p in (*loaded.weights, *loaded.biases))
 
-    def test_a_float64_model_names_no_dtypes(self, tmp_path):
+    def test_float64_weights_are_stored_as_f8(self, tmp_path):
         model = init([3, 4, 2], seed=68, layout=_layout(3))
         path = tmp_path / "model.bin"
         save_model(model, path)
         line, body = path.read_bytes().split(b"\n", 1)
-        assert "dtypes" not in json.loads(line)
+        assert json.loads(line)["dtypes"] == ["<f8"] * 4
         assert len(body) == 8 * sum(p.size for p in (*model.weights, *model.biases))
         loaded = load_model(path)
         assert all(w.dtype == np.float64 for w in loaded.weights)
