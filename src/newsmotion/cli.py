@@ -1,4 +1,4 @@
-"""Command-line pipeline driver: one subcommand per stage.
+"""Command-line pipeline driver: runs one stage per call.
 
 ``UNITS`` lists each cache unit once: the stage it belongs to, the config
 sections and fields its cache key hashes, its inputs and outputs, and the
@@ -52,7 +52,6 @@ from .manifest import (
     work_dir_lock,
     write_manifest,
 )
-from .tokens import tokenize
 
 # The stage functions a body calls that perfbench's tracer wraps on this
 # module, by the module that owns them: a body reads each as an attribute
@@ -147,6 +146,7 @@ def _ingest(config, inputs, outputs) -> None:
 
 def _embed(config, inputs, outputs) -> None:
     from . import embedding
+    from .tokens import tokenize
     with inputs["corpus.txt"].open("r", encoding="utf-8") as fh:
         sentences = [tokens for tokens in (tokenize(line) for line in fh) if tokens]
     table = _here.train_skipgram(sentences, config.embedding)
@@ -553,32 +553,37 @@ def _run_stage(config: PipelineConfig, stage: str, force: bool) -> int:
 
 
 def _parser() -> argparse.ArgumentParser:
+    stages = dict.fromkeys(spec.stage for spec in UNITS.values())
+    width = max(map(len, stages))
     parser = argparse.ArgumentParser(
         prog="newsmotion",
         description="news-driven next-day stock movement prediction pipeline",
+        epilog="stages:\n"
+        + "".join(f"  {stage:<{width}}  {_HELP[stage]}\n" for stage in stages),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="<stage>")
-    for stage in dict.fromkeys(spec.stage for spec in UNITS.values()):
-        p = sub.add_parser(stage, help=_HELP[stage])
-        p.add_argument(
-            "--config", required=True, metavar="PATH", help="pipeline config file"
-        )
-        p.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            metavar="SECTION.KEY=VALUE",
-            help="override a config value; repeatable, wins over the file",
-        )
-        p.add_argument(
-            "--force",
-            action="store_true",
-            help="rerun even when the stage's artifacts are up to date",
-        )
-        p.add_argument("--verbose", action="store_true", help="debug logging")
+    parser.add_argument(
+        "stage", choices=stages, metavar="<stage>", help="the stage to run, listed below"
+    )
+    parser.add_argument(
+        "--config", required=True, metavar="PATH", help="pipeline config file"
+    )
+    parser.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        metavar="SECTION.KEY=VALUE",
+        help="override a config value; repeatable, wins over the file",
+    )
+    parser.add_argument(
+        "--force",
+        action="store_true",
+        help="rerun even when the stage's artifacts are up to date",
+    )
+    parser.add_argument("--verbose", action="store_true", help="debug logging")
     return parser
 
 
@@ -591,7 +596,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = load_config(args.config, args.overrides or ())
         with work_dir_lock(config.paths.work_dir):
-            return _run_stage(config, args.command, args.force)
+            return _run_stage(config, args.stage, args.force)
     except (ConfigError, ValidationError, ParseError, MissingArtifactError) as exc:
         logger.error("%s", exc)
         return 1

@@ -46,6 +46,8 @@ PACKAGED = {
 
 @dataclass(frozen=True)
 class PathsConfig:
+    """[paths]: the input files and the work dir."""
+
     articles: Path = Path("articles.jsonl")
     prices: Path = Path("prices.csv")
     aliases: Path = Path("aliases.csv")
@@ -55,6 +57,8 @@ class PathsConfig:
 
 @dataclass(frozen=True)
 class DatesConfig:
+    """[dates]: the boundaries of the train, validation and test splits."""
+
     train_start: Date = Date(1900, 1, 1)
     train_end: Date = Date(2012, 12, 31)
     valid_end: Date = Date(2013, 6, 15)
@@ -62,6 +66,8 @@ class DatesConfig:
 
 @dataclass(frozen=True)
 class LexiconConfig:
+    """[lexicon]: how many keywords and words per category to keep."""
+
     keywords: int = 1000
     category_words: int = 100
 
@@ -73,6 +79,8 @@ class LexiconConfig:
 
 @dataclass(frozen=True)
 class GraphConfig:
+    """[graph]: the correlation graph and how predictions spread over it."""
+
     threshold: float = 0.8
     min_overlap: int = 252
     window_start: Date | None = None  # no start and end mean all common dates
@@ -103,6 +111,8 @@ class GraphConfig:
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """[sweep]: the propagation thresholds swept and the one predict uses."""
+
     taus: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
     predict_tau: float = 0.8
 
@@ -117,6 +127,8 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SkipGramConfig:
+    """[embedding]: the skip-gram word embedding."""
+
     dimension: int = 100
     window: int = 5
     negatives: int = 5
@@ -135,6 +147,8 @@ class SkipGramConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """[training]: the movement classifier and its training."""
+
     hidden: tuple[int, ...] = (1024, 1024, 1024, 1024)
     learning_rate: float = 0.05
     decay: float = 0.5
@@ -162,6 +176,8 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """[synth]: the synthetic fixture's size, calendar and dynamics."""
+
     tickers: int = 50
     group_count: int = 12
     group_size: int = 3
@@ -207,6 +223,8 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """[pipeline]: the master seed and the store's size."""
+
     seed: int = 1  # master seed for embeddings and training
     store_entries: int = 4  # past outputs kept per cache unit; 0 keeps none
 

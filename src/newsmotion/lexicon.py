@@ -222,7 +222,8 @@ def load_category_seeds(path: str | Path) -> dict[str, list[str]]:
     """Parse the category seed file: '[category]' headers, one seed per line.
 
     A category name may not hold a comma, as it becomes a field of
-    categories.csv.
+    categories.csv. A line with only one of the brackets is an error, not
+    a seed word: no token could match it.
     """
     path = Path(path)
     with utf8_text(path):
@@ -233,7 +234,10 @@ def load_category_seeds(path: str | Path) -> dict[str, list[str]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("[") and line.endswith("]"):
+        opens, closes = line.startswith("["), line.endswith("]")
+        if opens != closes:
+            raise ParseError(f"{path}:{lineno}: a [category] header needs both brackets")
+        if opens:
             current = line[1:-1].strip()
             if not current:
                 raise ParseError(f"{path}:{lineno}: empty category name")

@@ -26,8 +26,8 @@ import glob
 import hashlib
 import json
 import os
-import platform
 import shutil
+import sys
 import time
 from importlib import util
 from pathlib import Path
@@ -36,17 +36,18 @@ from typing import Iterable, Iterator, Mapping
 from . import __version__
 from .errors import PipelineError
 
-_CHUNK = 1 << 20
+_CHUNK = 1 << 18
 
 
 def file_sha256(path: str | Path) -> str:
+    # One buffer per call, filled in place: a read of fresh bytes per
+    # chunk costs an allocation and a copy each.
     digest = hashlib.sha256()
-    with Path(path).open("rb") as fh:
-        while True:
-            chunk = fh.read(_CHUNK)
-            if not chunk:
-                break
-            digest.update(chunk)
+    buffer = bytearray(_CHUNK)
+    view = memoryview(buffer)
+    with Path(path).open("rb", buffering=0) as fh:
+        while size := fh.readinto(buffer):
+            digest.update(view[:size])
     return digest.hexdigest()
 
 
@@ -98,7 +99,7 @@ def _blas_threads() -> int:
 def _versions() -> dict[str, str]:
     return {
         "package": __version__,
-        "python": platform.python_version(),
+        "python": sys.version.split()[0],  # what platform.python_version() returns
         "numpy": _numpy_version(),
         "blas_threads": str(_blas_threads()),
     }

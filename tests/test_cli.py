@@ -1577,6 +1577,15 @@ class TestFailureModes:
             cli.main(["transmogrify", "--config", "x.ini"])
         assert err.value.code == 2
 
+    def test_help_lists_every_stage_with_its_line(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["--help"])
+        assert err.value.code == 0
+        out = capsys.readouterr().out
+        for stage in {spec.stage for spec in cli.UNITS.values()}:
+            line = rf"^  {stage} +{re.escape(cli._HELP[stage])}$"
+            assert re.search(line, out, re.MULTILINE), stage
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["--version"])
@@ -1584,19 +1593,31 @@ class TestFailureModes:
         assert capsys.readouterr().out.startswith("newsmotion ")
 
 
+_SMALL_SYNTH = (
+    "group_size = 3\nactives_per_group = 2\n"
+    "start = 2012-01-02\nend = 2012-03-30\nnews_start = 2012-02-01\n"
+)
+
+
+def _synth_symbols(tmp_path: Path, text: str, *sets: str) -> int:
+    """How many tickers synth names under ``[synth]`` ``text`` and ``--set`` ``sets``."""
+    config = _write_config(tmp_path, f"[synth]\n{text}{_SMALL_SYNTH}")
+    argv = ["synth", "--config", str(config)]
+    assert cli.main([*argv, *(arg for item in sets for arg in ("--set", item))]) == 0
+    rows = [
+        line
+        for line in (tmp_path / "aliases.csv").read_text().splitlines()
+        if line and not line.startswith("#")
+    ]
+    return len({line.split(",")[1] for line in rows})
+
+
 class TestOverrides:
     def test_set_reaches_the_stage(self, tmp_path):
-        config = _write_config(
-            tmp_path,
-            "[synth]\ngroup_count = 2\ngroup_size = 3\nactives_per_group = 2\n"
-            "start = 2012-01-02\nend = 2012-03-30\nnews_start = 2012-02-01\n",
-        )
-        code = cli.main(["synth", "--config", str(config), "--set", "synth.tickers=6"])
-        assert code == 0
-        rows = [
-            line
-            for line in (tmp_path / "aliases.csv").read_text().splitlines()
-            if line and not line.startswith("#")
-        ]
-        symbols = {line.split(",")[1] for line in rows}
-        assert len(symbols) == 6
+        assert _synth_symbols(tmp_path, "group_count = 2\n", "synth.tickers=6") == 6
+
+    def test_set_repeats(self, tmp_path):
+        """Either override alone leaves the file's [synth] invalid."""
+        text = "tickers = 99\ngroup_count = 20\n"
+        sets = ("synth.tickers=6", "synth.group_count=2")
+        assert _synth_symbols(tmp_path, text, *sets) == 6

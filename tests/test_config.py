@@ -243,6 +243,7 @@ class TestLoadConfig:
             f"{config.training!r}\nrevision 3"
         )
         assert cli._stage_key(config, "train") == cli._stage_key(config, "ablation")
+        assert cli._stage_key(config, "prices") == text_sha256("revision 1")
         assert cli._stage_key(config, "featurize") == text_sha256(
             f"dates.train_start={config.dates.train_start!r}\n"
             f"dates.train_end={config.dates.train_end!r}\nrevision 1"

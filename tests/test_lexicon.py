@@ -359,8 +359,10 @@ class TestLoadCategorySeeds:
 
     def test_a_header_needs_both_brackets(self, tmp_path):
         path = tmp_path / "seeds.txt"
-        path.write_text("[energy]\n[oil\ngas]\n")
-        assert load_category_seeds(path) == {"energy": ["[oil", "gas]"]}
+        for text, line in (("[energy]\n[oil\ngas]\n", 2), ("[energy]\noil\ngas]\n", 3)):
+            path.write_text(text)
+            with pytest.raises(ParseError, match=rf"seeds\.txt:{line}: .*both brackets"):
+                load_category_seeds(path)
 
     def test_seed_before_any_header(self, tmp_path):
         path = tmp_path / "seeds.txt"

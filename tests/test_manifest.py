@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
+import random
 import shutil
 import signal
 import subprocess
@@ -47,6 +49,23 @@ class TestHashes:
         path = tmp_path / "blob"
         path.write_bytes(b"abc")
         assert file_sha256(path) == SHA_ABC
+
+    @pytest.mark.parametrize(
+        "size",
+        [
+            0,
+            1,
+            manifest._CHUNK - 1,
+            manifest._CHUNK,
+            manifest._CHUNK + 1,
+            3 * manifest._CHUNK + 7,
+        ],
+    )
+    def test_file_sha256_hashes_every_byte_across_buffer_edges(self, tmp_path, size):
+        data = random.Random(size).randbytes(size)
+        path = tmp_path / "blob"
+        path.write_bytes(data)
+        assert file_sha256(path) == hashlib.sha256(data).hexdigest()
 
     def test_text_sha256_matches_file_hash(self, tmp_path):
         path = tmp_path / "blob"
@@ -183,6 +202,12 @@ class TestManifest:
         import numpy
 
         assert manifest._versions()["numpy"] == numpy.__version__
+
+    def test_recorded_python_version_is_the_platform_one(self):
+        """Read from sys.version, so that no stage imports platform."""
+        import platform
+
+        assert manifest._versions()["python"] == platform.python_version()
 
     @pytest.mark.parametrize(
         "spec",
@@ -622,15 +647,16 @@ class TestRestore:
     def test_a_restoring_stage_imports_no_numpy(self, smoke, tmp_path):
         config = _copy(smoke, tmp_path)
         _run(config, RETUNED)
-        done = subprocess.run(
-            [sys.executable, "-c", _RESTORING, str(config)],
-            env=child_env(),
-            capture_output=True,
-            text=True,
-        )
-        assert done.returncode == 0, done.stderr
+        stderr = _lean_run(config, TUNED)
         for unit in ("graph", "predict", "sweep"):
-            assert f"{unit}: restored from the store" in done.stderr
+            assert f"{unit}: restored from the store" in stderr
+
+    def test_a_skipping_stage_imports_no_numpy(self, smoke, tmp_path):
+        config = _copy(smoke, tmp_path)
+        stages = ("ingest", "embed", "lexicon", "featurize", "train", *TUNED)
+        stderr = _lean_run(config, stages)
+        for unit in cli.UNITS.keys() - {"synth"}:
+            assert f"{unit}: artifacts up to date, skipping" in stderr
 
     def test_no_store_is_kept_at_zero_entries(self, smoke, tmp_path, monkeypatch):
         config = _write_config(tmp_path, SMOKE_CONFIG)
@@ -665,12 +691,25 @@ os.replace = killing
 sys.exit(cli.main(sys.argv[2:]))
 """
 
-# Returns the tuned stages to the smoke defaults, which the store holds.
-_RESTORING = """\
+# Runs the stages named after the config in one process, then checks
+# that none of the heavy or unneeded modules was loaded.
+_LEAN = """\
 import sys
 from newsmotion import cli
-for stage in ("graph", "predict", "evaluate"):
+for stage in sys.argv[2:]:
     assert cli.main([stage, "--config", sys.argv[1]]) == 0, stage
-assert "numpy" not in sys.modules, "numpy imported"
-assert "importlib.metadata" not in sys.modules, "importlib.metadata imported"
+for name in ("numpy", "importlib.metadata", "platform", "newsmotion.tokens"):
+    assert name not in sys.modules, f"{name} imported"
 """
+
+
+def _lean_run(config: Path, stages) -> str:
+    """Runs ``stages`` by ``_LEAN`` in a fresh process; returns its log."""
+    done = subprocess.run(
+        [sys.executable, "-c", _LEAN, str(config), *stages],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stderr
