@@ -11,10 +11,12 @@ It skips the unit when its own manifest is still up to date. Otherwise,
 when the work dir's store holds the unit's outputs for its current
 config key, inputs and versions, it copies them back with their
 manifest; failing that, it runs the body against temporary outputs,
-moves them into place, writes the manifest and stores both. ``ingest``
-has two units: ``prices`` parses and checks the price CSV into
-``prices.bin``, which every later price reader loads, and ``ingest``
-makes the samples. ``evaluate`` has two, the ablation and the sweep.
+moves them into place, writes the manifest and stores both. Once the
+unit has run or restored, it deletes the work-dir files of an older
+format that the unit's outputs replaced. ``ingest`` has two units:
+``prices`` parses and checks the price CSV into ``prices.bin``, which
+every later price reader loads, and ``ingest`` makes the samples.
+``evaluate`` has two, the ablation and the sweep.
 Exit codes: 0 success, 1 validation error, 2 runtime failure.
 """
 
@@ -24,7 +26,6 @@ import argparse
 import importlib
 import logging
 import sys
-from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Sequence
@@ -52,6 +53,7 @@ from .manifest import (
     work_dir_lock,
     write_manifest,
 )
+from .record import Record
 
 # The stage functions a body calls that perfbench's tracer wraps on this
 # module, by the module that owns them: a body reads each as an attribute
@@ -303,9 +305,8 @@ def _sweep(config, inputs, outputs) -> None:
     outputs["sweep.txt"].write_text(evaluation.render_sweep(sweep), encoding="utf-8")
 
 
-@dataclass(frozen=True)
-class Unit:
-    """One cache unit of a stage, with its own manifest.
+class Unit(Record):
+    """One cache unit of a stage, with its own manifest: a frozen record.
 
     ``sections`` make up its cache key: each names a whole section, or
     one field as ``section.field``; [paths] never does, as the files are
@@ -317,7 +318,9 @@ class Unit:
     ``report`` is an output that the stage prints whether the unit ran or
     skipped. ``revision`` counts the changes to what the body writes from
     unchanged inputs and sections; a non-zero one joins the cache key, so
-    outputs of an older revision are remade once.
+    outputs of an older revision are remade once. ``retired`` names
+    work-dir files of an older format that the outputs replace; the
+    runner deletes them once the unit has run or restored.
     """
 
     stage: str
@@ -327,6 +330,7 @@ class Unit:
     body: Callable[..., None]
     report: str | None = None
     revision: int = 0
+    retired: tuple[str, ...] = ()
 
 
 _SAMPLES = ("samples_train.jsonl", "samples_valid.jsonl", "samples_test.jsonl")
@@ -336,7 +340,8 @@ _PROPAGATION = ("graph.iterations", "graph.clamp_observed")
 
 # ingest has two units, so a dates change does not remake prices.bin, and
 # evaluate has two, so a sweep or graph change does not retrain the
-# ablation.
+# ablation. Both evaluate units retire evaluate.manifest.json, the
+# manifest of the single unit evaluate had before.
 UNITS = {
     "synth": Unit("synth", ("synth",), (), _FIXTURE, _synth),
     # revision 1: prices.bin's header names its arrays' dtypes
@@ -355,8 +360,14 @@ UNITS = {
         _ingest,
         revision=4,
     ),
+    # embeddings.txt: the word2vec text file that embeddings.bin replaced
     "embed": Unit(
-        "embed", ("embedding",), ("corpus.txt",), ("embeddings.bin",), _embed
+        "embed",
+        ("embedding",),
+        ("corpus.txt",),
+        ("embeddings.bin",),
+        _embed,
+        retired=("embeddings.txt",),
     ),
     "lexicon": Unit(
         "lexicon",
@@ -407,6 +418,7 @@ UNITS = {
         _ablation,
         report="ablation.txt",
         revision=3,
+        retired=("evaluate.manifest.json",),
     ),
     "sweep": Unit(
         "evaluate",
@@ -415,6 +427,7 @@ UNITS = {
         ("sweep.csv", "sweep.txt"),
         _sweep,
         report="sweep.txt",
+        retired=("evaluate.manifest.json",),
     ),
 }
 
@@ -536,6 +549,8 @@ def _run_unit(
         write_manifest(work_dir, unit, inputs, outputs, key, digests)
         if entries:
             store(work_dir, unit, outputs, entries)
+    for name in spec.retired:
+        (work_dir / name).unlink(missing_ok=True)
     # A later unit of the stage may read what this one just wrote.
     answers[unit] = None
 

@@ -1,15 +1,16 @@
 """Pipeline configuration: one INI file, full defaults, flag overrides win.
 
-The schema is one frozen dataclass per INI section, all defined here:
-``[paths]``, ``[dates]``, ``[lexicon]``, ``[embedding]``
-(:class:`SkipGramConfig`), ``[training]`` (:class:`TrainConfig`),
-``[graph]``, ``[sweep]``, ``[synth]`` (:class:`SynthConfig`) and
-``[pipeline]`` (:class:`RunConfig`). The embedding, mlp and synth
-modules import their section's class from here. This module imports no
-numpy and no stage module, so a stage that only checks its manifest
-stays cheap. A section's keys, defaults and types are its dataclass
-fields, and its ``__post_init__`` is the only range check for it; only
-the ordering of the ``[dates]`` boundaries is checked here. The one
+The schema is one frozen :class:`~newsmotion.record.Record` per INI
+section, all defined here: ``[paths]``, ``[dates]``, ``[lexicon]``,
+``[embedding]`` (:class:`SkipGramConfig`), ``[training]``
+(:class:`TrainConfig`), ``[graph]``, ``[sweep]``, ``[synth]``
+(:class:`SynthConfig`) and ``[pipeline]`` (:class:`RunConfig`). The
+embedding, mlp and synth modules import their section's class from here.
+This module imports no numpy, no stage module and no ``dataclasses``, so
+a stage that only checks its manifest stays cheap. A section's keys,
+defaults and types are its annotated fields, read once at import into
+``SCHEMA``, and its ``__post_init__`` is the only range check for it;
+only the ordering of the ``[dates]`` boundaries is checked here. The one
 ``pipeline.seed`` key fills the ``seed`` field of the embedding and
 training sections, which have no ``seed`` key of their own.
 
@@ -21,17 +22,18 @@ value of an optional key means None. A ``;`` after whitespace starts a
 comment, so the README's annotated block loads as written.
 """
 
-from __future__ import annotations
+# No ``from __future__ import annotations``: ``SCHEMA`` takes each key's
+# type from its section's annotations, evaluated as the class is defined.
 
 import configparser
 import math
-from dataclasses import Field, dataclass, fields
 from datetime import date as Date
 from pathlib import Path
-from typing import Any, Callable, Sequence, get_args, get_type_hints
+from typing import Any, Callable, Sequence, get_args
 
 from .dates import DateRange, iso_date
 from .errors import ConfigError, ValidationError
+from .record import Record
 
 # How many tickers synth can name: the length of its ``_STEMS``.
 SYNTH_NAMES = 52
@@ -44,8 +46,7 @@ PACKAGED = {
 }
 
 
-@dataclass(frozen=True)
-class PathsConfig:
+class PathsConfig(Record):
     """[paths]: the input files and the work dir."""
 
     articles: Path = Path("articles.jsonl")
@@ -55,8 +56,7 @@ class PathsConfig:
     work_dir: Path = Path("work")
 
 
-@dataclass(frozen=True)
-class DatesConfig:
+class DatesConfig(Record):
     """[dates]: the boundaries of the train, validation and test splits."""
 
     train_start: Date = Date(1900, 1, 1)
@@ -64,8 +64,7 @@ class DatesConfig:
     valid_end: Date = Date(2013, 6, 15)
 
 
-@dataclass(frozen=True)
-class LexiconConfig:
+class LexiconConfig(Record):
     """[lexicon]: how many keywords and words per category to keep."""
 
     keywords: int = 1000
@@ -77,8 +76,7 @@ class LexiconConfig:
                 raise ValidationError(f"{name} must be positive")
 
 
-@dataclass(frozen=True)
-class GraphConfig:
+class GraphConfig(Record):
     """[graph]: the correlation graph and how predictions spread over it."""
 
     threshold: float = 0.8
@@ -109,8 +107,7 @@ class GraphConfig:
         return DateRange(self.window_start, self.window_end)
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(Record):
     """[sweep]: the propagation thresholds swept and the one predict uses."""
 
     taus: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -125,8 +122,7 @@ class SweepConfig:
             raise ValidationError("predict_tau must be non-negative")
 
 
-@dataclass(frozen=True)
-class SkipGramConfig:
+class SkipGramConfig(Record):
     """[embedding]: the skip-gram word embedding."""
 
     dimension: int = 100
@@ -145,8 +141,7 @@ class SkipGramConfig:
             raise ValidationError("learning_rate must be positive")
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Record):
     """[training]: the movement classifier and its training."""
 
     hidden: tuple[int, ...] = (1024, 1024, 1024, 1024)
@@ -174,8 +169,7 @@ class TrainConfig:
             raise ValidationError("epochs, l2, and patience must be non-negative")
 
 
-@dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(Record):
     """[synth]: the synthetic fixture's size, calendar and dynamics."""
 
     tickers: int = 50
@@ -221,8 +215,7 @@ class SynthConfig:
             raise ValidationError("seed must be non-negative")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """[pipeline]: the master seed and the store's size."""
 
     seed: int = 1  # master seed for embeddings and training
@@ -235,8 +228,7 @@ class RunConfig:
             raise ValidationError("store_entries must be non-negative")
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(Record):
     """Typed view of the merged defaults, config file, and overrides.
 
     One field per INI section, named after it.
@@ -256,13 +248,15 @@ class PipelineConfig:
 # Sections whose ``seed`` field is pipeline.seed rather than a key of their own.
 _SEEDED = ("embedding", "training")
 
-SECTIONS: dict[str, type] = get_type_hints(PipelineConfig)
+SECTIONS: dict[str, type] = dict(PipelineConfig.__annotations__)
 
-# The full schema: section -> the dataclass fields that are its keys.
-SCHEMA: dict[str, tuple[Field, ...]] = {
-    name: tuple(
-        f for f in fields(cls) if not (name in _SEEDED and f.name == "seed")
-    )
+# The full schema: section -> its keys, each with its type, in field order.
+SCHEMA: dict[str, dict[str, Any]] = {
+    name: {
+        key: kind
+        for key, kind in cls.__annotations__.items()
+        if not (name in _SEEDED and key == "seed")
+    }
     for name, cls in SECTIONS.items()
 }
 
@@ -324,14 +318,13 @@ def _parse(kind: Any, text: str, key: str) -> Any:
 def _section(name: str, given: dict[str, str], base: Path, **extra: Any) -> Any:
     """Build one section from its given values, defaults filling the rest."""
     cls = SECTIONS[name]
-    hints = get_type_hints(cls)
     values = dict(extra)
-    for f in SCHEMA[name]:
-        if f.name in given:
-            value = _parse(hints[f.name], given[f.name], f"{name}.{f.name}")
+    for key, kind in SCHEMA[name].items():
+        if key in given:
+            value = _parse(kind, given[key], f"{name}.{key}")
         else:
-            value = f.default
-        values[f.name] = base / value if isinstance(value, Path) else value
+            value = cls._field_defaults[key]
+        values[key] = base / value if isinstance(value, Path) else value
     try:
         return cls(**values)
     except ValidationError as exc:
@@ -341,7 +334,6 @@ def _section(name: str, given: dict[str, str], base: Path, **extra: Any) -> Any:
 def _merge(path: Path, overrides: Sequence[str]) -> dict[str, dict[str, str]]:
     """The values the file and the overrides give, per section."""
     merged: dict[str, dict[str, str]] = {section: {} for section in SCHEMA}
-    known = {section: {f.name for f in keys} for section, keys in SCHEMA.items()}
     parser = configparser.RawConfigParser(inline_comment_prefixes=(";",))
     parser.optionxform = str  # keep keys case-sensitive
     try:
@@ -357,7 +349,7 @@ def _merge(path: Path, overrides: Sequence[str]) -> dict[str, dict[str, str]]:
         if section not in merged:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key, value in parser.items(section):
-            if key not in known[section]:
+            if key not in SCHEMA[section]:
                 raise ConfigError(f"{path}: unknown key {section}.{key}")
             merged[section][key] = value.strip()
     for item in overrides:
@@ -365,7 +357,7 @@ def _merge(path: Path, overrides: Sequence[str]) -> dict[str, dict[str, str]]:
         section, dot, key = dotted.partition(".")
         if not sep or not dot or not section or not key:
             raise ConfigError(f"override {item!r} is not of the form section.key=value")
-        if key not in known.get(section, ()):
+        if key not in SCHEMA.get(section, ()):
             raise ConfigError(f"override names unknown key {section}.{key}")
         merged[section][key] = value.strip()
     return merged

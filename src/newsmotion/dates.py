@@ -1,18 +1,19 @@
 """Calendar dates: ISO parsing and inclusive date ranges.
 
-This module imports no numpy, so the config schema and the CLI's skip
-check can use it without loading any stage module.
+This module imports no numpy and no ``dataclasses``, so the config
+schema and the CLI's skip check can use it without loading any stage
+module.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from datetime import date as Date
 from datetime import timedelta
 from typing import Iterator
 
 from .errors import ValidationError
+from .record import Record
 
 
 _ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
@@ -36,9 +37,8 @@ def parse_date(text: str) -> Date:
         raise ValidationError(f"invalid date {text!r}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class DateRange:
-    """Inclusive calendar-date interval."""
+class DateRange(Record):
+    """Inclusive calendar-date interval, a frozen record of its two ends."""
 
     start: Date
     end: Date

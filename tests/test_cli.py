@@ -210,7 +210,7 @@ def _watch_bodies(monkeypatch) -> dict[str, set[str]]:
         return watched
 
     for unit, spec in cli.UNITS.items():
-        watched = replace(spec, body=watching(unit, spec.body))
+        watched = spec._replace(body=watching(unit, spec.body))
         monkeypatch.setitem(cli.UNITS, unit, watched)
     return read
 
@@ -452,7 +452,8 @@ def _previous_format(work: Path) -> None:
 
     The word vectors are word2vec text, ``prices.bin``'s header names no
     dtypes, the prices unit's key holds no revision, and every manifest
-    and store entry records those files.
+    and store entry records those files. The manifest of the single
+    evaluate unit of an older format is still there too.
     """
     entries = [path.parent for path in work.glob(".store/*/*/*.manifest.json")]
     old = {}  # each rewritten file's digest, by its digest before
@@ -483,6 +484,10 @@ def _previous_format(work: Path) -> None:
         if manifest.parent != work:
             del record["outputs"]
             manifest.parent.rename(_entry(work, record))
+    sweep = json.loads((work / "sweep.manifest.json").read_text(encoding="utf-8"))
+    (work / "evaluate.manifest.json").write_text(
+        json.dumps({**sweep, "stage": "evaluate"}, indent=2, sort_keys=True) + "\n"
+    )
 
 
 class TestPreviousFormat:
@@ -507,9 +512,8 @@ class TestPreviousFormat:
         assert skipped == [{"train", "predict", "ablation"}, set(cli.UNITS) - {"synth"}]
         # a unit that runs again reads the prices.bin now in place
         assert cli.main(["graph", "--config", str(config), "--force"]) == 0
-        after = work_digests(work)
-        assert after.pop("embeddings.txt")
-        assert after == fresh
+        # the files of the older formats are gone with their units' first run
+        assert work_digests(work) == fresh
 
 
 class TestFeaturizeSkips:

@@ -14,7 +14,34 @@ from newsmotion.errors import ConfigError
 from newsmotion.dates import DateRange
 from newsmotion.manifest import text_sha256
 
+from test_acceptance import PIPELINE_CONFIG
+
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+# Each unit's cache key under the default config; the acceptance config
+# changes only the keys of the units that read [embedding], [lexicon] or
+# [training].
+PINNED_KEYS = {
+    "default": {
+        "synth": "63552b707fe57e053ce5c95aecb1d889af6fa02bc4bdbcf9f6487e7f069dbd9a",
+        "prices": "b7a0e05dfa6c0525a685a9933cb995e3f9cac9b409a25db7c6a05c61436aa756",
+        "ingest": "734cbd83b2b1e1015022e1a854134a3de4b7b9597b2c463d62c7a9f3e3d6b055",
+        "embed": "0e03b57ceb61c2f6153e1d4a6cff040bed7b8ae97f4e0ea8ea1e2c5d424aff88",
+        "lexicon": "e8e626854596d8fb81a2a49032501994ff9eaf84229f549d23759b1c48e4303f",
+        "featurize": "3b7831b9bb04a28e7d77afa68faa74173950ad3251f3905bbc00d00f5812d7d3",
+        "train": "ceb51c369c849063a84b49ac7015b8e26f8ad9e3eb7087b6f5a3d1a0caac182d",
+        "graph": "51aca8b65203a870168a3e9ad9c0ffead6df75aeab2a61ab5746d010c5f94e26",
+        "predict": "ba6c35d3c64586df099a31253f1fa076e1a12d6d4bcf8de8c33627d2f5c6ae48",
+        "ablation": "ceb51c369c849063a84b49ac7015b8e26f8ad9e3eb7087b6f5a3d1a0caac182d",
+        "sweep": "d7de79754738d79b0cd6d085dc9128ccff9924a35d6bf1979480828426d3082b",
+    },
+    "acceptance": {
+        "embed": "fb6e120adff4b1a3eed70b94e0ef8b502314c412671207fbc0ef2369a87439c3",
+        "lexicon": "21e8b3e84ed6cb493506c56bac387042bd85e132aab0ed0aea947c7c0f3a6a57",
+        "train": "1497ccdb00bdef4465f59b9adc205e4ba1591e5e83c69cf6561b39e74277036c",
+        "ablation": "1497ccdb00bdef4465f59b9adc205e4ba1591e5e83c69cf6561b39e74277036c",
+    },
+}
 
 
 def _write_config(tmp_path: Path, text: str = "") -> Path:
@@ -40,16 +67,25 @@ class TestLoadConfig:
 
     def test_every_default_parses(self, tmp_path):
         # the schema itself must satisfy its own validation; every key of
-        # every section comes out at its dataclass default
+        # every section comes out at its field's default
         config = load_config(_write_config(tmp_path), ())
         for section, keys in SCHEMA.items():
             assert isinstance(getattr(config, section), SECTIONS[section])
             for key in keys:
-                value = getattr(getattr(config, section), key.name)
+                value = getattr(getattr(config, section), key)
+                default = SECTIONS[section]._field_defaults[key]
                 if isinstance(value, Path):
-                    assert value == tmp_path / key.default
+                    assert value == tmp_path / default
                 else:
-                    assert value == key.default, f"{section}.{key.name}"
+                    assert value == default, f"{section}.{key}"
+
+    def test_a_section_built_alone_equals_its_empty_file_load(self, tmp_path):
+        # pipeline.seed's default fills the seed of the sections without a
+        # seed key, so their own seed default must be the same
+        config = load_config(_write_config(tmp_path), ())
+        for section, cls in SECTIONS.items():
+            if section != "paths":  # its paths resolve against the file
+                assert cls() == getattr(config, section), section
 
     def test_file_values_override_defaults(self, tmp_path):
         config = load_config(
@@ -162,6 +198,95 @@ class TestLoadConfig:
             with pytest.raises(ConfigError, match=needle):
                 load_config(_write_config(tmp_path, text), ())
 
+    # Every range check at its edge: each value here is the last one it
+    # accepts, and the matching case below the first one past it.
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["lexicon.keywords=1", "lexicon.category_words=1"],
+            ["graph.threshold=0", "graph.min_overlap=2", "graph.iterations=0"],
+            ["graph.threshold=1"],
+            ["graph.window_start=2012-05-01", "graph.window_end=2012-05-01"],
+            ["sweep.taus=0", "sweep.predict_tau=0"],
+            [
+                f"embedding.{key}=1"
+                for key in ("dimension", "window", "negatives", "epochs", "min_count")
+            ],
+            ["training.hidden=1", "training.decay=1", "training.decay_every=1"],
+            ["training.batch_size=1", "training.epochs=0", "training.l2=0"],
+            ["training.patience=0"],
+            ["synth.tickers=52", "synth.actives_per_group=1", "synth.samples_per_day=0.5"],
+            ["synth.tickers=1", "synth.group_count=0", "synth.noise=0"],
+            ["synth.mean_reversion=0"],
+            ["synth.group_size=2", "synth.actives_per_group=1", "synth.noise=0.5"],
+            ["synth.tickers=36", "synth.driver_weight=1"],
+            ["synth.news_start=2011-01-03"],
+            ["synth.news_start=2013-12-31"],
+            ["dates.train_start=2012-12-31", "dates.valid_end=2013-01-01"],
+        ],
+    )
+    def test_the_edge_of_each_range_loads(self, tmp_path, overrides):
+        load_config(_write_config(tmp_path), overrides)
+
+    @pytest.mark.parametrize(
+        "override, wanted",
+        [
+            ("lexicon.category_words=0", "[lexicon] category_words must be positive"),
+            ("graph.threshold=-0.1", "[graph] threshold must be in [0, 1]"),
+            ("graph.iterations=-1", "[graph] iterations must be non-negative"),
+            ("sweep.predict_tau=-0.1", "[sweep] predict_tau must be non-negative"),
+            ("embedding.dimension=0", "[embedding] dimension must be positive"),
+            ("embedding.negatives=0", "[embedding] negatives must be positive"),
+            ("embedding.epochs=0", "[embedding] epochs must be positive"),
+            ("embedding.min_count=0", "[embedding] min_count must be positive"),
+            ("embedding.learning_rate=0", "[embedding] learning_rate must be positive"),
+            ("training.hidden=8,0", "[training] hidden sizes must be positive, got (8, 0)"),
+            ("training.learning_rate=0", "[training] learning_rate must be positive"),
+            ("training.decay=1.5", "[training] decay must be in (0, 1]"),
+            *(
+                (f"training.{key}=0", "[training] decay_every and batch_size must be positive")
+                for key in ("decay_every", "batch_size")
+            ),
+            *(
+                (f"training.{key}=-1", "[training] epochs, l2, and patience must be non-negative")
+                for key in ("epochs", "l2", "patience")
+            ),
+            ("synth.tickers=53", "[synth] tickers must be in 1..52, got 53"),
+            *(
+                (item, "[synth] need group_size >= 2 and group_count >= 0")
+                for item in ("synth.group_count=-1", "synth.group_size=1")
+            ),
+            *(
+                (item, "[synth] actives_per_group must leave at least one quiet member per group")
+                for item in ("synth.actives_per_group=0", "synth.actives_per_group=3")
+            ),
+            ("synth.group_count=17", "[synth] groups need more tickers than available"),
+            *(
+                (item, "[synth] need start <= news_start <= end")
+                for item in ("synth.news_start=2011-01-02", "synth.news_start=2014-01-01")
+            ),
+            ("synth.samples_per_day=0", "[synth] samples_per_day must be positive"),
+            *(
+                (f"synth.noise={value}", "[synth] noise must be in [0, 0.5]")
+                for value in ("-0.1", "0.6")
+            ),
+            *(
+                (f"synth.driver_weight={value}", "[synth] driver_weight must be in (0, 1]")
+                for value in ("0", "1.5")
+            ),
+            *(
+                (f"synth.mean_reversion={value}", "[synth] mean_reversion must be in [0, 1)")
+                for value in ("-0.1", "1")
+            ),
+            ("synth.volatility=0", "[synth] volatility must be positive"),
+            ("dates.valid_end=2012-12-31", "dates.train_end must precede dates.valid_end"),
+        ],
+    )
+    def test_the_first_value_past_each_range_is_refused(self, tmp_path, override, wanted):
+        with pytest.raises(ConfigError) as caught:
+            load_config(_write_config(tmp_path), [override])
+        assert str(caught.value) == wanted
+
     def test_range_errors_name_the_section(self, tmp_path):
         for text, section in [
             ("[lexicon]\nkeywords = 0\n", "lexicon"),
@@ -264,6 +389,17 @@ class TestLoadConfig:
             f"sweep.taus={sweep.taus!r}"
         )
 
+    @pytest.mark.parametrize("name", ["default", "acceptance"])
+    def test_stage_keys_keep_their_bytes(self, tmp_path, name):
+        """Every unit's key, as the manifests already written record it.
+
+        A section whose ``repr`` drifted would rerun every unit once.
+        """
+        text = {"default": "", "acceptance": PIPELINE_CONFIG}[name]
+        config = load_config(_write_config(tmp_path, text), ())
+        keys = {**PINNED_KEYS["default"], **PINNED_KEYS.get(name, {})}
+        assert {unit: cli._stage_key(config, unit) for unit in cli.UNITS} == keys
+
     def test_stage_key_ignores_unrelated_changes(self, tmp_path):
         path = _write_config(tmp_path)
         units = list(cli.UNITS)
@@ -295,7 +431,7 @@ class TestReadme:
         parser.optionxform = str
         parser.read_string(block)
         listed = {section: set(parser[section]) for section in parser.sections()}
-        assert listed == {s: {key.name for key in keys} for s, keys in SCHEMA.items()}
+        assert listed == {s: set(keys) for s, keys in SCHEMA.items()}
         # as written, comments and all, the block loads to exactly the defaults
         defaults = load_config(_write_config(tmp_path), ())
         assert load_config(_write_config(tmp_path, block), ()) == defaults

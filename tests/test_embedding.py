@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -360,7 +358,7 @@ class TestTrainSkipgram:
 
     def test_a_diverged_training_is_refused(self):
         # The vectors overflow; the table refuses them before embed writes them.
-        config = replace(_SMALL, learning_rate=1e300)
+        config = _SMALL._replace(learning_rate=1e300)
         with np.errstate(all="ignore"):
             with pytest.raises(ValidationError, match="non-finite"):
                 train_skipgram(_mini_corpus(), config)

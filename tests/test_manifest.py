@@ -11,7 +11,6 @@ import shutil
 import signal
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -565,7 +564,7 @@ class TestRestore:
             raise AssertionError("a restoring unit ran its body")
 
         for unit in ("graph", "predict", "sweep"):
-            monkeypatch.setitem(cli.UNITS, unit, replace(cli.UNITS[unit], body=failing))
+            monkeypatch.setitem(cli.UNITS, unit, cli.UNITS[unit]._replace(body=failing))
         with caplog.at_level(logging.INFO):
             _run(config, AT_DEFAULT)
         for unit in ("graph", "predict", "sweep"):
@@ -577,6 +576,19 @@ class TestRestore:
             _run(config, RETUNED)
         assert caplog.text.count("restored from the store") == 3
         assert work_digests(work) == retuned
+
+    def test_a_restoring_unit_deletes_the_file_it_retired(
+        self, smoke, tmp_path, caplog
+    ):
+        """The sweep restores; evaluate's manifest of an older format goes."""
+        config = _copy(smoke, tmp_path)
+        work = config.parent / "work"
+        _run(config, RETUNED)
+        (work / "evaluate.manifest.json").write_text("{}\n")
+        with caplog.at_level(logging.INFO):
+            _run(config, AT_DEFAULT)
+        assert "sweep: restored from the store" in caplog.text
+        assert work_digests(work) == smoke[1]
 
     def test_a_flipped_stored_byte_reruns_the_unit_and_replaces_its_entry(
         self, smoke, tmp_path, monkeypatch, caplog
@@ -692,14 +704,20 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 # Runs the stages named after the config in one process, then checks
-# that none of the heavy or unneeded modules was loaded.
+# that none of the heavy or unneeded modules was loaded from the package's
+# import on: one that a site hook loaded before it does not count.
 _LEAN = """\
 import sys
+preloaded = set(sys.modules)
 from newsmotion import cli
 for stage in sys.argv[2:]:
     assert cli.main([stage, "--config", sys.argv[1]]) == 0, stage
-for name in ("numpy", "importlib.metadata", "platform", "newsmotion.tokens"):
-    assert name not in sys.modules, f"{name} imported"
+unneeded = (
+    "numpy", "importlib.metadata", "platform", "newsmotion.tokens",
+    "dataclasses", "inspect",
+)
+for name in unneeded:
+    assert name in preloaded or name not in sys.modules, f"{name} imported"
 """
 
 
